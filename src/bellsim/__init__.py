@@ -43,6 +43,7 @@ from .models import (
     pr_box_table,
     quantum_model,
     run_trial,
+    run_trials,
     superdeterministic_model,
 )
 from .optimize import LandscapeGrid, OptimizationResult, optimize_angles, refine_angles, s_landscape
@@ -66,7 +67,6 @@ from .quantum import (
     joint_probabilities,
     make_bell_state,
     make_named_state,
-    sample_outcome,
     spin_observable,
 )
 from .stats import (

@@ -30,11 +30,10 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 from .experiment import estimate_correlation_vector
-from .models import LhvStrategy, ModelDescriptor, TrialRecord, run_trial
+from .models import ModelDescriptor, TrialRecord, run_trials
 from .polytope import CorrelationVector, FeasibilityVerdict, local_membership
-from .quantum import JointOutcomeDistribution, joint_probabilities
+from .quantum import JointOutcomeDistribution
 from .stats import PAIR_ORDER, SettingPair, correlation
-from .streams import TrialStream
 
 # Stats trials use stream ids far above any plausible ledger, so the two
 # phases of a run never share a stream.
@@ -104,10 +103,7 @@ def record_run(
     """One recorded trial per schedule entry; stream id = entry index."""
     if len(settings_schedule) == 0:
         raise ValueError("settings schedule must be non-empty")
-    records = tuple(
-        run_trial(model, pair, TrialStream(seed, index))
-        for index, pair in enumerate(settings_schedule)
-    )
+    records = run_trials(model, settings_schedule, seed)
     return TrialLedger(seed=int(seed), model=model, records=records)
 
 
@@ -124,16 +120,10 @@ def replay_counterfactual(
         return CounterfactualCell(kind="definite", outcome=record.outcomes)
     model = ledger.model
     if model.kind in ("lhv_deterministic", "lhv_stochastic"):
-        strategy = LhvStrategy.from_index(record.hidden)
-        x, y = alternative
-        outcome = (strategy.response_left[x], strategy.response_right[y])
+        outcome = model.response(record.hidden, alternative)
         return CounterfactualCell(kind="definite", outcome=outcome)
     if model.kind in ("quantum", "nonlocal"):
-        x, y = alternative
-        dist = joint_probabilities(
-            model.quantum_state(), model.angle_for(x), model.angle_for(y)
-        )
-        return CounterfactualCell(kind="distribution", distribution=dist)
+        return CounterfactualCell(kind="distribution", distribution=model.distribution(alternative))
     return CounterfactualCell(kind="undefined")
 
 
@@ -178,14 +168,11 @@ def classify_definiteness(
         raise ValueError("trials_for_stats must be at least 1")
 
     cell_kinds = {"definite": 0, "distribution": 0, "undefined": 0}
-    matched = 0
-    for index, record in enumerate(ledger.records):
-        table = counterfactual_table(ledger, index)
-        for pair in PAIR_ORDER:
-            cell_kinds[table.cells[pair].kind] += 1
-        replayed = run_trial(ledger.model, record.settings, TrialStream(ledger.seed, index))
-        if replayed.outcomes == record.outcomes:
-            matched += 1
+    for index in range(len(ledger.records)):
+        for cell in counterfactual_table(ledger, index).cells.values():
+            cell_kinds[cell.kind] += 1
+    replayed = run_trials(ledger.model, [r.settings for r in ledger.records], ledger.seed)
+    matched = sum(a.outcomes == b.outcomes for a, b in zip(replayed, ledger.records))
 
     vector, counts = estimate_correlation_vector(
         ledger.model,

@@ -7,6 +7,7 @@ fixed by the configuration alone and results do not depend on worker count.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -23,6 +24,7 @@ from .stats import (
     correlation,
     counts_from_outcomes,
 )
+from .streams import map_chunks
 
 import numpy as np
 
@@ -44,17 +46,16 @@ def run_chsh_experiment(
     """Run trials for all four setting pairs and estimate S."""
     if trials_per_pair < 1:
         raise ValueError(f"trials_per_pair must be at least 1, got {trials_per_pair}")
-    counts: dict[SettingPair, CoincidenceCounts] = {}
+
+    def tally(pair: SettingPair, start: int, size: int) -> CoincidenceCounts:
+        return counts_from_outcomes(generate_outcomes(model, pair, seed, start, size))
+
+    counts = {}
     for pair_index, pair in enumerate(PAIR_ORDER):
-        outcomes = generate_outcomes(
-            model,
-            pair,
-            seed,
-            stream_base + pair_index * trials_per_pair,
-            trials_per_pair,
-            threads,
-        )
-        counts[pair] = counts_from_outcomes(outcomes)
+        # Each chunk is tallied where it is sampled, so memory stays O(chunk).
+        start = stream_base + pair_index * trials_per_pair
+        chunks = map_chunks(functools.partial(tally, pair), start, trials_per_pair, threads)
+        counts[pair] = functools.reduce(CoincidenceCounts.merge, chunks)
     estimates = {pair: correlation(counts[pair]) for pair in PAIR_ORDER}
     return ChshExperimentResult(counts=counts, result=chsh_s(estimates, sign_pattern))
 

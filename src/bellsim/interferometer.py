@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import batch_uniforms
+from .streams import batch_uniforms, inverse_cdf, map_chunks
 
 OUTCOMES = ("exploded", "dark_port", "bright_port")
 
@@ -61,12 +61,19 @@ def port_probabilities(spec: InterferometerSpec) -> dict[str, float]:
 
 
 def run_bomb_trials(spec: InterferometerSpec, trials: int, seed: int) -> dict[str, float]:
-    """Empirical outcome frequencies from i.i.d. sampling, one stream per trial."""
+    """Empirical outcome frequencies from i.i.d. sampling, one stream per trial.
+
+    Trials are sampled and tallied one chunk of streams at a time, so memory
+    does not grow with `trials`.
+    """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     probs = port_probabilities(spec)
     cdf = np.cumsum([probs[name] for name in OUTCOMES])
-    u = batch_uniforms(seed, np.arange(trials, dtype=np.uint64), 1)[:, 0]
-    idx = np.minimum(np.searchsorted(cdf, u, side="right"), len(OUTCOMES) - 1)
-    tally = np.bincount(idx, minlength=len(OUTCOMES))
-    return {name: float(tally[i] / trials) for i, name in enumerate(OUTCOMES)}
+
+    def tally(start: int, size: int) -> np.ndarray:
+        u = batch_uniforms(seed, np.arange(start, start + size, dtype=np.uint64), 1)[:, 0]
+        return np.bincount(inverse_cdf(cdf, u), minlength=len(OUTCOMES))
+
+    tally_all = np.sum(map_chunks(tally, 0, trials), axis=0)
+    return {name: float(tally_all[i] / trials) for i, name in enumerate(OUTCOMES)}

@@ -1,6 +1,6 @@
 """World models: one trial generator per way of producing outcome pairs.
 
-Five kinds share the run_trial interface:
+Five kinds share one sampling kernel:
 
   quantum             sample the Born joint distribution of a two-qubit state
   nonlocal            same statistics, factored as left marginal then right
@@ -9,30 +9,30 @@ Five kinds share the run_trial interface:
   lhv_stochastic      a setting-independent mixture over the 16 strategies
   superdeterministic  outcome table conditioned on the setting pair itself
 
+Each ModelDescriptor builds its sampling tables once, when it is created,
+and `sample_outcomes` is the only place where uniforms become outcomes.
 Trials draw from per-trial streams keyed by (run seed, stream_id), so any
-trial can be regenerated in isolation and batches are independent of worker
-scheduling. The scalar and vectorized paths consume stream variates in the
-same order and therefore produce identical outcomes.
+trial can be regenerated in isolation and batches are independent of
+worker scheduling.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .quantum import (
     OUTCOME_ORDER,
+    JointOutcomeDistribution,
     TwoQubitState,
     joint_probabilities,
     make_named_state,
-    sample_outcome,
 )
 from .stats import PAIR_ORDER, SettingPair
-from .streams import TrialStream, batch_uniforms
+from .streams import TrialStream, batch_uniforms, inverse_cdf, map_chunks
 
 LEFT_LABELS = ("a", "a'")
 RIGHT_LABELS = ("b", "b'")
@@ -47,9 +47,6 @@ MODEL_KINDS = (
 
 SINGLET_OPTIMAL_ANGLES = (0.0, math.pi / 2.0, math.pi / 4.0, 3.0 * math.pi / 4.0)
 PSI_PLUS_OPTIMAL_ANGLES = (0.0, math.pi / 2.0, 3.0 * math.pi / 4.0, math.pi / 4.0)
-
-_OUTCOME_ARRAY = np.array(OUTCOME_ORDER, dtype=np.int8)
-_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -137,15 +134,62 @@ def _validate_table(
     return cleaned
 
 
+# Outcome pair per hidden index, per setting pair in PAIR_ORDER: the joint
+# outcomes in OUTCOME_ORDER, and the 16 strategies' responses, unpacked from
+# the strategy index as in LhvStrategy.from_index (bits a, a', b, b').
+_OUTCOME_ANSWERS = np.tile(np.array(OUTCOME_ORDER, dtype=np.int8), (4, 1, 1))
+_RESPONSES = 1 - 2 * ((np.arange(16)[:, None] >> np.array([3, 2, 1, 0])) & 1)
+_STRATEGY_ANSWERS = np.stack(
+    [_RESPONSES[:, [x, 2 + y]] for x in range(2) for y in range(2)]
+).astype(np.int8)
+
+
+@dataclass(frozen=True)
+class _SamplingTables:
+    """A model's constants, one row per setting pair in PAIR_ORDER.
+
+    `cdf` rows are inverse-CDF thresholds over hidden indices, and `answers`
+    the outcome pair each index gives; nonlocal rows are instead
+    (p_left_plus, c_plus_given_plus, c_plus_given_minus).
+    """
+
+    draws: int
+    cdf: np.ndarray
+    answers: Optional[np.ndarray]
+    distributions: Optional[tuple[JointOutcomeDistribution, ...]]  # quantum and nonlocal
+
+
+def _build_tables(model: "ModelDescriptor") -> _SamplingTables:
+    dists = None
+    if model.kind in ("quantum", "nonlocal"):
+        state = model.quantum_state()
+        dists = tuple(
+            joint_probabilities(state, model.angle_for(x), model.angle_for(y))
+            for x, y in PAIR_ORDER
+        )
+        rows, answers = np.array([d.as_array() for d in dists]), _OUTCOME_ANSWERS
+    elif model.kind in ("lhv_deterministic", "lhv_stochastic"):
+        rows, answers = np.tile(model.weights, (4, 1)), _STRATEGY_ANSWERS
+    else:
+        rows, answers = np.array([model.table[pair] for pair in PAIR_ORDER]), _OUTCOME_ANSWERS
+    if model.kind != "nonlocal":
+        return _SamplingTables(1, np.cumsum(rows, axis=1), answers, dists)
+    p_left_plus, p_left_minus = rows[:, 0] + rows[:, 1], rows[:, 2] + rows[:, 3]
+    c_plus = rows[:, 0] / np.where(p_left_plus > 0.0, p_left_plus, 1.0)
+    c_minus = rows[:, 2] / np.where(p_left_minus > 0.0, p_left_minus, 1.0)
+    return _SamplingTables(2, np.column_stack([p_left_plus, c_plus, c_minus]), None, dists)
+
+
 @dataclass(frozen=True)
 class ModelDescriptor:
-    """A validated world-model configuration."""
+    """A validated world-model configuration and its sampling tables."""
 
     kind: str
     state: Optional[str] = None
     angles: Optional[tuple[float, float, float, float]] = None
     weights: Optional[tuple[float, ...]] = None
     table: Optional[Mapping[SettingPair, tuple[float, ...]]] = None
+    _tables: _SamplingTables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
@@ -175,6 +219,7 @@ class ModelDescriptor:
             object.__setattr__(self, "table", _validate_table(self.table))
             if self.state is not None or self.angles is not None or self.weights is not None:
                 raise ValueError("superdeterministic model takes only an outcome table")
+        object.__setattr__(self, "_tables", _build_tables(self))
 
     def angle_for(self, label: str) -> float:
         assert self.angles is not None
@@ -187,6 +232,20 @@ class ModelDescriptor:
 
     def exposes_hidden_variable(self) -> bool:
         return self.kind in ("lhv_deterministic", "lhv_stochastic", "superdeterministic")
+
+    def distribution(self, settings: SettingPair) -> JointOutcomeDistribution:
+        """Born distribution at a setting pair (quantum and nonlocal kinds)."""
+        if self._tables.distributions is None:
+            raise ValueError(f"{self.kind} model has no Born distribution")
+        return self._tables.distributions[_pair_index(settings)]
+
+    def response(self, hidden: int, settings: SettingPair) -> tuple[int, int]:
+        """Outcome pair that hidden index `hidden` answers at a setting pair."""
+        answers = self._tables.answers
+        if not self.exposes_hidden_variable() or not 0 <= hidden < answers.shape[1]:
+            raise ValueError(f"{self.kind} model has no hidden index {hidden!r}")
+        left, right = answers[_pair_index(settings), hidden]
+        return int(left), int(right)
 
     def to_dict(self) -> dict:
         if self.kind in ("quantum", "nonlocal"):
@@ -293,99 +352,65 @@ def catalog() -> dict[str, ModelDescriptor]:
     }
 
 
-def _validate_pair(settings: SettingPair) -> SettingPair:
+def _pair_index(settings: SettingPair) -> int:
+    """Position of a validated setting pair in PAIR_ORDER."""
     x, y = settings
     if x not in LEFT_LABELS or y not in RIGHT_LABELS:
         raise ValueError(
             f"settings must be a pair from {LEFT_LABELS} x {RIGHT_LABELS}, got {settings!r}"
         )
-    return (x, y)
+    return 2 * LEFT_LABELS.index(x) + RIGHT_LABELS.index(y)
 
 
-def _weight_cdf(model: ModelDescriptor) -> np.ndarray:
-    return np.cumsum(np.array(model.weights))
+def sample_outcomes(
+    model: ModelDescriptor, pairs: "int | np.ndarray", u: np.ndarray
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Outcome pairs (n, 2) int8 and hidden indices (None if not exposed) for n trials.
 
-
-def _sample_index(cdf: np.ndarray, u: float) -> int:
-    return min(int(np.searchsorted(cdf, u, side="right")), len(cdf) - 1)
+    `pairs` holds each trial's index into PAIR_ORDER, or one index for all;
+    row i of `u` holds trial i's stream uniforms in draw order. nonlocal
+    draws the left outcome, then the right one conditioned on it; the other
+    kinds draw a hidden index from the pair's CDF row and give its outcome pair.
+    """
+    tables = model._tables
+    if model.kind == "nonlocal":
+        p_left_plus, c_plus, c_minus = tables.cdf[pairs].T
+        left = u[:, 0] < p_left_plus
+        right = u[:, 1] < np.where(left, c_plus, c_minus)
+        return np.where(np.column_stack([left, right]), 1, -1).astype(np.int8), None
+    hidden = inverse_cdf(tables.cdf[pairs], u[:, 0])
+    # np.take on the flattened table is far cheaper than fancy indexing.
+    rows_per_pair = tables.answers.shape[1]
+    outcomes = np.take(tables.answers.reshape(-1, 2), pairs * rows_per_pair + hidden, axis=0)
+    return outcomes, hidden if model.exposes_hidden_variable() else None
 
 
 def run_trial(
     model: ModelDescriptor, settings: SettingPair, rng_stream: TrialStream
 ) -> TrialRecord:
-    """Produce one outcome pair under the model's semantics.
-
-    quantum draws from the Born joint distribution; lhv kinds draw the
-    hidden strategy from the setting-independent mixture and answer with
-    its responses; superdeterministic draws from the table row conditioned
-    on the settings; nonlocal draws the left outcome from its marginal and
-    the right outcome from the conditional given the left outcome.
-    """
-    x, y = _validate_pair(settings)
-    if model.kind == "quantum":
-        dist = joint_probabilities(model.quantum_state(), model.angle_for(x), model.angle_for(y))
-        outcome = sample_outcome(dist, rng_stream)
-        return TrialRecord((x, y), outcome, None, rng_stream.stream_id)
-    if model.kind == "nonlocal":
-        probs = joint_probabilities(
-            model.quantum_state(), model.angle_for(x), model.angle_for(y)
-        ).as_array()
-        p_left_plus = probs[0] + probs[1]
-        left = 1 if rng_stream.uniform() < p_left_plus else -1
-        if left == 1:
-            c_plus = probs[0] / (p_left_plus if p_left_plus > 0.0 else 1.0)
-        else:
-            p_left_minus = probs[2] + probs[3]
-            c_plus = probs[2] / (p_left_minus if p_left_minus > 0.0 else 1.0)
-        right = 1 if rng_stream.uniform() < c_plus else -1
-        return TrialRecord((x, y), (left, right), None, rng_stream.stream_id)
-    if model.kind in ("lhv_deterministic", "lhv_stochastic"):
-        lam = _sample_index(_weight_cdf(model), rng_stream.uniform())
-        strategy = LhvStrategy.from_index(lam)
-        outcome = (strategy.response_left[x], strategy.response_right[y])
-        return TrialRecord((x, y), outcome, lam, rng_stream.stream_id)
-    # superdeterministic: the hidden draw is conditioned on the setting pair
-    row = np.array(model.table[(x, y)])
-    k = _sample_index(np.cumsum(row), rng_stream.uniform())
-    return TrialRecord((x, y), OUTCOME_ORDER[k], k, rng_stream.stream_id)
+    """One trial: the kernel on the next uniforms drawn from `rng_stream`."""
+    pair = _pair_index(settings)
+    u = rng_stream.uniforms(model._tables.draws)[None, :]
+    outcomes, hidden = sample_outcomes(model, pair, u)
+    (left, right), = outcomes.tolist()
+    lam = None if hidden is None else int(hidden[0])
+    return TrialRecord(PAIR_ORDER[pair], (left, right), lam, rng_stream.stream_id)
 
 
-def _outcome_batch(
-    model: ModelDescriptor, settings: SettingPair, seed: int, stream_ids: np.ndarray
-) -> np.ndarray:
-    """Vectorized mirror of run_trial; identical stream consumption per trial."""
-    x, y = settings
-    if model.kind == "quantum":
-        dist = joint_probabilities(model.quantum_state(), model.angle_for(x), model.angle_for(y))
-        cdf = np.cumsum(dist.as_array())
-        u = batch_uniforms(seed, stream_ids, 1)[:, 0]
-        idx = np.minimum(np.searchsorted(cdf, u, side="right"), 3)
-        return _OUTCOME_ARRAY[idx]
-    if model.kind == "nonlocal":
-        probs = joint_probabilities(
-            model.quantum_state(), model.angle_for(x), model.angle_for(y)
-        ).as_array()
-        p_left_plus = probs[0] + probs[1]
-        p_left_minus = probs[2] + probs[3]
-        c_given_plus = probs[0] / (p_left_plus if p_left_plus > 0.0 else 1.0)
-        c_given_minus = probs[2] / (p_left_minus if p_left_minus > 0.0 else 1.0)
-        u = batch_uniforms(seed, stream_ids, 2)
-        left = np.where(u[:, 0] < p_left_plus, 1, -1).astype(np.int8)
-        c_plus = np.where(left == 1, c_given_plus, c_given_minus)
-        right = np.where(u[:, 1] < c_plus, 1, -1).astype(np.int8)
-        return np.column_stack([left, right])
-    if model.kind in ("lhv_deterministic", "lhv_stochastic"):
-        cdf = _weight_cdf(model)
-        u = batch_uniforms(seed, stream_ids, 1)[:, 0]
-        lam = np.minimum(np.searchsorted(cdf, u, side="right"), 15)
-        strategies = [LhvStrategy.from_index(i) for i in range(16)]
-        left_resp = np.array([s.response_left[x] for s in strategies], dtype=np.int8)
-        right_resp = np.array([s.response_right[y] for s in strategies], dtype=np.int8)
-        return np.column_stack([left_resp[lam], right_resp[lam]])
-    cdf = np.cumsum(np.array(model.table[(x, y)]))
-    u = batch_uniforms(seed, stream_ids, 1)[:, 0]
-    idx = np.minimum(np.searchsorted(cdf, u, side="right"), 3)
-    return _OUTCOME_ARRAY[idx]
+def run_trials(
+    model: ModelDescriptor, schedule: Sequence[SettingPair], seed: int, stream_start: int = 0
+) -> tuple[TrialRecord, ...]:
+    """run_trial on a fresh TrialStream(seed, stream_start + i) per schedule entry i."""
+    pairs = np.array([_pair_index(settings) for settings in schedule], dtype=np.intp)
+    ids = np.arange(stream_start, stream_start + len(pairs), dtype=np.uint64)
+    outcomes, hidden = sample_outcomes(model, pairs, batch_uniforms(seed, ids, model._tables.draws))
+    hidden_values = [None] * len(pairs) if hidden is None else hidden.tolist()
+    return tuple(
+        TrialRecord(PAIR_ORDER[pair], (left, right), lam, stream_id)
+        for pair, (left, right), lam, stream_id in zip(
+            pairs.tolist(), outcomes.tolist(), hidden_values, ids.tolist()
+        )
+    )
 
 
 def generate_outcomes(
@@ -402,24 +427,16 @@ def generate_outcomes(
     split into fixed-size chunks regardless of the thread count, so any
     worker pool assembles the same array.
     """
-    _validate_pair(settings)
+    pair = _pair_index(settings)
     if count < 0:
         raise ValueError("count must be non-negative")
-    starts = list(range(0, count, _CHUNK))
-    ranges = [
-        np.arange(stream_start + lo, stream_start + min(lo + _CHUNK, count), dtype=np.uint64)
-        for lo in starts
-    ]
-    if threads <= 1 or len(ranges) <= 1:
-        chunks = [_outcome_batch(model, settings, seed, ids) for ids in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(
-                pool.map(lambda ids: _outcome_batch(model, settings, seed, ids), ranges)
-            )
-    if not chunks:
-        return np.empty((0, 2), dtype=np.int8)
-    return np.concatenate(chunks, axis=0)
+
+    def chunk(start: int, size: int) -> np.ndarray:
+        ids = np.arange(start, start + size, dtype=np.uint64)
+        return sample_outcomes(model, pair, batch_uniforms(seed, ids, model._tables.draws))[0]
+
+    chunks = map_chunks(chunk, stream_start, count, threads)
+    return np.concatenate(chunks) if chunks else np.empty((0, 2), dtype=np.int8)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,6 @@ from typing import Mapping
 
 import numpy as np
 
-from .streams import TrialStream
-
 TAU = 2.0 * math.pi
 
 # Fixed outcome ordering used by sampling and by every serialized artifact.
@@ -205,15 +203,3 @@ def joint_probabilities(
         probs[(ol, orr)] = abs(amplitude) ** 2
     return JointOutcomeDistribution(probs)
 
-
-def sample_outcome(
-    dist: JointOutcomeDistribution, rng_stream: TrialStream
-) -> tuple[int, int]:
-    """Draw one outcome pair by inverse CDF over OUTCOME_ORDER."""
-    u = rng_stream.uniform()
-    cumulative = 0.0
-    for outcome in OUTCOME_ORDER:
-        cumulative += dist.probabilities[outcome]
-        if u < cumulative:
-            return outcome
-    return OUTCOME_ORDER[-1]

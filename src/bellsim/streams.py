@@ -16,12 +16,20 @@ across worker counts.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Optional
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 # 53-bit mantissa conversion: uniforms lie in [0, 1).
 _INV_2_53 = 2.0 ** -53
+
+# Trials per batch. Work is cut at these fixed boundaries whatever the
+# worker count, so results never depend on scheduling.
+CHUNK = 1 << 16
 
 
 def _fmix64(z: int) -> int:
@@ -80,7 +88,8 @@ def batch_uniforms(seed: int, stream_ids: np.ndarray, draws: int) -> np.ndarray:
     """Uniforms for many fresh streams at once, shape (len(stream_ids), draws).
 
     Row i column j equals the j-th value TrialStream(seed, stream_ids[i])
-    would produce, so batch and scalar paths are interchangeable.
+    would produce, so a trial gets the same variates whether it is drawn
+    alone or inside a batch.
     """
     ids = np.asarray(stream_ids, dtype=np.uint64)
     with np.errstate(over="ignore"):
@@ -92,3 +101,37 @@ def batch_uniforms(seed: int, stream_ids: np.ndarray, draws: int) -> np.ndarray:
             h = _fmix64_array(keys + np.uint64((_GAMMA * (j + 1)) & _MASK64))
             out[:, j] = (h >> np.uint64(11)) * _INV_2_53
     return out
+
+
+def inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Index k with cdf[k-1] <= u < cdf[k] for each uniform, clamped to the last index.
+
+    `cdf` is one non-decreasing row of at most 128 entries for every
+    uniform, or one such row per uniform. The index is the number of
+    thresholds at or below u, the same as np.searchsorted(cdf, u,
+    side="right"); leaving the last threshold out is the clamp.
+    """
+    thresholds = cdf[..., :-1].T.reshape(cdf.shape[-1] - 1, -1)
+    return (u >= thresholds).sum(axis=0, dtype=np.int8)
+
+
+def worker_count(threads: int, chunks: int, cpus: Optional[int]) -> int:
+    """Threads worth starting: never more than the chunks or the cores."""
+    return max(1, min(threads, chunks, cpus or 1))
+
+
+def map_chunks(
+    fn: Callable[[int, int], object], stream_start: int, count: int, threads: int = 1
+) -> list:
+    """fn(first stream id, size) per CHUNK of the ids stream_start..stream_start+count-1.
+
+    Results come back in stream order. Workers build their own id arrays,
+    so memory grows with the chunk size and the worker count, not `count`.
+    """
+    starts = range(stream_start, stream_start + count, CHUNK)
+    sizes = [min(CHUNK, stream_start + count - start) for start in starts]
+    workers = worker_count(threads, len(starts), os.cpu_count())
+    if workers == 1:
+        return list(map(fn, starts, sizes))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, starts, sizes))

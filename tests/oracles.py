@@ -2,8 +2,9 @@
 
 Everything here is implemented from first principles, without calling into
 bellsim, so each check is a genuine dual route: the library uses compact
-contractions and facet arithmetic, the oracles use dense 4x4 operators,
-linear-programming feasibility and hand-derived closed forms.
+contractions, facet arithmetic and one vectorized sampling kernel; the
+oracles use dense 4x4 operators, linear-programming feasibility,
+hand-derived closed forms and a scalar per-trial sampler.
 """
 
 from __future__ import annotations
@@ -83,3 +84,92 @@ def random_state_amplitudes(rng: np.random.Generator) -> np.ndarray:
     """A Haar-ish random normalized two-qubit amplitude vector."""
     raw = rng.normal(size=4) + 1j * rng.normal(size=4)
     return raw / np.linalg.norm(raw)
+
+
+# Scalar per-trial reference sampler. The stream is SplitMix64 in counter
+# mode: draw j of stream s under seed k is
+#   fmix64(fmix64(k + GAMMA*(s+1)) + GAMMA*(j+1)) >> 11, scaled by 2**-53.
+MASK64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
+OUTCOMES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+LABEL_INDEX = {"a": 0, "a'": 1, "b": 2, "b'": 3}
+# Strategy lambda answers (a, a', b, b') = STRATEGIES[lambda]; +1 sorts first.
+STRATEGIES = tuple(itertools.product((1, -1), repeat=4))
+NAMED_STATES = {
+    "psi_plus": (0.0, 1.0, 1.0, 0.0),
+    "psi_minus": (0.0, 1.0, -1.0, 0.0),
+    "phi_plus": (1.0, 0.0, 0.0, 1.0),
+    "phi_minus": (1.0, 0.0, 0.0, -1.0),
+    "up_up": (1.0, 0.0, 0.0, 0.0),
+    "up_down": (0.0, 1.0, 0.0, 0.0),
+    "down_up": (0.0, 0.0, 1.0, 0.0),
+    "down_down": (0.0, 0.0, 0.0, 1.0),
+}
+
+
+def fmix64(z: int) -> int:
+    z &= MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def stream_uniforms(seed: int, stream_id: int, draws: int) -> list[float]:
+    key = fmix64(seed + GAMMA * (stream_id + 1))
+    return [(fmix64(key + GAMMA * (j + 1)) >> 11) * 2.0**-53 for j in range(draws)]
+
+
+def born_probabilities(state: str, theta_left: float, theta_right: float) -> list[float]:
+    """<psi| P(ol) x P(or) |psi> over OUTCOMES, projectors P(o) = (I + o A) / 2."""
+    psi = np.asarray(NAMED_STATES[state], dtype=complex)
+    psi = psi / np.linalg.norm(psi)
+    identity = np.eye(2)
+    probs = []
+    for ol, orr in OUTCOMES:
+        projector = np.kron(
+            (identity + ol * direction_matrix(theta_left)) / 2.0,
+            (identity + orr * direction_matrix(theta_right)) / 2.0,
+        )
+        probs.append(float(np.real(np.vdot(psi, projector @ psi))))
+    return probs
+
+
+def first_index_above(weights, u: float) -> int:
+    """Inverse CDF: the first index whose running total exceeds u, else the last."""
+    total = 0.0
+    for index, weight in enumerate(weights):
+        total += weight
+        if u < total:
+            return index
+    return len(weights) - 1
+
+
+def reference_trial(model: dict, settings, seed: int, stream_id: int):
+    """(outcomes, hidden) of one trial of the model described by `model`.
+
+    `model` is the plain dict form of a model: kind plus state and angles,
+    strategy, weights or a table keyed "x,y".
+    """
+    x, y = settings
+    kind = model["kind"]
+    if kind in ("quantum", "nonlocal"):
+        angles = model["angles"]
+        p = born_probabilities(model["state"], angles[LABEL_INDEX[x]], angles[LABEL_INDEX[y]])
+        if kind == "quantum":
+            u = stream_uniforms(seed, stream_id, 1)[0]
+            return OUTCOMES[first_index_above(p, u)], None
+        u_left, u_right = stream_uniforms(seed, stream_id, 2)
+        left = 1 if u_left < p[0] + p[1] else -1
+        joint, marginal = (p[0], p[0] + p[1]) if left == 1 else (p[2], p[2] + p[3])
+        right = 1 if u_right < joint / (marginal if marginal > 0.0 else 1.0) else -1
+        return (left, right), None
+    u = stream_uniforms(seed, stream_id, 1)[0]
+    if kind in ("lhv_deterministic", "lhv_stochastic"):
+        if "strategy" in model:
+            lam = model["strategy"]
+        else:
+            lam = first_index_above(model["weights"], u)
+        responses = STRATEGIES[lam]
+        return (responses[LABEL_INDEX[x]], responses[LABEL_INDEX[y]]), lam
+    k = first_index_above(model["table"][f"{x},{y}"], u)
+    return OUTCOMES[k], k

@@ -27,7 +27,7 @@ from bellsim.polytope import CorrelationVector, local_membership
 from bellsim.stats import PAIR_ORDER
 from bellsim.streams import TrialStream
 
-from oracles import lp_local_membership
+from oracles import lp_local_membership, reference_trial
 
 SCHEDULE = [PAIR_ORDER[i % 4] for i in range(100)]
 
@@ -41,8 +41,9 @@ class TestRecordRun:
     def test_replay_reproduces_outcomes(self):
         ledger = record_run(quantum_model(), SCHEDULE, seed=3)
         for index, record in enumerate(ledger.records):
-            again = run_trial(ledger.model, record.settings, TrialStream(3, index))
-            assert again == record
+            outcomes, hidden = reference_trial(ledger.model.to_dict(), record.settings, 3, index)
+            assert (outcomes, hidden) == (record.outcomes, record.hidden)
+            assert run_trial(ledger.model, record.settings, TrialStream(3, index)) == record
 
     def test_lhv_records_always_carry_hidden(self):
         ledger = record_run(catalog()["lhv-uniform"], SCHEDULE, seed=4)

@@ -10,7 +10,9 @@ from bellsim.interferometer import (
     run_bomb_trials,
 )
 
-from oracles import bomb_oracle
+from bellsim.streams import CHUNK
+
+from oracles import bomb_oracle, first_index_above, stream_uniforms
 
 
 class TestSpec:
@@ -111,3 +113,15 @@ class TestTrials:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             run_bomb_trials(InterferometerSpec(), trials=0, seed=0)
+
+    def test_chunked_tally_matches_per_trial_reference(self):
+        # Spans a chunk boundary: the per-chunk tallies must add up exactly.
+        spec = InterferometerSpec(bomb_present=True, reflectivity=0.3)
+        trials = CHUNK + 17
+        probs = bomb_oracle(0.3, True, 0.0)
+        weights = [probs[name] for name in OUTCOMES]
+        tally = [0] * len(OUTCOMES)
+        for stream_id in range(trials):
+            tally[first_index_above(weights, stream_uniforms(11, stream_id, 1)[0])] += 1
+        expected = {name: tally[i] / trials for i, name in enumerate(OUTCOMES)}
+        assert run_bomb_trials(spec, trials, seed=11) == expected

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bellsim.experiment import run_chsh_experiment
 from bellsim.models import (
     LhvStrategy,
     ModelDescriptor,
@@ -16,11 +17,14 @@ from bellsim.models import (
     pr_box_table,
     quantum_model,
     run_trial,
+    run_trials,
     superdeterministic_model,
 )
-from bellsim.quantum import expectation, make_bell_state
+from bellsim.quantum import expectation, joint_probabilities, make_bell_state
 from bellsim.stats import PAIR_ORDER, correlation, counts_from_outcomes
-from bellsim.streams import TrialStream
+from bellsim.streams import TrialStream, worker_count
+
+from oracles import reference_trial
 
 ALL_PLUS = lhv_deterministic_model(0)
 UNIFORM_LHV = lhv_stochastic_model([1.0 / 16.0] * 16)
@@ -152,8 +156,8 @@ class TestBatchGeneration:
         seed = 31337
         batch = generate_outcomes(model, pair, seed, stream_start=100, count=500)
         for offset in range(500):
-            record = run_trial(model, pair, TrialStream(seed, 100 + offset))
-            assert tuple(int(v) for v in batch[offset]) == record.outcomes
+            outcomes, _ = reference_trial(model.to_dict(), pair, seed, 100 + offset)
+            assert tuple(int(v) for v in batch[offset]) == outcomes
 
     def test_thread_count_does_not_change_outcomes(self):
         model = quantum_model()
@@ -163,6 +167,72 @@ class TestBatchGeneration:
 
     def test_empty_batch(self):
         assert generate_outcomes(quantum_model(), ("a", "b"), 0, 0, 0).shape == (0, 2)
+
+    @pytest.mark.parametrize("name", sorted(catalog()))
+    def test_run_trials_matches_run_trial(self, name):
+        model = catalog()[name]
+        schedule = [PAIR_ORDER[(3 * i) % 4] for i in range(40)]
+        batch = run_trials(model, schedule, seed=77, stream_start=5)
+        assert batch == tuple(
+            run_trial(model, pair, TrialStream(77, 5 + i)) for i, pair in enumerate(schedule)
+        )
+        assert all(isinstance(v, int) for r in batch for v in r.outcomes)
+
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    def test_chunked_tally_matches_generated_outcomes(self, threads):
+        model = catalog()["lhv-uniform"]
+        trials = 2 * 65_536 + 100
+        counts = run_chsh_experiment(model, trials, 4, threads=threads, stream_base=10).counts
+        for pair_index, pair in enumerate(PAIR_ORDER):
+            outcomes = generate_outcomes(model, pair, 4, 10 + pair_index * trials, trials)
+            assert counts[pair] == counts_from_outcomes(outcomes)
+
+
+class TestWorkerCount:
+    def test_capped_by_cores_and_chunks(self):
+        assert worker_count(8, chunks=100, cpus=2) == 2
+        assert worker_count(8, chunks=3, cpus=64) == 3
+        assert worker_count(2, chunks=100, cpus=64) == 2
+        assert worker_count(10**9, chunks=15_000, cpus=2) == 2
+
+    def test_at_least_one(self):
+        assert worker_count(1, chunks=0, cpus=4) == 1
+        assert worker_count(4, chunks=10, cpus=None) == 1
+
+
+class TestModelTables:
+    def test_distributions_match_joint_probabilities(self):
+        model = quantum_model("psi_plus", (0.1, 0.7, 1.3, 2.9))
+        state = model.quantum_state()
+        for x, y in PAIR_ORDER:
+            expected = joint_probabilities(state, model.angle_for(x), model.angle_for(y))
+            assert np.array_equal(model.distribution((x, y)).as_array(), expected.as_array())
+
+    def test_responses_match_strategies(self):
+        for index in range(16):
+            strategy = LhvStrategy.from_index(index)
+            for x, y in PAIR_ORDER:
+                expected = (strategy.response_left[x], strategy.response_right[y])
+                assert UNIFORM_LHV.response(index, (x, y)) == expected
+
+    def test_accessors_reject_other_kinds(self):
+        with pytest.raises(ValueError):
+            UNIFORM_LHV.distribution(("a", "b"))
+        with pytest.raises(ValueError):
+            quantum_model().response(0, ("a", "b"))
+        with pytest.raises(ValueError):
+            UNIFORM_LHV.response(16, ("a", "b"))
+
+    def test_sampling_never_recomputes_born_probabilities(self, monkeypatch):
+        model = nonlocal_model()
+        calls = []
+        monkeypatch.setattr(
+            "bellsim.models.joint_probabilities", lambda *a: calls.append(a)
+        )
+        run_trials(model, list(PAIR_ORDER) * 10, seed=1)
+        run_trial(model, ("a", "b'"), TrialStream(1, 0))
+        generate_outcomes(model, ("a'", "b"), 1, 0, 1000)
+        assert calls == []
 
 
 class TestQuantumFidelity:

@@ -14,9 +14,9 @@ from bellsim.quantum import (
     joint_probabilities,
     make_bell_state,
     make_named_state,
-    sample_outcome,
     spin_observable,
 )
+from bellsim.models import quantum_model, run_trial
 from bellsim.streams import TrialStream
 
 from oracles import kron_expectation, random_state_amplitudes
@@ -178,27 +178,35 @@ class TestJointProbabilities:
 
 
 class TestSampling:
+    """run_trial on quantum models whose Born distribution is known exactly."""
+
+    POINT_MASS = quantum_model("up_up", (0.0, 0.0, 0.0, 0.0))
+    UNIFORM = quantum_model("up_up", (math.pi / 2.0,) * 4)
+
+    def test_equivalent_distributions(self):
+        assert np.allclose(self.POINT_MASS.distribution(("a", "b")).as_array(), [1, 0, 0, 0])
+        assert np.allclose(self.UNIFORM.distribution(("a", "b")).as_array(), [0.25] * 4)
+
     def test_point_mass(self):
-        dist = JointOutcomeDistribution({(1, 1): 1.0, (1, -1): 0.0, (-1, 1): 0.0, (-1, -1): 0.0})
         stream = TrialStream(0, 0)
-        assert all(sample_outcome(dist, stream) == (1, 1) for _ in range(50))
+        assert all(
+            run_trial(self.POINT_MASS, ("a", "b"), stream).outcomes == (1, 1) for _ in range(50)
+        )
 
     def test_uniform_million_draws(self):
-        dist = JointOutcomeDistribution({o: 0.25 for o in OUTCOME_ORDER})
         stream = TrialStream(2024, 0)
         tallies = {o: 0 for o in OUTCOME_ORDER}
         n = 10**6
         for _ in range(n):
-            tallies[sample_outcome(dist, stream)] += 1
+            tallies[run_trial(self.UNIFORM, ("a", "b"), stream).outcomes] += 1
         for outcome in OUTCOME_ORDER:
             assert abs(tallies[outcome] / n - 0.25) < 0.002
 
     def test_identical_stream_identical_draws(self):
-        dist = JointOutcomeDistribution({o: 0.25 for o in OUTCOME_ORDER})
         stream_a = TrialStream(7, 3)
         stream_b = TrialStream(7, 3)
-        draws_a = [sample_outcome(dist, stream_a) for _ in range(30)]
-        draws_b = [sample_outcome(dist, stream_b) for _ in range(30)]
+        draws_a = [run_trial(self.UNIFORM, ("a", "b"), stream_a).outcomes for _ in range(30)]
+        draws_b = [run_trial(self.UNIFORM, ("a", "b"), stream_b).outcomes for _ in range(30)]
         assert draws_a == draws_b
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellsim.streams import TrialStream, batch_uniforms, stream_key
+from bellsim.streams import TrialStream, batch_uniforms, inverse_cdf, stream_key
 
 
 def test_same_key_same_sequence():
@@ -57,3 +57,19 @@ def test_uniform_in_unit_interval(seed, stream_id):
     for _ in range(4):
         value = stream.uniform()
         assert 0.0 <= value < 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weights=st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0 / 3.0]), min_size=2, max_size=16),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_inverse_cdf_matches_searchsorted(weights, seed):
+    # Zero weights make ties, and the running total may stop short of 1.
+    cdf = np.cumsum(weights)
+    u = batch_uniforms(seed, np.arange(500, dtype=np.uint64), 1)[:, 0] * max(cdf[-1], 1.0)
+    u[:len(cdf)] = cdf  # uniforms sitting exactly on each threshold
+    expected = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+    assert np.array_equal(inverse_cdf(cdf, u), expected)
+    per_row = np.tile(cdf, (len(u), 1))
+    assert np.array_equal(inverse_cdf(per_row, u), expected)
