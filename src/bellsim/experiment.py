@@ -11,7 +11,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .models import ModelDescriptor, generate_outcomes
+from .models import ModelDescriptor, sample_chunk
 from .polytope import CorrelationVector, vertex_matrix
 from .quantum import expectation
 from .stats import (
@@ -48,7 +48,7 @@ def run_chsh_experiment(
         raise ValueError(f"trials_per_pair must be at least 1, got {trials_per_pair}")
 
     def tally(pair: SettingPair, start: int, size: int) -> CoincidenceCounts:
-        return counts_from_outcomes(generate_outcomes(model, pair, seed, start, size))
+        return counts_from_outcomes(sample_chunk(model, pair, seed, start, size))
 
     counts = {}
     for pair_index, pair in enumerate(PAIR_ORDER):

@@ -18,6 +18,7 @@ worker scheduling.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
@@ -148,14 +149,15 @@ _STRATEGY_ANSWERS = np.stack(
 class _SamplingTables:
     """A model's constants, one row per setting pair in PAIR_ORDER.
 
-    `cdf` rows are inverse-CDF thresholds over hidden indices, and `answers`
-    the outcome pair each index gives; nonlocal rows are instead
-    (p_left_plus, c_plus_given_plus, c_plus_given_minus).
+    `cdf` rows are inverse-CDF thresholds over hidden indices and `answers`
+    the outcome pair each index gives; nonlocal models have neither and keep
+    `conditionals` rows (p_left_plus, c_plus_given_plus, c_plus_given_minus).
     """
 
     draws: int
-    cdf: np.ndarray
+    cdf: Optional[np.ndarray]
     answers: Optional[np.ndarray]
+    conditionals: Optional[np.ndarray]
     distributions: Optional[tuple[JointOutcomeDistribution, ...]]  # quantum and nonlocal
 
 
@@ -172,12 +174,16 @@ def _build_tables(model: "ModelDescriptor") -> _SamplingTables:
         rows, answers = np.tile(model.weights, (4, 1)), _STRATEGY_ANSWERS
     else:
         rows, answers = np.array([model.table[pair] for pair in PAIR_ORDER]), _OUTCOME_ANSWERS
-    if model.kind != "nonlocal":
-        return _SamplingTables(1, np.cumsum(rows, axis=1), answers, dists)
-    p_left_plus, p_left_minus = rows[:, 0] + rows[:, 1], rows[:, 2] + rows[:, 3]
-    c_plus = rows[:, 0] / np.where(p_left_plus > 0.0, p_left_plus, 1.0)
-    c_minus = rows[:, 2] / np.where(p_left_minus > 0.0, p_left_minus, 1.0)
-    return _SamplingTables(2, np.column_stack([p_left_plus, c_plus, c_minus]), None, dists)
+    if model.kind == "nonlocal":
+        p_plus, p_minus = rows[:, 0] + rows[:, 1], rows[:, 2] + rows[:, 3]
+        c_plus = rows[:, 0] / np.where(p_plus > 0.0, p_plus, 1.0)
+        c_minus = rows[:, 2] / np.where(p_minus > 0.0, p_minus, 1.0)
+        return _SamplingTables(2, None, None, np.column_stack([p_plus, c_plus, c_minus]), dists)
+    cdf = np.cumsum(rows, axis=1)
+    # Uniforms lie below 1: thresholds at or above 1 (a suffix of every row)
+    # never count, and dropping them spares skewed mixtures the comparisons.
+    reachable = int((cdf[:, :-1] < 1.0).any(axis=0).sum())
+    return _SamplingTables(1, cdf[:, : reachable + 1], answers, None, dists)
 
 
 @dataclass(frozen=True)
@@ -244,8 +250,7 @@ class ModelDescriptor:
         answers = self._tables.answers
         if not self.exposes_hidden_variable() or not 0 <= hidden < answers.shape[1]:
             raise ValueError(f"{self.kind} model has no hidden index {hidden!r}")
-        left, right = answers[_pair_index(settings), hidden]
-        return int(left), int(right)
+        return tuple(answers[_pair_index(settings), hidden].tolist())
 
     def to_dict(self) -> dict:
         if self.kind in ("quantum", "nonlocal"):
@@ -374,14 +379,14 @@ def sample_outcomes(
     """
     tables = model._tables
     if model.kind == "nonlocal":
-        p_left_plus, c_plus, c_minus = tables.cdf[pairs].T
+        p_left_plus, c_plus, c_minus = tables.conditionals[pairs].T
         left = u[:, 0] < p_left_plus
         right = u[:, 1] < np.where(left, c_plus, c_minus)
         return np.where(np.column_stack([left, right]), 1, -1).astype(np.int8), None
     hidden = inverse_cdf(tables.cdf[pairs], u[:, 0])
     # np.take on the flattened table is far cheaper than fancy indexing.
-    rows_per_pair = tables.answers.shape[1]
-    outcomes = np.take(tables.answers.reshape(-1, 2), pairs * rows_per_pair + hidden, axis=0)
+    index = pairs * tables.answers.shape[1] + hidden
+    outcomes = np.take(tables.answers.reshape(-1, 2), index, axis=0)
     return outcomes, hidden if model.exposes_hidden_variable() else None
 
 
@@ -398,19 +403,26 @@ def run_trial(
 
 
 def run_trials(
-    model: ModelDescriptor, schedule: Sequence[SettingPair], seed: int, stream_start: int = 0
+    model: ModelDescriptor, schedule: Sequence[SettingPair], seed: int
 ) -> tuple[TrialRecord, ...]:
-    """run_trial on a fresh TrialStream(seed, stream_start + i) per schedule entry i."""
+    """run_trial on a fresh TrialStream(seed, i) per schedule entry i."""
     pairs = np.array([_pair_index(settings) for settings in schedule], dtype=np.intp)
-    ids = np.arange(stream_start, stream_start + len(pairs), dtype=np.uint64)
+    ids = np.arange(len(pairs), dtype=np.uint64)
     outcomes, hidden = sample_outcomes(model, pairs, batch_uniforms(seed, ids, model._tables.draws))
-    hidden_values = [None] * len(pairs) if hidden is None else hidden.tolist()
+    lams = [None] * len(pairs) if hidden is None else hidden.tolist()
+    rows = zip(pairs.tolist(), outcomes.tolist(), lams)
     return tuple(
-        TrialRecord(PAIR_ORDER[pair], (left, right), lam, stream_id)
-        for pair, (left, right), lam, stream_id in zip(
-            pairs.tolist(), outcomes.tolist(), hidden_values, ids.tolist()
-        )
+        TrialRecord(PAIR_ORDER[pair], tuple(out), lam, i) for i, (pair, out, lam) in enumerate(rows)
     )
+
+
+def sample_chunk(
+    model: ModelDescriptor, settings: SettingPair, seed: int, start: int, size: int
+) -> np.ndarray:
+    """Outcomes (size, 2) int8 for the trials with stream ids start..start+size-1."""
+    pair = _pair_index(settings)
+    ids = np.arange(start, start + size, dtype=np.uint64)
+    return sample_outcomes(model, pair, batch_uniforms(seed, ids, model._tables.draws))[0]
 
 
 def generate_outcomes(
@@ -427,15 +439,11 @@ def generate_outcomes(
     split into fixed-size chunks regardless of the thread count, so any
     worker pool assembles the same array.
     """
-    pair = _pair_index(settings)
+    _pair_index(settings)  # validates the pair even when count is 0
     if count < 0:
         raise ValueError("count must be non-negative")
-
-    def chunk(start: int, size: int) -> np.ndarray:
-        ids = np.arange(start, start + size, dtype=np.uint64)
-        return sample_outcomes(model, pair, batch_uniforms(seed, ids, model._tables.draws))[0]
-
-    chunks = map_chunks(chunk, stream_start, count, threads)
+    sampler = functools.partial(sample_chunk, model, settings, seed)
+    chunks = map_chunks(sampler, stream_start, count, threads)
     return np.concatenate(chunks) if chunks else np.empty((0, 2), dtype=np.int8)
 
 

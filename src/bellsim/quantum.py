@@ -202,4 +202,3 @@ def joint_probabilities(
         amplitude = complex(vl[ol].conj() @ psi @ vr[orr].conj())
         probs[(ol, orr)] = abs(amplitude) ** 2
     return JointOutcomeDistribution(probs)
-

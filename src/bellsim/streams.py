@@ -111,7 +111,7 @@ def inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     thresholds at or below u, the same as np.searchsorted(cdf, u,
     side="right"); leaving the last threshold out is the clamp.
     """
-    thresholds = cdf[..., :-1].T.reshape(cdf.shape[-1] - 1, -1)
+    thresholds = np.atleast_2d(cdf)[:, :-1].T
     return (u >= thresholds).sum(axis=0, dtype=np.int8)
 
 

@@ -22,7 +22,7 @@ from bellsim.models import (
 )
 from bellsim.quantum import expectation, joint_probabilities, make_bell_state
 from bellsim.stats import PAIR_ORDER, correlation, counts_from_outcomes
-from bellsim.streams import TrialStream, worker_count
+from bellsim.streams import TrialStream, inverse_cdf, worker_count
 
 from oracles import reference_trial
 
@@ -172,9 +172,9 @@ class TestBatchGeneration:
     def test_run_trials_matches_run_trial(self, name):
         model = catalog()[name]
         schedule = [PAIR_ORDER[(3 * i) % 4] for i in range(40)]
-        batch = run_trials(model, schedule, seed=77, stream_start=5)
+        batch = run_trials(model, schedule, seed=77)
         assert batch == tuple(
-            run_trial(model, pair, TrialStream(77, 5 + i)) for i, pair in enumerate(schedule)
+            run_trial(model, pair, TrialStream(77, i)) for i, pair in enumerate(schedule)
         )
         assert all(isinstance(v, int) for r in batch for v in r.outcomes)
 
@@ -214,6 +214,31 @@ class TestModelTables:
             for x, y in PAIR_ORDER:
                 expected = (strategy.response_left[x], strategy.response_right[y])
                 assert UNIFORM_LHV.response(index, (x, y)) == expected
+
+    @pytest.mark.parametrize(
+        "name", [n for n, m in sorted(catalog().items()) if m.kind != "nonlocal"]
+    )
+    def test_trimmed_cdf_keeps_every_index(self, name):
+        # Thresholds at or above 1 are dropped from the tables; uniforms just
+        # below 1 and on every threshold must still land where the full CDF
+        # would put them.
+        model = catalog()[name]
+        u = np.concatenate([np.linspace(0.0, 1.0 - 2.0**-53, 4001), np.arange(1, 16) / 16.0])
+        for pair_index, pair in enumerate(PAIR_ORDER):
+            if model.kind == "superdeterministic":
+                rows = model.table[pair]
+            elif model.kind == "quantum":
+                rows = model.distribution(pair).as_array()
+            else:
+                rows = model.weights
+            full = np.cumsum(rows)
+            expected = np.minimum(np.searchsorted(full, u, side="right"), len(full) - 1)
+            assert np.array_equal(inverse_cdf(model._tables.cdf[pair_index], u), expected)
+
+    def test_point_mass_needs_no_threshold(self):
+        assert ALL_PLUS._tables.cdf.shape == (4, 1)
+        assert catalog()["lhv-edge"]._tables.cdf.shape == (4, 2)
+        assert UNIFORM_LHV._tables.cdf.shape == (4, 16)
 
     def test_accessors_reject_other_kinds(self):
         with pytest.raises(ValueError):
