@@ -46,7 +46,7 @@ from .models import (
     run_trials,
     superdeterministic_model,
 )
-from .optimize import LandscapeGrid, OptimizationResult, optimize_angles, refine_angles, s_landscape
+from .optimize import LandscapeGrid, OptimizationResult, optimize_angles, s_landscape
 from .polytope import (
     CorrelationVector,
     FeasibilityVerdict,
@@ -63,6 +63,7 @@ from .quantum import (
     OUTCOME_ORDER,
     SpinObservable,
     TwoQubitState,
+    correlation_matrix,
     expectation,
     joint_probabilities,
     make_bell_state,

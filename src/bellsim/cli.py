@@ -71,8 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--config", help="flat key = JSON config file")
     p_opt.add_argument("--state", choices=_STATE_CHOICES)
     p_opt.add_argument("--pattern")
-    p_opt.add_argument("--grid", type=int, help="grid points per angle (>= 8)")
-    p_opt.add_argument("--tolerance", type=float)
+    p_opt.add_argument(
+        "--grid", type=int, help="no effect; the optimum is closed form (still must be >= 8)"
+    )
     p_opt.add_argument("--out")
     p_opt.add_argument("--format", choices=("json", "csv"))
 
@@ -326,27 +327,24 @@ def _cmd_optimize(args: argparse.Namespace, file_values: dict) -> int:
     pattern_raw = _merged(args, file_values, "pattern")
     pattern = sign_pattern_from_string(pattern_raw) if pattern_raw else DEFAULT_SIGN_PATTERN
     grid = int(_merged(args, file_values, "grid", 16))
-    tolerance = float(_merged(args, file_values, "tolerance", 1e-8))
+    if grid < 8:
+        raise ConfigError(f"grid must be at least 8, got {grid}")
     out_path = _merged(args, file_values, "out")
     out_format = _merged(args, file_values, "format", "json")
     try:
         state = make_named_state(state_kind)
-        result = optimize_angles(state, pattern, grid_resolution=grid, tolerance=tolerance)
+        result = optimize_angles(state, pattern)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     config_echo = {
         "command": "optimize",
         "state": state_kind,
         "sign_pattern": sign_pattern_to_string(pattern),
-        "grid_resolution": grid,
-        "tolerance": tolerance,
     }
     results = {
         "angles": list(result.angles),
         "s_value": result.s_value,
         "abs_s": abs(result.s_value),
-        "iterations": result.iterations,
-        "converged": result.converged,
     }
     if out_format == "csv":
         rows = [("state", state_kind)] + [

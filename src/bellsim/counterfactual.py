@@ -107,6 +107,15 @@ def record_run(
     return TrialLedger(seed=int(seed), model=model, records=records)
 
 
+def _alternative_cell_kind(model: ModelDescriptor) -> str:
+    """The kind of every non-factual cell; the model kind alone decides it."""
+    if model.kind in ("lhv_deterministic", "lhv_stochastic"):
+        return "definite"
+    if model.kind in ("quantum", "nonlocal"):
+        return "distribution"
+    return "undefined"
+
+
 def replay_counterfactual(
     ledger: TrialLedger, trial_index: int, alternative: SettingPair
 ) -> CounterfactualCell:
@@ -119,12 +128,12 @@ def replay_counterfactual(
     if alternative == record.settings:
         return CounterfactualCell(kind="definite", outcome=record.outcomes)
     model = ledger.model
-    if model.kind in ("lhv_deterministic", "lhv_stochastic"):
-        outcome = model.response(record.hidden, alternative)
-        return CounterfactualCell(kind="definite", outcome=outcome)
-    if model.kind in ("quantum", "nonlocal"):
-        return CounterfactualCell(kind="distribution", distribution=model.distribution(alternative))
-    return CounterfactualCell(kind="undefined")
+    kind = _alternative_cell_kind(model)
+    if kind == "definite":
+        return CounterfactualCell(kind=kind, outcome=model.response(record.hidden, alternative))
+    if kind == "distribution":
+        return CounterfactualCell(kind=kind, distribution=model.distribution(alternative))
+    return CounterfactualCell(kind=kind)
 
 
 def counterfactual_table(ledger: TrialLedger, trial_index: int) -> CounterfactualTable:
@@ -157,7 +166,8 @@ def classify_definiteness(
 ) -> DefinitenessVerdict:
     """Classify the ledger's model as definite, semi-definite or indefinite.
 
-    Cell structure comes from replaying every recorded trial; the
+    Cell counts follow from the ledger length and the model kind, and
+    every recorded trial is replayed at its factual settings. The
     joint-assignment check runs on correlations estimated from
     trials_for_stats fresh trials per setting pair, with the facet slack
     set to five standard deviations of the estimated S.
@@ -167,10 +177,10 @@ def classify_definiteness(
     if trials_for_stats < 1:
         raise ValueError("trials_for_stats must be at least 1")
 
-    cell_kinds = {"definite": 0, "distribution": 0, "undefined": 0}
-    for index in range(len(ledger.records)):
-        for cell in counterfactual_table(ledger, index).cells.values():
-            cell_kinds[cell.kind] += 1
+    # Each trial has one factual (definite) cell and three alternatives.
+    trials = len(ledger.records)
+    cell_kinds = {"definite": trials, "distribution": 0, "undefined": 0}
+    cell_kinds[_alternative_cell_kind(ledger.model)] += 3 * trials
     replayed = run_trials(ledger.model, [r.settings for r in ledger.records], ledger.seed)
     matched = sum(a.outcomes == b.outcomes for a, b in zip(replayed, ledger.records))
 

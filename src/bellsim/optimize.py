@@ -1,11 +1,14 @@
 """Maximize |S| over the four measurement angles for a fixed state.
 
-The objective is a sum of four two-angle expectation terms, smooth and
-highly symmetric, so a coarse grid over [0, pi)^4 followed by
-derivative-free coordinate descent is robust and dependency-free. The grid
-argmax takes the first maximum in row-major order, which canonicalizes the
-reported optimum to the lexicographically smallest angle tuple among the
-grid-equivalent optima.
+For settings in the x-z plane E(ta, tb) = c(ta) @ M @ c(tb) with the 2x2
+correlation matrix M of the state, so the maximum of |S| over [0, pi)^4 is
+2 * ||M||_F = 2 * sqrt(s1^2 + s2^2) (the Horodecki criterion restricted to
+the plane). With an orthonormal frame (u, v), S reaches it at
+a = angle(Mu), a' = angle(Mv), b, b' = angle(cos(th) u +- sin(th) v) with
+th = atan2(|Mv|, |Mu|). Folding an angle into [0, pi) flips the sign of its
+direction, so eight axis-aligned frames are tried and the first with the
+largest |S| at the folded angles is kept; between them they cover every
+sign pattern.
 """
 
 from __future__ import annotations
@@ -14,15 +17,19 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .quantum import TwoQubitState, expectation, spin_observable
-from .stats import DEFAULT_SIGN_PATTERN, exact_chsh_s, validate_sign_pattern
+from .quantum import TwoQubitState, correlation_matrix
+from .stats import DEFAULT_SIGN_PATTERN, bilinear_chsh_s, validate_sign_pattern
 
 _ANGLE_LABELS = ("a", "a'", "b", "b'")
-_CONVERGENCE_IMPROVEMENT = 1e-10
+
+# Candidate frames: u = c(alpha) for alpha in {0, pi/2, pi, 3pi/2}, v = +-c(alpha + pi/2).
+_ALPHAS = np.repeat(np.arange(4) * (np.pi / 2.0), 2)
+_FRAME_U = np.column_stack([np.cos(_ALPHAS), np.sin(_ALPHAS)])
+_FRAME_V = np.array([[1.0], [-1.0]] * 4) * np.column_stack([-np.sin(_ALPHAS), np.cos(_ALPHAS)])
 
 
 @dataclass(frozen=True)
@@ -30,161 +37,31 @@ class OptimizationResult:
     angles: tuple[float, float, float, float]
     s_value: float
     sign_pattern: tuple[int, ...]
-    iterations: int
-    converged: bool
 
 
-def _pairwise_expectations(state: TwoQubitState, thetas: np.ndarray) -> np.ndarray:
-    """E(theta_i, theta_j) for all pairs from one angle grid, shape (n, n)."""
-    psi = state.amplitudes.reshape(2, 2)
-    mats = np.stack([spin_observable(float(t)).matrix for t in thetas])
-    left = np.einsum("aik,kl->ail", mats, psi)
-    return np.real(np.einsum("ij,ail,bjl->ab", psi.conj(), left, mats))
-
-
-class _SEvaluator:
-    """Fast S evaluation via the bilinear form of the expectation.
-
-    Every direction observable decomposes exactly as
-    A(t) = cos(t) A(0) + sin(t) A(pi/2), so E(tx, ty) is bilinear in
-    (cos tx, sin tx) and (cos ty, sin ty); the four base expectations fix
-    the form. Values agree with exact_chsh_s to floating-point noise.
-    """
-
-    def __init__(self, state: TwoQubitState, pattern: tuple[int, ...]) -> None:
-        basis = (0.0, math.pi / 2.0)
-        self._base = np.array(
-            [[expectation(state, tx, ty) for ty in basis] for tx in basis]
-        )
-        self._pattern = pattern
-
-    def term(self, theta_left: float, theta_right: float) -> float:
-        cl = np.array([math.cos(theta_left), math.sin(theta_left)])
-        cr = np.array([math.cos(theta_right), math.sin(theta_right)])
-        return float(cl @ self._base @ cr)
-
-    def s_value(self, angles: Sequence[float]) -> float:
-        a, ap, b, bp = angles
-        p = self._pattern
-        return (
-            p[0] * self.term(a, b)
-            + p[1] * self.term(a, bp)
-            + p[2] * self.term(ap, b)
-            + p[3] * self.term(ap, bp)
-        )
-
-
-def _grid_seed(
-    state: TwoQubitState, pattern: tuple[int, ...], resolution: int
-) -> tuple[np.ndarray, float]:
-    thetas = np.pi * np.arange(resolution) / resolution
-    e = _pairwise_expectations(state, thetas)
-    n = resolution
-    s = (
-        pattern[0] * e[:, None, :, None]
-        + pattern[1] * e[:, None, None, :]
-        + pattern[2] * e[None, :, :, None]
-        + pattern[3] * e[None, :, None, :]
-    )
-    flat_index = int(np.argmax(np.abs(s)))
-    indices = np.unravel_index(flat_index, (n, n, n, n))
-    return thetas[list(indices)], float(s[indices])
-
-
-def refine_angles(
-    state: TwoQubitState,
-    sign_pattern: Iterable[int],
-    start_angles: Iterable[float],
-    tolerance: float = 1e-8,
-    initial_step: float = math.pi / 16.0,
-) -> tuple[tuple[float, ...], float, int, bool]:
-    """Coordinate-descent ascent of |S| inside the [0, pi) box.
-
-    Returns (angles, s_value, iterations, converged); converged means the
-    final sweep improved |S| by less than 1e-10. Accepted moves only ever
-    increase |S|, so refinement is monotone.
-    """
-    pattern = validate_sign_pattern(sign_pattern)
-    if tolerance <= 0.0:
-        raise ValueError("tolerance must be positive")
-    angles = [float(t) % math.pi for t in start_angles]
-    if len(angles) != 4:
-        raise ValueError("expected four starting angles")
-    evaluator = _SEvaluator(state, pattern)
-    best = abs(evaluator.s_value(angles))
-    step = initial_step
-    iterations = 0
-    last_improvement = math.inf
-    while step >= tolerance:
-        improvement = 0.0
-        for coord in range(4):
-            moved = True
-            while moved:
-                moved = False
-                for direction in (1.0, -1.0):
-                    candidate = angles[coord] + direction * step
-                    if not 0.0 <= candidate < math.pi:
-                        continue
-                    trial = list(angles)
-                    trial[coord] = candidate
-                    value = abs(evaluator.s_value(trial))
-                    if value > best:
-                        improvement += value - best
-                        best = value
-                        angles = trial
-                        moved = True
-                        break
-        iterations += 1
-        last_improvement = improvement
-        if improvement == 0.0:
-            step /= 2.0
-    s_value = exact_chsh_s(state, angles, pattern)
-    return tuple(angles), s_value, iterations, last_improvement < _CONVERGENCE_IMPROVEMENT
+def _folded_angle(vectors: np.ndarray) -> np.ndarray:
+    """Direction angles of the rows folded into [0, pi); a fold that rounds to pi is 0."""
+    folded = np.mod(np.arctan2(vectors[:, 1], vectors[:, 0]), np.pi)
+    return np.where(folded < np.pi, folded, 0.0)
 
 
 def optimize_angles(
-    state: TwoQubitState,
-    sign_pattern: Iterable[int] = DEFAULT_SIGN_PATTERN,
-    grid_resolution: int = 16,
-    tolerance: float = 1e-8,
-    restarts: int = 0,
-    restart_seed: int = 0,
+    state: TwoQubitState, sign_pattern: Iterable[int] = DEFAULT_SIGN_PATTERN
 ) -> OptimizationResult:
-    """Grid-seeded coordinate descent for the best |S| of a state.
-
-    `restarts` adds that many extra descents from random starting points
-    (seeded by `restart_seed`); the best |S| wins. The grid seed alone
-    already dominates every random start, so restarts only ever confirm or
-    improve the result.
-    """
+    """Angles in [0, pi) reaching the largest |S| of the state, 2 * ||M||_F."""
     pattern = validate_sign_pattern(sign_pattern)
-    if grid_resolution < 8:
-        raise ValueError(f"grid_resolution must be at least 8, got {grid_resolution}")
-    seed_angles, _ = _grid_seed(state, pattern, grid_resolution)
-    starts = [np.asarray(seed_angles, dtype=float)]
-    if restarts > 0:
-        rng = np.random.default_rng(restart_seed)
-        starts.extend(rng.uniform(0.0, math.pi, size=4) for _ in range(restarts))
-    best: Optional[tuple[tuple[float, ...], float, int, bool]] = None
-    total_iterations = 0
-    for start in starts:
-        angles, s_value, iterations, converged = refine_angles(
-            state,
-            pattern,
-            start,
-            tolerance=tolerance,
-            initial_step=math.pi / grid_resolution,
-        )
-        total_iterations += iterations
-        if best is None or abs(s_value) > abs(best[1]):
-            best = (angles, s_value, iterations, converged)
-    assert best is not None
+    matrix = correlation_matrix(state)
+    left, left_prime = _FRAME_U @ matrix.T, _FRAME_V @ matrix.T
+    theta = np.arctan2(np.linalg.norm(left_prime, axis=1), np.linalg.norm(left, axis=1))
+    cos_u = np.cos(theta)[:, None] * _FRAME_U
+    sin_v = np.sin(theta)[:, None] * _FRAME_V
+    candidates = [_folded_angle(w) for w in (left, left_prime, cos_u + sin_v, cos_u - sin_v)]
+    values = bilinear_chsh_s(matrix, candidates, pattern)
+    best = int(np.argmax(np.abs(values)))
     return OptimizationResult(
-        angles=best[0],
-        s_value=best[1],
+        angles=tuple(float(angle[best]) for angle in candidates),
+        s_value=float(values[best]),
         sign_pattern=pattern,
-        iterations=total_iterations,
-        converged=best[3],
     )
 
 
@@ -225,18 +102,17 @@ def s_landscape(
         raise ValueError(f"unknown angle labels {sorted(unknown)}")
     if len(fixed) != 2:
         raise ValueError("exactly two angles must be fixed")
+    if not all(math.isfinite(float(value)) for value in fixed.values()):
+        raise ValueError(f"fixed angles must be finite, got {dict(fixed)}")
     swept = [label for label in _ANGLE_LABELS if label not in fixed]
     row_label, col_label = swept
     thetas = np.pi * np.arange(resolution) / resolution
-    values = np.empty((resolution, resolution))
-    assembled = {label: float(value) for label, value in fixed.items()}
-    for i, row_angle in enumerate(thetas):
-        for j, col_angle in enumerate(thetas):
-            assembled[row_label] = float(row_angle)
-            assembled[col_label] = float(col_angle)
-            values[i, j] = exact_chsh_s(
-                state, [assembled[label] for label in _ANGLE_LABELS], pattern
-            )
+    swept_angles = {row_label: thetas[:, None], col_label: thetas[None, :]}
+    angles = [
+        swept_angles[label] if label in swept_angles else float(fixed[label])
+        for label in _ANGLE_LABELS
+    ]
+    values = bilinear_chsh_s(correlation_matrix(state), angles, pattern)
     return LandscapeGrid(
         row_label=row_label,
         col_label=col_label,

@@ -2,10 +2,13 @@
 
 The 16 deterministic strategies (one +-1 response per setting label) span
 the polytope of correlation vectors reachable by any setting-independent
-hidden-variable mixture. Its nontrivial facets are exactly the eight
-inequalities |sum_i p_i E_i| <= 2 over the four one-minus sign patterns,
-so membership is decided by checking those facets directly; component
-bounds |E| <= 1 are enforced by the CorrelationVector type itself.
+hidden-variable mixture. It is the 16-cell: 8 even-parity +-1 vertices,
+each shared by a strategy and its global flip, and 16 simplex facets. The
+nontrivial ones are the eight inequalities |sum_i p_i E_i| <= 2 over the
+four one-minus sign patterns, so membership is decided by checking those
+facets directly; component bounds |E| <= 1 are enforced by the
+CorrelationVector type itself. Witness weights come from the same geometry
+in closed form (Fine, PRL 48, 291 (1982)).
 """
 
 from __future__ import annotations
@@ -15,13 +18,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .models import LhvStrategy
 from .stats import PAIR_ORDER, SIGN_PATTERNS, validate_sign_pattern
 
 _COMPONENT_SLACK = 1e-12
-_WITNESS_RESIDUAL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -106,18 +107,39 @@ def facet_margin(vector: CorrelationVector) -> tuple[float, tuple[int, ...]]:
     return best_margin, best_pattern
 
 
-def _witness_weights(target: np.ndarray, tolerance: float) -> np.ndarray:
-    # Nonnegative least squares over the 16 vertices with a sum-to-one row;
-    # for a point inside the hull the active-set solve reaches residual ~0.
-    system = np.vstack([vertex_matrix().T, np.ones(16)])
-    rhs = np.concatenate([target, [1.0]])
-    weights, residual = nnls(system, rhs)
-    if residual > max(_WITNESS_RESIDUAL, 4.0 * tolerance):
-        raise RuntimeError(
-            f"witness solve did not converge (residual {residual:.3e}); "
-            "facet check and vertex geometry disagree"
-        )
-    return weights / weights.sum()
+# The 16 facets as normals f with f.x <= 1: the CHSH facets p.x <= 2 for the
+# eight odd-parity p, then +-x_i <= 1.
+_FACET_NORMALS = np.vstack(
+    [np.array(SIGN_PATTERNS) / 2.0, -np.array(SIGN_PATTERNS) / 2.0, np.eye(4), -np.eye(4)]
+)
+_VERTICES = vertex_matrix()
+# The lower-index strategy of each distinct vertex carries that vertex's weight.
+_VERTEX_STRATEGIES = np.sort(np.unique(_VERTICES, axis=0, return_index=True)[1])
+# Each facet is a simplex on 4 vertices, named by their carrying strategies.
+_FACET_STRATEGIES = [
+    _VERTEX_STRATEGIES[_VERTICES[_VERTEX_STRATEGIES] @ normal == 1.0]
+    for normal in _FACET_NORMALS
+]
+
+
+def _witness_weights(target: np.ndarray) -> np.ndarray:
+    """Convex weights over the 16 strategies whose mixture gives `target`.
+
+    With t the largest facet functional, target / t lies on that facet and
+    target = t * (target / t) + (1 - t) * 0, where 0 is the centroid of the
+    8 vertices. A facet's 4 vertices are mutually orthogonal with squared
+    norm 4, so the 4x4 solve for the barycentric weights of target / t is
+    vertices @ target / (4 t). A target outside by at most a facet
+    tolerance (t > 1) is mapped onto the facet.
+    """
+    corners = _FACET_STRATEGIES[int(np.argmax(_FACET_NORMALS @ target))]
+    # t * (barycentric weights); they sum to t, up to rounding.
+    share = np.maximum(_VERTICES[corners] @ target / 4.0, 0.0)
+    share /= max(share.sum(), 1.0)
+    weights = np.zeros(16)
+    weights[_VERTEX_STRATEGIES] = max(1.0 - share.sum(), 0.0) / 8.0
+    weights[corners] += share
+    return weights
 
 
 def local_membership(
@@ -133,7 +155,7 @@ def local_membership(
         raise ValueError("facet_tolerance must be non-negative")
     margin, pattern = facet_margin(vector)
     if margin <= facet_tolerance:
-        weights = _witness_weights(np.clip(vector.as_array(), -1.0, 1.0), facet_tolerance)
+        weights = _witness_weights(vector.as_array())
         return FeasibilityVerdict(feasible=True, weights=weights)
     return FeasibilityVerdict(
         feasible=False,

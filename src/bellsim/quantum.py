@@ -181,6 +181,21 @@ def expectation(
     return float(value.real)
 
 
+# sigma_z and sigma_x: the spin observable at angle t is cos(t) sz + sin(t) sx.
+_PLANE_PAULIS = np.array([[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]])
+
+
+def correlation_matrix(state: TwoQubitState) -> np.ndarray:
+    """Real 2x2 M with E(ta, tb) = c(ta) @ M @ c(tb), where c(t) = (cos t, sin t).
+
+    Observables are linear in (cos t, sin t), so the expectation is a
+    bilinear form; M[i, j] = <psi| P_i x P_j |psi> over P = (sz, sx).
+    """
+    _require_normalized(state)
+    psi = state.amplitudes.reshape(2, 2)
+    return np.real(np.einsum("ij,aik,bjl,kl->ab", psi.conj(), _PLANE_PAULIS, _PLANE_PAULIS, psi))
+
+
 def _eigenvectors_by_outcome(observable: SpinObservable) -> dict[int, np.ndarray]:
     # eigh returns eigenvalues ascending: index 0 -> -1, index 1 -> +1.
     _, vectors = np.linalg.eigh(observable.matrix)

@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .quantum import TwoQubitState, expectation
+from .quantum import TwoQubitState, correlation_matrix
 
 SQRT2 = math.sqrt(2.0)
 TSIRELSON_BOUND = 2.0 * SQRT2
@@ -187,6 +187,22 @@ def chsh_s(
     )
 
 
+def bilinear_chsh_s(
+    matrix: np.ndarray, angles: Sequence, sign_pattern: tuple[int, ...]
+) -> np.ndarray:
+    """S at angles (a, a', b, b') from a correlation matrix M, E = c(ta) @ M @ c(tb).
+
+    Each angle may be an array; the four broadcast together and S takes
+    their shape. `sign_pattern` must already be validated.
+    """
+    directions = [np.stack([np.cos(t), np.sin(t)], axis=-1) for t in angles]
+    by_label = dict(zip(("a", "a'", "b", "b'"), directions))
+    return sum(
+        sign * np.sum((by_label[x] @ matrix) * by_label[y], axis=-1)
+        for sign, (x, y) in zip(sign_pattern, PAIR_ORDER)
+    )
+
+
 def exact_chsh_s(
     state: TwoQubitState,
     angles: Iterable[float],
@@ -197,8 +213,6 @@ def exact_chsh_s(
     theta = tuple(float(t) for t in angles)
     if len(theta) != 4:
         raise ValueError(f"expected four angles (a, a', b, b'), got {len(theta)}")
-    by_label = {"a": theta[0], "a'": theta[1], "b": theta[2], "b'": theta[3]}
-    return sum(
-        sign * expectation(state, by_label[x], by_label[y])
-        for sign, (x, y) in zip(pattern, PAIR_ORDER)
-    )
+    if not all(math.isfinite(t) for t in theta):
+        raise ValueError(f"angles must be finite, got {theta}")
+    return float(bilinear_chsh_s(correlation_matrix(state), theta, pattern))

@@ -79,7 +79,7 @@ def test_criterion_02_tsirelson_bound():
     with criterion(2, "Tsirelson bound: optimizer reaches 2*sqrt(2); no draw exceeds it"):
         started = time.perf_counter()
         for kind in ("psi_minus", "psi_plus"):
-            result = optimize_angles(make_bell_state(kind), tolerance=1e-8)
+            result = optimize_angles(make_bell_state(kind))
             assert abs(abs(result.s_value) - 2.8284271) <= 1e-6, kind
         rng = np.random.default_rng(20240)
         for _ in range(10_000):

@@ -187,7 +187,7 @@ class TestOptimizeCommand:
         assert code == 0
         results = json.loads(stdout)["results"]
         assert results["abs_s"] == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-6)
-        assert results["converged"] is True
+        assert abs(results["abs_s"] - 2.0 * math.sqrt(2.0)) <= 1e-12
 
     def test_psi_plus(self, capsys):
         code, stdout, _ = _run(["optimize", "--state", "psi_plus"], capsys)
@@ -204,6 +204,14 @@ class TestOptimizeCommand:
     def test_bad_grid(self, capsys):
         code, _, stderr = _run(["optimize", "--grid", "2"], capsys)
         assert code == 2
+
+    def test_grid_has_no_effect_and_no_search_knobs_are_echoed(self, capsys):
+        _, plain, _ = _run(["optimize", "--state", "psi_plus"], capsys)
+        _, gridded, _ = _run(["optimize", "--state", "psi_plus", "--grid", "32"], capsys)
+        assert plain == gridded
+        document = json.loads(plain)
+        assert set(document["config"]) == {"command", "state", "sign_pattern"}
+        assert set(document["results"]) == {"angles", "s_value", "abs_s"}
 
 
 class TestCounterfactualCommand:

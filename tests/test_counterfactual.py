@@ -191,6 +191,17 @@ class TestClassification:
             assert verdict.classification == "indefinite"
             assert verdict.evidence.cell_kinds["undefined"] > 0
 
+    def test_cell_kinds_equal_tally_of_every_table(self):
+        for name, model in catalog().items():
+            ledger = record_run(model, SCHEDULE[:13], seed=17)
+            tally = {"definite": 0, "distribution": 0, "undefined": 0}
+            for index in range(len(ledger.records)):
+                for cell in counterfactual_table(ledger, index).cells.values():
+                    tally[cell.kind] += 1
+            verdict = classify_definiteness(ledger, trials_for_stats=100)
+            assert verdict.evidence.cell_kinds == tally, name
+            assert list(verdict.evidence.cell_kinds) == list(tally), name
+
     def test_empty_ledger_rejected(self):
         ledger = record_run(quantum_model(), [("a", "b")], seed=0)
         trimmed = type(ledger)(seed=ledger.seed, model=ledger.model, records=())

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -42,6 +43,8 @@ class TestEnumeration:
         ours = {tuple(row) for row in vertex_matrix()}
         oracle = {tuple(row) for row in deterministic_vertices()}
         assert ours == oracle
+        # same index order too, so witness weights can be checked against the oracle
+        assert np.array_equal(vertex_matrix(), deterministic_vertices())
 
 
 class TestMaxClassicalS:
@@ -97,7 +100,7 @@ class TestMembership:
 
     def test_witness_weights_reproduce_vector(self):
         rng = np.random.default_rng(42)
-        vertices = vertex_matrix()
+        vertices = deterministic_vertices()
         for _ in range(50):
             mixture = rng.dirichlet(np.ones(16))
             target = mixture @ vertices
@@ -117,6 +120,41 @@ class TestMembership:
         assert strict.violated_facet.margin == pytest.approx(2e-4, abs=1e-12)
         loose = local_membership(vector, facet_tolerance=1e-3)
         assert loose.feasible
+        assert np.all(loose.weights >= 0.0)
+        assert loose.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        recovered = loose.weights @ deterministic_vertices()
+        assert np.max(np.abs(recovered - vector.as_array())) <= 1e-3
+
+    def test_each_vertex_weights_its_lower_index_strategy(self):
+        vertices = deterministic_vertices()
+        for index, row in enumerate(vertices):
+            # the strategy with every response flipped has the same vertex
+            partner = next(
+                j for j, other in enumerate(vertices) if j != index and np.array_equal(other, row)
+            )
+            verdict = local_membership(CorrelationVector(*row))
+            expected = np.zeros(16)
+            expected[min(index, partner)] = 1.0
+            assert np.array_equal(verdict.weights, expected), index
+
+    @pytest.mark.parametrize("facet", range(16))
+    def test_points_on_each_facet_reproduced(self, facet):
+        normals = [np.array(p, dtype=float) for p in itertools.product((1, -1), repeat=4)]
+        chsh = [(n, 2.0) for n in normals if np.prod(n) < 0]
+        components = [(sign * np.eye(4)[i], 1.0) for sign in (1.0, -1.0) for i in range(4)]
+        normal, bound = (chsh + components)[facet]
+        vertices = deterministic_vertices()
+        corners = np.unique(vertices[vertices @ normal == bound], axis=0)
+        assert len(corners) == 4
+        rng = np.random.default_rng(1000 + facet)
+        for _ in range(50):
+            target = rng.dirichlet(np.ones(4)) @ corners
+            verdict = local_membership(CorrelationVector(*target))
+            assert verdict.feasible
+            assert np.all(verdict.weights >= 0.0)
+            assert verdict.weights.sum() == pytest.approx(1.0, abs=1e-15)
+            recovered = verdict.weights @ vertices
+            assert np.max(np.abs(recovered - target)) <= 1e-15
 
     def test_facet_margin_on_pr_box(self):
         margin, pattern = facet_margin(CorrelationVector(1.0, -1.0, 1.0, 1.0))
@@ -160,8 +198,11 @@ class TestOracleAgreement:
         for _ in range(100):
             mixture = rng.dirichlet(np.ones(16) * 0.3)
             vector = CorrelationVector(*(mixture @ vertices))
-            assert local_membership(vector).feasible
+            verdict = local_membership(vector)
+            assert verdict.feasible
             assert lp_local_membership(vector.as_tuple())
+            recovered = verdict.weights @ deterministic_vertices()
+            assert np.max(np.abs(recovered - vector.as_array())) < 1e-12
 
 
 def test_deterministic_model_vertices_match_strategy_correlations():
