@@ -35,6 +35,7 @@ from .models import (
     SINGLET_OPTIMAL_ANGLES,
     TrialRecord,
     catalog,
+    count_outcomes,
     generate_outcomes,
     lhv_deterministic_model,
     lhv_stochastic_model,

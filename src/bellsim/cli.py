@@ -118,6 +118,35 @@ def _merged(args: argparse.Namespace, file_values: dict, key: str, default=None)
     return default
 
 
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+
+
+def _setting(args: argparse.Namespace, file_values: dict, key: str, kind: type, default=None):
+    """The merged value of `key`, checked to be of `kind` (int, float, bool or str).
+
+    Config-file values arrive as any JSON type. A bool is never taken for a
+    number, and a float is taken for an int only when it is integral.
+    """
+    value = _merged(args, file_values, key, default)
+    if value is None or (isinstance(value, kind) and isinstance(value, bool) == (kind is bool)):
+        return value
+    if kind is int and type(value) is float and value.is_integer():
+        return int(value)
+    if kind is float and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def _out_format(args: argparse.Namespace, file_values: dict, default: str) -> str:
+    out_format = _setting(args, file_values, "format", str, default)
+    if out_format not in ("json", "csv"):
+        raise ConfigError(f"format must be json or csv, got {out_format!r}")
+    return out_format
+
+
 def _document(config: dict, results: dict) -> str:
     return json.dumps({"schema_version": 1, "config": config, "results": results}, indent=2) + "\n"
 
@@ -160,22 +189,22 @@ def _experiment_config(args: argparse.Namespace, file_values: dict) -> Experimen
     angles = parse_angles(angles_raw) if angles_raw is not None else None
     model = resolve_model(
         _merged(args, file_values, "model", "quantum"),
-        state=_merged(args, file_values, "state"),
+        state=_setting(args, file_values, "state", str),
         angles=angles,
     )
-    pattern_raw = _merged(args, file_values, "pattern")
+    pattern_raw = _setting(args, file_values, "pattern", str)
     pattern = (
         sign_pattern_from_string(pattern_raw) if pattern_raw else DEFAULT_SIGN_PATTERN
     )
     return ExperimentConfig(
         model=model,
-        trials_per_pair=int(_merged(args, file_values, "trials", 100_000)),
+        trials_per_pair=_setting(args, file_values, "trials", int, 100_000),
         seed=resolve_seed(getattr(args, "seed", None), file_values.get("seed")),
         sign_pattern=pattern,
-        out_path=_merged(args, file_values, "out"),
-        out_format=_merged(args, file_values, "format", "json"),
-        threads=int(_merged(args, file_values, "threads", 1)),
-        exact=bool(_merged(args, file_values, "exact", False)),
+        out_path=_setting(args, file_values, "out", str),
+        out_format=_out_format(args, file_values, "json"),
+        threads=_setting(args, file_values, "threads", int, 1),
+        exact=_setting(args, file_values, "exact", bool, False),
     )
 
 
@@ -281,8 +310,8 @@ def _chsh_csv(results: dict) -> str:
 
 
 def _cmd_lhv_scan(args: argparse.Namespace, file_values: dict) -> int:
-    out_path = _merged(args, file_values, "out")
-    out_format = _merged(args, file_values, "format", "json")
+    out_path = _setting(args, file_values, "out", str)
+    out_format = _out_format(args, file_values, "json")
     strategies = []
     best_overall = 0.0
     for strategy in enumerate_deterministic_strategies():
@@ -323,14 +352,14 @@ def _cmd_lhv_scan(args: argparse.Namespace, file_values: dict) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace, file_values: dict) -> int:
-    state_kind = _merged(args, file_values, "state", "psi_minus")
-    pattern_raw = _merged(args, file_values, "pattern")
+    state_kind = _setting(args, file_values, "state", str, "psi_minus")
+    pattern_raw = _setting(args, file_values, "pattern", str)
     pattern = sign_pattern_from_string(pattern_raw) if pattern_raw else DEFAULT_SIGN_PATTERN
-    grid = int(_merged(args, file_values, "grid", 16))
+    grid = _setting(args, file_values, "grid", int, 16)
     if grid < 8:
         raise ConfigError(f"grid must be at least 8, got {grid}")
-    out_path = _merged(args, file_values, "out")
-    out_format = _merged(args, file_values, "format", "json")
+    out_path = _setting(args, file_values, "out", str)
+    out_format = _out_format(args, file_values, "json")
     try:
         state = make_named_state(state_kind)
         result = optimize_angles(state, pattern)
@@ -360,10 +389,10 @@ def _cmd_optimize(args: argparse.Namespace, file_values: dict) -> int:
 
 def _cmd_counterfactual(args: argparse.Namespace, file_values: dict) -> int:
     cfg = _experiment_config(args, file_values)
-    stats_trials = int(_merged(args, file_values, "stats_trials", 100_000))
+    stats_trials = _setting(args, file_values, "stats_trials", int, 100_000)
     if stats_trials < 1:
         raise ConfigError(f"stats-trials must be at least 1, got {stats_trials}")
-    ledger_path = _merged(args, file_values, "ledger")
+    ledger_path = _setting(args, file_values, "ledger", str)
     schedule = [PAIR_ORDER[i % 4] for i in range(cfg.trials_per_pair)]
     ledger = record_run(cfg.model, schedule, cfg.seed)
     verdict = classify_definiteness(ledger, trials_for_stats=stats_trials, threads=cfg.threads)
@@ -419,14 +448,14 @@ def _cmd_counterfactual(args: argparse.Namespace, file_values: dict) -> int:
 
 
 def _cmd_bomb(args: argparse.Namespace, file_values: dict) -> int:
-    reflectivity = float(_merged(args, file_values, "reflectivity", 0.5))
-    bomb_present = bool(_merged(args, file_values, "bomb", True))
-    phase = float(_merged(args, file_values, "phase", 0.0))
-    trials = int(_merged(args, file_values, "trials", 100_000))
-    exact = bool(_merged(args, file_values, "exact", False))
+    reflectivity = _setting(args, file_values, "reflectivity", float, 0.5)
+    bomb_present = _setting(args, file_values, "bomb", bool, True)
+    phase = _setting(args, file_values, "phase", float, 0.0)
+    trials = _setting(args, file_values, "trials", int, 100_000)
+    exact = _setting(args, file_values, "exact", bool, False)
     seed = resolve_seed(getattr(args, "seed", None), file_values.get("seed"))
-    out_path = _merged(args, file_values, "out")
-    out_format = _merged(args, file_values, "format", "json")
+    out_path = _setting(args, file_values, "out", str)
+    out_format = _out_format(args, file_values, "json")
     try:
         spec = InterferometerSpec(reflectivity=reflectivity, bomb_present=bomb_present, phase=phase)
         probabilities = port_probabilities(spec)
@@ -471,18 +500,18 @@ def _parse_fixed(raw: object) -> dict[str, float]:
         raise ConfigError(f"cannot interpret fixed angles {raw!r}")
     try:
         return {label: float(value) for label, value in items}
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"fixed angles must be numbers: {raw!r}") from exc
 
 
 def _cmd_landscape(args: argparse.Namespace, file_values: dict) -> int:
-    state_kind = _merged(args, file_values, "state", "psi_minus")
-    pattern_raw = _merged(args, file_values, "pattern")
+    state_kind = _setting(args, file_values, "state", str, "psi_minus")
+    pattern_raw = _setting(args, file_values, "pattern", str)
     pattern = sign_pattern_from_string(pattern_raw) if pattern_raw else DEFAULT_SIGN_PATTERN
     fixed_raw = _merged(args, file_values, "fixed", "a=0.0,a'=1.5707963267948966")
-    resolution = int(_merged(args, file_values, "resolution", 32))
-    out_path = _merged(args, file_values, "out")
-    out_format = _merged(args, file_values, "format", "csv")
+    resolution = _setting(args, file_values, "resolution", int, 32)
+    out_path = _setting(args, file_values, "out", str)
+    out_format = _out_format(args, file_values, "csv")
     fixed = _parse_fixed(fixed_raw)
     try:
         grid = s_landscape(make_named_state(state_kind), fixed, resolution, pattern)

@@ -59,11 +59,8 @@ def sign_pattern_to_string(pattern: tuple[int, ...]) -> str:
 
 def parse_angles(value: object) -> tuple[float, float, float, float]:
     """Angles from a CSV string ('0,1.57,0.78,2.35') or a JSON list."""
-    if isinstance(value, str):
-        parts = value.split(",")
-    else:
-        parts = list(value)  # type: ignore[arg-type]
     try:
+        parts = value.split(",") if isinstance(value, str) else list(value)  # type: ignore
         angles = tuple(float(p) for p in parts)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"angles must be four numbers, got {value!r}") from exc
@@ -123,7 +120,7 @@ def resolve_seed(flag_value: Optional[int], file_value: Optional[object]) -> int
     if flag_value is not None:
         return int(flag_value)
     if file_value is not None:
-        if not isinstance(file_value, int):
+        if isinstance(file_value, bool) or not isinstance(file_value, int):
             raise ConfigError(f"seed must be an integer, got {file_value!r}")
         return file_value
     env = os.environ.get("BELLSIM_SEED")

@@ -7,11 +7,10 @@ fixed by the configuration alone and results do not depend on worker count.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .models import ModelDescriptor, sample_chunk
+from .models import ModelDescriptor, count_outcomes
 from .polytope import CorrelationVector, vertex_matrix
 from .quantum import expectation
 from .stats import (
@@ -22,9 +21,7 @@ from .stats import (
     SettingPair,
     chsh_s,
     correlation,
-    counts_from_outcomes,
 )
-from .streams import map_chunks
 
 import numpy as np
 
@@ -47,15 +44,12 @@ def run_chsh_experiment(
     if trials_per_pair < 1:
         raise ValueError(f"trials_per_pair must be at least 1, got {trials_per_pair}")
 
-    def tally(pair: SettingPair, start: int, size: int) -> CoincidenceCounts:
-        return counts_from_outcomes(sample_chunk(model, pair, seed, start, size))
-
-    counts = {}
-    for pair_index, pair in enumerate(PAIR_ORDER):
-        # Each chunk is tallied where it is sampled, so memory stays O(chunk).
-        start = stream_base + pair_index * trials_per_pair
-        chunks = map_chunks(functools.partial(tally, pair), start, trials_per_pair, threads)
-        counts[pair] = functools.reduce(CoincidenceCounts.merge, chunks)
+    counts = {
+        pair: count_outcomes(
+            model, pair, seed, stream_base + pair_index * trials_per_pair, trials_per_pair, threads
+        )
+        for pair_index, pair in enumerate(PAIR_ORDER)
+    }
     estimates = {pair: correlation(counts[pair]) for pair in PAIR_ORDER}
     return ChshExperimentResult(counts=counts, result=chsh_s(estimates, sign_pattern))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import batch_uniforms, inverse_cdf, map_chunks
+from .streams import ChunkBuffers, map_chunks, threshold_counts
 
 OUTCOMES = ("exploded", "dark_port", "bright_port")
 
@@ -70,10 +70,10 @@ def run_bomb_trials(spec: InterferometerSpec, trials: int, seed: int) -> dict[st
         raise ValueError(f"trials must be at least 1, got {trials}")
     probs = port_probabilities(spec)
     cdf = np.cumsum([probs[name] for name in OUTCOMES])
+    buffers = ChunkBuffers()
 
     def tally(start: int, size: int) -> np.ndarray:
-        u = batch_uniforms(seed, np.arange(start, start + size, dtype=np.uint64), 1)[:, 0]
-        return np.bincount(inverse_cdf(cdf, u), minlength=len(OUTCOMES))
+        return threshold_counts(cdf, buffers.uniforms(seed, start, size, 1)[0])
 
     tally_all = np.sum(map_chunks(tally, 0, trials), axis=0)
     return {name: float(tally_all[i] / trials) for i, name in enumerate(OUTCOMES)}

@@ -9,8 +9,10 @@ Five kinds share one sampling kernel:
   lhv_stochastic      a setting-independent mixture over the 16 strategies
   superdeterministic  outcome table conditioned on the setting pair itself
 
-Each ModelDescriptor builds its sampling tables once, when it is created,
-and `sample_outcomes` is the only place where uniforms become outcomes.
+Each ModelDescriptor builds its sampling tables once, when it is created.
+`sample_outcomes` turns uniforms into per-trial outcomes for ledgers and
+outcome arrays; `count_chunk` reads the same tables to turn a chunk of
+uniforms straight into coincidence counts, building no per-trial array.
 Trials draw from per-trial streams keyed by (run seed, stream_id), so any
 trial can be regenerated in isolation and batches are independent of
 worker scheduling.
@@ -32,8 +34,15 @@ from .quantum import (
     joint_probabilities,
     make_named_state,
 )
-from .stats import PAIR_ORDER, SettingPair
-from .streams import TrialStream, batch_uniforms, inverse_cdf, map_chunks
+from .stats import PAIR_ORDER, CoincidenceCounts, SettingPair
+from .streams import (
+    ChunkBuffers,
+    TrialStream,
+    batch_uniforms,
+    inverse_cdf,
+    map_chunks,
+    threshold_counts,
+)
 
 LEFT_LABELS = ("a", "a'")
 RIGHT_LABELS = ("b", "b'")
@@ -149,14 +158,17 @@ _STRATEGY_ANSWERS = np.stack(
 class _SamplingTables:
     """A model's constants, one row per setting pair in PAIR_ORDER.
 
-    `cdf` rows are inverse-CDF thresholds over hidden indices and `answers`
-    the outcome pair each index gives; nonlocal models have neither and keep
-    `conditionals` rows (p_left_plus, c_plus_given_plus, c_plus_given_minus).
+    `cdf` rows are inverse-CDF thresholds over hidden indices, `answers` the
+    outcome pair each index gives and `tallies` the one-hot coincidence
+    counter (n_pp, n_pm, n_mp, n_mm) each reachable index adds to; nonlocal
+    models have none of them and keep `conditionals` rows (p_left_plus,
+    c_plus_given_plus, c_plus_given_minus).
     """
 
     draws: int
     cdf: Optional[np.ndarray]
     answers: Optional[np.ndarray]
+    tallies: Optional[np.ndarray]
     conditionals: Optional[np.ndarray]
     distributions: Optional[tuple[JointOutcomeDistribution, ...]]  # quantum and nonlocal
 
@@ -178,12 +190,16 @@ def _build_tables(model: "ModelDescriptor") -> _SamplingTables:
         p_plus, p_minus = rows[:, 0] + rows[:, 1], rows[:, 2] + rows[:, 3]
         c_plus = rows[:, 0] / np.where(p_plus > 0.0, p_plus, 1.0)
         c_minus = rows[:, 2] / np.where(p_minus > 0.0, p_minus, 1.0)
-        return _SamplingTables(2, None, None, np.column_stack([p_plus, c_plus, c_minus]), dists)
+        conditionals = np.column_stack([p_plus, c_plus, c_minus])
+        return _SamplingTables(2, None, None, None, conditionals, dists)
     cdf = np.cumsum(rows, axis=1)
     # Uniforms lie below 1: thresholds at or above 1 (a suffix of every row)
     # never count, and dropping them spares skewed mixtures the comparisons.
-    reachable = int((cdf[:, :-1] < 1.0).any(axis=0).sum())
-    return _SamplingTables(1, cdf[:, : reachable + 1], answers, None, dists)
+    width = int((cdf[:, :-1] < 1.0).any(axis=0).sum()) + 1
+    # The counter index of an outcome pair in OUTCOME_ORDER: (1 - left) + (1 - right) / 2.
+    counter = (1 - answers[:, :width, 0]) + (1 - answers[:, :width, 1]) // 2
+    tallies = np.eye(4, dtype=np.int64)[counter]
+    return _SamplingTables(1, cdf[:, :width], answers, tallies, None, dists)
 
 
 @dataclass(frozen=True)
@@ -425,6 +441,52 @@ def sample_chunk(
     return sample_outcomes(model, pair, batch_uniforms(seed, ids, model._tables.draws))[0]
 
 
+def count_chunk(
+    model: ModelDescriptor,
+    settings: SettingPair,
+    seed: int,
+    buffers: ChunkBuffers,
+    start: int,
+    size: int,
+) -> CoincidenceCounts:
+    """Coincidence counts of the trials with stream ids start..start+size-1.
+
+    The same outcomes sample_chunk gives, counted without a per-trial array:
+    CDF kinds count uniforms per hidden index with threshold_counts and fold
+    the counts through the pair's counter table; nonlocal counts the left
+    outcome and, on each side of it, the right outcome's condition.
+    """
+    pair = _pair_index(settings)
+    tables = model._tables
+    u = buffers.uniforms(seed, start, size, tables.draws)
+    if model.kind == "nonlocal":
+        p_left_plus, c_plus, c_minus = tables.conditionals[pair]
+        left = u[0] < p_left_plus
+        n_left_plus = int(np.count_nonzero(left))
+        n_pp = int(np.count_nonzero(left & (u[1] < c_plus)))
+        n_mp = int(np.count_nonzero(~left & (u[1] < c_minus)))
+        return CoincidenceCounts(n_pp, n_left_plus - n_pp, n_mp, size - n_left_plus - n_mp)
+    per_index = threshold_counts(tables.cdf[pair], u[0])
+    return CoincidenceCounts(*(per_index @ tables.tallies[pair]).tolist())
+
+
+def count_outcomes(
+    model: ModelDescriptor,
+    settings: SettingPair,
+    seed: int,
+    stream_start: int,
+    count: int,
+    threads: int = 1,
+) -> CoincidenceCounts:
+    """counts_from_outcomes(generate_outcomes(...)) in O(chunk) memory."""
+    _pair_index(settings)
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    counter = functools.partial(count_chunk, model, settings, seed, ChunkBuffers())
+    chunks = map_chunks(counter, stream_start, count, threads)
+    return functools.reduce(CoincidenceCounts.merge, chunks, CoincidenceCounts())
+
+
 def generate_outcomes(
     model: ModelDescriptor,
     settings: SettingPair,
@@ -489,11 +551,11 @@ def no_signalling_check(
     p_left: dict[SettingPair, float] = {}
     p_right: dict[SettingPair, float] = {}
     for pair_index, pair in enumerate(PAIR_ORDER):
-        outcomes = generate_outcomes(
+        counts = count_outcomes(
             model, pair, seed, pair_index * trials_per_cell, trials_per_cell, threads
         )
-        p_left[pair] = float(np.mean(outcomes[:, 0] == 1))
-        p_right[pair] = float(np.mean(outcomes[:, 1] == 1))
+        p_left[pair] = (counts.n_pp + counts.n_pm) / trials_per_cell
+        p_right[pair] = (counts.n_pp + counts.n_mp) / trials_per_cell
 
     def compare(side: str, label: str, p1: float, p2: float) -> MarginalComparison:
         pooled = 0.5 * (p1 + p2)

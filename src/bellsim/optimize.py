@@ -87,6 +87,10 @@ class LandscapeGrid:
         return buffer.getvalue()
 
 
+# Each float64 temporary of the grid takes 8 * resolution**2 bytes: 32 MiB here.
+MAX_RESOLUTION = 2048
+
+
 def s_landscape(
     state: TwoQubitState,
     fixed: Mapping[str, float],
@@ -95,8 +99,8 @@ def s_landscape(
 ) -> LandscapeGrid:
     """Sweep the two non-fixed angles over [0, pi) on a uniform grid."""
     pattern = validate_sign_pattern(sign_pattern)
-    if resolution < 2:
-        raise ValueError(f"resolution must be at least 2, got {resolution}")
+    if not 2 <= resolution <= MAX_RESOLUTION:
+        raise ValueError(f"resolution must be in 2..{MAX_RESOLUTION}, got {resolution}")
     unknown = set(fixed) - set(_ANGLE_LABELS)
     if unknown:
         raise ValueError(f"unknown angle labels {sorted(unknown)}")

@@ -17,6 +17,7 @@ across worker counts.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional
 
@@ -26,6 +27,7 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 # 53-bit mantissa conversion: uniforms lie in [0, 1).
 _INV_2_53 = 2.0 ** -53
+_M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
 # Trials per batch. Work is cut at these fixed boundaries whatever the
 # worker count, so results never depend on scheduling.
@@ -42,14 +44,16 @@ def _fmix64(z: int) -> int:
     return z
 
 
-def _fmix64_array(z: np.ndarray) -> np.ndarray:
-    z = z.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return z
+def _fmix64_inplace(z: np.ndarray, scratch: np.ndarray) -> None:
+    """fmix64 over a uint64 array in place; `scratch` holds each shifted copy."""
+    np.right_shift(z, 30, out=scratch)
+    z ^= scratch
+    z *= _M1
+    np.right_shift(z, 27, out=scratch)
+    z ^= scratch
+    z *= _M2
+    np.right_shift(z, 31, out=scratch)
+    z ^= scratch
 
 
 def stream_key(seed: int, stream_id: int) -> int:
@@ -84,23 +88,70 @@ class TrialStream:
         return np.array([self.uniform() for _ in range(n)])
 
 
+def _mix_uniforms(seed: int, keys: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Write draw j of each stream into out[j], given stream ids + 1 in `keys`.
+
+    `keys` is overwritten and may be out[0]'s memory when there is one draw.
+    Each draw is mixed in its own output row, reinterpreted as uint64, and
+    converted to float there, so no temporary is made.
+    """
+    with np.errstate(over="ignore"):
+        keys *= np.uint64(_GAMMA)
+        keys += np.uint64(int(seed) & _MASK64)
+        _fmix64_inplace(keys, scratch)
+        for j in range(len(out)):
+            h = out[j].view(np.uint64)
+            np.add(keys, np.uint64((_GAMMA * (j + 1)) & _MASK64), out=h)
+            _fmix64_inplace(h, scratch)
+            h >>= np.uint64(11)
+            np.multiply(h, _INV_2_53, out=out[j])
+
+
 def batch_uniforms(seed: int, stream_ids: np.ndarray, draws: int) -> np.ndarray:
     """Uniforms for many fresh streams at once, shape (len(stream_ids), draws).
 
     Row i column j equals the j-th value TrialStream(seed, stream_ids[i])
     would produce, so a trial gets the same variates whether it is drawn
-    alone or inside a batch.
+    alone or inside a batch. The result is the transpose of a (draws, n)
+    buffer, so each draw's column is contiguous in memory.
     """
     ids = np.asarray(stream_ids, dtype=np.uint64)
+    out = np.empty((draws, ids.size), dtype=np.float64)
+    scratch = np.empty(ids.size, dtype=np.uint64)
+    keys = out[0].view(np.uint64) if draws == 1 else np.empty_like(scratch)
     with np.errstate(over="ignore"):
-        keys = _fmix64_array(
-            np.uint64(int(seed) & _MASK64) + np.uint64(_GAMMA) * (ids + np.uint64(1))
-        )
-        out = np.empty((ids.size, draws), dtype=np.float64)
-        for j in range(draws):
-            h = _fmix64_array(keys + np.uint64((_GAMMA * (j + 1)) & _MASK64))
-            out[:, j] = (h >> np.uint64(11)) * _INV_2_53
-    return out
+        np.add(ids, np.uint64(1), out=keys)
+    _mix_uniforms(seed, keys, out, scratch)
+    return out.T
+
+
+class ChunkBuffers(threading.local):
+    """Uniform buffers that one thread reuses from chunk to chunk.
+
+    Allocating a chunk's buffers afresh costs a page fault per 4 KiB page
+    on first touch, which takes longer than the arithmetic done in them;
+    each thread that uses one ChunkBuffers touches its own set once.
+    """
+
+    def __init__(self) -> None:
+        self._rows = np.empty((0, 0))
+
+    def uniforms(self, seed: int, start: int, size: int, draws: int) -> np.ndarray:
+        """batch_uniforms(seed, ids start..start+size-1, draws).T, as (draws, size) rows.
+
+        The rows are this thread's buffer: they hold until its next call.
+        """
+        if self._rows.shape[0] < draws or self._rows.shape[1] < size:
+            width = max(size, self._rows.shape[1])
+            self._rows = np.empty((max(draws, self._rows.shape[0]), width))
+            self._keys, self._scratch = np.empty((2, width), dtype=np.uint64)
+            self._offsets = np.arange(width, dtype=np.uint64)
+        out = self._rows[:draws, :size]
+        keys = out[0].view(np.uint64) if draws == 1 else self._keys[:size]
+        with np.errstate(over="ignore"):
+            np.add(self._offsets[:size], np.uint64((start + 1) & _MASK64), out=keys)
+        _mix_uniforms(seed, keys, out, self._scratch[:size])
+        return out
 
 
 def inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -113,6 +164,23 @@ def inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """
     thresholds = np.atleast_2d(cdf)[:, :-1].T
     return (u >= thresholds).sum(axis=0, dtype=np.int8)
+
+
+def threshold_counts(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """np.bincount(inverse_cdf(cdf, u), minlength=len(cdf)), with no index array.
+
+    For one non-decreasing `cdf` row, a uniform's index is at least k exactly
+    when u >= cdf[k-1], so each index's count is the difference of two
+    neighbouring threshold counts; the last index takes everything at or
+    above the last threshold it compares against, which is the clamp.
+    """
+    above = np.empty(u.shape, dtype=bool)
+    at_least = [u.size]
+    for threshold in cdf[:-1]:
+        np.greater_equal(u, threshold, out=above)
+        at_least.append(np.count_nonzero(above))
+    at_least.append(0)
+    return -np.diff(at_least)
 
 
 def worker_count(threads: int, chunks: int, cpus: Optional[int]) -> int:

@@ -309,3 +309,63 @@ class TestLandscapeCommand:
     def test_bad_fixed(self, capsys):
         code, _, _ = _run(["landscape", "--fixed", "a=0"], capsys)
         assert code == 2
+
+    def test_resolution_above_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr("bellsim.optimize.bilinear_chsh_s", None)  # no grid may be built
+        code, stdout, stderr = _run(["landscape", "--resolution", str(10**12)], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert "resolution must be in 2..2048" in stderr
+
+
+# Config-file values of the wrong JSON type, per subcommand; the last two
+# have the right type and a value outside the flag's choices.
+WRONG_TYPES = [
+    ("chsh", 'threads = "abc"'),
+    ("chsh", "trials = [3]"),
+    ("chsh", "trials = 2.5"),
+    ("chsh", "trials = true"),
+    ("chsh", "threads = 2.5"),
+    ("chsh", "pattern = 5"),
+    ("chsh", "angles = 7"),
+    ("chsh", 'exact = "yes"'),
+    ("chsh", "seed = true"),
+    ("chsh", "out = 5"),
+    ("counterfactual", 'stats_trials = "x"'),
+    ("counterfactual", "trials = true"),
+    ("counterfactual", "ledger = [1]"),
+    ("bomb", 'reflectivity = "x"'),
+    ("bomb", "reflectivity = true"),
+    ("bomb", "phase = [0]"),
+    ("bomb", "bomb = 1"),
+    ("bomb", "trials = 1000.5"),
+    ("optimize", "grid = 8.5"),
+    ("optimize", "state = 5"),
+    ("optimize", "pattern = 5"),
+    ("landscape", 'resolution = "8"'),
+    ("landscape", "resolution = false"),
+    ("landscape", 'fixed = {"a": [1], "a\'": 0}'),
+    ("landscape", "format = 1"),
+    ("bomb", 'format = "xml"'),
+    ("optimize", 'format = "xml"'),
+]
+
+
+@pytest.mark.parametrize("command,line", WRONG_TYPES)
+def test_config_value_of_wrong_type_exits_2(command, line, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, stdout, stderr = _run([command, "--config", str(cfg)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("bellsim: configuration error: ")
+
+
+def test_integral_config_values_match_flags(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("trials = 3000.0\nphase = 0\n")
+    from_file, from_flags = tmp_path / "file.json", tmp_path / "flags.json"
+    assert main(["bomb", "--config", str(cfg), "--out", str(from_file)]) == 0
+    assert main(["bomb", "--trials", "3000", "--phase", "0.0", "--out", str(from_flags)]) == 0
+    capsys.readouterr()
+    assert from_file.read_bytes() == from_flags.read_bytes()

@@ -9,6 +9,8 @@ from bellsim.models import (
     ModelDescriptor,
     SINGLET_OPTIMAL_ANGLES,
     catalog,
+    count_chunk,
+    count_outcomes,
     generate_outcomes,
     lhv_deterministic_model,
     lhv_stochastic_model,
@@ -18,11 +20,12 @@ from bellsim.models import (
     quantum_model,
     run_trial,
     run_trials,
+    sample_chunk,
     superdeterministic_model,
 )
 from bellsim.quantum import expectation, joint_probabilities, make_bell_state
 from bellsim.stats import PAIR_ORDER, correlation, counts_from_outcomes
-from bellsim.streams import TrialStream, inverse_cdf, worker_count
+from bellsim.streams import CHUNK, ChunkBuffers, TrialStream, inverse_cdf, worker_count
 
 from oracles import reference_trial
 
@@ -188,6 +191,71 @@ class TestBatchGeneration:
             assert counts[pair] == counts_from_outcomes(outcomes)
 
 
+# Every catalog model, plus corner cases of the fused counters: a nonlocal
+# model whose left outcome is always +1 (so c_minus is undefined and 0), and
+# an lhv mixture whose first strategy has weight 0 (a tie at threshold 0).
+_LEADING_ZERO = (0.0,) + (0.125,) * 8 + (0.0,) * 7
+FUSED_MODELS = {
+    **catalog(),
+    "nonlocal-up-up": nonlocal_model("up_up", (0.0, 0.0, 0.0, 0.0)),
+    "quantum-up-up": quantum_model("up_up", (0.0, 0.0, 0.0, 0.0)),
+    "lhv-leading-zero": lhv_stochastic_model(_LEADING_ZERO),
+}
+
+
+class TestFusedCounts:
+    @pytest.mark.parametrize("name", sorted(FUSED_MODELS))
+    def test_chunk_counts_match_sampled_outcomes(self, name):
+        model = FUSED_MODELS[name]
+        for pair_index, pair in enumerate(PAIR_ORDER):
+            start, size = 1000 * pair_index, 5000 + pair_index
+            expected = counts_from_outcomes(sample_chunk(model, pair, 21, start, size))
+            assert count_chunk(model, pair, 21, ChunkBuffers(), start, size) == expected
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("name", sorted(FUSED_MODELS))
+    def test_counts_across_chunk_boundary(self, name, threads):
+        model = FUSED_MODELS[name]
+        trials = CHUNK + 300
+        for pair_index, pair in enumerate(PAIR_ORDER):
+            start = CHUNK - 150 + pair_index * trials
+            outcomes = generate_outcomes(model, pair, 8, start, trials)
+            counts = count_outcomes(model, pair, 8, start, trials, threads)
+            assert counts == counts_from_outcomes(outcomes)
+            assert all(type(n) is int for n in vars(counts).values())
+
+    def test_empty_range(self):
+        assert count_outcomes(quantum_model(), ("a", "b"), 0, 0, 0).total == 0
+        with pytest.raises(ValueError, match="settings"):
+            count_outcomes(quantum_model(), ("b", "a"), 0, 0, 0)
+
+    def test_chsh_and_bomb_build_no_outcome_array(self, monkeypatch, tmp_path):
+        calls = []
+
+        def forbidden(name):
+            return lambda *a, **k: calls.append(name)
+
+        for target in (
+            "bellsim.models.sample_outcomes",
+            "bellsim.stats.counts_from_outcomes",
+            "bellsim.experiment.counts_from_outcomes",
+            "bellsim.streams.inverse_cdf",
+            "bellsim.interferometer.inverse_cdf",
+        ):
+            monkeypatch.setattr(target, forbidden(target), raising=False)
+        from bellsim.cli import main
+        from bellsim.interferometer import InterferometerSpec, run_bomb_trials
+
+        for name in sorted(FUSED_MODELS):
+            run_chsh_experiment(FUSED_MODELS[name], 1000, 3)
+        run_bomb_trials(InterferometerSpec(bomb_present=True), 1000, 3)
+        out = str(tmp_path / "out.json")
+        assert main(["chsh", "--trials", "1000", "--threads", "2", "--out", out]) == 0
+        assert main(["bomb", "--trials", "1000", "--out", out]) == 0
+        no_signalling_check(UNIFORM_LHV, 10_000)
+        assert calls == []
+
+
 class TestWorkerCount:
     def test_capped_by_cores_and_chunks(self):
         assert worker_count(8, chunks=100, cpus=2) == 2
@@ -291,6 +359,17 @@ class TestNoSignalling:
         assert report.hidden_variable_setting_dependent
         # PR-box marginals are uniform, so the measured level passes
         assert report.passed
+
+    @pytest.mark.parametrize("name", ["quantum-optimal", "nonlocal-optimal", "lhv-uniform", "pr-box"])
+    def test_marginals_equal_outcome_array_means(self, name):
+        model = catalog()[name]
+        trials = CHUNK + 4_000
+        report = no_signalling_check(model, trials, seed=5, threads=2)
+        for pair_index, pair in enumerate(PAIR_ORDER):
+            outcomes = generate_outcomes(model, pair, 5, pair_index * trials, trials)
+            p_left = float(np.mean(outcomes[:, 0] == 1))
+            p_right = float(np.mean(outcomes[:, 1] == 1))
+            assert report.marginals[pair] == (p_left, p_right)
 
     def test_uniform_lhv_marginals(self):
         report = no_signalling_check(UNIFORM_LHV, 10**6, seed=17)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bellsim.optimize import LandscapeGrid, optimize_angles, s_landscape
+from bellsim.optimize import MAX_RESOLUTION, LandscapeGrid, optimize_angles, s_landscape
 from bellsim.polytope import CorrelationVector, local_membership
 from bellsim.quantum import TwoQubitState, correlation_matrix, make_bell_state, make_named_state
 from bellsim.stats import SIGN_PATTERNS, TSIRELSON_BOUND, exact_chsh_s
@@ -183,6 +183,21 @@ class TestLandscape:
             s_landscape(state, {"a": 0.0, "a'": 1.0}, 1)
         with pytest.raises(ValueError, match="finite"):
             s_landscape(state, {"a": 0.0, "a'": math.nan}, 4)
+
+    def test_resolution_capped_before_any_grid_is_built(self, monkeypatch):
+        class Evaluated(Exception):
+            pass
+
+        def evaluator(*args):
+            raise Evaluated
+
+        monkeypatch.setattr("bellsim.optimize.bilinear_chsh_s", evaluator)
+        state, fixed = make_bell_state("psi_minus"), {"a": 0.0, "a'": 1.0}
+        with pytest.raises(Evaluated):
+            s_landscape(state, fixed, MAX_RESOLUTION)
+        for resolution in (MAX_RESOLUTION + 1, 10**12):
+            with pytest.raises(ValueError, match="resolution"):
+                s_landscape(state, fixed, resolution)
 
     def test_csv_shape_and_locale_independence(self):
         grid = s_landscape(

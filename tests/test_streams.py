@@ -1,9 +1,19 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellsim.streams import TrialStream, batch_uniforms, inverse_cdf, stream_key
+from bellsim.streams import (
+    ChunkBuffers,
+    TrialStream,
+    batch_uniforms,
+    inverse_cdf,
+    stream_key,
+    threshold_counts,
+)
 
 
 def test_same_key_same_sequence():
@@ -73,3 +83,61 @@ def test_inverse_cdf_matches_searchsorted(weights, seed):
     assert np.array_equal(inverse_cdf(cdf, u), expected)
     per_row = np.tile(cdf, (len(u), 1))
     assert np.array_equal(inverse_cdf(per_row, u), expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weights=st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0 / 3.0]), min_size=1, max_size=16),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_threshold_counts_match_bincount_of_indices(weights, seed):
+    # Zero weights make ties; totals may stop short of 1 or pass it, which
+    # puts thresholds at or above every uniform.
+    cdf = np.cumsum(weights)
+    u = batch_uniforms(seed, np.arange(500, dtype=np.uint64), 1)[:, 0]
+    u[:len(cdf)] = np.minimum(cdf, 1.0 - 2.0**-53)  # uniforms sitting exactly on thresholds
+    expected = np.bincount(inverse_cdf(cdf, u), minlength=len(cdf))
+    assert np.array_equal(threshold_counts(cdf, u), expected)
+    assert np.array_equal(threshold_counts(cdf, u[:0]), np.zeros(len(cdf)))
+
+
+def test_batch_rows_are_contiguous_per_draw():
+    batch = batch_uniforms(5, np.arange(10, dtype=np.uint64), 2)
+    assert batch.shape == (10, 2)
+    assert batch[:, 0].flags.c_contiguous and batch[:, 1].flags.c_contiguous
+
+
+def test_chunk_buffers_match_batch_uniforms_as_they_grow_and_shrink():
+    buffers = ChunkBuffers()
+    for seed, start, size, draws in [
+        (1, 0, 10, 1), (1, 5, 300, 2), (9, 2**64 - 20, 20, 2), (3, 70, 7, 1), (3, 0, 0, 2),
+        (2**63, 2**40, 1000, 1), (4, 11, 400, 3),
+    ]:
+        ids = np.uint64(start) + np.arange(size, dtype=np.uint64)
+        rows = buffers.uniforms(seed, start, size, draws)
+        assert rows.shape == (draws, size)
+        assert np.array_equal(rows, batch_uniforms(seed, ids, draws).T)
+
+
+def test_chunk_buffers_are_per_thread():
+    buffers, errors = ChunkBuffers(), []
+    expected = {k: batch_uniforms(k, np.arange(k, k + 5000, dtype=np.uint64), 2).T for k in range(8)}
+
+    def work(k):
+        for _ in range(20):
+            rows = buffers.uniforms(k, k, 5000, 2)
+            if not np.array_equal(rows, expected[k]):
+                errors.append(k)
+
+    workers = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
