@@ -4,18 +4,25 @@ Subcommands: chsh, lhv-scan, optimize, counterfactual, bomb, landscape.
 Artifacts carry {"schema_version", "config", "results"}; wall-clock runtime
 goes to stderr so identical configurations produce byte-identical files.
 Exit codes: 0 success, 2 configuration error, 3 I/O error.
+
+Importing this module sets OPENBLAS_NUM_THREADS to 1 unless it is already
+set, and each subcommand imports the modules it runs when it runs.
 """
 
 from __future__ import annotations
 
+import os
+
+# bellsim's matrix products are at most 4x4, so OpenBLAS worker threads only
+# cost start-up time. This must run before anything imports numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
-import csv
 import io
 import json
-import os
 import sys
 import time
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .config import (
     ConfigError,
@@ -27,11 +34,7 @@ from .config import (
     sign_pattern_from_string,
     sign_pattern_to_string,
 )
-from .counterfactual import classify_definiteness, ledger_text, record_run
 from .experiment import model_exact_correlations, run_chsh_experiment
-from .interferometer import InterferometerSpec, OUTCOMES, port_probabilities, run_bomb_trials
-from .optimize import optimize_angles, s_landscape
-from .polytope import enumerate_deterministic_strategies, strategy_correlation
 from .quantum import BELL_KINDS, PRODUCT_KINDS, make_named_state
 from .stats import DEFAULT_SIGN_PATTERN, PAIR_ORDER, SIGN_PATTERNS, classify_bound
 
@@ -109,6 +112,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_config_keys(args: argparse.Namespace, file_values: dict) -> None:
+    """Reject config-file keys that name no flag of the subcommand."""
+    accepted = sorted(set(vars(args)) - {"command", "config"})
+    unknown = sorted(set(file_values) - set(accepted))
+    if unknown:
+        raise ConfigError(
+            f"unknown config key {', '.join(map(repr, unknown))} for {args.command}; "
+            f"accepted keys: {', '.join(accepted)}"
+        )
+
+
 def _merged(args: argparse.Namespace, file_values: dict, key: str, default=None):
     flag = getattr(args, key, None)
     if flag is not None:
@@ -151,13 +165,19 @@ def _document(config: dict, results: dict) -> str:
     return json.dumps({"schema_version": 1, "config": config, "results": results}, indent=2) + "\n"
 
 
-def _kv_csv(rows: Sequence[tuple[str, object]]) -> str:
+def _csv_text(rows: Iterable[Sequence[object]]) -> str:
+    import csv
+
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["key", "value"])
-    for key, value in rows:
-        writer.writerow([key, value if isinstance(value, str) else repr(value)])
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
     return buffer.getvalue()
+
+
+def _kv_csv(rows: Sequence[tuple[str, object]]) -> str:
+    return _csv_text(
+        [("key", "value")]
+        + [(key, value if isinstance(value, str) else repr(value)) for key, value in rows]
+    )
 
 
 def _write_artifacts(artifacts: Sequence[tuple[Optional[str], str]]) -> None:
@@ -271,14 +291,12 @@ def _cmd_chsh(args: argparse.Namespace, file_values: dict) -> int:
 
 
 def _chsh_csv(results: dict) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
+    rows = [
         ["section", "left", "right", "n_pp", "n_pm", "n_mp", "n_mm", "value", "std_error", "bound_class"]
-    )
+    ]
     for pair in results["pairs"]:
         counts = pair.get("counts", {})
-        writer.writerow(
+        rows.append(
             [
                 "correlation",
                 pair["left"],
@@ -292,7 +310,7 @@ def _chsh_csv(results: dict) -> str:
                 "",
             ]
         )
-    writer.writerow(
+    rows.append(
         [
             "s_statistic",
             "",
@@ -306,10 +324,12 @@ def _chsh_csv(results: dict) -> str:
             results["bound_class"],
         ]
     )
-    return buffer.getvalue()
+    return _csv_text(rows)
 
 
 def _cmd_lhv_scan(args: argparse.Namespace, file_values: dict) -> int:
+    from .polytope import enumerate_deterministic_strategies, strategy_correlation
+
     out_path = _setting(args, file_values, "out", str)
     out_format = _out_format(args, file_values, "json")
     strategies = []
@@ -331,20 +351,18 @@ def _cmd_lhv_scan(args: argparse.Namespace, file_values: dict) -> int:
     results = {"strategies": strategies, "max_abs_s": best_overall}
     config_echo = {"command": "lhv-scan", "format": out_format}
     if out_format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(
+        rows = [
             ["index", "r_a", "r_a'", "r_b", "r_b'", "e_ab", "e_ab'", "e_a'b", "e_a'b'", "best_abs_s"]
-        )
+        ]
         for row in strategies:
             resp = row["responses"]
-            writer.writerow(
+            rows.append(
                 [row["index"], resp["a"], resp["a'"], resp["b"], resp["b'"]]
                 + [repr(float(e)) for e in row["correlations"]]
                 + [repr(float(row["best_abs_s"]))]
             )
-        writer.writerow(["max", "", "", "", "", "", "", "", "", repr(float(best_overall))])
-        text = buffer.getvalue()
+        rows.append(["max", "", "", "", "", "", "", "", "", repr(float(best_overall))])
+        text = _csv_text(rows)
     else:
         text = _document(config_echo, results)
     _write_artifacts([(out_path, text)])
@@ -352,6 +370,8 @@ def _cmd_lhv_scan(args: argparse.Namespace, file_values: dict) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace, file_values: dict) -> int:
+    from .optimize import optimize_angles
+
     state_kind = _setting(args, file_values, "state", str, "psi_minus")
     pattern_raw = _setting(args, file_values, "pattern", str)
     pattern = sign_pattern_from_string(pattern_raw) if pattern_raw else DEFAULT_SIGN_PATTERN
@@ -388,7 +408,13 @@ def _cmd_optimize(args: argparse.Namespace, file_values: dict) -> int:
 
 
 def _cmd_counterfactual(args: argparse.Namespace, file_values: dict) -> int:
+    from .counterfactual import MAX_LEDGER_TRIALS, classify_definiteness, ledger_text, record_run
+
     cfg = _experiment_config(args, file_values)
+    if cfg.trials_per_pair > MAX_LEDGER_TRIALS:
+        raise ConfigError(
+            f"counterfactual trials must be at most {MAX_LEDGER_TRIALS}, got {cfg.trials_per_pair}"
+        )
     stats_trials = _setting(args, file_values, "stats_trials", int, 100_000)
     if stats_trials < 1:
         raise ConfigError(f"stats-trials must be at least 1, got {stats_trials}")
@@ -448,6 +474,8 @@ def _cmd_counterfactual(args: argparse.Namespace, file_values: dict) -> int:
 
 
 def _cmd_bomb(args: argparse.Namespace, file_values: dict) -> int:
+    from .interferometer import InterferometerSpec, OUTCOMES, port_probabilities, run_bomb_trials
+
     reflectivity = _setting(args, file_values, "reflectivity", float, 0.5)
     bomb_present = _setting(args, file_values, "bomb", bool, True)
     phase = _setting(args, file_values, "phase", float, 0.0)
@@ -473,13 +501,11 @@ def _cmd_bomb(args: argparse.Namespace, file_values: dict) -> int:
     }
     results = {"interferometry": {"probabilities": probabilities, "frequencies": frequencies}}
     if out_format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["outcome", "probability", "frequency"])
+        rows = [("outcome", "probability", "frequency")]
         for name in OUTCOMES:
             frequency = "" if frequencies is None else repr(frequencies[name])
-            writer.writerow([name, repr(probabilities[name]), frequency])
-        text = buffer.getvalue()
+            rows.append((name, repr(probabilities[name]), frequency))
+        text = _csv_text(rows)
     else:
         text = _document(config_echo, results)
     _write_artifacts([(out_path, text)])
@@ -505,6 +531,8 @@ def _parse_fixed(raw: object) -> dict[str, float]:
 
 
 def _cmd_landscape(args: argparse.Namespace, file_values: dict) -> int:
+    from .optimize import s_landscape
+
     state_kind = _setting(args, file_values, "state", str, "psi_minus")
     pattern_raw = _setting(args, file_values, "pattern", str)
     pattern = sign_pattern_from_string(pattern_raw) if pattern_raw else DEFAULT_SIGN_PATTERN
@@ -555,6 +583,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.perf_counter()
     try:
         file_values = parse_config_file(args.config) if getattr(args, "config", None) else {}
+        _check_config_keys(args, file_values)
         code = _COMMANDS[args.command](args, file_values)
     except ConfigError as exc:
         print(f"bellsim: configuration error: {exc}", file=sys.stderr)

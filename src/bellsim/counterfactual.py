@@ -35,9 +35,13 @@ from .polytope import CorrelationVector, FeasibilityVerdict, local_membership
 from .quantum import JointOutcomeDistribution
 from .stats import PAIR_ORDER, SettingPair, correlation
 
-# Stats trials use stream ids far above any plausible ledger, so the two
-# phases of a run never share a stream.
+# Stats trials use stream ids from _STATS_STREAM_BASE up, and a ledger's
+# trial i uses stream id i below MAX_LEDGER_TRIALS, so the two phases of a
+# run never share a stream. A ledger holds about 0.7 KB per trial in memory,
+# so the cap keeps one within a few hundred MB.
 _STATS_STREAM_BASE = 1 << 32
+MAX_LEDGER_TRIALS = 1 << 19
+assert MAX_LEDGER_TRIALS <= _STATS_STREAM_BASE
 
 
 @dataclass(frozen=True)
@@ -97,12 +101,18 @@ class DefinitenessVerdict:
     evidence: ClassificationEvidence
 
 
+def _check_ledger_length(trials: int) -> None:
+    if trials > MAX_LEDGER_TRIALS:
+        raise ValueError(f"a ledger holds at most {MAX_LEDGER_TRIALS} trials, got {trials}")
+
+
 def record_run(
     model: ModelDescriptor, settings_schedule: Sequence[SettingPair], seed: int
 ) -> TrialLedger:
     """One recorded trial per schedule entry; stream id = entry index."""
     if len(settings_schedule) == 0:
         raise ValueError("settings schedule must be non-empty")
+    _check_ledger_length(len(settings_schedule))
     records = run_trials(model, settings_schedule, seed)
     return TrialLedger(seed=int(seed), model=model, records=records)
 
@@ -174,6 +184,7 @@ def classify_definiteness(
     """
     if len(ledger.records) == 0:
         raise ValueError("ledger must contain at least one record")
+    _check_ledger_length(len(ledger.records))
     if trials_for_stats < 1:
         raise ValueError("trials_for_stats must be at least 1")
 

@@ -13,7 +13,6 @@ sign pattern.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import dataclass
@@ -78,6 +77,8 @@ class LandscapeGrid:
     sign_pattern: tuple[int, ...]
 
     def to_csv(self) -> str:
+        import csv
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         corner = f"{self.row_label}\\{self.col_label}"

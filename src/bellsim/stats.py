@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .quantum import TwoQubitState, correlation_matrix
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 SQRT2 = math.sqrt(2.0)
 TSIRELSON_BOUND = 2.0 * SQRT2
@@ -130,6 +132,8 @@ def correlation(counts: CoincidenceCounts) -> CorrelationEstimate:
 
 def correlation_fraction(counts: CoincidenceCounts) -> Fraction:
     """The correlation as an exact rational number."""
+    from fractions import Fraction
+
     total = counts.total
     if total == 0:
         raise ValueError("cannot estimate a correlation from zero counts")

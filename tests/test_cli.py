@@ -249,6 +249,25 @@ class TestCounterfactualCommand:
         record = json.loads(lines[0])
         assert set(record) == {"index", "settings", "outcomes", "hidden", "stream_id"}
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_trials_above_ledger_cap_exit_2_before_recording(
+        self, source, tmp_path, capsys, monkeypatch
+    ):
+        from bellsim.counterfactual import MAX_LEDGER_TRIALS
+
+        monkeypatch.setattr("bellsim.counterfactual.record_run", None)  # any call would fail
+        trials = str(MAX_LEDGER_TRIALS + 1)
+        if source == "flag":
+            argv = ["counterfactual", "--trials", trials]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"trials = {trials}\n")
+            argv = ["counterfactual", "--config", str(cfg)]
+        code, stdout, stderr = _run(argv, capsys)
+        assert code == 2
+        assert stdout == ""
+        assert f"at most {MAX_LEDGER_TRIALS}, got {trials}" in stderr
+
 
 class TestBombCommand:
     def test_exact_canonical_values(self, capsys):
@@ -369,3 +388,56 @@ def test_integral_config_values_match_flags(tmp_path, capsys):
     assert main(["bomb", "--trials", "3000", "--phase", "0.0", "--out", str(from_flags)]) == 0
     capsys.readouterr()
     assert from_file.read_bytes() == from_flags.read_bytes()
+
+
+# The config keys each subcommand takes: the destinations of its flags.
+ACCEPTED_KEYS = {
+    "chsh": "angles, exact, format, model, out, pattern, seed, state, threads, trials",
+    "lhv-scan": "format, out, pattern",
+    "optimize": "format, grid, out, pattern, state",
+    "counterfactual": (
+        "angles, format, ledger, model, out, pattern, seed, state, stats_trials, threads, trials"
+    ),
+    "bomb": "bomb, exact, format, out, phase, reflectivity, seed, trials",
+    "landscape": "fixed, format, out, pattern, resolution, state",
+}
+
+# Keys a subcommand does not take: typos, keys of other subcommands, removed
+# knobs, and `config` itself.
+UNKNOWN_KEYS = [
+    ("chsh", "trails = 10"),
+    ("chsh", "stats_trials = 10"),
+    ("chsh", "resolution = 8"),
+    ("lhv-scan", 'model = "lhv-uniform"'),
+    ("lhv-scan", "trials = 10"),
+    ("optimize", "tolerance = 1e-9"),
+    ("optimize", "trials = 10"),
+    ("counterfactual", "exact = true"),
+    ("counterfactual", 'config = "other.cfg"'),
+    ("bomb", 'state = "psi_minus"'),
+    ("bomb", "threads = 2"),
+    ("landscape", "trials = 10"),
+    ("landscape", "grid = 16"),
+]
+
+
+@pytest.mark.parametrize("command,line", UNKNOWN_KEYS)
+def test_unknown_config_key_exits_2(command, line, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, stdout, stderr = _run([command, "--config", str(cfg)], capsys)
+    key = line.partition("=")[0].strip()
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith(
+        f"bellsim: configuration error: unknown config key {key!r} for {command}; "
+        f"accepted keys: {ACCEPTED_KEYS[command]}\n"
+    )
+
+
+def test_every_unknown_key_is_named(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text('trails = 10\nmodel = "lhv-uniform"\nsede = 4\n')
+    code, _, stderr = _run(["chsh", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert "unknown config key 'sede', 'trails' for chsh" in stderr

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from bellsim import counterfactual
 from bellsim.counterfactual import (
+    MAX_LEDGER_TRIALS,
+    TrialLedger,
     classify_definiteness,
     counterfactual_table,
     joint_assignment_feasibility,
@@ -56,6 +59,41 @@ class TestRecordRun:
     def test_empty_schedule_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             record_run(quantum_model(), [], seed=0)
+
+
+class _LongSchedule:
+    """A schedule that reports a length but holds no entries."""
+
+    def __init__(self, length):
+        self.length = length
+
+    def __len__(self):
+        return self.length
+
+    def __getitem__(self, index):
+        raise AssertionError("the schedule must not be read")
+
+
+class TestLedgerCap:
+    def test_ledger_streams_stay_below_stats_streams(self):
+        assert MAX_LEDGER_TRIALS <= counterfactual._STATS_STREAM_BASE
+
+    def test_record_run_rejects_too_many_trials_before_sampling(self, monkeypatch):
+        monkeypatch.setattr(counterfactual, "run_trials", None)  # any call would fail
+        with pytest.raises(ValueError, match=f"at most {MAX_LEDGER_TRIALS}"):
+            record_run(quantum_model(), _LongSchedule(MAX_LEDGER_TRIALS + 1), seed=0)
+
+    def test_record_run_takes_the_cap_itself(self, monkeypatch):
+        schedules = []
+        monkeypatch.setattr(counterfactual, "run_trials", lambda m, s, seed: schedules.append(s) or ())
+        record_run(quantum_model(), _LongSchedule(MAX_LEDGER_TRIALS), seed=0)
+        assert len(schedules) == 1 and len(schedules[0]) == MAX_LEDGER_TRIALS
+
+    def test_classify_rejects_too_long_ledger_before_replay(self, monkeypatch):
+        monkeypatch.setattr(counterfactual, "run_trials", None)
+        ledger = TrialLedger(seed=0, model=quantum_model(), records=_LongSchedule(MAX_LEDGER_TRIALS + 1))
+        with pytest.raises(ValueError, match=f"at most {MAX_LEDGER_TRIALS}"):
+            classify_definiteness(ledger, trials_for_stats=10)
 
 
 class TestReplay:

@@ -1,9 +1,19 @@
-"""scipy is a test-only dependency: the package and its CLI never import it."""
+"""What a fresh bellsim process loads.
 
+scipy is a test-only dependency: the package and its CLI never import it.
+The package namespace is lazy, each subcommand imports only the modules it
+runs, and the CLI starts no OpenBLAS worker threads unless the caller asks
+for them with OPENBLAS_NUM_THREADS.
+"""
+
+import importlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import bellsim
 
@@ -21,14 +31,158 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
-def test_cli_runs_without_loading_scipy():
+def _run_fresh(program, *args, **env):
+    """stdout of `python -c program *args` with bellsim importable.
+
+    OPENBLAS_NUM_THREADS is taken out of the inherited environment, because
+    importing bellsim.cli in this test process sets it; keyword arguments
+    are added to the child's environment.
+    """
     source_root = str(Path(bellsim.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+    inherited = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     completed = subprocess.run(
-        [sys.executable, "-c", _PROGRAM],
-        env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, "-c", program, *args],
+        env={**inherited, "PYTHONPATH": path, **env},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert completed.stdout.strip() == "[]", completed.stdout
+    return completed.stdout.strip()
+
+
+def test_cli_runs_without_loading_scipy():
+    assert _run_fresh(_PROGRAM) == "[]"
+
+
+_THREADS_AFTER_IMPORT = """
+import os, sys
+import bellsim.cli
+assert "numpy" in sys.modules
+print(len(os.listdir("/proc/self/task")))
+"""
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) == 1,
+    reason="needs /proc/self/task and more than one CPU, where OpenBLAS would start workers",
+)
+def test_cli_import_starts_no_blas_threads():
+    assert _run_fresh(_THREADS_AFTER_IMPORT) == "1"
+
+
+def test_caller_blas_thread_setting_is_kept():
+    program = "import os, bellsim.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _run_fresh(program, OPENBLAS_NUM_THREADS="2") == "2"
+
+
+def test_package_import_loads_no_submodule():
+    program = (
+        "import sys, bellsim\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('bellsim.', 'numpy'))))"
+    )
+    assert _run_fresh(program) == "[]"
+
+
+_MODULES_AFTER_RUN = """
+import contextlib, io, json, sys
+import bellsim.cli
+argv = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    assert bellsim.cli.main(argv) == 0, argv
+print(json.dumps(sorted(sys.modules)))
+"""
+
+# Each subcommand and the bellsim modules it has no use for.
+_UNUSED_MODULES = [
+    (["chsh", "--trials", "10"], {"counterfactual", "optimize", "interferometer"}),
+    (["chsh", "--exact"], {"counterfactual", "optimize", "interferometer"}),
+    (["bomb", "--exact"], {"counterfactual", "optimize"}),
+    (["bomb", "--trials", "10"], {"counterfactual", "optimize"}),
+    (["lhv-scan"], {"counterfactual", "optimize", "interferometer"}),
+    (["optimize"], {"counterfactual", "interferometer"}),
+    (["landscape", "--resolution", "4"], {"counterfactual", "interferometer"}),
+    (["counterfactual", "--trials", "8", "--stats-trials", "100"], {"optimize", "interferometer"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,unused", _UNUSED_MODULES, ids=[" ".join(argv) for argv, _ in _UNUSED_MODULES]
+)
+def test_subcommand_loads_only_what_it_runs(argv, unused):
+    loaded = set(json.loads(_run_fresh(_MODULES_AFTER_RUN, json.dumps(argv))))
+    assert {f"bellsim.{name}" for name in unused} & loaded == set()
+    assert {m for m in loaded if m == "scipy" or m.startswith("scipy.")} == set()
+
+
+# Every public name of the package, by its defining module.
+EXPORTS = {
+    "counterfactual": [
+        "CounterfactualCell", "CounterfactualTable", "DefinitenessVerdict", "TrialLedger",
+        "classify_definiteness", "counterfactual_table", "joint_assignment_feasibility",
+        "ledger_text", "read_ledger_records", "record_run", "replay_counterfactual",
+        "write_ledger",
+    ],
+    "experiment": [
+        "ChshExperimentResult", "estimate_correlation_vector", "model_exact_correlations",
+        "run_chsh_experiment",
+    ],
+    "interferometer": ["InterferometerSpec", "port_probabilities", "run_bomb_trials"],
+    "models": [
+        "LhvStrategy", "ModelDescriptor", "NoSignallingReport", "SINGLET_OPTIMAL_ANGLES",
+        "TrialRecord", "catalog", "count_outcomes", "generate_outcomes",
+        "lhv_deterministic_model", "lhv_stochastic_model", "no_signalling_check",
+        "nonlocal_model", "pr_box_table", "quantum_model", "run_trial", "run_trials",
+        "superdeterministic_model",
+    ],
+    "optimize": ["LandscapeGrid", "OptimizationResult", "optimize_angles", "s_landscape"],
+    "polytope": [
+        "CorrelationVector", "FeasibilityVerdict", "ViolatedFacet",
+        "enumerate_deterministic_strategies", "local_membership", "max_classical_s",
+        "strategy_correlation", "vertex_matrix",
+    ],
+    "quantum": [
+        "JointOutcomeDistribution", "MeasurementSetting", "OUTCOME_ORDER", "SpinObservable",
+        "TwoQubitState", "correlation_matrix", "expectation", "joint_probabilities",
+        "make_bell_state", "make_named_state", "spin_observable",
+    ],
+    "stats": [
+        "ChshResult", "CoincidenceCounts", "CorrelationEstimate", "DEFAULT_SIGN_PATTERN",
+        "PAIR_ORDER", "SIGN_PATTERNS", "TSIRELSON_BOUND", "accumulate", "chsh_s",
+        "correlation", "correlation_fraction", "counts_from_outcomes", "exact_chsh_s",
+        "validate_sign_pattern",
+    ],
+    "streams": ["TrialStream", "batch_uniforms"],
+}
+ALL_NAMES = sorted(name for names in EXPORTS.values() for name in names)
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTS))
+def test_exports_are_the_defining_modules_objects(module):
+    defining = importlib.import_module(f"bellsim.{module}")
+    for name in EXPORTS[module]:
+        assert getattr(bellsim, name) is getattr(defining, name), name
+    assert getattr(bellsim, module) is defining
+
+
+def test_from_import_of_every_export():
+    namespace = {}
+    exec(f"from bellsim import {', '.join(ALL_NAMES)}", namespace)
+    assert all(namespace[name] is getattr(bellsim, name) for name in ALL_NAMES)
+
+
+def test_dir_and_all_list_every_export():
+    assert set(ALL_NAMES) <= set(dir(bellsim))
+    assert set(EXPORTS) <= set(dir(bellsim))
+    assert bellsim.__all__ == ALL_NAMES
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        bellsim.no_such_name
+    with pytest.raises(ImportError):
+        exec("from bellsim import no_such_name", {})
+
+
+def test_version_unchanged():
+    assert bellsim.__version__ == "0.1.0"

@@ -15,6 +15,8 @@ deliberate schema change), run `PYTHONPATH=src python tests/test_golden_artifact
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -127,19 +129,48 @@ GOLDEN: dict[str, dict[str, str]] = {
 }
 
 
-def artifact_hashes(case: str, workdir: Path) -> dict[str, str]:
-    """Run one case in `workdir` and hash every artifact it wrote."""
+def artifact_hashes(case: str, workdir: Path, run=main) -> dict[str, str]:
+    """Run one case in `workdir` through `run(argv)` and hash every artifact it wrote."""
     argv, names = CASES[case]
     argv = argv + ["--out", str(workdir / "out.json")]
     if "ledger.jsonl" in names:
         argv += ["--ledger", str(workdir / "ledger.jsonl")]
-    assert main(argv) == 0
+    assert run(argv) == 0
     return {name: hashlib.sha256((workdir / name).read_bytes()).hexdigest() for name in names}
+
+
+def fresh_process(argv: list[str]) -> int:
+    """Exit code of `python -m bellsim.cli *argv` in a new interpreter.
+
+    The child starts without this process's OPENBLAS_NUM_THREADS, so it
+    runs the start-up path of a plain shell invocation.
+    """
+    source_root = str(Path(sys.modules["bellsim"].__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "bellsim.cli", *argv], env=env, capture_output=True
+    ).returncode
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_artifact_bytes_unchanged(case, tmp_path):
     assert artifact_hashes(case, tmp_path) == GOLDEN[case]
+
+
+# A fresh process imports numpy itself, after the CLI has set its start-up
+# environment, where the in-process cases above run with numpy loaded.
+COLD_CASES = (
+    "bomb",
+    "chsh-quantum-optimal-t1",
+    "chsh-quantum-optimal-t2",
+    "counterfactual-nonlocal-optimal",
+)
+
+
+@pytest.mark.parametrize("case", COLD_CASES)
+def test_artifact_bytes_unchanged_in_fresh_process(case, tmp_path):
+    assert artifact_hashes(case, tmp_path, fresh_process) == GOLDEN[case]
 
 
 def test_every_case_is_pinned():
