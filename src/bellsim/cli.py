@@ -34,7 +34,6 @@ from .config import (
     sign_pattern_from_string,
     sign_pattern_to_string,
 )
-from .experiment import model_exact_correlations, run_chsh_experiment
 from .quantum import BELL_KINDS, PRODUCT_KINDS, make_named_state
 from .stats import DEFAULT_SIGN_PATTERN, PAIR_ORDER, SIGN_PATTERNS, classify_bound
 
@@ -53,8 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--angles", help="four radians: a,a',b,b'")
             p.add_argument("--trials", type=int)
             p.add_argument("--seed", type=int)
-            p.add_argument("--threads", type=int)
-        p.add_argument("--pattern", help="sign pattern such as +-++")
+            p.add_argument("--threads", type=int, help="no effect (still must be >= 1)")
+            p.add_argument("--pattern", help="sign pattern such as +-++")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"))
 
@@ -229,6 +228,8 @@ def _experiment_config(args: argparse.Namespace, file_values: dict) -> Experimen
 
 
 def _cmd_chsh(args: argparse.Namespace, file_values: dict) -> int:
+    from .experiment import model_exact_correlations, run_chsh_experiment
+
     cfg = _experiment_config(args, file_values)
     config_echo = {
         "command": "chsh",
@@ -253,9 +254,7 @@ def _cmd_chsh(args: argparse.Namespace, file_values: dict) -> int:
             "bound_class": classify_bound(abs(s_value), 0.0),
         }
     else:
-        outcome = run_chsh_experiment(
-            cfg.model, cfg.trials_per_pair, cfg.seed, cfg.sign_pattern, cfg.threads
-        )
+        outcome = run_chsh_experiment(cfg.model, cfg.trials_per_pair, cfg.seed, cfg.sign_pattern)
         pairs = []
         for x, y in PAIR_ORDER:
             counts = outcome.counts[(x, y)]
@@ -421,7 +420,7 @@ def _cmd_counterfactual(args: argparse.Namespace, file_values: dict) -> int:
     ledger_path = _setting(args, file_values, "ledger", str)
     schedule = [PAIR_ORDER[i % 4] for i in range(cfg.trials_per_pair)]
     ledger = record_run(cfg.model, schedule, cfg.seed)
-    verdict = classify_definiteness(ledger, trials_for_stats=stats_trials, threads=cfg.threads)
+    verdict = classify_definiteness(ledger, trials_for_stats=stats_trials)
     evidence = verdict.evidence
     feasibility = {
         "feasible": evidence.feasibility.feasible,

@@ -11,10 +11,12 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
-from .models import ModelDescriptor, catalog, quantum_model, nonlocal_model
 from .stats import validate_sign_pattern
+
+if TYPE_CHECKING:
+    from .models import ModelDescriptor
 
 
 class ConfigError(ValueError):
@@ -77,16 +79,17 @@ def resolve_model(
     """Resolve --model input: a catalog name, 'quantum'/'nonlocal', or JSON.
 
     `state` and `angles` override the state kind and angle binding for
-    quantum and nonlocal models.
+    quantum and nonlocal models. Only the model resolved is built.
     """
+    from .models import CATALOG, ModelDescriptor, nonlocal_model, quantum_model
+
     try:
         if isinstance(spec, Mapping):
             model = ModelDescriptor.from_dict(spec)
         elif isinstance(spec, str):
             name = spec.strip()
-            named = catalog()
-            if name in named:
-                model = named[name]
+            if name in CATALOG:
+                model = CATALOG[name]()
             elif name == "quantum":
                 model = quantum_model()
             elif name == "nonlocal":
@@ -96,7 +99,7 @@ def resolve_model(
             else:
                 raise ConfigError(
                     f"unknown model {name!r}; expected a catalog name "
-                    f"({', '.join(sorted(named))}), 'quantum', 'nonlocal', or a JSON object"
+                    f"({', '.join(sorted(CATALOG))}), 'quantum', 'nonlocal', or a JSON object"
                 )
         else:
             raise ConfigError(f"cannot interpret model specification {spec!r}")

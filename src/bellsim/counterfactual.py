@@ -180,7 +180,7 @@ def classify_definiteness(
     every recorded trial is replayed at its factual settings. The
     joint-assignment check runs on correlations estimated from
     trials_for_stats fresh trials per setting pair, with the facet slack
-    set to five standard deviations of the estimated S.
+    set to five standard deviations of the estimated S. `threads` has no effect.
     """
     if len(ledger.records) == 0:
         raise ValueError("ledger must contain at least one record")
@@ -196,11 +196,7 @@ def classify_definiteness(
     matched = sum(a.outcomes == b.outcomes for a, b in zip(replayed, ledger.records))
 
     vector, counts = estimate_correlation_vector(
-        ledger.model,
-        trials_for_stats,
-        ledger.seed,
-        threads=threads,
-        stream_base=_STATS_STREAM_BASE,
+        ledger.model, trials_for_stats, ledger.seed, stream_base=_STATS_STREAM_BASE
     )
     sigma_s = math.sqrt(
         sum(correlation(counts[pair]).std_error ** 2 for pair in PAIR_ORDER)

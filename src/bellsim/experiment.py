@@ -2,16 +2,16 @@
 
 Stream ids are allocated per setting pair in canonical PAIR_ORDER: pair i
 of a run owns ids [base + i*N, base + (i+1)*N), so every trial's stream is
-fixed by the configuration alone and results do not depend on worker count.
+fixed by the configuration alone. `threads` parameters are accepted and
+have no effect. Sampled runs never load the polytope module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .models import ModelDescriptor, count_outcomes
-from .polytope import CorrelationVector, vertex_matrix
 from .quantum import expectation
 from .stats import (
     PAIR_ORDER,
@@ -24,6 +24,9 @@ from .stats import (
 )
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .polytope import CorrelationVector
 
 
 @dataclass(frozen=True)
@@ -46,7 +49,7 @@ def run_chsh_experiment(
 
     counts = {
         pair: count_outcomes(
-            model, pair, seed, stream_base + pair_index * trials_per_pair, trials_per_pair, threads
+            model, pair, seed, stream_base + pair_index * trials_per_pair, trials_per_pair
         )
         for pair_index, pair in enumerate(PAIR_ORDER)
     }
@@ -62,13 +65,10 @@ def estimate_correlation_vector(
     stream_base: int = 0,
 ) -> tuple[CorrelationVector, Mapping[SettingPair, CoincidenceCounts]]:
     """Empirical correlation vector over the four setting pairs."""
+    from .polytope import CorrelationVector
+
     outcome = run_chsh_experiment(
-        model,
-        trials_per_pair,
-        seed,
-        DEFAULT_SIGN_PATTERN,
-        threads=threads,
-        stream_base=stream_base,
+        model, trials_per_pair, seed, DEFAULT_SIGN_PATTERN, stream_base=stream_base
     )
     values = [outcome.result.correlations[pair].value for pair in PAIR_ORDER]
     return CorrelationVector(*values), outcome.counts
@@ -76,6 +76,8 @@ def estimate_correlation_vector(
 
 def model_exact_correlations(model: ModelDescriptor) -> CorrelationVector:
     """The correlation vector a model produces in expectation, no sampling."""
+    from .polytope import CorrelationVector, vertex_matrix
+
     if model.kind in ("quantum", "nonlocal"):
         state = model.quantum_state()
         values = [

@@ -14,8 +14,8 @@ Each ModelDescriptor builds its sampling tables once, when it is created.
 outcome arrays; `count_chunk` reads the same tables to turn a chunk of
 uniforms straight into coincidence counts, building no per-trial array.
 Trials draw from per-trial streams keyed by (run seed, stream_id), so any
-trial can be regenerated in isolation and batches are independent of
-worker scheduling.
+trial can be regenerated in isolation and batches are independent of how
+the work is chunked.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -357,20 +357,22 @@ def pr_box_table(strength: float = 1.0) -> dict[SettingPair, tuple[float, ...]]:
     return table
 
 
+# The named models, by name: each factory builds its model's tables when called.
+CATALOG: dict[str, Callable[[], ModelDescriptor]] = {
+    "quantum-optimal": lambda: quantum_model("psi_minus", SINGLET_OPTIMAL_ANGLES),
+    "quantum-psi-plus": lambda: quantum_model("psi_plus", PSI_PLUS_OPTIMAL_ANGLES),
+    "nonlocal-optimal": lambda: nonlocal_model("psi_minus", SINGLET_OPTIMAL_ANGLES),
+    "lhv-uniform": lambda: lhv_stochastic_model((1.0 / 16.0,) * 16),
+    "lhv-edge": lambda: lhv_stochastic_model((0.5, 0.5) + (0.0,) * 14),
+    "lhv-all-plus": lambda: lhv_deterministic_model(0),
+    "pr-box": lambda: superdeterministic_model(pr_box_table(1.0)),
+    "pr-box-soft": lambda: superdeterministic_model(pr_box_table(0.5)),
+}
+
+
 def catalog() -> dict[str, ModelDescriptor]:
-    """Named ready-to-run model configurations used by the CLI and tests."""
-    uniform = tuple([1.0 / 16.0] * 16)
-    edge = tuple([0.5, 0.5] + [0.0] * 14)
-    return {
-        "quantum-optimal": quantum_model("psi_minus", SINGLET_OPTIMAL_ANGLES),
-        "quantum-psi-plus": quantum_model("psi_plus", PSI_PLUS_OPTIMAL_ANGLES),
-        "nonlocal-optimal": nonlocal_model("psi_minus", SINGLET_OPTIMAL_ANGLES),
-        "lhv-uniform": lhv_stochastic_model(uniform),
-        "lhv-edge": lhv_stochastic_model(edge),
-        "lhv-all-plus": lhv_deterministic_model(0),
-        "pr-box": superdeterministic_model(pr_box_table(1.0)),
-        "pr-box-soft": superdeterministic_model(pr_box_table(0.5)),
-    }
+    """Every named model of CATALOG, built; the CLI builds only the one it runs."""
+    return {name: make() for name, make in CATALOG.items()}
 
 
 def _pair_index(settings: SettingPair) -> int:
@@ -478,12 +480,15 @@ def count_outcomes(
     count: int,
     threads: int = 1,
 ) -> CoincidenceCounts:
-    """counts_from_outcomes(generate_outcomes(...)) in O(chunk) memory."""
+    """counts_from_outcomes(generate_outcomes(...)) in O(chunk) memory.
+
+    `threads` is accepted and has no effect: counting runs in the calling thread.
+    """
     _pair_index(settings)
     if count < 0:
         raise ValueError("count must be non-negative")
     counter = functools.partial(count_chunk, model, settings, seed, ChunkBuffers())
-    chunks = map_chunks(counter, stream_start, count, threads)
+    chunks = map_chunks(counter, stream_start, count)
     return functools.reduce(CoincidenceCounts.merge, chunks, CoincidenceCounts())
 
 
@@ -497,15 +502,14 @@ def generate_outcomes(
 ) -> np.ndarray:
     """Outcomes for trials with stream ids stream_start..stream_start+count-1.
 
-    The result depends only on (model, settings, seed, stream ids): work is
-    split into fixed-size chunks regardless of the thread count, so any
-    worker pool assembles the same array.
+    The result depends only on (model, settings, seed, stream ids); it is
+    built one CHUNK at a time, and `threads` is accepted and has no effect.
     """
     _pair_index(settings)  # validates the pair even when count is 0
     if count < 0:
         raise ValueError("count must be non-negative")
     sampler = functools.partial(sample_chunk, model, settings, seed)
-    chunks = map_chunks(sampler, stream_start, count, threads)
+    chunks = map_chunks(sampler, stream_start, count)
     return np.concatenate(chunks) if chunks else np.empty((0, 2), dtype=np.int8)
 
 

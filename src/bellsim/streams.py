@@ -8,18 +8,14 @@ of stream s under seed k is
 
 where fmix64 is the SplitMix64 finalizer and GAMMA its odd increment.
 Because any (stream, position) pair is addressable in O(1), a batch of
-uniforms over millions of streams vectorizes with numpy, and parallel
-workers can generate disjoint stream ranges with no shared state and no
-dependence on scheduling. That property is what makes run output identical
-across worker counts.
+uniforms over millions of streams vectorizes with numpy, and any range of
+streams can be generated on its own. Work is cut into fixed CHUNKs of
+stream ids, so run output does not depend on how it is batched.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -29,8 +25,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 _INV_2_53 = 2.0 ** -53
 _M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
-# Trials per batch. Work is cut at these fixed boundaries whatever the
-# worker count, so results never depend on scheduling.
+# Trials per batch: memory grows with CHUNK, never with the trial count.
 CHUNK = 1 << 16
 
 
@@ -125,12 +120,12 @@ def batch_uniforms(seed: int, stream_ids: np.ndarray, draws: int) -> np.ndarray:
     return out.T
 
 
-class ChunkBuffers(threading.local):
-    """Uniform buffers that one thread reuses from chunk to chunk.
+class ChunkBuffers:
+    """Uniform buffers reused from chunk to chunk.
 
     Allocating a chunk's buffers afresh costs a page fault per 4 KiB page
     on first touch, which takes longer than the arithmetic done in them;
-    each thread that uses one ChunkBuffers touches its own set once.
+    one ChunkBuffers touches its set once.
     """
 
     def __init__(self) -> None:
@@ -139,7 +134,7 @@ class ChunkBuffers(threading.local):
     def uniforms(self, seed: int, start: int, size: int, draws: int) -> np.ndarray:
         """batch_uniforms(seed, ids start..start+size-1, draws).T, as (draws, size) rows.
 
-        The rows are this thread's buffer: they hold until its next call.
+        The rows are the buffer itself: they hold until the next call.
         """
         if self._rows.shape[0] < draws or self._rows.shape[1] < size:
             width = max(size, self._rows.shape[1])
@@ -183,23 +178,7 @@ def threshold_counts(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return -np.diff(at_least)
 
 
-def worker_count(threads: int, chunks: int, cpus: Optional[int]) -> int:
-    """Threads worth starting: never more than the chunks or the cores."""
-    return max(1, min(threads, chunks, cpus or 1))
-
-
-def map_chunks(
-    fn: Callable[[int, int], object], stream_start: int, count: int, threads: int = 1
-) -> list:
-    """fn(first stream id, size) per CHUNK of the ids stream_start..stream_start+count-1.
-
-    Results come back in stream order. Workers build their own id arrays,
-    so memory grows with the chunk size and the worker count, not `count`.
-    """
-    starts = range(stream_start, stream_start + count, CHUNK)
-    sizes = [min(CHUNK, stream_start + count - start) for start in starts]
-    workers = worker_count(threads, len(starts), os.cpu_count())
-    if workers == 1:
-        return list(map(fn, starts, sizes))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, starts, sizes))
+def map_chunks(fn: Callable[[int, int], object], stream_start: int, count: int) -> list:
+    """fn(first stream id, size) per CHUNK of the ids stream_start..stream_start+count-1."""
+    stop = stream_start + count
+    return [fn(start, min(CHUNK, stop - start)) for start in range(stream_start, stop, CHUNK)]

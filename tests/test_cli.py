@@ -180,6 +180,16 @@ class TestLhvScanCommand:
         assert len(results["strategies"]) == 16
         assert all(row["best_abs_s"] in (0.0, 2.0) for row in results["strategies"])
 
+    @pytest.mark.parametrize("pattern", ["+-++", "xyz"])
+    def test_pattern_flag_is_rejected(self, pattern, capsys):
+        # best_abs_s is a maximum over every sign pattern, so no pattern applies.
+        with pytest.raises(SystemExit) as exc:
+            main(["lhv-scan", "--pattern", pattern])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments: --pattern" in captured.err
+
 
 class TestOptimizeCommand:
     def test_singlet(self, capsys):
@@ -393,7 +403,7 @@ def test_integral_config_values_match_flags(tmp_path, capsys):
 # The config keys each subcommand takes: the destinations of its flags.
 ACCEPTED_KEYS = {
     "chsh": "angles, exact, format, model, out, pattern, seed, state, threads, trials",
-    "lhv-scan": "format, out, pattern",
+    "lhv-scan": "format, out",
     "optimize": "format, grid, out, pattern, state",
     "counterfactual": (
         "angles, format, ledger, model, out, pattern, seed, state, stats_trials, threads, trials"
@@ -410,6 +420,7 @@ UNKNOWN_KEYS = [
     ("chsh", "resolution = 8"),
     ("lhv-scan", 'model = "lhv-uniform"'),
     ("lhv-scan", "trials = 10"),
+    ("lhv-scan", 'pattern = "+-++"'),
     ("optimize", "tolerance = 1e-9"),
     ("optimize", "trials = 10"),
     ("counterfactual", "exact = true"),

@@ -2,8 +2,9 @@
 
 scipy is a test-only dependency: the package and its CLI never import it.
 The package namespace is lazy, each subcommand imports only the modules it
-runs, and the CLI starts no OpenBLAS worker threads unless the caller asks
-for them with OPENBLAS_NUM_THREADS.
+runs and builds only the catalog model it runs, and the CLI starts no
+OpenBLAS worker threads unless the caller asks for them with
+OPENBLAS_NUM_THREADS. Nothing starts a thread pool.
 """
 
 import importlib
@@ -93,26 +94,74 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps(sorted(sys.modules)))
 """
 
-# Each subcommand and the bellsim modules it has no use for.
-_UNUSED_MODULES = [
-    (["chsh", "--trials", "10"], {"counterfactual", "optimize", "interferometer"}),
-    (["chsh", "--exact"], {"counterfactual", "optimize", "interferometer"}),
-    (["bomb", "--exact"], {"counterfactual", "optimize"}),
-    (["bomb", "--trials", "10"], {"counterfactual", "optimize"}),
-    (["lhv-scan"], {"counterfactual", "optimize", "interferometer"}),
-    (["optimize"], {"counterfactual", "interferometer"}),
-    (["landscape", "--resolution", "4"], {"counterfactual", "interferometer"}),
-    (["counterfactual", "--trials", "8", "--stats-trials", "100"], {"optimize", "interferometer"}),
+# Every subcommand loads these bellsim modules: the CLI's own imports.
+_SHARED = {"cli", "config", "quantum", "stats"}
+
+# Each subcommand and the other bellsim modules it loads: the ones it runs.
+_LOADED_MODULES = [
+    (["chsh", "--trials", "10"], {"experiment", "models", "streams"}),
+    (["chsh", "--trials", "10", "--threads", "2"], {"experiment", "models", "streams"}),
+    (["chsh", "--exact"], {"experiment", "models", "streams", "polytope"}),
+    (["bomb", "--exact"], {"interferometer", "streams"}),
+    (["bomb", "--trials", "10"], {"interferometer", "streams"}),
+    (["lhv-scan"], {"polytope", "models", "streams"}),
+    (["optimize"], {"optimize"}),
+    (["landscape", "--resolution", "4"], {"optimize"}),
+    (
+        ["counterfactual", "--trials", "8", "--stats-trials", "100"],
+        {"counterfactual", "experiment", "models", "polytope", "streams"},
+    ),
 ]
 
 
+def _bellsim_modules(loaded):
+    return {m.removeprefix("bellsim.") for m in loaded if m.startswith("bellsim.")}
+
+
+def test_cli_import_loads_only_the_shared_modules():
+    program = "import json, sys, bellsim.cli; print(json.dumps(sorted(sys.modules)))"
+    loaded = json.loads(_run_fresh(program))
+    assert _bellsim_modules(loaded) == _SHARED
+    assert "concurrent.futures" not in loaded
+
+
 @pytest.mark.parametrize(
-    "argv,unused", _UNUSED_MODULES, ids=[" ".join(argv) for argv, _ in _UNUSED_MODULES]
+    "argv,used", _LOADED_MODULES, ids=[" ".join(argv) for argv, _ in _LOADED_MODULES]
 )
-def test_subcommand_loads_only_what_it_runs(argv, unused):
+def test_subcommand_loads_only_what_it_runs(argv, used):
     loaded = set(json.loads(_run_fresh(_MODULES_AFTER_RUN, json.dumps(argv))))
-    assert {f"bellsim.{name}" for name in unused} & loaded == set()
+    assert _bellsim_modules(loaded) == _SHARED | used
+    assert "concurrent.futures" not in loaded
     assert {m for m in loaded if m == "scipy" or m.startswith("scipy.")} == set()
+
+
+def test_resolving_a_catalog_model_builds_only_that_model(monkeypatch):
+    import bellsim.models
+    from bellsim.config import resolve_model
+
+    calls = []
+    solve = bellsim.models.joint_probabilities
+    monkeypatch.setattr(
+        bellsim.models, "joint_probabilities", lambda *a: calls.append(a) or solve(*a)
+    )
+    model = resolve_model("quantum-optimal")
+    assert len(calls) == 4  # one Born distribution per setting pair
+    assert model == bellsim.models.catalog()["quantum-optimal"]
+    calls.clear()
+    resolve_model("lhv-uniform")
+    assert calls == []
+
+
+def test_unknown_model_diagnostic_is_unchanged():
+    from bellsim.config import ConfigError, resolve_model
+
+    with pytest.raises(ConfigError) as exc:
+        resolve_model("no-such-model")
+    assert str(exc.value) == (
+        "unknown model 'no-such-model'; expected a catalog name (lhv-all-plus, lhv-edge, "
+        "lhv-uniform, nonlocal-optimal, pr-box, pr-box-soft, quantum-optimal, "
+        "quantum-psi-plus), 'quantum', 'nonlocal', or a JSON object"
+    )
 
 
 # Every public name of the package, by its defining module.

@@ -1,7 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bellsim import streams
 
 from bellsim.interferometer import (
     InterferometerSpec,
@@ -113,6 +118,22 @@ class TestTrials:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             run_bomb_trials(InterferometerSpec(), trials=0, seed=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        chunk=st.integers(1, 1024),
+        trials=st.integers(1, 3000),
+        reflectivity=st.floats(0.01, 0.99),
+        bomb_present=st.booleans(),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_frequencies_do_not_depend_on_chunk_size(
+        self, chunk, trials, reflectivity, bomb_present, seed
+    ):
+        spec = InterferometerSpec(reflectivity=reflectivity, bomb_present=bomb_present)
+        expected = run_bomb_trials(spec, trials, seed)
+        with mock.patch.object(streams, "CHUNK", chunk):
+            assert run_bomb_trials(spec, trials, seed) == expected
 
     def test_chunked_tally_matches_per_trial_reference(self):
         # Spans a chunk boundary: the per-chunk tallies must add up exactly.

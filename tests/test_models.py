@@ -1,7 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bellsim import streams
 
 from bellsim.experiment import run_chsh_experiment
 from bellsim.models import (
@@ -21,11 +26,12 @@ from bellsim.models import (
     run_trial,
     run_trials,
     sample_chunk,
+    sample_outcomes,
     superdeterministic_model,
 )
 from bellsim.quantum import expectation, joint_probabilities, make_bell_state
 from bellsim.stats import PAIR_ORDER, correlation, counts_from_outcomes
-from bellsim.streams import CHUNK, ChunkBuffers, TrialStream, inverse_cdf, worker_count
+from bellsim.streams import CHUNK, ChunkBuffers, TrialStream, batch_uniforms, inverse_cdf
 
 from oracles import reference_trial
 
@@ -195,8 +201,9 @@ class TestBatchGeneration:
 # model whose left outcome is always +1 (so c_minus is undefined and 0), and
 # an lhv mixture whose first strategy has weight 0 (a tie at threshold 0).
 _LEADING_ZERO = (0.0,) + (0.125,) * 8 + (0.0,) * 7
+CATALOG_MODELS = catalog()
 FUSED_MODELS = {
-    **catalog(),
+    **CATALOG_MODELS,
     "nonlocal-up-up": nonlocal_model("up_up", (0.0, 0.0, 0.0, 0.0)),
     "quantum-up-up": quantum_model("up_up", (0.0, 0.0, 0.0, 0.0)),
     "lhv-leading-zero": lhv_stochastic_model(_LEADING_ZERO),
@@ -223,6 +230,28 @@ class TestFusedCounts:
             counts = count_outcomes(model, pair, 8, start, trials, threads)
             assert counts == counts_from_outcomes(outcomes)
             assert all(type(n) is int for n in vars(counts).values())
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        chunk_and_count=st.integers(1, 1024).flatmap(
+            lambda chunk: st.tuples(st.just(chunk), st.integers(0, min(3000, 6 * chunk)))
+        ),
+        start=st.integers(0, 2**63),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_counts_do_not_depend_on_chunk_size(self, chunk_and_count, start, seed):
+        chunk, count = chunk_and_count
+        ids = np.arange(start, start + count, dtype=np.uint64)
+        expected = {}
+        for name, model in CATALOG_MODELS.items():
+            u = batch_uniforms(seed, ids, model._tables.draws)
+            for pair_index, pair in enumerate(PAIR_ORDER):
+                outcomes, _ = sample_outcomes(model, pair_index, u)
+                expected[name, pair] = counts_from_outcomes(outcomes)
+        with mock.patch.object(streams, "CHUNK", chunk):
+            for name, model in CATALOG_MODELS.items():
+                for pair in PAIR_ORDER:
+                    assert count_outcomes(model, pair, seed, start, count) == expected[name, pair]
 
     def test_empty_range(self):
         assert count_outcomes(quantum_model(), ("a", "b"), 0, 0, 0).total == 0
@@ -254,18 +283,6 @@ class TestFusedCounts:
         assert main(["bomb", "--trials", "1000", "--out", out]) == 0
         no_signalling_check(UNIFORM_LHV, 10_000)
         assert calls == []
-
-
-class TestWorkerCount:
-    def test_capped_by_cores_and_chunks(self):
-        assert worker_count(8, chunks=100, cpus=2) == 2
-        assert worker_count(8, chunks=3, cpus=64) == 3
-        assert worker_count(2, chunks=100, cpus=64) == 2
-        assert worker_count(10**9, chunks=15_000, cpus=2) == 2
-
-    def test_at_least_one(self):
-        assert worker_count(1, chunks=0, cpus=4) == 1
-        assert worker_count(4, chunks=10, cpus=None) == 1
 
 
 class TestModelTables:

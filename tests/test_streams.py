@@ -1,6 +1,3 @@
-import sys
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,26 +115,3 @@ def test_chunk_buffers_match_batch_uniforms_as_they_grow_and_shrink():
         assert rows.shape == (draws, size)
         assert np.array_equal(rows, batch_uniforms(seed, ids, draws).T)
 
-
-def test_chunk_buffers_are_per_thread():
-    buffers, errors = ChunkBuffers(), []
-    expected = {k: batch_uniforms(k, np.arange(k, k + 5000, dtype=np.uint64), 2).T for k in range(8)}
-
-    def work(k):
-        for _ in range(20):
-            rows = buffers.uniforms(k, k, 5000, 2)
-            if not np.array_equal(rows, expected[k]):
-                errors.append(k)
-
-    workers = [threading.Thread(target=work, args=(k,)) for k in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=60)
-            assert not worker.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
-    assert errors == []
