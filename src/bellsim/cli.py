@@ -6,7 +6,9 @@ goes to stderr so identical configurations produce byte-identical files.
 Exit codes: 0 success, 2 configuration error, 3 I/O error.
 
 Importing this module sets OPENBLAS_NUM_THREADS to 1 unless it is already
-set, and each subcommand imports the modules it runs when it runs.
+set, and each subcommand imports the modules it runs when it runs. Only
+sampling loads numpy: `chsh --exact`, `lhv-scan`, `optimize`, `landscape`
+and `bomb --exact` run in plain Python.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from __future__ import annotations
 import os
 
 # bellsim's matrix products are at most 4x4, so OpenBLAS worker threads only
-# cost start-up time. This must run before anything imports numpy.
+# cost start-up time. This must run before anything imports numpy, which
+# the sampling subcommands do when they run.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
@@ -523,6 +526,10 @@ def _parse_fixed(raw: object) -> dict[str, float]:
             items.append((label.strip(), value.strip()))
     else:
         raise ConfigError(f"cannot interpret fixed angles {raw!r}")
+    labels = [label for label, _ in items]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ConfigError(f"fixed angle {', '.join(map(repr, repeated))} is given more than once")
     try:
         return {label: float(value) for label, value in items}
     except (TypeError, ValueError) as exc:
@@ -557,9 +564,9 @@ def _cmd_landscape(args: argparse.Namespace, file_values: dict) -> int:
         results = {
             "row_label": grid.row_label,
             "col_label": grid.col_label,
-            "row_angles": [float(t) for t in grid.row_angles],
-            "col_angles": [float(t) for t in grid.col_angles],
-            "values": [[float(v) for v in row] for row in grid.values],
+            "row_angles": grid.row_angles,
+            "col_angles": grid.col_angles,
+            "values": grid.values,
         }
         text = _document(config_echo, results)
     _write_artifacts([(out_path, text)])

@@ -23,8 +23,6 @@ from .stats import (
     correlation,
 )
 
-import numpy as np
-
 if TYPE_CHECKING:
     from .polytope import CorrelationVector
 
@@ -76,7 +74,11 @@ def estimate_correlation_vector(
 
 def model_exact_correlations(model: ModelDescriptor) -> CorrelationVector:
     """The correlation vector a model produces in expectation, no sampling."""
-    from .polytope import CorrelationVector, vertex_matrix
+    from .polytope import (
+        CorrelationVector,
+        enumerate_deterministic_strategies,
+        strategy_correlation,
+    )
 
     if model.kind in ("quantum", "nonlocal"):
         state = model.quantum_state()
@@ -86,8 +88,11 @@ def model_exact_correlations(model: ModelDescriptor) -> CorrelationVector:
         ]
         return CorrelationVector(*values)
     if model.kind in ("lhv_deterministic", "lhv_stochastic"):
-        mixed = np.asarray(model.weights) @ vertex_matrix()
-        return CorrelationVector(*(float(v) for v in mixed))
+        strategies = enumerate_deterministic_strategies()
+        vertices = [strategy_correlation(s).as_tuple() for s in strategies]
+        return CorrelationVector(
+            *(sum(w * e for w, e in zip(model.weights, column)) for column in zip(*vertices))
+        )
     values = []
     for pair in PAIR_ORDER:
         p_pp, p_pm, p_mp, p_mm = model.table[pair]

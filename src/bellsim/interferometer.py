@@ -11,12 +11,9 @@ is present even though the photon provably never reached it.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
-
-from .streams import ChunkBuffers, map_chunks, threshold_counts
 
 OUTCOMES = ("exploded", "dark_port", "bright_port")
 
@@ -36,28 +33,25 @@ class InterferometerSpec:
             raise ValueError(f"phase must be finite, got {self.phase!r}")
 
 
-def _beamsplitter(reflectivity: float) -> np.ndarray:
+def _beamsplitter(reflectivity: float, upper: complex, lower: complex) -> tuple[complex, complex]:
+    """The two output amplitudes of a beamsplitter, [[t, i r], [i r, t]] @ (upper, lower)."""
     t = math.sqrt(1.0 - reflectivity)
     r = math.sqrt(reflectivity)
-    return np.array([[t, 1j * r], [1j * r, t]], dtype=np.complex128)
+    return t * upper + 1j * r * lower, 1j * r * upper + t * lower
 
 
 def port_probabilities(spec: InterferometerSpec) -> dict[str, float]:
     """Exact outcome probabilities by amplitude propagation."""
-    amps = _beamsplitter(spec.reflectivity) @ np.array([1.0, 0.0], dtype=np.complex128)
+    transmitted, reflected = _beamsplitter(spec.reflectivity, 1.0, 0.0)
     exploded = 0.0
     if spec.bomb_present:
         # Perfect absorber in the reflected arm: a projective which-path
         # measurement that removes that arm's amplitude.
-        exploded = float(abs(amps[1]) ** 2)
-        amps = np.array([amps[0], 0.0], dtype=np.complex128)
-    amps[0] *= np.exp(1j * spec.phase)
-    out = _beamsplitter(1.0 - spec.reflectivity) @ amps
-    return {
-        "exploded": exploded,
-        "dark_port": float(abs(out[0]) ** 2),
-        "bright_port": float(abs(out[1]) ** 2),
-    }
+        exploded = abs(reflected) ** 2
+        reflected = 0j
+    transmitted *= cmath.exp(1j * spec.phase)
+    dark, bright = _beamsplitter(1.0 - spec.reflectivity, transmitted, reflected)
+    return {"exploded": exploded, "dark_port": abs(dark) ** 2, "bright_port": abs(bright) ** 2}
 
 
 def run_bomb_trials(spec: InterferometerSpec, trials: int, seed: int) -> dict[str, float]:
@@ -66,6 +60,10 @@ def run_bomb_trials(spec: InterferometerSpec, trials: int, seed: int) -> dict[st
     Trials are sampled and tallied one chunk of streams at a time, so memory
     does not grow with `trials`.
     """
+    import numpy as np
+
+    from .streams import ChunkBuffers, map_chunks, threshold_counts
+
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     probs = port_probabilities(spec)

@@ -9,7 +9,8 @@ Five kinds share one sampling kernel:
   lhv_stochastic      a setting-independent mixture over the 16 strategies
   superdeterministic  outcome table conditioned on the setting pair itself
 
-Each ModelDescriptor builds its sampling tables once, when it is created.
+Each ModelDescriptor builds its sampling tables once, the first time it
+samples, so resolving and describing a model loads no numpy.
 `sample_outcomes` turns uniforms into per-trial outcomes for ledgers and
 outcome arrays; `count_chunk` reads the same tables to turn a chunk of
 uniforms straight into coincidence counts, building no per-trial array.
@@ -22,10 +23,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
-
-import numpy as np
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
 
 from .quantum import (
     OUTCOME_ORDER,
@@ -35,14 +34,11 @@ from .quantum import (
     make_named_state,
 )
 from .stats import PAIR_ORDER, CoincidenceCounts, SettingPair
-from .streams import (
-    ChunkBuffers,
-    TrialStream,
-    batch_uniforms,
-    inverse_cdf,
-    map_chunks,
-    threshold_counts,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .streams import ChunkBuffers, TrialStream
 
 LEFT_LABELS = ("a", "a'")
 RIGHT_LABELS = ("b", "b'")
@@ -144,16 +140,6 @@ def _validate_table(
     return cleaned
 
 
-# Outcome pair per hidden index, per setting pair in PAIR_ORDER: the joint
-# outcomes in OUTCOME_ORDER, and the 16 strategies' responses, unpacked from
-# the strategy index as in LhvStrategy.from_index (bits a, a', b, b').
-_OUTCOME_ANSWERS = np.tile(np.array(OUTCOME_ORDER, dtype=np.int8), (4, 1, 1))
-_RESPONSES = 1 - 2 * ((np.arange(16)[:, None] >> np.array([3, 2, 1, 0])) & 1)
-_STRATEGY_ANSWERS = np.stack(
-    [_RESPONSES[:, [x, 2 + y]] for x in range(2) for y in range(2)]
-).astype(np.int8)
-
-
 @dataclass(frozen=True)
 class _SamplingTables:
     """A model's constants, one row per setting pair in PAIR_ORDER.
@@ -174,6 +160,12 @@ class _SamplingTables:
 
 
 def _build_tables(model: "ModelDescriptor") -> _SamplingTables:
+    import numpy as np
+
+    # Outcome pair per hidden index, per setting pair in PAIR_ORDER: the joint
+    # outcomes in OUTCOME_ORDER, or the 16 strategies' responses, unpacked from
+    # the strategy index as in LhvStrategy.from_index (bits a, a', b, b').
+    outcome_answers = np.tile(np.array(OUTCOME_ORDER, dtype=np.int8), (4, 1, 1))
     dists = None
     if model.kind in ("quantum", "nonlocal"):
         state = model.quantum_state()
@@ -181,11 +173,15 @@ def _build_tables(model: "ModelDescriptor") -> _SamplingTables:
             joint_probabilities(state, model.angle_for(x), model.angle_for(y))
             for x, y in PAIR_ORDER
         )
-        rows, answers = np.array([d.as_array() for d in dists]), _OUTCOME_ANSWERS
+        rows, answers = np.array([d.as_array() for d in dists]), outcome_answers
     elif model.kind in ("lhv_deterministic", "lhv_stochastic"):
-        rows, answers = np.tile(model.weights, (4, 1)), _STRATEGY_ANSWERS
+        responses = 1 - 2 * ((np.arange(16)[:, None] >> np.array([3, 2, 1, 0])) & 1)
+        answers = np.stack(
+            [responses[:, [x, 2 + y]] for x in range(2) for y in range(2)]
+        ).astype(np.int8)
+        rows = np.tile(model.weights, (4, 1))
     else:
-        rows, answers = np.array([model.table[pair] for pair in PAIR_ORDER]), _OUTCOME_ANSWERS
+        rows, answers = np.array([model.table[pair] for pair in PAIR_ORDER]), outcome_answers
     if model.kind == "nonlocal":
         p_plus, p_minus = rows[:, 0] + rows[:, 1], rows[:, 2] + rows[:, 3]
         c_plus = rows[:, 0] / np.where(p_plus > 0.0, p_plus, 1.0)
@@ -211,7 +207,6 @@ class ModelDescriptor:
     angles: Optional[tuple[float, float, float, float]] = None
     weights: Optional[tuple[float, ...]] = None
     table: Optional[Mapping[SettingPair, tuple[float, ...]]] = None
-    _tables: _SamplingTables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
@@ -241,7 +236,11 @@ class ModelDescriptor:
             object.__setattr__(self, "table", _validate_table(self.table))
             if self.state is not None or self.angles is not None or self.weights is not None:
                 raise ValueError("superdeterministic model takes only an outcome table")
-        object.__setattr__(self, "_tables", _build_tables(self))
+
+    @functools.cached_property
+    def _tables(self) -> _SamplingTables:
+        """The sampling tables, built on first use."""
+        return _build_tables(self)
 
     def angle_for(self, label: str) -> float:
         assert self.angles is not None
@@ -347,13 +346,12 @@ def pr_box_table(strength: float = 1.0) -> dict[SettingPair, tuple[float, ...]]:
     """
     if not 0.0 <= strength <= 1.0:
         raise ValueError(f"strength must be in [0, 1], got {strength}")
-    correlated = np.array([0.5, 0.0, 0.0, 0.5])
-    anticorrelated = np.array([0.0, 0.5, 0.5, 0.0])
-    uniform = np.full(4, 0.25)
+    correlated = (0.5, 0.0, 0.0, 0.5)
+    anticorrelated = (0.0, 0.5, 0.5, 0.0)
     table = {}
     for pair in PAIR_ORDER:
         target = anticorrelated if pair == ("a", "b'") else correlated
-        table[pair] = tuple(strength * target + (1.0 - strength) * uniform)
+        table[pair] = tuple(strength * p + (1.0 - strength) * 0.25 for p in target)
     return table
 
 
@@ -395,6 +393,10 @@ def sample_outcomes(
     draws the left outcome, then the right one conditioned on it; the other
     kinds draw a hidden index from the pair's CDF row and give its outcome pair.
     """
+    import numpy as np
+
+    from .streams import inverse_cdf
+
     tables = model._tables
     if model.kind == "nonlocal":
         p_left_plus, c_plus, c_minus = tables.conditionals[pairs].T
@@ -424,6 +426,10 @@ def run_trials(
     model: ModelDescriptor, schedule: Sequence[SettingPair], seed: int
 ) -> tuple[TrialRecord, ...]:
     """run_trial on a fresh TrialStream(seed, i) per schedule entry i."""
+    import numpy as np
+
+    from .streams import batch_uniforms
+
     pairs = np.array([_pair_index(settings) for settings in schedule], dtype=np.intp)
     ids = np.arange(len(pairs), dtype=np.uint64)
     outcomes, hidden = sample_outcomes(model, pairs, batch_uniforms(seed, ids, model._tables.draws))
@@ -438,6 +444,10 @@ def sample_chunk(
     model: ModelDescriptor, settings: SettingPair, seed: int, start: int, size: int
 ) -> np.ndarray:
     """Outcomes (size, 2) int8 for the trials with stream ids start..start+size-1."""
+    import numpy as np
+
+    from .streams import batch_uniforms
+
     pair = _pair_index(settings)
     ids = np.arange(start, start + size, dtype=np.uint64)
     return sample_outcomes(model, pair, batch_uniforms(seed, ids, model._tables.draws))[0]
@@ -458,6 +468,10 @@ def count_chunk(
     the counts through the pair's counter table; nonlocal counts the left
     outcome and, on each side of it, the right outcome's condition.
     """
+    import numpy as np
+
+    from .streams import threshold_counts
+
     pair = _pair_index(settings)
     tables = model._tables
     u = buffers.uniforms(seed, start, size, tables.draws)
@@ -484,6 +498,8 @@ def count_outcomes(
 
     `threads` is accepted and has no effect: counting runs in the calling thread.
     """
+    from .streams import ChunkBuffers, map_chunks
+
     _pair_index(settings)
     if count < 0:
         raise ValueError("count must be non-negative")
@@ -505,6 +521,10 @@ def generate_outcomes(
     The result depends only on (model, settings, seed, stream ids); it is
     built one CHUNK at a time, and `threads` is accepted and has no effect.
     """
+    import numpy as np
+
+    from .streams import map_chunks
+
     _pair_index(settings)  # validates the pair even when count is 0
     if count < 0:
         raise ValueError("count must be non-negative")

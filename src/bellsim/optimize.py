@@ -13,22 +13,23 @@ sign pattern.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
-
-import numpy as np
+from typing import Iterable, Mapping, Sequence
 
 from .quantum import TwoQubitState, correlation_matrix
-from .stats import DEFAULT_SIGN_PATTERN, bilinear_chsh_s, validate_sign_pattern
+from .stats import DEFAULT_SIGN_PATTERN, PAIR_ORDER, bilinear_chsh_s, validate_sign_pattern
 
 _ANGLE_LABELS = ("a", "a'", "b", "b'")
 
+Vector2 = tuple[float, float]
+
 # Candidate frames: u = c(alpha) for alpha in {0, pi/2, pi, 3pi/2}, v = +-c(alpha + pi/2).
-_ALPHAS = np.repeat(np.arange(4) * (np.pi / 2.0), 2)
-_FRAME_U = np.column_stack([np.cos(_ALPHAS), np.sin(_ALPHAS)])
-_FRAME_V = np.array([[1.0], [-1.0]] * 4) * np.column_stack([-np.sin(_ALPHAS), np.cos(_ALPHAS)])
+_FRAMES: tuple[tuple[Vector2, Vector2], ...] = tuple(
+    ((math.cos(alpha), math.sin(alpha)), (-flip * math.sin(alpha), flip * math.cos(alpha)))
+    for alpha in (k * (math.pi / 2.0) for k in range(4))
+    for flip in (1.0, -1.0)
+)
 
 
 @dataclass(frozen=True)
@@ -38,10 +39,15 @@ class OptimizationResult:
     sign_pattern: tuple[int, ...]
 
 
-def _folded_angle(vectors: np.ndarray) -> np.ndarray:
-    """Direction angles of the rows folded into [0, pi); a fold that rounds to pi is 0."""
-    folded = np.mod(np.arctan2(vectors[:, 1], vectors[:, 0]), np.pi)
-    return np.where(folded < np.pi, folded, 0.0)
+def _folded_angle(vector: Vector2) -> float:
+    """Direction angle of the vector folded into [0, pi); a fold that rounds to pi is 0."""
+    folded = math.atan2(vector[1], vector[0]) % math.pi
+    return folded if folded < math.pi else 0.0
+
+
+def _times(matrix: Sequence[Sequence[float]], vector: Vector2) -> Vector2:
+    """The matrix-vector product M @ v."""
+    return tuple(row[0] * vector[0] + row[1] * vector[1] for row in matrix)
 
 
 def optimize_angles(
@@ -50,18 +56,18 @@ def optimize_angles(
     """Angles in [0, pi) reaching the largest |S| of the state, 2 * ||M||_F."""
     pattern = validate_sign_pattern(sign_pattern)
     matrix = correlation_matrix(state)
-    left, left_prime = _FRAME_U @ matrix.T, _FRAME_V @ matrix.T
-    theta = np.arctan2(np.linalg.norm(left_prime, axis=1), np.linalg.norm(left, axis=1))
-    cos_u = np.cos(theta)[:, None] * _FRAME_U
-    sin_v = np.sin(theta)[:, None] * _FRAME_V
-    candidates = [_folded_angle(w) for w in (left, left_prime, cos_u + sin_v, cos_u - sin_v)]
-    values = bilinear_chsh_s(matrix, candidates, pattern)
-    best = int(np.argmax(np.abs(values)))
-    return OptimizationResult(
-        angles=tuple(float(angle[best]) for angle in candidates),
-        s_value=float(values[best]),
-        sign_pattern=pattern,
-    )
+    best_angles, best_value = None, 0.0
+    for u, v in _FRAMES:
+        left, left_prime = _times(matrix, u), _times(matrix, v)
+        theta = math.atan2(math.hypot(*left_prime), math.hypot(*left))
+        c, s = math.cos(theta), math.sin(theta)
+        right = (c * u[0] + s * v[0], c * u[1] + s * v[1])
+        right_prime = (c * u[0] - s * v[0], c * u[1] - s * v[1])
+        angles = tuple(_folded_angle(w) for w in (left, left_prime, right, right_prime))
+        value = bilinear_chsh_s(matrix, angles, pattern)
+        if best_angles is None or abs(value) > abs(best_value):
+            best_angles, best_value = angles, value
+    return OptimizationResult(angles=best_angles, s_value=best_value, sign_pattern=pattern)
 
 
 @dataclass(frozen=True)
@@ -70,26 +76,55 @@ class LandscapeGrid:
 
     row_label: str
     col_label: str
-    row_angles: np.ndarray
-    col_angles: np.ndarray
-    values: np.ndarray
+    row_angles: tuple[float, ...]
+    col_angles: tuple[float, ...]
+    values: tuple[tuple[float, ...], ...]
     fixed: Mapping[str, float]
     sign_pattern: tuple[int, ...]
 
     def to_csv(self) -> str:
-        import csv
+        """The grid as CSV: a header of column angles, then one row per row angle.
 
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
+        No field needs quoting, so joining reprs with commas gives the text
+        csv.writer would.
+        """
         corner = f"{self.row_label}\\{self.col_label}"
-        writer.writerow([corner] + [repr(float(t)) for t in self.col_angles])
+        lines = [",".join([corner, *map(repr, self.col_angles)])]
         for angle, row in zip(self.row_angles, self.values):
-            writer.writerow([repr(float(angle))] + [repr(float(v)) for v in row])
-        return buffer.getvalue()
+            lines.append(repr(angle) + "," + ",".join(map(repr, row)))
+        return "\n".join(lines) + "\n"
 
 
-# Each float64 temporary of the grid takes 8 * resolution**2 bytes: 32 MiB here.
+# At 2048 the grid's floats take about 130 MB and its CSV text about 83 MB.
 MAX_RESOLUTION = 2048
+
+
+def _linear_in(
+    matrix: Sequence[Sequence[float]],
+    label: str,
+    directions: Mapping[str, Vector2],
+    sign_pattern: tuple[int, ...],
+) -> tuple[float, float, float]:
+    """(q0, q1, k) with S = q0 cos(t) + q1 sin(t) + k when `label` is at angle t.
+
+    The other three labels point along `directions`. S is linear in each
+    direction: the terms of `label` give q, the one term without it gives k.
+    """
+    transpose = tuple(zip(*matrix))
+    q0 = q1 = k = 0.0
+    for sign, (x, y) in zip(sign_pattern, PAIR_ORDER):
+        if label in (x, y):
+            # E = c(t) @ (M @ d_y) with `label` on the left, c(t) @ (M.T @ d_x) on the right.
+            if x == label:
+                w0, w1 = _times(matrix, directions[y])
+            else:
+                w0, w1 = _times(transpose, directions[x])
+            q0 += sign * w0
+            q1 += sign * w1
+        else:
+            (cx, sx), (w0, w1) = directions[x], _times(matrix, directions[y])
+            k += sign * (cx * w0 + sx * w1)
+    return q0, q1, k
 
 
 def s_landscape(
@@ -98,7 +133,12 @@ def s_landscape(
     resolution: int,
     sign_pattern: Iterable[int] = DEFAULT_SIGN_PATTERN,
 ) -> LandscapeGrid:
-    """Sweep the two non-fixed angles over [0, pi) on a uniform grid."""
+    """Sweep the two non-fixed angles over [0, pi) on a uniform grid.
+
+    cos and sin are taken once per grid angle. Each row fixes the row angle,
+    which leaves S linear in the column direction, S = q0 cos + q1 sin + k,
+    so a cell costs two products and two sums.
+    """
     pattern = validate_sign_pattern(sign_pattern)
     if not 2 <= resolution <= MAX_RESOLUTION:
         raise ValueError(f"resolution must be in 2..{MAX_RESOLUTION}, got {resolution}")
@@ -109,21 +149,22 @@ def s_landscape(
         raise ValueError("exactly two angles must be fixed")
     if not all(math.isfinite(float(value)) for value in fixed.values()):
         raise ValueError(f"fixed angles must be finite, got {dict(fixed)}")
-    swept = [label for label in _ANGLE_LABELS if label not in fixed]
-    row_label, col_label = swept
-    thetas = np.pi * np.arange(resolution) / resolution
-    swept_angles = {row_label: thetas[:, None], col_label: thetas[None, :]}
-    angles = [
-        swept_angles[label] if label in swept_angles else float(fixed[label])
-        for label in _ANGLE_LABELS
-    ]
-    values = bilinear_chsh_s(correlation_matrix(state), angles, pattern)
+    row_label, col_label = (label for label in _ANGLE_LABELS if label not in fixed)
+    matrix = correlation_matrix(state)
+    thetas = tuple(math.pi * i / resolution for i in range(resolution))
+    grid_directions = [(math.cos(t), math.sin(t)) for t in thetas]
+    directions = {label: (math.cos(float(t)), math.sin(float(t))) for label, t in fixed.items()}
+    values = []
+    for row_direction in grid_directions:
+        directions[row_label] = row_direction
+        q0, q1, k = _linear_in(matrix, col_label, directions, pattern)
+        values.append(tuple([q0 * c + q1 * s + k for c, s in grid_directions]))
     return LandscapeGrid(
         row_label=row_label,
         col_label=col_label,
         row_angles=thetas,
         col_angles=thetas,
-        values=values,
+        values=tuple(values),
         fixed=dict(fixed),
         sign_pattern=pattern,
     )

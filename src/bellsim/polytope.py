@@ -8,19 +8,23 @@ nontrivial ones are the eight inequalities |sum_i p_i E_i| <= 2 over the
 four one-minus sign patterns, so membership is decided by checking those
 facets directly; component bounds |E| <= 1 are enforced by the
 CorrelationVector type itself. Witness weights come from the same geometry
-in closed form (Fine, PRL 48, 291 (1982)).
+in closed form (Fine, PRL 48, 291 (1982)). Strategies and correlation
+vectors are plain Python; numpy loads when a membership test, a witness
+or the vertex matrix is first computed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .models import LhvStrategy
 from .stats import PAIR_ORDER, SIGN_PATTERNS, validate_sign_pattern
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _COMPONENT_SLACK = 1e-12
 
@@ -43,6 +47,8 @@ class CorrelationVector:
         return (self.e_ab, self.e_abp, self.e_apb, self.e_apbp)
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(self.as_tuple())
 
 
@@ -83,12 +89,16 @@ def strategy_correlation(strategy: LhvStrategy) -> CorrelationVector:
 
 def vertex_matrix() -> np.ndarray:
     """16x4 matrix of deterministic-strategy correlation vectors, in index order."""
+    import numpy as np
+
     rows = [strategy_correlation(s).as_tuple() for s in enumerate_deterministic_strategies()]
     return np.array(rows, dtype=float)
 
 
 def max_classical_s(sign_pattern) -> float:
     """Maximum signed sum over the 16 deterministic strategies (always 2)."""
+    import numpy as np
+
     pattern = validate_sign_pattern(sign_pattern)
     vertices = vertex_matrix()
     return float(np.max(vertices @ np.array(pattern, dtype=float)))
@@ -96,6 +106,8 @@ def max_classical_s(sign_pattern) -> float:
 
 def facet_margin(vector: CorrelationVector) -> tuple[float, tuple[int, ...]]:
     """Largest |signed sum| - 2 over the four facet patterns, with the achiever."""
+    import numpy as np
+
     e = vector.as_array()
     best_margin = -math.inf
     best_pattern = SIGN_PATTERNS[0]
@@ -107,19 +119,24 @@ def facet_margin(vector: CorrelationVector) -> tuple[float, tuple[int, ...]]:
     return best_margin, best_pattern
 
 
-# The 16 facets as normals f with f.x <= 1: the CHSH facets p.x <= 2 for the
-# eight odd-parity p, then +-x_i <= 1.
-_FACET_NORMALS = np.vstack(
-    [np.array(SIGN_PATTERNS) / 2.0, -np.array(SIGN_PATTERNS) / 2.0, np.eye(4), -np.eye(4)]
-)
-_VERTICES = vertex_matrix()
-# The lower-index strategy of each distinct vertex carries that vertex's weight.
-_VERTEX_STRATEGIES = np.sort(np.unique(_VERTICES, axis=0, return_index=True)[1])
-# Each facet is a simplex on 4 vertices, named by their carrying strategies.
-_FACET_STRATEGIES = [
-    _VERTEX_STRATEGIES[_VERTICES[_VERTEX_STRATEGIES] @ normal == 1.0]
-    for normal in _FACET_NORMALS
-]
+@functools.cache
+def _witness_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
+    """(facet normals, vertices, vertex strategies, facet strategies), built once.
+
+    The 16 facets as normals f with f.x <= 1: the CHSH facets p.x <= 2 for
+    the eight odd-parity p, then +-x_i <= 1. The lower-index strategy of
+    each distinct vertex carries that vertex's weight, and each facet is a
+    simplex on 4 vertices, named by their carrying strategies.
+    """
+    import numpy as np
+
+    normals = np.vstack(
+        [np.array(SIGN_PATTERNS) / 2.0, -np.array(SIGN_PATTERNS) / 2.0, np.eye(4), -np.eye(4)]
+    )
+    vertices = vertex_matrix()
+    carriers = np.sort(np.unique(vertices, axis=0, return_index=True)[1])
+    facets = [carriers[vertices[carriers] @ normal == 1.0] for normal in normals]
+    return normals, vertices, carriers, facets
 
 
 def _witness_weights(target: np.ndarray) -> np.ndarray:
@@ -132,12 +149,15 @@ def _witness_weights(target: np.ndarray) -> np.ndarray:
     vertices @ target / (4 t). A target outside by at most a facet
     tolerance (t > 1) is mapped onto the facet.
     """
-    corners = _FACET_STRATEGIES[int(np.argmax(_FACET_NORMALS @ target))]
+    import numpy as np
+
+    normals, vertices, carriers, facets = _witness_tables()
+    corners = facets[int(np.argmax(normals @ target))]
     # t * (barycentric weights); they sum to t, up to rounding.
-    share = np.maximum(_VERTICES[corners] @ target / 4.0, 0.0)
+    share = np.maximum(vertices[corners] @ target / 4.0, 0.0)
     share /= max(share.sum(), 1.0)
     weights = np.zeros(16)
-    weights[_VERTEX_STRATEGIES] = max(1.0 - share.sum(), 0.0) / 8.0
+    weights[carriers] = max(1.0 - share.sum(), 0.0) / 8.0
     weights[corners] += share
     return weights
 

@@ -3,15 +3,20 @@
 Measurement directions live in the x-z plane, so a setting is one angle
 measured from the +z axis. The joint basis ordering is (uu, ud, du, dd)
 throughout, where u/d are spin-up/spin-down along z.
+
+States, observables, expectations and the correlation matrix are plain
+Python; numpy loads only when Born probabilities are computed.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Mapping
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 TAU = 2.0 * math.pi
 
@@ -23,7 +28,6 @@ PRODUCT_KINDS = ("up_up", "up_down", "down_up", "down_down")
 
 _NORM_TOLERANCE = 1e-9
 _CLAMP_FLOOR = -1e-15
-
 
 def _as_angle(setting: "MeasurementSetting | float") -> float:
     if isinstance(setting, MeasurementSetting):
@@ -47,44 +51,50 @@ class MeasurementSetting:
 class TwoQubitState:
     """Four complex amplitudes over the (uu, ud, du, dd) product basis."""
 
-    amplitudes: np.ndarray
+    amplitudes: tuple[complex, complex, complex, complex]
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(4).copy()
-        if not np.all(np.isfinite(amps.view(np.float64))):
+        amps = tuple(complex(a) for a in self.amplitudes)
+        if len(amps) != 4:
+            raise ValueError(f"a two-qubit state has 4 amplitudes, got {len(amps)}")
+        if not all(cmath.isfinite(a) for a in amps):
             raise ValueError("state amplitudes must be finite")
-        amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
     @property
     def norm_error(self) -> float:
         """Absolute deviation of the squared norm from 1."""
-        return abs(float(np.sum(np.abs(self.amplitudes) ** 2)) - 1.0)
+        return abs(_squared_norm(self.amplitudes) - 1.0)
 
     def normalized(self) -> "TwoQubitState":
-        norm = math.sqrt(float(np.sum(np.abs(self.amplitudes) ** 2)))
+        norm = math.sqrt(_squared_norm(self.amplitudes))
         if norm == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return TwoQubitState(self.amplitudes / norm)
+        return TwoQubitState(tuple(a / norm for a in self.amplitudes))
+
+
+def _squared_norm(amplitudes: tuple[complex, ...]) -> float:
+    return sum(a.real * a.real + a.imag * a.imag for a in amplitudes)
 
 
 @dataclass(frozen=True, eq=False)
 class SpinObservable:
-    """2x2 Hermitian observable with spectrum {+1, -1}."""
+    """2x2 Hermitian observable with spectrum {+1, -1}, as two rows."""
 
-    matrix: np.ndarray
+    matrix: tuple[tuple[complex, complex], tuple[complex, complex]]
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=np.complex128).reshape(2, 2).copy()
-        if not np.all(np.isfinite(m.view(np.float64))):
+        m = tuple(tuple(complex(v) for v in row) for row in self.matrix)
+        if len(m) != 2 or any(len(row) != 2 for row in m):
+            raise ValueError("observable must be a 2x2 matrix")
+        if not all(cmath.isfinite(v) for row in m for v in row):
             raise ValueError("observable entries must be finite")
-        if np.max(np.abs(m - m.conj().T)) > 1e-12:
+        if max(abs(m[i][j] - m[j][i].conjugate()) for i in range(2) for j in range(2)) > 1e-12:
             raise ValueError("observable must be Hermitian")
-        if abs(np.trace(m)) > 1e-12:
+        if abs(m[0][0] + m[1][1]) > 1e-12:
             raise ValueError("observable must be traceless")
-        if abs(np.linalg.det(m) + 1.0) > 1e-12:
+        if abs(m[0][0] * m[1][1] - m[0][1] * m[1][0] + 1.0) > 1e-12:
             raise ValueError("observable must have determinant -1")
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
 
@@ -93,7 +103,6 @@ class JointOutcomeDistribution:
     """Probabilities of the four (+-1, +-1) outcome pairs."""
 
     probabilities: Mapping[tuple[int, int], float]
-    _array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         probs = {}
@@ -105,14 +114,13 @@ class JointOutcomeDistribution:
         total = sum(probs.values())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total}, expected 1")
-        arr = np.array([probs[o] for o in OUTCOME_ORDER])
-        arr.setflags(write=False)
         object.__setattr__(self, "probabilities", probs)
-        object.__setattr__(self, "_array", arr)
 
     def as_array(self) -> np.ndarray:
         """Probabilities in OUTCOME_ORDER."""
-        return self._array
+        import numpy as np
+
+        return np.array([self.probabilities[o] for o in OUTCOME_ORDER])
 
     def signed_expectation(self) -> float:
         """Sum of (left * right) * probability over the four outcomes."""
@@ -134,18 +142,16 @@ def make_bell_state(kind: str) -> TwoQubitState:
     }
     if kind not in table:
         raise ValueError(f"unknown Bell state kind {kind!r}; expected one of {BELL_KINDS}")
-    return TwoQubitState(np.array(table[kind], dtype=np.complex128))
+    return TwoQubitState(table[kind])
 
 
 def make_named_state(kind: str) -> TwoQubitState:
     """Resolve a state by name: the Bell kinds plus the separable basis kinds."""
     if kind in BELL_KINDS:
         return make_bell_state(kind)
-    basis = {"up_up": 0, "up_down": 1, "down_up": 2, "down_down": 3}
-    if kind in basis:
-        amps = np.zeros(4, dtype=np.complex128)
-        amps[basis[kind]] = 1.0
-        return TwoQubitState(amps)
+    if kind in PRODUCT_KINDS:
+        index = PRODUCT_KINDS.index(kind)
+        return TwoQubitState(tuple(1.0 if i == index else 0.0 for i in range(4)))
     raise ValueError(
         f"unknown state kind {kind!r}; expected one of {BELL_KINDS + PRODUCT_KINDS}"
     )
@@ -155,7 +161,7 @@ def spin_observable(setting: "MeasurementSetting | float") -> SpinObservable:
     """Spin component along the x-z direction at `setting`: cos(t)*sz + sin(t)*sx."""
     t = _as_angle(setting)
     c, s = math.cos(t), math.sin(t)
-    return SpinObservable(np.array([[c, s], [s, -c]], dtype=np.complex128))
+    return SpinObservable(((c, s), (s, -c)))
 
 
 def _require_normalized(state: TwoQubitState) -> None:
@@ -170,35 +176,47 @@ def expectation(
 ) -> float:
     """<psi| A(left) x B(right) |psi> for the spin observables at the settings.
 
-    Computed by contracting the amplitude matrix with the two 2x2
-    observables; never materializes the 4x4 product operator.
+    With the amplitudes as the 2x2 matrix psi[i][j] (i left, j right), the
+    value is the sum of conj(psi[i][j]) * (A @ psi @ B.T)[i][j]; the 4x4
+    product operator is never built.
     """
     _require_normalized(state)
     a = spin_observable(left).matrix
     b = spin_observable(right).matrix
-    psi = state.amplitudes.reshape(2, 2)
-    value = complex(np.vdot(psi, a @ psi @ b.T))
-    return float(value.real)
+    p = state.amplitudes
+    psi = ((p[0], p[1]), (p[2], p[3]))
+    value = sum(
+        psi[i][j].conjugate()
+        * sum(a[i][k] * psi[k][l] * b[j][l] for k in range(2) for l in range(2))
+        for i in range(2)
+        for j in range(2)
+    )
+    return value.real
 
 
-# sigma_z and sigma_x: the spin observable at angle t is cos(t) sz + sin(t) sx.
-_PLANE_PAULIS = np.array([[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]])
-
-
-def correlation_matrix(state: TwoQubitState) -> np.ndarray:
+def correlation_matrix(state: TwoQubitState) -> tuple[tuple[float, float], tuple[float, float]]:
     """Real 2x2 M with E(ta, tb) = c(ta) @ M @ c(tb), where c(t) = (cos t, sin t).
 
     Observables are linear in (cos t, sin t), so the expectation is a
-    bilinear form; M[i, j] = <psi| P_i x P_j |psi> over P = (sz, sx).
+    bilinear form; M[i][j] = <psi| P_i x P_j |psi> over P = (sz, sx). In
+    the amplitudes (uu, ud, du, dd) = (p0, p1, p2, p3) these are
+    zz = |p0|^2 - |p1|^2 - |p2|^2 + |p3|^2, zx = 2 Re(p0* p1 - p2* p3),
+    xz = 2 Re(p0* p2 - p1* p3) and xx = 2 Re(p0* p3 + p1* p2).
     """
     _require_normalized(state)
-    psi = state.amplitudes.reshape(2, 2)
-    return np.real(np.einsum("ij,aik,bjl,kl->ab", psi.conj(), _PLANE_PAULIS, _PLANE_PAULIS, psi))
+    p0, p1, p2, p3 = state.amplitudes
+    zz = abs(p0) ** 2 - abs(p1) ** 2 - abs(p2) ** 2 + abs(p3) ** 2
+    zx = 2.0 * (p0.conjugate() * p1 - p2.conjugate() * p3).real
+    xz = 2.0 * (p0.conjugate() * p2 - p1.conjugate() * p3).real
+    xx = 2.0 * (p0.conjugate() * p3 + p1.conjugate() * p2).real
+    return ((zz, zx), (xz, xx))
 
 
 def _eigenvectors_by_outcome(observable: SpinObservable) -> dict[int, np.ndarray]:
+    import numpy as np
+
     # eigh returns eigenvalues ascending: index 0 -> -1, index 1 -> +1.
-    _, vectors = np.linalg.eigh(observable.matrix)
+    _, vectors = np.linalg.eigh(np.array(observable.matrix))
     return {-1: vectors[:, 0], 1: vectors[:, 1]}
 
 
@@ -207,9 +225,15 @@ def joint_probabilities(
     left: "MeasurementSetting | float",
     right: "MeasurementSetting | float",
 ) -> JointOutcomeDistribution:
-    """Born probabilities of the four outcome pairs under projective measurement."""
+    """Born probabilities of the four outcome pairs under projective measurement.
+
+    The eigenvectors come from numpy's eigh: sampled artifacts are drawn
+    from these probabilities, so their arithmetic is fixed to the last bit.
+    """
+    import numpy as np
+
     _require_normalized(state)
-    psi = state.amplitudes.reshape(2, 2)
+    psi = np.array(state.amplitudes).reshape(2, 2)
     vl = _eigenvectors_by_outcome(spin_observable(left))
     vr = _eigenvectors_by_outcome(spin_observable(right))
     probs = {}

@@ -13,12 +13,12 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .quantum import TwoQubitState, correlation_matrix
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+    import numpy as np
 
 SQRT2 = math.sqrt(2.0)
 TSIRELSON_BOUND = 2.0 * SQRT2
@@ -96,6 +96,8 @@ def accumulate(counts: CoincidenceCounts, outcome: tuple[int, int]) -> Coinciden
 
 def counts_from_outcomes(outcomes: np.ndarray) -> CoincidenceCounts:
     """Tally an (N, 2) array of +-1 outcome pairs in one pass."""
+    import numpy as np
+
     arr = np.asarray(outcomes)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"expected an (N, 2) outcome array, got shape {arr.shape}")
@@ -192,19 +194,21 @@ def chsh_s(
 
 
 def bilinear_chsh_s(
-    matrix: np.ndarray, angles: Sequence, sign_pattern: tuple[int, ...]
-) -> np.ndarray:
-    """S at angles (a, a', b, b') from a correlation matrix M, E = c(ta) @ M @ c(tb).
+    matrix: Sequence[Sequence[float]], angles: Sequence[float], sign_pattern: tuple[int, ...]
+) -> float:
+    """S at angles (a, a', b, b') from a 2x2 correlation matrix M, E = c(ta) @ M @ c(tb).
 
-    Each angle may be an array; the four broadcast together and S takes
-    their shape. `sign_pattern` must already be validated.
+    `sign_pattern` must already be validated.
     """
-    directions = [np.stack([np.cos(t), np.sin(t)], axis=-1) for t in angles]
-    by_label = dict(zip(("a", "a'", "b", "b'"), directions))
-    return sum(
-        sign * np.sum((by_label[x] @ matrix) * by_label[y], axis=-1)
-        for sign, (x, y) in zip(sign_pattern, PAIR_ORDER)
-    )
+    (m00, m01), (m10, m11) = matrix
+    directions = {
+        label: (math.cos(t), math.sin(t)) for label, t in zip(("a", "a'", "b", "b'"), angles)
+    }
+    total = 0.0
+    for sign, (x, y) in zip(sign_pattern, PAIR_ORDER):
+        (cx, sx), (cy, sy) = directions[x], directions[y]
+        total += sign * ((cx * m00 + sx * m10) * cy + (cx * m01 + sx * m11) * sy)
+    return total
 
 
 def exact_chsh_s(
@@ -219,4 +223,4 @@ def exact_chsh_s(
         raise ValueError(f"expected four angles (a, a', b, b'), got {len(theta)}")
     if not all(math.isfinite(t) for t in theta):
         raise ValueError(f"angles must be finite, got {theta}")
-    return float(bilinear_chsh_s(correlation_matrix(state), theta, pattern))
+    return bilinear_chsh_s(correlation_matrix(state), theta, pattern)

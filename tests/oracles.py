@@ -80,6 +80,52 @@ def bomb_oracle(reflectivity: float, bomb_present: bool, phase: float) -> dict[s
     return {"exploded": 0.0, "dark_port": dark, "bright_port": 1.0 - dark}
 
 
+def numpy_port_probabilities(
+    reflectivity: float, bomb_present: bool, phase: float
+) -> dict[str, float]:
+    """Outcome probabilities by complex128 matrix products, as bellsim computed them in numpy.
+
+    Sampled bomb artifacts are drawn from the CDF of these probabilities, so
+    the library's plain-Python propagation must equal this bit for bit.
+    """
+
+    def beamsplitter(r: float) -> np.ndarray:
+        t, s = math.sqrt(1.0 - r), math.sqrt(r)
+        return np.array([[t, 1j * s], [1j * s, t]], dtype=np.complex128)
+
+    amps = beamsplitter(reflectivity) @ np.array([1.0, 0.0], dtype=np.complex128)
+    exploded = 0.0
+    if bomb_present:
+        exploded = float(abs(amps[1]) ** 2)
+        amps = np.array([amps[0], 0.0], dtype=np.complex128)
+    amps[0] *= np.exp(1j * phase)
+    out = beamsplitter(1.0 - reflectivity) @ amps
+    return {
+        "exploded": exploded,
+        "dark_port": float(abs(out[0]) ** 2),
+        "bright_port": float(abs(out[1]) ** 2),
+    }
+
+
+def numpy_pr_box_table(strength: float) -> dict[tuple[str, str], tuple[float, ...]]:
+    """The noisy PR-box table by numpy array arithmetic, as bellsim computed it.
+
+    Sampled superdeterministic artifacts are drawn from these rows, so the
+    library's plain-Python table must equal this bit for bit.
+    """
+    correlated = np.array([0.5, 0.0, 0.0, 0.5])
+    anticorrelated = np.array([0.0, 0.5, 0.5, 0.0])
+    uniform = np.full(4, 0.25)
+    return {
+        pair: tuple(
+            float(p)
+            for p in strength * (anticorrelated if pair == ("a", "b'") else correlated)
+            + (1.0 - strength) * uniform
+        )
+        for pair in (("a", "b"), ("a", "b'"), ("a'", "b"), ("a'", "b'"))
+    }
+
+
 def random_state_amplitudes(rng: np.random.Generator) -> np.ndarray:
     """A Haar-ish random normalized two-qubit amplitude vector."""
     raw = rng.normal(size=4) + 1j * rng.normal(size=4)

@@ -339,8 +339,16 @@ class TestLandscapeCommand:
         code, _, _ = _run(["landscape", "--fixed", "a=0"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("fixed", ["a=0,a=1", "b=0, a'=1,b=2"])
+    def test_repeated_fixed_label(self, capsys, fixed):
+        code, stdout, stderr = _run(["landscape", "--fixed", fixed], capsys)
+        assert code == 2
+        assert stdout == ""
+        label = "'a'" if fixed.startswith("a") else "'b'"
+        assert f"fixed angle {label} is given more than once" in stderr
+
     def test_resolution_above_cap(self, capsys, monkeypatch):
-        monkeypatch.setattr("bellsim.optimize.bilinear_chsh_s", None)  # no grid may be built
+        monkeypatch.setattr("bellsim.optimize._linear_in", None)  # no grid may be built
         code, stdout, stderr = _run(["landscape", "--resolution", str(10**12)], capsys)
         assert code == 2
         assert stdout == ""

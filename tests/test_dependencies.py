@@ -2,9 +2,10 @@
 
 scipy is a test-only dependency: the package and its CLI never import it.
 The package namespace is lazy, each subcommand imports only the modules it
-runs and builds only the catalog model it runs, and the CLI starts no
-OpenBLAS worker threads unless the caller asks for them with
-OPENBLAS_NUM_THREADS. Nothing starts a thread pool.
+runs and builds only the catalog model it runs, and only sampling loads
+numpy. Once numpy loads, the CLI has kept OpenBLAS from starting worker
+threads unless the caller asks for them with OPENBLAS_NUM_THREADS. Nothing
+starts a thread pool.
 """
 
 import importlib
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import bellsim
+from bellsim.models import CATALOG
 
 _PROGRAM = """
 import contextlib, io, sys
@@ -56,9 +58,12 @@ def test_cli_runs_without_loading_scipy():
     assert _run_fresh(_PROGRAM) == "[]"
 
 
-_THREADS_AFTER_IMPORT = """
-import os, sys
+_THREADS_AFTER_SAMPLING = """
+import contextlib, io, os, sys
 import bellsim.cli
+assert "numpy" not in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    assert bellsim.cli.main(["chsh", "--trials", "10"]) == 0
 assert "numpy" in sys.modules
 print(len(os.listdir("/proc/self/task")))
 """
@@ -69,7 +74,7 @@ print(len(os.listdir("/proc/self/task")))
     reason="needs /proc/self/task and more than one CPU, where OpenBLAS would start workers",
 )
 def test_cli_import_starts_no_blas_threads():
-    assert _run_fresh(_THREADS_AFTER_IMPORT) == "1"
+    assert _run_fresh(_THREADS_AFTER_SAMPLING) == "1"
 
 
 def test_caller_blas_thread_setting_is_kept():
@@ -97,19 +102,21 @@ print(json.dumps(sorted(sys.modules)))
 # Every subcommand loads these bellsim modules: the CLI's own imports.
 _SHARED = {"cli", "config", "quantum", "stats"}
 
-# Each subcommand and the other bellsim modules it loads: the ones it runs.
+# Each subcommand, the other bellsim modules it loads (the ones it runs),
+# and whether it loads numpy: only the commands that sample do.
 _LOADED_MODULES = [
-    (["chsh", "--trials", "10"], {"experiment", "models", "streams"}),
-    (["chsh", "--trials", "10", "--threads", "2"], {"experiment", "models", "streams"}),
-    (["chsh", "--exact"], {"experiment", "models", "streams", "polytope"}),
-    (["bomb", "--exact"], {"interferometer", "streams"}),
-    (["bomb", "--trials", "10"], {"interferometer", "streams"}),
-    (["lhv-scan"], {"polytope", "models", "streams"}),
-    (["optimize"], {"optimize"}),
-    (["landscape", "--resolution", "4"], {"optimize"}),
+    (["chsh", "--trials", "10"], {"experiment", "models", "streams"}, True),
+    (["chsh", "--trials", "10", "--threads", "2"], {"experiment", "models", "streams"}, True),
+    (["chsh", "--exact"], {"experiment", "models", "polytope"}, False),
+    (["bomb", "--exact"], {"interferometer"}, False),
+    (["bomb", "--trials", "10"], {"interferometer", "streams"}, True),
+    (["lhv-scan"], {"polytope", "models"}, False),
+    (["optimize"], {"optimize"}, False),
+    (["landscape", "--resolution", "4"], {"optimize"}, False),
     (
         ["counterfactual", "--trials", "8", "--stats-trials", "100"],
         {"counterfactual", "experiment", "models", "polytope", "streams"},
+        True,
     ),
 ]
 
@@ -118,38 +125,121 @@ def _bellsim_modules(loaded):
     return {m.removeprefix("bellsim.") for m in loaded if m.startswith("bellsim.")}
 
 
+def _numpy_modules(loaded):
+    return {m for m in loaded if m == "numpy" or m.startswith("numpy.")}
+
+
 def test_cli_import_loads_only_the_shared_modules():
     program = "import json, sys, bellsim.cli; print(json.dumps(sorted(sys.modules)))"
     loaded = json.loads(_run_fresh(program))
     assert _bellsim_modules(loaded) == _SHARED
     assert "concurrent.futures" not in loaded
+    assert _numpy_modules(loaded) == set()
+    assert len(loaded) <= 140
 
 
 @pytest.mark.parametrize(
-    "argv,used", _LOADED_MODULES, ids=[" ".join(argv) for argv, _ in _LOADED_MODULES]
+    "argv,used,samples", _LOADED_MODULES, ids=[" ".join(argv) for argv, *_ in _LOADED_MODULES]
 )
-def test_subcommand_loads_only_what_it_runs(argv, used):
+def test_subcommand_loads_only_what_it_runs(argv, used, samples):
     loaded = set(json.loads(_run_fresh(_MODULES_AFTER_RUN, json.dumps(argv))))
     assert _bellsim_modules(loaded) == _SHARED | used
     assert "concurrent.futures" not in loaded
     assert {m for m in loaded if m == "scipy" or m.startswith("scipy.")} == set()
+    assert ("numpy" in loaded) == samples
 
 
-def test_resolving_a_catalog_model_builds_only_that_model(monkeypatch):
+_NUMPY_AFTER_EACH = """
+import contextlib, io, json, sys
+import bellsim.cli
+argvs = json.loads(sys.argv[1])
+loaded = []
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert bellsim.cli.main(argv) == 0, argv
+    loaded.append(any(m == "numpy" or m.startswith("numpy.") for m in sys.modules))
+print(json.dumps(loaded))
+"""
+
+_STATE_KINDS = (
+    "psi_plus", "psi_minus", "phi_plus", "phi_minus", "up_up", "up_down", "down_up", "down_down"
+)
+
+# Commands that sample nothing, in groups run one group per fresh process.
+_ANALYSIS_COMMANDS = {
+    "analysis workload": [
+        ["chsh", "--exact"],
+        ["lhv-scan"],
+        ["optimize"],
+        ["optimize", "--state", "psi_plus", "--grid", "32"],
+        ["landscape", "--resolution", "64", "--fixed", "a=0.4,a'=2.2"],
+        ["bomb", "--exact"],
+    ],
+    "chsh --exact per catalog model": [
+        ["chsh", "--exact", "--model", name] for name in sorted(CATALOG)
+    ] + [
+        ["chsh", "--exact", "--model", "nonlocal", "--state", "phi_minus", "--angles", "0,1,2,3"],
+        ["chsh", "--exact", "--model", "pr-box-soft", "--format", "csv"],
+    ],
+    "optimize and landscape per state": [
+        argv
+        for state in _STATE_KINDS
+        for argv in (
+            ["optimize", "--state", state, "--format", "csv"],
+            ["landscape", "--state", state, "--resolution", "4", "--fixed", "b=0.1,b'=1.2"],
+            ["landscape", "--state", state, "--resolution", "3", "--format", "json"],
+        )
+    ] + [["lhv-scan", "--format", "csv"], ["bomb", "--exact", "--no-bomb", "--format", "csv"]],
+}
+
+
+@pytest.mark.parametrize("group", sorted(_ANALYSIS_COMMANDS))
+def test_analysis_commands_load_no_numpy(group):
+    argvs = _ANALYSIS_COMMANDS[group]
+    loaded = json.loads(_run_fresh(_NUMPY_AFTER_EACH, json.dumps(argvs)))
+    assert [argv for argv, numpy in zip(argvs, loaded) if numpy] == []
+
+
+def _count_born_solves(monkeypatch):
     import bellsim.models
-    from bellsim.config import resolve_model
 
     calls = []
     solve = bellsim.models.joint_probabilities
     monkeypatch.setattr(
         bellsim.models, "joint_probabilities", lambda *a: calls.append(a) or solve(*a)
     )
+    return calls
+
+
+def test_resolving_a_catalog_model_builds_only_that_model(monkeypatch):
+    import bellsim.models
+    from bellsim.config import resolve_model
+    from bellsim.models import count_outcomes
+
+    calls = _count_born_solves(monkeypatch)
     model = resolve_model("quantum-optimal")
+    assert calls == []  # tables are built on first sampling, not at resolution
+    count_outcomes(model, ("a", "b"), 0, 0, 10)
     assert len(calls) == 4  # one Born distribution per setting pair
     assert model == bellsim.models.catalog()["quantum-optimal"]
     calls.clear()
-    resolve_model("lhv-uniform")
+    count_outcomes(resolve_model("lhv-uniform"), ("a", "b"), 0, 0, 10)
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "spec,overrides",
+    [("quantum", {"state": "psi_plus"}), ("quantum-optimal", {"angles": (0.0, 1.0, 2.0, 3.0)})],
+)
+def test_state_and_angle_overrides_solve_born_rule_once(monkeypatch, spec, overrides):
+    from bellsim.config import resolve_model
+    from bellsim.models import count_outcomes
+
+    calls = _count_born_solves(monkeypatch)
+    model = resolve_model(spec, **overrides)
+    assert calls == []
+    count_outcomes(model, ("a", "b"), 0, 0, 10)
+    assert len(calls) == 4
 
 
 def test_unknown_model_diagnostic_is_unchanged():

@@ -17,7 +17,7 @@ from bellsim.interferometer import (
 
 from bellsim.streams import CHUNK
 
-from oracles import bomb_oracle, first_index_above, stream_uniforms
+from oracles import bomb_oracle, first_index_above, numpy_port_probabilities, stream_uniforms
 
 
 class TestSpec:
@@ -82,6 +82,18 @@ class TestExactProbabilities:
             oracle = bomb_oracle(r, bomb, phase)
             for name in OUTCOMES:
                 assert ours[name] == pytest.approx(oracle[name], abs=1e-12)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        reflectivity=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        bomb_present=st.booleans(),
+        phase=st.floats(-1e6, 1e6),
+    )
+    def test_equals_numpy_reference_bit_for_bit(self, reflectivity, bomb_present, phase):
+        # The sampled bomb CDF is built from these probabilities.
+        probs = port_probabilities(InterferometerSpec(reflectivity, bomb_present, phase))
+        assert probs == numpy_port_probabilities(reflectivity, bomb_present, phase)
+        assert all(type(p) is float for p in probs.values())
 
     def test_phase_sweep_half_angle_law(self):
         for phase in np.linspace(0.0, 2.0 * math.pi, 100):

@@ -33,7 +33,7 @@ from bellsim.quantum import expectation, joint_probabilities, make_bell_state
 from bellsim.stats import PAIR_ORDER, correlation, counts_from_outcomes
 from bellsim.streams import CHUNK, ChunkBuffers, TrialStream, batch_uniforms, inverse_cdf
 
-from oracles import reference_trial
+from oracles import numpy_pr_box_table, reference_trial
 
 ALL_PLUS = lhv_deterministic_model(0)
 UNIFORM_LHV = lhv_stochastic_model([1.0 / 16.0] * 16)
@@ -285,6 +285,15 @@ class TestFusedCounts:
         assert calls == []
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 1.0))
+def test_pr_box_table_equals_numpy_reference_bit_for_bit(strength):
+    # Sampled superdeterministic outcomes are drawn from these rows.
+    table = pr_box_table(strength)
+    assert table == numpy_pr_box_table(strength)
+    assert all(type(p) is float for row in table.values() for p in row)
+
+
 class TestModelTables:
     def test_distributions_match_joint_probabilities(self):
         model = quantum_model("psi_plus", (0.1, 0.7, 1.3, 2.9))
@@ -334,15 +343,19 @@ class TestModelTables:
             UNIFORM_LHV.response(16, ("a", "b"))
 
     def test_sampling_never_recomputes_born_probabilities(self, monkeypatch):
+        import bellsim.models
+
         model = nonlocal_model()
         calls = []
+        solve = bellsim.models.joint_probabilities
         monkeypatch.setattr(
-            "bellsim.models.joint_probabilities", lambda *a: calls.append(a)
+            "bellsim.models.joint_probabilities", lambda *a: calls.append(a) or solve(*a)
         )
         run_trials(model, list(PAIR_ORDER) * 10, seed=1)
+        assert len(calls) == 4  # the tables, built on first use
         run_trial(model, ("a", "b'"), TrialStream(1, 0))
         generate_outcomes(model, ("a'", "b"), 1, 0, 1000)
-        assert calls == []
+        assert len(calls) == 4
 
 
 class TestQuantumFidelity:

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -133,7 +135,7 @@ class TestLandscape:
         grid = s_landscape(
             make_bell_state("psi_minus"), {"a": 0.0, "a'": math.pi / 2.0}, 3
         )
-        assert grid.values.shape == (3, 3)
+        assert len(grid.values) == 3 and all(len(row) == 3 for row in grid.values)
         assert np.all(np.abs(grid.values) <= TSIRELSON_BOUND + 1e-9)
 
     def test_slice_through_optimum_dominated(self):
@@ -150,7 +152,7 @@ class TestLandscape:
         assert grid.row_label == "b" and grid.col_label == "b'"
         for i, tb in enumerate(grid.row_angles):
             for j, tbp in enumerate(grid.col_angles):
-                value = grid.values[i, j]
+                value = grid.values[i][j]
                 assert value == pytest.approx(_singlet_slice_formula(tb, tbp), abs=1e-12)
                 reflected = _singlet_slice_formula(math.pi - tbp, math.pi - tb)
                 assert value == pytest.approx(reflected, abs=1e-12)
@@ -166,12 +168,12 @@ class TestLandscape:
         pattern = (1, 1, -1, 1)
         grid = s_landscape(TwoQubitState(amplitudes), fixed, 5, pattern)
         labels = ("a", "a'", "b", "b'")
-        assert grid.values.shape == (5, 5)
+        assert len(grid.values) == 5 and all(len(row) == 5 for row in grid.values)
         for i, row_angle in enumerate(grid.row_angles):
             for j, col_angle in enumerate(grid.col_angles):
                 assembled = {**fixed, grid.row_label: row_angle, grid.col_label: col_angle}
                 expected = kron_chsh_s(amplitudes, [assembled[k] for k in labels], pattern)
-                assert grid.values[i, j] == pytest.approx(expected, abs=1e-12)
+                assert grid.values[i][j] == pytest.approx(expected, abs=1e-12)
 
     def test_fixed_validation(self):
         state = make_bell_state("psi_minus")
@@ -191,13 +193,26 @@ class TestLandscape:
         def evaluator(*args):
             raise Evaluated
 
-        monkeypatch.setattr("bellsim.optimize.bilinear_chsh_s", evaluator)
+        monkeypatch.setattr("bellsim.optimize._linear_in", evaluator)
         state, fixed = make_bell_state("psi_minus"), {"a": 0.0, "a'": 1.0}
         with pytest.raises(Evaluated):
             s_landscape(state, fixed, MAX_RESOLUTION)
         for resolution in (MAX_RESOLUTION + 1, 10**12):
             with pytest.raises(ValueError, match="resolution"):
                 s_landscape(state, fixed, resolution)
+
+    @pytest.mark.parametrize(
+        "fixed", [{"a": 0.0, "a'": math.pi / 2.0}, {"a'": 0.3, "b": 2.9}, {"b": 1.0, "b'": 0.1}]
+    )
+    def test_csv_text_equals_csv_writer(self, fixed):
+        grid = s_landscape(make_named_state("phi_plus"), fixed, 7, (1, 1, 1, -1))
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        corner = f"{grid.row_label}\\{grid.col_label}"
+        writer.writerow([corner] + [repr(float(t)) for t in grid.col_angles])
+        for angle, row in zip(grid.row_angles, grid.values):
+            writer.writerow([repr(float(angle))] + [repr(float(v)) for v in row])
+        assert grid.to_csv() == buffer.getvalue()
 
     def test_csv_shape_and_locale_independence(self):
         grid = s_landscape(

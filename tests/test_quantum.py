@@ -75,7 +75,7 @@ class TestSpinObservable:
     def test_random_angles_hermitian_unit_spectrum(self, seed):
         rng = np.random.default_rng(seed)
         for theta in rng.uniform(0.0, 2.0 * math.pi, 20):
-            m = spin_observable(float(theta)).matrix
+            m = np.array(spin_observable(float(theta)).matrix)
             assert np.max(np.abs(m - m.conj().T)) < 1e-12
             assert abs(np.trace(m)) < 1e-12
             assert abs(np.linalg.det(m) + 1.0) < 1e-12
