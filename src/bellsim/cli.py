@@ -182,28 +182,29 @@ def _kv_csv(rows: Sequence[tuple[str, object]]) -> str:
     )
 
 
-def _write_artifacts(artifacts: Sequence[tuple[Optional[str], str]]) -> None:
+def _write_artifacts(artifacts: Sequence[tuple[Optional[str], Iterable[str]]]) -> None:
+    """Write text pieces to `path.tmp` files renamed once all are written, or to stdout."""
     staged = []
     try:
-        for path, text in artifacts:
+        for path, pieces in artifacts:
             if path is None:
                 continue
             tmp = path + ".tmp"
-            with open(tmp, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
             staged.append((tmp, path))
+            with open(tmp, "w", encoding="utf-8", newline="") as handle:
+                handle.writelines(pieces)
         for tmp, path in staged:
             os.replace(tmp, path)
-    except OSError:
+    except OSError as exc:
         for tmp, _ in staged:
             try:
                 os.unlink(tmp)
             except OSError:
                 pass
-        raise
-    for path, text in artifacts:
+        raise OSError(exc.errno, f"cannot write {path}: {exc.strerror or exc}") from exc
+    for path, pieces in artifacts:
         if path is None:
-            sys.stdout.write(text)
+            sys.stdout.writelines(pieces)
 
 
 def _experiment_config(args: argparse.Namespace, file_values: dict) -> ExperimentConfig:
@@ -288,7 +289,7 @@ def _cmd_chsh(args: argparse.Namespace, file_values: dict) -> int:
         text = _chsh_csv(results)
     else:
         text = _document(config_echo, results)
-    _write_artifacts([(cfg.out_path, text)])
+    _write_artifacts([(cfg.out_path, [text])])
     return 0
 
 
@@ -367,7 +368,7 @@ def _cmd_lhv_scan(args: argparse.Namespace, file_values: dict) -> int:
         text = _csv_text(rows)
     else:
         text = _document(config_echo, results)
-    _write_artifacts([(out_path, text)])
+    _write_artifacts([(out_path, [text])])
     return 0
 
 
@@ -405,7 +406,7 @@ def _cmd_optimize(args: argparse.Namespace, file_values: dict) -> int:
         text = _kv_csv(rows)
     else:
         text = _document(config_echo, results)
-    _write_artifacts([(out_path, text)])
+    _write_artifacts([(out_path, [text])])
     return 0
 
 
@@ -468,9 +469,9 @@ def _cmd_counterfactual(args: argparse.Namespace, file_values: dict) -> int:
         text = _kv_csv(rows)
     else:
         text = _document(config_echo, results)
-    artifacts: list[tuple[Optional[str], str]] = [(cfg.out_path, text)]
+    artifacts: list[tuple[Optional[str], Iterable[str]]] = [(cfg.out_path, [text])]
     if ledger_path is not None:
-        artifacts.append((ledger_path, ledger_text(ledger)))
+        artifacts.append((ledger_path, [ledger_text(ledger)]))
     _write_artifacts(artifacts)
     return 0
 
@@ -510,7 +511,7 @@ def _cmd_bomb(args: argparse.Namespace, file_values: dict) -> int:
         text = _csv_text(rows)
     else:
         text = _document(config_echo, results)
-    _write_artifacts([(out_path, text)])
+    _write_artifacts([(out_path, [text])])
     return 0
 
 
@@ -552,7 +553,7 @@ def _cmd_landscape(args: argparse.Namespace, file_values: dict) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if out_format == "csv":
-        text = grid.to_csv()
+        pieces = grid.csv_lines()
     else:
         config_echo = {
             "command": "landscape",
@@ -568,8 +569,8 @@ def _cmd_landscape(args: argparse.Namespace, file_values: dict) -> int:
             "col_angles": grid.col_angles,
             "values": grid.values,
         }
-        text = _document(config_echo, results)
-    _write_artifacts([(out_path, text)])
+        pieces = [_document(config_echo, results)]
+    _write_artifacts([(out_path, pieces)])
     return 0
 
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Optional
 
+from ._record import record
 from .stats import validate_sign_pattern
 
 if TYPE_CHECKING:
@@ -121,21 +121,26 @@ def resolve_model(
 def resolve_seed(flag_value: Optional[int], file_value: Optional[object]) -> int:
     """Seed precedence: flag, then config file, then BELLSIM_SEED, then 0."""
     if flag_value is not None:
-        return int(flag_value)
-    if file_value is not None:
+        seed, source = int(flag_value), "--seed"
+    elif file_value is not None:
         if isinstance(file_value, bool) or not isinstance(file_value, int):
             raise ConfigError(f"seed must be an integer, got {file_value!r}")
-        return file_value
-    env = os.environ.get("BELLSIM_SEED")
-    if env is not None:
+        seed, source = file_value, "seed"
+    else:
+        env = os.environ.get("BELLSIM_SEED")
+        if env is None:
+            return 0
         try:
-            return int(env)
+            seed, source = int(env), "BELLSIM_SEED"
         except ValueError as exc:
             raise ConfigError(f"BELLSIM_SEED must be an integer, got {env!r}") from exc
-    return 0
+    # Streams use the seed modulo 2**64, so any other seed would repeat another's trials.
+    if not 0 <= seed < 1 << 64:
+        raise ConfigError(f"{source} must be in [0, 2**64), got {seed}")
+    return seed
 
 
-@dataclass(frozen=True)
+@record
 class ExperimentConfig:
     """A fully resolved CHSH experiment description."""
 

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
+from ._record import record
 from .experiment import estimate_correlation_vector
 from .models import ModelDescriptor, TrialRecord, run_trials
 from .polytope import CorrelationVector, FeasibilityVerdict, local_membership
@@ -44,7 +44,7 @@ MAX_LEDGER_TRIALS = 1 << 19
 assert MAX_LEDGER_TRIALS <= _STATS_STREAM_BASE
 
 
-@dataclass(frozen=True)
+@record
 class CounterfactualCell:
     """What a model says one setting pair would have produced for one trial."""
 
@@ -64,7 +64,7 @@ class CounterfactualCell:
             raise ValueError(f"cell payload inconsistent with kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
+@record
 class CounterfactualTable:
     """One trial's cells over all four setting pairs, anchored to the fact."""
 
@@ -78,14 +78,14 @@ class CounterfactualTable:
             raise ValueError("factual setting pair must map to the factual outcome")
 
 
-@dataclass(frozen=True)
+@record
 class TrialLedger:
     seed: int
     model: ModelDescriptor
     records: tuple[TrialRecord, ...]
 
 
-@dataclass(frozen=True)
+@record
 class ClassificationEvidence:
     feasibility: FeasibilityVerdict
     correlation_vector: CorrelationVector
@@ -95,7 +95,7 @@ class ClassificationEvidence:
     factual_replays_matched: int
 
 
-@dataclass(frozen=True)
+@record
 class DefinitenessVerdict:
     classification: str  # "definite" | "semi-definite" | "indefinite"
     evidence: ClassificationEvidence

@@ -8,9 +8,9 @@ have no effect. Sampled runs never load the polytope module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
+from ._record import record
 from .models import ModelDescriptor, count_outcomes
 from .quantum import expectation
 from .stats import (
@@ -27,7 +27,7 @@ if TYPE_CHECKING:
     from .polytope import CorrelationVector
 
 
-@dataclass(frozen=True)
+@record
 class ChshExperimentResult:
     counts: Mapping[SettingPair, CoincidenceCounts]
     result: ChshResult

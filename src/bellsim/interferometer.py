@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+
+from ._record import record
 
 OUTCOMES = ("exploded", "dark_port", "bright_port")
 
 
-@dataclass(frozen=True)
+@record
 class InterferometerSpec:
     reflectivity: float = 0.5
     bomb_present: bool = False

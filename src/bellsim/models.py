@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
 
+from ._record import record
 from .quantum import (
     OUTCOME_ORDER,
     JointOutcomeDistribution,
@@ -55,7 +55,7 @@ SINGLET_OPTIMAL_ANGLES = (0.0, math.pi / 2.0, math.pi / 4.0, 3.0 * math.pi / 4.0
 PSI_PLUS_OPTIMAL_ANGLES = (0.0, math.pi / 2.0, 3.0 * math.pi / 4.0, math.pi / 4.0)
 
 
-@dataclass(frozen=True)
+@record
 class LhvStrategy:
     """Deterministic +-1 responses, one per local setting label.
 
@@ -97,7 +97,7 @@ class LhvStrategy:
         return sum((0 if s == 1 else 1) << shift for s, shift in zip(signs, (3, 2, 1, 0)))
 
 
-@dataclass(frozen=True)
+@record
 class TrialRecord:
     """One trial: settings, outcomes, optional hidden variable, stream id."""
 
@@ -140,7 +140,7 @@ def _validate_table(
     return cleaned
 
 
-@dataclass(frozen=True)
+@record
 class _SamplingTables:
     """A model's constants, one row per setting pair in PAIR_ORDER.
 
@@ -198,7 +198,7 @@ def _build_tables(model: "ModelDescriptor") -> _SamplingTables:
     return _SamplingTables(1, cdf[:, :width], answers, tallies, None, dists)
 
 
-@dataclass(frozen=True)
+@record
 class ModelDescriptor:
     """A validated world-model configuration and its sampling tables."""
 
@@ -533,7 +533,7 @@ def generate_outcomes(
     return np.concatenate(chunks) if chunks else np.empty((0, 2), dtype=np.int8)
 
 
-@dataclass(frozen=True)
+@record
 class MarginalComparison:
     """One side's marginal under the two remote settings."""
 
@@ -544,7 +544,7 @@ class MarginalComparison:
     passed: bool
 
 
-@dataclass(frozen=True)
+@record
 class NoSignallingReport:
     """Marginal-level signalling check plus the hidden-variable-level flag."""
 

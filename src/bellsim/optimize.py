@@ -14,9 +14,9 @@ sign pattern.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
+from ._record import record
 from .quantum import TwoQubitState, correlation_matrix
 from .stats import DEFAULT_SIGN_PATTERN, PAIR_ORDER, bilinear_chsh_s, validate_sign_pattern
 
@@ -32,7 +32,7 @@ _FRAMES: tuple[tuple[Vector2, Vector2], ...] = tuple(
 )
 
 
-@dataclass(frozen=True)
+@record
 class OptimizationResult:
     angles: tuple[float, float, float, float]
     s_value: float
@@ -70,7 +70,7 @@ def optimize_angles(
     return OptimizationResult(angles=best_angles, s_value=best_value, sign_pattern=pattern)
 
 
-@dataclass(frozen=True)
+@record
 class LandscapeGrid:
     """S on a 2-D angle slice; rows sweep row_label, columns sweep col_label."""
 
@@ -82,17 +82,20 @@ class LandscapeGrid:
     fixed: Mapping[str, float]
     sign_pattern: tuple[int, ...]
 
-    def to_csv(self) -> str:
-        """The grid as CSV: a header of column angles, then one row per row angle.
+    def csv_lines(self) -> Iterator[str]:
+        """The grid as CSV lines: a header of column angles, then one row per row angle.
 
         No field needs quoting, so joining reprs with commas gives the text
         csv.writer would.
         """
         corner = f"{self.row_label}\\{self.col_label}"
-        lines = [",".join([corner, *map(repr, self.col_angles)])]
+        yield ",".join([corner, *map(repr, self.col_angles)]) + "\n"
         for angle, row in zip(self.row_angles, self.values):
-            lines.append(repr(angle) + "," + ",".join(map(repr, row)))
-        return "\n".join(lines) + "\n"
+            yield repr(angle) + "," + ",".join(map(repr, row)) + "\n"
+
+    def to_csv(self) -> str:
+        """The CSV text of `csv_lines`."""
+        return "".join(self.csv_lines())
 
 
 # At 2048 the grid's floats take about 130 MB and its CSV text about 83 MB.

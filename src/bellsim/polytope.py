@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from ._record import record
 from .models import LhvStrategy
 from .stats import PAIR_ORDER, SIGN_PATTERNS, validate_sign_pattern
 
@@ -29,7 +29,7 @@ if TYPE_CHECKING:
 _COMPONENT_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
+@record
 class CorrelationVector:
     """The four correlations (E(a,b), E(a,b'), E(a',b), E(a',b'))."""
 
@@ -52,7 +52,7 @@ class CorrelationVector:
         return np.array(self.as_tuple())
 
 
-@dataclass(frozen=True)
+@record
 class ViolatedFacet:
     """The sign pattern whose facet a vector violates, and by how much."""
 
@@ -60,7 +60,7 @@ class ViolatedFacet:
     margin: float
 
 
-@dataclass(frozen=True)
+@record
 class FeasibilityVerdict:
     """Membership verdict with exactly one witness: weights or a violated facet."""
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
+
+from ._record import record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -35,7 +36,7 @@ def _as_angle(setting: "MeasurementSetting | float") -> float:
     return MeasurementSetting(float(setting)).angle
 
 
-@dataclass(frozen=True)
+@record
 class MeasurementSetting:
     """A spin-measurement direction in the x-z plane, radians from +z."""
 
@@ -47,7 +48,7 @@ class MeasurementSetting:
         object.__setattr__(self, "angle", self.angle % TAU)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class TwoQubitState:
     """Four complex amplitudes over the (uu, ud, du, dd) product basis."""
 
@@ -77,7 +78,7 @@ def _squared_norm(amplitudes: tuple[complex, ...]) -> float:
     return sum(a.real * a.real + a.imag * a.imag for a in amplitudes)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class SpinObservable:
     """2x2 Hermitian observable with spectrum {+1, -1}, as two rows."""
 
@@ -98,7 +99,7 @@ class SpinObservable:
         object.__setattr__(self, "matrix", m)
 
 
-@dataclass(frozen=True)
+@record
 class JointOutcomeDistribution:
     """Probabilities of the four (+-1, +-1) outcome pairs."""
 

@@ -10,9 +10,9 @@ placements of the minus sign.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
+from ._record import record
 from .quantum import TwoQubitState, correlation_matrix
 
 if TYPE_CHECKING:
@@ -51,7 +51,7 @@ def validate_sign_pattern(sign_pattern: Iterable[int]) -> tuple[int, ...]:
     return pattern
 
 
-@dataclass(frozen=True)
+@record
 class CoincidenceCounts:
     """The four coincidence counters for one setting pair."""
 
@@ -107,7 +107,7 @@ def counts_from_outcomes(outcomes: np.ndarray) -> CoincidenceCounts:
     return CoincidenceCounts(int(tally[0]), int(tally[1]), int(tally[2]), int(tally[3]))
 
 
-@dataclass(frozen=True)
+@record
 class CorrelationEstimate:
     """Estimated correlation with its Wald standard error."""
 
@@ -142,7 +142,7 @@ def correlation_fraction(counts: CoincidenceCounts) -> Fraction:
     return Fraction(counts.n_pp + counts.n_mm - counts.n_pm - counts.n_mp, total)
 
 
-@dataclass(frozen=True)
+@record
 class ChshResult:
     """Four correlations combined into S, with uncertainty and bound class."""
 

@@ -60,6 +60,41 @@ def lp_local_membership(vector, tol: float = 1e-9) -> bool:
     return bool(result.success)
 
 
+def lp_local_membership_batch(vectors, tol: float = 1e-9) -> list[bool]:
+    """lp_local_membership of many vectors, decided by one block-diagonal LP.
+
+    Block i has 16 vertex weights w >= 0 and one slack 0 <= s <= 1, with
+    sum(w) = 1 and V^T w = (1 - s) e_i. The zero vector is a mix of vertices,
+    so every block is feasible at s = 1, and s = 0 is feasible exactly when
+    e_i is a mix itself. Blocks share no variable, so minimizing the total
+    slack minimizes each block's.
+    """
+    from scipy.sparse import coo_matrix
+
+    targets = np.asarray(vectors, dtype=float).reshape(-1, 4)
+    count = len(targets)
+    blocks = np.zeros((count, 5, 17))
+    blocks[:, :4, :16] = deterministic_vertices().T
+    blocks[:, :4, 16] = targets
+    blocks[:, 4, :16] = 1.0
+    offsets = np.arange(count)[:, None, None]
+    rows = np.arange(5)[None, :, None] + 5 * offsets + np.zeros((1, 1, 17), dtype=int)
+    cols = np.arange(17)[None, None, :] + 17 * offsets + np.zeros((1, 5, 1), dtype=int)
+    a_eq = coo_matrix(
+        (blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(5 * count, 17 * count)
+    ).tocsc()
+    a_eq.eliminate_zeros()
+    b_eq = np.column_stack([targets, np.ones(count)]).ravel()
+    cost = np.zeros(17 * count)
+    cost[16::17] = 1.0
+    bounds = np.zeros((17 * count, 2))
+    bounds[:, 1] = np.inf
+    bounds[16::17, 1] = 1.0
+    result = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    assert result.success, result.message
+    return [bool(slack <= tol) for slack in result.x[16::17]]
+
+
 def brute_force_max_s(sign_pattern) -> float:
     pattern = np.asarray(sign_pattern, dtype=float)
     return float(np.max(deterministic_vertices() @ pattern))

@@ -45,7 +45,7 @@ from bellsim.stats import (
     exact_chsh_s,
 )
 
-from oracles import lp_local_membership, random_state_amplitudes
+from oracles import lp_local_membership_batch, random_state_amplitudes
 
 
 @contextmanager
@@ -140,10 +140,10 @@ def test_criterion_06_estimator_exactness():
 def test_criterion_07_polytope_oracle_equivalence():
     with criterion(7, "polytope oracle equivalence: facets agree with LP on 10^4 vectors"):
         rng = np.random.default_rng(7777)
-        for _ in range(10_000):
-            vector = CorrelationVector(*rng.uniform(-1.0, 1.0, 4))
+        vectors = [CorrelationVector(*rng.uniform(-1.0, 1.0, 4)) for _ in range(10_000)]
+        verdicts = lp_local_membership_batch([vector.as_tuple() for vector in vectors])
+        for vector, oracle in zip(vectors, verdicts):
             facets = local_membership(vector).feasible
-            oracle = lp_local_membership(vector.as_tuple())
             assert facets == oracle, vector
 
 

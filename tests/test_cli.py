@@ -1,7 +1,15 @@
+import errno
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import bellsim
 
 from bellsim.cli import main
 from bellsim.config import (
@@ -460,3 +468,74 @@ def test_every_unknown_key_is_named(tmp_path, capsys):
     code, _, stderr = _run(["chsh", "--config", str(cfg)], capsys)
     assert code == 2
     assert "unknown config key 'sede', 'trails' for chsh" in stderr
+
+
+SEED_SOURCES = {"flag": "--seed", "config": "seed", "env": "BELLSIM_SEED"}
+
+
+@pytest.mark.parametrize("source", sorted(SEED_SOURCES))
+@pytest.mark.parametrize("seed", [-1, 0, 2**64 - 1, 2**64])
+def test_seed_outside_stream_range_exits_2(source, seed, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("BELLSIM_SEED", raising=False)
+    argv = ["chsh", "--exact"]
+    if source == "flag":
+        argv.append(f"--seed={seed}")
+    elif source == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = {seed}\n")
+        argv += ["--config", str(cfg)]
+    else:
+        monkeypatch.setenv("BELLSIM_SEED", str(seed))
+    code, stdout, stderr = _run(argv, capsys)
+    if 0 <= seed < 2**64:
+        assert code == 0
+        assert json.loads(stdout)["config"]["seed"] == seed
+    else:
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith(
+            f"bellsim: configuration error: {SEED_SOURCES[source]} must be in [0, 2**64), "
+            f"got {seed}\n"
+        )
+
+
+# Runs the CLI with files capped at 500 bytes; SIGXFSZ is ignored so an
+# oversized write fails with EFBIG instead of killing the process.
+_CAPPED_WRITE = """
+import resource, signal, sys
+import bellsim.cli
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (500, 500))
+sys.exit(bellsim.cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs RLIMIT_FSIZE and SIGXFSZ")
+@pytest.mark.parametrize(
+    "argv,failing",
+    [
+        (["chsh", "--exact", "--out", "r.json"], "r.json"),
+        (
+            [
+                "counterfactual", "--model", "lhv-uniform", "--trials", "40",
+                "--stats-trials", "100", "--format", "csv", "--out", "r.csv",
+                "--ledger", "r.jsonl",
+            ],
+            "r.jsonl",
+        ),
+    ],
+)
+def test_failed_write_leaves_no_partial_file(argv, failing, tmp_path):
+    source_root = str(Path(bellsim.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-c", _CAPPED_WRITE, *argv],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert completed.returncode == 3
+    assert completed.stdout == ""
+    assert completed.stderr.startswith(f"bellsim: I/O error: [Errno {errno.EFBIG}] cannot write {failing}: ")
+    assert list(tmp_path.iterdir()) == []

@@ -5,7 +5,9 @@ The package namespace is lazy, each subcommand imports only the modules it
 runs and builds only the catalog model it runs, and only sampling loads
 numpy. Once numpy loads, the CLI has kept OpenBLAS from starting worker
 threads unless the caller asks for them with OPENBLAS_NUM_THREADS. Nothing
-starts a thread pool.
+starts a thread pool. Records compile no code, so no command loads
+`dataclasses`, and one that samples nothing loads none of the modules
+`dataclasses` would bring (numpy imports `inspect` itself).
 """
 
 import importlib
@@ -100,7 +102,7 @@ print(json.dumps(sorted(sys.modules)))
 """
 
 # Every subcommand loads these bellsim modules: the CLI's own imports.
-_SHARED = {"cli", "config", "quantum", "stats"}
+_SHARED = {"_record", "cli", "config", "quantum", "stats"}
 
 # Each subcommand, the other bellsim modules it loads (the ones it runs),
 # and whether it loads numpy: only the commands that sample do.
@@ -129,13 +131,18 @@ def _numpy_modules(loaded):
     return {m for m in loaded if m == "numpy" or m.startswith("numpy.")}
 
 
+# `dataclasses` and the modules it imports to compile a class's methods.
+_INTROSPECTION = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
 def test_cli_import_loads_only_the_shared_modules():
     program = "import json, sys, bellsim.cli; print(json.dumps(sorted(sys.modules)))"
     loaded = json.loads(_run_fresh(program))
     assert _bellsim_modules(loaded) == _SHARED
     assert "concurrent.futures" not in loaded
     assert _numpy_modules(loaded) == set()
-    assert len(loaded) <= 140
+    assert _INTROSPECTION.isdisjoint(loaded)
+    assert len(loaded) <= 120
 
 
 @pytest.mark.parametrize(
@@ -147,17 +154,21 @@ def test_subcommand_loads_only_what_it_runs(argv, used, samples):
     assert "concurrent.futures" not in loaded
     assert {m for m in loaded if m == "scipy" or m.startswith("scipy.")} == set()
     assert ("numpy" in loaded) == samples
+    assert "dataclasses" not in loaded
+    if not samples:
+        assert _INTROSPECTION.isdisjoint(loaded)
 
 
-_NUMPY_AFTER_EACH = """
+# After each command, which of numpy and the introspection modules are loaded.
+_LOADED_AFTER_EACH = """
 import contextlib, io, json, sys
 import bellsim.cli
-argvs = json.loads(sys.argv[1])
+argvs, watched = json.loads(sys.argv[1]), set(json.loads(sys.argv[2]))
 loaded = []
 for argv in argvs:
     with contextlib.redirect_stdout(io.StringIO()):
         assert bellsim.cli.main(argv) == 0, argv
-    loaded.append(any(m == "numpy" or m.startswith("numpy.") for m in sys.modules))
+    loaded.append(sorted(watched & {m.partition(".")[0] for m in sys.modules}))
 print(json.dumps(loaded))
 """
 
@@ -196,8 +207,9 @@ _ANALYSIS_COMMANDS = {
 @pytest.mark.parametrize("group", sorted(_ANALYSIS_COMMANDS))
 def test_analysis_commands_load_no_numpy(group):
     argvs = _ANALYSIS_COMMANDS[group]
-    loaded = json.loads(_run_fresh(_NUMPY_AFTER_EACH, json.dumps(argvs)))
-    assert [argv for argv, numpy in zip(argvs, loaded) if numpy] == []
+    watched = json.dumps(sorted(_INTROSPECTION | {"numpy"}))
+    loaded = json.loads(_run_fresh(_LOADED_AFTER_EACH, json.dumps(argvs), watched))
+    assert [(argv, modules) for argv, modules in zip(argvs, loaded) if modules] == []
 
 
 def _count_born_solves(monkeypatch):

@@ -18,7 +18,12 @@ from bellsim.polytope import (
 )
 from bellsim.stats import PAIR_ORDER, SIGN_PATTERNS
 
-from oracles import brute_force_max_s, deterministic_vertices, lp_local_membership
+from oracles import (
+    brute_force_max_s,
+    deterministic_vertices,
+    lp_local_membership,
+    lp_local_membership_batch,
+)
 
 SQRT_HALF = math.sqrt(0.5)
 SINGLET_OPTIMAL_VECTOR = CorrelationVector(-SQRT_HALF, SQRT_HALF, -SQRT_HALF, -SQRT_HALF)
@@ -170,6 +175,15 @@ class TestOracleAgreement:
             assert local_membership(vector).feasible == lp_local_membership(
                 vector.as_tuple()
             )
+
+    def test_batched_lp_agrees_with_one_lp_per_vector(self):
+        rng = np.random.default_rng(2718)
+        vectors = [tuple(rng.uniform(-1.0, 1.0, 4)) for _ in range(300)]
+        vectors += [tuple(row) for row in deterministic_vertices()]
+        vectors += [(0.5, -0.5, 0.5, 0.5), (0.5 + 1e-6, -0.5, 0.5, 0.5), (1.0, -1.0, 1.0, 1.0)]
+        expected = [lp_local_membership(vector) for vector in vectors]
+        assert lp_local_membership_batch(vectors) == expected
+        assert expected[-3:] == [True, False, False]
 
     def test_quantum_vectors_classified_by_best_pattern(self):
         from bellsim.experiment import model_exact_correlations
