@@ -21,15 +21,15 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
+import contextlib
 import io
 import json
 import sys
 import time
-from typing import Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .config import (
     ConfigError,
-    ExperimentConfig,
     parse_angles,
     parse_config_file,
     resolve_model,
@@ -40,6 +40,9 @@ from .config import (
 from .quantum import BELL_KINDS, PRODUCT_KINDS, make_named_state
 from .stats import DEFAULT_SIGN_PATTERN, PAIR_ORDER, SIGN_PATTERNS, classify_bound
 
+if TYPE_CHECKING:
+    from .models import ModelDescriptor
+
 _STATE_CHOICES = BELL_KINDS + PRODUCT_KINDS
 
 
@@ -47,7 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bellsim")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, model_flags: bool = True) -> None:
+    def add_command(name: str, help: str, model_flags: bool = False) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="flat key = JSON config file")
         if model_flags:
             p.add_argument("--model", help="catalog name, 'quantum', 'nonlocal', or JSON")
@@ -56,12 +60,12 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--trials", type=int)
             p.add_argument("--seed", type=int)
             p.add_argument("--threads", type=int, help="no effect (still must be >= 1)")
-            p.add_argument("--pattern", help="sign pattern such as +-++")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"))
+        return p
 
-    p_chsh = sub.add_parser("chsh", help="run trials for the four setting pairs and estimate S")
-    add_common(p_chsh)
+    p_chsh = add_command("chsh", "run trials for the four setting pairs and estimate S", True)
+    p_chsh.add_argument("--pattern", help="sign pattern such as +-++")
     p_chsh.add_argument(
         "--exact",
         action=argparse.BooleanOptionalAction,
@@ -69,26 +73,20 @@ def _build_parser() -> argparse.ArgumentParser:
         help="skip sampling; compute S from exact expectation values",
     )
 
-    p_scan = sub.add_parser("lhv-scan", help="enumerate all 16 deterministic strategies")
-    add_common(p_scan, model_flags=False)
+    add_command("lhv-scan", "enumerate all 16 deterministic strategies")
 
-    p_opt = sub.add_parser("optimize", help="maximize |S| over the four angles")
-    p_opt.add_argument("--config", help="flat key = JSON config file")
+    p_opt = add_command("optimize", "maximize |S| over the four angles")
     p_opt.add_argument("--state", choices=_STATE_CHOICES)
     p_opt.add_argument("--pattern")
     p_opt.add_argument(
         "--grid", type=int, help="no effect; the optimum is closed form (still must be >= 8)"
     )
-    p_opt.add_argument("--out")
-    p_opt.add_argument("--format", choices=("json", "csv"))
 
-    p_cf = sub.add_parser("counterfactual", help="record a run, replay it, classify the model")
-    add_common(p_cf)
+    p_cf = add_command("counterfactual", "record a run, replay it, classify the model", True)
     p_cf.add_argument("--stats-trials", type=int, dest="stats_trials")
     p_cf.add_argument("--ledger", help="path for the JSON-lines trial ledger")
 
-    p_bomb = sub.add_parser("bomb", help="interferometer with an optional absorber")
-    p_bomb.add_argument("--config", help="flat key = JSON config file")
+    p_bomb = add_command("bomb", "interferometer with an optional absorber")
     p_bomb.add_argument("--reflectivity", type=float)
     p_bomb.add_argument("--bomb", action=argparse.BooleanOptionalAction, default=None)
     p_bomb.add_argument("--phase", type=float)
@@ -100,17 +98,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="skip sampling; report exact probabilities only",
     )
-    p_bomb.add_argument("--out")
-    p_bomb.add_argument("--format", choices=("json", "csv"))
 
-    p_land = sub.add_parser("landscape", help="S on a 2-D angle slice, CSV grid")
-    p_land.add_argument("--config", help="flat key = JSON config file")
+    p_land = add_command("landscape", "S on a 2-D angle slice, CSV grid")
     p_land.add_argument("--state", choices=_STATE_CHOICES)
     p_land.add_argument("--pattern")
     p_land.add_argument("--fixed", help="two fixed angles, e.g. \"a=0,a'=1.5707963\"")
     p_land.add_argument("--resolution", type=int)
-    p_land.add_argument("--out")
-    p_land.add_argument("--format", choices=("json", "csv"))
     return parser
 
 
@@ -156,15 +149,34 @@ def _setting(args: argparse.Namespace, file_values: dict, key: str, kind: type, 
     raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
-def _out_format(args: argparse.Namespace, file_values: dict, default: str) -> str:
+def _at_least(
+    args: argparse.Namespace, file_values: dict, key: str, default: int, low: int = 1
+) -> int:
+    value = _setting(args, file_values, key, int, default)
+    if value < low:
+        raise ConfigError(f"{key.replace('_', '-')} must be at least {low}, got {value}")
+    return value
+
+
+def _output(args: argparse.Namespace, file_values: dict, default: str) -> tuple[Optional[str], str]:
+    """The artifact's path (None for stdout) and its format, json or csv."""
+    out_path = _setting(args, file_values, "out", str)
     out_format = _setting(args, file_values, "format", str, default)
     if out_format not in ("json", "csv"):
         raise ConfigError(f"format must be json or csv, got {out_format!r}")
-    return out_format
+    return out_path, out_format
 
 
-def _document(config: dict, results: dict) -> str:
-    return json.dumps({"schema_version": 1, "config": config, "results": results}, indent=2) + "\n"
+def _sign_pattern(args: argparse.Namespace, file_values: dict) -> tuple[int, ...]:
+    raw = _setting(args, file_values, "pattern", str)
+    return sign_pattern_from_string(raw) if raw else DEFAULT_SIGN_PATTERN
+
+
+def _document(config: dict, results: dict) -> Iterator[str]:
+    """The JSON artifact in pieces: the bytes of json.dumps(..., indent=2) and a newline."""
+    doc = {"schema_version": 1, "config": config, "results": results}
+    yield from json.JSONEncoder(indent=2).iterencode(doc)
+    yield "\n"
 
 
 def _csv_text(rows: Iterable[Sequence[object]]) -> str:
@@ -195,19 +207,21 @@ def _write_artifacts(artifacts: Sequence[tuple[Optional[str], Iterable[str]]]) -
                 handle.writelines(pieces)
         for tmp, path in staged:
             os.replace(tmp, path)
-    except OSError as exc:
+    except BaseException as exc:
+        # Pieces may be a generator that fails while encoding, not only a failed write.
         for tmp, _ in staged:
-            try:
+            with contextlib.suppress(OSError):
                 os.unlink(tmp)
-            except OSError:
-                pass
+        if not isinstance(exc, OSError):
+            raise
         raise OSError(exc.errno, f"cannot write {path}: {exc.strerror or exc}") from exc
     for path, pieces in artifacts:
         if path is None:
             sys.stdout.writelines(pieces)
 
 
-def _experiment_config(args: argparse.Namespace, file_values: dict) -> ExperimentConfig:
+def _model_run(args: argparse.Namespace, file_values: dict) -> tuple[ModelDescriptor, int, int]:
+    """The model, trials per setting pair and seed that chsh and counterfactual run."""
     angles_raw = _merged(args, file_values, "angles")
     angles = parse_angles(angles_raw) if angles_raw is not None else None
     model = resolve_model(
@@ -215,39 +229,31 @@ def _experiment_config(args: argparse.Namespace, file_values: dict) -> Experimen
         state=_setting(args, file_values, "state", str),
         angles=angles,
     )
-    pattern_raw = _setting(args, file_values, "pattern", str)
-    pattern = (
-        sign_pattern_from_string(pattern_raw) if pattern_raw else DEFAULT_SIGN_PATTERN
-    )
-    return ExperimentConfig(
-        model=model,
-        trials_per_pair=_setting(args, file_values, "trials", int, 100_000),
-        seed=resolve_seed(getattr(args, "seed", None), file_values.get("seed")),
-        sign_pattern=pattern,
-        out_path=_setting(args, file_values, "out", str),
-        out_format=_out_format(args, file_values, "json"),
-        threads=_setting(args, file_values, "threads", int, 1),
-        exact=_setting(args, file_values, "exact", bool, False),
-    )
+    trials = _at_least(args, file_values, "trials", 100_000)
+    _at_least(args, file_values, "threads", 1)  # checked; bellsim samples in one thread
+    return model, trials, resolve_seed(getattr(args, "seed", None), file_values.get("seed"))
 
 
 def _cmd_chsh(args: argparse.Namespace, file_values: dict) -> int:
     from .experiment import model_exact_correlations, run_chsh_experiment
 
-    cfg = _experiment_config(args, file_values)
+    model, trials, seed = _model_run(args, file_values)
+    pattern = _sign_pattern(args, file_values)
+    out_path, out_format = _output(args, file_values, "json")
+    exact = _setting(args, file_values, "exact", bool, False)
     config_echo = {
         "command": "chsh",
-        "model": cfg.model.to_dict(),
-        "trials_per_pair": cfg.trials_per_pair,
-        "seed": cfg.seed,
-        "sign_pattern": sign_pattern_to_string(cfg.sign_pattern),
-        "exact": cfg.exact,
-        "format": cfg.out_format,
+        "model": model.to_dict(),
+        "trials_per_pair": trials,
+        "seed": seed,
+        "sign_pattern": sign_pattern_to_string(pattern),
+        "exact": exact,
+        "format": out_format,
     }
-    if cfg.exact:
-        vector = model_exact_correlations(cfg.model)
+    if exact:
+        vector = model_exact_correlations(model)
         values = dict(zip(PAIR_ORDER, vector.as_tuple()))
-        s_value = sum(s * values[pair] for s, pair in zip(cfg.sign_pattern, PAIR_ORDER))
+        s_value = sum(s * values[pair] for s, pair in zip(pattern, PAIR_ORDER))
         results = {
             "exact": True,
             "pairs": [
@@ -258,7 +264,7 @@ def _cmd_chsh(args: argparse.Namespace, file_values: dict) -> int:
             "bound_class": classify_bound(abs(s_value), 0.0),
         }
     else:
-        outcome = run_chsh_experiment(cfg.model, cfg.trials_per_pair, cfg.seed, cfg.sign_pattern)
+        outcome = run_chsh_experiment(model, trials, seed, pattern)
         pairs = []
         for x, y in PAIR_ORDER:
             counts = outcome.counts[(x, y)]
@@ -279,17 +285,14 @@ def _cmd_chsh(args: argparse.Namespace, file_values: dict) -> int:
             )
         results = {
             "exact": False,
-            "trials_per_pair": cfg.trials_per_pair,
+            "trials_per_pair": trials,
             "pairs": pairs,
             "s_value": outcome.result.s_value,
             "s_std_error": outcome.result.s_std_error,
             "bound_class": outcome.result.bound_class,
         }
-    if cfg.out_format == "csv":
-        text = _chsh_csv(results)
-    else:
-        text = _document(config_echo, results)
-    _write_artifacts([(cfg.out_path, [text])])
+    pieces = [_chsh_csv(results)] if out_format == "csv" else _document(config_echo, results)
+    _write_artifacts([(out_path, pieces)])
     return 0
 
 
@@ -333,8 +336,7 @@ def _chsh_csv(results: dict) -> str:
 def _cmd_lhv_scan(args: argparse.Namespace, file_values: dict) -> int:
     from .polytope import enumerate_deterministic_strategies, strategy_correlation
 
-    out_path = _setting(args, file_values, "out", str)
-    out_format = _out_format(args, file_values, "json")
+    out_path, out_format = _output(args, file_values, "json")
     strategies = []
     best_overall = 0.0
     for strategy in enumerate_deterministic_strategies():
@@ -365,10 +367,10 @@ def _cmd_lhv_scan(args: argparse.Namespace, file_values: dict) -> int:
                 + [repr(float(row["best_abs_s"]))]
             )
         rows.append(["max", "", "", "", "", "", "", "", "", repr(float(best_overall))])
-        text = _csv_text(rows)
+        pieces = [_csv_text(rows)]
     else:
-        text = _document(config_echo, results)
-    _write_artifacts([(out_path, [text])])
+        pieces = _document(config_echo, results)
+    _write_artifacts([(out_path, pieces)])
     return 0
 
 
@@ -376,13 +378,9 @@ def _cmd_optimize(args: argparse.Namespace, file_values: dict) -> int:
     from .optimize import optimize_angles
 
     state_kind = _setting(args, file_values, "state", str, "psi_minus")
-    pattern_raw = _setting(args, file_values, "pattern", str)
-    pattern = sign_pattern_from_string(pattern_raw) if pattern_raw else DEFAULT_SIGN_PATTERN
-    grid = _setting(args, file_values, "grid", int, 16)
-    if grid < 8:
-        raise ConfigError(f"grid must be at least 8, got {grid}")
-    out_path = _setting(args, file_values, "out", str)
-    out_format = _out_format(args, file_values, "json")
+    pattern = _sign_pattern(args, file_values)
+    _at_least(args, file_values, "grid", 16, 8)  # checked; the optimum is closed form
+    out_path, out_format = _output(args, file_values, "json")
     try:
         state = make_named_state(state_kind)
         result = optimize_angles(state, pattern)
@@ -403,27 +401,29 @@ def _cmd_optimize(args: argparse.Namespace, file_values: dict) -> int:
             (key, value) for key, value in results.items() if key != "angles"
         ]
         rows[1:1] = [(f"angle_{label}", angle) for label, angle in zip(("a", "a'", "b", "b'"), result.angles)]
-        text = _kv_csv(rows)
+        pieces = [_kv_csv(rows)]
     else:
-        text = _document(config_echo, results)
-    _write_artifacts([(out_path, [text])])
+        pieces = _document(config_echo, results)
+    _write_artifacts([(out_path, pieces)])
     return 0
 
 
 def _cmd_counterfactual(args: argparse.Namespace, file_values: dict) -> int:
     from .counterfactual import MAX_LEDGER_TRIALS, classify_definiteness, ledger_text, record_run
 
-    cfg = _experiment_config(args, file_values)
-    if cfg.trials_per_pair > MAX_LEDGER_TRIALS:
+    model, trials, seed = _model_run(args, file_values)
+    if trials > MAX_LEDGER_TRIALS:
         raise ConfigError(
-            f"counterfactual trials must be at most {MAX_LEDGER_TRIALS}, got {cfg.trials_per_pair}"
+            f"counterfactual trials must be at most {MAX_LEDGER_TRIALS}, got {trials}"
         )
-    stats_trials = _setting(args, file_values, "stats_trials", int, 100_000)
-    if stats_trials < 1:
-        raise ConfigError(f"stats-trials must be at least 1, got {stats_trials}")
+    stats_trials = _at_least(args, file_values, "stats_trials", 100_000)
+    out_path, out_format = _output(args, file_values, "json")
     ledger_path = _setting(args, file_values, "ledger", str)
-    schedule = [PAIR_ORDER[i % 4] for i in range(cfg.trials_per_pair)]
-    ledger = record_run(cfg.model, schedule, cfg.seed)
+    # Both artifacts are staged as PATH.tmp, so one path for both would leave the ledger there.
+    if out_path and ledger_path and os.path.realpath(out_path) == os.path.realpath(ledger_path):
+        raise ConfigError(f"--out and --ledger name the same file {out_path}")
+    schedule = [PAIR_ORDER[i % 4] for i in range(trials)]
+    ledger = record_run(model, schedule, seed)
     verdict = classify_definiteness(ledger, trials_for_stats=stats_trials)
     evidence = verdict.evidence
     feasibility = {
@@ -440,10 +440,10 @@ def _cmd_counterfactual(args: argparse.Namespace, file_values: dict) -> int:
     }
     config_echo = {
         "command": "counterfactual",
-        "model": cfg.model.to_dict(),
-        "trials": cfg.trials_per_pair,
+        "model": model.to_dict(),
+        "trials": trials,
         "stats_trials": stats_trials,
-        "seed": cfg.seed,
+        "seed": seed,
     }
     results = {
         "classification": verdict.classification,
@@ -454,7 +454,7 @@ def _cmd_counterfactual(args: argparse.Namespace, file_values: dict) -> int:
         "trials_examined": evidence.trials_examined,
         "factual_replays_matched": evidence.factual_replays_matched,
     }
-    if cfg.out_format == "csv":
+    if out_format == "csv":
         rows = [
             ("classification", verdict.classification),
             ("feasible", evidence.feasibility.feasible),
@@ -466,10 +466,10 @@ def _cmd_counterfactual(args: argparse.Namespace, file_values: dict) -> int:
             rows.append((f"e_{pair[0]}{pair[1]}", value))
         for kind, count in evidence.cell_kinds.items():
             rows.append((f"cells_{kind}", count))
-        text = _kv_csv(rows)
+        pieces = [_kv_csv(rows)]
     else:
-        text = _document(config_echo, results)
-    artifacts: list[tuple[Optional[str], Iterable[str]]] = [(cfg.out_path, [text])]
+        pieces = _document(config_echo, results)
+    artifacts: list[tuple[Optional[str], Iterable[str]]] = [(out_path, pieces)]
     if ledger_path is not None:
         artifacts.append((ledger_path, [ledger_text(ledger)]))
     _write_artifacts(artifacts)
@@ -485,8 +485,7 @@ def _cmd_bomb(args: argparse.Namespace, file_values: dict) -> int:
     trials = _setting(args, file_values, "trials", int, 100_000)
     exact = _setting(args, file_values, "exact", bool, False)
     seed = resolve_seed(getattr(args, "seed", None), file_values.get("seed"))
-    out_path = _setting(args, file_values, "out", str)
-    out_format = _out_format(args, file_values, "json")
+    out_path, out_format = _output(args, file_values, "json")
     try:
         spec = InterferometerSpec(reflectivity=reflectivity, bomb_present=bomb_present, phase=phase)
         probabilities = port_probabilities(spec)
@@ -508,10 +507,10 @@ def _cmd_bomb(args: argparse.Namespace, file_values: dict) -> int:
         for name in OUTCOMES:
             frequency = "" if frequencies is None else repr(frequencies[name])
             rows.append((name, repr(probabilities[name]), frequency))
-        text = _csv_text(rows)
+        pieces = [_csv_text(rows)]
     else:
-        text = _document(config_echo, results)
-    _write_artifacts([(out_path, [text])])
+        pieces = _document(config_echo, results)
+    _write_artifacts([(out_path, pieces)])
     return 0
 
 
@@ -541,12 +540,10 @@ def _cmd_landscape(args: argparse.Namespace, file_values: dict) -> int:
     from .optimize import s_landscape
 
     state_kind = _setting(args, file_values, "state", str, "psi_minus")
-    pattern_raw = _setting(args, file_values, "pattern", str)
-    pattern = sign_pattern_from_string(pattern_raw) if pattern_raw else DEFAULT_SIGN_PATTERN
+    pattern = _sign_pattern(args, file_values)
     fixed_raw = _merged(args, file_values, "fixed", "a=0.0,a'=1.5707963267948966")
     resolution = _setting(args, file_values, "resolution", int, 32)
-    out_path = _setting(args, file_values, "out", str)
-    out_format = _out_format(args, file_values, "csv")
+    out_path, out_format = _output(args, file_values, "csv")
     fixed = _parse_fixed(fixed_raw)
     try:
         grid = s_landscape(make_named_state(state_kind), fixed, resolution, pattern)
@@ -569,7 +566,7 @@ def _cmd_landscape(args: argparse.Namespace, file_values: dict) -> int:
             "col_angles": grid.col_angles,
             "values": grid.values,
         }
-        pieces = [_document(config_echo, results)]
+        pieces = _document(config_echo, results)
     _write_artifacts([(out_path, pieces)])
     return 0
 

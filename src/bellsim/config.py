@@ -12,7 +12,6 @@ import math
 import os
 from typing import TYPE_CHECKING, Mapping, Optional
 
-from ._record import record
 from .stats import validate_sign_pattern
 
 if TYPE_CHECKING:
@@ -26,7 +25,8 @@ class ConfigError(ValueError):
 def parse_config_file(path: str) -> dict[str, object]:
     """Parse `key = JSON` lines into a dict."""
     try:
-        text = open(path, "r", encoding="utf-8").read()
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, object] = {}
@@ -138,25 +138,3 @@ def resolve_seed(flag_value: Optional[int], file_value: Optional[object]) -> int
     if not 0 <= seed < 1 << 64:
         raise ConfigError(f"{source} must be in [0, 2**64), got {seed}")
     return seed
-
-
-@record
-class ExperimentConfig:
-    """A fully resolved CHSH experiment description."""
-
-    model: ModelDescriptor
-    trials_per_pair: int
-    seed: int
-    sign_pattern: tuple[int, ...]
-    out_path: Optional[str]
-    out_format: str
-    threads: int
-    exact: bool
-
-    def __post_init__(self) -> None:
-        if self.trials_per_pair < 1:
-            raise ConfigError(f"trials must be at least 1, got {self.trials_per_pair}")
-        if self.out_format not in ("json", "csv"):
-            raise ConfigError(f"format must be json or csv, got {self.out_format!r}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be at least 1, got {self.threads}")

@@ -172,7 +172,7 @@ def joint_assignment_feasibility(
 
 
 def classify_definiteness(
-    ledger: TrialLedger, trials_for_stats: int = 100_000, threads: int = 1
+    ledger: TrialLedger, trials_for_stats: int = 100_000
 ) -> DefinitenessVerdict:
     """Classify the ledger's model as definite, semi-definite or indefinite.
 
@@ -180,7 +180,7 @@ def classify_definiteness(
     every recorded trial is replayed at its factual settings. The
     joint-assignment check runs on correlations estimated from
     trials_for_stats fresh trials per setting pair, with the facet slack
-    set to five standard deviations of the estimated S. `threads` has no effect.
+    set to five standard deviations of the estimated S.
     """
     if len(ledger.records) == 0:
         raise ValueError("ledger must contain at least one record")

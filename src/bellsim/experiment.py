@@ -2,8 +2,8 @@
 
 Stream ids are allocated per setting pair in canonical PAIR_ORDER: pair i
 of a run owns ids [base + i*N, base + (i+1)*N), so every trial's stream is
-fixed by the configuration alone. `threads` parameters are accepted and
-have no effect. Sampled runs never load the polytope module.
+fixed by the configuration alone. Sampled runs never load the polytope
+module.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ def run_chsh_experiment(
     trials_per_pair: int,
     seed: int,
     sign_pattern: Iterable[int] = DEFAULT_SIGN_PATTERN,
-    threads: int = 1,
     stream_base: int = 0,
 ) -> ChshExperimentResult:
     """Run trials for all four setting pairs and estimate S."""
@@ -59,7 +58,6 @@ def estimate_correlation_vector(
     model: ModelDescriptor,
     trials_per_pair: int,
     seed: int,
-    threads: int = 1,
     stream_base: int = 0,
 ) -> tuple[CorrelationVector, Mapping[SettingPair, CoincidenceCounts]]:
     """Empirical correlation vector over the four setting pairs."""

@@ -440,19 +440,6 @@ def run_trials(
     )
 
 
-def sample_chunk(
-    model: ModelDescriptor, settings: SettingPair, seed: int, start: int, size: int
-) -> np.ndarray:
-    """Outcomes (size, 2) int8 for the trials with stream ids start..start+size-1."""
-    import numpy as np
-
-    from .streams import batch_uniforms
-
-    pair = _pair_index(settings)
-    ids = np.arange(start, start + size, dtype=np.uint64)
-    return sample_outcomes(model, pair, batch_uniforms(seed, ids, model._tables.draws))[0]
-
-
 def count_chunk(
     model: ModelDescriptor,
     settings: SettingPair,
@@ -463,7 +450,7 @@ def count_chunk(
 ) -> CoincidenceCounts:
     """Coincidence counts of the trials with stream ids start..start+size-1.
 
-    The same outcomes sample_chunk gives, counted without a per-trial array:
+    The same outcomes generate_outcomes gives, counted without a per-trial array:
     CDF kinds count uniforms per hidden index with threshold_counts and fold
     the counts through the pair's counter table; nonlocal counts the left
     outcome and, on each side of it, the right outcome's condition.
@@ -492,12 +479,8 @@ def count_outcomes(
     seed: int,
     stream_start: int,
     count: int,
-    threads: int = 1,
 ) -> CoincidenceCounts:
-    """counts_from_outcomes(generate_outcomes(...)) in O(chunk) memory.
-
-    `threads` is accepted and has no effect: counting runs in the calling thread.
-    """
+    """counts_from_outcomes(generate_outcomes(...)) in O(chunk) memory."""
     from .streams import ChunkBuffers, map_chunks
 
     _pair_index(settings)
@@ -523,13 +506,17 @@ def generate_outcomes(
     """
     import numpy as np
 
-    from .streams import map_chunks
+    from .streams import batch_uniforms, map_chunks
 
-    _pair_index(settings)  # validates the pair even when count is 0
+    pair = _pair_index(settings)  # validates the pair even when count is 0
     if count < 0:
         raise ValueError("count must be non-negative")
-    sampler = functools.partial(sample_chunk, model, settings, seed)
-    chunks = map_chunks(sampler, stream_start, count)
+
+    def sample(start: int, size: int) -> np.ndarray:
+        ids = np.arange(start, start + size, dtype=np.uint64)
+        return sample_outcomes(model, pair, batch_uniforms(seed, ids, model._tables.draws))[0]
+
+    chunks = map_chunks(sample, stream_start, count)
     return np.concatenate(chunks) if chunks else np.empty((0, 2), dtype=np.int8)
 
 
@@ -560,7 +547,6 @@ def no_signalling_check(
     model: ModelDescriptor,
     trials_per_cell: int,
     seed: int = 0,
-    threads: int = 1,
 ) -> NoSignallingReport:
     """Estimate each side's outcome marginals under each remote setting.
 
@@ -575,9 +561,7 @@ def no_signalling_check(
     p_left: dict[SettingPair, float] = {}
     p_right: dict[SettingPair, float] = {}
     for pair_index, pair in enumerate(PAIR_ORDER):
-        counts = count_outcomes(
-            model, pair, seed, pair_index * trials_per_cell, trials_per_cell, threads
-        )
+        counts = count_outcomes(model, pair, seed, pair_index * trials_per_cell, trials_per_cell)
         p_left[pair] = (counts.n_pp + counts.n_pm) / trials_per_cell
         p_right[pair] = (counts.n_pp + counts.n_mp) / trials_per_cell
 

@@ -93,9 +93,7 @@ def test_criterion_02_tsirelson_bound():
 def test_criterion_03_monte_carlo_violation():
     with criterion(3, "Monte Carlo violation: |S| near 2*sqrt(2), above 2 by > 3 sigma"):
         started = time.perf_counter()
-        outcome = run_chsh_experiment(
-            catalog()["quantum-optimal"], 10**6, seed=42, threads=1
-        )
+        outcome = run_chsh_experiment(catalog()["quantum-optimal"], 10**6, seed=42)
         elapsed = time.perf_counter() - started
         abs_s = abs(outcome.result.s_value)
         assert abs(abs_s - TSIRELSON_BOUND) < 0.01

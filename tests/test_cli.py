@@ -1,16 +1,19 @@
 import errno
+import gc
 import json
 import math
 import os
 import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import bellsim
 
+from bellsim import cli
 from bellsim.cli import main
 from bellsim.config import (
     ConfigError,
@@ -50,6 +53,15 @@ class TestConfigHelpers:
     def test_missing_config_file(self):
         with pytest.raises(ConfigError):
             parse_config_file("/nonexistent/run.cfg")
+
+    def test_config_file_is_closed(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("trials = 10\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert parse_config_file(str(path)) == {"trials": 10}
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_sign_pattern_strings(self):
         assert sign_pattern_from_string("+-++") == (1, -1, 1, 1)
@@ -286,6 +298,32 @@ class TestCounterfactualCommand:
         assert stdout == ""
         assert f"at most {MAX_LEDGER_TRIALS}, got {trials}" in stderr
 
+    @pytest.mark.parametrize("ledger", ["same.json", "./sub/../same.json"])
+    def test_out_and_ledger_on_one_path_exit_2_before_recording(
+        self, ledger, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr("bellsim.counterfactual.record_run", None)  # any call would fail
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        argv = ["counterfactual", "--trials", "8", "--out", "same.json", "--ledger", ledger]
+        code, stdout, stderr = _run(argv, capsys)
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith(
+            "bellsim: configuration error: --out and --ledger name the same file same.json"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+
+    @pytest.mark.parametrize("pattern", ["+-++", "xyz"])
+    def test_pattern_flag_is_rejected(self, pattern, capsys):
+        # The joint-assignment check tests every facet, so no sign pattern applies.
+        with pytest.raises(SystemExit) as exc:
+            main(["counterfactual", "--trials", "8", f"--pattern={pattern}"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments: --pattern" in captured.err
+
 
 class TestBombCommand:
     def test_exact_canonical_values(self, capsys):
@@ -422,7 +460,7 @@ ACCEPTED_KEYS = {
     "lhv-scan": "format, out",
     "optimize": "format, grid, out, pattern, state",
     "counterfactual": (
-        "angles, format, ledger, model, out, pattern, seed, state, stats_trials, threads, trials"
+        "angles, format, ledger, model, out, seed, state, stats_trials, threads, trials"
     ),
     "bomb": "bomb, exact, format, out, phase, reflectivity, seed, trials",
     "landscape": "fixed, format, out, pattern, resolution, state",
@@ -441,6 +479,7 @@ UNKNOWN_KEYS = [
     ("optimize", "trials = 10"),
     ("counterfactual", "exact = true"),
     ("counterfactual", 'config = "other.cfg"'),
+    ("counterfactual", 'pattern = "+-++"'),
     ("bomb", 'state = "psi_minus"'),
     ("bomb", "threads = 2"),
     ("landscape", "trials = 10"),
@@ -539,3 +578,24 @@ def test_failed_write_leaves_no_partial_file(argv, failing, tmp_path):
     assert completed.stdout == ""
     assert completed.stderr.startswith(f"bellsim: I/O error: [Errno {errno.EFBIG}] cannot write {failing}: ")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_encoding_failure_leaves_no_partial_file(tmp_path):
+    out = tmp_path / "r.json"
+    pieces = cli._document({"command": "chsh"}, {"value": object()})
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli._write_artifacts([(str(out), pieces)])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_streamed_document_joins_to_dumps(tmp_path, capsys):
+    for argv in (
+        ["chsh", "--model", "lhv-uniform", "--trials", "1000", "--seed", "3"],
+        ["landscape", "--resolution", "9", "--format", "json"],
+    ):
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        document = json.loads(text)
+        pieces = list(cli._document(document["config"], document["results"]))
+        assert len(pieces) > 2
+        assert "".join(pieces) == json.dumps(document, indent=2) + "\n" == text

@@ -7,6 +7,9 @@ outcomes, how chunks are tallied or how ledgers are replayed shows up here
 as a hash mismatch. The `out.json` of the two feasible counterfactual cases
 was re-pinned when the witness weights became the closed-form 16-cell
 decomposition: a witness is not unique, and only those weights changed.
+The small cases of every subcommand in both formats, and the diagnostics of
+rejected inputs, were captured before the configuration record was removed
+and the JSON artifacts were streamed.
 
 To print the hashes the current code produces (for example after a
 deliberate schema change), run `PYTHONPATH=src python tests/test_golden_artifacts.py`.
@@ -14,7 +17,9 @@ deliberate schema change), run `PYTHONPATH=src python tests/test_golden_artifact
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -49,6 +54,33 @@ def _cases() -> dict[str, tuple[list[str], tuple[str, ...]]]:
             ("out.json", "ledger.jsonl"),
         )
     cases["bomb"] = (["bomb", "--trials", CHSH_TRIALS, "--seed", SEED], ("out.json",))
+    # Every subcommand in both formats at small sizes; the first artifact
+    # name says which format the case writes.
+    small = ["--trials", "2000", "--seed", SEED]
+    cases.update({
+        "chsh-csv": (["chsh", "--model", "lhv-uniform", *small, "--format", "csv"], ("out.csv",)),
+        "chsh-pattern": (["chsh", "--model", "quantum-psi-plus", *small, "--pattern=+++-"],
+                         ("out.json",)),
+        "chsh-exact": (["chsh", "--exact"], ("out.json",)),
+        "chsh-exact-csv": (["chsh", "--exact", "--model", "pr-box", "--format", "csv"],
+                           ("out.csv",)),
+        "lhv-scan": (["lhv-scan"], ("out.json",)),
+        "lhv-scan-csv": (["lhv-scan", "--format", "csv"], ("out.csv",)),
+        "optimize": (["optimize"], ("out.json",)),
+        "optimize-pattern": (["optimize", "--state", "psi_plus", "--pattern=-+++"],
+                             ("out.json",)),
+        "optimize-csv": (["optimize", "--state", "phi_minus", "--format", "csv"], ("out.csv",)),
+        "counterfactual-csv": (
+            ["counterfactual", "--model", "lhv-edge", "--trials", "40", "--stats-trials", "2000",
+             "--seed", SEED, "--format", "csv"],
+            ("out.csv", "ledger.jsonl"),
+        ),
+        "bomb-csv": (["bomb", *small, "--phase", "0.5", "--format", "csv"], ("out.csv",)),
+        "bomb-exact-no-bomb": (["bomb", "--exact", "--no-bomb"], ("out.json",)),
+        "landscape": (["landscape", "--resolution", "6"], ("out.csv",)),
+        "landscape-json": (["landscape", "--resolution", "5", "--pattern=+-++", "--format",
+                            "json"], ("out.json",)),
+    })
     return cases
 
 
@@ -57,6 +89,21 @@ CASES = _cases()
 GOLDEN: dict[str, dict[str, str]] = {
     "bomb": {
         "out.json": "3b52024e249d36c4bd6bd30b19c0d9e121e4fdb6ee183df2b268a12f51c2bc81",
+    },
+    "bomb-csv": {
+        "out.csv": "dacd60ca5dd7b0f0f2dae4e7a4682bc9e3b542536eeac27968c0d73bb6b038f0",
+    },
+    "bomb-exact-no-bomb": {
+        "out.json": "28392e721b17a4195b0a86221e187cc42603b93dc5201e8657f2f54e0e12a77e",
+    },
+    "chsh-csv": {
+        "out.csv": "5075c92fa73e68f575708170fdd3e5d0d13faf253ff1bc66dcc339ca81dab6e1",
+    },
+    "chsh-exact": {
+        "out.json": "f764dfdf0bdafdcbe5090d5ff82937577b003438542abcdf1f14ae4afcc70b00",
+    },
+    "chsh-exact-csv": {
+        "out.csv": "3507f331d8eddb210a676d433792e7cfbe85c1f5152c29e06c16a69ba2961c3c",
     },
     "chsh-lhv-all-plus-t1": {
         "out.json": "47f92b83040c05b47bb7889d34dd1dd28ba56b68698fdb9b0b5ec44adef56ec8",
@@ -82,6 +129,9 @@ GOLDEN: dict[str, dict[str, str]] = {
     "chsh-nonlocal-optimal-t2": {
         "out.json": "a6a2e30da8213a69d9b545deafe2e8cdb044e89da6cc060153b5d5efffedbf95",
     },
+    "chsh-pattern": {
+        "out.json": "787f45a97dbedff59425848dcc9d1f98b1f1ec2da5db95a18a242b96881b6791",
+    },
     "chsh-pr-box-soft-t1": {
         "out.json": "6adddb656715dcc0755a202d54e0f7b1eda2a446acfb363035c9179807e7cea2",
     },
@@ -106,6 +156,10 @@ GOLDEN: dict[str, dict[str, str]] = {
     "chsh-quantum-psi-plus-t2": {
         "out.json": "d7ae323b007d5dbbf0ebe077fbf5b447e3140296440e83fb40bdca50de9758cf",
     },
+    "counterfactual-csv": {
+        "out.csv": "2db94027c615f6cbc364c0245a86b38c0f5bc428119fd2c9ff861f0ab75ea14d",
+        "ledger.jsonl": "6e6dd70f1643be4f8d927437f869369c66c69fe2136a3171d25930061020a196",
+    },
     "counterfactual-lhv-all-plus": {
         "out.json": "72bbd4c9470886c59996ed68cb918aec13526aecc26821ca91148e1310ef87b8",
         "ledger.jsonl": "b13f25711eb9f259c374013ed0ec76bc17345c54f91ae374c320f972bc0d812f",
@@ -126,13 +180,34 @@ GOLDEN: dict[str, dict[str, str]] = {
         "out.json": "774d3e53006de23aa994d142db0fcdfbf8aa0bed24749061f98391e1106906f7",
         "ledger.jsonl": "fb77c598250b0cf7488fd9b98d38c6743e1a1122dfbd0a074c739f6a7b54209c",
     },
+    "landscape": {
+        "out.csv": "2b1467738fd09f1174c5d906754f6282d7ca113d900c8b6fdaa92f95f465416b",
+    },
+    "landscape-json": {
+        "out.json": "d987904ec6fabbb55410726739a65f29d275ee21736cf6a74505c833a66b75ec",
+    },
+    "lhv-scan": {
+        "out.json": "8faed33bd00bf038c41a96c6aef9fce90165d442c4b68cc2392dd090fec640e2",
+    },
+    "lhv-scan-csv": {
+        "out.csv": "fc3ad4b30d3a69652e3b81d5c0464e27bd8199361b0c5fb7c934e3209f0f3de9",
+    },
+    "optimize": {
+        "out.json": "58cfa508ec87beb7b239117e0653c166b3d3d346c32f85a32d481608f7f4e149",
+    },
+    "optimize-csv": {
+        "out.csv": "af56637855c8620731661637fab11427a5e88d7ab5733fb7d7b2a4e4eb2b178e",
+    },
+    "optimize-pattern": {
+        "out.json": "a8caf094a4d739289e3dfbdf20793ab00658838aad4333640f7b2ae3b1830c87",
+    },
 }
 
 
 def artifact_hashes(case: str, workdir: Path, run=main) -> dict[str, str]:
     """Run one case in `workdir` through `run(argv)` and hash every artifact it wrote."""
     argv, names = CASES[case]
-    argv = argv + ["--out", str(workdir / "out.json")]
+    argv = argv + ["--out", str(workdir / names[0])]
     if "ledger.jsonl" in names:
         argv += ["--ledger", str(workdir / "ledger.jsonl")]
     assert run(argv) == 0
@@ -177,9 +252,51 @@ def test_every_case_is_pinned():
     assert sorted(GOLDEN) == sorted(CASES)
 
 
+# Rejected inputs: exit code and first stderr line, pinned from the same build.
+DIAGNOSTICS: dict[str, tuple[list[str], int, str]] = {
+    "chsh-threads-0": (
+        ["chsh", "--trials", "10", "--threads", "0"],
+        2,
+        "bellsim: configuration error: threads must be at least 1, got 0",
+    ),
+    "chsh-trials-0": (
+        ["chsh", "--trials", "0"],
+        2,
+        "bellsim: configuration error: trials must be at least 1, got 0",
+    ),
+    "counterfactual-stats-trials-0": (
+        ["counterfactual", "--trials", "8", "--stats-trials", "0"],
+        2,
+        "bellsim: configuration error: stats-trials must be at least 1, got 0",
+    ),
+    "optimize-grid-3": (
+        ["optimize", "--grid", "3"],
+        2,
+        "bellsim: configuration error: grid must be at least 8, got 3",
+    ),
+}
+
+
+def diagnostic(argv: list[str]) -> tuple[int, str]:
+    """Exit code and first stderr line of `main(argv)`, which must write no stdout."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    assert out.getvalue() == ""
+    return code, stderr.getvalue().splitlines()[0]
+
+
+@pytest.mark.parametrize("case", sorted(DIAGNOSTICS))
+def test_diagnostic_unchanged(case):
+    argv, code, line = DIAGNOSTICS[case]
+    assert diagnostic(argv) == (code, line)
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for case in sorted(CASES):
             workdir = Path(tmp) / case
             workdir.mkdir()
             print(f"    {case!r}: {artifact_hashes(case, workdir)!r},", file=sys.stdout)
+    for case, (argv, _, _) in sorted(DIAGNOSTICS.items()):
+        print(f"    {case!r}: {diagnostic(argv)!r},", file=sys.stdout)

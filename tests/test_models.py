@@ -25,7 +25,6 @@ from bellsim.models import (
     quantum_model,
     run_trial,
     run_trials,
-    sample_chunk,
     sample_outcomes,
     superdeterministic_model,
 )
@@ -187,13 +186,15 @@ class TestBatchGeneration:
         )
         assert all(isinstance(v, int) for r in batch for v in r.outcomes)
 
+    # generate_outcomes still takes a thread count, which changes nothing.
     @pytest.mark.parametrize("threads", [1, 2, 8])
     def test_chunked_tally_matches_generated_outcomes(self, threads):
         model = catalog()["lhv-uniform"]
         trials = 2 * 65_536 + 100
-        counts = run_chsh_experiment(model, trials, 4, threads=threads, stream_base=10).counts
+        counts = run_chsh_experiment(model, trials, 4, stream_base=10).counts
         for pair_index, pair in enumerate(PAIR_ORDER):
-            outcomes = generate_outcomes(model, pair, 4, 10 + pair_index * trials, trials)
+            start = 10 + pair_index * trials
+            outcomes = generate_outcomes(model, pair, 4, start, trials, threads=threads)
             assert counts[pair] == counts_from_outcomes(outcomes)
 
 
@@ -216,7 +217,7 @@ class TestFusedCounts:
         model = FUSED_MODELS[name]
         for pair_index, pair in enumerate(PAIR_ORDER):
             start, size = 1000 * pair_index, 5000 + pair_index
-            expected = counts_from_outcomes(sample_chunk(model, pair, 21, start, size))
+            expected = counts_from_outcomes(generate_outcomes(model, pair, 21, start, size))
             assert count_chunk(model, pair, 21, ChunkBuffers(), start, size) == expected
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -226,8 +227,8 @@ class TestFusedCounts:
         trials = CHUNK + 300
         for pair_index, pair in enumerate(PAIR_ORDER):
             start = CHUNK - 150 + pair_index * trials
-            outcomes = generate_outcomes(model, pair, 8, start, trials)
-            counts = count_outcomes(model, pair, 8, start, trials, threads)
+            outcomes = generate_outcomes(model, pair, 8, start, trials, threads)
+            counts = count_outcomes(model, pair, 8, start, trials)
             assert counts == counts_from_outcomes(outcomes)
             assert all(type(n) is int for n in vars(counts).values())
 
@@ -394,7 +395,7 @@ class TestNoSignalling:
     def test_marginals_equal_outcome_array_means(self, name):
         model = catalog()[name]
         trials = CHUNK + 4_000
-        report = no_signalling_check(model, trials, seed=5, threads=2)
+        report = no_signalling_check(model, trials, seed=5)
         for pair_index, pair in enumerate(PAIR_ORDER):
             outcomes = generate_outcomes(model, pair, 5, pair_index * trials, trials)
             p_left = float(np.mean(outcomes[:, 0] == 1))

@@ -16,7 +16,7 @@ from bellsim.quantum import (
     make_named_state,
     spin_observable,
 )
-from bellsim.models import quantum_model, run_trial
+from bellsim.models import quantum_model, run_trial, sample_outcomes
 from bellsim.streams import TrialStream
 
 from oracles import kron_expectation, random_state_amplitudes
@@ -194,13 +194,18 @@ class TestSampling:
         )
 
     def test_uniform_million_draws(self):
-        stream = TrialStream(2024, 0)
-        tallies = {o: 0 for o in OUTCOME_ORDER}
+        # The 10**6 successive draws of one stream, one per trial at (a, b),
+        # as run_trial would take them, through the kernel in one batch.
         n = 10**6
-        for _ in range(n):
-            tallies[run_trial(self.UNIFORM, ("a", "b"), stream).outcomes] += 1
+        assert self.UNIFORM._tables.draws == 1
+        u = TrialStream(2024, 0).uniforms(n)[:, None]
+        outcomes, _ = sample_outcomes(self.UNIFORM, 0, u)
+        stream = TrialStream(2024, 0)
+        prefix = [run_trial(self.UNIFORM, ("a", "b"), stream).outcomes for _ in range(20_000)]
+        assert [tuple(row) for row in outcomes[:20_000].tolist()] == prefix
         for outcome in OUTCOME_ORDER:
-            assert abs(tallies[outcome] / n - 0.25) < 0.002
+            tally = np.count_nonzero((outcomes == outcome).all(axis=1))
+            assert abs(tally / n - 0.25) < 0.002
 
     def test_identical_stream_identical_draws(self):
         stream_a = TrialStream(7, 3)

@@ -17,7 +17,6 @@ from typing import Optional
 import pytest
 
 import bellsim
-from bellsim.config import ConfigError, ExperimentConfig
 from bellsim.counterfactual import (
     ClassificationEvidence,
     CounterfactualCell,
@@ -183,21 +182,6 @@ CASES = [
         VERDICT_REPR,
     ),
     (
-        ExperimentConfig,
-        {
-            "model": MODEL,
-            "trials_per_pair": 10,
-            "seed": 0,
-            "sign_pattern": PATTERN,
-            "out_path": None,
-            "out_format": "json",
-            "threads": 1,
-            "exact": False,
-        },
-        f"ExperimentConfig(model={MODEL_REPR}, trials_per_pair=10, seed=0, "
-        "sign_pattern=(1, -1, 1, 1), out_path=None, out_format='json', threads=1, exact=False)",
-    ),
-    (
         OptimizationResult,
         {"angles": (0.0, 1.0, 2.0, 3.0), "s_value": 2.5, "sign_pattern": PATTERN},
         "OptimizationResult(angles=(0.0, 1.0, 2.0, 3.0), s_value=2.5, sign_pattern=(1, -1, 1, 1))",
@@ -277,7 +261,6 @@ INVALID = {
     ModelDescriptor: lambda: ModelDescriptor("quantum", "psi_minus"),
     CorrelationVector: lambda: CorrelationVector(0.5, 0.5, 1.5, 0.5),
     FeasibilityVerdict: lambda: FeasibilityVerdict(True),
-    ExperimentConfig: lambda: ExperimentConfig(MODEL, 0, 0, PATTERN, None, "json", 1, False),
     InterferometerSpec: lambda: InterferometerSpec(reflectivity=1.0),
     CounterfactualCell: lambda: CounterfactualCell("definite"),
     CounterfactualTable: lambda: CounterfactualTable(("a", "b"), (1, 1), {("a", "b"): CELL}),
@@ -310,7 +293,7 @@ def _record_classes():
 
 def test_every_record_class_is_covered():
     assert _record_classes() == {cls for cls, *_ in CASES}
-    assert len(CASES) == 26
+    assert len(CASES) == 25
 
 
 def test_every_post_init_check_is_covered():
@@ -354,11 +337,6 @@ def test_wrong_arguments_raise_type_error(cls, fields, text):
 def test_post_init_still_rejects_bad_input(cls):
     with pytest.raises(ValueError):
         INVALID[cls]()
-
-
-def test_experiment_config_check_raises_config_error():
-    with pytest.raises(ConfigError, match="trials must be at least 1"):
-        INVALID[ExperimentConfig]()
 
 
 @pytest.mark.parametrize("cls,fields,text", CASES, ids=IDS)
