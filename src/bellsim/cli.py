@@ -59,7 +59,12 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--angles", help="four radians: a,a',b,b'")
             p.add_argument("--trials", type=int)
             p.add_argument("--seed", type=int)
-            p.add_argument("--threads", type=int, help="no effect (still must be >= 1)")
+            p.add_argument(
+                "--threads",
+                type=int,
+                help="no effect (still must be >= 1): sampling uses one thread per CPU the "
+                "process may run on (limit with taskset), at most one per 8 chunks",
+            )
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"))
         return p
@@ -230,7 +235,7 @@ def _model_run(args: argparse.Namespace, file_values: dict) -> tuple[ModelDescri
         angles=angles,
     )
     trials = _at_least(args, file_values, "trials", 100_000)
-    _at_least(args, file_values, "threads", 1)  # checked; bellsim samples in one thread
+    _at_least(args, file_values, "threads", 1)  # checked; the affinity mask sets the threads
     return model, trials, resolve_seed(getattr(args, "seed", None), file_values.get("seed"))
 
 

@@ -69,9 +69,8 @@ def run_bomb_trials(spec: InterferometerSpec, trials: int, seed: int) -> dict[st
         raise ValueError(f"trials must be at least 1, got {trials}")
     probs = port_probabilities(spec)
     cdf = np.cumsum([probs[name] for name in OUTCOMES])
-    buffers = ChunkBuffers()
 
-    def tally(start: int, size: int) -> np.ndarray:
+    def tally(buffers: ChunkBuffers, start: int, size: int) -> np.ndarray:
         return threshold_counts(cdf, buffers.uniforms(seed, start, size, 1)[0])
 
     tally_all = np.sum(map_chunks(tally, 0, trials), axis=0)

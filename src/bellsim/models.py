@@ -144,19 +144,42 @@ def _validate_table(
 class _SamplingTables:
     """A model's constants, one row per setting pair in PAIR_ORDER.
 
-    `cdf` rows are inverse-CDF thresholds over hidden indices, `answers` the
-    outcome pair each index gives and `tallies` the one-hot coincidence
-    counter (n_pp, n_pm, n_mp, n_mm) each reachable index adds to; nonlocal
-    models have none of them and keep `conditionals` rows (p_left_plus,
-    c_plus_given_plus, c_plus_given_minus).
+    `cdf` rows are inverse-CDF thresholds over hidden indices and `answers`
+    the outcome pair each index gives. `segments` holds, per pair, the
+    thresholds where the coincidence counter (n_pp, n_pm, n_mp, n_mm) that
+    a uniform adds to changes, ending in +inf, and each segment's counter.
+    nonlocal models have none of them and keep `conditionals` rows
+    (p_left_plus, c_plus_given_plus, c_plus_given_minus).
     """
 
     draws: int
     cdf: Optional[np.ndarray]
     answers: Optional[np.ndarray]
-    tallies: Optional[np.ndarray]
+    segments: Optional[tuple[tuple[np.ndarray, tuple[int, ...]], ...]]
     conditionals: Optional[np.ndarray]
     distributions: Optional[tuple[JointOutcomeDistribution, ...]]  # quantum and nonlocal
+
+
+def _segments(
+    thresholds: Sequence[float], counters: Sequence[int]
+) -> tuple[list[float], list[int]]:
+    """One row's counter segments: (thresholds where the counter changes, counters).
+
+    Hidden index k takes the uniforms in [thresholds[k-1], thresholds[k]),
+    the first from 0 and the last up to 1. An index whose interval is empty
+    is never drawn and is dropped, and neighbours that add to one counter
+    merge, so each threshold kept separates two different counters.
+    """
+    cuts: list[float] = []
+    owners: list[int] = []
+    lower = 0.0
+    for upper, owner in zip([*thresholds, math.inf], counters):
+        if lower < upper and (not owners or owner != owners[-1]):
+            if owners:
+                cuts.append(lower)
+            owners.append(owner)
+        lower = max(lower, upper)
+    return cuts, owners
 
 
 def _build_tables(model: "ModelDescriptor") -> _SamplingTables:
@@ -189,13 +212,25 @@ def _build_tables(model: "ModelDescriptor") -> _SamplingTables:
         conditionals = np.column_stack([p_plus, c_plus, c_minus])
         return _SamplingTables(2, None, None, None, conditionals, dists)
     cdf = np.cumsum(rows, axis=1)
-    # Uniforms lie below 1: thresholds at or above 1 (a suffix of every row)
-    # never count, and dropping them spares skewed mixtures the comparisons.
-    width = int((cdf[:, :-1] < 1.0).any(axis=0).sum()) + 1
+    # The last index a uniform reaches is the row's last with positive
+    # probability, or, sooner, the first whose threshold is at or above 1,
+    # which no uniform reaches. Thresholds from there on never count: as
+    # +inf they send the tail of a row summing to just below 1 to that
+    # index, never to a zero-probability one, and a suffix of them that
+    # every row shares is dropped.
+    n = rows.shape[1]
+    last_positive = n - 1 - np.argmax(rows[:, ::-1] > 0.0, axis=1)
+    full = cdf >= 1.0
+    reach = np.minimum(last_positive, np.where(full.any(axis=1), np.argmax(full, axis=1), n))
+    cdf[np.arange(n) >= reach[:, None]] = np.inf
+    width = int(reach.max()) + 1
     # The counter index of an outcome pair in OUTCOME_ORDER: (1 - left) + (1 - right) / 2.
     counter = (1 - answers[:, :width, 0]) + (1 - answers[:, :width, 1]) // 2
-    tallies = np.eye(4, dtype=np.int64)[counter]
-    return _SamplingTables(1, cdf[:, :width], answers, tallies, None, dists)
+    segments = []
+    for thresholds, counters in zip(cdf[:, : width - 1].tolist(), counter.tolist()):
+        cuts, owners = _segments(thresholds, counters)
+        segments.append((np.array([*cuts, math.inf]), tuple(owners)))
+    return _SamplingTables(1, cdf[:, :width], answers, tuple(segments), None, dists)
 
 
 @record
@@ -451,9 +486,9 @@ def count_chunk(
     """Coincidence counts of the trials with stream ids start..start+size-1.
 
     The same outcomes generate_outcomes gives, counted without a per-trial array:
-    CDF kinds count uniforms per hidden index with threshold_counts and fold
-    the counts through the pair's counter table; nonlocal counts the left
-    outcome and, on each side of it, the right outcome's condition.
+    CDF kinds count the uniforms in each of the pair's counter segments with
+    threshold_counts; nonlocal counts the left outcome and, on each side of
+    it, the right outcome's condition.
     """
     import numpy as np
 
@@ -469,8 +504,11 @@ def count_chunk(
         n_pp = int(np.count_nonzero(left & (u[1] < c_plus)))
         n_mp = int(np.count_nonzero(~left & (u[1] < c_minus)))
         return CoincidenceCounts(n_pp, n_left_plus - n_pp, n_mp, size - n_left_plus - n_mp)
-    per_index = threshold_counts(tables.cdf[pair], u[0])
-    return CoincidenceCounts(*(per_index @ tables.tallies[pair]).tolist())
+    cuts, owners = tables.segments[pair]
+    counts = [0, 0, 0, 0]
+    for owner, n in zip(owners, threshold_counts(cuts, u[0]).tolist()):
+        counts[owner] += n
+    return CoincidenceCounts(*counts)
 
 
 def count_outcomes(
@@ -480,14 +518,13 @@ def count_outcomes(
     stream_start: int,
     count: int,
 ) -> CoincidenceCounts:
-    """counts_from_outcomes(generate_outcomes(...)) in O(chunk) memory."""
-    from .streams import ChunkBuffers, map_chunks
+    """counts_from_outcomes(generate_outcomes(...)) in O(chunk) memory per thread."""
+    from .streams import map_chunks
 
     _pair_index(settings)
     if count < 0:
         raise ValueError("count must be non-negative")
-    counter = functools.partial(count_chunk, model, settings, seed, ChunkBuffers())
-    chunks = map_chunks(counter, stream_start, count)
+    chunks = map_chunks(functools.partial(count_chunk, model, settings, seed), stream_start, count)
     return functools.reduce(CoincidenceCounts.merge, chunks, CoincidenceCounts())
 
 
@@ -506,15 +543,15 @@ def generate_outcomes(
     """
     import numpy as np
 
-    from .streams import batch_uniforms, map_chunks
+    from .streams import map_chunks
 
     pair = _pair_index(settings)  # validates the pair even when count is 0
     if count < 0:
         raise ValueError("count must be non-negative")
 
-    def sample(start: int, size: int) -> np.ndarray:
-        ids = np.arange(start, start + size, dtype=np.uint64)
-        return sample_outcomes(model, pair, batch_uniforms(seed, ids, model._tables.draws))[0]
+    def sample(buffers: ChunkBuffers, start: int, size: int) -> np.ndarray:
+        u = buffers.uniforms(seed, start, size, model._tables.draws).T
+        return sample_outcomes(model, pair, u)[0]
 
     chunks = map_chunks(sample, stream_start, count)
     return np.concatenate(chunks) if chunks else np.empty((0, 2), dtype=np.int8)

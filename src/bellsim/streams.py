@@ -10,11 +10,16 @@ where fmix64 is the SplitMix64 finalizer and GAMMA its odd increment.
 Because any (stream, position) pair is addressable in O(1), a batch of
 uniforms over millions of streams vectorizes with numpy, and any range of
 streams can be generated on its own. Work is cut into fixed CHUNKs of
-stream ids, so run output does not depend on how it is batched.
+stream ids, so run output does not depend on how it is batched, and
+map_chunks spreads the chunks over up to one thread per CPU the process
+may use.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
+import threading
 from typing import Callable
 
 import numpy as np
@@ -27,6 +32,12 @@ _M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
 # Trials per batch: memory grows with CHUNK, never with the trial count.
 CHUNK = 1 << 16
+# GAMMA * i for i < CHUNK: a chunk's pre-mix keys are one add away from it.
+_KEY_STEPS = np.arange(CHUNK, dtype=np.uint64)
+_KEY_STEPS *= np.uint64(_GAMMA)
+# Fewest chunks per worker thread: below this, starting a thread costs more
+# than the chunks it would count.
+_CHUNKS_PER_WORKER = 8
 
 
 def _fmix64(z: int) -> int:
@@ -83,23 +94,25 @@ class TrialStream:
         return np.array([self.uniform() for _ in range(n)])
 
 
-def _mix_uniforms(seed: int, keys: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-    """Write draw j of each stream into out[j], given stream ids + 1 in `keys`.
+def _mix_rows(out: np.ndarray, scratch: np.ndarray) -> None:
+    """Write draw j of each stream into out[j], given its pre-mix key in out[-1].
 
-    `keys` is overwritten and may be out[0]'s memory when there is one draw.
-    Each draw is mixed in its own output row, reinterpreted as uint64, and
-    converted to float there, so no temporary is made.
+    out[-1], read as uint64, holds seed + GAMMA * (stream id + 1) per stream
+    and is mixed into the key there. Each draw is mixed in its own row,
+    reinterpreted as uint64, and converted to float in place, the last row
+    after every other has read the key, so no temporary is made. The 53-bit
+    values convert through an int64 view, which gives the same doubles as
+    uint64 and is cheaper.
     """
+    keys = out[-1].view(np.uint64)
     with np.errstate(over="ignore"):
-        keys *= np.uint64(_GAMMA)
-        keys += np.uint64(int(seed) & _MASK64)
         _fmix64_inplace(keys, scratch)
         for j in range(len(out)):
             h = out[j].view(np.uint64)
             np.add(keys, np.uint64((_GAMMA * (j + 1)) & _MASK64), out=h)
             _fmix64_inplace(h, scratch)
             h >>= np.uint64(11)
-            np.multiply(h, _INV_2_53, out=out[j])
+            np.multiply(h.view(np.int64), _INV_2_53, out=out[j])
 
 
 def batch_uniforms(seed: int, stream_ids: np.ndarray, draws: int) -> np.ndarray:
@@ -112,40 +125,47 @@ def batch_uniforms(seed: int, stream_ids: np.ndarray, draws: int) -> np.ndarray:
     """
     ids = np.asarray(stream_ids, dtype=np.uint64)
     out = np.empty((draws, ids.size), dtype=np.float64)
-    scratch = np.empty(ids.size, dtype=np.uint64)
-    keys = out[0].view(np.uint64) if draws == 1 else np.empty_like(scratch)
+    if draws == 0:
+        return out.T
+    keys = out[-1].view(np.uint64)
     with np.errstate(over="ignore"):
         np.add(ids, np.uint64(1), out=keys)
-    _mix_uniforms(seed, keys, out, scratch)
+        keys *= np.uint64(_GAMMA)
+        keys += np.uint64(int(seed) & _MASK64)
+    _mix_rows(out, np.empty_like(keys))
     return out.T
 
 
 class ChunkBuffers:
-    """Uniform buffers reused from chunk to chunk.
+    """Uniform rows and one scratch array, reused from chunk to chunk.
 
     Allocating a chunk's buffers afresh costs a page fault per 4 KiB page
     on first touch, which takes longer than the arithmetic done in them;
-    one ChunkBuffers touches its set once.
+    one ChunkBuffers touches its set once. A set belongs to one thread.
     """
 
     def __init__(self) -> None:
         self._rows = np.empty((0, 0))
+        self._scratch = np.empty(0, dtype=np.uint64)
 
     def uniforms(self, seed: int, start: int, size: int, draws: int) -> np.ndarray:
         """batch_uniforms(seed, ids start..start+size-1, draws).T, as (draws, size) rows.
 
-        The rows are the buffer itself: they hold until the next call.
+        `size` is at most CHUNK. The rows are the buffer itself: they hold
+        until the next call.
         """
+        if size > len(_KEY_STEPS):
+            raise ValueError(f"a chunk holds at most {len(_KEY_STEPS)} streams, got {size}")
         if self._rows.shape[0] < draws or self._rows.shape[1] < size:
             width = max(size, self._rows.shape[1])
             self._rows = np.empty((max(draws, self._rows.shape[0]), width))
-            self._keys, self._scratch = np.empty((2, width), dtype=np.uint64)
-            self._offsets = np.arange(width, dtype=np.uint64)
+            self._scratch = np.empty(width, dtype=np.uint64)
         out = self._rows[:draws, :size]
-        keys = out[0].view(np.uint64) if draws == 1 else self._keys[:size]
+        # seed + GAMMA * (start + i + 1), stream i of the chunk, in one pass.
+        first = np.uint64((int(seed) + _GAMMA * (start + 1)) & _MASK64)
         with np.errstate(over="ignore"):
-            np.add(self._offsets[:size], np.uint64((start + 1) & _MASK64), out=keys)
-        _mix_uniforms(seed, keys, out, self._scratch[:size])
+            np.add(_KEY_STEPS[:size], first, out=out[-1].view(np.uint64))
+        _mix_rows(out, self._scratch[:size])
         return out
 
 
@@ -178,7 +198,53 @@ def threshold_counts(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return -np.diff(at_least)
 
 
-def map_chunks(fn: Callable[[int, int], object], stream_start: int, count: int) -> list:
-    """fn(first stream id, size) per CHUNK of the ids stream_start..stream_start+count-1."""
+def _workers(chunks: int) -> int:
+    """Threads to count `chunks` chunks on: one per usable CPU, one per 8 chunks."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, chunks // _CHUNKS_PER_WORKER))
+
+
+def map_chunks(
+    fn: Callable[[ChunkBuffers, int, int], object], stream_start: int, count: int
+) -> list:
+    """fn(buffers, first stream id, size) per CHUNK of the ids stream_start..stream_start+count-1.
+
+    Results come back in chunk order. The calling thread and up to
+    _workers(chunks) - 1 more each claim the next unclaimed chunk from one
+    shared counter and store its result at the chunk's index, with a
+    ChunkBuffers of their own; what a chunk gives depends only on its ids,
+    so the result does not depend on how many threads ran. The first
+    exception any thread raises stops every thread and is raised here.
+    """
     stop = stream_start + count
-    return [fn(start, min(CHUNK, stop - start)) for start in range(stream_start, stop, CHUNK)]
+    starts = range(stream_start, stop, CHUNK)
+    results = [None] * len(starts)
+    claims = itertools.count()
+    lock = threading.Lock()
+    failures: list[BaseException] = []
+
+    def work() -> None:
+        buffers = ChunkBuffers()
+        try:
+            while not failures:
+                with lock:
+                    index = next(claims)
+                if index >= len(starts):
+                    return
+                start = starts[index]
+                results[index] = fn(buffers, start, min(CHUNK, stop - start))
+        except BaseException as exc:  # raised again by the calling thread
+            failures.append(exc)
+
+    helpers = [threading.Thread(target=work) for _ in range(_workers(len(starts)) - 1)]
+    for thread in helpers:
+        thread.start()
+    work()
+    for thread in helpers:
+        thread.join()
+    if failures:
+        raise failures[0]
+    return results

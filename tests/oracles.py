@@ -216,13 +216,15 @@ def born_probabilities(state: str, theta_left: float, theta_right: float) -> lis
 
 
 def first_index_above(weights, u: float) -> int:
-    """Inverse CDF: the first index whose running total exceeds u, else the last."""
+    """Inverse CDF: the first index whose running total exceeds u, else the last
+    index of positive weight (a total just below 1 leaves a tail past it)."""
+    last = max(index for index, weight in enumerate(weights) if weight > 0.0)
     total = 0.0
-    for index, weight in enumerate(weights):
+    for index, weight in enumerate(weights[:last]):
         total += weight
         if u < total:
             return index
-    return len(weights) - 1
+    return last
 
 
 def reference_trial(model: dict, settings, seed: int, stream_id: int):

@@ -79,6 +79,31 @@ def test_cli_import_starts_no_blas_threads():
     assert _run_fresh(_THREADS_AFTER_SAMPLING) == "1"
 
 
+_THREADS_AFTER_COUNTING = """
+import contextlib, io, os, threading
+import bellsim.cli
+from bellsim import streams
+observed = []
+real_start = threading.Thread.start
+threading.Thread.start = lambda self: observed.append(self) or real_start(self)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert bellsim.cli.main(["chsh", "--model", "pr-box", "--trials", "1100000"]) == 0
+print(len(observed), streams._workers(17), len(os.listdir("/proc/self/task")))
+"""
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs /proc/self/task and an affinity mask of at least two CPUs",
+)
+def test_counting_threads_end_with_the_run():
+    # 17 chunks per setting pair: each pair starts workers - 1 threads and joins them.
+    started, workers, alive = map(int, _run_fresh(_THREADS_AFTER_COUNTING).split())
+    assert workers >= 2
+    assert started == 4 * (workers - 1)
+    assert alive == 1
+
+
 def test_caller_blas_thread_setting_is_kept():
     program = "import os, bellsim.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
     assert _run_fresh(program, OPENBLAS_NUM_THREADS="2") == "2"

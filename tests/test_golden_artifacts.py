@@ -214,18 +214,28 @@ def artifact_hashes(case: str, workdir: Path, run=main) -> dict[str, str]:
     return {name: hashlib.sha256((workdir / name).read_bytes()).hexdigest() for name in names}
 
 
-def fresh_process(argv: list[str]) -> int:
+# The CLI, run on the lowest CPU of the process's affinity mask only.
+_ON_ONE_CPU = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+assert len(os.sched_getaffinity(0)) == 1
+from bellsim.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def fresh_process(argv: list[str], one_cpu: bool = False) -> int:
     """Exit code of `python -m bellsim.cli *argv` in a new interpreter.
 
     The child starts without this process's OPENBLAS_NUM_THREADS, so it
-    runs the start-up path of a plain shell invocation.
+    runs the start-up path of a plain shell invocation; with `one_cpu` it
+    first pins itself to one CPU.
     """
     source_root = str(Path(sys.modules["bellsim"].__file__).resolve().parent.parent)
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "bellsim.cli", *argv], env=env, capture_output=True
-    ).returncode
+    program = ["-c", _ON_ONE_CPU] if one_cpu else ["-m", "bellsim.cli"]
+    return subprocess.run([sys.executable, *program, *argv], env=env, capture_output=True).returncode
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -246,6 +256,24 @@ COLD_CASES = (
 @pytest.mark.parametrize("case", COLD_CASES)
 def test_artifact_bytes_unchanged_in_fresh_process(case, tmp_path):
     assert artifact_hashes(case, tmp_path, fresh_process) == GOLDEN[case]
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs an affinity mask of at least two CPUs",
+)
+def test_one_cpu_gives_the_bytes_of_every_cpu(tmp_path):
+    # 17 chunks per setting pair: unpinned, each pair is counted on two or more threads.
+    from bellsim import streams
+
+    assert streams._workers(17) >= 2
+    argv = ["chsh", "--model", "nonlocal-optimal", "--trials", "1100000", "--seed", SEED]
+    artifacts = []
+    for one_cpu in (False, True):
+        out = tmp_path / f"one-cpu-{one_cpu}.json"
+        assert fresh_process(argv + ["--out", str(out)], one_cpu) == 0
+        artifacts.append(out.read_bytes())
+    assert artifacts[0] == artifacts[1]
 
 
 def test_every_case_is_pinned():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from bellsim import streams
 
 from bellsim.experiment import run_chsh_experiment
+from bellsim.interferometer import InterferometerSpec, run_bomb_trials
 from bellsim.models import (
     LhvStrategy,
     ModelDescriptor,
@@ -32,6 +33,7 @@ from bellsim.quantum import expectation, joint_probabilities, make_bell_state
 from bellsim.stats import PAIR_ORDER, correlation, counts_from_outcomes
 from bellsim.streams import CHUNK, ChunkBuffers, TrialStream, batch_uniforms, inverse_cdf
 
+import oracles
 from oracles import numpy_pr_box_table, reference_trial
 
 ALL_PLUS = lhv_deterministic_model(0)
@@ -167,11 +169,13 @@ class TestBatchGeneration:
             outcomes, _ = reference_trial(model.to_dict(), pair, seed, 100 + offset)
             assert tuple(int(v) for v in batch[offset]) == outcomes
 
-    def test_thread_count_does_not_change_outcomes(self):
+    def test_thread_count_does_not_change_outcomes(self, monkeypatch):
         model = quantum_model()
-        single = generate_outcomes(model, ("a", "b"), 7, 0, 150_000, threads=1)
-        pooled = generate_outcomes(model, ("a", "b"), 7, 0, 150_000, threads=4)
-        assert np.array_equal(single, pooled)
+        runs = []
+        for workers in (1, 4):
+            monkeypatch.setattr(streams, "_workers", lambda chunks: workers)
+            runs.append(generate_outcomes(model, ("a", "b"), 7, 0, 150_000))
+        assert np.array_equal(*runs)
 
     def test_empty_batch(self):
         assert generate_outcomes(quantum_model(), ("a", "b"), 0, 0, 0).shape == (0, 2)
@@ -188,26 +192,32 @@ class TestBatchGeneration:
 
     # generate_outcomes still takes a thread count, which changes nothing.
     @pytest.mark.parametrize("threads", [1, 2, 8])
-    def test_chunked_tally_matches_generated_outcomes(self, threads):
+    def test_chunked_tally_matches_generated_outcomes(self, threads, monkeypatch):
         model = catalog()["lhv-uniform"]
         trials = 2 * 65_536 + 100
         counts = run_chsh_experiment(model, trials, 4, stream_base=10).counts
+        monkeypatch.setattr(streams, "_workers", lambda chunks: threads)
         for pair_index, pair in enumerate(PAIR_ORDER):
             start = 10 + pair_index * trials
             outcomes = generate_outcomes(model, pair, 4, start, trials, threads=threads)
             assert counts[pair] == counts_from_outcomes(outcomes)
 
 
-# Every catalog model, plus corner cases of the fused counters: a nonlocal
-# model whose left outcome is always +1 (so c_minus is undefined and 0), and
-# an lhv mixture whose first strategy has weight 0 (a tie at threshold 0).
+# Every catalog model (among them lhv-edge, whose 14 zero-weight strategies
+# leave one threshold, and pr-box-soft, whose segments do not merge), plus
+# corner cases of the fused counters: a nonlocal model whose left outcome is
+# always +1 (so c_minus is undefined and 0), an lhv mixture whose first
+# strategy has weight 0 (a tie at threshold 0), and one of ten weights 0.1,
+# whose running total stops just below 1 before six zero weights.
 _LEADING_ZERO = (0.0,) + (0.125,) * 8 + (0.0,) * 7
+_SHORT_TOTAL = (0.1,) * 10 + (0.0,) * 6
 CATALOG_MODELS = catalog()
 FUSED_MODELS = {
     **CATALOG_MODELS,
     "nonlocal-up-up": nonlocal_model("up_up", (0.0, 0.0, 0.0, 0.0)),
     "quantum-up-up": quantum_model("up_up", (0.0, 0.0, 0.0, 0.0)),
     "lhv-leading-zero": lhv_stochastic_model(_LEADING_ZERO),
+    "lhv-short-total": lhv_stochastic_model(_SHORT_TOTAL),
 }
 
 
@@ -220,17 +230,56 @@ class TestFusedCounts:
             expected = counts_from_outcomes(generate_outcomes(model, pair, 21, start, size))
             assert count_chunk(model, pair, 21, ChunkBuffers(), start, size) == expected
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("name", sorted(FUSED_MODELS))
-    def test_counts_across_chunk_boundary(self, name, threads):
+    def test_counts_across_chunk_boundary(self, name, workers, monkeypatch):
         model = FUSED_MODELS[name]
         trials = CHUNK + 300
+        monkeypatch.setattr(streams, "_workers", lambda chunks: workers)
         for pair_index, pair in enumerate(PAIR_ORDER):
             start = CHUNK - 150 + pair_index * trials
-            outcomes = generate_outcomes(model, pair, 8, start, trials, threads)
+            outcomes = generate_outcomes(model, pair, 8, start, trials)
             counts = count_outcomes(model, pair, 8, start, trials)
             assert counts == counts_from_outcomes(outcomes)
             assert all(type(n) is int for n in vars(counts).values())
+
+    def test_worker_count_changes_no_result(self, monkeypatch):
+        # Three chunks and a bit, starting and ending inside a chunk.
+        start, count = CHUNK - 77, 3 * CHUNK + 123
+        spec = InterferometerSpec(reflectivity=0.3, bomb_present=True)
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(streams, "_workers", lambda chunks: workers)
+            runs.append((
+                [count_outcomes(m, ("a'", "b"), 5, start, count) for m in CATALOG_MODELS.values()],
+                generate_outcomes(CATALOG_MODELS["lhv-uniform"], ("a", "b'"), 5, start, count),
+                run_bomb_trials(spec, count, 5),
+            ))
+        for counts, outcomes, frequencies in runs[1:]:
+            assert counts == runs[0][0]
+            assert np.array_equal(outcomes, runs[0][1])
+            assert frequencies == runs[0][2]
+
+    def test_tail_below_one_goes_to_the_last_positive_weight(self, monkeypatch):
+        # The ten weights 0.1 sum to 1 - 2**-53, the largest uniform, which
+        # is therefore at or above the running total of every strategy.
+        model = FUSED_MODELS["lhv-short-total"]
+        u = 1.0 - 2.0**-53
+        assert np.cumsum(_SHORT_TOTAL)[9] <= u
+
+        class Constant:
+            def uniforms(self, seed, start, size, draws):
+                return np.full((draws, size), u)
+
+        monkeypatch.setattr(oracles, "stream_uniforms", lambda seed, stream_id, draws: [u])
+        for pair_index, pair in enumerate(PAIR_ORDER):
+            outcomes, hidden = sample_outcomes(model, pair_index, np.array([[u]]))
+            assert hidden.tolist() == [9]
+            assert tuple(outcomes[0].tolist()) == model.response(9, pair)
+            assert reference_trial(model.to_dict(), pair, 0, 0) == (model.response(9, pair), 9)
+            counts = count_chunk(model, pair, 0, Constant(), 0, 10)
+            expected = counts_from_outcomes(np.repeat(outcomes, 10, axis=0))
+            assert counts == expected and counts.total == 10
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -131,11 +131,11 @@ CASES = [
             "draws": 2,
             "cdf": None,
             "answers": None,
-            "tallies": None,
+            "segments": None,
             "conditionals": None,
             "distributions": None,
         },
-        "_SamplingTables(draws=2, cdf=None, answers=None, tallies=None, conditionals=None, "
+        "_SamplingTables(draws=2, cdf=None, answers=None, segments=None, conditionals=None, "
         "distributions=None)",
     ),
     (

@@ -1,9 +1,16 @@
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellsim import streams
 from bellsim.streams import (
+    CHUNK,
     ChunkBuffers,
     TrialStream,
     batch_uniforms,
@@ -115,3 +122,79 @@ def test_chunk_buffers_match_batch_uniforms_as_they_grow_and_shrink():
         assert rows.shape == (draws, size)
         assert np.array_equal(rows, batch_uniforms(seed, ids, draws).T)
 
+
+def test_chunk_buffers_reject_more_than_a_chunk():
+    with pytest.raises(ValueError, match="at most"):
+        ChunkBuffers().uniforms(1, 0, CHUNK + 1, 1)
+
+
+def _affinity_count():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+@pytest.mark.parametrize("chunks", [0, 1, 7, 8, 15, 16, 17, 24, 1000, 10**9])
+def test_workers_never_exceed_the_cpus_or_one_per_eight_chunks(chunks):
+    assert streams._workers(chunks) == max(1, min(_affinity_count(), chunks // 8))
+
+
+def test_workers_fall_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert [streams._workers(n) for n in (7, 16, 24, 80)] == [1, 2, 3, 3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert streams._workers(80) == 1
+
+
+def _sizes(buffers, start, size):
+    return start, size
+
+
+def test_map_chunks_gives_chunks_in_order_at_any_worker_count(monkeypatch):
+    start, count = CHUNK - 5, 3 * CHUNK + 9
+    expected = [(CHUNK - 5, CHUNK), (2 * CHUNK - 5, CHUNK), (3 * CHUNK - 5, CHUNK),
+                (4 * CHUNK - 5, 9)]
+    for workers in (1, 2, 3, 9):
+        monkeypatch.setattr(streams, "_workers", lambda chunks: workers)
+        assert streams.map_chunks(_sizes, start, count) == expected
+    assert streams.map_chunks(_sizes, 7, 0) == []
+
+
+def test_many_workers_switching_often_run_every_chunk_once(monkeypatch):
+    # More workers than cores, each handing over the interpreter lock every
+    # microsecond: a chunk claimed twice or never shows in the call log.
+    monkeypatch.setattr(streams, "CHUNK", 16)
+    monkeypatch.setattr(streams, "_workers", lambda chunks: 12)
+    calls = []
+
+    def draw(buffers, start, size):
+        calls.append(start)
+        return buffers.uniforms(3, start, size, 2).copy()
+
+    expected = batch_uniforms(3, np.arange(5, 5 + 4000, dtype=np.uint64), 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        started = time.monotonic()
+        for _ in range(3):
+            calls.clear()
+            rows = streams.map_chunks(draw, 5, 4000)
+            assert sorted(calls) == list(range(5, 4005, 16))
+            assert np.array_equal(np.concatenate(rows, axis=1).T, expected)
+    finally:
+        sys.setswitchinterval(interval)
+    assert time.monotonic() - started < 60.0
+    assert threading.active_count() == 1
+
+
+def test_a_worker_failure_is_raised_by_the_caller(monkeypatch):
+    monkeypatch.setattr(streams, "_workers", lambda chunks: 3)
+
+    def fail_on_chunk_five(buffers, start, size):
+        if start == 5 * CHUNK:
+            raise ValueError("chunk five")
+        return size
+
+    with pytest.raises(ValueError, match="chunk five"):
+        streams.map_chunks(fail_on_chunk_five, 0, 40 * CHUNK)
+    assert threading.active_count() == 1
+    assert streams.map_chunks(fail_on_chunk_five, 0, 3 * CHUNK + 1) == [CHUNK] * 3 + [1]
