@@ -54,7 +54,6 @@ _MODULE_EXPORTS: dict[str, tuple[str, ...]] = {
         "pr_box_table",
         "quantum_model",
         "run_trial",
-        "run_trials",
         "superdeterministic_model",
     ),
     "optimize": ("LandscapeGrid", "OptimizationResult", "optimize_angles", "s_landscape"),

@@ -414,7 +414,7 @@ def _cmd_optimize(args: argparse.Namespace, file_values: dict) -> int:
 
 
 def _cmd_counterfactual(args: argparse.Namespace, file_values: dict) -> int:
-    from .counterfactual import MAX_LEDGER_TRIALS, classify_definiteness, ledger_text, record_run
+    from .counterfactual import MAX_LEDGER_TRIALS, classify_definiteness, ledger_blocks, record_run
 
     model, trials, seed = _model_run(args, file_values)
     if trials > MAX_LEDGER_TRIALS:
@@ -427,20 +427,18 @@ def _cmd_counterfactual(args: argparse.Namespace, file_values: dict) -> int:
     # Both artifacts are staged as PATH.tmp, so one path for both would leave the ledger there.
     if out_path and ledger_path and os.path.realpath(out_path) == os.path.realpath(ledger_path):
         raise ConfigError(f"--out and --ledger name the same file {out_path}")
-    schedule = [PAIR_ORDER[i % 4] for i in range(trials)]
-    ledger = record_run(model, schedule, seed)
+    # Loaded once the inputs are checked: a rejected run never loads numpy.
+    import numpy as np
+
+    ledger = record_run(model, np.arange(trials) % 4, seed)
     verdict = classify_definiteness(ledger, trials_for_stats=stats_trials)
     evidence = verdict.evidence
+    witness, facet = evidence.feasibility, evidence.feasibility.violated_facet
     feasibility = {
-        "feasible": evidence.feasibility.feasible,
-        "weights": None
-        if evidence.feasibility.weights is None
-        else [float(w) for w in evidence.feasibility.weights],
-        "violated_facet": None
-        if evidence.feasibility.violated_facet is None
-        else {
-            "sign_pattern": sign_pattern_to_string(evidence.feasibility.violated_facet.sign_pattern),
-            "margin": evidence.feasibility.violated_facet.margin,
+        "feasible": witness.feasible,
+        "weights": None if witness.weights is None else [float(w) for w in witness.weights],
+        "violated_facet": None if facet is None else {
+            "sign_pattern": sign_pattern_to_string(facet.sign_pattern), "margin": facet.margin
         },
     }
     config_echo = {
@@ -460,23 +458,17 @@ def _cmd_counterfactual(args: argparse.Namespace, file_values: dict) -> int:
         "factual_replays_matched": evidence.factual_replays_matched,
     }
     if out_format == "csv":
-        rows = [
-            ("classification", verdict.classification),
-            ("feasible", evidence.feasibility.feasible),
-            ("feasibility_tolerance", evidence.feasibility_tolerance),
-            ("trials_examined", evidence.trials_examined),
-            ("factual_replays_matched", evidence.factual_replays_matched),
-        ]
-        for pair, value in zip(PAIR_ORDER, evidence.correlation_vector.as_tuple()):
-            rows.append((f"e_{pair[0]}{pair[1]}", value))
-        for kind, count in evidence.cell_kinds.items():
-            rows.append((f"cells_{kind}", count))
+        keys = ("feasibility_tolerance", "trials_examined", "factual_replays_matched")
+        rows = [("classification", verdict.classification), ("feasible", witness.feasible)]
+        rows += [(key, results[key]) for key in keys]
+        rows += [(f"e_{x}{y}", value) for (x, y), value in zip(PAIR_ORDER, results["correlations"])]
+        rows += [(f"cells_{kind}", count) for kind, count in evidence.cell_kinds.items()]
         pieces = [_kv_csv(rows)]
     else:
         pieces = _document(config_echo, results)
     artifacts: list[tuple[Optional[str], Iterable[str]]] = [(out_path, pieces)]
     if ledger_path is not None:
-        artifacts.append((ledger_path, [ledger_text(ledger)]))
+        artifacts.append((ledger_path, ledger_blocks(ledger)))
     _write_artifacts(artifacts)
     return 0
 

@@ -23,22 +23,28 @@ well-defined but multi-valued -> "semi-definite"; any undefined cell ->
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence
 
 from ._record import record
 from .experiment import estimate_correlation_vector
-from .models import ModelDescriptor, TrialRecord, run_trials
+from .models import ModelDescriptor, TrialRecord, _pair_index, sample_outcomes
 from .polytope import CorrelationVector, FeasibilityVerdict, local_membership
-from .quantum import JointOutcomeDistribution
+from .quantum import OUTCOME_ORDER, JointOutcomeDistribution
 from .stats import PAIR_ORDER, SettingPair, correlation
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Stats trials use stream ids from _STATS_STREAM_BASE up, and a ledger's
 # trial i uses stream id i below MAX_LEDGER_TRIALS, so the two phases of a
-# run never share a stream. A ledger holds about 0.7 KB per trial in memory,
-# so the cap keeps one within a few hundred MB.
+# run never share a stream. A ledger holds 4 bytes per trial and is sampled
+# and written CHUNK trials at a time, so its text, about 90 bytes per trial,
+# is never held whole; the cap bounds a run's time and disk.
 _STATS_STREAM_BASE = 1 << 32
 MAX_LEDGER_TRIALS = 1 << 19
 assert MAX_LEDGER_TRIALS <= _STATS_STREAM_BASE
@@ -78,11 +84,27 @@ class CounterfactualTable:
             raise ValueError("factual setting pair must map to the factual outcome")
 
 
-@record
+@record(eq=False)
 class TrialLedger:
+    """Recorded trials as arrays; trial i used stream id i.
+
+    `pairs` holds PAIR_ORDER indices and `outcomes` outcome pairs (n, 2),
+    both int8; `hidden` holds int8 hidden indices, or is None where the
+    model exposes none. Ledgers compare by identity.
+    """
+
     seed: int
     model: ModelDescriptor
-    records: tuple[TrialRecord, ...]
+    pairs: np.ndarray
+    outcomes: np.ndarray
+    hidden: Optional[np.ndarray]
+
+    @functools.cached_property
+    def records(self) -> tuple[TrialRecord, ...]:
+        """Every trial as a TrialRecord, built on first access."""
+        hidden = [None] * len(self.pairs) if self.hidden is None else self.hidden.tolist()
+        rows = enumerate(zip(self.pairs.tolist(), self.outcomes.tolist(), hidden))
+        return tuple(TrialRecord(PAIR_ORDER[p], tuple(o), h, i) for i, (p, o, h) in rows)
 
 
 @record
@@ -107,14 +129,33 @@ def _check_ledger_length(trials: int) -> None:
 
 
 def record_run(
-    model: ModelDescriptor, settings_schedule: Sequence[SettingPair], seed: int
+    model: ModelDescriptor, schedule: "Sequence[SettingPair] | np.ndarray", seed: int
 ) -> TrialLedger:
-    """One recorded trial per schedule entry; stream id = entry index."""
-    if len(settings_schedule) == 0:
+    """One recorded trial per schedule entry, a CHUNK at a time; stream id = entry index.
+
+    An entry is a setting pair or, in an integer array, its PAIR_ORDER index.
+    """
+    import numpy as np
+
+    from .streams import map_chunks
+
+    if len(schedule) == 0:
         raise ValueError("settings schedule must be non-empty")
-    _check_ledger_length(len(settings_schedule))
-    records = run_trials(model, settings_schedule, seed)
-    return TrialLedger(seed=int(seed), model=model, records=records)
+    _check_ledger_length(len(schedule))
+    if not isinstance(schedule, np.ndarray):
+        schedule = np.array([_pair_index(settings) for settings in schedule])
+    integers = schedule.ndim == 1 and schedule.dtype.kind in "iu"
+    if not integers or not 0 <= schedule.min() <= schedule.max() <= 3:
+        raise ValueError("pair indices must be one integer in 0..3 per trial")
+    pairs = schedule.astype(np.int8)
+
+    def chunk(buffers, start: int, size: int):
+        u = buffers.uniforms(seed, start, size, model._tables.draws).T
+        return sample_outcomes(model, pairs[start : start + size], u)
+
+    outcomes, hidden = zip(*map_chunks(chunk, 0, len(pairs)))
+    hidden = None if hidden[0] is None else np.concatenate(hidden)
+    return TrialLedger(int(seed), model, pairs, np.concatenate(outcomes), hidden)
 
 
 def _alternative_cell_kind(model: ModelDescriptor) -> str:
@@ -130,17 +171,18 @@ def replay_counterfactual(
     ledger: TrialLedger, trial_index: int, alternative: SettingPair
 ) -> CounterfactualCell:
     """The cell for one alternative setting pair of one recorded trial."""
-    if not 0 <= trial_index < len(ledger.records):
+    if not 0 <= trial_index < len(ledger.pairs):
         raise IndexError(f"trial index {trial_index} out of range")
     if alternative not in PAIR_ORDER:
         raise ValueError(f"alternative must be one of {PAIR_ORDER}, got {alternative!r}")
-    record = ledger.records[trial_index]
-    if alternative == record.settings:
-        return CounterfactualCell(kind="definite", outcome=record.outcomes)
+    if alternative == PAIR_ORDER[ledger.pairs[trial_index]]:
+        outcome = tuple(ledger.outcomes[trial_index].tolist())
+        return CounterfactualCell(kind="definite", outcome=outcome)
     model = ledger.model
     kind = _alternative_cell_kind(model)
     if kind == "definite":
-        return CounterfactualCell(kind=kind, outcome=model.response(record.hidden, alternative))
+        hidden = int(ledger.hidden[trial_index])
+        return CounterfactualCell(kind=kind, outcome=model.response(hidden, alternative))
     if kind == "distribution":
         return CounterfactualCell(kind=kind, distribution=model.distribution(alternative))
     return CounterfactualCell(kind=kind)
@@ -148,15 +190,11 @@ def replay_counterfactual(
 
 def counterfactual_table(ledger: TrialLedger, trial_index: int) -> CounterfactualTable:
     """All four cells of one trial."""
-    record = ledger.records[trial_index]
     cells = {
         pair: replay_counterfactual(ledger, trial_index, pair) for pair in PAIR_ORDER
     }
-    return CounterfactualTable(
-        factual_settings=record.settings,
-        factual_outcome=record.outcomes,
-        cells=cells,
-    )
+    settings = PAIR_ORDER[ledger.pairs[trial_index]]
+    return CounterfactualTable(settings, cells[settings].outcome, cells)
 
 
 def joint_assignment_feasibility(
@@ -182,18 +220,18 @@ def classify_definiteness(
     trials_for_stats fresh trials per setting pair, with the facet slack
     set to five standard deviations of the estimated S.
     """
-    if len(ledger.records) == 0:
+    trials = len(ledger.pairs)
+    if trials == 0:
         raise ValueError("ledger must contain at least one record")
-    _check_ledger_length(len(ledger.records))
+    _check_ledger_length(trials)
     if trials_for_stats < 1:
         raise ValueError("trials_for_stats must be at least 1")
 
     # Each trial has one factual (definite) cell and three alternatives.
-    trials = len(ledger.records)
     cell_kinds = {"definite": trials, "distribution": 0, "undefined": 0}
     cell_kinds[_alternative_cell_kind(ledger.model)] += 3 * trials
-    replayed = run_trials(ledger.model, [r.settings for r in ledger.records], ledger.seed)
-    matched = sum(a.outcomes == b.outcomes for a, b in zip(replayed, ledger.records))
+    replayed = record_run(ledger.model, ledger.pairs, ledger.seed).outcomes
+    matched = int((replayed == ledger.outcomes).all(axis=1).sum())
 
     vector, counts = estimate_correlation_vector(
         ledger.model, trials_for_stats, ledger.seed, stream_base=_STATS_STREAM_BASE
@@ -215,48 +253,54 @@ def classify_definiteness(
         correlation_vector=vector,
         feasibility_tolerance=tolerance,
         cell_kinds=cell_kinds,
-        trials_examined=len(ledger.records),
+        trials_examined=trials,
         factual_replays_matched=matched,
     )
     return DefinitenessVerdict(classification=classification, evidence=evidence)
 
 
+def ledger_blocks(ledger: TrialLedger) -> Iterator[str]:
+    """The ledger text in blocks of at most CHUNK lines.
+
+    Line i is {"index": i, "settings", "outcomes", "hidden", "stream_id": i}
+    in JSON. All but the two i are one of 272 fragments, one per (pair,
+    outcome pair, hidden index or None), joined from the JSON of each value.
+    """
+    from .streams import CHUNK
+
+    dumps = functools.partial(json.dumps, separators=(",", ":"))
+    values = [list(map(dumps, v)) for v in (PAIR_ORDER, OUTCOME_ORDER, (None, *range(16)))]
+    fragments = [
+        f',"settings":{s},"outcomes":{o},"hidden":{h},"stream_id":'
+        for s, o, h in itertools.product(*values)
+    ]
+    for start in range(0, len(ledger.pairs), CHUNK):
+        block = slice(start, start + CHUNK)
+        # Fragment keys: 68 per pair, 17 per outcome pair (its index in OUTCOME_ORDER), hidden + 1.
+        left, right = ledger.outcomes[block].T.astype(int)
+        keys = 68 * ledger.pairs[block].astype(int) + 17 * ((1 - left) + (1 - right) // 2)
+        if ledger.hidden is not None:
+            keys += 1 + ledger.hidden[block]
+        lines = zip(range(start, start + CHUNK), keys.tolist())
+        yield "".join([f'{{"index":{i}{fragments[key]}{i}}}\n' for i, key in lines])
+
+
 def ledger_text(ledger: TrialLedger) -> str:
-    """One JSON object per line: index, settings, outcomes, hidden, stream_id."""
-    lines = []
-    for index, record in enumerate(ledger.records):
-        lines.append(
-            json.dumps(
-                {
-                    "index": index,
-                    "settings": list(record.settings),
-                    "outcomes": list(record.outcomes),
-                    "hidden": record.hidden,
-                    "stream_id": record.stream_id,
-                },
-                separators=(",", ":"),
-            )
-        )
-    return "\n".join(lines) + "\n"
+    """The whole ledger text: the blocks of ledger_blocks, joined."""
+    return "".join(ledger_blocks(ledger))
 
 
 def write_ledger(ledger: TrialLedger, path: "Path | str") -> None:
-    Path(path).write_text(ledger_text(ledger), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(ledger_blocks(ledger))
 
 
 def read_ledger_records(path: "Path | str") -> tuple[TrialRecord, ...]:
     """Parse a ledger file back into trial records (audit path)."""
     records = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        payload = json.loads(line)
-        records.append(
-            TrialRecord(
-                settings=tuple(payload["settings"]),
-                outcomes=tuple(payload["outcomes"]),
-                hidden=payload["hidden"],
-                stream_id=payload["stream_id"],
-            )
-        )
+    with open(path, encoding="utf-8") as handle:
+        for line in filter(str.strip, handle):
+            payload = json.loads(line)
+            settings, outcomes = tuple(payload["settings"]), tuple(payload["outcomes"])
+            records.append(TrialRecord(settings, outcomes, payload["hidden"], payload["stream_id"]))
     return tuple(records)

@@ -457,24 +457,6 @@ def run_trial(
     return TrialRecord(PAIR_ORDER[pair], (left, right), lam, rng_stream.stream_id)
 
 
-def run_trials(
-    model: ModelDescriptor, schedule: Sequence[SettingPair], seed: int
-) -> tuple[TrialRecord, ...]:
-    """run_trial on a fresh TrialStream(seed, i) per schedule entry i."""
-    import numpy as np
-
-    from .streams import batch_uniforms
-
-    pairs = np.array([_pair_index(settings) for settings in schedule], dtype=np.intp)
-    ids = np.arange(len(pairs), dtype=np.uint64)
-    outcomes, hidden = sample_outcomes(model, pairs, batch_uniforms(seed, ids, model._tables.draws))
-    lams = [None] * len(pairs) if hidden is None else hidden.tolist()
-    rows = zip(pairs.tolist(), outcomes.tolist(), lams)
-    return tuple(
-        TrialRecord(PAIR_ORDER[pair], tuple(out), lam, i) for i, (pair, out, lam) in enumerate(rows)
-    )
-
-
 def count_chunk(
     model: ModelDescriptor,
     settings: SettingPair,

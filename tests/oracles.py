@@ -10,6 +10,7 @@ hand-derived closed forms and a scalar per-trial sampler.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -256,3 +257,25 @@ def reference_trial(model: dict, settings, seed: int, stream_id: int):
         return (responses[LABEL_INDEX[x]], responses[LABEL_INDEX[y]]), lam
     k = first_index_above(model["table"][f"{x},{y}"], u)
     return OUTCOMES[k], k
+
+
+def per_record_ledger_text(trials) -> str:
+    """A ledger as written one record at a time: a json.dumps line per trial.
+
+    `trials` yields, in index order, objects with `settings`, `outcomes`,
+    `hidden` and `stream_id` attributes.
+    """
+    return "".join(
+        json.dumps(
+            {
+                "index": index,
+                "settings": list(trial.settings),
+                "outcomes": list(trial.outcomes),
+                "hidden": trial.hidden,
+                "stream_id": trial.stream_id,
+            },
+            separators=(",", ":"),
+        )
+        + "\n"
+        for index, trial in enumerate(trials)
+    )

@@ -580,6 +580,40 @@ def test_failed_write_leaves_no_partial_file(argv, failing, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+# Runs the CLI, then prints the process's peak resident set (VmHWM, in kB).
+# ru_maxrss would not do: Linux carries the spawning process's high-water
+# mark into the child at exec, so the child would report pytest's peak.
+_PEAK_AFTER_RUN = """
+import sys
+import bellsim.cli
+code = bellsim.cli.main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_ledger_at_the_cap_peaks_under_100_mb(tmp_path):
+    from bellsim.counterfactual import MAX_LEDGER_TRIALS
+
+    source_root = str(Path(bellsim.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+    argv = ["counterfactual", "--trials", str(MAX_LEDGER_TRIALS), "--ledger", "l.jsonl",
+            "--out", "r.json"]
+    completed = subprocess.run(
+        [sys.executable, "-c", _PEAK_AFTER_RUN, *argv],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert int(completed.stdout) < 100 * 1024
+    with open(tmp_path / "l.jsonl", "rb") as ledger:
+        assert sum(1 for _ in ledger) == MAX_LEDGER_TRIALS
+
+
 def test_encoding_failure_leaves_no_partial_file(tmp_path):
     out = tmp_path / "r.json"
     pieces = cli._document({"command": "chsh"}, {"value": object()})

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellsim import counterfactual
 from bellsim.counterfactual import (
@@ -10,6 +12,8 @@ from bellsim.counterfactual import (
     classify_definiteness,
     counterfactual_table,
     joint_assignment_feasibility,
+    ledger_blocks,
+    ledger_text,
     read_ledger_records,
     record_run,
     replay_counterfactual,
@@ -17,6 +21,8 @@ from bellsim.counterfactual import (
 )
 from bellsim.experiment import estimate_correlation_vector
 from bellsim.models import (
+    CATALOG,
+    TrialRecord,
     catalog,
     lhv_deterministic_model,
     lhv_stochastic_model,
@@ -28,9 +34,9 @@ from bellsim.models import (
 )
 from bellsim.polytope import CorrelationVector, local_membership
 from bellsim.stats import PAIR_ORDER
-from bellsim.streams import TrialStream
+from bellsim.streams import CHUNK, TrialStream
 
-from oracles import lp_local_membership, reference_trial
+from oracles import lp_local_membership, per_record_ledger_text, reference_trial
 
 SCHEDULE = [PAIR_ORDER[i % 4] for i in range(100)]
 
@@ -60,6 +66,25 @@ class TestRecordRun:
         with pytest.raises(ValueError, match="non-empty"):
             record_run(quantum_model(), [], seed=0)
 
+    def test_pair_indices_record_the_same_trials_as_setting_pairs(self):
+        model = catalog()["lhv-uniform"]
+        by_pairs = record_run(model, SCHEDULE, seed=3)
+        by_indices = record_run(model, np.arange(100) % 4, seed=3)
+        assert by_indices.records == by_pairs.records
+        assert by_indices.pairs.dtype == by_indices.outcomes.dtype == np.int8
+
+    @pytest.mark.parametrize(
+        "indices", [[0, 4], [-1, 2], [0.0, 1.0], [[0, 1]]], ids=["4", "-1", "float", "2-D"]
+    )
+    def test_pair_indices_outside_0_to_3_rejected(self, indices):
+        with pytest.raises(ValueError, match="pair indices"):
+            record_run(quantum_model(), np.array(indices), seed=0)
+
+    def test_records_are_built_once_on_first_access(self):
+        ledger = record_run(quantum_model(), SCHEDULE, seed=3)
+        assert "records" not in vars(ledger)
+        assert ledger.records is ledger.records
+
 
 class _LongSchedule:
     """A schedule that reports a length but holds no entries."""
@@ -79,21 +104,40 @@ class TestLedgerCap:
         assert MAX_LEDGER_TRIALS <= counterfactual._STATS_STREAM_BASE
 
     def test_record_run_rejects_too_many_trials_before_sampling(self, monkeypatch):
-        monkeypatch.setattr(counterfactual, "run_trials", None)  # any call would fail
+        monkeypatch.setattr(counterfactual, "sample_outcomes", None)  # any call would fail
         with pytest.raises(ValueError, match=f"at most {MAX_LEDGER_TRIALS}"):
             record_run(quantum_model(), _LongSchedule(MAX_LEDGER_TRIALS + 1), seed=0)
 
     def test_record_run_takes_the_cap_itself(self, monkeypatch):
-        schedules = []
-        monkeypatch.setattr(counterfactual, "run_trials", lambda m, s, seed: schedules.append(s) or ())
-        record_run(quantum_model(), _LongSchedule(MAX_LEDGER_TRIALS), seed=0)
-        assert len(schedules) == 1 and len(schedules[0]) == MAX_LEDGER_TRIALS
+        sampled = []
+
+        def sample(model, pairs, u):
+            sampled.append(len(pairs))
+            return np.ones((len(pairs), 2), dtype=np.int8), None
+
+        monkeypatch.setattr(counterfactual, "sample_outcomes", sample)
+        ledger = record_run(quantum_model(), np.arange(MAX_LEDGER_TRIALS) % 4, seed=0)
+        assert sum(sampled) == len(ledger.pairs) == len(ledger.outcomes) == MAX_LEDGER_TRIALS
 
     def test_classify_rejects_too_long_ledger_before_replay(self, monkeypatch):
-        monkeypatch.setattr(counterfactual, "run_trials", None)
-        ledger = TrialLedger(seed=0, model=quantum_model(), records=_LongSchedule(MAX_LEDGER_TRIALS + 1))
+        monkeypatch.setattr(counterfactual, "sample_outcomes", None)
+        long = _LongSchedule(MAX_LEDGER_TRIALS + 1)
+        ledger = TrialLedger(seed=0, model=quantum_model(), pairs=long, outcomes=long, hidden=None)
         with pytest.raises(ValueError, match=f"at most {MAX_LEDGER_TRIALS}"):
             classify_definiteness(ledger, trials_for_stats=10)
+
+    def test_table_of_a_capped_ledger_builds_no_record(self, monkeypatch):
+        ledger = record_run(catalog()["lhv-uniform"], np.arange(MAX_LEDGER_TRIALS) % 4, seed=1)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a TrialRecord was built")
+
+        monkeypatch.setattr(TrialRecord, "__init__", refuse)
+        for index in (0, MAX_LEDGER_TRIALS // 2, MAX_LEDGER_TRIALS - 1):
+            table = counterfactual_table(ledger, index)
+            assert table.factual_outcome == tuple(ledger.outcomes[index].tolist())
+            assert all(cell.kind == "definite" for cell in table.cells.values())
+        assert "records" not in vars(ledger)
 
 
 class TestReplay:
@@ -242,9 +286,38 @@ class TestClassification:
 
     def test_empty_ledger_rejected(self):
         ledger = record_run(quantum_model(), [("a", "b")], seed=0)
-        trimmed = type(ledger)(seed=ledger.seed, model=ledger.model, records=())
+        empty = ledger.pairs[:0], ledger.outcomes[:0], None
+        trimmed = type(ledger)(ledger.seed, ledger.model, *empty)
         with pytest.raises(ValueError):
             classify_definiteness(trimmed)
+
+
+class TestLedgerText:
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    @settings(max_examples=15, deadline=None)
+    @given(
+        trials=st.integers(1, 3000),
+        seed=st.integers(0, 2**64 - 1),
+        stride=st.integers(0, 3),
+        offset=st.integers(0, 3),
+    )
+    def test_text_equals_the_per_record_oracle(self, name, trials, seed, stride, offset):
+        model = CATALOG[name]()
+        pairs = ((offset + stride * np.arange(trials)) % 4).tolist()
+        ledger = record_run(model, [PAIR_ORDER[p] for p in pairs], seed)
+        expected = per_record_ledger_text(
+            run_trial(model, PAIR_ORDER[p], TrialStream(seed, i)) for i, p in enumerate(pairs)
+        )
+        assert ledger_text(ledger) == expected
+        verdict = classify_definiteness(ledger, trials_for_stats=10)
+        assert verdict.evidence.factual_replays_matched == trials
+
+    def test_blocks_hold_at_most_a_chunk_of_lines(self):
+        # The sampled trials are checked above; this checks the lines past one block.
+        ledger = record_run(catalog()["pr-box"], np.arange(CHUNK + 3) % 4, seed=2)
+        blocks = list(ledger_blocks(ledger))
+        assert [block.count("\n") for block in blocks] == [CHUNK, 3]
+        assert "".join(blocks) == ledger_text(ledger) == per_record_ledger_text(ledger.records)
 
 
 class TestLedgerFile:

@@ -308,7 +308,7 @@ EXPORTS = {
         "LhvStrategy", "ModelDescriptor", "NoSignallingReport", "SINGLET_OPTIMAL_ANGLES",
         "TrialRecord", "catalog", "count_outcomes", "generate_outcomes",
         "lhv_deterministic_model", "lhv_stochastic_model", "no_signalling_check",
-        "nonlocal_model", "pr_box_table", "quantum_model", "run_trial", "run_trials",
+        "nonlocal_model", "pr_box_table", "quantum_model", "run_trial",
         "superdeterministic_model",
     ],
     "optimize": ["LandscapeGrid", "OptimizationResult", "optimize_angles", "s_landscape"],

@@ -9,7 +9,9 @@ was re-pinned when the witness weights became the closed-form 16-cell
 decomposition: a witness is not unique, and only those weights changed.
 The small cases of every subcommand in both formats, and the diagnostics of
 rejected inputs, were captured before the configuration record was removed
-and the JSON artifacts were streamed.
+and the JSON artifacts were streamed. The 70,000-trial ledger, which spans
+two sampling chunks and two written blocks, was captured while ledgers
+were still built and written one TrialRecord at a time.
 
 To print the hashes the current code produces (for example after a
 deliberate schema change), run `PYTHONPATH=src python tests/test_golden_artifacts.py`.
@@ -70,6 +72,11 @@ def _cases() -> dict[str, tuple[list[str], tuple[str, ...]]]:
         "optimize-pattern": (["optimize", "--state", "psi_plus", "--pattern=-+++"],
                              ("out.json",)),
         "optimize-csv": (["optimize", "--state", "phi_minus", "--format", "csv"], ("out.csv",)),
+        "counterfactual-lhv-uniform-70000": (
+            ["counterfactual", "--model", "lhv-uniform", "--trials", "70000", "--stats-trials",
+             "2000", "--seed", SEED],
+            ("out.json", "ledger.jsonl"),
+        ),
         "counterfactual-csv": (
             ["counterfactual", "--model", "lhv-edge", "--trials", "40", "--stats-trials", "2000",
              "--seed", SEED, "--format", "csv"],
@@ -167,6 +174,10 @@ GOLDEN: dict[str, dict[str, str]] = {
     "counterfactual-lhv-uniform": {
         "out.json": "409c135cc1f761f863346a5f7d9dae66a6b1f4835c9371fcdc9fc3f66b50398f",
         "ledger.jsonl": "59bd9cdcd849787d93359bf6ca0a14dc3633399263c30407112cbd7d8833b1b4",
+    },
+    "counterfactual-lhv-uniform-70000": {
+        "out.json": "a0219d5e86ebc25de960488a2faaaca0239dbf6f656dcecf394562c42b42a45e",
+        "ledger.jsonl": "2ec824f6351cfcbc3a5e65c66cb744be99eb6a08371c9fc433e2f37f9b89ae00",
     },
     "counterfactual-nonlocal-optimal": {
         "out.json": "27f661fd92f89bc9057b9e7d9c621dd502798c6a89c46b3e47c6ea8cea043012",

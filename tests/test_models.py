@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bellsim import streams
 
+from bellsim.counterfactual import record_run
 from bellsim.experiment import run_chsh_experiment
 from bellsim.interferometer import InterferometerSpec, run_bomb_trials
 from bellsim.models import (
@@ -25,7 +26,6 @@ from bellsim.models import (
     pr_box_table,
     quantum_model,
     run_trial,
-    run_trials,
     sample_outcomes,
     superdeterministic_model,
 )
@@ -180,11 +180,12 @@ class TestBatchGeneration:
     def test_empty_batch(self):
         assert generate_outcomes(quantum_model(), ("a", "b"), 0, 0, 0).shape == (0, 2)
 
+    # record_run is the batch form of run_trial: it samples a chunk of trials per call.
     @pytest.mark.parametrize("name", sorted(catalog()))
     def test_run_trials_matches_run_trial(self, name):
         model = catalog()[name]
         schedule = [PAIR_ORDER[(3 * i) % 4] for i in range(40)]
-        batch = run_trials(model, schedule, seed=77)
+        batch = record_run(model, schedule, seed=77).records
         assert batch == tuple(
             run_trial(model, pair, TrialStream(77, i)) for i, pair in enumerate(schedule)
         )
@@ -401,7 +402,7 @@ class TestModelTables:
         monkeypatch.setattr(
             "bellsim.models.joint_probabilities", lambda *a: calls.append(a) or solve(*a)
         )
-        run_trials(model, list(PAIR_ORDER) * 10, seed=1)
+        record_run(model, list(PAIR_ORDER) * 10, seed=1)
         assert len(calls) == 4  # the tables, built on first use
         run_trial(model, ("a", "b'"), TrialStream(1, 0))
         generate_outcomes(model, ("a'", "b"), 1, 0, 1000)

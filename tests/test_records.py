@@ -14,6 +14,7 @@ import re
 import timeit
 from typing import Optional
 
+import numpy as np
 import pytest
 
 import bellsim
@@ -70,7 +71,6 @@ VECTOR = CorrelationVector(0.5, 0.5, 0.5, -0.5)
 VECTOR_REPR = "CorrelationVector(e_ab=0.5, e_abp=0.5, e_apb=0.5, e_apbp=-0.5)"
 CELL = CounterfactualCell("definite", (1, -1), None)
 CELL_REPR = "CounterfactualCell(kind='definite', outcome=(1, -1), distribution=None)"
-RECORD = TrialRecord(("a", "b"), (1, -1), None, 3)
 RECORD_REPR = "TrialRecord(settings=('a', 'b'), outcomes=(1, -1), hidden=None, stream_id=3)"
 EVIDENCE = ClassificationEvidence(VERDICT, VECTOR, 0.125, {"definite": 4}, 4, 4)
 EVIDENCE_REPR = (
@@ -220,8 +220,15 @@ CASES = [
     ),
     (
         TrialLedger,
-        {"seed": 7, "model": MODEL, "records": (RECORD,)},
-        f"TrialLedger(seed=7, model={MODEL_REPR}, records=({RECORD_REPR},))",
+        {
+            "seed": 7,
+            "model": MODEL,
+            "pairs": np.array([0], dtype=np.int8),
+            "outcomes": np.array([[1, -1]], dtype=np.int8),
+            "hidden": None,
+        },
+        f"TrialLedger(seed=7, model={MODEL_REPR}, pairs=array([0], dtype=int8), "
+        "outcomes=array([[ 1, -1]], dtype=int8), hidden=None)",
     ),
     (
         ClassificationEvidence,
@@ -243,8 +250,9 @@ CASES = [
 ]
 IDS = [cls.__name__ for cls, *_ in CASES]
 
-# Classes compared by identity, as their dataclasses were (eq=False).
-IDENTITY_EQUAL = {TwoQubitState, SpinObservable}
+# Classes compared by identity, as their dataclasses were (eq=False), and
+# TrialLedger, whose array fields have no single truth value under ==.
+IDENTITY_EQUAL = {TwoQubitState, SpinObservable, TrialLedger}
 
 # One call per class with a check in __post_init__ that the check rejects.
 INVALID = {
@@ -306,7 +314,9 @@ def test_positional_and_keyword_construction_agree(cls, fields, text):
     by_position = cls(*fields.values())
     assert repr(by_keyword) == repr(by_position) == text
     for name in fields:
-        assert getattr(by_keyword, name) == getattr(by_position, name)
+        # An array field holds the array passed in, where == would compare element by element.
+        keyword_value, positional_value = getattr(by_keyword, name), getattr(by_position, name)
+        assert keyword_value is positional_value or keyword_value == positional_value
     first, *rest = fields
     mixed = cls(fields[first], **{name: fields[name] for name in rest})
     assert repr(mixed) == text
