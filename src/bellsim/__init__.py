@@ -29,7 +29,6 @@ _MODULE_EXPORTS: dict[str, tuple[str, ...]] = {
         "read_ledger_records",
         "record_run",
         "replay_counterfactual",
-        "write_ledger",
     ),
     "experiment": (
         "ChshExperimentResult",

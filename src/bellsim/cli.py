@@ -5,6 +5,11 @@ Artifacts carry {"schema_version", "config", "results"}; wall-clock runtime
 goes to stderr so identical configurations produce byte-identical files.
 Exit codes: 0 success, 2 configuration error, 3 I/O error.
 
+Each handler returns what its subcommand computed: the config echo, the
+results, the CSV rows, then any further artifact as (path, text pieces).
+`main` alone resolves the artifact's path and format, encodes it and writes
+every artifact of the run.
+
 Importing this module sets OPENBLAS_NUM_THREADS to 1 unless it is already
 set, and each subcommand imports the modules it runs when it runs. Only
 sampling loads numpy: `chsh --exact`, `lhv-scan`, `optimize`, `landscape`
@@ -22,11 +27,10 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
 import contextlib
-import io
 import json
 import sys
 import time
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .config import (
     ConfigError,
@@ -44,72 +48,6 @@ if TYPE_CHECKING:
     from .models import ModelDescriptor
 
 _STATE_CHOICES = BELL_KINDS + PRODUCT_KINDS
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="bellsim")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_command(name: str, help: str, model_flags: bool = False) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help)
-        p.add_argument("--config", help="flat key = JSON config file")
-        if model_flags:
-            p.add_argument("--model", help="catalog name, 'quantum', 'nonlocal', or JSON")
-            p.add_argument("--state", choices=_STATE_CHOICES)
-            p.add_argument("--angles", help="four radians: a,a',b,b'")
-            p.add_argument("--trials", type=int)
-            p.add_argument("--seed", type=int)
-            p.add_argument(
-                "--threads",
-                type=int,
-                help="no effect (still must be >= 1): sampling uses one thread per CPU the "
-                "process may run on (limit with taskset), at most one per 8 chunks",
-            )
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("json", "csv"))
-        return p
-
-    p_chsh = add_command("chsh", "run trials for the four setting pairs and estimate S", True)
-    p_chsh.add_argument("--pattern", help="sign pattern such as +-++")
-    p_chsh.add_argument(
-        "--exact",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="skip sampling; compute S from exact expectation values",
-    )
-
-    add_command("lhv-scan", "enumerate all 16 deterministic strategies")
-
-    p_opt = add_command("optimize", "maximize |S| over the four angles")
-    p_opt.add_argument("--state", choices=_STATE_CHOICES)
-    p_opt.add_argument("--pattern")
-    p_opt.add_argument(
-        "--grid", type=int, help="no effect; the optimum is closed form (still must be >= 8)"
-    )
-
-    p_cf = add_command("counterfactual", "record a run, replay it, classify the model", True)
-    p_cf.add_argument("--stats-trials", type=int, dest="stats_trials")
-    p_cf.add_argument("--ledger", help="path for the JSON-lines trial ledger")
-
-    p_bomb = add_command("bomb", "interferometer with an optional absorber")
-    p_bomb.add_argument("--reflectivity", type=float)
-    p_bomb.add_argument("--bomb", action=argparse.BooleanOptionalAction, default=None)
-    p_bomb.add_argument("--phase", type=float)
-    p_bomb.add_argument("--trials", type=int)
-    p_bomb.add_argument("--seed", type=int)
-    p_bomb.add_argument(
-        "--exact",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="skip sampling; report exact probabilities only",
-    )
-
-    p_land = add_command("landscape", "S on a 2-D angle slice, CSV grid")
-    p_land.add_argument("--state", choices=_STATE_CHOICES)
-    p_land.add_argument("--pattern")
-    p_land.add_argument("--fixed", help="two fixed angles, e.g. \"a=0,a'=1.5707963\"")
-    p_land.add_argument("--resolution", type=int)
-    return parser
 
 
 def _check_config_keys(args: argparse.Namespace, file_values: dict) -> None:
@@ -163,13 +101,18 @@ def _at_least(
     return value
 
 
-def _output(args: argparse.Namespace, file_values: dict, default: str) -> tuple[Optional[str], str]:
-    """The artifact's path (None for stdout) and its format, json or csv."""
+class _Output(NamedTuple):
+    path: Optional[str]  # None for stdout
+    format: str  # json or csv
+
+
+def _output(args: argparse.Namespace, file_values: dict, default: str) -> _Output:
+    """Where the artifact goes and in which format."""
     out_path = _setting(args, file_values, "out", str)
     out_format = _setting(args, file_values, "format", str, default)
     if out_format not in ("json", "csv"):
         raise ConfigError(f"format must be json or csv, got {out_format!r}")
-    return out_path, out_format
+    return _Output(out_path, out_format)
 
 
 def _sign_pattern(args: argparse.Namespace, file_values: dict) -> tuple[int, ...]:
@@ -184,19 +127,22 @@ def _document(config: dict, results: dict) -> Iterator[str]:
     yield "\n"
 
 
-def _csv_text(rows: Iterable[Sequence[object]]) -> str:
-    import csv
+def _csv_lines(rows: Iterable[Sequence[object]]) -> Iterator[str]:
+    """CSV text, one piece per row: each field's str, joined by commas.
 
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows(rows)
-    return buffer.getvalue()
+    That is the text csv.writer writes, since no field bellsim writes holds a
+    comma, a quote or a line break: fields are numbers, fixed labels and
+    names from fixed sets. On a landscape grid it is some 20 times faster.
+    """
+    for row in rows:
+        yield ",".join(map(str, row)) + "\n"
 
 
-def _kv_csv(rows: Sequence[tuple[str, object]]) -> str:
-    return _csv_text(
-        [("key", "value")]
-        + [(key, value if isinstance(value, str) else repr(value)) for key, value in rows]
-    )
+def _kv_rows(rows: Sequence[tuple[str, object]]) -> list[tuple[str, object]]:
+    """Key-value CSV rows under a header; a value that is not a string is written as its repr."""
+    return [("key", "value")] + [
+        (key, value if isinstance(value, str) else repr(value)) for key, value in rows
+    ]
 
 
 def _write_artifacts(artifacts: Sequence[tuple[Optional[str], Iterable[str]]]) -> None:
@@ -239,12 +185,14 @@ def _model_run(args: argparse.Namespace, file_values: dict) -> tuple[ModelDescri
     return model, trials, resolve_seed(getattr(args, "seed", None), file_values.get("seed"))
 
 
-def _cmd_chsh(args: argparse.Namespace, file_values: dict) -> int:
+_COUNT_KEYS = ("n_pp", "n_pm", "n_mp", "n_mm")
+
+
+def _cmd_chsh(args: argparse.Namespace, file_values: dict, output: _Output) -> tuple:
     from .experiment import model_exact_correlations, run_chsh_experiment
 
     model, trials, seed = _model_run(args, file_values)
     pattern = _sign_pattern(args, file_values)
-    out_path, out_format = _output(args, file_values, "json")
     exact = _setting(args, file_values, "exact", bool, False)
     config_echo = {
         "command": "chsh",
@@ -253,96 +201,47 @@ def _cmd_chsh(args: argparse.Namespace, file_values: dict) -> int:
         "seed": seed,
         "sign_pattern": sign_pattern_to_string(pattern),
         "exact": exact,
-        "format": out_format,
+        "format": output.format,
     }
+    # What each pair reports: its value, and when sampled its counts and error too.
     if exact:
-        vector = model_exact_correlations(model)
-        values = dict(zip(PAIR_ORDER, vector.as_tuple()))
-        s_value = sum(s * values[pair] for s, pair in zip(pattern, PAIR_ORDER))
-        results = {
-            "exact": True,
-            "pairs": [
-                {"left": x, "right": y, "value": values[(x, y)]} for x, y in PAIR_ORDER
-            ],
-            "s_value": s_value,
-            "s_std_error": 0.0,
-            "bound_class": classify_bound(abs(s_value), 0.0),
-        }
+        values = model_exact_correlations(model).as_tuple()
+        s_value = sum(s * value for s, value in zip(pattern, values))
+        summary = (s_value, 0.0, classify_bound(abs(s_value), 0.0))
+        results: dict = {"exact": True}
+        measured = [{"value": value} for value in values]
     else:
         outcome = run_chsh_experiment(model, trials, seed, pattern)
-        pairs = []
-        for x, y in PAIR_ORDER:
-            counts = outcome.counts[(x, y)]
-            estimate = outcome.result.correlations[(x, y)]
-            pairs.append(
-                {
-                    "left": x,
-                    "right": y,
-                    "counts": {
-                        "n_pp": counts.n_pp,
-                        "n_pm": counts.n_pm,
-                        "n_mp": counts.n_mp,
-                        "n_mm": counts.n_mm,
-                    },
-                    "value": estimate.value,
-                    "std_error": estimate.std_error,
-                }
-            )
-        results = {
-            "exact": False,
-            "trials_per_pair": trials,
-            "pairs": pairs,
-            "s_value": outcome.result.s_value,
-            "s_std_error": outcome.result.s_std_error,
-            "bound_class": outcome.result.bound_class,
-        }
-    pieces = [_chsh_csv(results)] if out_format == "csv" else _document(config_echo, results)
-    _write_artifacts([(out_path, pieces)])
-    return 0
-
-
-def _chsh_csv(results: dict) -> str:
-    rows = [
-        ["section", "left", "right", "n_pp", "n_pm", "n_mp", "n_mm", "value", "std_error", "bound_class"]
-    ]
-    for pair in results["pairs"]:
-        counts = pair.get("counts", {})
-        rows.append(
-            [
-                "correlation",
-                pair["left"],
-                pair["right"],
-                counts.get("n_pp", ""),
-                counts.get("n_pm", ""),
-                counts.get("n_mp", ""),
-                counts.get("n_mm", ""),
-                repr(pair["value"]),
-                repr(pair.get("std_error", 0.0)),
-                "",
-            ]
-        )
-    rows.append(
-        [
-            "s_statistic",
-            "",
-            "",
-            "",
-            "",
-            "",
-            "",
-            repr(results["s_value"]),
-            repr(results["s_std_error"]),
-            results["bound_class"],
+        result = outcome.result
+        summary = (result.s_value, result.s_std_error, result.bound_class)
+        results = {"exact": False, "trials_per_pair": trials}
+        measured = [
+            {
+                "counts": {key: getattr(outcome.counts[pair], key) for key in _COUNT_KEYS},
+                "value": result.correlations[pair].value,
+                "std_error": result.correlations[pair].std_error,
+            }
+            for pair in PAIR_ORDER
         ]
-    )
-    return _csv_text(rows)
+    results["pairs"] = [{"left": x, "right": y, **m} for (x, y), m in zip(PAIR_ORDER, measured)]
+    results.update(zip(("s_value", "s_std_error", "bound_class"), summary))
+    rows = [["section", "left", "right", *_COUNT_KEYS, "value", "std_error", "bound_class"]]
+    no_counts = dict.fromkeys(_COUNT_KEYS, "")
+    for pair in results["pairs"]:
+        counts = pair.get("counts", no_counts).values()
+        estimate = (pair["value"], pair.get("std_error", 0.0))
+        rows.append(["correlation", pair["left"], pair["right"], *counts, *map(repr, estimate), ""])
+    rows.append(["s_statistic", *[""] * 6, repr(summary[0]), repr(summary[1]), summary[2]])
+    return config_echo, results, rows
 
 
-def _cmd_lhv_scan(args: argparse.Namespace, file_values: dict) -> int:
+def _cmd_lhv_scan(args: argparse.Namespace, file_values: dict, output: _Output) -> tuple:
     from .polytope import enumerate_deterministic_strategies, strategy_correlation
 
-    out_path, out_format = _output(args, file_values, "json")
     strategies = []
+    rows = [
+        ["index", "r_a", "r_a'", "r_b", "r_b'", "e_ab", "e_ab'", "e_a'b", "e_a'b'", "best_abs_s"]
+    ]
     best_overall = 0.0
     for strategy in enumerate_deterministic_strategies():
         vector = strategy_correlation(strategy).as_tuple()
@@ -350,42 +249,29 @@ def _cmd_lhv_scan(args: argparse.Namespace, file_values: dict) -> int:
             abs(sum(s * e for s, e in zip(pattern, vector))) for pattern in SIGN_PATTERNS
         )
         best_overall = max(best_overall, best)
+        responses = {**strategy.response_left, **strategy.response_right}
         strategies.append(
             {
                 "index": strategy.index,
-                "responses": {**strategy.response_left, **strategy.response_right},
+                "responses": responses,
                 "correlations": list(vector),
                 "best_abs_s": best,
             }
         )
+        rows.append(
+            [strategy.index, *responses.values()] + [repr(float(e)) for e in (*vector, best)]
+        )
+    rows.append(["max", *[""] * 8, repr(float(best_overall))])
     results = {"strategies": strategies, "max_abs_s": best_overall}
-    config_echo = {"command": "lhv-scan", "format": out_format}
-    if out_format == "csv":
-        rows = [
-            ["index", "r_a", "r_a'", "r_b", "r_b'", "e_ab", "e_ab'", "e_a'b", "e_a'b'", "best_abs_s"]
-        ]
-        for row in strategies:
-            resp = row["responses"]
-            rows.append(
-                [row["index"], resp["a"], resp["a'"], resp["b"], resp["b'"]]
-                + [repr(float(e)) for e in row["correlations"]]
-                + [repr(float(row["best_abs_s"]))]
-            )
-        rows.append(["max", "", "", "", "", "", "", "", "", repr(float(best_overall))])
-        pieces = [_csv_text(rows)]
-    else:
-        pieces = _document(config_echo, results)
-    _write_artifacts([(out_path, pieces)])
-    return 0
+    return {"command": "lhv-scan", "format": output.format}, results, rows
 
 
-def _cmd_optimize(args: argparse.Namespace, file_values: dict) -> int:
+def _cmd_optimize(args: argparse.Namespace, file_values: dict, output: _Output) -> tuple:
     from .optimize import optimize_angles
 
     state_kind = _setting(args, file_values, "state", str, "psi_minus")
     pattern = _sign_pattern(args, file_values)
     _at_least(args, file_values, "grid", 16, 8)  # checked; the optimum is closed form
-    out_path, out_format = _output(args, file_values, "json")
     try:
         state = make_named_state(state_kind)
         result = optimize_angles(state, pattern)
@@ -401,19 +287,13 @@ def _cmd_optimize(args: argparse.Namespace, file_values: dict) -> int:
         "s_value": result.s_value,
         "abs_s": abs(result.s_value),
     }
-    if out_format == "csv":
-        rows = [("state", state_kind)] + [
-            (key, value) for key, value in results.items() if key != "angles"
-        ]
-        rows[1:1] = [(f"angle_{label}", angle) for label, angle in zip(("a", "a'", "b", "b'"), result.angles)]
-        pieces = [_kv_csv(rows)]
-    else:
-        pieces = _document(config_echo, results)
-    _write_artifacts([(out_path, pieces)])
-    return 0
+    labels = ("angle_a", "angle_a'", "angle_b", "angle_b'")
+    rows = [("state", state_kind), *zip(labels, result.angles)]
+    rows += [(key, value) for key, value in results.items() if key != "angles"]
+    return config_echo, results, _kv_rows(rows)
 
 
-def _cmd_counterfactual(args: argparse.Namespace, file_values: dict) -> int:
+def _cmd_counterfactual(args: argparse.Namespace, file_values: dict, output: _Output) -> tuple:
     from .counterfactual import MAX_LEDGER_TRIALS, classify_definiteness, ledger_blocks, record_run
 
     model, trials, seed = _model_run(args, file_values)
@@ -422,9 +302,9 @@ def _cmd_counterfactual(args: argparse.Namespace, file_values: dict) -> int:
             f"counterfactual trials must be at most {MAX_LEDGER_TRIALS}, got {trials}"
         )
     stats_trials = _at_least(args, file_values, "stats_trials", 100_000)
-    out_path, out_format = _output(args, file_values, "json")
     ledger_path = _setting(args, file_values, "ledger", str)
     # Both artifacts are staged as PATH.tmp, so one path for both would leave the ledger there.
+    out_path = output.path
     if out_path and ledger_path and os.path.realpath(out_path) == os.path.realpath(ledger_path):
         raise ConfigError(f"--out and --ledger name the same file {out_path}")
     # Loaded once the inputs are checked: a rejected run never loads numpy.
@@ -457,32 +337,24 @@ def _cmd_counterfactual(args: argparse.Namespace, file_values: dict) -> int:
         "trials_examined": evidence.trials_examined,
         "factual_replays_matched": evidence.factual_replays_matched,
     }
-    if out_format == "csv":
-        keys = ("feasibility_tolerance", "trials_examined", "factual_replays_matched")
-        rows = [("classification", verdict.classification), ("feasible", witness.feasible)]
-        rows += [(key, results[key]) for key in keys]
-        rows += [(f"e_{x}{y}", value) for (x, y), value in zip(PAIR_ORDER, results["correlations"])]
-        rows += [(f"cells_{kind}", count) for kind, count in evidence.cell_kinds.items()]
-        pieces = [_kv_csv(rows)]
-    else:
-        pieces = _document(config_echo, results)
-    artifacts: list[tuple[Optional[str], Iterable[str]]] = [(out_path, pieces)]
-    if ledger_path is not None:
-        artifacts.append((ledger_path, ledger_blocks(ledger)))
-    _write_artifacts(artifacts)
-    return 0
+    keys = ("feasibility_tolerance", "trials_examined", "factual_replays_matched")
+    rows = [("classification", verdict.classification), ("feasible", witness.feasible)]
+    rows += [(key, results[key]) for key in keys]
+    rows += [(f"e_{x}{y}", value) for (x, y), value in zip(PAIR_ORDER, results["correlations"])]
+    rows += [(f"cells_{kind}", count) for kind, count in evidence.cell_kinds.items()]
+    ledger_artifact = [] if ledger_path is None else [(ledger_path, ledger_blocks(ledger))]
+    return config_echo, results, _kv_rows(rows), *ledger_artifact
 
 
-def _cmd_bomb(args: argparse.Namespace, file_values: dict) -> int:
+def _cmd_bomb(args: argparse.Namespace, file_values: dict, output: _Output) -> tuple:
     from .interferometer import InterferometerSpec, OUTCOMES, port_probabilities, run_bomb_trials
 
     reflectivity = _setting(args, file_values, "reflectivity", float, 0.5)
     bomb_present = _setting(args, file_values, "bomb", bool, True)
     phase = _setting(args, file_values, "phase", float, 0.0)
-    trials = _setting(args, file_values, "trials", int, 100_000)
+    trials = _at_least(args, file_values, "trials", 100_000)
     exact = _setting(args, file_values, "exact", bool, False)
     seed = resolve_seed(getattr(args, "seed", None), file_values.get("seed"))
-    out_path, out_format = _output(args, file_values, "json")
     try:
         spec = InterferometerSpec(reflectivity=reflectivity, bomb_present=bomb_present, phase=phase)
         probabilities = port_probabilities(spec)
@@ -499,16 +371,11 @@ def _cmd_bomb(args: argparse.Namespace, file_values: dict) -> int:
         "exact": exact,
     }
     results = {"interferometry": {"probabilities": probabilities, "frequencies": frequencies}}
-    if out_format == "csv":
-        rows = [("outcome", "probability", "frequency")]
-        for name in OUTCOMES:
-            frequency = "" if frequencies is None else repr(frequencies[name])
-            rows.append((name, repr(probabilities[name]), frequency))
-        pieces = [_csv_text(rows)]
-    else:
-        pieces = _document(config_echo, results)
-    _write_artifacts([(out_path, pieces)])
-    return 0
+    rows = [("outcome", "probability", "frequency")]
+    for name in OUTCOMES:
+        frequency = "" if frequencies is None else repr(frequencies[name])
+        rows.append((name, repr(probabilities[name]), frequency))
+    return config_echo, results, rows
 
 
 def _parse_fixed(raw: object) -> dict[str, float]:
@@ -533,59 +400,147 @@ def _parse_fixed(raw: object) -> dict[str, float]:
         raise ConfigError(f"fixed angles must be numbers: {raw!r}") from exc
 
 
-def _cmd_landscape(args: argparse.Namespace, file_values: dict) -> int:
+def _cmd_landscape(args: argparse.Namespace, file_values: dict, output: _Output) -> tuple:
     from .optimize import s_landscape
 
     state_kind = _setting(args, file_values, "state", str, "psi_minus")
     pattern = _sign_pattern(args, file_values)
     fixed_raw = _merged(args, file_values, "fixed", "a=0.0,a'=1.5707963267948966")
     resolution = _setting(args, file_values, "resolution", int, 32)
-    out_path, out_format = _output(args, file_values, "csv")
     fixed = _parse_fixed(fixed_raw)
     try:
         grid = s_landscape(make_named_state(state_kind), fixed, resolution, pattern)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if out_format == "csv":
-        pieces = grid.csv_lines()
-    else:
-        config_echo = {
-            "command": "landscape",
-            "state": state_kind,
-            "sign_pattern": sign_pattern_to_string(pattern),
-            "fixed": fixed,
-            "resolution": resolution,
-        }
-        results = {
-            "row_label": grid.row_label,
-            "col_label": grid.col_label,
-            "row_angles": grid.row_angles,
-            "col_angles": grid.col_angles,
-            "values": grid.values,
-        }
-        pieces = _document(config_echo, results)
-    _write_artifacts([(out_path, pieces)])
-    return 0
+    config_echo = {
+        "command": "landscape",
+        "state": state_kind,
+        "sign_pattern": sign_pattern_to_string(pattern),
+        "fixed": fixed,
+        "resolution": resolution,
+    }
+    results = {
+        "row_label": grid.row_label,
+        "col_label": grid.col_label,
+        "row_angles": grid.row_angles,
+        "col_angles": grid.col_angles,
+        "values": grid.values,
+    }
+    return config_echo, results, grid.csv_rows()
 
 
-_COMMANDS: dict[str, Callable[[argparse.Namespace, dict], int]] = {
-    "chsh": _cmd_chsh,
-    "lhv-scan": _cmd_lhv_scan,
-    "optimize": _cmd_optimize,
-    "counterfactual": _cmd_counterfactual,
-    "bomb": _cmd_bomb,
-    "landscape": _cmd_landscape,
+class _Subcommand(NamedTuple):
+    help: str
+    format: str  # the artifact's default format
+    flags: dict[str, dict]  # flag -> add_argument keywords, besides --config, --out and --format
+    handler: Callable[[argparse.Namespace, dict, _Output], tuple]
+
+
+_BOOL = argparse.BooleanOptionalAction
+_STATE = {"--state": {"choices": _STATE_CHOICES}}
+_PATTERN = {"--pattern": {"help": "sign pattern such as +-++"}}
+_RUN_FLAGS = {
+    "--model": {"help": "catalog name, 'quantum', 'nonlocal', or JSON"},
+    **_STATE,
+    "--angles": {"help": "four radians: a,a',b,b'"},
+    "--trials": {"type": int},
+    "--seed": {"type": int},
+    "--threads": {
+        "type": int,
+        "help": "no effect (still must be >= 1): sampling uses one thread per CPU the "
+        "process may run on (limit with taskset), at most one per 8 chunks",
+    },
+}
+
+_SUBCOMMANDS = {
+    "chsh": _Subcommand(
+        "run trials for the four setting pairs and estimate S",
+        "json",
+        {
+            **_RUN_FLAGS,
+            **_PATTERN,
+            "--exact": {
+                "action": _BOOL,
+                "help": "skip sampling; compute S from exact expectation values",
+            },
+        },
+        _cmd_chsh,
+    ),
+    "lhv-scan": _Subcommand("enumerate all 16 deterministic strategies", "json", {}, _cmd_lhv_scan),
+    "optimize": _Subcommand(
+        "maximize |S| over the four angles",
+        "json",
+        {
+            **_STATE,
+            **_PATTERN,
+            "--grid": {
+                "type": int,
+                "help": "no effect; the optimum is closed form (still must be >= 8)",
+            },
+        },
+        _cmd_optimize,
+    ),
+    "counterfactual": _Subcommand(
+        "record a run, replay it, classify the model",
+        "json",
+        {
+            **_RUN_FLAGS,
+            "--stats-trials": {"type": int},
+            "--ledger": {"help": "path for the JSON-lines trial ledger"},
+        },
+        _cmd_counterfactual,
+    ),
+    "bomb": _Subcommand(
+        "interferometer with an optional absorber",
+        "json",
+        {
+            "--reflectivity": {"type": float},
+            "--bomb": {"action": _BOOL},
+            "--phase": {"type": float},
+            "--trials": {"type": int},
+            "--seed": {"type": int},
+            "--exact": {"action": _BOOL, "help": "skip sampling; report exact probabilities only"},
+        },
+        _cmd_bomb,
+    ),
+    "landscape": _Subcommand(
+        "S on a 2-D angle slice, CSV grid",
+        "csv",
+        {
+            **_STATE,
+            **_PATTERN,
+            "--fixed": {"help": "two fixed angles, e.g. \"a=0,a'=1.5707963\""},
+            "--resolution": {"type": int},
+        },
+        _cmd_landscape,
+    ),
 }
 
 
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="bellsim")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", help="flat key = JSON config file")
+        for flag, options in command.flags.items():
+            p.add_argument(flag, **options)
+        p.add_argument("--out", help="output path (default: stdout)")
+        p.add_argument("--format", choices=("json", "csv"), help=f"default: {command.format}")
+    return parser
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        file_values = parse_config_file(args.config) if getattr(args, "config", None) else {}
+        file_values = parse_config_file(args.config) if args.config else {}
         _check_config_keys(args, file_values)
-        code = _COMMANDS[args.command](args, file_values)
+        command = _SUBCOMMANDS[args.command]
+        output = _output(args, file_values, command.format)
+        config, results, rows, *extra = command.handler(args, file_values, output)
+        pieces = _csv_lines(rows) if output.format == "csv" else _document(config, results)
+        _write_artifacts([(output.path, pieces), *extra])
     except ConfigError as exc:
         print(f"bellsim: configuration error: {exc}", file=sys.stderr)
         return 2
@@ -594,7 +549,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
     runtime_ms = int(round((time.perf_counter() - started) * 1000.0))
     print(f"runtime_ms={runtime_ms}", file=sys.stderr)
-    return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -290,11 +290,6 @@ def ledger_text(ledger: TrialLedger) -> str:
     return "".join(ledger_blocks(ledger))
 
 
-def write_ledger(ledger: TrialLedger, path: "Path | str") -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(ledger_blocks(ledger))
-
-
 def read_ledger_records(path: "Path | str") -> tuple[TrialRecord, ...]:
     """Parse a ledger file back into trial records (audit path)."""
     records = []

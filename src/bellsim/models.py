@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
 
 from ._record import record
@@ -107,8 +108,16 @@ class TrialRecord:
     stream_id: int
 
 
+def _floats(values: object, what: str) -> tuple[float, ...]:
+    """`values` as a tuple of floats; a ValueError naming `what` if they are not numbers."""
+    try:
+        return tuple(float(x) for x in values)  # type: ignore[union-attr]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} must be numbers, got {values!r}") from exc
+
+
 def _validate_weights(weights: Sequence[float]) -> tuple[float, ...]:
-    w = tuple(float(x) for x in weights)
+    w = _floats(weights, "mixture weights")
     if len(w) != 16:
         raise ValueError(f"expected 16 mixture weights, got {len(w)}")
     if any(not math.isfinite(x) or x < 0.0 for x in w):
@@ -125,7 +134,7 @@ def _validate_table(
     for pair in PAIR_ORDER:
         if pair not in table:
             raise ValueError(f"outcome table is missing setting pair {pair}")
-        row = tuple(float(p) for p in table[pair])
+        row = _floats(table[pair], f"table row for {pair}")
         if len(row) != 4:
             raise ValueError(f"table row for {pair} must have 4 probabilities")
         if any(not math.isfinite(p) or p < -1e-15 for p in row):
@@ -250,7 +259,7 @@ class ModelDescriptor:
             if self.state is None or self.angles is None:
                 raise ValueError(f"{self.kind} model requires a state kind and four angles")
             make_named_state(self.state)  # validates the name
-            angles = tuple(float(t) for t in self.angles)
+            angles = _floats(self.angles, "angles")
             if len(angles) != 4 or any(not math.isfinite(t) for t in angles):
                 raise ValueError(f"angles must be four finite radians, got {self.angles!r}")
             object.__setattr__(self, "angles", angles)
@@ -354,7 +363,16 @@ def nonlocal_model(
 
 
 def lhv_deterministic_model(strategy: "LhvStrategy | int") -> ModelDescriptor:
-    index = strategy.index if isinstance(strategy, LhvStrategy) else int(strategy)
+    """The model that always answers with one strategy, given as a strategy or its index.
+
+    An index is an integer, not a bool or a string; a float counts only when it is integral.
+    """
+    index = strategy.index if isinstance(strategy, LhvStrategy) else strategy
+    if isinstance(index, float) and index.is_integer():
+        index = int(index)
+    if isinstance(index, bool) or not hasattr(index, "__index__"):
+        raise ValueError(f"strategy must be an integer, got {strategy!r}")
+    index = operator.index(index)
     if not 0 <= index < 16:
         raise ValueError(f"strategy index must be in 0..15, got {index}")
     weights = tuple(1.0 if i == index else 0.0 for i in range(16))

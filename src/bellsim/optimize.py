@@ -82,20 +82,15 @@ class LandscapeGrid:
     fixed: Mapping[str, float]
     sign_pattern: tuple[int, ...]
 
-    def csv_lines(self) -> Iterator[str]:
-        """The grid as CSV lines: a header of column angles, then one row per row angle.
-
-        No field needs quoting, so joining reprs with commas gives the text
-        csv.writer would.
-        """
-        corner = f"{self.row_label}\\{self.col_label}"
-        yield ",".join([corner, *map(repr, self.col_angles)]) + "\n"
+    def csv_rows(self) -> Iterator[list[str]]:
+        """The grid as CSV rows of reprs: a header of column angles, then one row per row angle."""
+        yield [f"{self.row_label}\\{self.col_label}", *map(repr, self.col_angles)]
         for angle, row in zip(self.row_angles, self.values):
-            yield repr(angle) + "," + ",".join(map(repr, row)) + "\n"
+            yield [repr(angle), *map(repr, row)]
 
     def to_csv(self) -> str:
-        """The CSV text of `csv_lines`."""
-        return "".join(self.csv_lines())
+        """The CSV text of `csv_rows`: no field needs quoting, so commas join each row."""
+        return "".join(",".join(row) + "\n" for row in self.csv_rows())
 
 
 # At 2048 the grid's floats take about 130 MB and its CSV text about 83 MB.

@@ -444,6 +444,56 @@ def test_config_value_of_wrong_type_exits_2(command, line, tmp_path, capsys):
     assert stderr.startswith("bellsim: configuration error: ")
 
 
+_TABLE_ROWS = '"a,b\'": [1, 0, 0, 0], "a\',b": [1, 0, 0, 0], "a\',b\'": [1, 0, 0, 0]'
+
+# JSON models whose values have the wrong type, and the diagnostic each gives.
+MALFORMED_MODELS = [
+    ('{"kind": "lhv_stochastic", "weights": 5}', "mixture weights must be numbers, got 5"),
+    ('{"kind": "quantum", "state": "psi_minus", "angles": 5}', "angles must be numbers, got 5"),
+    (
+        '{"kind": "superdeterministic", "table": {"a,b": null, %s}}' % _TABLE_ROWS,
+        "table row for ('a', 'b') must be numbers, got None",
+    ),
+    (
+        '{"kind": "superdeterministic", "table": {"a,b": 5, %s}}' % _TABLE_ROWS,
+        "table row for ('a', 'b') must be numbers, got 5",
+    ),
+    ('{"kind": "lhv_deterministic", "strategy": [3]}', "strategy must be an integer, got [3]"),
+    # A strategy index follows the rule of integer settings: no bool, no
+    # fraction and no string.
+    ('{"kind": "lhv_deterministic", "strategy": true}', "strategy must be an integer, got True"),
+    ('{"kind": "lhv_deterministic", "strategy": 3.7}', "strategy must be an integer, got 3.7"),
+    ('{"kind": "lhv_deterministic", "strategy": "3"}', "strategy must be an integer, got '3'"),
+]
+
+
+@pytest.mark.parametrize("model,message", MALFORMED_MODELS)
+def test_malformed_model_exits_2_with_one_line(model, message, capsys):
+    code, stdout, stderr = _run(["chsh", "--exact", "--model", model], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"bellsim: configuration error: invalid model: {message}\n"
+
+
+def test_integral_float_strategy_is_that_strategy(capsys):
+    model = '{"kind": "lhv_deterministic", "strategy": %s}'
+    _, from_float, _ = _run(["chsh", "--exact", "--model", model % "3.0"], capsys)
+    _, from_int, _ = _run(["chsh", "--exact", "--model", model % "3"], capsys)
+    assert from_float == from_int
+    assert json.loads(from_int)["config"]["model"] == {"kind": "lhv_deterministic", "strategy": 3}
+
+
+def test_output_settings_are_read_before_the_subcommand_inputs(tmp_path, capsys):
+    # main resolves the artifact's path and format first, so of two bad
+    # inputs a bad format is the one reported.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text('format = "xml"\n')
+    code, stdout, stderr = _run(["chsh", "--config", str(cfg), "--trials", "0"], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "bellsim: configuration error: format must be json or csv, got 'xml'\n"
+
+
 def test_integral_config_values_match_flags(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("trials = 3000.0\nphase = 0\n")
@@ -633,3 +683,89 @@ def test_streamed_document_joins_to_dumps(tmp_path, capsys):
         pieces = list(cli._document(document["config"], document["results"]))
         assert len(pieces) > 2
         assert "".join(pieces) == json.dumps(document, indent=2) + "\n" == text
+
+
+# Every subcommand at a small size; the counterfactual run also writes a ledger.
+SMALL_RUNS = {
+    "chsh": ["chsh", "--trials", "1000"],
+    "lhv-scan": ["lhv-scan"],
+    "optimize": ["optimize"],
+    "counterfactual": ["counterfactual", "--trials", "8", "--stats-trials", "100"],
+    "bomb": ["bomb", "--trials", "1000"],
+    "landscape": ["landscape", "--resolution", "4"],
+}
+
+# A failure while encoding: an OSError exits 3, anything else propagates.
+ENCODING_FAILURES = {"os-error": OSError(errno.EIO, "encoder failed"), "bug": RuntimeError("bug")}
+
+
+def _fails_halfway(encode, failure):
+    """`encode`, changed to yield the first half of its text and then raise `failure`."""
+
+    def failing(*args):
+        text = "".join(encode(*args))
+        assert len(text) > 1
+        yield text[: len(text) // 2]
+        raise failure
+
+    return failing
+
+
+def _run_failing(argv, tmp_path, capsys, failure):
+    """Run `argv` with its artifacts in tmp_path; the exit code, or the exception raised."""
+    argv = argv + ["--out", str(tmp_path / "out")]
+    if argv[0] == "counterfactual":
+        argv += ["--ledger", str(tmp_path / "ledger.jsonl")]
+    if isinstance(failure, OSError):
+        code, stdout, stderr = _run(argv, capsys)
+        assert stdout == ""
+        assert stderr.startswith(f"bellsim: I/O error: [Errno {errno.EIO}] cannot write ")
+        return code
+    with pytest.raises(type(failure)) as exc:
+        main(argv)
+    return exc.value
+
+
+@pytest.mark.parametrize("failure", sorted(ENCODING_FAILURES))
+@pytest.mark.parametrize("out_format", ["json", "csv"])
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_encoding_failure_partway_leaves_no_file(
+    command, out_format, failure, tmp_path, capsys, monkeypatch
+):
+    encoder = {"json": "_document", "csv": "_csv_lines"}[out_format]
+    raised = ENCODING_FAILURES[failure]
+    monkeypatch.setattr(cli, encoder, _fails_halfway(getattr(cli, encoder), raised))
+    argv = SMALL_RUNS[command] + ["--format", out_format]
+    outcome = _run_failing(argv, tmp_path, capsys, raised)
+    assert outcome == (3 if failure == "os-error" else raised)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("failure", sorted(ENCODING_FAILURES))
+@pytest.mark.parametrize("out_format", ["json", "csv"])
+def test_ledger_encoding_failure_partway_leaves_no_file(
+    out_format, failure, tmp_path, capsys, monkeypatch
+):
+    from bellsim import counterfactual
+
+    raised = ENCODING_FAILURES[failure]
+    blocks = _fails_halfway(counterfactual.ledger_blocks, raised)
+    monkeypatch.setattr(counterfactual, "ledger_blocks", blocks)
+    argv = SMALL_RUNS["counterfactual"] + ["--format", out_format]
+    outcome = _run_failing(argv, tmp_path, capsys, raised)
+    assert outcome == (3 if failure == "os-error" else raised)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_csv_text_is_what_csv_writer_writes(command, capsys):
+    # The CLI joins fields with commas, which is right only while no field needs quoting.
+    import csv
+    import io
+
+    assert main(SMALL_RUNS[command] + ["--format", "csv"]) == 0
+    text = capsys.readouterr().out
+    rewritten = io.StringIO()
+    csv.writer(rewritten, lineterminator="\n").writerows(csv.reader(io.StringIO(text)))
+    assert text.count("\n") > 2
+    assert rewritten.getvalue() == text

@@ -17,7 +17,6 @@ from bellsim.counterfactual import (
     read_ledger_records,
     record_run,
     replay_counterfactual,
-    write_ledger,
 )
 from bellsim.experiment import estimate_correlation_vector
 from bellsim.models import (
@@ -324,7 +323,7 @@ class TestLedgerFile:
     def test_round_trip(self, tmp_path):
         ledger = record_run(catalog()["lhv-uniform"], SCHEDULE[:25], seed=17)
         path = tmp_path / "trials.jsonl"
-        write_ledger(ledger, path)
+        path.write_text(ledger_text(ledger), encoding="utf-8")
         records = read_ledger_records(path)
         assert records == ledger.records
 
@@ -333,7 +332,8 @@ class TestLedgerFile:
 
         ledger = record_run(quantum_model(), [("a'", "b")], seed=18)
         path = tmp_path / "trials.jsonl"
-        write_ledger(ledger, path)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(ledger_blocks(ledger))
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 1
         payload = json.loads(lines[0])

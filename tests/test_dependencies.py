@@ -297,7 +297,6 @@ EXPORTS = {
         "CounterfactualCell", "CounterfactualTable", "DefinitenessVerdict", "TrialLedger",
         "classify_definiteness", "counterfactual_table", "joint_assignment_feasibility",
         "ledger_text", "read_ledger_records", "record_run", "replay_counterfactual",
-        "write_ledger",
     ],
     "experiment": [
         "ChshExperimentResult", "estimate_correlation_vector", "model_exact_correlations",

@@ -331,6 +331,15 @@ def test_diagnostic_unchanged(case):
     assert diagnostic(argv) == (code, line)
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_bomb_exact_checks_trials_like_chsh(trials):
+    # Trials are checked before the exact branch, as `chsh --exact` checks them.
+    assert diagnostic(["bomb", "--exact", "--trials", trials]) == (
+        2,
+        f"bellsim: configuration error: trials must be at least 1, got {trials}",
+    )
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for case in sorted(CASES):
