@@ -24,7 +24,6 @@ _MODULE_EXPORTS: dict[str, tuple[str, ...]] = {
         "TrialLedger",
         "classify_definiteness",
         "counterfactual_table",
-        "joint_assignment_feasibility",
         "ledger_text",
         "read_ledger_records",
         "record_run",
@@ -32,7 +31,6 @@ _MODULE_EXPORTS: dict[str, tuple[str, ...]] = {
     ),
     "experiment": (
         "ChshExperimentResult",
-        "estimate_correlation_vector",
         "model_exact_correlations",
         "run_chsh_experiment",
     ),
@@ -62,7 +60,6 @@ _MODULE_EXPORTS: dict[str, tuple[str, ...]] = {
         "ViolatedFacet",
         "enumerate_deterministic_strategies",
         "local_membership",
-        "max_classical_s",
         "strategy_correlation",
         "vertex_matrix",
     ),
@@ -75,7 +72,6 @@ _MODULE_EXPORTS: dict[str, tuple[str, ...]] = {
         "correlation_matrix",
         "expectation",
         "joint_probabilities",
-        "make_bell_state",
         "make_named_state",
         "spin_observable",
     ),
@@ -87,7 +83,6 @@ _MODULE_EXPORTS: dict[str, tuple[str, ...]] = {
         "PAIR_ORDER",
         "SIGN_PATTERNS",
         "TSIRELSON_BOUND",
-        "accumulate",
         "chsh_s",
         "correlation",
         "correlation_fraction",

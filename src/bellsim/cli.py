@@ -41,13 +41,11 @@ from .config import (
     sign_pattern_from_string,
     sign_pattern_to_string,
 )
-from .quantum import BELL_KINDS, PRODUCT_KINDS, make_named_state
+from .quantum import STATE_KINDS, make_named_state
 from .stats import DEFAULT_SIGN_PATTERN, PAIR_ORDER, SIGN_PATTERNS, classify_bound
 
 if TYPE_CHECKING:
     from .models import ModelDescriptor
-
-_STATE_CHOICES = BELL_KINDS + PRODUCT_KINDS
 
 
 def _check_config_keys(args: argparse.Namespace, file_values: dict) -> None:
@@ -106,9 +104,17 @@ class _Output(NamedTuple):
     format: str  # json or csv
 
 
+def _artifact_path(args: argparse.Namespace, file_values: dict, key: str) -> Optional[str]:
+    """The path for --out or --ledger, if any: never empty, never a directory."""
+    path = _setting(args, file_values, key, str)
+    if path is not None and (path == "" or os.path.isdir(path)):
+        raise ConfigError(f"--{key} {path!r} is empty or a directory; it must name a file")
+    return path
+
+
 def _output(args: argparse.Namespace, file_values: dict, default: str) -> _Output:
     """Where the artifact goes and in which format."""
-    out_path = _setting(args, file_values, "out", str)
+    out_path = _artifact_path(args, file_values, "out")
     out_format = _setting(args, file_values, "format", str, default)
     if out_format not in ("json", "csv"):
         raise ConfigError(f"format must be json or csv, got {out_format!r}")
@@ -302,7 +308,7 @@ def _cmd_counterfactual(args: argparse.Namespace, file_values: dict, output: _Ou
             f"counterfactual trials must be at most {MAX_LEDGER_TRIALS}, got {trials}"
         )
     stats_trials = _at_least(args, file_values, "stats_trials", 100_000)
-    ledger_path = _setting(args, file_values, "ledger", str)
+    ledger_path = _artifact_path(args, file_values, "ledger")
     # Both artifacts are staged as PATH.tmp, so one path for both would leave the ledger there.
     out_path = output.path
     if out_path and ledger_path and os.path.realpath(out_path) == os.path.realpath(ledger_path):
@@ -381,6 +387,8 @@ def _cmd_bomb(args: argparse.Namespace, file_values: dict, output: _Output) -> t
 def _parse_fixed(raw: object) -> dict[str, float]:
     if isinstance(raw, dict):
         items = list(raw.items())
+        if any(isinstance(value, (bool, str)) for _, value in items):
+            raise ConfigError(f"fixed angles must be numbers: {raw!r}")
     elif isinstance(raw, str):
         items = []
         for segment in raw.split(","):
@@ -437,7 +445,7 @@ class _Subcommand(NamedTuple):
 
 
 _BOOL = argparse.BooleanOptionalAction
-_STATE = {"--state": {"choices": _STATE_CHOICES}}
+_STATE = {"--state": {"choices": STATE_KINDS}}
 _PATTERN = {"--pattern": {"help": "sign pattern such as +-++"}}
 _RUN_FLAGS = {
     "--model": {"help": "catalog name, 'quantum', 'nonlocal', or JSON"},

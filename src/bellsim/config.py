@@ -60,9 +60,14 @@ def sign_pattern_to_string(pattern: tuple[int, ...]) -> str:
 
 
 def parse_angles(value: object) -> tuple[float, float, float, float]:
-    """Angles from a CSV string ('0,1.57,0.78,2.35') or a JSON list."""
+    """Angles from a CSV string ('0,1.57,0.78,2.35') or a JSON list of numbers."""
     try:
-        parts = value.split(",") if isinstance(value, str) else list(value)  # type: ignore
+        if isinstance(value, str):
+            parts = value.split(",")
+        else:
+            parts = list(value)  # type: ignore[call-overload]
+            if any(isinstance(p, (bool, str)) for p in parts):
+                raise TypeError("a bool or a string is not a number")
         angles = tuple(float(p) for p in parts)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"angles must be four numbers, got {value!r}") from exc

@@ -26,16 +26,15 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import math
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence
 
 from ._record import record
-from .experiment import estimate_correlation_vector
+from .experiment import run_chsh_experiment
 from .models import ModelDescriptor, TrialRecord, _pair_index, sample_outcomes
 from .polytope import CorrelationVector, FeasibilityVerdict, local_membership
 from .quantum import OUTCOME_ORDER, JointOutcomeDistribution
-from .stats import PAIR_ORDER, SettingPair, correlation
+from .stats import PAIR_ORDER, SettingPair
 
 if TYPE_CHECKING:
     import numpy as np
@@ -197,28 +196,18 @@ def counterfactual_table(ledger: TrialLedger, trial_index: int) -> Counterfactua
     return CounterfactualTable(settings, cells[settings].outcome, cells)
 
 
-def joint_assignment_feasibility(
-    vector: CorrelationVector, tolerance: float = 1e-9
-) -> FeasibilityVerdict:
-    """Whether one distribution over joint (a, a', b, b') assignments fits.
-
-    A single assignment of outcomes to all four settings exists exactly
-    when the correlations sit inside the local polytope, so this shares the
-    facet implementation with local_membership.
-    """
-    return local_membership(vector, facet_tolerance=tolerance)
-
-
 def classify_definiteness(
     ledger: TrialLedger, trials_for_stats: int = 100_000
 ) -> DefinitenessVerdict:
     """Classify the ledger's model as definite, semi-definite or indefinite.
 
     Cell counts follow from the ledger length and the model kind, and
-    every recorded trial is replayed at its factual settings. The
-    joint-assignment check runs on correlations estimated from
-    trials_for_stats fresh trials per setting pair, with the facet slack
-    set to five standard deviations of the estimated S.
+    every recorded trial is replayed at its factual settings. One
+    distribution over joint (a, a', b, b') assignments reproduces the
+    correlations exactly when they sit inside the local polytope (Fine,
+    PRL 48, 291 (1982)), so the joint-assignment check is local_membership
+    on correlations estimated from trials_for_stats fresh trials per
+    setting pair, with the facet slack set to five standard errors of S.
     """
     trials = len(ledger.pairs)
     if trials == 0:
@@ -233,14 +222,12 @@ def classify_definiteness(
     replayed = record_run(ledger.model, ledger.pairs, ledger.seed).outcomes
     matched = int((replayed == ledger.outcomes).all(axis=1).sum())
 
-    vector, counts = estimate_correlation_vector(
+    stats = run_chsh_experiment(
         ledger.model, trials_for_stats, ledger.seed, stream_base=_STATS_STREAM_BASE
-    )
-    sigma_s = math.sqrt(
-        sum(correlation(counts[pair]).std_error ** 2 for pair in PAIR_ORDER)
-    )
-    tolerance = 5.0 * sigma_s
-    feasibility = joint_assignment_feasibility(vector, tolerance=tolerance)
+    ).result
+    vector = CorrelationVector(*(stats.correlations[pair].value for pair in PAIR_ORDER))
+    tolerance = 5.0 * stats.s_std_error
+    feasibility = local_membership(vector, facet_tolerance=tolerance)
 
     if cell_kinds["undefined"] > 0:
         classification = "indefinite"

@@ -2,8 +2,10 @@
 
 Stream ids are allocated per setting pair in canonical PAIR_ORDER: pair i
 of a run owns ids [base + i*N, base + (i+1)*N), so every trial's stream is
-fixed by the configuration alone. Sampled runs never load the polytope
-module.
+fixed by the configuration alone. run_chsh_experiment is the one place
+that lays them out; `chsh`, the counterfactual verdict's statistics and the
+no-signalling check all sample through it. Sampled runs never load the
+polytope module.
 """
 
 from __future__ import annotations
@@ -52,22 +54,6 @@ def run_chsh_experiment(
     }
     estimates = {pair: correlation(counts[pair]) for pair in PAIR_ORDER}
     return ChshExperimentResult(counts=counts, result=chsh_s(estimates, sign_pattern))
-
-
-def estimate_correlation_vector(
-    model: ModelDescriptor,
-    trials_per_pair: int,
-    seed: int,
-    stream_base: int = 0,
-) -> tuple[CorrelationVector, Mapping[SettingPair, CoincidenceCounts]]:
-    """Empirical correlation vector over the four setting pairs."""
-    from .polytope import CorrelationVector
-
-    outcome = run_chsh_experiment(
-        model, trials_per_pair, seed, DEFAULT_SIGN_PATTERN, stream_base=stream_base
-    )
-    values = [outcome.result.correlations[pair].value for pair in PAIR_ORDER]
-    return CorrelationVector(*values), outcome.counts
 
 
 def model_exact_correlations(model: ModelDescriptor) -> CorrelationVector:

@@ -109,8 +109,13 @@ class TrialRecord:
 
 
 def _floats(values: object, what: str) -> tuple[float, ...]:
-    """`values` as a tuple of floats; a ValueError naming `what` if they are not numbers."""
+    """`values` as a tuple of floats; a ValueError naming `what` if they are not numbers.
+
+    A bool or a string is never taken for a number, nor a string for numbers.
+    """
     try:
+        if isinstance(values, str) or any(isinstance(x, (bool, str)) for x in values):
+            raise TypeError("a bool or a string is not a number")
         return tuple(float(x) for x in values)  # type: ignore[union-attr]
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{what} must be numbers, got {values!r}") from exc
@@ -593,14 +598,13 @@ def no_signalling_check(
     pair, which is signalling at the hidden-variable level even when the
     measured marginals are balanced.
     """
+    from .experiment import run_chsh_experiment
+
     if trials_per_cell < 10_000:
         raise ValueError("trials_per_cell must be at least 10000")
-    p_left: dict[SettingPair, float] = {}
-    p_right: dict[SettingPair, float] = {}
-    for pair_index, pair in enumerate(PAIR_ORDER):
-        counts = count_outcomes(model, pair, seed, pair_index * trials_per_cell, trials_per_cell)
-        p_left[pair] = (counts.n_pp + counts.n_pm) / trials_per_cell
-        p_right[pair] = (counts.n_pp + counts.n_mp) / trials_per_cell
+    counts = run_chsh_experiment(model, trials_per_cell, seed).counts
+    p_left = {pair: (c.n_pp + c.n_pm) / trials_per_cell for pair, c in counts.items()}
+    p_right = {pair: (c.n_pp + c.n_mp) / trials_per_cell for pair, c in counts.items()}
 
     def compare(side: str, label: str, p1: float, p2: float) -> MarginalComparison:
         pooled = 0.5 * (p1 + p2)

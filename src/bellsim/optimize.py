@@ -88,10 +88,6 @@ class LandscapeGrid:
         for angle, row in zip(self.row_angles, self.values):
             yield [repr(angle), *map(repr, row)]
 
-    def to_csv(self) -> str:
-        """The CSV text of `csv_rows`: no field needs quoting, so commas join each row."""
-        return "".join(",".join(row) + "\n" for row in self.csv_rows())
-
 
 # At 2048 the grid's floats take about 130 MB and its CSV text about 83 MB.
 MAX_RESOLUTION = 2048

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Optional
 
 from ._record import record
 from .models import LhvStrategy
-from .stats import PAIR_ORDER, SIGN_PATTERNS, validate_sign_pattern
+from .stats import PAIR_ORDER, SIGN_PATTERNS
 
 if TYPE_CHECKING:
     import numpy as np
@@ -93,15 +93,6 @@ def vertex_matrix() -> np.ndarray:
 
     rows = [strategy_correlation(s).as_tuple() for s in enumerate_deterministic_strategies()]
     return np.array(rows, dtype=float)
-
-
-def max_classical_s(sign_pattern) -> float:
-    """Maximum signed sum over the 16 deterministic strategies (always 2)."""
-    import numpy as np
-
-    pattern = validate_sign_pattern(sign_pattern)
-    vertices = vertex_matrix()
-    return float(np.max(vertices @ np.array(pattern, dtype=float)))
 
 
 def facet_margin(vector: CorrelationVector) -> tuple[float, tuple[int, ...]]:

@@ -24,8 +24,20 @@ TAU = 2.0 * math.pi
 # Fixed outcome ordering used by sampling and by every serialized artifact.
 OUTCOME_ORDER: tuple[tuple[int, int], ...] = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
-BELL_KINDS = ("psi_plus", "psi_minus", "phi_plus", "phi_minus")
-PRODUCT_KINDS = ("up_up", "up_down", "down_up", "down_down")
+_S = 1.0 / math.sqrt(2.0)
+# Amplitudes over (uu, ud, du, dd): the four maximally entangled states, then
+# the separable basis states.
+_NAMED_STATES: dict[str, tuple[float, float, float, float]] = {
+    "psi_plus": (0.0, _S, _S, 0.0),  # (ud + du)/sqrt(2)
+    "psi_minus": (0.0, _S, -_S, 0.0),  # (ud - du)/sqrt(2)
+    "phi_plus": (_S, 0.0, 0.0, _S),  # (uu + dd)/sqrt(2)
+    "phi_minus": (_S, 0.0, 0.0, -_S),  # (uu - dd)/sqrt(2)
+    "up_up": (1.0, 0.0, 0.0, 0.0),
+    "up_down": (0.0, 1.0, 0.0, 0.0),
+    "down_up": (0.0, 0.0, 1.0, 0.0),
+    "down_down": (0.0, 0.0, 0.0, 1.0),
+}
+STATE_KINDS = tuple(_NAMED_STATES)
 
 _NORM_TOLERANCE = 1e-9
 _CLAMP_FLOOR = -1e-15
@@ -123,39 +135,12 @@ class JointOutcomeDistribution:
 
         return np.array([self.probabilities[o] for o in OUTCOME_ORDER])
 
-    def signed_expectation(self) -> float:
-        """Sum of (left * right) * probability over the four outcomes."""
-        return float(sum(o[0] * o[1] * p for o, p in self.probabilities.items()))
-
-
-def make_bell_state(kind: str) -> TwoQubitState:
-    """Return one of the four named maximally entangled states.
-
-    psi_plus  = (ud + du)/sqrt(2)      psi_minus = (ud - du)/sqrt(2)
-    phi_plus  = (uu + dd)/sqrt(2)      phi_minus = (uu - dd)/sqrt(2)
-    """
-    s = 1.0 / math.sqrt(2.0)
-    table = {
-        "psi_plus": (0.0, s, s, 0.0),
-        "psi_minus": (0.0, s, -s, 0.0),
-        "phi_plus": (s, 0.0, 0.0, s),
-        "phi_minus": (s, 0.0, 0.0, -s),
-    }
-    if kind not in table:
-        raise ValueError(f"unknown Bell state kind {kind!r}; expected one of {BELL_KINDS}")
-    return TwoQubitState(table[kind])
-
 
 def make_named_state(kind: str) -> TwoQubitState:
     """Resolve a state by name: the Bell kinds plus the separable basis kinds."""
-    if kind in BELL_KINDS:
-        return make_bell_state(kind)
-    if kind in PRODUCT_KINDS:
-        index = PRODUCT_KINDS.index(kind)
-        return TwoQubitState(tuple(1.0 if i == index else 0.0 for i in range(4)))
-    raise ValueError(
-        f"unknown state kind {kind!r}; expected one of {BELL_KINDS + PRODUCT_KINDS}"
-    )
+    if kind not in _NAMED_STATES:
+        raise ValueError(f"unknown state kind {kind!r}; expected one of {STATE_KINDS}")
+    return TwoQubitState(_NAMED_STATES[kind])
 
 
 def spin_observable(setting: "MeasurementSetting | float") -> SpinObservable:

@@ -80,20 +80,6 @@ class CoincidenceCounts:
         )
 
 
-def accumulate(counts: CoincidenceCounts, outcome: tuple[int, int]) -> CoincidenceCounts:
-    """Return counts with the counter keyed by (left sign, right sign) incremented."""
-    left, right = outcome
-    if left == 1 and right == 1:
-        return CoincidenceCounts(counts.n_pp + 1, counts.n_pm, counts.n_mp, counts.n_mm)
-    if left == 1 and right == -1:
-        return CoincidenceCounts(counts.n_pp, counts.n_pm + 1, counts.n_mp, counts.n_mm)
-    if left == -1 and right == 1:
-        return CoincidenceCounts(counts.n_pp, counts.n_pm, counts.n_mp + 1, counts.n_mm)
-    if left == -1 and right == -1:
-        return CoincidenceCounts(counts.n_pp, counts.n_pm, counts.n_mp, counts.n_mm + 1)
-    raise ValueError(f"outcome must be a pair of +-1, got {outcome!r}")
-
-
 def counts_from_outcomes(outcomes: np.ndarray) -> CoincidenceCounts:
     """Tally an (N, 2) array of +-1 outcome pairs in one pass."""
     import numpy as np

@@ -35,7 +35,7 @@ from bellsim.polytope import (
     local_membership,
     strategy_correlation,
 )
-from bellsim.quantum import TwoQubitState, make_bell_state
+from bellsim.quantum import TwoQubitState, make_named_state
 from bellsim.stats import (
     CoincidenceCounts,
     SIGN_PATTERNS,
@@ -79,7 +79,7 @@ def test_criterion_02_tsirelson_bound():
     with criterion(2, "Tsirelson bound: optimizer reaches 2*sqrt(2); no draw exceeds it"):
         started = time.perf_counter()
         for kind in ("psi_minus", "psi_plus"):
-            result = optimize_angles(make_bell_state(kind))
+            result = optimize_angles(make_named_state(kind))
             assert abs(abs(result.s_value) - 2.8284271) <= 1e-6, kind
         rng = np.random.default_rng(20240)
         for _ in range(10_000):
@@ -148,7 +148,7 @@ def test_criterion_07_polytope_oracle_equivalence():
 def _violating_quantum_angles(rng: np.random.Generator) -> tuple[float, ...]:
     while True:
         angles = tuple(float(t) for t in rng.uniform(0.0, 2.0 * math.pi, 4))
-        if abs(exact_chsh_s(make_bell_state("psi_minus"), angles)) > 2.2:
+        if abs(exact_chsh_s(make_named_state("psi_minus"), angles)) > 2.2:
             return angles
 
 

@@ -428,6 +428,12 @@ WRONG_TYPES = [
     ("landscape", 'resolution = "8"'),
     ("landscape", "resolution = false"),
     ("landscape", 'fixed = {"a": [1], "a\'": 0}'),
+    # A bool or a string is no number in a list or a mapping either.
+    ("chsh", "angles = [true, 0, 0, 0]"),
+    ("counterfactual", 'angles = ["0", 1, 2, 3]'),
+    ("landscape", 'fixed = {"a": true, "a\'": "1.5"}'),
+    ("landscape", 'fixed = {"a": true, "a\'": 1.5}'),
+    ("landscape", 'fixed = {"a": 0, "a\'": "1.5"}'),
     ("landscape", "format = 1"),
     ("bomb", 'format = "xml"'),
     ("optimize", 'format = "xml"'),
@@ -459,6 +465,24 @@ MALFORMED_MODELS = [
         "table row for ('a', 'b') must be numbers, got 5",
     ),
     ('{"kind": "lhv_deterministic", "strategy": [3]}', "strategy must be an integer, got [3]"),
+    # Numbers follow the same rule: no bool and no string, and a string is
+    # not a sequence of numbers.
+    (
+        '{"kind": "quantum", "state": "psi_minus", "angles": "0123"}',
+        "angles must be numbers, got '0123'",
+    ),
+    (
+        '{"kind": "lhv_stochastic", "weights": [true, "0"%s]}' % (", 0" * 14),
+        "mixture weights must be numbers, got [True, '0'%s]" % (", 0" * 14),
+    ),
+    (
+        '{"kind": "lhv_stochastic", "weights": ["1"%s]}' % (", 0" * 15),
+        "mixture weights must be numbers, got ['1'%s]" % (", 0" * 15),
+    ),
+    (
+        '{"kind": "superdeterministic", "table": {"a,b": "1000", %s}}' % _TABLE_ROWS,
+        "table row for ('a', 'b') must be numbers, got '1000'",
+    ),
     # A strategy index follows the rule of integer settings: no bool, no
     # fraction and no string.
     ('{"kind": "lhv_deterministic", "strategy": true}', "strategy must be an integer, got True"),
@@ -473,6 +497,42 @@ def test_malformed_model_exits_2_with_one_line(model, message, capsys):
     assert code == 2
     assert stdout == ""
     assert stderr == f"bellsim: configuration error: invalid model: {message}\n"
+
+
+# Empty or directory paths for --out and --ledger, as flags or config keys.
+EMPTY_OR_DIRECTORY_PATHS = [
+    (["chsh", "--exact", "--out", ""], None, "--out ''"),
+    (["chsh", "--exact", "--out", "outdir"], None, "--out 'outdir'"),
+    (["chsh", "--exact"], 'out = ""', "--out ''"),
+    (["counterfactual", "--out", "r.json", "--ledger", "outdir"], None, "--ledger 'outdir'"),
+    (["counterfactual", "--out", "r.json", "--ledger", ""], None, "--ledger ''"),
+    (["counterfactual", "--out", "r.json"], 'ledger = "outdir"', "--ledger 'outdir'"),
+    (["counterfactual", "--ledger", "l.jsonl"], 'out = "outdir"', "--out 'outdir'"),
+]
+
+
+@pytest.mark.parametrize("argv,line,named", EMPTY_OR_DIRECTORY_PATHS)
+def test_empty_or_directory_output_path_exits_2_writing_nothing(
+    argv, line, named, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "outdir").mkdir()
+    (tmp_path / ".tmp").write_text("kept\n")
+    if argv[0] == "counterfactual":
+        argv = argv + ["--model", "lhv-uniform", "--trials", "8", "--stats-trials", "100"]
+    if line is not None:
+        (tmp_path / "run.cfg").write_text(line + "\n")
+        argv = argv + ["--config", "run.cfg"]
+    code, stdout, stderr = _run(argv, capsys)
+    assert code == 2
+    assert stdout == ""
+    assert stderr == (
+        f"bellsim: configuration error: {named} is empty or a directory; it must name a file\n"
+    )
+    expected = [".tmp", "outdir"] + ([] if line is None else ["run.cfg"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == expected
+    assert (tmp_path / ".tmp").read_text() == "kept\n"
+    assert not any((tmp_path / "outdir").iterdir())
 
 
 def test_integral_float_strategy_is_that_strategy(capsys):

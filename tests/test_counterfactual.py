@@ -11,14 +11,13 @@ from bellsim.counterfactual import (
     TrialLedger,
     classify_definiteness,
     counterfactual_table,
-    joint_assignment_feasibility,
     ledger_blocks,
     ledger_text,
     read_ledger_records,
     record_run,
     replay_counterfactual,
 )
-from bellsim.experiment import estimate_correlation_vector
+from bellsim.experiment import run_chsh_experiment
 from bellsim.models import (
     CATALOG,
     TrialRecord,
@@ -207,35 +206,49 @@ class TestTable:
         assert kinds == ["definite", "distribution", "distribution", "distribution"]
 
 
+def _empirical_vector(model, trials_per_pair, seed):
+    result = run_chsh_experiment(model, trials_per_pair, seed).result
+    return CorrelationVector(*(result.correlations[pair].value for pair in PAIR_ORDER))
+
+
 class TestJointAssignment:
     def test_lhv_empirical_vector_feasible(self):
         model = lhv_stochastic_model(list(np.random.default_rng(1).dirichlet(np.ones(16))))
-        vector, counts = estimate_correlation_vector(model, 10**5, seed=2)
+        vector = _empirical_vector(model, 10**5, seed=2)
         sigma = math.sqrt(sum((1.0 - v * v) / 10**5 for v in vector.as_tuple()))
-        verdict = joint_assignment_feasibility(vector, tolerance=5.0 * sigma)
+        verdict = local_membership(vector, facet_tolerance=5.0 * sigma)
         assert verdict.feasible
 
     def test_singlet_optimal_empirical_vector_infeasible(self):
-        vector, counts = estimate_correlation_vector(quantum_model(), 10**6, seed=3)
+        vector = _empirical_vector(quantum_model(), 10**6, seed=3)
         sigma = math.sqrt(sum((1.0 - v * v) / 10**6 for v in vector.as_tuple()))
-        verdict = joint_assignment_feasibility(vector, tolerance=5.0 * sigma)
+        verdict = local_membership(vector, facet_tolerance=5.0 * sigma)
         assert not verdict.feasible
         assert verdict.violated_facet.margin > 0.8  # ~ 2 sqrt(2) - 2
 
     def test_pr_corner_margin_two(self):
-        verdict = joint_assignment_feasibility(CorrelationVector(1.0, 1.0, 1.0, -1.0))
+        verdict = local_membership(CorrelationVector(1.0, 1.0, 1.0, -1.0))
         assert not verdict.feasible
         assert verdict.violated_facet.sign_pattern == (1, 1, 1, -1)
         assert verdict.violated_facet.margin == pytest.approx(2.0, abs=1e-12)
 
-    def test_shares_implementation_with_local_membership(self):
+    def test_shares_implementation_with_local_membership(self, monkeypatch):
+        # The verdict's joint-assignment check is one local_membership call
+        # on its evidence, and the facet check agrees with the LP oracle.
+        calls = []
+
+        def spy(vector, facet_tolerance):
+            calls.append((vector, facet_tolerance))
+            return local_membership(vector, facet_tolerance)
+
+        monkeypatch.setattr(counterfactual, "local_membership", spy)
+        ledger = record_run(quantum_model(), SCHEDULE, seed=5)
+        evidence = classify_definiteness(ledger, trials_for_stats=1000).evidence
+        assert calls == [(evidence.correlation_vector, evidence.feasibility_tolerance)]
         rng = np.random.default_rng(12)
         for _ in range(100):
             vector = CorrelationVector(*rng.uniform(-1.0, 1.0, 4))
-            ours = joint_assignment_feasibility(vector)
-            direct = local_membership(vector)
-            oracle = lp_local_membership(vector.as_tuple())
-            assert ours.feasible == direct.feasible == oracle
+            assert local_membership(vector).feasible == lp_local_membership(vector.as_tuple())
 
 
 class TestClassification:

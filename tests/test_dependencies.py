@@ -295,12 +295,11 @@ def test_unknown_model_diagnostic_is_unchanged():
 EXPORTS = {
     "counterfactual": [
         "CounterfactualCell", "CounterfactualTable", "DefinitenessVerdict", "TrialLedger",
-        "classify_definiteness", "counterfactual_table", "joint_assignment_feasibility",
+        "classify_definiteness", "counterfactual_table",
         "ledger_text", "read_ledger_records", "record_run", "replay_counterfactual",
     ],
     "experiment": [
-        "ChshExperimentResult", "estimate_correlation_vector", "model_exact_correlations",
-        "run_chsh_experiment",
+        "ChshExperimentResult", "model_exact_correlations", "run_chsh_experiment",
     ],
     "interferometer": ["InterferometerSpec", "port_probabilities", "run_bomb_trials"],
     "models": [
@@ -313,17 +312,17 @@ EXPORTS = {
     "optimize": ["LandscapeGrid", "OptimizationResult", "optimize_angles", "s_landscape"],
     "polytope": [
         "CorrelationVector", "FeasibilityVerdict", "ViolatedFacet",
-        "enumerate_deterministic_strategies", "local_membership", "max_classical_s",
+        "enumerate_deterministic_strategies", "local_membership",
         "strategy_correlation", "vertex_matrix",
     ],
     "quantum": [
         "JointOutcomeDistribution", "MeasurementSetting", "OUTCOME_ORDER", "SpinObservable",
         "TwoQubitState", "correlation_matrix", "expectation", "joint_probabilities",
-        "make_bell_state", "make_named_state", "spin_observable",
+        "make_named_state", "spin_observable",
     ],
     "stats": [
         "ChshResult", "CoincidenceCounts", "CorrelationEstimate", "DEFAULT_SIGN_PATTERN",
-        "PAIR_ORDER", "SIGN_PATTERNS", "TSIRELSON_BOUND", "accumulate", "chsh_s",
+        "PAIR_ORDER", "SIGN_PATTERNS", "TSIRELSON_BOUND", "chsh_s",
         "correlation", "correlation_fraction", "counts_from_outcomes", "exact_chsh_s",
         "validate_sign_pattern",
     ],

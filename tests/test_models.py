@@ -29,7 +29,7 @@ from bellsim.models import (
     sample_outcomes,
     superdeterministic_model,
 )
-from bellsim.quantum import expectation, joint_probabilities, make_bell_state
+from bellsim.quantum import expectation, joint_probabilities, make_named_state
 from bellsim.stats import PAIR_ORDER, correlation, counts_from_outcomes
 from bellsim.streams import CHUNK, ChunkBuffers, TrialStream, batch_uniforms, inverse_cdf
 
@@ -411,7 +411,7 @@ class TestModelTables:
 
 class TestQuantumFidelity:
     def test_empirical_matches_exact_ten_angle_pairs(self):
-        state = make_bell_state("psi_minus")
+        state = make_named_state("psi_minus")
         rng = np.random.default_rng(2718)
         n = 10**6
         for case in range(10):

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from bellsim.cli import _csv_lines
 from bellsim.optimize import MAX_RESOLUTION, LandscapeGrid, optimize_angles, s_landscape
 from bellsim.polytope import CorrelationVector, local_membership
-from bellsim.quantum import TwoQubitState, correlation_matrix, make_bell_state, make_named_state
+from bellsim.quantum import TwoQubitState, correlation_matrix, make_named_state
 from bellsim.stats import SIGN_PATTERNS, TSIRELSON_BOUND, exact_chsh_s
 
 from oracles import kron_chsh_s, kron_expectation, random_state_amplitudes
@@ -17,18 +18,18 @@ SQRT_HALF = math.sqrt(0.5)
 
 class TestOptimizeAngles:
     def test_singlet_reaches_tsirelson(self):
-        result = optimize_angles(make_bell_state("psi_minus"))
+        result = optimize_angles(make_named_state("psi_minus"))
         assert abs(result.s_value) == pytest.approx(TSIRELSON_BOUND, abs=1e-6)
         assert abs(abs(result.s_value) - TSIRELSON_BOUND) <= 1e-12
         assert all(0.0 <= t < math.pi for t in result.angles)
 
     def test_psi_plus_reaches_tsirelson(self):
-        result = optimize_angles(make_bell_state("psi_plus"))
+        result = optimize_angles(make_named_state("psi_plus"))
         assert abs(result.s_value) == pytest.approx(TSIRELSON_BOUND, abs=1e-6)
 
     def test_singlet_stationarity_relation(self):
         # at the optimum every |E| equals sqrt(1/2); check via E = -cos(ta - tb)
-        result = optimize_angles(make_bell_state("psi_minus"))
+        result = optimize_angles(make_named_state("psi_minus"))
         a, ap, b, bp = result.angles
         for ta, tb in ((a, b), (a, bp), (ap, b), (ap, bp)):
             assert abs(math.cos(ta - tb)) == pytest.approx(SQRT_HALF, abs=1e-4)
@@ -53,7 +54,7 @@ class TestOptimizeAngles:
 
     def test_rejects_invalid_pattern(self):
         with pytest.raises(ValueError):
-            optimize_angles(make_bell_state("psi_minus"), (1, -1, -1, 1))
+            optimize_angles(make_named_state("psi_minus"), (1, -1, -1, 1))
 
     def test_never_exceeds_tsirelson_random_states(self):
         rng = np.random.default_rng(1234)
@@ -63,7 +64,7 @@ class TestOptimizeAngles:
             assert abs(result.s_value) <= TSIRELSON_BOUND + 1e-6
 
     def test_dominates_random_angles(self):
-        state = make_bell_state("psi_minus")
+        state = make_named_state("psi_minus")
         best = abs(optimize_angles(state).s_value)
         rng = np.random.default_rng(55)
         for _ in range(20):
@@ -133,13 +134,13 @@ def _singlet_slice_formula(tb: float, tbp: float) -> float:
 class TestLandscape:
     def test_resolution_three_grid(self):
         grid = s_landscape(
-            make_bell_state("psi_minus"), {"a": 0.0, "a'": math.pi / 2.0}, 3
+            make_named_state("psi_minus"), {"a": 0.0, "a'": math.pi / 2.0}, 3
         )
         assert len(grid.values) == 3 and all(len(row) == 3 for row in grid.values)
         assert np.all(np.abs(grid.values) <= TSIRELSON_BOUND + 1e-9)
 
     def test_slice_through_optimum_dominated(self):
-        state = make_bell_state("psi_minus")
+        state = make_named_state("psi_minus")
         best = optimize_angles(state)
         a, ap, b, bp = best.angles
         grid = s_landscape(state, {"a": a, "a'": ap}, 48)
@@ -147,7 +148,7 @@ class TestLandscape:
 
     def test_singlet_slice_matches_formula_and_symmetry(self):
         grid = s_landscape(
-            make_bell_state("psi_minus"), {"a": 0.0, "a'": math.pi / 2.0}, 24
+            make_named_state("psi_minus"), {"a": 0.0, "a'": math.pi / 2.0}, 24
         )
         assert grid.row_label == "b" and grid.col_label == "b'"
         for i, tb in enumerate(grid.row_angles):
@@ -176,7 +177,7 @@ class TestLandscape:
                 assert grid.values[i][j] == pytest.approx(expected, abs=1e-12)
 
     def test_fixed_validation(self):
-        state = make_bell_state("psi_minus")
+        state = make_named_state("psi_minus")
         with pytest.raises(ValueError, match="exactly two"):
             s_landscape(state, {"a": 0.0}, 4)
         with pytest.raises(ValueError, match="unknown"):
@@ -194,7 +195,7 @@ class TestLandscape:
             raise Evaluated
 
         monkeypatch.setattr("bellsim.optimize._linear_in", evaluator)
-        state, fixed = make_bell_state("psi_minus"), {"a": 0.0, "a'": 1.0}
+        state, fixed = make_named_state("psi_minus"), {"a": 0.0, "a'": 1.0}
         with pytest.raises(Evaluated):
             s_landscape(state, fixed, MAX_RESOLUTION)
         for resolution in (MAX_RESOLUTION + 1, 10**12):
@@ -212,13 +213,13 @@ class TestLandscape:
         writer.writerow([corner] + [repr(float(t)) for t in grid.col_angles])
         for angle, row in zip(grid.row_angles, grid.values):
             writer.writerow([repr(float(angle))] + [repr(float(v)) for v in row])
-        assert grid.to_csv() == buffer.getvalue()
+        assert "".join(_csv_lines(grid.csv_rows())) == buffer.getvalue()
 
     def test_csv_shape_and_locale_independence(self):
         grid = s_landscape(
-            make_bell_state("psi_minus"), {"a": 0.0, "a'": math.pi / 2.0}, 4
+            make_named_state("psi_minus"), {"a": 0.0, "a'": math.pi / 2.0}, 4
         )
-        text = grid.to_csv()
+        text = "".join(_csv_lines(grid.csv_rows()))
         lines = text.strip().split("\n")
         assert len(lines) == 5  # header + 4 rows
         assert lines[0].startswith("b\\b'")

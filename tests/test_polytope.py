@@ -12,7 +12,6 @@ from bellsim.polytope import (
     enumerate_deterministic_strategies,
     facet_margin,
     local_membership,
-    max_classical_s,
     strategy_correlation,
     vertex_matrix,
 )
@@ -55,12 +54,8 @@ class TestEnumeration:
 class TestMaxClassicalS:
     @pytest.mark.parametrize("pattern", SIGN_PATTERNS)
     def test_exactly_two_for_every_pattern(self, pattern):
-        assert max_classical_s(pattern) == 2.0
+        assert float(np.max(vertex_matrix() @ np.array(pattern, dtype=float))) == 2.0
         assert brute_force_max_s(pattern) == 2.0
-
-    def test_invalid_pattern_rejected(self):
-        with pytest.raises(ValueError):
-            max_classical_s((1, -1, -1, 1))
 
 
 class TestCorrelationVector:

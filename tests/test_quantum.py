@@ -12,7 +12,6 @@ from bellsim.quantum import (
     TwoQubitState,
     expectation,
     joint_probabilities,
-    make_bell_state,
     make_named_state,
     spin_observable,
 )
@@ -26,20 +25,20 @@ SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 class TestStates:
     def test_psi_plus_amplitudes(self):
-        state = make_bell_state("psi_plus")
+        state = make_named_state("psi_plus")
         assert np.allclose(state.amplitudes, [0.0, SQRT_HALF, SQRT_HALF, 0.0])
 
     def test_psi_minus_amplitudes(self):
-        state = make_bell_state("psi_minus")
+        state = make_named_state("psi_minus")
         assert np.allclose(state.amplitudes, [0.0, SQRT_HALF, -SQRT_HALF, 0.0])
 
     @pytest.mark.parametrize("kind", ["psi_plus", "psi_minus", "phi_plus", "phi_minus"])
     def test_bell_states_normalized(self, kind):
-        assert make_bell_state(kind).norm_error < 1e-12
+        assert make_named_state(kind).norm_error < 1e-12
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            make_bell_state("psi")
+            make_named_state("psi")
         with pytest.raises(ValueError):
             make_named_state("sideways")
 
@@ -84,7 +83,7 @@ class TestSpinObservable:
 
 class TestExpectation:
     def test_singlet_formula_20_random_pairs(self):
-        state = make_bell_state("psi_minus")
+        state = make_named_state("psi_minus")
         rng = np.random.default_rng(123)
         for _ in range(20):
             ta, tb = rng.uniform(0.0, 2.0 * math.pi, 2)
@@ -95,10 +94,10 @@ class TestExpectation:
             )
 
     def test_psi_plus_equal_z_axes(self):
-        assert expectation(make_bell_state("psi_plus"), 0.0, 0.0) == pytest.approx(-1.0, abs=1e-12)
+        assert expectation(make_named_state("psi_plus"), 0.0, 0.0) == pytest.approx(-1.0, abs=1e-12)
 
     def test_psi_plus_formula_random_pairs(self):
-        state = make_bell_state("psi_plus")
+        state = make_named_state("psi_plus")
         rng = np.random.default_rng(321)
         for _ in range(20):
             ta, tb = rng.uniform(0.0, 2.0 * math.pi, 2)
@@ -134,14 +133,14 @@ class TestExpectation:
 
 class TestJointProbabilities:
     def test_singlet_same_axis_anticorrelated(self):
-        dist = joint_probabilities(make_bell_state("psi_minus"), 0.0, 0.0)
+        dist = joint_probabilities(make_named_state("psi_minus"), 0.0, 0.0)
         assert dist.probabilities[(1, -1)] == pytest.approx(0.5, abs=1e-12)
         assert dist.probabilities[(-1, 1)] == pytest.approx(0.5, abs=1e-12)
         assert dist.probabilities[(1, 1)] == pytest.approx(0.0, abs=1e-12)
         assert dist.probabilities[(-1, -1)] == pytest.approx(0.0, abs=1e-12)
 
     def test_psi_plus_same_axis_anticorrelated(self):
-        dist = joint_probabilities(make_bell_state("psi_plus"), 0.0, 0.0)
+        dist = joint_probabilities(make_named_state("psi_plus"), 0.0, 0.0)
         assert dist.probabilities[(1, -1)] == pytest.approx(0.5, abs=1e-12)
         assert dist.probabilities[(-1, 1)] == pytest.approx(0.5, abs=1e-12)
 
@@ -159,7 +158,8 @@ class TestJointProbabilities:
             state = TwoQubitState(random_state_amplitudes(rng))
             ta, tb = rng.uniform(0.0, 2.0 * math.pi, 2)
             dist = joint_probabilities(state, float(ta), float(tb))
-            assert dist.signed_expectation() == pytest.approx(
+            signed_sum = sum(left * right * p for (left, right), p in dist.probabilities.items())
+            assert signed_sum == pytest.approx(
                 expectation(state, float(ta), float(tb)), abs=1e-10
             )
 

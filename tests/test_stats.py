@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellsim.quantum import TwoQubitState, make_bell_state
+from bellsim.quantum import OUTCOME_ORDER, TwoQubitState, make_named_state
 from bellsim.stats import (
     ChshResult,
     CoincidenceCounts,
@@ -15,7 +15,6 @@ from bellsim.stats import (
     PAIR_ORDER,
     SIGN_PATTERNS,
     TSIRELSON_BOUND,
-    accumulate,
     chsh_s,
     classify_bound,
     correlation,
@@ -33,11 +32,11 @@ OPTIMAL_ANGLES = (0.0, math.pi / 2.0, math.pi / 4.0, 3.0 * math.pi / 4.0)
 
 class TestCounts:
     def test_accumulate_pp(self):
-        counts = accumulate(CoincidenceCounts(), (1, 1))
+        counts = counts_from_outcomes(np.array([[1, 1]]))
         assert (counts.n_pp, counts.n_pm, counts.n_mp, counts.n_mm) == (1, 0, 0, 0)
 
     def test_accumulate_pm(self):
-        counts = accumulate(CoincidenceCounts(), (1, -1))
+        counts = counts_from_outcomes(np.array([[1, -1]]))
         assert counts.n_pm == 1 and counts.total == 1
 
     def test_fold_conserves_total(self):
@@ -45,12 +44,8 @@ class TestCounts:
         counts = CoincidenceCounts()
         for _ in range(1000):
             outcome = (int(rng.choice([1, -1])), int(rng.choice([1, -1])))
-            counts = accumulate(counts, outcome)
+            counts = counts.merge(counts_from_outcomes(np.array([outcome])))
         assert counts.total == 1000
-
-    def test_bad_outcome_rejected(self):
-        with pytest.raises(ValueError):
-            accumulate(CoincidenceCounts(), (0, 1))
 
     def test_merge(self):
         a = CoincidenceCounts(1, 2, 3, 4)
@@ -61,9 +56,8 @@ class TestCounts:
     def test_counts_from_outcomes_matches_fold(self):
         rng = np.random.default_rng(3)
         outcomes = rng.choice([1, -1], size=(500, 2))
-        folded = CoincidenceCounts()
-        for row in outcomes:
-            folded = accumulate(folded, (int(row[0]), int(row[1])))
+        rows = [(int(left), int(right)) for left, right in outcomes]
+        folded = CoincidenceCounts(*(rows.count(outcome) for outcome in OUTCOME_ORDER))
         assert counts_from_outcomes(outcomes) == folded
 
     def test_negative_counter_rejected(self):
@@ -176,7 +170,7 @@ class TestChshS:
 
 class TestExactChshS:
     def test_singlet_optimal_angles(self):
-        state = make_bell_state("psi_minus")
+        state = make_named_state("psi_minus")
         value = exact_chsh_s(state, OPTIMAL_ANGLES, (1, -1, 1, 1))
         assert value == pytest.approx(-2.0 * math.sqrt(2.0), abs=1e-12)
         assert value == pytest.approx(
@@ -200,7 +194,7 @@ class TestExactChshS:
 
     def test_wrong_angle_count(self):
         with pytest.raises(ValueError):
-            exact_chsh_s(make_bell_state("psi_minus"), (0.0, 1.0, 2.0))
+            exact_chsh_s(make_named_state("psi_minus"), (0.0, 1.0, 2.0))
 
 
 def _max_abs_s(values):
@@ -228,8 +222,8 @@ def test_estimator_consistency_against_known_distribution():
     from bellsim.quantum import joint_probabilities
     from bellsim.streams import batch_uniforms
 
-    dist = joint_probabilities(make_bell_state("psi_minus"), 0.3, 1.1)
-    expected = dist.signed_expectation()
+    dist = joint_probabilities(make_named_state("psi_minus"), 0.3, 1.1)
+    expected = sum(left * right * p for (left, right), p in dist.probabilities.items())
     cdf = np.cumsum(dist.as_array())
     n = 10**6
     hits = 0
