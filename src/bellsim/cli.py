@@ -14,6 +14,11 @@ Importing this module sets OPENBLAS_NUM_THREADS to 1 unless it is already
 set, and each subcommand imports the modules it runs when it runs. Only
 sampling loads numpy: `chsh --exact`, `lhv-scan`, `optimize`, `landscape`
 and `bomb --exact` run in plain Python.
+
+`run` is the process entry point (the `bellsim` script and `python -m
+bellsim.cli`): it calls `main`, then freezes the garbage collector's
+objects so the interpreter's exit-time collections skip them. `main` never
+freezes, so tests and library callers in a long-lived process call `main`.
 """
 
 from __future__ import annotations
@@ -90,12 +95,24 @@ def _setting(args: argparse.Namespace, file_values: dict, key: str, kind: type, 
     raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
+# The most trials a run samples per setting pair: 2**16 chunks of CHUNK trials.
+MAX_TRIALS = 1 << 32
+
+
 def _at_least(
-    args: argparse.Namespace, file_values: dict, key: str, default: int, low: int = 1
+    args: argparse.Namespace,
+    file_values: dict,
+    key: str,
+    default: int,
+    low: int = 1,
+    high: Optional[int] = None,
 ) -> int:
     value = _setting(args, file_values, key, int, default)
+    name = key.replace("_", "-")
     if value < low:
-        raise ConfigError(f"{key.replace('_', '-')} must be at least {low}, got {value}")
+        raise ConfigError(f"{name} must be at least {low}, got {value}")
+    if high is not None and value > high:
+        raise ConfigError(f"{name} must be at most {high}, got {value}")
     return value
 
 
@@ -186,7 +203,7 @@ def _model_run(args: argparse.Namespace, file_values: dict) -> tuple[ModelDescri
         state=_setting(args, file_values, "state", str),
         angles=angles,
     )
-    trials = _at_least(args, file_values, "trials", 100_000)
+    trials = _at_least(args, file_values, "trials", 100_000, high=MAX_TRIALS)
     _at_least(args, file_values, "threads", 1)  # checked; the affinity mask sets the threads
     return model, trials, resolve_seed(getattr(args, "seed", None), file_values.get("seed"))
 
@@ -307,7 +324,7 @@ def _cmd_counterfactual(args: argparse.Namespace, file_values: dict, output: _Ou
         raise ConfigError(
             f"counterfactual trials must be at most {MAX_LEDGER_TRIALS}, got {trials}"
         )
-    stats_trials = _at_least(args, file_values, "stats_trials", 100_000)
+    stats_trials = _at_least(args, file_values, "stats_trials", 100_000, high=MAX_TRIALS)
     ledger_path = _artifact_path(args, file_values, "ledger")
     # Both artifacts are staged as PATH.tmp, so one path for both would leave the ledger there.
     out_path = output.path
@@ -358,7 +375,7 @@ def _cmd_bomb(args: argparse.Namespace, file_values: dict, output: _Output) -> t
     reflectivity = _setting(args, file_values, "reflectivity", float, 0.5)
     bomb_present = _setting(args, file_values, "bomb", bool, True)
     phase = _setting(args, file_values, "phase", float, 0.0)
-    trials = _at_least(args, file_values, "trials", 100_000)
+    trials = _at_least(args, file_values, "trials", 100_000, high=MAX_TRIALS)
     exact = _setting(args, file_values, "exact", bool, False)
     seed = resolve_seed(getattr(args, "seed", None), file_values.get("seed"))
     try:
@@ -560,5 +577,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return 0
 
 
+def run(argv: Optional[Sequence[str]] = None) -> int:
+    """The process entry point: main(argv), then gc.freeze().
+
+    The interpreter's exit-time collections skip frozen objects, some 13,000
+    after `chsh --exact` and 22,000 once numpy is loaded, and it still
+    flushes the standard streams, runs atexit and clears its modules. Only
+    cyclic garbage goes uncollected: main has written and closed every
+    artifact and joined every counting thread. Call main, not run, from a
+    process that goes on.
+    """
+    code = main(argv)
+    import gc
+
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -87,6 +87,9 @@ def counts_from_outcomes(outcomes: np.ndarray) -> CoincidenceCounts:
     arr = np.asarray(outcomes)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"expected an (N, 2) outcome array, got shape {arr.shape}")
+    bad = np.abs(arr) != 1
+    if bad.any():
+        raise ValueError(f"outcomes must be +1 or -1, got {arr[bad][0].item()!r}")
     # Map (left, right) to an index in OUTCOME_ORDER: (1,1)->0 (1,-1)->1 (-1,1)->2 (-1,-1)->3
     idx = (1 - arr[:, 0]) + (1 - arr[:, 1]) // 2
     tally = np.bincount(idx, minlength=4)

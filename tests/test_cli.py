@@ -648,6 +648,19 @@ def test_seed_outside_stream_range_exits_2(source, seed, tmp_path, capsys, monke
         )
 
 
+def _python(args, cwd, **kwargs):
+    """A fresh interpreter running `args`, with this bellsim first on its path."""
+    source_root = str(Path(bellsim.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        **kwargs,
+    )
+
+
 # Runs the CLI with files capped at 500 bytes; SIGXFSZ is ignored so an
 # oversized write fails with EFBIG instead of killing the process.
 _CAPPED_WRITE = """
@@ -675,15 +688,7 @@ sys.exit(bellsim.cli.main(sys.argv[1:]))
     ],
 )
 def test_failed_write_leaves_no_partial_file(argv, failing, tmp_path):
-    source_root = str(Path(bellsim.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
-    completed = subprocess.run(
-        [sys.executable, "-c", _CAPPED_WRITE, *argv],
-        cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-    )
+    completed = _python(["-c", _CAPPED_WRITE, *argv], tmp_path, text=True)
     assert completed.returncode == 3
     assert completed.stdout == ""
     assert completed.stderr.startswith(f"bellsim: I/O error: [Errno {errno.EFBIG}] cannot write {failing}: ")
@@ -707,18 +712,9 @@ sys.exit(code)
 def test_ledger_at_the_cap_peaks_under_100_mb(tmp_path):
     from bellsim.counterfactual import MAX_LEDGER_TRIALS
 
-    source_root = str(Path(bellsim.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
     argv = ["counterfactual", "--trials", str(MAX_LEDGER_TRIALS), "--ledger", "l.jsonl",
             "--out", "r.json"]
-    completed = subprocess.run(
-        [sys.executable, "-c", _PEAK_AFTER_RUN, *argv],
-        cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
+    completed = _python(["-c", _PEAK_AFTER_RUN, *argv], tmp_path, text=True, check=True)
     assert int(completed.stdout) < 100 * 1024
     with open(tmp_path / "l.jsonl", "rb") as ledger:
         assert sum(1 for _ in ledger) == MAX_LEDGER_TRIALS
@@ -829,3 +825,69 @@ def test_csv_text_is_what_csv_writer_writes(command, capsys):
     csv.writer(rewritten, lineterminator="\n").writerows(csv.reader(io.StringIO(text)))
     assert text.count("\n") > 2
     assert rewritten.getvalue() == text
+
+
+def test_trials_at_the_cap_pass_the_check(capsys):
+    # --exact checks --trials and samples nothing, so the cap itself can be tried.
+    assert main(["chsh", "--exact", "--trials", str(cli.MAX_TRIALS)]) == 0
+    capsys.readouterr()
+    code, stdout, stderr = _run(["chsh", "--exact", "--trials", str(cli.MAX_TRIALS + 1)], capsys)
+    assert (code, stdout) == (2, "")
+    assert stderr == (
+        f"bellsim: configuration error: trials must be at most {cli.MAX_TRIALS}, "
+        f"got {cli.MAX_TRIALS + 1}\n"
+    )
+
+
+def test_main_in_process_does_not_freeze(capsys):
+    frozen = gc.get_freeze_count()
+    assert main(["chsh", "--trials", "1000"]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_run_freezes_after_main(tmp_path):
+    program = (
+        "import gc, sys, bellsim.cli\n"
+        "code = bellsim.cli.run(sys.argv[1:])\n"
+        "print(code, gc.get_freeze_count() > 0)\n"
+    )
+    completed = _python(["-c", program, "chsh", "--exact", "--out", "r.json"], tmp_path, text=True)
+    assert completed.stdout == "0 True\n"
+    assert json.loads((tmp_path / "r.json").read_text())["results"]["exact"] is True
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_module_run_prints_what_main_prints(fmt, tmp_path, capsys):
+    argv = ["chsh", "--trials", "2000", "--seed", "7", "--format", fmt]
+    completed = _python(["-m", "bellsim.cli", *argv], tmp_path)
+    code, stdout, _ = _run(argv, capsys)
+    assert completed.returncode == code == 0
+    assert completed.stdout == stdout.encode("utf-8")
+    assert completed.stderr.startswith(b"runtime_ms=")
+
+
+@pytest.mark.parametrize(
+    "argv,code,stderr",
+    [
+        (["chsh", "--exact"], 0, "runtime_ms="),
+        (["chsh", "--trials", "0"], 2, "bellsim: configuration error: trials must be at least 1"),
+        (
+            ["chsh", "--exact", "--out", "/nonexistent/x.json"],
+            3,
+            "bellsim: I/O error: [Errno 2] cannot write /nonexistent/x.json: ",
+        ),
+    ],
+)
+def test_module_run_exit_codes(argv, code, stderr, tmp_path):
+    completed = _python(["-m", "bellsim.cli", *argv], tmp_path, text=True)
+    assert completed.returncode == code
+    assert completed.stderr.startswith(stderr)
+    assert "Traceback" not in completed.stderr
+
+
+def test_console_script_is_the_process_entry_point():
+    # Read as text: Python 3.10 has no tomllib.
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    lines = pyproject.read_text(encoding="utf-8").splitlines()
+    scripts = lines[lines.index("[project.scripts]") + 1:]
+    assert scripts[0] == 'bellsim = "bellsim.cli:run"'

@@ -166,6 +166,7 @@ def test_cli_import_loads_only_the_shared_modules():
     assert _bellsim_modules(loaded) == _SHARED
     assert "concurrent.futures" not in loaded
     assert _numpy_modules(loaded) == set()
+    assert "gc" not in loaded
     assert _INTROSPECTION.isdisjoint(loaded)
     assert len(loaded) <= 120
 

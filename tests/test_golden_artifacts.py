@@ -11,7 +11,9 @@ The small cases of every subcommand in both formats, and the diagnostics of
 rejected inputs, were captured before the configuration record was removed
 and the JSON artifacts were streamed. The 70,000-trial ledger, which spans
 two sampling chunks and two written blocks, was captured while ledgers
-were still built and written one TrialRecord at a time.
+were still built and written one TrialRecord at a time. The diagnostics of
+oversized trial counts were added when those counts got an upper bound;
+before it, each ended in a MemoryError.
 
 To print the hashes the current code produces (for example after a
 deliberate schema change), run `PYTHONPATH=src python tests/test_golden_artifacts.py`.
@@ -312,6 +314,23 @@ DIAGNOSTICS: dict[str, tuple[list[str], int, str]] = {
         ["optimize", "--grid", "3"],
         2,
         "bellsim: configuration error: grid must be at least 8, got 3",
+    ),
+    "chsh-trials-1e20": (
+        ["chsh", "--trials", "100000000000000000000"],
+        2,
+        "bellsim: configuration error: trials must be at most 4294967296, "
+        "got 100000000000000000000",
+    ),
+    "bomb-trials-1e17": (
+        ["bomb", "--trials", "99999999999999999"],
+        2,
+        "bellsim: configuration error: trials must be at most 4294967296, got 99999999999999999",
+    ),
+    "counterfactual-stats-trials-1e20": (
+        ["counterfactual", "--trials", "8", "--stats-trials", "100000000000000000000"],
+        2,
+        "bellsim: configuration error: stats-trials must be at most 4294967296, "
+        "got 100000000000000000000",
     ),
 }
 

@@ -60,6 +60,13 @@ class TestCounts:
         folded = CoincidenceCounts(*(rows.count(outcome) for outcome in OUTCOME_ORDER))
         assert counts_from_outcomes(outcomes) == folded
 
+    @pytest.mark.parametrize(
+        "rows,bad", [([[0, 1]], 0), ([[1, 0]], 0), ([[0, 0]], 0), ([[5, 5]], 5), ([[1, -1], [1, 2]], 2)]
+    )
+    def test_outcome_other_than_plus_minus_one_rejected(self, rows, bad):
+        with pytest.raises(ValueError, match=rf"^outcomes must be \+1 or -1, got {bad}$"):
+            counts_from_outcomes(np.array(rows))
+
     def test_negative_counter_rejected(self):
         with pytest.raises(ValueError):
             CoincidenceCounts(n_pp=-1)
