@@ -67,13 +67,11 @@ _MODULE_EXPORTS: dict[str, tuple[str, ...]] = {
         "JointOutcomeDistribution",
         "MeasurementSetting",
         "OUTCOME_ORDER",
-        "SpinObservable",
         "TwoQubitState",
         "correlation_matrix",
         "expectation",
         "joint_probabilities",
         "make_named_state",
-        "spin_observable",
     ),
     "stats": (
         "ChshResult",

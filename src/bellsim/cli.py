@@ -421,7 +421,7 @@ def _parse_fixed(raw: object) -> dict[str, float]:
         raise ConfigError(f"fixed angle {', '.join(map(repr, repeated))} is given more than once")
     try:
         return {label: float(value) for label, value in items}
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"fixed angles must be numbers: {raw!r}") from exc
 
 

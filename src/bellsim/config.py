@@ -23,13 +23,16 @@ class ConfigError(ValueError):
 
 
 def parse_config_file(path: str) -> dict[str, object]:
-    """Parse `key = JSON` lines into a dict."""
+    """Parse `key = JSON` lines into a dict; each key may be set once."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc}") from exc
     values: dict[str, object] = {}
+    set_on: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -38,10 +41,15 @@ def parse_config_file(path: str) -> dict[str, object]:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
+        if key in set_on:
+            raise ConfigError(f"{path}:{lineno}: {key!r} is already set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
             values[key] = json.loads(value.strip())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
             raise ConfigError(f"{path}:{lineno}: value for {key!r} is not valid JSON") from exc
+        except RecursionError as exc:
+            raise ConfigError(f"{path}:{lineno}: value for {key!r} is nested too deeply") from exc
     return values
 
 
@@ -69,7 +77,7 @@ def parse_angles(value: object) -> tuple[float, float, float, float]:
             if any(isinstance(p, (bool, str)) for p in parts):
                 raise TypeError("a bool or a string is not a number")
         angles = tuple(float(p) for p in parts)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"angles must be four numbers, got {value!r}") from exc
     if len(angles) != 4 or any(not math.isfinite(t) for t in angles):
         raise ConfigError(f"angles must be four finite radians, got {value!r}")
@@ -119,7 +127,9 @@ def resolve_model(
         return model
     except ConfigError:
         raise
-    except (ValueError, json.JSONDecodeError) as exc:
+    except RecursionError as exc:  # from json.loads, or from echoing a deep value
+        raise ConfigError("invalid model: the JSON is nested too deeply") from exc
+    except ValueError as exc:  # json.JSONDecodeError is a ValueError
         raise ConfigError(f"invalid model: {exc}") from exc
 
 

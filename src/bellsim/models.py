@@ -117,6 +117,8 @@ def _floats(values: object, what: str) -> tuple[float, ...]:
         if isinstance(values, str) or any(isinstance(x, (bool, str)) for x in values):
             raise TypeError("a bool or a string is not a number")
         return tuple(float(x) for x in values)  # type: ignore[union-attr]
+    except OverflowError as exc:
+        raise ValueError(f"{what} must be numbers within float range") from exc
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{what} must be numbers, got {values!r}") from exc
 

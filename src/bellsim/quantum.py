@@ -1,11 +1,11 @@
-"""Exact two-qubit spin mechanics: states, observables, Born probabilities.
+"""Exact two-qubit spin mechanics: states, expectations, Born probabilities.
 
 Measurement directions live in the x-z plane, so a setting is one angle
 measured from the +z axis. The joint basis ordering is (uu, ud, du, dd)
 throughout, where u/d are spin-up/spin-down along z.
 
-States, observables, expectations and the correlation matrix are plain
-Python; numpy loads only when Born probabilities are computed.
+Everything here is plain Python in closed form; numpy loads only when a
+distribution is converted with `JointOutcomeDistribution.as_array`.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from ._record import record
 
 if TYPE_CHECKING:
     import numpy as np
-
-TAU = 2.0 * math.pi
 
 # Fixed outcome ordering used by sampling and by every serialized artifact.
 OUTCOME_ORDER: tuple[tuple[int, int], ...] = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -39,13 +37,13 @@ _NAMED_STATES: dict[str, tuple[float, float, float, float]] = {
 }
 STATE_KINDS = tuple(_NAMED_STATES)
 
-_NORM_TOLERANCE = 1e-9
-_CLAMP_FLOOR = -1e-15
 
-def _as_angle(setting: "MeasurementSetting | float") -> float:
-    if isinstance(setting, MeasurementSetting):
-        return setting.angle
-    return MeasurementSetting(float(setting)).angle
+def _cos_sin(setting: "MeasurementSetting | float", scale: float = 1.0) -> tuple[float, float]:
+    """cos and sin of `scale` times the setting's angle, which lies in [0, 2*pi)."""
+    if not isinstance(setting, MeasurementSetting):
+        setting = MeasurementSetting(float(setting))
+    t = setting.angle * scale
+    return math.cos(t), math.sin(t)
 
 
 @record
@@ -57,7 +55,7 @@ class MeasurementSetting:
     def __post_init__(self) -> None:
         if not math.isfinite(self.angle):
             raise ValueError(f"measurement angle must be finite, got {self.angle!r}")
-        object.__setattr__(self, "angle", self.angle % TAU)
+        object.__setattr__(self, "angle", self.angle % (2.0 * math.pi))
 
 
 @record(eq=False)
@@ -90,27 +88,6 @@ def _squared_norm(amplitudes: tuple[complex, ...]) -> float:
     return sum(a.real * a.real + a.imag * a.imag for a in amplitudes)
 
 
-@record(eq=False)
-class SpinObservable:
-    """2x2 Hermitian observable with spectrum {+1, -1}, as two rows."""
-
-    matrix: tuple[tuple[complex, complex], tuple[complex, complex]]
-
-    def __post_init__(self) -> None:
-        m = tuple(tuple(complex(v) for v in row) for row in self.matrix)
-        if len(m) != 2 or any(len(row) != 2 for row in m):
-            raise ValueError("observable must be a 2x2 matrix")
-        if not all(cmath.isfinite(v) for row in m for v in row):
-            raise ValueError("observable entries must be finite")
-        if max(abs(m[i][j] - m[j][i].conjugate()) for i in range(2) for j in range(2)) > 1e-12:
-            raise ValueError("observable must be Hermitian")
-        if abs(m[0][0] + m[1][1]) > 1e-12:
-            raise ValueError("observable must be traceless")
-        if abs(m[0][0] * m[1][1] - m[0][1] * m[1][0] + 1.0) > 1e-12:
-            raise ValueError("observable must have determinant -1")
-        object.__setattr__(self, "matrix", m)
-
-
 @record
 class JointOutcomeDistribution:
     """Probabilities of the four (+-1, +-1) outcome pairs."""
@@ -121,8 +98,8 @@ class JointOutcomeDistribution:
         probs = {}
         for outcome in OUTCOME_ORDER:
             p = float(self.probabilities[outcome])
-            if p < _CLAMP_FLOOR:
-                raise ValueError(f"probability of {outcome} is {p}, below the clamp floor")
+            if p < -1e-15:
+                raise ValueError(f"probability of {outcome} is {p}, below -1e-15")
             probs[outcome] = max(p, 0.0)
         total = sum(probs.values())
         if abs(total - 1.0) > 1e-12:
@@ -143,15 +120,8 @@ def make_named_state(kind: str) -> TwoQubitState:
     return TwoQubitState(_NAMED_STATES[kind])
 
 
-def spin_observable(setting: "MeasurementSetting | float") -> SpinObservable:
-    """Spin component along the x-z direction at `setting`: cos(t)*sz + sin(t)*sx."""
-    t = _as_angle(setting)
-    c, s = math.cos(t), math.sin(t)
-    return SpinObservable(((c, s), (s, -c)))
-
-
 def _require_normalized(state: TwoQubitState) -> None:
-    if state.norm_error > _NORM_TOLERANCE:
+    if state.norm_error > 1e-9:
         raise ValueError(f"state is not normalized (norm error {state.norm_error:.3e})")
 
 
@@ -160,17 +130,16 @@ def expectation(
     left: "MeasurementSetting | float",
     right: "MeasurementSetting | float",
 ) -> float:
-    """<psi| A(left) x B(right) |psi> for the spin observables at the settings.
+    """<psi| A(left) x B(right) |psi>, where A(t) = B(t) = cos(t)*sz + sin(t)*sx.
 
     With the amplitudes as the 2x2 matrix psi[i][j] (i left, j right), the
     value is the sum of conj(psi[i][j]) * (A @ psi @ B.T)[i][j]; the 4x4
     product operator is never built.
     """
     _require_normalized(state)
-    a = spin_observable(left).matrix
-    b = spin_observable(right).matrix
-    p = state.amplitudes
-    psi = ((p[0], p[1]), (p[2], p[3]))
+    (ca, sa), (cb, sb) = _cos_sin(left), _cos_sin(right)
+    a, b = ((ca, sa), (sa, -ca)), ((cb, sb), (sb, -cb))
+    psi = (state.amplitudes[:2], state.amplitudes[2:])
     value = sum(
         psi[i][j].conjugate()
         * sum(a[i][k] * psi[k][l] * b[j][l] for k in range(2) for l in range(2))
@@ -198,14 +167,6 @@ def correlation_matrix(state: TwoQubitState) -> tuple[tuple[float, float], tuple
     return ((zz, zx), (xz, xx))
 
 
-def _eigenvectors_by_outcome(observable: SpinObservable) -> dict[int, np.ndarray]:
-    import numpy as np
-
-    # eigh returns eigenvalues ascending: index 0 -> -1, index 1 -> +1.
-    _, vectors = np.linalg.eigh(np.array(observable.matrix))
-    return {-1: vectors[:, 0], 1: vectors[:, 1]}
-
-
 def joint_probabilities(
     state: TwoQubitState,
     left: "MeasurementSetting | float",
@@ -213,17 +174,16 @@ def joint_probabilities(
 ) -> JointOutcomeDistribution:
     """Born probabilities of the four outcome pairs under projective measurement.
 
-    The eigenvectors come from numpy's eigh: sampled artifacts are drawn
-    from these probabilities, so their arithmetic is fixed to the last bit.
+    The spin component at angle t has the eigenvectors (cos t/2, sin t/2)
+    for +1 and (-sin t/2, cos t/2) for -1, so an outcome pair's amplitude is
+    sum_ij u_i psi[i][j] v_j over the two half-angle vectors u and v.
     """
-    import numpy as np
-
     _require_normalized(state)
-    psi = np.array(state.amplitudes).reshape(2, 2)
-    vl = _eigenvectors_by_outcome(spin_observable(left))
-    vr = _eigenvectors_by_outcome(spin_observable(right))
-    probs = {}
-    for ol, orr in OUTCOME_ORDER:
-        amplitude = complex(vl[ol].conj() @ psi @ vr[orr].conj())
-        probs[(ol, orr)] = abs(amplitude) ** 2
-    return JointOutcomeDistribution(probs)
+    (cl, sl), (cr, sr) = _cos_sin(left, 0.5), _cos_sin(right, 0.5)
+    vl, vr = {1: (cl, sl), -1: (-sl, cl)}, {1: (cr, sr), -1: (-sr, cr)}
+    p00, p01, p10, p11 = state.amplitudes
+    return JointOutcomeDistribution({
+        (ol, orr): abs(u0 * (p00 * v0 + p01 * v1) + u1 * (p10 * v0 + p11 * v1)) ** 2
+        for ol, (u0, u1) in vl.items()
+        for orr, (v0, v1) in vr.items()
+    })

@@ -162,6 +162,23 @@ def numpy_pr_box_table(strength: float) -> dict[tuple[str, str], tuple[float, ..
     }
 
 
+def eigh_joint_probabilities(amplitudes, theta_left: float, theta_right: float) -> dict:
+    """Born probabilities by outcome pair, from numpy's eigh of each spin component."""
+
+    def eigenvectors(theta):
+        # eigh returns eigenvalues ascending: column 0 -> -1, column 1 -> +1.
+        _, vectors = np.linalg.eigh(direction_matrix(theta))
+        return {-1: vectors[:, 0], 1: vectors[:, 1]}
+
+    psi = np.asarray(amplitudes, dtype=complex).reshape(2, 2)
+    vl, vr = eigenvectors(theta_left), eigenvectors(theta_right)
+    return {
+        (a, b): abs(complex(vl[a].conj() @ psi @ vr[b].conj())) ** 2
+        for a in (1, -1)
+        for b in (1, -1)
+    }
+
+
 def random_state_amplitudes(rng: np.random.Generator) -> np.ndarray:
     """A Haar-ish random normalized two-qubit amplitude vector."""
     raw = rng.normal(size=4) + 1j * rng.normal(size=4)

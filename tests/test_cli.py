@@ -50,6 +50,13 @@ class TestConfigHelpers:
         with pytest.raises(ConfigError, match="not valid JSON"):
             parse_config_file(str(path))
 
+    def test_parse_config_rejects_a_repeated_key(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = 1\n# a comment\ntrials = 10\nseed = 2\n")
+        with pytest.raises(ConfigError) as exc:
+            parse_config_file(str(path))
+        assert str(exc.value) == f"{path}:4: 'seed' is already set on line 1"
+
     def test_missing_config_file(self):
         with pytest.raises(ConfigError):
             parse_config_file("/nonexistent/run.cfg")
@@ -437,6 +444,11 @@ WRONG_TYPES = [
     ("landscape", "format = 1"),
     ("bomb", 'format = "xml"'),
     ("optimize", 'format = "xml"'),
+    # An integer beyond float range is no angle, and Python reads no
+    # integer of more than 4,300 digits.
+    pytest.param("chsh", "angles = [1%s, 0, 0, 0]" % ("0" * 400), id="chsh-angle-1e400"),
+    pytest.param("landscape", 'fixed = {"a": 1%s, "a\'": 0}' % ("0" * 400), id="landscape-fixed-1e400"),
+    pytest.param("chsh", "seed = 1%s" % ("0" * 5000), id="chsh-seed-1e5000"),
 ]
 
 

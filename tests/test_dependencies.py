@@ -280,6 +280,28 @@ def test_state_and_angle_overrides_solve_born_rule_once(monkeypatch, spec, overr
     assert len(calls) == 4
 
 
+_BORN_RULE = """
+import sys
+from bellsim.models import CATALOG
+from bellsim.quantum import joint_probabilities
+from bellsim.stats import PAIR_ORDER
+solved = 0
+for make in CATALOG.values():
+    model = make()
+    if model.kind in ("quantum", "nonlocal"):
+        state = model.quantum_state()
+        for x, y in PAIR_ORDER:
+            joint_probabilities(state, model.angle_for(x), model.angle_for(y))
+            solved += 1
+print(solved, "numpy" in sys.modules)
+"""
+
+
+def test_born_rule_loads_no_numpy():
+    # Three catalog models are quantum or nonlocal, four setting pairs each.
+    assert _run_fresh(_BORN_RULE) == "12 False"
+
+
 def test_unknown_model_diagnostic_is_unchanged():
     from bellsim.config import ConfigError, resolve_model
 
@@ -317,9 +339,8 @@ EXPORTS = {
         "strategy_correlation", "vertex_matrix",
     ],
     "quantum": [
-        "JointOutcomeDistribution", "MeasurementSetting", "OUTCOME_ORDER", "SpinObservable",
-        "TwoQubitState", "correlation_matrix", "expectation", "joint_probabilities",
-        "make_named_state", "spin_observable",
+        "JointOutcomeDistribution", "MeasurementSetting", "OUTCOME_ORDER", "TwoQubitState",
+        "correlation_matrix", "expectation", "joint_probabilities", "make_named_state",
     ],
     "stats": [
         "ChshResult", "CoincidenceCounts", "CorrelationEstimate", "DEFAULT_SIGN_PATTERN",

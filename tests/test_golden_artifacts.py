@@ -13,7 +13,9 @@ and the JSON artifacts were streamed. The 70,000-trial ledger, which spans
 two sampling chunks and two written blocks, was captured while ledgers
 were still built and written one TrialRecord at a time. The diagnostics of
 oversized trial counts were added when those counts got an upper bound;
-before it, each ended in a MemoryError.
+before it, each ended in a MemoryError. The diagnostics of a config file
+that is not UTF-8, of JSON nested 20,000 deep and of an angle beyond float
+range were added when those inputs stopped ending in a traceback.
 
 To print the hashes the current code produces (for example after a
 deliberate schema change), run `PYTHONPATH=src python tests/test_golden_artifacts.py`.
@@ -332,7 +334,40 @@ DIAGNOSTICS: dict[str, tuple[list[str], int, str]] = {
         "bellsim: configuration error: stats-trials must be at most 4294967296, "
         "got 100000000000000000000",
     ),
+    "config-not-utf8": (
+        ["chsh", "--exact", "--config", "not-utf8.cfg"],
+        2,
+        "bellsim: configuration error: config file not-utf8.cfg is not UTF-8: "
+        "'utf-8' codec can't decode byte 0xff in position 11: invalid start byte",
+    ),
+    "config-value-nested-20000": (
+        ["chsh", "--exact", "--config", "nested.cfg"],
+        2,
+        "bellsim: configuration error: nested.cfg:1: value for 'seed' is nested too deeply",
+    ),
+    "model-nested-20000": (
+        ["chsh", "--exact", "--model", '{"a": ' * 20_000 + "1" + "}" * 20_000],
+        2,
+        "bellsim: configuration error: invalid model: the JSON is nested too deeply",
+    ),
+    "model-angle-1e400": (
+        ["chsh", "--exact", "--model",
+         '{"kind": "quantum", "state": "psi_minus", "angles": [1%s, 0, 0, 0]}' % ("0" * 400)],
+        2,
+        "bellsim: configuration error: invalid model: angles must be numbers within float range",
+    ),
 }
+
+# The config files the diagnostics name, written to the working directory.
+CONFIG_FILES = {
+    "not-utf8.cfg": b"seed = 1\n# \xff\n",
+    "nested.cfg": b"seed = " + b"[" * 20_000 + b"]" * 20_000 + b"\n",
+}
+
+
+def write_config_files(directory: Path) -> None:
+    for name, data in CONFIG_FILES.items():
+        (directory / name).write_bytes(data)
 
 
 def diagnostic(argv: list[str]) -> tuple[int, str]:
@@ -345,7 +380,9 @@ def diagnostic(argv: list[str]) -> tuple[int, str]:
 
 
 @pytest.mark.parametrize("case", sorted(DIAGNOSTICS))
-def test_diagnostic_unchanged(case):
+def test_diagnostic_unchanged(case, tmp_path, monkeypatch):
+    write_config_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
     argv, code, line = DIAGNOSTICS[case]
     assert diagnostic(argv) == (code, line)
 
@@ -365,5 +402,8 @@ if __name__ == "__main__":
             workdir = Path(tmp) / case
             workdir.mkdir()
             print(f"    {case!r}: {artifact_hashes(case, workdir)!r},", file=sys.stdout)
-    for case, (argv, _, _) in sorted(DIAGNOSTICS.items()):
-        print(f"    {case!r}: {diagnostic(argv)!r},", file=sys.stdout)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_config_files(Path(tmp))
+        os.chdir(tmp)
+        for case, (argv, _, _) in sorted(DIAGNOSTICS.items()):
+            print(f"    {case!r}: {diagnostic(argv)!r},", file=sys.stdout)

@@ -40,7 +40,6 @@ from bellsim.polytope import CorrelationVector, FeasibilityVerdict, ViolatedFace
 from bellsim.quantum import (
     JointOutcomeDistribution,
     MeasurementSetting,
-    SpinObservable,
     TwoQubitState,
 )
 from bellsim.stats import ChshResult, CoincidenceCounts, CorrelationEstimate
@@ -86,11 +85,6 @@ CASES = [
         TwoQubitState,
         {"amplitudes": (1, 0, 0, 0)},
         "TwoQubitState(amplitudes=((1+0j), 0j, 0j, 0j))",
-    ),
-    (
-        SpinObservable,
-        {"matrix": ((1, 0), (0, -1))},
-        "SpinObservable(matrix=(((1+0j), 0j), (0j, (-1+0j))))",
     ),
     (
         JointOutcomeDistribution,
@@ -252,13 +246,12 @@ IDS = [cls.__name__ for cls, *_ in CASES]
 
 # Classes compared by identity, as their dataclasses were (eq=False), and
 # TrialLedger, whose array fields have no single truth value under ==.
-IDENTITY_EQUAL = {TwoQubitState, SpinObservable, TrialLedger}
+IDENTITY_EQUAL = {TwoQubitState, TrialLedger}
 
 # One call per class with a check in __post_init__ that the check rejects.
 INVALID = {
     MeasurementSetting: lambda: MeasurementSetting(math.nan),
     TwoQubitState: lambda: TwoQubitState((1, 0, 0)),
-    SpinObservable: lambda: SpinObservable(((1, 0), (0, 1))),
     JointOutcomeDistribution: lambda: JointOutcomeDistribution(
         {(1, 1): 0.5, (1, -1): 0.5, (-1, 1): 0.5, (-1, -1): 0.5}
     ),
@@ -301,7 +294,7 @@ def _record_classes():
 
 def test_every_record_class_is_covered():
     assert _record_classes() == {cls for cls, *_ in CASES}
-    assert len(CASES) == 25
+    assert len(CASES) == 24
 
 
 def test_every_post_init_check_is_covered():
