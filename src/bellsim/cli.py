@@ -5,10 +5,10 @@ Artifacts carry {"schema_version", "config", "results"}; wall-clock runtime
 goes to stderr so identical configurations produce byte-identical files.
 Exit codes: 0 success, 2 configuration error, 3 I/O error.
 
-Each handler returns what its subcommand computed: the config echo, the
-results, the CSV rows, then any further artifact as (path, text pieces).
-`main` alone resolves the artifact's path and format, encodes it and writes
-every artifact of the run.
+`_SUBCOMMANDS` declares each subcommand's settings once, in the order `main`
+resolves and checks them. A handler gets them as one mapping and returns the
+config echo, the results, the CSV rows, then any further artifact as (path,
+text pieces); `main` alone encodes and writes every artifact of the run.
 
 Importing this module sets OPENBLAS_NUM_THREADS to 1 unless it is already
 set, and each subcommand imports the modules it runs when it runs. Only
@@ -38,11 +38,14 @@ import time
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .config import (
+    MAX_LEDGER_TRIALS,
+    MAX_TRIALS,
     ConfigError,
+    echoed,
     parse_angles,
     parse_config_file,
+    parse_fixed,
     resolve_model,
-    resolve_seed,
     sign_pattern_from_string,
     sign_pattern_to_string,
 )
@@ -52,95 +55,108 @@ from .stats import DEFAULT_SIGN_PATTERN, PAIR_ORDER, SIGN_PATTERNS, classify_bou
 if TYPE_CHECKING:
     from .models import ModelDescriptor
 
-
-def _check_config_keys(args: argparse.Namespace, file_values: dict) -> None:
-    """Reject config-file keys that name no flag of the subcommand."""
-    accepted = sorted(set(vars(args)) - {"command", "config"})
-    unknown = sorted(set(file_values) - set(accepted))
-    if unknown:
-        raise ConfigError(
-            f"unknown config key {', '.join(map(repr, unknown))} for {args.command}; "
-            f"accepted keys: {', '.join(accepted)}"
-        )
-
-
-def _merged(args: argparse.Namespace, file_values: dict, key: str, default=None):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in file_values:
-        return file_values[key]
-    return default
-
-
 _KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+_BOOL = {"action": argparse.BooleanOptionalAction}
+_FLAG_KINDS = {int: {"type": int}, float: {"type": float}, bool: _BOOL}  # add_argument keywords
 
 
-def _setting(args: argparse.Namespace, file_values: dict, key: str, kind: type, default=None):
-    """The merged value of `key`, checked to be of `kind` (int, float, bool or str).
-
-    Config-file values arrive as any JSON type. A bool is never taken for a
-    number, and a float is taken for an int only when it is integral.
-    """
-    value = _merged(args, file_values, key, default)
-    if value is None or (isinstance(value, kind) and isinstance(value, bool) == (kind is bool)):
+def _of_kind(name: str, kind: type, value: object):
+    """`value`, read from `name`, as `kind`: int, float, bool or str. A config value may be
+    any JSON type, but a bool is never a number and a float is an int only when integral."""
+    if isinstance(value, kind) and isinstance(value, bool) == (kind is bool):
         return value
     if kind is int and type(value) is float and value.is_integer():
         return int(value)
-    if kind is float and type(value) is int:
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}, got {echoed(value)}")
 
 
-# The most trials a run samples per setting pair: 2**16 chunks of CHUNK trials.
-MAX_TRIALS = 1 << 32
-
-
-def _at_least(
-    args: argparse.Namespace,
-    file_values: dict,
-    key: str,
-    default: int,
-    low: int = 1,
-    high: Optional[int] = None,
-) -> int:
-    value = _setting(args, file_values, key, int, default)
-    name = key.replace("_", "-")
-    if value < low:
-        raise ConfigError(f"{name} must be at least {low}, got {value}")
-    if high is not None and value > high:
-        raise ConfigError(f"{name} must be at most {high}, got {value}")
-    return value
-
-
-class _Output(NamedTuple):
-    path: Optional[str]  # None for stdout
-    format: str  # json or csv
-
-
-def _artifact_path(args: argparse.Namespace, file_values: dict, key: str) -> Optional[str]:
-    """The path for --out or --ledger, if any: never empty, never a directory."""
-    path = _setting(args, file_values, key, str)
-    if path is not None and (path == "" or os.path.isdir(path)):
-        raise ConfigError(f"--{key} {path!r} is empty or a directory; it must name a file")
+# A parser takes a value, its source (the flag, config key or environment
+# variable it came from) and the settings resolved before it.
+def _path(value: object, source: str, settings: dict) -> str:
+    """The path for --out or --ledger: a file, and for --ledger not the --out file."""
+    path, flag = _of_kind(source, str, value), "--" + source.lstrip("-")
+    if path == "" or os.path.isdir(path):
+        raise ConfigError(f"{flag} {echoed(path)} is empty or a directory; it must name a file")
+    # Both artifacts are staged as PATH.tmp, so one path for both would leave the ledger there.
+    out = settings.get("out")
+    if out and os.path.realpath(out) == os.path.realpath(path):
+        raise ConfigError(f"--out and {flag} name the same file {out}")
     return path
 
 
-def _output(args: argparse.Namespace, file_values: dict, default: str) -> _Output:
-    """Where the artifact goes and in which format."""
-    out_path = _artifact_path(args, file_values, "out")
-    out_format = _setting(args, file_values, "format", str, default)
-    if out_format not in ("json", "csv"):
-        raise ConfigError(f"format must be json or csv, got {out_format!r}")
-    return _Output(out_path, out_format)
+def _pattern(value: object, source: str, settings: dict) -> tuple[int, ...]:
+    return sign_pattern_from_string(_of_kind(source, str, value))
 
 
-def _sign_pattern(args: argparse.Namespace, file_values: dict) -> tuple[int, ...]:
-    raw = _setting(args, file_values, "pattern", str)
-    return sign_pattern_from_string(raw) if raw else DEFAULT_SIGN_PATTERN
+def _model(value: object, source: str, settings: dict) -> ModelDescriptor:
+    return resolve_model(value, state=settings["state"], angles=settings["angles"])
+
+
+def _seed(value: object, source: str, settings: dict) -> int:
+    """A seed from --seed, the seed key or BELLSIM_SEED's text: an integer in [0, 2**64)."""
+    if source == "BELLSIM_SEED":
+        with contextlib.suppress(ValueError):
+            value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{source} must be an integer, got {echoed(value)}")
+    # Streams use the seed modulo 2**64, so any other seed would repeat another's trials.
+    if not 0 <= value < 1 << 64:
+        raise ConfigError(f"{source} must be in [0, 2**64), got {echoed(value)}")
+    return value
+
+
+class _Setting(NamedTuple):
+    """One flag and config key: what its value must be, and its default."""
+
+    kind: object  # int, float, bool, str, or a parser (value, source, settings) -> value
+    default: object = None  # None leaves the setting unset
+    low: Optional[int] = None
+    high: Optional[int] = None
+    help: Optional[str] = None  # the flag's help
+    flag: dict = {}  # further add_argument keywords; "choices" binds config values too
+    env: str = ""  # an environment variable tried after the config file
+
+    def parse(self, key: str, value: object, source: str, settings: dict):
+        if value is None and self.default is None:  # unset, or null in the config file
+            return None
+        if self.kind not in _KIND_NAMES:
+            return self.kind(value, source, settings)
+        value = _of_kind(source, self.kind, value)
+        name, choices = key.replace("_", "-"), self.flag.get("choices")
+        if self.low is not None and value < self.low:
+            raise ConfigError(f"{name} must be at least {self.low}, got {echoed(value)}")
+        if self.high is not None and value > self.high:
+            raise ConfigError(f"{name} must be at most {self.high}, got {echoed(value)}")
+        if choices and value not in choices:
+            expected = f"{', '.join(choices[:-1])} or {choices[-1]}"
+            raise ConfigError(f"{name} must be {expected}, got {echoed(value)}")
+        return value
+
+
+def _resolve(table: dict[str, _Setting], args: argparse.Namespace) -> dict[str, object]:
+    """Every setting of `table`, in its order: the flag, else the config file, else the
+    environment variable, else the default. Each value is checked, defaults too."""
+    file_values = parse_config_file(args.config) if args.config else {}
+    unknown = sorted(set(file_values) - set(table))
+    if unknown:
+        raise ConfigError(
+            f"unknown config key {', '.join(map(echoed, unknown))} for {args.command}; "
+            f"accepted keys: {', '.join(sorted(table))}"
+        )
+    settings: dict[str, object] = {}
+    for key, setting in table.items():
+        if getattr(args, key) is not None:
+            value, source = getattr(args, key), "--" + key.replace("_", "-")
+        elif key in file_values:
+            value, source = file_values[key], key
+        elif setting.env and setting.env in os.environ:
+            value, source = os.environ[setting.env], setting.env
+        else:
+            value, source = setting.default, key
+        settings[key] = setting.parse(key, value, source, settings)
+    return settings
 
 
 def _document(config: dict, results: dict) -> Iterator[str]:
@@ -194,47 +210,31 @@ def _write_artifacts(artifacts: Sequence[tuple[Optional[str], Iterable[str]]]) -
             sys.stdout.writelines(pieces)
 
 
-def _model_run(args: argparse.Namespace, file_values: dict) -> tuple[ModelDescriptor, int, int]:
-    """The model, trials per setting pair and seed that chsh and counterfactual run."""
-    angles_raw = _merged(args, file_values, "angles")
-    angles = parse_angles(angles_raw) if angles_raw is not None else None
-    model = resolve_model(
-        _merged(args, file_values, "model", "quantum"),
-        state=_setting(args, file_values, "state", str),
-        angles=angles,
-    )
-    trials = _at_least(args, file_values, "trials", 100_000, high=MAX_TRIALS)
-    _at_least(args, file_values, "threads", 1)  # checked; the affinity mask sets the threads
-    return model, trials, resolve_seed(getattr(args, "seed", None), file_values.get("seed"))
-
-
 _COUNT_KEYS = ("n_pp", "n_pm", "n_mp", "n_mm")
 
 
-def _cmd_chsh(args: argparse.Namespace, file_values: dict, output: _Output) -> tuple:
+def _cmd_chsh(settings: dict) -> tuple:
     from .experiment import model_exact_correlations, run_chsh_experiment
 
-    model, trials, seed = _model_run(args, file_values)
-    pattern = _sign_pattern(args, file_values)
-    exact = _setting(args, file_values, "exact", bool, False)
+    model, trials, pattern = settings["model"], settings["trials"], settings["pattern"]
     config_echo = {
         "command": "chsh",
         "model": model.to_dict(),
         "trials_per_pair": trials,
-        "seed": seed,
+        "seed": settings["seed"],
         "sign_pattern": sign_pattern_to_string(pattern),
-        "exact": exact,
-        "format": output.format,
+        "exact": settings["exact"],
+        "format": settings["format"],
     }
     # What each pair reports: its value, and when sampled its counts and error too.
-    if exact:
+    if settings["exact"]:
         values = model_exact_correlations(model).as_tuple()
         s_value = sum(s * value for s, value in zip(pattern, values))
         summary = (s_value, 0.0, classify_bound(abs(s_value), 0.0))
         results: dict = {"exact": True}
         measured = [{"value": value} for value in values]
     else:
-        outcome = run_chsh_experiment(model, trials, seed, pattern)
+        outcome = run_chsh_experiment(model, trials, settings["seed"], pattern)
         result = outcome.result
         summary = (result.s_value, result.s_std_error, result.bound_class)
         results = {"exact": False, "trials_per_pair": trials}
@@ -258,7 +258,7 @@ def _cmd_chsh(args: argparse.Namespace, file_values: dict, output: _Output) -> t
     return config_echo, results, rows
 
 
-def _cmd_lhv_scan(args: argparse.Namespace, file_values: dict, output: _Output) -> tuple:
+def _cmd_lhv_scan(settings: dict) -> tuple:
     from .polytope import enumerate_deterministic_strategies, strategy_correlation
 
     strategies = []
@@ -286,20 +286,14 @@ def _cmd_lhv_scan(args: argparse.Namespace, file_values: dict, output: _Output) 
         )
     rows.append(["max", *[""] * 8, repr(float(best_overall))])
     results = {"strategies": strategies, "max_abs_s": best_overall}
-    return {"command": "lhv-scan", "format": output.format}, results, rows
+    return {"command": "lhv-scan", "format": settings["format"]}, results, rows
 
 
-def _cmd_optimize(args: argparse.Namespace, file_values: dict, output: _Output) -> tuple:
+def _cmd_optimize(settings: dict) -> tuple:
     from .optimize import optimize_angles
 
-    state_kind = _setting(args, file_values, "state", str, "psi_minus")
-    pattern = _sign_pattern(args, file_values)
-    _at_least(args, file_values, "grid", 16, 8)  # checked; the optimum is closed form
-    try:
-        state = make_named_state(state_kind)
-        result = optimize_angles(state, pattern)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    state_kind, pattern = settings["state"], settings["pattern"]
+    result = optimize_angles(make_named_state(state_kind), pattern)
     config_echo = {
         "command": "optimize",
         "state": state_kind,
@@ -316,24 +310,14 @@ def _cmd_optimize(args: argparse.Namespace, file_values: dict, output: _Output) 
     return config_echo, results, _kv_rows(rows)
 
 
-def _cmd_counterfactual(args: argparse.Namespace, file_values: dict, output: _Output) -> tuple:
-    from .counterfactual import MAX_LEDGER_TRIALS, classify_definiteness, ledger_blocks, record_run
+def _cmd_counterfactual(settings: dict) -> tuple:
+    from .counterfactual import classify_definiteness, ledger_blocks, record_run
 
-    model, trials, seed = _model_run(args, file_values)
-    if trials > MAX_LEDGER_TRIALS:
-        raise ConfigError(
-            f"counterfactual trials must be at most {MAX_LEDGER_TRIALS}, got {trials}"
-        )
-    stats_trials = _at_least(args, file_values, "stats_trials", 100_000, high=MAX_TRIALS)
-    ledger_path = _artifact_path(args, file_values, "ledger")
-    # Both artifacts are staged as PATH.tmp, so one path for both would leave the ledger there.
-    out_path = output.path
-    if out_path and ledger_path and os.path.realpath(out_path) == os.path.realpath(ledger_path):
-        raise ConfigError(f"--out and --ledger name the same file {out_path}")
     # Loaded once the inputs are checked: a rejected run never loads numpy.
     import numpy as np
 
-    ledger = record_run(model, np.arange(trials) % 4, seed)
+    model, trials, stats_trials = settings["model"], settings["trials"], settings["stats_trials"]
+    ledger = record_run(model, np.arange(trials) % 4, settings["seed"])
     verdict = classify_definiteness(ledger, trials_for_stats=stats_trials)
     evidence = verdict.evidence
     witness, facet = evidence.feasibility, evidence.feasibility.violated_facet
@@ -349,7 +333,7 @@ def _cmd_counterfactual(args: argparse.Namespace, file_values: dict, output: _Ou
         "model": model.to_dict(),
         "trials": trials,
         "stats_trials": stats_trials,
-        "seed": seed,
+        "seed": settings["seed"],
     }
     results = {
         "classification": verdict.classification,
@@ -365,32 +349,28 @@ def _cmd_counterfactual(args: argparse.Namespace, file_values: dict, output: _Ou
     rows += [(key, results[key]) for key in keys]
     rows += [(f"e_{x}{y}", value) for (x, y), value in zip(PAIR_ORDER, results["correlations"])]
     rows += [(f"cells_{kind}", count) for kind, count in evidence.cell_kinds.items()]
+    ledger_path = settings["ledger"]
     ledger_artifact = [] if ledger_path is None else [(ledger_path, ledger_blocks(ledger))]
     return config_echo, results, _kv_rows(rows), *ledger_artifact
 
 
-def _cmd_bomb(args: argparse.Namespace, file_values: dict, output: _Output) -> tuple:
+def _cmd_bomb(settings: dict) -> tuple:
     from .interferometer import InterferometerSpec, OUTCOMES, port_probabilities, run_bomb_trials
 
-    reflectivity = _setting(args, file_values, "reflectivity", float, 0.5)
-    bomb_present = _setting(args, file_values, "bomb", bool, True)
-    phase = _setting(args, file_values, "phase", float, 0.0)
-    trials = _at_least(args, file_values, "trials", 100_000, high=MAX_TRIALS)
-    exact = _setting(args, file_values, "exact", bool, False)
-    seed = resolve_seed(getattr(args, "seed", None), file_values.get("seed"))
+    exact = settings["exact"]
     try:
-        spec = InterferometerSpec(reflectivity=reflectivity, bomb_present=bomb_present, phase=phase)
+        spec = InterferometerSpec(settings["reflectivity"], settings["bomb"], settings["phase"])
         probabilities = port_probabilities(spec)
-        frequencies = None if exact else run_bomb_trials(spec, trials, seed)
+        frequencies = None if exact else run_bomb_trials(spec, settings["trials"], settings["seed"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     config_echo = {
         "command": "bomb",
-        "reflectivity": reflectivity,
-        "bomb_present": bomb_present,
-        "phase": phase,
-        "trials": 0 if exact else trials,
-        "seed": seed,
+        "reflectivity": spec.reflectivity,
+        "bomb_present": spec.bomb_present,
+        "phase": spec.phase,
+        "trials": 0 if exact else settings["trials"],
+        "seed": settings["seed"],
         "exact": exact,
     }
     results = {"interferometry": {"probabilities": probabilities, "frequencies": frequencies}}
@@ -401,38 +381,11 @@ def _cmd_bomb(args: argparse.Namespace, file_values: dict, output: _Output) -> t
     return config_echo, results, rows
 
 
-def _parse_fixed(raw: object) -> dict[str, float]:
-    if isinstance(raw, dict):
-        items = list(raw.items())
-        if any(isinstance(value, (bool, str)) for _, value in items):
-            raise ConfigError(f"fixed angles must be numbers: {raw!r}")
-    elif isinstance(raw, str):
-        items = []
-        for segment in raw.split(","):
-            if "=" not in segment:
-                raise ConfigError(f"--fixed segments must look like a=0.5, got {segment!r}")
-            label, _, value = segment.partition("=")
-            items.append((label.strip(), value.strip()))
-    else:
-        raise ConfigError(f"cannot interpret fixed angles {raw!r}")
-    labels = [label for label, _ in items]
-    repeated = sorted({label for label in labels if labels.count(label) > 1})
-    if repeated:
-        raise ConfigError(f"fixed angle {', '.join(map(repr, repeated))} is given more than once")
-    try:
-        return {label: float(value) for label, value in items}
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"fixed angles must be numbers: {raw!r}") from exc
-
-
-def _cmd_landscape(args: argparse.Namespace, file_values: dict, output: _Output) -> tuple:
+def _cmd_landscape(settings: dict) -> tuple:
     from .optimize import s_landscape
 
-    state_kind = _setting(args, file_values, "state", str, "psi_minus")
-    pattern = _sign_pattern(args, file_values)
-    fixed_raw = _merged(args, file_values, "fixed", "a=0.0,a'=1.5707963267948966")
-    resolution = _setting(args, file_values, "resolution", int, 32)
-    fixed = _parse_fixed(fixed_raw)
+    state_kind, pattern, fixed = settings["state"], settings["pattern"], settings["fixed"]
+    resolution = settings["resolution"]
     try:
         grid = s_landscape(make_named_state(state_kind), fixed, resolution, pattern)
     except ValueError as exc:
@@ -456,86 +409,106 @@ def _cmd_landscape(args: argparse.Namespace, file_values: dict, output: _Output)
 
 class _Subcommand(NamedTuple):
     help: str
-    format: str  # the artifact's default format
-    flags: dict[str, dict]  # flag -> add_argument keywords, besides --config, --out and --format
-    handler: Callable[[argparse.Namespace, dict, _Output], tuple]
+    settings: dict[str, _Setting]  # resolved in this order; --config is read first
+    handler: Callable[[dict], tuple]
 
 
-_BOOL = argparse.BooleanOptionalAction
-_STATE = {"--state": {"choices": STATE_KINDS}}
-_PATTERN = {"--pattern": {"help": "sign pattern such as +-++"}}
-_RUN_FLAGS = {
-    "--model": {"help": "catalog name, 'quantum', 'nonlocal', or JSON"},
-    **_STATE,
-    "--angles": {"help": "four radians: a,a',b,b'"},
-    "--trials": {"type": int},
-    "--seed": {"type": int},
-    "--threads": {
-        "type": int,
-        "help": "no effect (still must be >= 1): sampling uses one thread per CPU the "
-        "process may run on (limit with taskset), at most one per 8 chunks",
-    },
-}
+def _output(default_format: str) -> dict[str, _Setting]:
+    """Where the artifact goes and in which format, resolved before any other setting."""
+    formats = {"choices": ("json", "csv")}
+    return {
+        "out": _Setting(_path, help="output path (default: stdout)"),
+        "format": _Setting(str, default_format, help=f"default: {default_format}", flag=formats),
+    }
+
+
+_TRIALS = _Setting(int, 100_000, 1, MAX_TRIALS)
+_SEED = _Setting(_seed, 0, flag={"type": int}, env="BELLSIM_SEED")
+_STATE = _Setting(str, "psi_minus", flag={"choices": STATE_KINDS})
+_PATTERN = _Setting(
+    _pattern, sign_pattern_to_string(DEFAULT_SIGN_PATTERN), help="sign pattern such as +-++"
+)
+
+
+def _run_settings(trials: _Setting) -> dict[str, _Setting]:
+    """The model, trials per setting pair and seed that chsh and counterfactual run."""
+    return {
+        # The state and angles, if given, override the model's own.
+        "angles": _Setting(lambda value, *_: parse_angles(value), help="four radians: a,a',b,b'"),
+        "state": _STATE._replace(default=None),
+        "model": _Setting(_model, "quantum", help="catalog name, 'quantum', 'nonlocal', or JSON"),
+        "trials": trials,
+        "threads": _Setting(int, 1, 1, help=(
+            "no effect (still must be >= 1): sampling uses one thread per CPU the "
+            "process may run on (limit with taskset), at most one per 8 chunks"
+        )),
+        "seed": _SEED,
+    }
+
 
 _SUBCOMMANDS = {
     "chsh": _Subcommand(
         "run trials for the four setting pairs and estimate S",
-        "json",
         {
-            **_RUN_FLAGS,
-            **_PATTERN,
-            "--exact": {
-                "action": _BOOL,
-                "help": "skip sampling; compute S from exact expectation values",
-            },
+            **_output("json"),
+            **_run_settings(_TRIALS),
+            "pattern": _PATTERN,
+            "exact": _Setting(
+                bool, False, help="skip sampling; compute S from exact expectation values"
+            ),
         },
         _cmd_chsh,
     ),
-    "lhv-scan": _Subcommand("enumerate all 16 deterministic strategies", "json", {}, _cmd_lhv_scan),
+    "lhv-scan": _Subcommand(
+        "enumerate all 16 deterministic strategies", _output("json"), _cmd_lhv_scan
+    ),
     "optimize": _Subcommand(
         "maximize |S| over the four angles",
-        "json",
         {
-            **_STATE,
-            **_PATTERN,
-            "--grid": {
-                "type": int,
-                "help": "no effect; the optimum is closed form (still must be >= 8)",
-            },
+            **_output("json"),
+            "state": _STATE,
+            "pattern": _PATTERN,
+            "grid": _Setting(
+                int, 16, 8, help="no effect; the optimum is closed form (still must be >= 8)"
+            ),
         },
         _cmd_optimize,
     ),
     "counterfactual": _Subcommand(
         "record a run, replay it, classify the model",
-        "json",
         {
-            **_RUN_FLAGS,
-            "--stats-trials": {"type": int},
-            "--ledger": {"help": "path for the JSON-lines trial ledger"},
+            **_output("json"),
+            **_run_settings(_TRIALS._replace(high=MAX_LEDGER_TRIALS)),
+            "stats_trials": _TRIALS,
+            "ledger": _Setting(_path, help="path for the JSON-lines trial ledger"),
         },
         _cmd_counterfactual,
     ),
     "bomb": _Subcommand(
         "interferometer with an optional absorber",
-        "json",
         {
-            "--reflectivity": {"type": float},
-            "--bomb": {"action": _BOOL},
-            "--phase": {"type": float},
-            "--trials": {"type": int},
-            "--seed": {"type": int},
-            "--exact": {"action": _BOOL, "help": "skip sampling; report exact probabilities only"},
+            **_output("json"),
+            "reflectivity": _Setting(float, 0.5),
+            "bomb": _Setting(bool, True),
+            "phase": _Setting(float, 0.0),
+            "trials": _TRIALS,
+            "exact": _Setting(bool, False, help="skip sampling; report exact probabilities only"),
+            "seed": _SEED,
         },
         _cmd_bomb,
     ),
     "landscape": _Subcommand(
         "S on a 2-D angle slice, CSV grid",
-        "csv",
         {
-            **_STATE,
-            **_PATTERN,
-            "--fixed": {"help": "two fixed angles, e.g. \"a=0,a'=1.5707963\""},
-            "--resolution": {"type": int},
+            **_output("csv"),
+            "state": _STATE,
+            "pattern": _PATTERN,
+            "fixed": _Setting(
+                lambda value, *_: parse_fixed(value),
+                "a=0.0,a'=1.5707963267948966",
+                help="two fixed angles, e.g. \"a=0,a'=1.5707963\"",
+            ),
+            "resolution": _Setting(int, 32),
         },
         _cmd_landscape,
     ),
@@ -548,10 +521,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, command in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="flat key = JSON config file")
-        for flag, options in command.flags.items():
-            p.add_argument(flag, **options)
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("json", "csv"), help=f"default: {command.format}")
+        for key, setting in command.settings.items():
+            kind = _FLAG_KINDS.get(setting.kind, {})
+            p.add_argument("--" + key.replace("_", "-"), **kind, help=setting.help, **setting.flag)
     return parser
 
 
@@ -559,13 +531,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        file_values = parse_config_file(args.config) if args.config else {}
-        _check_config_keys(args, file_values)
         command = _SUBCOMMANDS[args.command]
-        output = _output(args, file_values, command.format)
-        config, results, rows, *extra = command.handler(args, file_values, output)
-        pieces = _csv_lines(rows) if output.format == "csv" else _document(config, results)
-        _write_artifacts([(output.path, pieces), *extra])
+        settings = _resolve(command.settings, args)
+        config, results, rows, *extra = command.handler(settings)
+        pieces = _csv_lines(rows) if settings["format"] == "csv" else _document(config, results)
+        _write_artifacts([(settings["out"], pieces), *extra])
     except ConfigError as exc:
         print(f"bellsim: configuration error: {exc}", file=sys.stderr)
         return 2

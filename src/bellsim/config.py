@@ -1,15 +1,15 @@
 """Experiment configuration: flat key-value files plus flag overrides.
 
 A config file holds one `key = value` pair per line, where the value is
-JSON-encoded; `#` starts a comment. Command-line flags always take
-precedence over file values, and BELLSIM_SEED is the seed of last resort.
+JSON-encoded; `#` starts a comment. `bellsim.cli`'s command table says which
+keys each subcommand takes and in what order flags, file values, BELLSIM_SEED
+and defaults are tried.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from .stats import validate_sign_pattern
@@ -20,6 +20,23 @@ if TYPE_CHECKING:
 
 class ConfigError(ValueError):
     """Invalid configuration; the CLI maps this to exit code 2."""
+
+
+# The most trials a run samples per setting pair: 2**16 chunks of CHUNK trials.
+MAX_TRIALS = 1 << 32
+# The most trials a ledger records (see bellsim.counterfactual).
+MAX_LEDGER_TRIALS = 1 << 19
+
+ECHO_LIMIT = 64
+
+
+def echoed(value: object) -> str:
+    """`repr(value)` for a diagnostic, cut after ECHO_LIMIT characters to `…` and its length."""
+    try:
+        text = repr(value)
+    except RecursionError:
+        return f"a {type(value).__name__} nested too deeply"
+    return text if len(text) <= ECHO_LIMIT else f"{text[:ECHO_LIMIT]}… ({len(text)} characters)"
 
 
 def parse_config_file(path: str) -> dict[str, object]:
@@ -37,26 +54,27 @@ def parse_config_file(path: str) -> dict[str, object]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        at = f"{path}:{lineno}:"
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigError(f"{at} expected 'key = value', got {echoed(raw)}")
         key, _, value = line.partition("=")
         key = key.strip()
         if key in set_on:
-            raise ConfigError(f"{path}:{lineno}: {key!r} is already set on line {set_on[key]}")
+            raise ConfigError(f"{at} {echoed(key)} is already set on line {set_on[key]}")
         set_on[key] = lineno
         try:
             values[key] = json.loads(value.strip())
         except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
-            raise ConfigError(f"{path}:{lineno}: value for {key!r} is not valid JSON") from exc
+            raise ConfigError(f"{at} value for {echoed(key)} is not valid JSON") from exc
         except RecursionError as exc:
-            raise ConfigError(f"{path}:{lineno}: value for {key!r} is nested too deeply") from exc
+            raise ConfigError(f"{at} value for {echoed(key)} is nested too deeply") from exc
     return values
 
 
 def sign_pattern_from_string(text: str) -> tuple[int, ...]:
     signs = {"+": 1, "-": -1}
     if any(ch not in signs for ch in text):
-        raise ConfigError(f"sign pattern must use only '+' and '-', got {text!r}")
+        raise ConfigError(f"sign pattern must use only '+' and '-', got {echoed(text)}")
     try:
         return validate_sign_pattern(signs[ch] for ch in text)
     except ValueError as exc:
@@ -78,9 +96,9 @@ def parse_angles(value: object) -> tuple[float, float, float, float]:
                 raise TypeError("a bool or a string is not a number")
         angles = tuple(float(p) for p in parts)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"angles must be four numbers, got {value!r}") from exc
+        raise ConfigError(f"angles must be four numbers, got {echoed(value)}") from exc
     if len(angles) != 4 or any(not math.isfinite(t) for t in angles):
-        raise ConfigError(f"angles must be four finite radians, got {value!r}")
+        raise ConfigError(f"angles must be four finite radians, got {echoed(value)}")
     return angles
 
 
@@ -110,12 +128,14 @@ def resolve_model(
             elif name.startswith("{"):
                 model = ModelDescriptor.from_dict(json.loads(name))
             else:
+                # A name cut short is followed by a line break: the first line stays short.
+                cut = "\n" if len(repr(name)) > ECHO_LIMIT else " "
                 raise ConfigError(
-                    f"unknown model {name!r}; expected a catalog name "
+                    f"unknown model {echoed(name)};{cut}expected a catalog name "
                     f"({', '.join(sorted(CATALOG))}), 'quantum', 'nonlocal', or a JSON object"
                 )
         else:
-            raise ConfigError(f"cannot interpret model specification {spec!r}")
+            raise ConfigError(f"cannot interpret model specification {echoed(spec)}")
         if model.kind in ("quantum", "nonlocal") and (state is not None or angles is not None):
             model = ModelDescriptor(
                 kind=model.kind,
@@ -133,23 +153,25 @@ def resolve_model(
         raise ConfigError(f"invalid model: {exc}") from exc
 
 
-def resolve_seed(flag_value: Optional[int], file_value: Optional[object]) -> int:
-    """Seed precedence: flag, then config file, then BELLSIM_SEED, then 0."""
-    if flag_value is not None:
-        seed, source = int(flag_value), "--seed"
-    elif file_value is not None:
-        if isinstance(file_value, bool) or not isinstance(file_value, int):
-            raise ConfigError(f"seed must be an integer, got {file_value!r}")
-        seed, source = file_value, "seed"
+def parse_fixed(raw: object) -> dict[str, float]:
+    """Two fixed landscape angles from 'a=0,a\'=1.5' or a JSON mapping of label to number."""
+    if isinstance(raw, dict):
+        items = list(raw.items())
+        if any(isinstance(value, (bool, str)) for _, value in items):
+            raise ConfigError(f"fixed angles must be numbers: {echoed(raw)}")
+    elif isinstance(raw, str):
+        segments = [segment.partition("=") for segment in raw.split(",")]
+        for label, equals, _ in segments:
+            if not equals:
+                raise ConfigError(f"--fixed segments must look like a=0.5, got {echoed(label)}")
+        items = [(label.strip(), value.strip()) for label, _, value in segments]
     else:
-        env = os.environ.get("BELLSIM_SEED")
-        if env is None:
-            return 0
-        try:
-            seed, source = int(env), "BELLSIM_SEED"
-        except ValueError as exc:
-            raise ConfigError(f"BELLSIM_SEED must be an integer, got {env!r}") from exc
-    # Streams use the seed modulo 2**64, so any other seed would repeat another's trials.
-    if not 0 <= seed < 1 << 64:
-        raise ConfigError(f"{source} must be in [0, 2**64), got {seed}")
-    return seed
+        raise ConfigError(f"cannot interpret fixed angles {echoed(raw)}")
+    labels = [label for label, _ in items]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ConfigError(f"fixed angle {', '.join(map(echoed, repeated))} is given more than once")
+    try:
+        return {label: float(value) for label, value in items}
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"fixed angles must be numbers: {echoed(raw)}") from exc

@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence
 
 from ._record import record
+from .config import MAX_LEDGER_TRIALS
 from .experiment import run_chsh_experiment
 from .models import ModelDescriptor, TrialRecord, _pair_index, sample_outcomes
 from .polytope import CorrelationVector, FeasibilityVerdict, local_membership
@@ -45,7 +46,6 @@ if TYPE_CHECKING:
 # and written CHUNK trials at a time, so its text, about 90 bytes per trial,
 # is never held whole; the cap bounds a run's time and disk.
 _STATS_STREAM_BASE = 1 << 32
-MAX_LEDGER_TRIALS = 1 << 19
 assert MAX_LEDGER_TRIALS <= _STATS_STREAM_BASE
 
 

@@ -27,6 +27,7 @@ import operator
 from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
 
 from ._record import record
+from .config import echoed
 from .quantum import (
     OUTCOME_ORDER,
     JointOutcomeDistribution,
@@ -120,7 +121,7 @@ def _floats(values: object, what: str) -> tuple[float, ...]:
     except OverflowError as exc:
         raise ValueError(f"{what} must be numbers within float range") from exc
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{what} must be numbers, got {values!r}") from exc
+        raise ValueError(f"{what} must be numbers, got {echoed(values)}") from exc
 
 
 def _validate_weights(weights: Sequence[float]) -> tuple[float, ...]:
@@ -261,14 +262,16 @@ class ModelDescriptor:
 
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
+            raise ValueError(
+                f"unknown model kind {echoed(self.kind)}; expected one of {MODEL_KINDS}"
+            )
         if self.kind in ("quantum", "nonlocal"):
             if self.state is None or self.angles is None:
                 raise ValueError(f"{self.kind} model requires a state kind and four angles")
             make_named_state(self.state)  # validates the name
             angles = _floats(self.angles, "angles")
             if len(angles) != 4 or any(not math.isfinite(t) for t in angles):
-                raise ValueError(f"angles must be four finite radians, got {self.angles!r}")
+                raise ValueError(f"angles must be four finite radians, got {echoed(self.angles)}")
             object.__setattr__(self, "angles", angles)
             if self.weights is not None or self.table is not None:
                 raise ValueError(f"{self.kind} model takes no weights or table")
@@ -333,7 +336,8 @@ class ModelDescriptor:
     @classmethod
     def from_dict(cls, payload: Mapping) -> "ModelDescriptor":
         if not isinstance(payload, Mapping) or "kind" not in payload:
-            raise ValueError(f"model payload must be a mapping with a 'kind', got {payload!r}")
+            got = echoed(payload)
+            raise ValueError(f"model payload must be a mapping with a 'kind', got {got}")
         kind = payload["kind"]
         if kind in ("quantum", "nonlocal"):
             return cls(kind=kind, state=payload.get("state"), angles=payload.get("angles"))
@@ -352,7 +356,7 @@ class ModelDescriptor:
                 labels = tuple(key.split(",")) if isinstance(key, str) else tuple(key)
                 parsed[labels] = row
             return cls(kind=kind, table=parsed)
-        raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+        raise ValueError(f"unknown model kind {echoed(kind)}; expected one of {MODEL_KINDS}")
 
 
 def quantum_model(
@@ -378,7 +382,7 @@ def lhv_deterministic_model(strategy: "LhvStrategy | int") -> ModelDescriptor:
     if isinstance(index, float) and index.is_integer():
         index = int(index)
     if isinstance(index, bool) or not hasattr(index, "__index__"):
-        raise ValueError(f"strategy must be an integer, got {strategy!r}")
+        raise ValueError(f"strategy must be an integer, got {echoed(strategy)}")
     index = operator.index(index)
     if not 0 <= index < 16:
         raise ValueError(f"strategy index must be in 0..15, got {index}")

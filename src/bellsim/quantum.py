@@ -115,8 +115,10 @@ class JointOutcomeDistribution:
 
 def make_named_state(kind: str) -> TwoQubitState:
     """Resolve a state by name: the Bell kinds plus the separable basis kinds."""
-    if kind not in _NAMED_STATES:
-        raise ValueError(f"unknown state kind {kind!r}; expected one of {STATE_KINDS}")
+    if not isinstance(kind, str) or kind not in _NAMED_STATES:
+        from .config import echoed
+
+        raise ValueError(f"unknown state kind {echoed(kind)}; expected one of {STATE_KINDS}")
     return TwoQubitState(_NAMED_STATES[kind])
 
 

@@ -17,10 +17,10 @@ from bellsim import cli
 from bellsim.cli import main
 from bellsim.config import (
     ConfigError,
+    echoed,
     parse_angles,
     parse_config_file,
     resolve_model,
-    resolve_seed,
     sign_pattern_from_string,
     sign_pattern_to_string,
 )
@@ -78,6 +78,15 @@ class TestConfigHelpers:
         with pytest.raises(ConfigError):
             sign_pattern_from_string("+x++")
 
+    def test_echoed_cuts_a_long_repr(self):
+        assert echoed("abc") == "'abc'"
+        assert echoed("x" * 100) == "'" + "x" * 63 + "… (102 characters)"
+        assert echoed(10**70) == str(10**70)[:64] + "… (71 characters)"
+        deep: list = []
+        for _ in range(100_000):
+            deep = [deep]
+        assert echoed(deep) == "a list nested too deeply"
+
     def test_parse_angles(self):
         assert parse_angles("0,1.5,0.7,2.3") == (0.0, 1.5, 0.7, 2.3)
         assert parse_angles([0, 1, 2, 3]) == (0.0, 1.0, 2.0, 3.0)
@@ -96,17 +105,6 @@ class TestConfigHelpers:
             resolve_model("not-a-model")
         with pytest.raises(ConfigError):
             resolve_model("lhv-uniform", angles=(0.0, 1.0, 2.0, 3.0))
-
-    def test_resolve_seed_precedence(self, monkeypatch):
-        monkeypatch.delenv("BELLSIM_SEED", raising=False)
-        assert resolve_seed(5, 9) == 5
-        assert resolve_seed(None, 9) == 9
-        assert resolve_seed(None, None) == 0
-        monkeypatch.setenv("BELLSIM_SEED", "77")
-        assert resolve_seed(None, None) == 77
-        monkeypatch.setenv("BELLSIM_SEED", "x")
-        with pytest.raises(ConfigError):
-            resolve_seed(None, None)
 
 
 def _run(args, capsys):
@@ -634,6 +632,28 @@ def test_every_unknown_key_is_named(tmp_path, capsys):
 SEED_SOURCES = {"flag": "--seed", "config": "seed", "env": "BELLSIM_SEED"}
 
 
+def test_seed_precedence_is_flag_file_env_default(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 9\n")
+
+    def seed(*argv):
+        code, stdout, _ = _run(["chsh", "--exact", *argv], capsys)
+        assert code == 0
+        return json.loads(stdout)["config"]["seed"]
+
+    monkeypatch.delenv("BELLSIM_SEED", raising=False)
+    assert seed() == 0
+    monkeypatch.setenv("BELLSIM_SEED", " 77 ")
+    assert seed() == 77
+    assert seed("--config", str(cfg)) == 9
+    assert seed("--config", str(cfg), "--seed", "5") == 5
+    monkeypatch.setenv("BELLSIM_SEED", "x")
+    assert seed("--seed", "5") == 5  # an environment seed that is never read is never checked
+    code, _, stderr = _run(["chsh", "--exact"], capsys)
+    assert code == 2
+    assert stderr == "bellsim: configuration error: BELLSIM_SEED must be an integer, got 'x'\n"
+
+
 @pytest.mark.parametrize("source", sorted(SEED_SOURCES))
 @pytest.mark.parametrize("seed", [-1, 0, 2**64 - 1, 2**64])
 def test_seed_outside_stream_range_exits_2(source, seed, tmp_path, capsys, monkeypatch):
@@ -670,6 +690,18 @@ def _python(args, cwd, **kwargs):
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         **kwargs,
+    )
+
+
+def test_deep_config_value_is_echoed_cut_in_a_fresh_process(tmp_path):
+    # In a fresh process a list nested 980 deep parses, and its 1,960-character repr is cut.
+    (tmp_path / "run.cfg").write_text("seed = " + "[" * 980 + "]" * 980 + "\n")
+    argv = ["-m", "bellsim.cli", "chsh", "--exact", "--config", "run.cfg"]
+    completed = _python(argv, tmp_path, text=True)
+    assert (completed.returncode, completed.stdout) == (2, "")
+    assert completed.stderr == (
+        "bellsim: configuration error: seed must be an integer, got %s… (1960 characters)\n"
+        % ("[" * 64)
     )
 
 
@@ -903,3 +935,40 @@ def test_console_script_is_the_process_entry_point():
     lines = pyproject.read_text(encoding="utf-8").splitlines()
     scripts = lines[lines.index("[project.scripts]") + 1:]
     assert scripts[0] == 'bellsim = "bellsim.cli:run"'
+
+
+# How the README's settings table writes a plain kind; a parser's kind is free text.
+_README_KINDS = {int: "integer", float: "number", bool: "true or false", str: "string"}
+
+
+def _readme_settings_rows() -> list[list[str]]:
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("<!-- settings table"))
+    rows = []
+    for line in lines[start + 3:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+def test_readme_settings_table_matches_the_command_table():
+    expected: dict[tuple, list] = {}
+    for name, command in cli._SUBCOMMANDS.items():
+        for key, setting in command.settings.items():
+            default = "—" if setting.default is None else f"`{json.dumps(setting.default)}`"
+            if setting.high is not None:
+                bounds = f"{setting.low}..{setting.high}"
+            else:
+                bounds = "" if setting.low is None else f"≥ {setting.low}"
+            expected.setdefault((f"`{key}`", default, bounds), []).append((name, setting.kind))
+    rows = _readme_settings_rows()
+    found = {(key, default, bounds): (kind, uses) for key, kind, default, bounds, uses in rows}
+    assert len(found) == len(rows)
+    assert sorted(found) == sorted(expected)
+    for row, uses in expected.items():
+        kind_text, subcommands = found[row]
+        assert subcommands == ", ".join(name for name, _ in uses)
+        for _, kind in uses:
+            assert kind not in _README_KINDS or kind_text.startswith(_README_KINDS[kind])

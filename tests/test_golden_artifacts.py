@@ -356,12 +356,59 @@ DIAGNOSTICS: dict[str, tuple[list[str], int, str]] = {
         2,
         "bellsim: configuration error: invalid model: angles must be numbers within float range",
     ),
+    # An empty sign pattern is rejected, not taken for the default.
+    "chsh-pattern-empty": (
+        ["chsh", "--exact", "--pattern", ""],
+        2,
+        "bellsim: configuration error: sign pattern must be four values in {-1,+1}, got ()",
+    ),
+    "config-pattern-empty": (
+        ["optimize", "--config", "pattern-empty.cfg"],
+        2,
+        "bellsim: configuration error: sign pattern must be four values in {-1,+1}, got ()",
+    ),
+    # A long value is echoed cut short: each of these first lines stays under 200 characters.
+    "model-name-60000": (
+        ["chsh", "--exact", "--model", "x" * 60_000],
+        2,
+        "bellsim: configuration error: unknown model '%s… (60002 characters);" % ("x" * 63),
+    ),
+    "config-angles-1e400": (
+        ["chsh", "--exact", "--config", "angles-1e400.cfg"],
+        2,
+        "bellsim: configuration error: angles must be four numbers, got 1%s… (401 characters)"
+        % ("0" * 63),
+    ),
+    "config-seed-nested-400": (
+        ["chsh", "--exact", "--config", "seed-nested-400.cfg"],
+        2,
+        "bellsim: configuration error: seed must be an integer, got %s… (800 characters)"
+        % ("[" * 64),
+    ),
+    # A state that is not a string is an unknown state kind, not a TypeError.
+    "model-state-list": (
+        ["chsh", "--exact", "--model", '{"kind": "quantum", "state": [], "angles": [0, 0, 0, 0]}'],
+        2,
+        "bellsim: configuration error: invalid model: unknown state kind []; expected one of "
+        "('psi_plus', 'psi_minus', 'phi_plus', 'phi_minus', 'up_up', 'up_down', 'down_up', "
+        "'down_down')",
+    ),
+    # A null config value is no value of the setting's type.
+    "config-trials-null": (
+        ["chsh", "--exact", "--config", "trials-null.cfg"],
+        2,
+        "bellsim: configuration error: trials must be an integer, got None",
+    ),
 }
 
 # The config files the diagnostics name, written to the working directory.
 CONFIG_FILES = {
     "not-utf8.cfg": b"seed = 1\n# \xff\n",
     "nested.cfg": b"seed = " + b"[" * 20_000 + b"]" * 20_000 + b"\n",
+    "pattern-empty.cfg": b'pattern = ""\n',
+    "angles-1e400.cfg": b"angles = 1" + b"0" * 400 + b"\n",
+    "seed-nested-400.cfg": b"seed = " + b"[" * 400 + b"]" * 400 + b"\n",
+    "trials-null.cfg": b"trials = null\n",
 }
 
 
@@ -385,6 +432,13 @@ def test_diagnostic_unchanged(case, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     argv, code, line = DIAGNOSTICS[case]
     assert diagnostic(argv) == (code, line)
+
+
+@pytest.mark.parametrize(
+    "case", ["model-name-60000", "config-angles-1e400", "config-seed-nested-400"]
+)
+def test_echoed_values_are_cut(case):
+    assert len(DIAGNOSTICS[case][2]) <= 200
 
 
 @pytest.mark.parametrize("trials", ["0", "-5"])
