@@ -36,7 +36,6 @@ _MODULE_EXPORTS: dict[str, tuple[str, ...]] = {
     ),
     "interferometer": ("InterferometerSpec", "port_probabilities", "run_bomb_trials"),
     "models": (
-        "LhvStrategy",
         "ModelDescriptor",
         "NoSignallingReport",
         "SINGLET_OPTIMAL_ANGLES",

@@ -50,14 +50,12 @@ from .config import (
     sign_pattern_to_string,
 )
 from .quantum import STATE_KINDS, make_named_state
-from .stats import DEFAULT_SIGN_PATTERN, PAIR_ORDER, SIGN_PATTERNS, classify_bound
+from .stats import DEFAULT_SIGN_PATTERN, PAIR_ORDER, SETTING_LABELS, SIGN_PATTERNS, classify_bound
 
 if TYPE_CHECKING:
     from .models import ModelDescriptor
 
 _KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
-_BOOL = {"action": argparse.BooleanOptionalAction}
-_FLAG_KINDS = {int: {"type": int}, float: {"type": float}, bool: _BOOL}  # add_argument keywords
 
 
 def _of_kind(name: str, kind: type, value: object):
@@ -95,16 +93,16 @@ def _model(value: object, source: str, settings: dict) -> ModelDescriptor:
 
 
 def _seed(value: object, source: str, settings: dict) -> int:
-    """A seed from --seed, the seed key or BELLSIM_SEED's text: an integer in [0, 2**64)."""
-    if source == "BELLSIM_SEED":
-        with contextlib.suppress(ValueError):
-            value = int(value)
+    """A seed from --seed, the seed key or BELLSIM_SEED: an integer in [0, 2**64)."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{source} must be an integer, got {echoed(value)}")
     # Streams use the seed modulo 2**64, so any other seed would repeat another's trials.
     if not 0 <= value < 1 << 64:
         raise ConfigError(f"{source} must be in [0, 2**64), got {echoed(value)}")
     return value
+
+
+_FROM_TEXT = {int: int, float: float, _seed: int}  # reads a flag's or BELLSIM_SEED's text
 
 
 class _Setting(NamedTuple):
@@ -115,16 +113,19 @@ class _Setting(NamedTuple):
     low: Optional[int] = None
     high: Optional[int] = None
     help: Optional[str] = None  # the flag's help
-    flag: dict = {}  # further add_argument keywords; "choices" binds config values too
+    choices: tuple = ()  # the values a str setting may take, from any source
     env: str = ""  # an environment variable tried after the config file
 
     def parse(self, key: str, value: object, source: str, settings: dict):
         if value is None and self.default is None:  # unset, or null in the config file
             return None
+        if source != key and self.kind in _FROM_TEXT:  # text from a flag or the environment
+            with contextlib.suppress(ValueError):  # text that is no number is reported below
+                value = _FROM_TEXT[self.kind](value)
         if self.kind not in _KIND_NAMES:
             return self.kind(value, source, settings)
         value = _of_kind(source, self.kind, value)
-        name, choices = key.replace("_", "-"), self.flag.get("choices")
+        name, choices = key.replace("_", "-"), self.choices
         if self.low is not None and value < self.low:
             raise ConfigError(f"{name} must be at least {self.low}, got {echoed(value)}")
         if self.high is not None and value > self.high:
@@ -266,24 +267,22 @@ def _cmd_lhv_scan(settings: dict) -> tuple:
         ["index", "r_a", "r_a'", "r_b", "r_b'", "e_ab", "e_ab'", "e_a'b", "e_a'b'", "best_abs_s"]
     ]
     best_overall = 0.0
-    for strategy in enumerate_deterministic_strategies():
+    for index, strategy in enumerate(enumerate_deterministic_strategies()):
         vector = strategy_correlation(strategy).as_tuple()
         best = max(
             abs(sum(s * e for s, e in zip(pattern, vector))) for pattern in SIGN_PATTERNS
         )
         best_overall = max(best_overall, best)
-        responses = {**strategy.response_left, **strategy.response_right}
+        responses = dict(zip(SETTING_LABELS, strategy))
         strategies.append(
             {
-                "index": strategy.index,
+                "index": index,
                 "responses": responses,
                 "correlations": list(vector),
                 "best_abs_s": best,
             }
         )
-        rows.append(
-            [strategy.index, *responses.values()] + [repr(float(e)) for e in (*vector, best)]
-        )
+        rows.append([index, *strategy] + [repr(float(e)) for e in (*vector, best)])
     rows.append(["max", *[""] * 8, repr(float(best_overall))])
     results = {"strategies": strategies, "max_abs_s": best_overall}
     return {"command": "lhv-scan", "format": settings["format"]}, results, rows
@@ -415,16 +414,16 @@ class _Subcommand(NamedTuple):
 
 def _output(default_format: str) -> dict[str, _Setting]:
     """Where the artifact goes and in which format, resolved before any other setting."""
-    formats = {"choices": ("json", "csv")}
+    formats = ("json", "csv")
     return {
         "out": _Setting(_path, help="output path (default: stdout)"),
-        "format": _Setting(str, default_format, help=f"default: {default_format}", flag=formats),
+        "format": _Setting(str, default_format, help=f"default: {default_format}", choices=formats),
     }
 
 
 _TRIALS = _Setting(int, 100_000, 1, MAX_TRIALS)
-_SEED = _Setting(_seed, 0, flag={"type": int}, env="BELLSIM_SEED")
-_STATE = _Setting(str, "psi_minus", flag={"choices": STATE_KINDS})
+_SEED = _Setting(_seed, 0, env="BELLSIM_SEED")
+_STATE = _Setting(str, "psi_minus", choices=STATE_KINDS)
 _PATTERN = _Setting(
     _pattern, sign_pattern_to_string(DEFAULT_SIGN_PATTERN), help="sign pattern such as +-++"
 )
@@ -522,8 +521,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="flat key = JSON config file")
         for key, setting in command.settings.items():
-            kind = _FLAG_KINDS.get(setting.kind, {})
-            p.add_argument("--" + key.replace("_", "-"), **kind, help=setting.help, **setting.flag)
+            # Values reach _Setting.parse as text, so a long one is echoed cut short.
+            action = argparse.BooleanOptionalAction if setting.kind is bool else "store"
+            metavar = "{" + ",".join(setting.choices) + "}" if setting.choices else None
+            flag = "--" + key.replace("_", "-")
+            p.add_argument(flag, action=action, help=setting.help, metavar=metavar)
     return parser
 
 

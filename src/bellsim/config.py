@@ -136,7 +136,7 @@ def resolve_model(
                 )
         else:
             raise ConfigError(f"cannot interpret model specification {echoed(spec)}")
-        if model.kind in ("quantum", "nonlocal") and (state is not None or angles is not None):
+        if model.state is not None and (state is not None or angles is not None):
             model = ModelDescriptor(
                 kind=model.kind,
                 state=state if state is not None else model.state,

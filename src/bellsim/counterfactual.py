@@ -34,7 +34,7 @@ from .config import MAX_LEDGER_TRIALS
 from .experiment import run_chsh_experiment
 from .models import ModelDescriptor, TrialRecord, _pair_index, sample_outcomes
 from .polytope import CorrelationVector, FeasibilityVerdict, local_membership
-from .quantum import OUTCOME_ORDER, JointOutcomeDistribution
+from .quantum import OUTCOME_ORDER, JointOutcomeDistribution, outcome_index
 from .stats import PAIR_ORDER, SettingPair
 
 if TYPE_CHECKING:
@@ -157,15 +157,6 @@ def record_run(
     return TrialLedger(int(seed), model, pairs, np.concatenate(outcomes), hidden)
 
 
-def _alternative_cell_kind(model: ModelDescriptor) -> str:
-    """The kind of every non-factual cell; the model kind alone decides it."""
-    if model.kind in ("lhv_deterministic", "lhv_stochastic"):
-        return "definite"
-    if model.kind in ("quantum", "nonlocal"):
-        return "distribution"
-    return "undefined"
-
-
 def replay_counterfactual(
     ledger: TrialLedger, trial_index: int, alternative: SettingPair
 ) -> CounterfactualCell:
@@ -178,7 +169,7 @@ def replay_counterfactual(
         outcome = tuple(ledger.outcomes[trial_index].tolist())
         return CounterfactualCell(kind="definite", outcome=outcome)
     model = ledger.model
-    kind = _alternative_cell_kind(model)
+    kind = model.unperformed_cell
     if kind == "definite":
         hidden = int(ledger.hidden[trial_index])
         return CounterfactualCell(kind=kind, outcome=model.response(hidden, alternative))
@@ -218,7 +209,7 @@ def classify_definiteness(
 
     # Each trial has one factual (definite) cell and three alternatives.
     cell_kinds = {"definite": trials, "distribution": 0, "undefined": 0}
-    cell_kinds[_alternative_cell_kind(ledger.model)] += 3 * trials
+    cell_kinds[ledger.model.unperformed_cell] += 3 * trials
     replayed = record_run(ledger.model, ledger.pairs, ledger.seed).outcomes
     matched = int((replayed == ledger.outcomes).all(axis=1).sum())
 
@@ -265,7 +256,7 @@ def ledger_blocks(ledger: TrialLedger) -> Iterator[str]:
         block = slice(start, start + CHUNK)
         # Fragment keys: 68 per pair, 17 per outcome pair (its index in OUTCOME_ORDER), hidden + 1.
         left, right = ledger.outcomes[block].T.astype(int)
-        keys = 68 * ledger.pairs[block].astype(int) + 17 * ((1 - left) + (1 - right) // 2)
+        keys = 68 * ledger.pairs[block].astype(int) + 17 * outcome_index(left, right)
         if ledger.hidden is not None:
             keys += 1 + ledger.hidden[block]
         lines = zip(range(start, start + CHUNK), keys.tolist())

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from ._record import record
-from .models import ModelDescriptor, count_outcomes
+from .models import STRATEGIES, ModelDescriptor, count_outcomes
 from .quantum import expectation
 from .stats import (
     PAIR_ORDER,
@@ -58,22 +58,17 @@ def run_chsh_experiment(
 
 def model_exact_correlations(model: ModelDescriptor) -> CorrelationVector:
     """The correlation vector a model produces in expectation, no sampling."""
-    from .polytope import (
-        CorrelationVector,
-        enumerate_deterministic_strategies,
-        strategy_correlation,
-    )
+    from .polytope import CorrelationVector, strategy_correlation
 
-    if model.kind in ("quantum", "nonlocal"):
+    if model.state is not None:  # quantum and nonlocal
         state = model.quantum_state()
         values = [
             expectation(state, model.angle_for(x), model.angle_for(y))
             for x, y in PAIR_ORDER
         ]
         return CorrelationVector(*values)
-    if model.kind in ("lhv_deterministic", "lhv_stochastic"):
-        strategies = enumerate_deterministic_strategies()
-        vertices = [strategy_correlation(s).as_tuple() for s in strategies]
+    if model.weights is not None:  # the LHV kinds
+        vertices = [strategy_correlation(s).as_tuple() for s in STRATEGIES]
         return CorrelationVector(
             *(sum(w * e for w, e in zip(model.weights, column)) for column in zip(*vertices))
         )

@@ -22,6 +22,7 @@ the work is chunked.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
@@ -34,69 +35,36 @@ from .quantum import (
     TwoQubitState,
     joint_probabilities,
     make_named_state,
+    outcome_index,
 )
-from .stats import PAIR_ORDER, CoincidenceCounts, SettingPair
+from .stats import PAIR_ORDER, SETTING_LABELS, CoincidenceCounts, SettingPair
 
 if TYPE_CHECKING:
     import numpy as np
 
     from .streams import ChunkBuffers, TrialStream
 
-LEFT_LABELS = ("a", "a'")
-RIGHT_LABELS = ("b", "b'")
+# What each kind takes, and what a setting pair it did not measure holds: the
+# strategy's one definite outcome pair, the Born distribution, or nothing,
+# since a superdeterministic draw is conditioned on the pair measured.
+_KINDS = {
+    "quantum": (("state", "angles"), "distribution"),
+    "lhv_deterministic": (("weights",), "definite"),
+    "lhv_stochastic": (("weights",), "definite"),
+    "superdeterministic": (("table",), "undefined"),
+    "nonlocal": (("state", "angles"), "distribution"),
+}
+MODEL_KINDS = tuple(_KINDS)
+_FIELDS = ("state", "angles", "weights", "table")
 
-MODEL_KINDS = (
-    "quantum",
-    "lhv_deterministic",
-    "lhv_stochastic",
-    "superdeterministic",
-    "nonlocal",
-)
+LEFT_LABELS, RIGHT_LABELS = SETTING_LABELS[:2], SETTING_LABELS[2:]
+
+# The 16 deterministic strategies as the signs they answer at (a, a', b, b'),
+# in index order: the index's bits, high to low, are a, a', b, b', 1 meaning -1.
+STRATEGIES: tuple[tuple[int, int, int, int], ...] = tuple(itertools.product((1, -1), repeat=4))
 
 SINGLET_OPTIMAL_ANGLES = (0.0, math.pi / 2.0, math.pi / 4.0, 3.0 * math.pi / 4.0)
 PSI_PLUS_OPTIMAL_ANGLES = (0.0, math.pi / 2.0, 3.0 * math.pi / 4.0, math.pi / 4.0)
-
-
-@record
-class LhvStrategy:
-    """Deterministic +-1 responses, one per local setting label.
-
-    A response depends only on the local label; the strategy index packs the
-    four responses as bits (a, a', b, b'), bit value 0 meaning +1.
-    """
-
-    response_left: Mapping[str, int]
-    response_right: Mapping[str, int]
-
-    def __post_init__(self) -> None:
-        left = {label: int(self.response_left[label]) for label in LEFT_LABELS}
-        right = {label: int(self.response_right[label]) for label in RIGHT_LABELS}
-        for responses in (left, right):
-            if any(v not in (-1, 1) for v in responses.values()):
-                raise ValueError(f"strategy responses must be +-1, got {responses}")
-        object.__setattr__(self, "response_left", left)
-        object.__setattr__(self, "response_right", right)
-
-    @classmethod
-    def from_index(cls, index: int) -> "LhvStrategy":
-        if not 0 <= index < 16:
-            raise ValueError(f"strategy index must be in 0..15, got {index}")
-        bits = [(index >> shift) & 1 for shift in (3, 2, 1, 0)]
-        signs = [1 if bit == 0 else -1 for bit in bits]
-        return cls(
-            response_left={"a": signs[0], "a'": signs[1]},
-            response_right={"b": signs[2], "b'": signs[3]},
-        )
-
-    @property
-    def index(self) -> int:
-        signs = (
-            self.response_left["a"],
-            self.response_left["a'"],
-            self.response_right["b"],
-            self.response_right["b'"],
-        )
-        return sum((0 if s == 1 else 1) << shift for s, shift in zip(signs, (3, 2, 1, 0)))
 
 
 @record
@@ -138,6 +106,8 @@ def _validate_weights(weights: Sequence[float]) -> tuple[float, ...]:
 def _validate_table(
     table: Mapping[SettingPair, Sequence[float]],
 ) -> dict[SettingPair, tuple[float, ...]]:
+    if not isinstance(table, Mapping):
+        raise ValueError(f"outcome table must map setting pairs to rows, got {echoed(table)}")
     cleaned: dict[SettingPair, tuple[float, ...]] = {}
     for pair in PAIR_ORDER:
         if pair not in table:
@@ -203,22 +173,21 @@ def _build_tables(model: "ModelDescriptor") -> _SamplingTables:
     import numpy as np
 
     # Outcome pair per hidden index, per setting pair in PAIR_ORDER: the joint
-    # outcomes in OUTCOME_ORDER, or the 16 strategies' responses, unpacked from
-    # the strategy index as in LhvStrategy.from_index (bits a, a', b, b').
+    # outcomes in OUTCOME_ORDER, or the signs each of the 16 strategies answers.
     outcome_answers = np.tile(np.array(OUTCOME_ORDER, dtype=np.int8), (4, 1, 1))
     dists = None
-    if model.kind in ("quantum", "nonlocal"):
+    if model.state is not None:  # quantum and nonlocal
         state = model.quantum_state()
         dists = tuple(
             joint_probabilities(state, model.angle_for(x), model.angle_for(y))
             for x, y in PAIR_ORDER
         )
         rows, answers = np.array([d.as_array() for d in dists]), outcome_answers
-    elif model.kind in ("lhv_deterministic", "lhv_stochastic"):
-        responses = 1 - 2 * ((np.arange(16)[:, None] >> np.array([3, 2, 1, 0])) & 1)
+    elif model.weights is not None:  # the LHV kinds
+        signs = np.array(STRATEGIES, dtype=np.int8)
         answers = np.stack(
-            [responses[:, [x, 2 + y]] for x in range(2) for y in range(2)]
-        ).astype(np.int8)
+            [signs[:, [SETTING_LABELS.index(x), SETTING_LABELS.index(y)]] for x, y in PAIR_ORDER]
+        )
         rows = np.tile(model.weights, (4, 1))
     else:
         rows, answers = np.array([model.table[pair] for pair in PAIR_ORDER]), outcome_answers
@@ -241,8 +210,7 @@ def _build_tables(model: "ModelDescriptor") -> _SamplingTables:
     reach = np.minimum(last_positive, np.where(full.any(axis=1), np.argmax(full, axis=1), n))
     cdf[np.arange(n) >= reach[:, None]] = np.inf
     width = int(reach.max()) + 1
-    # The counter index of an outcome pair in OUTCOME_ORDER: (1 - left) + (1 - right) / 2.
-    counter = (1 - answers[:, :width, 0]) + (1 - answers[:, :width, 1]) // 2
+    counter = outcome_index(answers[:, :width, 0], answers[:, :width, 1])
     segments = []
     for thresholds, counters in zip(cdf[:, : width - 1].tolist(), counter.tolist()):
         cuts, owners = _segments(thresholds, counters)
@@ -252,7 +220,10 @@ def _build_tables(model: "ModelDescriptor") -> _SamplingTables:
 
 @record
 class ModelDescriptor:
-    """A validated world-model configuration and its sampling tables."""
+    """A validated world-model configuration and its sampling tables.
+
+    A kind takes exactly the fields _KINDS names for it and leaves the others None.
+    """
 
     kind: str
     state: Optional[str] = None
@@ -261,35 +232,34 @@ class ModelDescriptor:
     table: Optional[Mapping[SettingPair, tuple[float, ...]]] = None
 
     def __post_init__(self) -> None:
+        # A tuple, not _KINDS: a dict would raise TypeError on an unhashable kind.
         if self.kind not in MODEL_KINDS:
             raise ValueError(
                 f"unknown model kind {echoed(self.kind)}; expected one of {MODEL_KINDS}"
             )
-        if self.kind in ("quantum", "nonlocal"):
-            if self.state is None or self.angles is None:
-                raise ValueError(f"{self.kind} model requires a state kind and four angles")
+        fields = _KINDS[self.kind][0]
+        given = tuple(name for name in _FIELDS if getattr(self, name) is not None)
+        if given != fields:
+            got = ", ".join(given) or "none"
+            raise ValueError(f"{self.kind} model takes {' and '.join(fields)}, got {got}")
+        if self.state is not None:
             make_named_state(self.state)  # validates the name
             angles = _floats(self.angles, "angles")
             if len(angles) != 4 or any(not math.isfinite(t) for t in angles):
                 raise ValueError(f"angles must be four finite radians, got {echoed(self.angles)}")
             object.__setattr__(self, "angles", angles)
-            if self.weights is not None or self.table is not None:
-                raise ValueError(f"{self.kind} model takes no weights or table")
-        elif self.kind in ("lhv_deterministic", "lhv_stochastic"):
-            if self.weights is None:
-                raise ValueError(f"{self.kind} model requires 16 mixture weights")
+        if self.weights is not None:
             weights = _validate_weights(self.weights)
             if self.kind == "lhv_deterministic" and max(weights) != 1.0:
                 raise ValueError("lhv_deterministic requires a point-mass weight vector")
             object.__setattr__(self, "weights", weights)
-            if self.state is not None or self.angles is not None or self.table is not None:
-                raise ValueError(f"{self.kind} model takes only mixture weights")
-        else:  # superdeterministic
-            if self.table is None:
-                raise ValueError("superdeterministic model requires a setting-conditioned table")
+        if self.table is not None:
             object.__setattr__(self, "table", _validate_table(self.table))
-            if self.state is not None or self.angles is not None or self.weights is not None:
-                raise ValueError("superdeterministic model takes only an outcome table")
+
+    @property
+    def unperformed_cell(self) -> str:
+        """What a setting pair not measured holds: "definite", "distribution" or "undefined"."""
+        return _KINDS[self.kind][1]
 
     @functools.cached_property
     def _tables(self) -> _SamplingTables:
@@ -298,15 +268,15 @@ class ModelDescriptor:
 
     def angle_for(self, label: str) -> float:
         assert self.angles is not None
-        index = {"a": 0, "a'": 1, "b": 2, "b'": 3}[label]
-        return self.angles[index]
+        return self.angles[SETTING_LABELS.index(label)]
 
     def quantum_state(self) -> TwoQubitState:
         assert self.state is not None
         return make_named_state(self.state)
 
     def exposes_hidden_variable(self) -> bool:
-        return self.kind in ("lhv_deterministic", "lhv_stochastic", "superdeterministic")
+        """Whether outcomes come from a hidden index; quantum and nonlocal draw Born outcomes."""
+        return self.state is None
 
     def distribution(self, settings: SettingPair) -> JointOutcomeDistribution:
         """Born distribution at a setting pair (quantum and nonlocal kinds)."""
@@ -322,41 +292,34 @@ class ModelDescriptor:
         return tuple(answers[_pair_index(settings), hidden].tolist())
 
     def to_dict(self) -> dict:
-        if self.kind in ("quantum", "nonlocal"):
-            return {"kind": self.kind, "state": self.state, "angles": list(self.angles)}
+        """The JSON form: the kind and its fields, a point mass as its strategy index."""
         if self.kind == "lhv_deterministic":
             return {"kind": self.kind, "strategy": self.weights.index(1.0)}
-        if self.kind == "lhv_stochastic":
-            return {"kind": self.kind, "weights": list(self.weights)}
-        return {
-            "kind": self.kind,
-            "table": {",".join(pair): list(row) for pair, row in self.table.items()},
-        }
+        payload = {"kind": self.kind}
+        for name in _KINDS[self.kind][0]:
+            value = getattr(self, name)
+            if name == "table":
+                value = {",".join(pair): list(row) for pair, row in value.items()}
+            payload[name] = list(value) if isinstance(value, tuple) else value
+        return payload
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "ModelDescriptor":
+        """The model of a JSON form: `strategy` stands for a point mass, a table key is "x,y"."""
         if not isinstance(payload, Mapping) or "kind" not in payload:
             got = echoed(payload)
             raise ValueError(f"model payload must be a mapping with a 'kind', got {got}")
-        kind = payload["kind"]
-        if kind in ("quantum", "nonlocal"):
-            return cls(kind=kind, state=payload.get("state"), angles=payload.get("angles"))
-        if kind == "lhv_deterministic":
-            if "strategy" in payload:
-                return lhv_deterministic_model(payload["strategy"])
-            return cls(kind=kind, weights=payload.get("weights"))
-        if kind == "lhv_stochastic":
-            return cls(kind=kind, weights=payload.get("weights"))
-        if kind == "superdeterministic":
-            table = payload.get("table")
-            if not isinstance(table, Mapping):
-                raise ValueError("superdeterministic payload requires a 'table' mapping")
-            parsed = {}
-            for key, row in table.items():
-                labels = tuple(key.split(",")) if isinstance(key, str) else tuple(key)
-                parsed[labels] = row
-            return cls(kind=kind, table=parsed)
-        raise ValueError(f"unknown model kind {echoed(kind)}; expected one of {MODEL_KINDS}")
+        fields = {name: payload.get(name) for name in _FIELDS}
+        if payload["kind"] == "lhv_deterministic" and "strategy" in payload:
+            if fields["weights"] is not None:
+                raise ValueError("lhv_deterministic model takes a strategy or weights, not both")
+            fields["weights"] = lhv_deterministic_model(payload["strategy"]).weights
+        if isinstance(fields["table"], Mapping):
+            fields["table"] = {
+                tuple(key.split(",")) if isinstance(key, str) else tuple(key): row
+                for key, row in fields["table"].items()
+            }
+        return cls(payload["kind"], **fields)
 
 
 def quantum_model(
@@ -373,17 +336,16 @@ def nonlocal_model(
     return ModelDescriptor(kind="nonlocal", state=state, angles=tuple(angles))
 
 
-def lhv_deterministic_model(strategy: "LhvStrategy | int") -> ModelDescriptor:
-    """The model that always answers with one strategy, given as a strategy or its index.
+def lhv_deterministic_model(strategy: int) -> ModelDescriptor:
+    """The model that always answers with STRATEGIES[strategy].
 
     An index is an integer, not a bool or a string; a float counts only when it is integral.
     """
-    index = strategy.index if isinstance(strategy, LhvStrategy) else strategy
-    if isinstance(index, float) and index.is_integer():
-        index = int(index)
-    if isinstance(index, bool) or not hasattr(index, "__index__"):
+    if isinstance(strategy, float) and strategy.is_integer():
+        strategy = int(strategy)
+    if isinstance(strategy, bool) or not hasattr(strategy, "__index__"):
         raise ValueError(f"strategy must be an integer, got {echoed(strategy)}")
-    index = operator.index(index)
+    index = operator.index(strategy)
     if not 0 <= index < 16:
         raise ValueError(f"strategy index must be in 0..15, got {index}")
     weights = tuple(1.0 if i == index else 0.0 for i in range(16))
@@ -633,7 +595,8 @@ def no_signalling_check(
         comparisons=tuple(comparisons),
         max_difference=max(c.difference for c in comparisons),
         passed=all(c.passed for c in comparisons),
-        hidden_variable_setting_dependent=model.kind == "superdeterministic",
+        # A setting pair not measured holds nothing only where the hidden draw reads the pair.
+        hidden_variable_setting_dependent=model.unperformed_cell == "undefined",
         trials_per_cell=trials_per_cell,
         marginals={pair: (p_left[pair], p_right[pair]) for pair in PAIR_ORDER},
     )

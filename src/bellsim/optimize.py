@@ -19,9 +19,13 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from ._record import record
 from .config import echoed
 from .quantum import TwoQubitState, correlation_matrix
-from .stats import DEFAULT_SIGN_PATTERN, PAIR_ORDER, bilinear_chsh_s, validate_sign_pattern
-
-_ANGLE_LABELS = ("a", "a'", "b", "b'")
+from .stats import (
+    DEFAULT_SIGN_PATTERN,
+    PAIR_ORDER,
+    SETTING_LABELS,
+    bilinear_chsh_s,
+    validate_sign_pattern,
+)
 
 Vector2 = tuple[float, float]
 
@@ -137,14 +141,14 @@ def s_landscape(
     pattern = validate_sign_pattern(sign_pattern)
     if not 2 <= resolution <= MAX_RESOLUTION:
         raise ValueError(f"resolution must be in 2..{MAX_RESOLUTION}, got {echoed(resolution)}")
-    unknown = set(fixed) - set(_ANGLE_LABELS)
+    unknown = set(fixed) - set(SETTING_LABELS)
     if unknown:
         raise ValueError(f"unknown angle labels {echoed(sorted(unknown))}")
     if len(fixed) != 2:
         raise ValueError("exactly two angles must be fixed")
     if not all(math.isfinite(float(value)) for value in fixed.values()):
         raise ValueError(f"fixed angles must be finite, got {echoed(dict(fixed))}")
-    row_label, col_label = (label for label in _ANGLE_LABELS if label not in fixed)
+    row_label, col_label = (label for label in SETTING_LABELS if label not in fixed)
     matrix = correlation_matrix(state)
     thetas = tuple(math.pi * i / resolution for i in range(resolution))
     grid_directions = [(math.cos(t), math.sin(t)) for t in thetas]

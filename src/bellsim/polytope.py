@@ -20,7 +20,7 @@ import math
 from typing import TYPE_CHECKING, Optional
 
 from ._record import record
-from .models import LhvStrategy
+from .models import STRATEGIES
 from .stats import PAIR_ORDER, SIGN_PATTERNS
 
 if TYPE_CHECKING:
@@ -75,16 +75,15 @@ class FeasibilityVerdict:
             raise ValueError("infeasible verdict requires a violated facet and no weights")
 
 
-def enumerate_deterministic_strategies() -> tuple[LhvStrategy, ...]:
+def enumerate_deterministic_strategies() -> tuple[tuple[int, int, int, int], ...]:
     """All 16 assignments of +-1 to the labels (a, a', b, b'), in index order."""
-    return tuple(LhvStrategy.from_index(i) for i in range(16))
+    return STRATEGIES
 
 
-def strategy_correlation(strategy: LhvStrategy) -> CorrelationVector:
-    """Correlations of one deterministic strategy: products of its responses."""
-    return CorrelationVector(
-        *(strategy.response_left[x] * strategy.response_right[y] for x, y in PAIR_ORDER)
-    )
+def strategy_correlation(strategy: tuple[int, int, int, int]) -> CorrelationVector:
+    """Correlations of one deterministic strategy (a, a', b, b'): products of its signs."""
+    a, a_prime, b, b_prime = strategy
+    return CorrelationVector(a * b, a * b_prime, a_prime * b, a_prime * b_prime)
 
 
 def vertex_matrix() -> np.ndarray:

@@ -22,6 +22,12 @@ if TYPE_CHECKING:
 # Fixed outcome ordering used by sampling and by every serialized artifact.
 OUTCOME_ORDER: tuple[tuple[int, int], ...] = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
+
+def outcome_index(left, right):
+    """Position of the outcome pair (left, right) in OUTCOME_ORDER, for ints or int arrays."""
+    return (1 - left) + (1 - right) // 2
+
+
 _S = 1.0 / math.sqrt(2.0)
 # Amplitudes over (uu, ud, du, dd): the four maximally entangled states, then
 # the separable basis states.

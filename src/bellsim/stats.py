@@ -13,7 +13,7 @@ import math
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from ._record import record
-from .quantum import TwoQubitState, correlation_matrix
+from .quantum import TwoQubitState, correlation_matrix, outcome_index
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -26,6 +26,9 @@ LOCAL_BOUND = 2.0
 ALGEBRAIC_BOUND = 4.0
 
 SettingPair = tuple[str, str]
+
+# The four setting labels, the left side's two then the right side's: the order of angles.
+SETTING_LABELS = ("a", "a'", "b", "b'")
 
 # Canonical ordering of the four setting pairs; sign patterns index into it.
 PAIR_ORDER: tuple[SettingPair, ...] = (("a", "b"), ("a", "b'"), ("a'", "b"), ("a'", "b'"))
@@ -90,9 +93,7 @@ def counts_from_outcomes(outcomes: np.ndarray) -> CoincidenceCounts:
     bad = np.abs(arr) != 1
     if bad.any():
         raise ValueError(f"outcomes must be +1 or -1, got {arr[bad][0].item()!r}")
-    # Map (left, right) to an index in OUTCOME_ORDER: (1,1)->0 (1,-1)->1 (-1,1)->2 (-1,-1)->3
-    idx = (1 - arr[:, 0]) + (1 - arr[:, 1]) // 2
-    tally = np.bincount(idx, minlength=4)
+    tally = np.bincount(outcome_index(arr[:, 0], arr[:, 1]), minlength=4)
     return CoincidenceCounts(int(tally[0]), int(tally[1]), int(tally[2]), int(tally[3]))
 
 
@@ -190,9 +191,7 @@ def bilinear_chsh_s(
     `sign_pattern` must already be validated.
     """
     (m00, m01), (m10, m11) = matrix
-    directions = {
-        label: (math.cos(t), math.sin(t)) for label, t in zip(("a", "a'", "b", "b'"), angles)
-    }
+    directions = {label: (math.cos(t), math.sin(t)) for label, t in zip(SETTING_LABELS, angles)}
     total = 0.0
     for sign, (x, y) in zip(sign_pattern, PAIR_ORDER):
         (cx, sx), (cy, sy) = directions[x], directions[y]

@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 
 import bellsim
 
-from bellsim import cli
+from bellsim import cli, models
 from bellsim.cli import main
 from bellsim.config import (
     ConfigError,
@@ -941,10 +942,11 @@ def test_console_script_is_the_process_entry_point():
 _README_KINDS = {int: "integer", float: "number", bool: "true or false", str: "string"}
 
 
-def _readme_settings_rows() -> list[list[str]]:
+def _readme_table_rows(marker: str) -> list[list[str]]:
+    """The cells of each row of the README table under the line starting with `marker`."""
     readme = Path(__file__).resolve().parent.parent / "README.md"
     lines = readme.read_text(encoding="utf-8").splitlines()
-    start = next(i for i, line in enumerate(lines) if line.startswith("<!-- settings table"))
+    start = next(i for i, line in enumerate(lines) if line.startswith(marker))
     rows = []
     for line in lines[start + 3:]:
         if not line.startswith("|"):
@@ -963,7 +965,7 @@ def test_readme_settings_table_matches_the_command_table():
             else:
                 bounds = "" if setting.low is None else f"≥ {setting.low}"
             expected.setdefault((f"`{key}`", default, bounds), []).append((name, setting.kind))
-    rows = _readme_settings_rows()
+    rows = _readme_table_rows("<!-- settings table")
     found = {(key, default, bounds): (kind, uses) for key, kind, default, bounds, uses in rows}
     assert len(found) == len(rows)
     assert sorted(found) == sorted(expected)
@@ -972,3 +974,14 @@ def test_readme_settings_table_matches_the_command_table():
         assert subcommands == ", ".join(name for name, _ in uses)
         for _, kind in uses:
             assert kind not in _README_KINDS or kind_text.startswith(_README_KINDS[kind])
+
+
+def test_readme_model_kinds_table_matches_the_kind_table():
+    # Each row: the kind, its fields before any parenthesis, and its unperformed cell first.
+    rows = _readme_table_rows("<!-- model kinds table")
+    found = [
+        (kind.strip("`"), tuple(re.findall(r"`(\w+)`", fields.partition("(")[0])),
+         re.match(r"`(\w+)`", holds).group(1))
+        for kind, fields, holds, _ in rows
+    ]
+    assert found == [(kind, *spec) for kind, spec in models._KINDS.items()]

@@ -326,7 +326,7 @@ EXPORTS = {
     ],
     "interferometer": ["InterferometerSpec", "port_probabilities", "run_bomb_trials"],
     "models": [
-        "LhvStrategy", "ModelDescriptor", "NoSignallingReport", "SINGLET_OPTIMAL_ANGLES",
+        "ModelDescriptor", "NoSignallingReport", "SINGLET_OPTIMAL_ANGLES",
         "TrialRecord", "catalog", "count_outcomes", "generate_outcomes",
         "lhv_deterministic_model", "lhv_stochastic_model", "no_signalling_check",
         "nonlocal_model", "pr_box_table", "quantum_model", "run_trial",

@@ -399,6 +399,24 @@ DIAGNOSTICS: dict[str, tuple[list[str], int, str]] = {
         2,
         "bellsim: configuration error: trials must be an integer, got None",
     ),
+    # A flag's text reaches bellsim's own check, so a long value is echoed cut short too.
+    "chsh-state-5000": (
+        ["chsh", "--exact", "--state", "y" * 5_000],
+        2,
+        "bellsim: configuration error: state must be psi_plus, psi_minus, phi_plus, phi_minus, "
+        "up_up, up_down, down_up or down_down, got '%s… (5002 characters)" % ("y" * 63),
+    ),
+    "chsh-trials-5000-zeros": (
+        ["chsh", "--trials", "1" + "0" * 5_000],
+        2,
+        "bellsim: configuration error: --trials must be an integer, got '1%s… (5003 characters)"
+        % ("0" * 62),
+    ),
+    "chsh-seed-abc": (
+        ["chsh", "--exact", "--seed", "abc"],
+        2,
+        "bellsim: configuration error: --seed must be an integer, got 'abc'",
+    ),
 }
 
 # The config files the diagnostics name, written to the working directory.

@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 
 from bellsim import streams
 
+from bellsim.config import ConfigError, resolve_model
 from bellsim.counterfactual import record_run
 from bellsim.experiment import run_chsh_experiment
 from bellsim.interferometer import InterferometerSpec, run_bomb_trials
 from bellsim.models import (
-    LhvStrategy,
+    MODEL_KINDS,
     ModelDescriptor,
     SINGLET_OPTIMAL_ANGLES,
+    STRATEGIES,
     catalog,
     count_chunk,
     count_outcomes,
@@ -42,22 +44,19 @@ PR_BOX = superdeterministic_model(pr_box_table(1.0))
 
 
 class TestLhvStrategy:
+    """STRATEGIES: the signs (a, a', b, b') of each deterministic strategy, by index."""
+
     def test_index_round_trip(self):
-        for index in range(16):
-            assert LhvStrategy.from_index(index).index == index
+        # The index's bits, high to low, are a, a', b, b', a set bit meaning -1.
+        for index, signs in enumerate(STRATEGIES):
+            assert sum((s == -1) << shift for s, shift in zip(signs, (3, 2, 1, 0))) == index
 
     def test_all_plus_is_zero(self):
-        strategy = LhvStrategy.from_index(0)
-        assert strategy.response_left == {"a": 1, "a'": 1}
-        assert strategy.response_right == {"b": 1, "b'": 1}
+        assert STRATEGIES[0] == (1, 1, 1, 1)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            LhvStrategy.from_index(16)
-
-    def test_bad_response(self):
-        with pytest.raises(ValueError):
-            LhvStrategy(response_left={"a": 0, "a'": 1}, response_right={"b": 1, "b'": 1})
+        with pytest.raises(ValueError, match="0..15"):
+            lhv_deterministic_model(16)
 
 
 class TestDescriptorValidation:
@@ -105,6 +104,49 @@ class TestDescriptorValidation:
     def test_catalog_round_trips_through_dict(self, name):
         model = catalog()[name]
         assert ModelDescriptor.from_dict(model.to_dict()) == model
+
+
+# The fields each model kind takes, and one valid value of each field.
+KIND_FIELDS = {
+    "quantum": ("state", "angles"),
+    "lhv_deterministic": ("weights",),
+    "lhv_stochastic": ("weights",),
+    "superdeterministic": ("table",),
+    "nonlocal": ("state", "angles"),
+}
+FIELD_VALUES = {
+    "state": "psi_minus",
+    "angles": (0.0, 1.0, 2.0, 3.0),
+    "weights": (1.0,) + (0.0,) * 15,
+    "table": pr_box_table(1.0),
+}
+
+
+@pytest.mark.parametrize("field", sorted(FIELD_VALUES))
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_a_kind_takes_exactly_its_fields(kind, field):
+    fields = {name: FIELD_VALUES[name] for name in KIND_FIELDS[kind]}
+    assert ModelDescriptor(kind, **fields).kind == kind
+    if field in fields:
+        del fields[field]  # lacks one of its fields
+    else:
+        fields[field] = FIELD_VALUES[field]  # has a field of another kind
+    with pytest.raises(ValueError, match=f"^{kind} model takes "):
+        ModelDescriptor(kind, **fields)
+    with pytest.raises(ConfigError):
+        resolve_model({"kind": kind, **fields})
+
+
+@pytest.mark.parametrize("kind", [[], None, 3, {"quantum": 1}])
+def test_a_kind_that_is_no_string_is_a_value_error(kind):
+    with pytest.raises(ValueError, match="unknown model kind"):
+        ModelDescriptor(kind, state="psi_minus", angles=(0.0, 0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("extra", [{"weights": FIELD_VALUES["weights"]}, {"state": "psi_minus"}])
+def test_a_strategy_takes_no_other_field(extra):
+    with pytest.raises(ConfigError, match="lhv_deterministic model takes"):
+        resolve_model({"kind": "lhv_deterministic", "strategy": 0, **extra})
 
 
 class TestRunTrial:
@@ -354,10 +396,10 @@ class TestModelTables:
             assert np.array_equal(model.distribution((x, y)).as_array(), expected.as_array())
 
     def test_responses_match_strategies(self):
-        for index in range(16):
-            strategy = LhvStrategy.from_index(index)
+        labels = ("a", "a'", "b", "b'")
+        for index, signs in enumerate(STRATEGIES):
             for x, y in PAIR_ORDER:
-                expected = (strategy.response_left[x], strategy.response_right[y])
+                expected = (signs[labels.index(x)], signs[labels.index(y)])
                 assert UNIFORM_LHV.response(index, (x, y)) == expected
 
     @pytest.mark.parametrize(

@@ -32,7 +32,7 @@ class TestEnumeration:
     def test_sixteen_strategies(self):
         strategies = enumerate_deterministic_strategies()
         assert len(strategies) == 16
-        assert len({s.index for s in strategies}) == 16
+        assert len(set(strategies)) == 16
 
     def test_all_plus_vertex(self):
         vector = strategy_correlation(enumerate_deterministic_strategies()[0])

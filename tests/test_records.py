@@ -28,7 +28,6 @@ from bellsim.counterfactual import (
 from bellsim.experiment import ChshExperimentResult
 from bellsim.interferometer import InterferometerSpec
 from bellsim.models import (
-    LhvStrategy,
     MarginalComparison,
     ModelDescriptor,
     NoSignallingReport,
@@ -108,11 +107,6 @@ CASES = [
             "bound_class": "local",
         },
         CHSH_REPR,
-    ),
-    (
-        LhvStrategy,
-        {"response_left": {"a": 1, "a'": -1}, "response_right": {"b": 1, "b'": 1}},
-        "LhvStrategy(response_left={'a': 1, \"a'\": -1}, response_right={'b': 1, \"b'\": 1})",
     ),
     (
         TrialRecord,
@@ -258,7 +252,6 @@ INVALID = {
     CoincidenceCounts: lambda: CoincidenceCounts(n_mp=-1),
     CorrelationEstimate: lambda: CorrelationEstimate(1.5, 0.25, 16),
     ChshResult: lambda: ChshResult({}, 5.0, 0.0, PATTERN, "algebraic"),
-    LhvStrategy: lambda: LhvStrategy({"a": 2, "a'": 1}, {"b": 1, "b'": 1}),
     ModelDescriptor: lambda: ModelDescriptor("quantum", "psi_minus"),
     CorrelationVector: lambda: CorrelationVector(0.5, 0.5, 1.5, 0.5),
     FeasibilityVerdict: lambda: FeasibilityVerdict(True),
@@ -294,7 +287,7 @@ def _record_classes():
 
 def test_every_record_class_is_covered():
     assert _record_classes() == {cls for cls, *_ in CASES}
-    assert len(CASES) == 24
+    assert len(CASES) == 23
 
 
 def test_every_post_init_check_is_covered():
