@@ -41,7 +41,6 @@ _MODULE_EXPORTS: dict[str, tuple[str, ...]] = {
         "SINGLET_OPTIMAL_ANGLES",
         "TrialRecord",
         "catalog",
-        "count_outcomes",
         "generate_outcomes",
         "lhv_deterministic_model",
         "lhv_stochastic_model",

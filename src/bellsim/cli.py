@@ -38,9 +38,12 @@ import time
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .config import (
+    ECHO_LIMIT,
+    MAX_JSON_DEPTH,
     MAX_LEDGER_TRIALS,
     MAX_TRIALS,
     ConfigError,
+    cut_short,
     echoed,
     parse_angles,
     parse_config_file,
@@ -273,15 +276,8 @@ def _cmd_lhv_scan(settings: dict) -> tuple:
             abs(sum(s * e for s, e in zip(pattern, vector))) for pattern in SIGN_PATTERNS
         )
         best_overall = max(best_overall, best)
-        responses = dict(zip(SETTING_LABELS, strategy))
-        strategies.append(
-            {
-                "index": index,
-                "responses": responses,
-                "correlations": list(vector),
-                "best_abs_s": best,
-            }
-        )
+        strategies.append({"index": index, "responses": dict(zip(SETTING_LABELS, strategy)),
+                           "correlations": list(vector), "best_abs_s": best})
         rows.append([index, *strategy] + [repr(float(e)) for e in (*vector, best)])
     rows.append(["max", *[""] * 8, repr(float(best_overall))])
     results = {"strategies": strategies, "max_abs_s": best_overall}
@@ -439,7 +435,7 @@ def _run_settings(trials: _Setting) -> dict[str, _Setting]:
         "trials": trials,
         "threads": _Setting(int, 1, 1, help=(
             "no effect (still must be >= 1): sampling uses one thread per CPU the "
-            "process may run on (limit with taskset), at most one per 8 chunks"
+            "process may run on (limit with taskset), at most one per 8 chunks of a run"
         )),
         "seed": _SEED,
     }
@@ -514,8 +510,16 @@ _SUBCOMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # One line, exit code 2. argparse echoes a rejected argument whole; cut after three
+        # times echoed's limit, a message echoing an argument within that limit stays whole.
+        message = cut_short(message, 3 * ECHO_LIMIT)
+        self.exit(2, f"bellsim: usage error: {message}; see {self.prog} --help\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="bellsim")
+    parser = _Parser(prog="bellsim")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=command.help)
@@ -532,6 +536,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.perf_counter()
+    # MAX_JSON_DEPTH frames of headroom: JSON within the cap decodes and is echoed
+    # however deep in the caller's stack main runs.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + MAX_JSON_DEPTH)
     try:
         command = _SUBCOMMANDS[args.command]
         settings = _resolve(command.settings, args)
@@ -544,6 +552,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"bellsim: I/O error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        sys.setrecursionlimit(limit)
     runtime_ms = int(round((time.perf_counter() - started) * 1000.0))
     print(f"runtime_ms={runtime_ms}", file=sys.stderr)
     return 0

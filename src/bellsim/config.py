@@ -8,8 +8,10 @@ and defaults are tried.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import re
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from .stats import validate_sign_pattern
@@ -28,15 +30,31 @@ MAX_TRIALS = 1 << 32
 MAX_LEDGER_TRIALS = 1 << 19
 
 ECHO_LIMIT = 64
+# The deepest a config value or a JSON model may nest: what a fresh process could decode
+# before there was a cap. json.loads and repr recurse once per level.
+MAX_JSON_DEPTH = 1000
+
+
+def cut_short(text: str, limit: int) -> str:
+    """`text`, or its first `limit` characters then `…` and its length."""
+    return text if len(text) <= limit else f"{text[:limit]}… ({len(text)} characters)"
 
 
 def echoed(value: object) -> str:
     """`repr(value)` for a diagnostic, cut after ECHO_LIMIT characters to `…` and its length."""
     try:
-        text = repr(value)
+        return cut_short(repr(value), ECHO_LIMIT)
     except RecursionError:
         return f"a {type(value).__name__} nested too deeply"
-    return text if len(text) <= ECHO_LIMIT else f"{text[:ECHO_LIMIT]}… ({len(text)} characters)"
+
+
+def json_value(text: str) -> object:
+    """json.loads(text); RecursionError, before decoding, if it nests past MAX_JSON_DEPTH."""
+    outside_strings = re.sub(r'"[^"\\]*(?:\\.[^"\\]*)*"', "", text)
+    steps = [1 if bracket in "[{" else -1 for bracket in re.findall(r"[][{}]", outside_strings)]
+    if max(itertools.accumulate(steps), default=0) > MAX_JSON_DEPTH:
+        raise RecursionError(f"JSON nested more than {MAX_JSON_DEPTH} deep")
+    return json.loads(text)
 
 
 def parse_config_file(path: str) -> dict[str, object]:
@@ -63,7 +81,7 @@ def parse_config_file(path: str) -> dict[str, object]:
             raise ConfigError(f"{at} {echoed(key)} is already set on line {set_on[key]}")
         set_on[key] = lineno
         try:
-            values[key] = json.loads(value.strip())
+            values[key] = json_value(value.strip())
         except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
             raise ConfigError(f"{at} value for {echoed(key)} is not valid JSON") from exc
         except RecursionError as exc:
@@ -126,7 +144,7 @@ def resolve_model(
             elif name == "nonlocal":
                 model = nonlocal_model()
             elif name.startswith("{"):
-                model = ModelDescriptor.from_dict(json.loads(name))
+                model = ModelDescriptor.from_dict(json_value(name))
             else:
                 # A name cut short is followed by a line break: the first line stays short.
                 cut = "\n" if len(repr(name)) > ECHO_LIMIT else " "
@@ -147,7 +165,7 @@ def resolve_model(
         return model
     except ConfigError:
         raise
-    except RecursionError as exc:  # from json.loads, or from echoing a deep value
+    except RecursionError as exc:  # from json_value, or from echoing a deep value
         raise ConfigError("invalid model: the JSON is nested too deeply") from exc
     except ValueError as exc:  # json.JSONDecodeError is a ValueError
         raise ConfigError(f"invalid model: {exc}") from exc

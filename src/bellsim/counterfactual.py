@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence
 
@@ -36,6 +37,7 @@ from .models import ModelDescriptor, TrialRecord, _pair_index, sample_outcomes
 from .polytope import CorrelationVector, FeasibilityVerdict, local_membership
 from .quantum import OUTCOME_ORDER, JointOutcomeDistribution, outcome_index
 from .stats import PAIR_ORDER, SettingPair
+from .streams import CHUNK, map_chunks
 
 if TYPE_CHECKING:
     import numpy as np
@@ -136,8 +138,6 @@ def record_run(
     """
     import numpy as np
 
-    from .streams import map_chunks
-
     if len(schedule) == 0:
         raise ValueError("settings schedule must be non-empty")
     _check_ledger_length(len(schedule))
@@ -150,9 +150,10 @@ def record_run(
 
     def chunk(buffers, start: int, size: int):
         u = buffers.uniforms(seed, start, size, model._tables.draws).T
-        return sample_outcomes(model, pairs[start : start + size], u)
+        return [sample_outcomes(model, pairs[start : start + size], u)]
 
-    outcomes, hidden = zip(*map_chunks(chunk, 0, len(pairs)))
+    chunks, = map_chunks(chunk, [(0, len(pairs))], operator.iadd)
+    outcomes, hidden = zip(*chunks)
     hidden = None if hidden[0] is None else np.concatenate(hidden)
     return TrialLedger(int(seed), model, pairs, np.concatenate(outcomes), hidden)
 
@@ -180,9 +181,7 @@ def replay_counterfactual(
 
 def counterfactual_table(ledger: TrialLedger, trial_index: int) -> CounterfactualTable:
     """All four cells of one trial."""
-    cells = {
-        pair: replay_counterfactual(ledger, trial_index, pair) for pair in PAIR_ORDER
-    }
+    cells = {pair: replay_counterfactual(ledger, trial_index, pair) for pair in PAIR_ORDER}
     settings = PAIR_ORDER[ledger.pairs[trial_index]]
     return CounterfactualTable(settings, cells[settings].outcome, cells)
 
@@ -226,15 +225,8 @@ def classify_definiteness(
         classification = "definite"
     else:
         classification = "semi-definite"
-    evidence = ClassificationEvidence(
-        feasibility=feasibility,
-        correlation_vector=vector,
-        feasibility_tolerance=tolerance,
-        cell_kinds=cell_kinds,
-        trials_examined=trials,
-        factual_replays_matched=matched,
-    )
-    return DefinitenessVerdict(classification=classification, evidence=evidence)
+    evidence = ClassificationEvidence(feasibility, vector, tolerance, cell_kinds, trials, matched)
+    return DefinitenessVerdict(classification, evidence)
 
 
 def ledger_blocks(ledger: TrialLedger) -> Iterator[str]:
@@ -244,8 +236,6 @@ def ledger_blocks(ledger: TrialLedger) -> Iterator[str]:
     in JSON. All but the two i are one of 272 fragments, one per (pair,
     outcome pair, hidden index or None), joined from the JSON of each value.
     """
-    from .streams import CHUNK
-
     dumps = functools.partial(json.dumps, separators=(",", ":"))
     values = [list(map(dumps, v)) for v in (PAIR_ORDER, OUTCOME_ORDER, (None, *range(16)))]
     fragments = [

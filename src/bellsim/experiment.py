@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from ._record import record
-from .models import STRATEGIES, ModelDescriptor, count_outcomes
+from .models import STRATEGIES, ModelDescriptor, count_chunk
 from .quantum import expectation
 from .stats import (
     PAIR_ORDER,
@@ -27,6 +27,7 @@ from .stats import (
 
 if TYPE_CHECKING:
     from .polytope import CorrelationVector
+    from .streams import ChunkBuffers
 
 
 @record
@@ -42,16 +43,18 @@ def run_chsh_experiment(
     sign_pattern: Iterable[int] = DEFAULT_SIGN_PATTERN,
     stream_base: int = 0,
 ) -> ChshExperimentResult:
-    """Run trials for all four setting pairs and estimate S."""
+    """Run trials for all four setting pairs, counted as one schedule of chunks, and estimate S."""
+    from .streams import map_chunks
+
     if trials_per_pair < 1:
         raise ValueError(f"trials_per_pair must be at least 1, got {trials_per_pair}")
 
-    counts = {
-        pair: count_outcomes(
-            model, pair, seed, stream_base + pair_index * trials_per_pair, trials_per_pair
-        )
-        for pair_index, pair in enumerate(PAIR_ORDER)
-    }
+    def count(buffers: ChunkBuffers, start: int, size: int) -> CoincidenceCounts:
+        pair = PAIR_ORDER[(start - stream_base) // trials_per_pair]
+        return count_chunk(model, pair, seed, buffers, start, size)
+
+    ranges = [(stream_base + i * trials_per_pair, trials_per_pair) for i in range(len(PAIR_ORDER))]
+    counts = dict(zip(PAIR_ORDER, map_chunks(count, ranges, CoincidenceCounts.merge)))
     estimates = {pair: correlation(counts[pair]) for pair in PAIR_ORDER}
     return ChshExperimentResult(counts=counts, result=chsh_s(estimates, sign_pattern))
 

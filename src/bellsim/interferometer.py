@@ -73,5 +73,5 @@ def run_bomb_trials(spec: InterferometerSpec, trials: int, seed: int) -> dict[st
     def tally(buffers: ChunkBuffers, start: int, size: int) -> np.ndarray:
         return threshold_counts(cdf, buffers.uniforms(seed, start, size, 1)[0])
 
-    tally_all = np.sum(map_chunks(tally, 0, trials), axis=0)
+    tally_all, = map_chunks(tally, [(0, trials)], np.add)
     return {name: float(tally_all[i] / trials) for i, name in enumerate(OUTCOMES)}

@@ -309,10 +309,15 @@ class ModelDescriptor:
         if not isinstance(payload, Mapping) or "kind" not in payload:
             got = echoed(payload)
             raise ValueError(f"model payload must be a mapping with a 'kind', got {got}")
+        keys = ("kind", "strategy", *_FIELDS)
+        unknown = set(payload) - set(keys)
+        if unknown:  # named one at a time, so the line stays short
+            first = echoed(min(unknown, key=repr))
+            raise ValueError(f"unknown model key {first}; accepted keys: {', '.join(keys)}")
         fields = {name: payload.get(name) for name in _FIELDS}
-        if payload["kind"] == "lhv_deterministic" and "strategy" in payload:
-            if fields["weights"] is not None:
-                raise ValueError("lhv_deterministic model takes a strategy or weights, not both")
+        if "strategy" in payload:
+            if payload["kind"] != "lhv_deterministic" or fields["weights"] is not None:
+                raise ValueError("only an lhv_deterministic model takes a strategy, and no weights")
             fields["weights"] = lhv_deterministic_model(payload["strategy"]).weights
         if isinstance(fields["table"], Mapping):
             fields["table"] = {
@@ -484,23 +489,6 @@ def count_chunk(
     return CoincidenceCounts(*counts)
 
 
-def count_outcomes(
-    model: ModelDescriptor,
-    settings: SettingPair,
-    seed: int,
-    stream_start: int,
-    count: int,
-) -> CoincidenceCounts:
-    """counts_from_outcomes(generate_outcomes(...)) in O(chunk) memory per thread."""
-    from .streams import map_chunks
-
-    _pair_index(settings)
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    chunks = map_chunks(functools.partial(count_chunk, model, settings, seed), stream_start, count)
-    return functools.reduce(CoincidenceCounts.merge, chunks, CoincidenceCounts())
-
-
 def generate_outcomes(
     model: ModelDescriptor,
     settings: SettingPair,
@@ -522,11 +510,12 @@ def generate_outcomes(
     if count < 0:
         raise ValueError("count must be non-negative")
 
-    def sample(buffers: ChunkBuffers, start: int, size: int) -> np.ndarray:
+    def sample(buffers: ChunkBuffers, start: int, size: int) -> list[np.ndarray]:
         u = buffers.uniforms(seed, start, size, model._tables.draws).T
-        return sample_outcomes(model, pair, u)[0]
+        return [sample_outcomes(model, pair, u)[0]]
 
-    chunks = map_chunks(sample, stream_start, count)
+    # += on one-element lists gathers the chunks in order.
+    chunks, = map_chunks(sample, [(stream_start, count)], operator.iadd)
     return np.concatenate(chunks) if chunks else np.empty((0, 2), dtype=np.int8)
 
 
@@ -578,19 +567,12 @@ def no_signalling_check(
         pooled = 0.5 * (p1 + p2)
         sigma = math.sqrt(max(0.0, pooled * (1.0 - pooled)) * 2.0 / trials_per_cell)
         difference = abs(p1 - p2)
-        return MarginalComparison(
-            side=side,
-            local_label=label,
-            difference=difference,
-            threshold=5.0 * sigma,
-            passed=difference <= 5.0 * sigma,
-        )
+        return MarginalComparison(side, label, difference, 5.0 * sigma, difference <= 5.0 * sigma)
 
-    comparisons = []
-    for x in LEFT_LABELS:
-        comparisons.append(compare("left", x, p_left[(x, "b")], p_left[(x, "b'")]))
-    for y in RIGHT_LABELS:
-        comparisons.append(compare("right", y, p_right[("a", y)], p_right[("a'", y)]))
+    comparisons = [compare("left", x, p_left[(x, "b")], p_left[(x, "b'")]) for x in LEFT_LABELS]
+    comparisons += [
+        compare("right", y, p_right[("a", y)], p_right[("a'", y)]) for y in RIGHT_LABELS
+    ]
     return NoSignallingReport(
         comparisons=tuple(comparisons),
         max_difference=max(c.difference for c in comparisons),

@@ -158,12 +158,4 @@ def s_landscape(
         directions[row_label] = row_direction
         q0, q1, k = _linear_in(matrix, col_label, directions, pattern)
         values.append(tuple([q0 * c + q1 * s + k for c, s in grid_directions]))
-    return LandscapeGrid(
-        row_label=row_label,
-        col_label=col_label,
-        row_angles=thetas,
-        col_angles=thetas,
-        values=tuple(values),
-        fixed=dict(fixed),
-        sign_pattern=pattern,
-    )
+    return LandscapeGrid(row_label, col_label, thetas, thetas, tuple(values), dict(fixed), pattern)

@@ -99,14 +99,9 @@ def facet_margin(vector: CorrelationVector) -> tuple[float, tuple[int, ...]]:
     import numpy as np
 
     e = vector.as_array()
-    best_margin = -math.inf
-    best_pattern = SIGN_PATTERNS[0]
-    for pattern in SIGN_PATTERNS:
-        margin = abs(float(e @ np.array(pattern, dtype=float))) - 2.0
-        if margin > best_margin:
-            best_margin = margin
-            best_pattern = pattern
-    return best_margin, best_pattern
+    margins = [abs(float(e @ np.array(pattern, dtype=float))) - 2.0 for pattern in SIGN_PATTERNS]
+    best = margins.index(max(margins))  # the first pattern with the largest margin
+    return margins[best], SIGN_PATTERNS[best]
 
 
 @functools.cache
@@ -167,7 +162,4 @@ def local_membership(
     if margin <= facet_tolerance:
         weights = _witness_weights(vector.as_array())
         return FeasibilityVerdict(feasible=True, weights=weights)
-    return FeasibilityVerdict(
-        feasible=False,
-        violated_facet=ViolatedFacet(sign_pattern=pattern, margin=margin),
-    )
+    return FeasibilityVerdict(feasible=False, violated_facet=ViolatedFacet(pattern, margin))

@@ -168,19 +168,11 @@ def chsh_s(
     missing = [pair for pair in PAIR_ORDER if pair not in correlations]
     if missing:
         raise ValueError(f"missing correlation estimates for setting pairs {missing}")
-    s_value = sum(
-        sign * correlations[pair].value for sign, pair in zip(pattern, PAIR_ORDER)
-    )
-    s_std_error = math.sqrt(
-        sum(correlations[pair].std_error ** 2 for pair in PAIR_ORDER)
-    )
-    return ChshResult(
-        correlations={pair: correlations[pair] for pair in PAIR_ORDER},
-        s_value=s_value,
-        s_std_error=s_std_error,
-        sign_pattern=pattern,
-        bound_class=classify_bound(abs(s_value), s_std_error),
-    )
+    s_value = sum(sign * correlations[pair].value for sign, pair in zip(pattern, PAIR_ORDER))
+    s_std_error = math.sqrt(sum(correlations[pair].std_error ** 2 for pair in PAIR_ORDER))
+    ordered = {pair: correlations[pair] for pair in PAIR_ORDER}
+    bound_class = classify_bound(abs(s_value), s_std_error)
+    return ChshResult(ordered, s_value, s_std_error, pattern, bound_class)
 
 
 def bilinear_chsh_s(

@@ -17,10 +17,9 @@ may use.
 
 from __future__ import annotations
 
-import itertools
 import os
 import threading
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -208,21 +207,26 @@ def _workers(chunks: int) -> int:
 
 
 def map_chunks(
-    fn: Callable[[ChunkBuffers, int, int], object], stream_start: int, count: int
+    fn: Callable[[ChunkBuffers, int, int], object],
+    ranges: Sequence[tuple[int, int]],
+    fold: Callable[[object, object], object],
 ) -> list:
-    """fn(buffers, first stream id, size) per CHUNK of the ids stream_start..stream_start+count-1.
+    """Per (first stream id, count) range, fold(...fold(r0, r1)..., rn) over its chunks' results.
 
-    Results come back in chunk order. The calling thread and up to
-    _workers(chunks) - 1 more each claim the next unclaimed chunk from one
-    shared counter and store its result at the chunk's index, with a
-    ChunkBuffers of their own; what a chunk gives depends only on its ids,
-    so the result does not depend on how many threads ran. The first
-    exception any thread raises stops every thread and is raised here.
+    ri = fn(buffers, first stream id, size) of the range's i-th CHUNK; no
+    chunk spans two ranges, and a range of no ids gives None. The calling
+    thread and up to _workers(chunks of the run) - 1 more each claim the next
+    unclaimed chunk, range by range, with a ChunkBuffers of their own. A
+    result is folded once every earlier chunk of its range has been, so few
+    wait unfolded; what a chunk gives depends only on its ids, so the result
+    does not depend on how many threads ran. The first exception any thread
+    raises stops every thread and is raised here.
     """
-    stop = stream_start + count
-    starts = range(stream_start, stop, CHUNK)
-    results = [None] * len(starts)
-    claims = itertools.count()
+    claims = ((r, start) for r, (first, count) in enumerate(ranges)
+              for start in range(first, first + count, CHUNK))
+    totals: list = [None] * len(ranges)
+    edges = [first for first, _ in ranges]  # each range's first chunk not yet folded
+    waiting: dict = {}  # finished chunks past their range's edge, by (range, start)
     lock = threading.Lock()
     failures: list[BaseException] = []
 
@@ -231,15 +235,22 @@ def map_chunks(
         try:
             while not failures:
                 with lock:
-                    index = next(claims)
-                if index >= len(starts):
+                    r, start = next(claims, (None, None))
+                if r is None:
                     return
-                start = starts[index]
-                results[index] = fn(buffers, start, min(CHUNK, stop - start))
+                first, count = ranges[r]
+                result = fn(buffers, start, min(CHUNK, first + count - start))
+                with lock:
+                    waiting[r, start] = result
+                    while (r, edges[r]) in waiting:
+                        result = waiting.pop((r, edges[r]))
+                        totals[r] = result if edges[r] == first else fold(totals[r], result)
+                        edges[r] += CHUNK
         except BaseException as exc:  # raised again by the calling thread
             failures.append(exc)
 
-    helpers = [threading.Thread(target=work) for _ in range(_workers(len(starts)) - 1)]
+    chunks = sum(-(-count // CHUNK) for _, count in ranges)
+    helpers = [threading.Thread(target=work) for _ in range(_workers(chunks) - 1)]
     for thread in helpers:
         thread.start()
     work()
@@ -247,4 +258,4 @@ def map_chunks(
         thread.join()
     if failures:
         raise failures[0]
-    return results
+    return totals

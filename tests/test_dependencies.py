@@ -88,7 +88,7 @@ real_start = threading.Thread.start
 threading.Thread.start = lambda self: observed.append(self) or real_start(self)
 with contextlib.redirect_stdout(io.StringIO()):
     assert bellsim.cli.main(["chsh", "--model", "pr-box", "--trials", "1100000"]) == 0
-print(len(observed), streams._workers(17), len(os.listdir("/proc/self/task")))
+print(len(observed), streams._workers(4 * 17), len(os.listdir("/proc/self/task")))
 """
 
 
@@ -97,10 +97,10 @@ print(len(observed), streams._workers(17), len(os.listdir("/proc/self/task")))
     reason="needs /proc/self/task and an affinity mask of at least two CPUs",
 )
 def test_counting_threads_end_with_the_run():
-    # 17 chunks per setting pair: each pair starts workers - 1 threads and joins them.
+    # 17 chunks per setting pair, 68 per run: the run starts workers - 1 threads and joins them.
     started, workers, alive = map(int, _run_fresh(_THREADS_AFTER_COUNTING).split())
     assert workers >= 2
-    assert started == 4 * (workers - 1)
+    assert started == workers - 1
     assert alive == 1
 
 
@@ -252,16 +252,16 @@ def _count_born_solves(monkeypatch):
 def test_resolving_a_catalog_model_builds_only_that_model(monkeypatch):
     import bellsim.models
     from bellsim.config import resolve_model
-    from bellsim.models import count_outcomes
+    from bellsim.experiment import run_chsh_experiment
 
     calls = _count_born_solves(monkeypatch)
     model = resolve_model("quantum-optimal")
     assert calls == []  # tables are built on first sampling, not at resolution
-    count_outcomes(model, ("a", "b"), 0, 0, 10)
+    run_chsh_experiment(model, 10, 0)
     assert len(calls) == 4  # one Born distribution per setting pair
     assert model == bellsim.models.catalog()["quantum-optimal"]
     calls.clear()
-    count_outcomes(resolve_model("lhv-uniform"), ("a", "b"), 0, 0, 10)
+    run_chsh_experiment(resolve_model("lhv-uniform"), 10, 0)
     assert calls == []
 
 
@@ -271,12 +271,12 @@ def test_resolving_a_catalog_model_builds_only_that_model(monkeypatch):
 )
 def test_state_and_angle_overrides_solve_born_rule_once(monkeypatch, spec, overrides):
     from bellsim.config import resolve_model
-    from bellsim.models import count_outcomes
+    from bellsim.experiment import run_chsh_experiment
 
     calls = _count_born_solves(monkeypatch)
     model = resolve_model(spec, **overrides)
     assert calls == []
-    count_outcomes(model, ("a", "b"), 0, 0, 10)
+    run_chsh_experiment(model, 10, 0)
     assert len(calls) == 4
 
 
@@ -327,7 +327,7 @@ EXPORTS = {
     "interferometer": ["InterferometerSpec", "port_probabilities", "run_bomb_trials"],
     "models": [
         "ModelDescriptor", "NoSignallingReport", "SINGLET_OPTIMAL_ANGLES",
-        "TrialRecord", "catalog", "count_outcomes", "generate_outcomes",
+        "TrialRecord", "catalog", "generate_outcomes",
         "lhv_deterministic_model", "lhv_stochastic_model", "no_signalling_check",
         "nonlocal_model", "pr_box_table", "quantum_model", "run_trial",
         "superdeterministic_model",

@@ -15,7 +15,10 @@ were still built and written one TrialRecord at a time. The diagnostics of
 oversized trial counts were added when those counts got an upper bound;
 before it, each ended in a MemoryError. The diagnostics of a config file
 that is not UTF-8, of JSON nested 20,000 deep and of an angle beyond float
-range were added when those inputs stopped ending in a traceback.
+range were added when those inputs stopped ending in a traceback. The
+diagnostics of argparse's usage errors with a 5,000-character argument and
+of a misspelt JSON model field were added when the first were cut short and
+the second stopped being ignored.
 
 To print the hashes the current code produces (for example after a
 deliberate schema change), run `PYTHONPATH=src python tests/test_golden_artifacts.py`.
@@ -35,6 +38,7 @@ from pathlib import Path
 import pytest
 
 from bellsim.cli import main
+from bellsim.config import MAX_JSON_DEPTH
 from bellsim.models import catalog
 
 SEED = "20190916"
@@ -278,7 +282,7 @@ def test_artifact_bytes_unchanged_in_fresh_process(case, tmp_path):
     reason="needs an affinity mask of at least two CPUs",
 )
 def test_one_cpu_gives_the_bytes_of_every_cpu(tmp_path):
-    # 17 chunks per setting pair: unpinned, each pair is counted on two or more threads.
+    # 17 chunks per setting pair, 68 per run: unpinned, the run is counted on two or more threads.
     from bellsim import streams
 
     assert streams._workers(17) >= 2
@@ -417,6 +421,28 @@ DIAGNOSTICS: dict[str, tuple[list[str], int, str]] = {
         2,
         "bellsim: configuration error: --seed must be an integer, got 'abc'",
     ),
+    # argparse's own usage errors echo the argument they reject, cut short too.
+    "command-5000": (
+        ["x" * 5_000],
+        2,
+        "bellsim: usage error: argument command: invalid choice: '%s… (5120 characters); "
+        "see bellsim --help" % ("x" * 157),
+    ),
+    "chsh-exact-argument-5000": (
+        ["chsh", "--exact", "x" * 5_000],
+        2,
+        "bellsim: usage error: unrecognized arguments: %s… (5024 characters); "
+        "see bellsim --help" % ("x" * 168),
+    ),
+    # A misspelt field of a JSON model is named, not ignored.
+    "model-field-misspelt": (
+        ["chsh", "--exact", "--model",
+         '{"kind": "quantum", "state": "psi_minus", "angles": [0, 0, 0, 0], '
+         '"angels": [1, 1, 1, 1]}'],
+        2,
+        "bellsim: configuration error: invalid model: unknown model key 'angels'; "
+        "accepted keys: kind, strategy, state, angles, weights, table",
+    ),
 }
 
 # The config files the diagnostics name, written to the working directory.
@@ -439,7 +465,10 @@ def diagnostic(argv: list[str]) -> tuple[int, str]:
     """Exit code and first stderr line of `main(argv)`, which must write no stdout."""
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()) as out:
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
     assert out.getvalue() == ""
     return code, stderr.getvalue().splitlines()[0]
 
@@ -457,6 +486,35 @@ def test_diagnostic_unchanged(case, tmp_path, monkeypatch):
 )
 def test_echoed_values_are_cut(case):
     assert len(DIAGNOSTICS[case][2]) <= 200
+
+
+_DEEP_MAIN = """
+import sys
+from bellsim.cli import main
+def deep(frames):
+    return deep(frames - 1) if frames else main(sys.argv[1:])
+sys.exit(deep(400))
+"""
+
+
+@pytest.mark.parametrize("depth", [MAX_JSON_DEPTH, MAX_JSON_DEPTH + 1])
+def test_nesting_cap_does_not_depend_on_the_stack(depth, tmp_path):
+    # A fresh process and main called 400 frames deep read JSON nested to the same depth.
+    (tmp_path / "seed.cfg").write_text("seed = " + "[" * depth + "]" * depth + "\n")
+    model = '{"kind": ' * depth + '"quantum"' + "}" * depth
+    source_root = str(Path(sys.modules["bellsim"].__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": source_root}
+    lines = {}
+    for argv in (["--config", "seed.cfg"], ["--model", model]):
+        for program in (["-m", "bellsim.cli"], ["-c", _DEEP_MAIN]):
+            child = subprocess.run([sys.executable, *program, "chsh", "--exact", *argv],
+                                   env=env, cwd=tmp_path, capture_output=True, text=True)
+            assert child.returncode == 2
+            lines.setdefault(argv[0], set()).add(child.stderr.splitlines()[0])
+    (seed_line,), (model_line,) = lines["--config"], lines["--model"]
+    deeper = depth > MAX_JSON_DEPTH
+    assert seed_line.endswith("nested too deeply") == deeper
+    assert model_line.endswith("nested too deeply") == deeper
 
 
 @pytest.mark.parametrize("trials", ["0", "-5"])

@@ -19,7 +19,6 @@ from bellsim.models import (
     STRATEGIES,
     catalog,
     count_chunk,
-    count_outcomes,
     generate_outcomes,
     lhv_deterministic_model,
     lhv_stochastic_model,
@@ -147,6 +146,16 @@ def test_a_kind_that_is_no_string_is_a_value_error(kind):
 def test_a_strategy_takes_no_other_field(extra):
     with pytest.raises(ConfigError, match="lhv_deterministic model takes"):
         resolve_model({"kind": "lhv_deterministic", "strategy": 0, **extra})
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_a_key_no_kind_takes_is_named(kind):
+    fields = {name: FIELD_VALUES[name] for name in KIND_FIELDS[kind]}
+    with pytest.raises(ConfigError, match="unknown model key 'angels'; accepted keys: kind, "):
+        resolve_model({"kind": kind, **fields, "angels": [1, 1, 1, 1], "zz": 0})
+    if kind != "lhv_deterministic":
+        with pytest.raises(ConfigError, match="only an lhv_deterministic model takes a strategy"):
+            resolve_model({"kind": kind, **fields, "strategy": 0})
 
 
 class TestRunTrial:
@@ -279,10 +288,11 @@ class TestFusedCounts:
         model = FUSED_MODELS[name]
         trials = CHUNK + 300
         monkeypatch.setattr(streams, "_workers", lambda chunks: workers)
+        run = run_chsh_experiment(model, trials, 8, stream_base=CHUNK - 150)
         for pair_index, pair in enumerate(PAIR_ORDER):
             start = CHUNK - 150 + pair_index * trials
             outcomes = generate_outcomes(model, pair, 8, start, trials)
-            counts = count_outcomes(model, pair, 8, start, trials)
+            counts = run.counts[pair]
             assert counts == counts_from_outcomes(outcomes)
             assert all(type(n) is int for n in vars(counts).values())
 
@@ -294,7 +304,8 @@ class TestFusedCounts:
         for workers in (1, 2, 3):
             monkeypatch.setattr(streams, "_workers", lambda chunks: workers)
             runs.append((
-                [count_outcomes(m, ("a'", "b"), 5, start, count) for m in CATALOG_MODELS.values()],
+                [run_chsh_experiment(m, count, 5, stream_base=start).counts
+                 for m in CATALOG_MODELS.values()],
                 generate_outcomes(CATALOG_MODELS["lhv-uniform"], ("a", "b'"), 5, start, count),
                 run_bomb_trials(spec, count, 5),
             ))
@@ -334,22 +345,30 @@ class TestFusedCounts:
     )
     def test_counts_do_not_depend_on_chunk_size(self, chunk_and_count, start, seed):
         chunk, count = chunk_and_count
-        ids = np.arange(start, start + count, dtype=np.uint64)
         expected = {}
         for name, model in CATALOG_MODELS.items():
-            u = batch_uniforms(seed, ids, model._tables.draws)
             for pair_index, pair in enumerate(PAIR_ORDER):
+                first = start + pair_index * count
+                ids = np.arange(first, first + count, dtype=np.uint64)
+                u = batch_uniforms(seed, ids, model._tables.draws)
                 outcomes, _ = sample_outcomes(model, pair_index, u)
                 expected[name, pair] = counts_from_outcomes(outcomes)
         with mock.patch.object(streams, "CHUNK", chunk):
             for name, model in CATALOG_MODELS.items():
+                if count == 0:
+                    with pytest.raises(ValueError, match="trials_per_pair"):
+                        run_chsh_experiment(model, count, seed, stream_base=start)
+                    continue
+                counts = run_chsh_experiment(model, count, seed, stream_base=start).counts
                 for pair in PAIR_ORDER:
-                    assert count_outcomes(model, pair, seed, start, count) == expected[name, pair]
+                    assert counts[pair] == expected[name, pair]
 
     def test_empty_range(self):
-        assert count_outcomes(quantum_model(), ("a", "b"), 0, 0, 0).total == 0
+        assert count_chunk(quantum_model(), ("a", "b"), 0, ChunkBuffers(), 0, 0).total == 0
         with pytest.raises(ValueError, match="settings"):
-            count_outcomes(quantum_model(), ("b", "a"), 0, 0, 0)
+            count_chunk(quantum_model(), ("b", "a"), 0, ChunkBuffers(), 0, 0)
+        with pytest.raises(ValueError, match="trials_per_pair"):
+            run_chsh_experiment(quantum_model(), 0, 0)
 
     def test_chsh_and_bomb_build_no_outcome_array(self, monkeypatch, tmp_path):
         calls = []

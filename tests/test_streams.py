@@ -1,3 +1,4 @@
+import operator
 import os
 import sys
 import threading
@@ -146,7 +147,12 @@ def test_workers_fall_back_to_the_cpu_count(monkeypatch):
 
 
 def _sizes(buffers, start, size):
-    return start, size
+    return [(start, size)]
+
+
+def _gather(fn, ranges):
+    # += on one-element lists gathers each range's chunk results in order.
+    return streams.map_chunks(fn, ranges, operator.iadd)
 
 
 def test_map_chunks_gives_chunks_in_order_at_any_worker_count(monkeypatch):
@@ -155,8 +161,24 @@ def test_map_chunks_gives_chunks_in_order_at_any_worker_count(monkeypatch):
                 (4 * CHUNK - 5, 9)]
     for workers in (1, 2, 3, 9):
         monkeypatch.setattr(streams, "_workers", lambda chunks: workers)
-        assert streams.map_chunks(_sizes, start, count) == expected
-    assert streams.map_chunks(_sizes, 7, 0) == []
+        assert _gather(_sizes, [(start, count)]) == [expected]
+    assert _gather(_sizes, [(7, 0)]) == [None]
+    assert _gather(_sizes, []) == []
+
+
+def test_no_chunk_spans_two_ranges_that_meet_inside_a_chunk(monkeypatch):
+    # The second range starts 100 ids into the chunk the first one ends in.
+    ranges = [(CHUNK - 5, CHUNK + 105), (2 * CHUNK + 100, CHUNK + 1), (3 * CHUNK + 101, 0)]
+    expected = [
+        [(CHUNK - 5, CHUNK), (2 * CHUNK - 5, 105)],
+        [(2 * CHUNK + 100, CHUNK), (3 * CHUNK + 100, 1)],
+        None,
+    ]
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(streams, "_workers", lambda chunks: workers)
+        assert _gather(_sizes, ranges) == expected
+    assert streams.map_chunks(lambda b, start, size: size, ranges, operator.add) == [
+        CHUNK + 105, CHUNK + 1, None]
 
 
 def test_many_workers_switching_often_run_every_chunk_once(monkeypatch):
@@ -168,7 +190,7 @@ def test_many_workers_switching_often_run_every_chunk_once(monkeypatch):
 
     def draw(buffers, start, size):
         calls.append(start)
-        return buffers.uniforms(3, start, size, 2).copy()
+        return [buffers.uniforms(3, start, size, 2).copy()]
 
     expected = batch_uniforms(3, np.arange(5, 5 + 4000, dtype=np.uint64), 2)
     interval = sys.getswitchinterval()
@@ -177,7 +199,7 @@ def test_many_workers_switching_often_run_every_chunk_once(monkeypatch):
         started = time.monotonic()
         for _ in range(3):
             calls.clear()
-            rows = streams.map_chunks(draw, 5, 4000)
+            rows, = _gather(draw, [(5, 4000)])
             assert sorted(calls) == list(range(5, 4005, 16))
             assert np.array_equal(np.concatenate(rows, axis=1).T, expected)
     finally:
@@ -192,9 +214,9 @@ def test_a_worker_failure_is_raised_by_the_caller(monkeypatch):
     def fail_on_chunk_five(buffers, start, size):
         if start == 5 * CHUNK:
             raise ValueError("chunk five")
-        return size
+        return [size]
 
     with pytest.raises(ValueError, match="chunk five"):
-        streams.map_chunks(fail_on_chunk_five, 0, 40 * CHUNK)
+        _gather(fail_on_chunk_five, [(0, 40 * CHUNK)])
     assert threading.active_count() == 1
-    assert streams.map_chunks(fail_on_chunk_five, 0, 3 * CHUNK + 1) == [CHUNK] * 3 + [1]
+    assert _gather(fail_on_chunk_five, [(0, 3 * CHUNK + 1)]) == [[CHUNK] * 3 + [1]]
