@@ -55,11 +55,11 @@ _MODULE_EXPORTS: dict[str, tuple[str, ...]] = {
     "polytope": (
         "CorrelationVector",
         "FeasibilityVerdict",
+        "VERTICES",
         "ViolatedFacet",
         "enumerate_deterministic_strategies",
         "local_membership",
         "strategy_correlation",
-        "vertex_matrix",
     ),
     "quantum": (
         "JointOutcomeDistribution",

@@ -143,10 +143,12 @@ def _resolve(table: dict[str, _Setting], args: argparse.Namespace) -> dict[str, 
     """Every setting of `table`, in its order: the flag, else the config file, else the
     environment variable, else the default. Each value is checked, defaults too."""
     file_values = parse_config_file(args.config) if args.config else {}
-    unknown = sorted(set(file_values) - set(table))
+    unknown = [key for key in file_values if key not in table]
     if unknown:
+        # The others are counted, not named, so the line stays short.
+        more = f" and {len(unknown) - 1} more" if len(unknown) > 1 else ""
         raise ConfigError(
-            f"unknown config key {', '.join(map(echoed, unknown))} for {args.command}; "
+            f"unknown config key {echoed(unknown[0])}{more} for {args.command}; "
             f"accepted keys: {', '.join(sorted(table))}"
         )
     settings: dict[str, object] = {}
@@ -263,15 +265,15 @@ def _cmd_chsh(settings: dict) -> tuple:
 
 
 def _cmd_lhv_scan(settings: dict) -> tuple:
-    from .polytope import enumerate_deterministic_strategies, strategy_correlation
+    from .models import STRATEGIES
+    from .polytope import VERTICES
 
     strategies = []
     rows = [
         ["index", "r_a", "r_a'", "r_b", "r_b'", "e_ab", "e_ab'", "e_a'b", "e_a'b'", "best_abs_s"]
     ]
     best_overall = 0.0
-    for index, strategy in enumerate(enumerate_deterministic_strategies()):
-        vector = strategy_correlation(strategy).as_tuple()
+    for index, (strategy, vector) in enumerate(zip(STRATEGIES, VERTICES)):
         best = max(
             abs(sum(s * e for s, e in zip(pattern, vector))) for pattern in SIGN_PATTERNS
         )
@@ -318,7 +320,7 @@ def _cmd_counterfactual(settings: dict) -> tuple:
     witness, facet = evidence.feasibility, evidence.feasibility.violated_facet
     feasibility = {
         "feasible": witness.feasible,
-        "weights": None if witness.weights is None else [float(w) for w in witness.weights],
+        "weights": None if witness.weights is None else list(witness.weights),
         "violated_facet": None if facet is None else {
             "sign_pattern": sign_pattern_to_string(facet.sign_pattern), "margin": facet.margin
         },

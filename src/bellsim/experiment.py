@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from ._record import record
-from .models import STRATEGIES, ModelDescriptor, count_chunk
+from .models import ModelDescriptor, count_chunk
 from .quantum import expectation
 from .stats import (
     PAIR_ORDER,
@@ -61,7 +61,7 @@ def run_chsh_experiment(
 
 def model_exact_correlations(model: ModelDescriptor) -> CorrelationVector:
     """The correlation vector a model produces in expectation, no sampling."""
-    from .polytope import CorrelationVector, strategy_correlation
+    from .polytope import VERTICES, CorrelationVector
 
     if model.state is not None:  # quantum and nonlocal
         state = model.quantum_state()
@@ -71,9 +71,8 @@ def model_exact_correlations(model: ModelDescriptor) -> CorrelationVector:
         ]
         return CorrelationVector(*values)
     if model.weights is not None:  # the LHV kinds
-        vertices = [strategy_correlation(s).as_tuple() for s in STRATEGIES]
         return CorrelationVector(
-            *(sum(w * e for w, e in zip(model.weights, column)) for column in zip(*vertices))
+            *(sum(w * e for w, e in zip(model.weights, column)) for column in zip(*VERTICES))
         )
     values = []
     for pair in PAIR_ORDER:

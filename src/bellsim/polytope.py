@@ -8,25 +8,27 @@ nontrivial ones are the eight inequalities |sum_i p_i E_i| <= 2 over the
 four one-minus sign patterns, so membership is decided by checking those
 facets directly; component bounds |E| <= 1 are enforced by the
 CorrelationVector type itself. Witness weights come from the same geometry
-in closed form (Fine, PRL 48, 291 (1982)). Strategies and correlation
-vectors are plain Python; numpy loads when a membership test, a witness
-or the vertex matrix is first computed.
+in closed form (Fine, PRL 48, 291 (1982)). Everything here is plain Python.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from ._record import record
 from .models import STRATEGIES
 from .stats import PAIR_ORDER, SIGN_PATTERNS
 
-if TYPE_CHECKING:
-    import numpy as np
-
 _COMPONENT_SLACK = 1e-12
+
+# Correlations (E(a,b), E(a,b'), E(a',b), E(a',b')) of each deterministic strategy
+# (a, a', b, b'), in STRATEGIES order: products of its signs.
+VERTICES: tuple[tuple[int, int, int, int], ...] = tuple(
+    (a * b, a * b_prime, a_prime * b, a_prime * b_prime)
+    for a, a_prime, b, b_prime in STRATEGIES
+)
 
 
 @record
@@ -46,11 +48,6 @@ class CorrelationVector:
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.e_ab, self.e_abp, self.e_apb, self.e_apbp)
 
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array(self.as_tuple())
-
 
 @record
 class ViolatedFacet:
@@ -62,10 +59,10 @@ class ViolatedFacet:
 
 @record
 class FeasibilityVerdict:
-    """Membership verdict with exactly one witness: weights or a violated facet."""
+    """Membership verdict with exactly one witness: 16 weights or a violated facet."""
 
     feasible: bool
-    weights: Optional[np.ndarray] = None
+    weights: Optional[tuple[float, ...]] = None
     violated_facet: Optional[ViolatedFacet] = None
 
     def __post_init__(self) -> None:
@@ -81,70 +78,69 @@ def enumerate_deterministic_strategies() -> tuple[tuple[int, int, int, int], ...
 
 
 def strategy_correlation(strategy: tuple[int, int, int, int]) -> CorrelationVector:
-    """Correlations of one deterministic strategy (a, a', b, b'): products of its signs."""
-    a, a_prime, b, b_prime = strategy
-    return CorrelationVector(a * b, a * b_prime, a_prime * b, a_prime * b_prime)
+    """Correlations of one deterministic strategy (a, a', b, b'): its row of VERTICES."""
+    return CorrelationVector(*VERTICES[STRATEGIES.index(tuple(strategy))])
 
 
-def vertex_matrix() -> np.ndarray:
-    """16x4 matrix of deterministic-strategy correlation vectors, in index order."""
-    import numpy as np
+# Witness bytes are pinned, so every sum below adds in one fixed order: the order of
+# OpenBLAS's SkylakeX kernel, numpy's default on an AVX-512 Xeon, in which the pinned
+# weights were computed. Left to numpy, the order would follow the kernel OpenBLAS
+# picks for the CPU. A product of a facet normal or a vertex with the target adds two
+# pairs of terms, then the pair sums; every other sum of four adds in sequence.
+def _dot(x: tuple[float, ...], y: tuple[float, ...]) -> float:
+    return (x[0] * y[0] + x[2] * y[2]) + (x[1] * y[1] + x[3] * y[3])
 
-    rows = [strategy_correlation(s).as_tuple() for s in enumerate_deterministic_strategies()]
-    return np.array(rows, dtype=float)
+
+def _in_sequence(x: list[float]) -> float:
+    return ((x[0] + x[1]) + x[2]) + x[3]
 
 
 def facet_margin(vector: CorrelationVector) -> tuple[float, tuple[int, ...]]:
     """Largest |signed sum| - 2 over the four facet patterns, with the achiever."""
-    import numpy as np
-
-    e = vector.as_array()
-    margins = [abs(float(e @ np.array(pattern, dtype=float))) - 2.0 for pattern in SIGN_PATTERNS]
+    e = vector.as_tuple()
+    margins = [abs(_in_sequence([s * x for s, x in zip(p, e)])) - 2.0 for p in SIGN_PATTERNS]
     best = margins.index(max(margins))  # the first pattern with the largest margin
     return margins[best], SIGN_PATTERNS[best]
 
 
 @functools.cache
-def _witness_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
-    """(facet normals, vertices, vertex strategies, facet strategies), built once.
+def _witness_tables() -> tuple[tuple[int, ...], tuple[tuple, ...]]:
+    """(vertex strategies, facets as (normal, facet strategies)), built once.
 
     The 16 facets as normals f with f.x <= 1: the CHSH facets p.x <= 2 for
     the eight odd-parity p, then +-x_i <= 1. The lower-index strategy of
     each distinct vertex carries that vertex's weight, and each facet is a
     simplex on 4 vertices, named by their carrying strategies.
     """
-    import numpy as np
-
-    normals = np.vstack(
-        [np.array(SIGN_PATTERNS) / 2.0, -np.array(SIGN_PATTERNS) / 2.0, np.eye(4), -np.eye(4)]
-    )
-    vertices = vertex_matrix()
-    carriers = np.sort(np.unique(vertices, axis=0, return_index=True)[1])
-    facets = [carriers[vertices[carriers] @ normal == 1.0] for normal in normals]
-    return normals, vertices, carriers, facets
+    normals = [tuple(s * p / 2.0 for p in pattern) for s in (1, -1) for pattern in SIGN_PATTERNS]
+    normals += [tuple(s * float(i == j) for j in range(4)) for s in (1, -1) for i in range(4)]
+    carriers = tuple(i for i, vertex in enumerate(VERTICES) if VERTICES.index(vertex) == i)
+    facets = tuple((f, tuple(c for c in carriers if _dot(VERTICES[c], f) == 1.0)) for f in normals)
+    return carriers, facets
 
 
-def _witness_weights(target: np.ndarray) -> np.ndarray:
+def _witness_weights(target: tuple[float, ...]) -> tuple[float, ...]:
     """Convex weights over the 16 strategies whose mixture gives `target`.
 
     With t the largest facet functional, target / t lies on that facet and
     target = t * (target / t) + (1 - t) * 0, where 0 is the centroid of the
     8 vertices. A facet's 4 vertices are mutually orthogonal with squared
     norm 4, so the 4x4 solve for the barycentric weights of target / t is
-    vertices @ target / (4 t). A target outside by at most a facet
+    vertices . target / (4 t). A target outside by at most a facet
     tolerance (t > 1) is mapped onto the facet.
     """
-    import numpy as np
-
-    normals, vertices, carriers, facets = _witness_tables()
-    corners = facets[int(np.argmax(normals @ target))]
+    carriers, facets = _witness_tables()
+    functionals = [_dot(normal, target) for normal, _ in facets]
+    corners = facets[functionals.index(max(functionals))][1]
     # t * (barycentric weights); they sum to t, up to rounding.
-    share = np.maximum(vertices[corners] @ target / 4.0, 0.0)
-    share /= max(share.sum(), 1.0)
-    weights = np.zeros(16)
-    weights[carriers] = max(1.0 - share.sum(), 0.0) / 8.0
-    weights[corners] += share
-    return weights
+    share = [max(_dot(VERTICES[c], target) / 4.0, 0.0) for c in corners]
+    total = max(_in_sequence(share), 1.0)
+    share = [s / total for s in share]
+    centroid = max(1.0 - _in_sequence(share), 0.0) / 8.0
+    weights = [centroid if i in carriers else 0.0 for i in range(16)]
+    for c, s in zip(corners, share):
+        weights[c] += s
+    return tuple(weights)
 
 
 def local_membership(
@@ -160,6 +156,5 @@ def local_membership(
         raise ValueError("facet_tolerance must be non-negative")
     margin, pattern = facet_margin(vector)
     if margin <= facet_tolerance:
-        weights = _witness_weights(vector.as_array())
-        return FeasibilityVerdict(feasible=True, weights=weights)
+        return FeasibilityVerdict(feasible=True, weights=_witness_weights(vector.as_tuple()))
     return FeasibilityVerdict(feasible=False, violated_facet=ViolatedFacet(pattern, margin))

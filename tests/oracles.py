@@ -143,6 +143,40 @@ def numpy_port_probabilities(
     }
 
 
+def numpy_witness_weights(target) -> np.ndarray:
+    """The 16-cell witness by numpy array arithmetic, as bellsim computed it.
+
+    The facets are normals f with f.x <= 1 (the one-minus sign patterns
+    halved, their negations, then +-e_i), the lowest-index strategy of each
+    vertex carries its weight, and the facet with the largest functional
+    gets the barycentric shares. Sampled counterfactual artifacts hold these
+    weights, so the library's plain-Python witness must equal this bit for
+    bit. The products with the target add as (0 + 2) + (1 + 3) and the
+    shares in sequence, written out elementwise so that no BLAS kernel
+    picks the order.
+    """
+
+    def products(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return (rows[:, 0] * x[0] + rows[:, 2] * x[2]) + (rows[:, 1] * x[1] + rows[:, 3] * x[3])
+
+    def in_sequence(values: np.ndarray) -> float:
+        return float(((values[0] + values[1]) + values[2]) + values[3])
+
+    target = np.asarray(target, dtype=float)
+    one_minus = 1.0 - 2.0 * np.eye(4)
+    normals = np.vstack([one_minus / 2.0, -one_minus / 2.0, np.eye(4), -np.eye(4)])
+    vertices = deterministic_vertices()
+    carriers = np.sort(np.unique(vertices, axis=0, return_index=True)[1])
+    normal = normals[np.argmax(products(normals, target))]
+    corners = carriers[vertices[carriers] @ normal == 1.0]
+    share = np.maximum(products(vertices[corners], target) / 4.0, 0.0)
+    share /= max(in_sequence(share), 1.0)
+    weights = np.zeros(16)
+    weights[carriers] = max(1.0 - in_sequence(share), 0.0) / 8.0
+    weights[corners] += share
+    return weights
+
+
 def numpy_pr_box_table(strength: float) -> dict[tuple[str, str], tuple[float, ...]]:
     """The noisy PR-box table by numpy array arithmetic, as bellsim computed it.
 

@@ -3,11 +3,12 @@
 scipy is a test-only dependency: the package and its CLI never import it.
 The package namespace is lazy, each subcommand imports only the modules it
 runs and builds only the catalog model it runs, and only sampling loads
-numpy. Once numpy loads, the CLI has kept OpenBLAS from starting worker
-threads unless the caller asks for them with OPENBLAS_NUM_THREADS. Nothing
-starts a thread pool. Records compile no code, so no command loads
-`dataclasses`, and one that samples nothing loads none of the modules
-`dataclasses` would bring (numpy imports `inspect` itself).
+numpy: local-polytope membership and its witness are plain Python. Once
+numpy loads, the CLI has kept OpenBLAS from starting worker threads unless
+the caller asks for them with OPENBLAS_NUM_THREADS. Nothing starts a thread
+pool. Records compile no code, so no command loads `dataclasses`, and one
+that samples nothing loads none of the modules `dataclasses` would bring
+(numpy imports `inspect` itself).
 """
 
 import importlib
@@ -302,6 +303,20 @@ def test_born_rule_loads_no_numpy():
     assert _run_fresh(_BORN_RULE) == "12 False"
 
 
+_MEMBERSHIP = """
+import sys
+from bellsim.polytope import CorrelationVector, local_membership
+inside = local_membership(CorrelationVector(0.5, 0.25, -0.125, 0.0))
+outside = local_membership(CorrelationVector(1.0, -1.0, 1.0, 1.0))
+print(inside.feasible, len(inside.weights), outside.feasible, "numpy" in sys.modules)
+"""
+
+
+def test_membership_loads_no_numpy():
+    # A witness and a violated facet, both in plain Python.
+    assert _run_fresh(_MEMBERSHIP) == "True 16 False False"
+
+
 def test_unknown_model_diagnostic_is_unchanged():
     from bellsim.config import ConfigError, resolve_model
 
@@ -334,9 +349,9 @@ EXPORTS = {
     ],
     "optimize": ["LandscapeGrid", "OptimizationResult", "optimize_angles", "s_landscape"],
     "polytope": [
-        "CorrelationVector", "FeasibilityVerdict", "ViolatedFacet",
+        "CorrelationVector", "FeasibilityVerdict", "VERTICES", "ViolatedFacet",
         "enumerate_deterministic_strategies", "local_membership",
-        "strategy_correlation", "vertex_matrix",
+        "strategy_correlation",
     ],
     "quantum": [
         "JointOutcomeDistribution", "MeasurementSetting", "OUTCOME_ORDER", "TwoQubitState",

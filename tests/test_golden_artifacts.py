@@ -18,7 +18,10 @@ that is not UTF-8, of JSON nested 20,000 deep and of an angle beyond float
 range were added when those inputs stopped ending in a traceback. The
 diagnostics of argparse's usage errors with a 5,000-character argument and
 of a misspelt JSON model field were added when the first were cut short and
-the second stopped being ignored.
+the second stopped being ignored, and that of 2,000 unknown config keys when
+that list was cut to its first key. The `out.json` of `counterfactual-lhv-edge`
+was pinned from numpy's witness at the default OpenBLAS kernel, before the
+witness was written in plain Python; it must not change with the kernel.
 
 To print the hashes the current code produces (for example after a
 deliberate schema change), run `PYTHONPATH=src python tests/test_golden_artifacts.py`.
@@ -89,6 +92,12 @@ def _cases() -> dict[str, tuple[list[str], tuple[str, ...]]]:
             ["counterfactual", "--model", "lhv-edge", "--trials", "40", "--stats-trials", "2000",
              "--seed", SEED, "--format", "csv"],
             ("out.csv", "ledger.jsonl"),
+        ),
+        # Feasible with witness weights off the vertices, so its bytes hold rounded sums.
+        "counterfactual-lhv-edge": (
+            ["counterfactual", "--model", "lhv-edge", "--trials", "40", "--stats-trials", "2000",
+             "--seed", SEED],
+            ("out.json",),
         ),
         "bomb-csv": (["bomb", *small, "--phase", "0.5", "--format", "csv"], ("out.csv",)),
         "bomb-exact-no-bomb": (["bomb", "--exact", "--no-bomb"], ("out.json",)),
@@ -175,6 +184,9 @@ GOLDEN: dict[str, dict[str, str]] = {
         "out.csv": "2db94027c615f6cbc364c0245a86b38c0f5bc428119fd2c9ff861f0ab75ea14d",
         "ledger.jsonl": "6e6dd70f1643be4f8d927437f869369c66c69fe2136a3171d25930061020a196",
     },
+    "counterfactual-lhv-edge": {
+        "out.json": "01ba129190249f5c91b9dd99f729188c88b85cc40bea37174a4cec3e8591b02b",
+    },
     "counterfactual-lhv-all-plus": {
         "out.json": "72bbd4c9470886c59996ed68cb918aec13526aecc26821ca91148e1310ef87b8",
         "ledger.jsonl": "b13f25711eb9f259c374013ed0ec76bc17345c54f91ae374c320f972bc0d812f",
@@ -243,15 +255,19 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-def fresh_process(argv: list[str], one_cpu: bool = False) -> int:
+def fresh_process(argv: list[str], one_cpu: bool = False, coretype: str = "") -> int:
     """Exit code of `python -m bellsim.cli *argv` in a new interpreter.
 
-    The child starts without this process's OPENBLAS_NUM_THREADS, so it
-    runs the start-up path of a plain shell invocation; with `one_cpu` it
-    first pins itself to one CPU.
+    The child starts without this process's OPENBLAS_NUM_THREADS and
+    OPENBLAS_CORETYPE, so it runs the start-up path of a plain shell
+    invocation; with `one_cpu` it first pins itself to one CPU, and a
+    `coretype` is its OPENBLAS_CORETYPE.
     """
     source_root = str(Path(sys.modules["bellsim"].__file__).resolve().parent.parent)
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    blas = ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    if coretype:
+        env["OPENBLAS_CORETYPE"] = coretype
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
     program = ["-c", _ON_ONE_CPU] if one_cpu else ["-m", "bellsim.cli"]
     return subprocess.run([sys.executable, *program, *argv], env=env, capture_output=True).returncode
@@ -293,6 +309,14 @@ def test_one_cpu_gives_the_bytes_of_every_cpu(tmp_path):
         assert fresh_process(argv + ["--out", str(out)], one_cpu) == 0
         artifacts.append(out.read_bytes())
     assert artifacts[0] == artifacts[1]
+
+
+@pytest.mark.parametrize("coretype", ["", "Prescott"])
+def test_witness_bytes_do_not_depend_on_the_blas_kernel(coretype, tmp_path):
+    # The Prescott kernel adds a matrix-vector product in another order than the default one.
+    run = lambda argv: fresh_process(argv, coretype=coretype)  # noqa: E731
+    case = "counterfactual-lhv-edge"
+    assert artifact_hashes(case, tmp_path, run) == GOLDEN[case]
 
 
 def test_every_case_is_pinned():
@@ -443,6 +467,13 @@ DIAGNOSTICS: dict[str, tuple[list[str], int, str]] = {
         "bellsim: configuration error: invalid model: unknown model key 'angels'; "
         "accepted keys: kind, strategy, state, angles, weights, table",
     ),
+    # Of many unknown config keys, the first is named and the others counted.
+    "config-unknown-keys-2000": (
+        ["chsh", "--exact", "--config", "unknown-2000.cfg"],
+        2,
+        "bellsim: configuration error: unknown config key 'k0' and 1999 more for chsh; "
+        "accepted keys: angles, exact, format, model, out, pattern, seed, state, threads, trials",
+    ),
 }
 
 # The config files the diagnostics name, written to the working directory.
@@ -453,6 +484,7 @@ CONFIG_FILES = {
     "angles-1e400.cfg": b"angles = 1" + b"0" * 400 + b"\n",
     "seed-nested-400.cfg": b"seed = " + b"[" * 400 + b"]" * 400 + b"\n",
     "trials-null.cfg": b"trials = null\n",
+    "unknown-2000.cfg": b"".join(b"k%d = 1\n" % n for n in range(2_000)),
 }
 
 
@@ -482,7 +514,9 @@ def test_diagnostic_unchanged(case, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "case", ["model-name-60000", "config-angles-1e400", "config-seed-nested-400"]
+    "case",
+    ["model-name-60000", "config-angles-1e400", "config-seed-nested-400",
+     "config-unknown-keys-2000"],
 )
 def test_echoed_values_are_cut(case):
     assert len(DIAGNOSTICS[case][2]) <= 200

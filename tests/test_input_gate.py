@@ -11,9 +11,11 @@ their caps, so a valid run stays small.
 
 Whatever is drawn, `main(argv)` must exit 0, 2 or 3 without a traceback. A
 nonzero exit writes exactly one `bellsim:` line, or argparse's usage and
-error, and no run leaves a `.tmp` file behind. A second test builds JSON
-models field by field, from values of every type, and requires each to be a
-model or a configuration error.
+error, and leaves no finished artifact (`out.json`, `out.csv` or
+`ledger.jsonl`), and no run leaves a `.tmp` file behind. A second test
+runs `counterfactual` with one of its two artifacts unwritable, and a third
+builds JSON models field by field, from values of every type, and requires
+each to be a model or a configuration error.
 """
 
 import contextlib
@@ -78,6 +80,8 @@ VALID = {
     "phase": _both("0", "1.5"),
     "fixed": [("a=0,a'=1.5", '{"a": 0, "a\'": 1.5}'), ("b=1,b'=2", '"b=1,b\'=2"')],
 }
+# The artifacts a run may write to the working directory; a nonzero exit leaves none.
+ARTIFACTS = ("out.json", "out.csv", "ledger.jsonl")
 # Paths that cannot be written: a directory of the working directory, and a missing one.
 BAD_PATHS = _strings("outdir", "missing/artifact")
 # Always given: tiny, or just above their caps.
@@ -173,13 +177,31 @@ def test_generated_inputs_exit_cleanly(command, data):
     with tempfile.TemporaryDirectory() as tmp:
         code, stderr = _run(argv, lines, env, Path(tmp))
         leftovers = [p.name for p in Path(tmp).rglob("*.tmp")]
+        finished = [name for name in ARTIFACTS if (Path(tmp) / name).exists()]
     assert code in (0, 2, 3), stderr
     assert "Traceback" not in stderr
     assert leftovers == []
     if code != 0:
+        assert finished == [], stderr
         diagnostics = [line for line in stderr.splitlines() if line.startswith("bellsim:")]
         usage = stderr.startswith("usage: bellsim") and f"bellsim {command}: error:" in stderr
         assert len(diagnostics) == 1 or (usage and not diagnostics), stderr
+
+
+@pytest.mark.parametrize(
+    "paths",
+    [
+        ["--out", "out.json", "--ledger", "missing/artifact"],
+        ["--format", "csv", "--out", "out.csv", "--ledger", "missing/artifact"],
+        ["--out", "missing/artifact", "--ledger", "ledger.jsonl"],
+    ],
+)
+def test_failed_write_leaves_no_finished_artifact(paths, tmp_path):
+    # One of two artifacts cannot be written, so the run writes neither.
+    code, stderr = _run(["counterfactual", "--trials", "3", "--stats-trials", "5", *paths],
+                        [], None, tmp_path)
+    assert code == 3, stderr
+    assert [name for name in ARTIFACTS if (tmp_path / name).exists()] == []
 
 
 # JSON values of every type, for model fields that expect another.

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellsim.models import lhv_deterministic_model
 from bellsim.polytope import (
+    VERTICES,
     CorrelationVector,
     FeasibilityVerdict,
     ViolatedFacet,
@@ -13,7 +16,6 @@ from bellsim.polytope import (
     facet_margin,
     local_membership,
     strategy_correlation,
-    vertex_matrix,
 )
 from bellsim.stats import PAIR_ORDER, SIGN_PATTERNS
 
@@ -22,6 +24,7 @@ from oracles import (
     deterministic_vertices,
     lp_local_membership,
     lp_local_membership_batch,
+    numpy_witness_weights,
 )
 
 SQRT_HALF = math.sqrt(0.5)
@@ -44,17 +47,17 @@ class TestEnumeration:
         assert vector.as_tuple() == (1.0, -1.0, 1.0, -1.0)
 
     def test_vertex_matrix_matches_independent_enumeration(self):
-        ours = {tuple(row) for row in vertex_matrix()}
+        ours = {tuple(row) for row in np.array(VERTICES)}
         oracle = {tuple(row) for row in deterministic_vertices()}
         assert ours == oracle
         # same index order too, so witness weights can be checked against the oracle
-        assert np.array_equal(vertex_matrix(), deterministic_vertices())
+        assert np.array_equal(np.array(VERTICES), deterministic_vertices())
 
 
 class TestMaxClassicalS:
     @pytest.mark.parametrize("pattern", SIGN_PATTERNS)
     def test_exactly_two_for_every_pattern(self, pattern):
-        assert float(np.max(vertex_matrix() @ np.array(pattern, dtype=float))) == 2.0
+        assert float(np.max(np.array(VERTICES) @ np.array(pattern, dtype=float))) == 2.0
         assert brute_force_max_s(pattern) == 2.0
 
 
@@ -83,12 +86,12 @@ class TestMembership:
         verdict = local_membership(CorrelationVector(1.0, 1.0, 1.0, 1.0))
         assert verdict.feasible
         assert verdict.weights[0] == pytest.approx(1.0, abs=1e-8)
-        assert np.all(verdict.weights >= -1e-12)
+        assert np.all(np.asarray(verdict.weights) >= -1e-12)
 
     def test_origin_membership(self):
         verdict = local_membership(CorrelationVector(0.0, 0.0, 0.0, 0.0))
         assert verdict.feasible
-        assert verdict.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.asarray(verdict.weights).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_singlet_optimal_infeasible(self):
         verdict = local_membership(SINGLET_OPTIMAL_VECTOR)
@@ -106,10 +109,10 @@ class TestMembership:
             target = mixture @ vertices
             verdict = local_membership(CorrelationVector(*target))
             assert verdict.feasible
-            recovered = verdict.weights @ vertices
+            recovered = np.asarray(verdict.weights) @ vertices
             assert np.max(np.abs(recovered - target)) < 1e-8
-            assert verdict.weights.sum() == pytest.approx(1.0, abs=1e-12)
-            assert np.all(verdict.weights >= 0.0)
+            assert np.asarray(verdict.weights).sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.all(np.asarray(verdict.weights) >= 0.0)
 
     def test_statistical_tolerance_allows_boundary_noise(self):
         # a point just outside a facet is accepted under a statistical slack
@@ -120,10 +123,10 @@ class TestMembership:
         assert strict.violated_facet.margin == pytest.approx(2e-4, abs=1e-12)
         loose = local_membership(vector, facet_tolerance=1e-3)
         assert loose.feasible
-        assert np.all(loose.weights >= 0.0)
-        assert loose.weights.sum() == pytest.approx(1.0, abs=1e-12)
-        recovered = loose.weights @ deterministic_vertices()
-        assert np.max(np.abs(recovered - vector.as_array())) <= 1e-3
+        assert np.all(np.asarray(loose.weights) >= 0.0)
+        assert np.asarray(loose.weights).sum() == pytest.approx(1.0, abs=1e-12)
+        recovered = np.asarray(loose.weights) @ deterministic_vertices()
+        assert np.max(np.abs(recovered - np.array(vector.as_tuple()))) <= 1e-3
 
     def test_each_vertex_weights_its_lower_index_strategy(self):
         vertices = deterministic_vertices()
@@ -151,10 +154,23 @@ class TestMembership:
             target = rng.dirichlet(np.ones(4)) @ corners
             verdict = local_membership(CorrelationVector(*target))
             assert verdict.feasible
-            assert np.all(verdict.weights >= 0.0)
-            assert verdict.weights.sum() == pytest.approx(1.0, abs=1e-15)
-            recovered = verdict.weights @ vertices
+            assert np.all(np.asarray(verdict.weights) >= 0.0)
+            assert np.asarray(verdict.weights).sum() == pytest.approx(1.0, abs=1e-15)
+            recovered = np.asarray(verdict.weights) @ vertices
             assert np.max(np.abs(recovered - target)) <= 1e-15
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        counts=st.lists(st.integers(0, 5), min_size=16, max_size=16).filter(any),
+        scale=st.sampled_from([1.0, 1.0 - 1e-12, 1.0 + 1e-12, 0.75, 0.1]),
+    )
+    def test_witness_matches_the_numpy_form_bit_for_bit(self, counts, scale):
+        # Mixtures of few vertices lie on faces and facets, where ties pick the facet.
+        mixture = np.array(counts, dtype=float) / sum(counts)
+        target = np.clip(mixture @ deterministic_vertices() * scale, -1.0, 1.0)
+        verdict = local_membership(CorrelationVector(*target.tolist()))
+        assert verdict.feasible
+        assert np.array(verdict.weights).tobytes() == numpy_witness_weights(target).tobytes()
 
     def test_facet_margin_on_pr_box(self):
         margin, pattern = facet_margin(CorrelationVector(1.0, -1.0, 1.0, 1.0))
@@ -203,22 +219,22 @@ class TestOracleAgreement:
 
     def test_lhv_mixture_vectors_always_feasible(self):
         rng = np.random.default_rng(161803)
-        vertices = vertex_matrix()
+        vertices = np.array(VERTICES)
         for _ in range(100):
             mixture = rng.dirichlet(np.ones(16) * 0.3)
             vector = CorrelationVector(*(mixture @ vertices))
             verdict = local_membership(vector)
             assert verdict.feasible
             assert lp_local_membership(vector.as_tuple())
-            recovered = verdict.weights @ deterministic_vertices()
-            assert np.max(np.abs(recovered - vector.as_array())) < 1e-12
+            recovered = np.asarray(verdict.weights) @ deterministic_vertices()
+            assert np.max(np.abs(recovered - np.array(vector.as_tuple()))) < 1e-12
 
 
 def test_deterministic_model_vertices_match_strategy_correlations():
     for index in range(16):
         model = lhv_deterministic_model(index)
         weights = np.asarray(model.weights)
-        vector = weights @ vertex_matrix()
+        vector = weights @ np.array(VERTICES)
         expected = strategy_correlation(
             enumerate_deterministic_strategies()[index]
         ).as_tuple()
