@@ -25,7 +25,6 @@ _MODULE_EXPORTS: dict[str, tuple[str, ...]] = {
         "classify_definiteness",
         "counterfactual_table",
         "ledger_text",
-        "read_ledger_records",
         "record_run",
         "replay_counterfactual",
     ),
@@ -37,14 +36,12 @@ _MODULE_EXPORTS: dict[str, tuple[str, ...]] = {
     "interferometer": ("InterferometerSpec", "port_probabilities", "run_bomb_trials"),
     "models": (
         "ModelDescriptor",
-        "NoSignallingReport",
         "SINGLET_OPTIMAL_ANGLES",
         "TrialRecord",
         "catalog",
         "generate_outcomes",
         "lhv_deterministic_model",
         "lhv_stochastic_model",
-        "no_signalling_check",
         "nonlocal_model",
         "pr_box_table",
         "quantum_model",
@@ -57,9 +54,7 @@ _MODULE_EXPORTS: dict[str, tuple[str, ...]] = {
         "FeasibilityVerdict",
         "VERTICES",
         "ViolatedFacet",
-        "enumerate_deterministic_strategies",
         "local_membership",
-        "strategy_correlation",
     ),
     "quantum": (
         "JointOutcomeDistribution",
@@ -81,7 +76,6 @@ _MODULE_EXPORTS: dict[str, tuple[str, ...]] = {
         "TSIRELSON_BOUND",
         "chsh_s",
         "correlation",
-        "correlation_fraction",
         "counts_from_outcomes",
         "exact_chsh_s",
         "validate_sign_pattern",

@@ -52,7 +52,7 @@ from .config import (
     sign_pattern_from_string,
     sign_pattern_to_string,
 )
-from .quantum import STATE_KINDS, make_named_state
+from .quantum import STATE_KINDS, make_named_state, sum_in_order
 from .stats import DEFAULT_SIGN_PATTERN, PAIR_ORDER, SETTING_LABELS, SIGN_PATTERNS, classify_bound
 
 if TYPE_CHECKING:
@@ -235,7 +235,7 @@ def _cmd_chsh(settings: dict) -> tuple:
     # What each pair reports: its value, and when sampled its counts and error too.
     if settings["exact"]:
         values = model_exact_correlations(model).as_tuple()
-        s_value = sum(s * value for s, value in zip(pattern, values))
+        s_value = sum_in_order(s * value for s, value in zip(pattern, values))
         summary = (s_value, 0.0, classify_bound(abs(s_value), 0.0))
         results: dict = {"exact": True}
         measured = [{"value": value} for value in values]

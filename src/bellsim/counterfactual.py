@@ -26,18 +26,16 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import operator
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence
 
 from ._record import record
 from .config import MAX_LEDGER_TRIALS
 from .experiment import run_chsh_experiment
-from .models import ModelDescriptor, TrialRecord, _pair_index, sample_outcomes
+from .models import ModelDescriptor, _pair_index, _sample_range
 from .polytope import CorrelationVector, FeasibilityVerdict, local_membership
 from .quantum import OUTCOME_ORDER, JointOutcomeDistribution, outcome_index
 from .stats import PAIR_ORDER, SettingPair
-from .streams import CHUNK, map_chunks
+from .streams import CHUNK
 
 if TYPE_CHECKING:
     import numpy as np
@@ -100,13 +98,6 @@ class TrialLedger:
     outcomes: np.ndarray
     hidden: Optional[np.ndarray]
 
-    @functools.cached_property
-    def records(self) -> tuple[TrialRecord, ...]:
-        """Every trial as a TrialRecord, built on first access."""
-        hidden = [None] * len(self.pairs) if self.hidden is None else self.hidden.tolist()
-        rows = enumerate(zip(self.pairs.tolist(), self.outcomes.tolist(), hidden))
-        return tuple(TrialRecord(PAIR_ORDER[p], tuple(o), h, i) for i, (p, o, h) in rows)
-
 
 @record
 class ClassificationEvidence:
@@ -147,15 +138,8 @@ def record_run(
     if not integers or not 0 <= schedule.min() <= schedule.max() <= 3:
         raise ValueError("pair indices must be one integer in 0..3 per trial")
     pairs = schedule.astype(np.int8)
-
-    def chunk(buffers, start: int, size: int):
-        u = buffers.uniforms(seed, start, size, model._tables.draws).T
-        return [sample_outcomes(model, pairs[start : start + size], u)]
-
-    chunks, = map_chunks(chunk, [(0, len(pairs))], operator.iadd)
-    outcomes, hidden = zip(*chunks)
-    hidden = None if hidden[0] is None else np.concatenate(hidden)
-    return TrialLedger(int(seed), model, pairs, np.concatenate(outcomes), hidden)
+    outcomes, hidden = _sample_range(model, pairs, seed, 0, len(pairs))
+    return TrialLedger(int(seed), model, pairs, outcomes, hidden)
 
 
 def replay_counterfactual(
@@ -257,13 +241,3 @@ def ledger_text(ledger: TrialLedger) -> str:
     """The whole ledger text: the blocks of ledger_blocks, joined."""
     return "".join(ledger_blocks(ledger))
 
-
-def read_ledger_records(path: "Path | str") -> tuple[TrialRecord, ...]:
-    """Parse a ledger file back into trial records (audit path)."""
-    records = []
-    with open(path, encoding="utf-8") as handle:
-        for line in filter(str.strip, handle):
-            payload = json.loads(line)
-            settings, outcomes = tuple(payload["settings"]), tuple(payload["outcomes"])
-            records.append(TrialRecord(settings, outcomes, payload["hidden"], payload["stream_id"]))
-    return tuple(records)

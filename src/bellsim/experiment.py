@@ -3,9 +3,8 @@
 Stream ids are allocated per setting pair in canonical PAIR_ORDER: pair i
 of a run owns ids [base + i*N, base + (i+1)*N), so every trial's stream is
 fixed by the configuration alone. run_chsh_experiment is the one place
-that lays them out; `chsh`, the counterfactual verdict's statistics and the
-no-signalling check all sample through it. Sampled runs never load the
-polytope module.
+that lays them out; `chsh` and the counterfactual verdict's statistics
+both sample through it. Sampled runs never load the polytope module.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 from ._record import record
 from .models import ModelDescriptor, count_chunk
-from .quantum import expectation
+from .quantum import expectation, sum_in_order
 from .stats import (
     PAIR_ORDER,
     ChshResult,
@@ -72,7 +71,7 @@ def model_exact_correlations(model: ModelDescriptor) -> CorrelationVector:
         return CorrelationVector(*values)
     if model.weights is not None:  # the LHV kinds
         return CorrelationVector(
-            *(sum(w * e for w, e in zip(model.weights, column)) for column in zip(*VERTICES))
+            *(sum_in_order(w * e for w, e in zip(model.weights, c)) for c in zip(*VERTICES))
         )
     values = []
     for pair in PAIR_ORDER:

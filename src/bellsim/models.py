@@ -36,6 +36,7 @@ from .quantum import (
     joint_probabilities,
     make_named_state,
     outcome_index,
+    sum_in_order,
 )
 from .stats import PAIR_ORDER, SETTING_LABELS, CoincidenceCounts, SettingPair
 
@@ -98,8 +99,8 @@ def _validate_weights(weights: Sequence[float]) -> tuple[float, ...]:
         raise ValueError(f"expected 16 mixture weights, got {len(w)}")
     if any(not math.isfinite(x) or x < 0.0 for x in w):
         raise ValueError("mixture weights must be finite and non-negative")
-    if abs(sum(w) - 1.0) > 1e-12:
-        raise ValueError(f"mixture weights sum to {sum(w)!r}, expected 1")
+    if abs(sum_in_order(w) - 1.0) > 1e-12:
+        raise ValueError(f"mixture weights sum to {sum_in_order(w)!r}, expected 1")
     return w
 
 
@@ -118,8 +119,8 @@ def _validate_table(
         if any(not math.isfinite(p) or p < -1e-15 for p in row):
             raise ValueError(f"table row for {pair} has invalid probabilities {row}")
         row = tuple(max(p, 0.0) for p in row)
-        if abs(sum(row) - 1.0) > 1e-12:
-            raise ValueError(f"table row for {pair} sums to {sum(row)!r}, expected 1")
+        if abs(sum_in_order(row) - 1.0) > 1e-12:
+            raise ValueError(f"table row for {pair} sums to {sum_in_order(row)!r}, expected 1")
         cleaned[pair] = row
     extra = set(table) - set(PAIR_ORDER)
     if extra:
@@ -453,6 +454,30 @@ def run_trial(
     return TrialRecord(PAIR_ORDER[pair], (left, right), lam, rng_stream.stream_id)
 
 
+def _sample_range(
+    model: ModelDescriptor, pairs: "int | np.ndarray", seed: int, first: int, count: int
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """sample_outcomes for the trials with stream ids first..first+count-1, a CHUNK at a time.
+
+    `pairs` is one PAIR_ORDER index for all trials or one per trial.
+    """
+    import numpy as np
+
+    from .streams import map_chunks
+
+    def sample(buffers: ChunkBuffers, start: int, size: int) -> list[tuple]:
+        u = buffers.uniforms(seed, start, size, model._tables.draws).T
+        own = pairs if isinstance(pairs, int) else pairs[start - first : start - first + size]
+        return [sample_outcomes(model, own, u)]
+
+    # += on one-element lists gathers the chunks in order.
+    chunks, = map_chunks(sample, [(first, count)], operator.iadd)
+    if not chunks:
+        return np.empty((0, 2), dtype=np.int8), None
+    outcomes, hidden = zip(*chunks)
+    return np.concatenate(outcomes), None if hidden[0] is None else np.concatenate(hidden)
+
+
 def count_chunk(
     model: ModelDescriptor,
     settings: SettingPair,
@@ -502,83 +527,7 @@ def generate_outcomes(
     The result depends only on (model, settings, seed, stream ids); it is
     built one CHUNK at a time, and `threads` is accepted and has no effect.
     """
-    import numpy as np
-
-    from .streams import map_chunks
-
     pair = _pair_index(settings)  # validates the pair even when count is 0
     if count < 0:
         raise ValueError("count must be non-negative")
-
-    def sample(buffers: ChunkBuffers, start: int, size: int) -> list[np.ndarray]:
-        u = buffers.uniforms(seed, start, size, model._tables.draws).T
-        return [sample_outcomes(model, pair, u)[0]]
-
-    # += on one-element lists gathers the chunks in order.
-    chunks, = map_chunks(sample, [(stream_start, count)], operator.iadd)
-    return np.concatenate(chunks) if chunks else np.empty((0, 2), dtype=np.int8)
-
-
-@record
-class MarginalComparison:
-    """One side's marginal under the two remote settings."""
-
-    side: str
-    local_label: str
-    difference: float
-    threshold: float
-    passed: bool
-
-
-@record
-class NoSignallingReport:
-    """Marginal-level signalling check plus the hidden-variable-level flag."""
-
-    comparisons: tuple[MarginalComparison, ...]
-    max_difference: float
-    passed: bool
-    hidden_variable_setting_dependent: bool
-    trials_per_cell: int
-    marginals: Mapping[SettingPair, tuple[float, float]]
-
-
-def no_signalling_check(
-    model: ModelDescriptor,
-    trials_per_cell: int,
-    seed: int = 0,
-) -> NoSignallingReport:
-    """Estimate each side's outcome marginals under each remote setting.
-
-    A comparison passes when the marginal difference stays within five
-    pooled binomial standard deviations. Superdeterministic models are
-    additionally flagged: their hidden draw is conditioned on the setting
-    pair, which is signalling at the hidden-variable level even when the
-    measured marginals are balanced.
-    """
-    from .experiment import run_chsh_experiment
-
-    if trials_per_cell < 10_000:
-        raise ValueError("trials_per_cell must be at least 10000")
-    counts = run_chsh_experiment(model, trials_per_cell, seed).counts
-    p_left = {pair: (c.n_pp + c.n_pm) / trials_per_cell for pair, c in counts.items()}
-    p_right = {pair: (c.n_pp + c.n_mp) / trials_per_cell for pair, c in counts.items()}
-
-    def compare(side: str, label: str, p1: float, p2: float) -> MarginalComparison:
-        pooled = 0.5 * (p1 + p2)
-        sigma = math.sqrt(max(0.0, pooled * (1.0 - pooled)) * 2.0 / trials_per_cell)
-        difference = abs(p1 - p2)
-        return MarginalComparison(side, label, difference, 5.0 * sigma, difference <= 5.0 * sigma)
-
-    comparisons = [compare("left", x, p_left[(x, "b")], p_left[(x, "b'")]) for x in LEFT_LABELS]
-    comparisons += [
-        compare("right", y, p_right[("a", y)], p_right[("a'", y)]) for y in RIGHT_LABELS
-    ]
-    return NoSignallingReport(
-        comparisons=tuple(comparisons),
-        max_difference=max(c.difference for c in comparisons),
-        passed=all(c.passed for c in comparisons),
-        # A setting pair not measured holds nothing only where the hidden draw reads the pair.
-        hidden_variable_setting_dependent=model.unperformed_cell == "undefined",
-        trials_per_cell=trials_per_cell,
-        marginals={pair: (p_left[pair], p_right[pair]) for pair in PAIR_ORDER},
-    )
+    return _sample_range(model, pair, seed, stream_start, count)[0]

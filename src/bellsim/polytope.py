@@ -19,6 +19,7 @@ from typing import Optional
 
 from ._record import record
 from .models import STRATEGIES
+from .quantum import sum_in_order
 from .stats import PAIR_ORDER, SIGN_PATTERNS
 
 _COMPONENT_SLACK = 1e-12
@@ -72,33 +73,21 @@ class FeasibilityVerdict:
             raise ValueError("infeasible verdict requires a violated facet and no weights")
 
 
-def enumerate_deterministic_strategies() -> tuple[tuple[int, int, int, int], ...]:
-    """All 16 assignments of +-1 to the labels (a, a', b, b'), in index order."""
-    return STRATEGIES
-
-
-def strategy_correlation(strategy: tuple[int, int, int, int]) -> CorrelationVector:
-    """Correlations of one deterministic strategy (a, a', b, b'): its row of VERTICES."""
-    return CorrelationVector(*VERTICES[STRATEGIES.index(tuple(strategy))])
-
-
 # Witness bytes are pinned, so every sum below adds in one fixed order: the order of
 # OpenBLAS's SkylakeX kernel, numpy's default on an AVX-512 Xeon, in which the pinned
 # weights were computed. Left to numpy, the order would follow the kernel OpenBLAS
 # picks for the CPU. A product of a facet normal or a vertex with the target adds two
-# pairs of terms, then the pair sums; every other sum of four adds in sequence.
+# pairs of terms, then the pair sums; every other sum of four adds in sequence, through
+# sum_in_order. That fold starts from int 0, which turns a leading -0.0 into 0.0; each
+# such sum here is passed through abs or max, so the sign of a zero never shows.
 def _dot(x: tuple[float, ...], y: tuple[float, ...]) -> float:
     return (x[0] * y[0] + x[2] * y[2]) + (x[1] * y[1] + x[3] * y[3])
-
-
-def _in_sequence(x: list[float]) -> float:
-    return ((x[0] + x[1]) + x[2]) + x[3]
 
 
 def facet_margin(vector: CorrelationVector) -> tuple[float, tuple[int, ...]]:
     """Largest |signed sum| - 2 over the four facet patterns, with the achiever."""
     e = vector.as_tuple()
-    margins = [abs(_in_sequence([s * x for s, x in zip(p, e)])) - 2.0 for p in SIGN_PATTERNS]
+    margins = [abs(sum_in_order([s * x for s, x in zip(p, e)])) - 2.0 for p in SIGN_PATTERNS]
     best = margins.index(max(margins))  # the first pattern with the largest margin
     return margins[best], SIGN_PATTERNS[best]
 
@@ -134,9 +123,9 @@ def _witness_weights(target: tuple[float, ...]) -> tuple[float, ...]:
     corners = facets[functionals.index(max(functionals))][1]
     # t * (barycentric weights); they sum to t, up to rounding.
     share = [max(_dot(VERTICES[c], target) / 4.0, 0.0) for c in corners]
-    total = max(_in_sequence(share), 1.0)
+    total = max(sum_in_order(share), 1.0)
     share = [s / total for s in share]
-    centroid = max(1.0 - _in_sequence(share), 0.0) / 8.0
+    centroid = max(1.0 - sum_in_order(share), 0.0) / 8.0
     weights = [centroid if i in carriers else 0.0 for i in range(16)]
     for c, s in zip(corners, share):
         weights[c] += s

@@ -13,11 +13,9 @@ import math
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from ._record import record
-from .quantum import TwoQubitState, correlation_matrix, outcome_index
+from .quantum import TwoQubitState, correlation_matrix, outcome_index, sum_in_order
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     import numpy as np
 
 SQRT2 = math.sqrt(2.0)
@@ -122,16 +120,6 @@ def correlation(counts: CoincidenceCounts) -> CorrelationEstimate:
     return CorrelationEstimate(value=value, std_error=std_error, total=total)
 
 
-def correlation_fraction(counts: CoincidenceCounts) -> Fraction:
-    """The correlation as an exact rational number."""
-    from fractions import Fraction
-
-    total = counts.total
-    if total == 0:
-        raise ValueError("cannot estimate a correlation from zero counts")
-    return Fraction(counts.n_pp + counts.n_mm - counts.n_pm - counts.n_mp, total)
-
-
 @record
 class ChshResult:
     """Four correlations combined into S, with uncertainty and bound class."""
@@ -168,8 +156,10 @@ def chsh_s(
     missing = [pair for pair in PAIR_ORDER if pair not in correlations]
     if missing:
         raise ValueError(f"missing correlation estimates for setting pairs {missing}")
-    s_value = sum(sign * correlations[pair].value for sign, pair in zip(pattern, PAIR_ORDER))
-    s_std_error = math.sqrt(sum(correlations[pair].std_error ** 2 for pair in PAIR_ORDER))
+    s_value = sum_in_order(
+        sign * correlations[pair].value for sign, pair in zip(pattern, PAIR_ORDER)
+    )
+    s_std_error = math.sqrt(sum_in_order(correlations[pair].std_error ** 2 for pair in PAIR_ORDER))
     ordered = {pair: correlations[pair] for pair in PAIR_ORDER}
     bound_class = classify_bound(abs(s_value), s_std_error)
     return ChshResult(ordered, s_value, s_std_error, pattern, bound_class)

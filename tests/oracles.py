@@ -330,3 +330,63 @@ def per_record_ledger_text(trials) -> str:
         + "\n"
         for index, trial in enumerate(trials)
     )
+
+
+def marginals(counts) -> dict:
+    """Each setting pair's (P(left = +1), P(right = +1)) from its coincidence counts."""
+    return {
+        pair: ((c.n_pp + c.n_pm) / c.total, (c.n_pp + c.n_mp) / c.total)
+        for pair, c in counts.items()
+    }
+
+
+def marginal_comparisons(counts) -> list[tuple[float, float]]:
+    """(difference, threshold) per side and local setting, left at a and a', right at b and b'.
+
+    The difference is between the side's P(+1) under the two remote
+    settings, the threshold five pooled binomial standard deviations.
+    """
+    p = marginals(counts)
+    trials = counts[("a", "b")].total
+    sides = [(p[(x, "b")][0], p[(x, "b'")][0]) for x in ("a", "a'")]
+    sides += [(p[("a", y)][1], p[("a'", y)][1]) for y in ("b", "b'")]
+    comparisons = []
+    for p1, p2 in sides:
+        pooled = 0.5 * (p1 + p2)
+        sigma = math.sqrt(max(0.0, pooled * (1.0 - pooled)) * 2.0 / trials)
+        comparisons.append((abs(p1 - p2), 5.0 * sigma))
+    return comparisons
+
+
+def compensated_sum(values, start=0):
+    """Python 3.12's builtin sum, which adds floats with Neumaier's compensation.
+
+    Ints add exactly while the total is an int. From a float total on, each
+    float also adds its rounding error to a compensation term that joins the
+    total at the end; a value neither int nor float ends that phase, with the
+    compensation added. Other values, complex ones included, add plainly.
+    """
+    total, compensation = start, 0.0
+    phase = {int: "int", float: "float"}.get(type(start), "other")
+    for value in values:
+        if phase == "float":
+            if type(value) is float:
+                added = total + value
+                if abs(total) >= abs(value):
+                    compensation += (total - added) + value
+                else:
+                    compensation += (value - added) + total
+                total = added
+                continue
+            if isinstance(value, int):
+                total += float(value)
+                continue
+            if compensation and math.isfinite(compensation):
+                total += compensation
+            phase = "other"
+        total = total + value
+        if phase == "int" and not isinstance(value, int):
+            phase = "float" if type(total) is float else "other"
+    if phase == "float" and compensation and math.isfinite(compensation):
+        total += compensation
+    return total

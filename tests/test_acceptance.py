@@ -19,33 +19,27 @@ from bellsim.counterfactual import classify_definiteness, record_run
 from bellsim.experiment import model_exact_correlations, run_chsh_experiment
 from bellsim.interferometer import InterferometerSpec, port_probabilities, run_bomb_trials
 from bellsim.models import (
+    STRATEGIES,
     catalog,
     lhv_deterministic_model,
     lhv_stochastic_model,
-    no_signalling_check,
     nonlocal_model,
     pr_box_table,
     quantum_model,
     superdeterministic_model,
 )
 from bellsim.optimize import optimize_angles
-from bellsim.polytope import (
-    CorrelationVector,
-    enumerate_deterministic_strategies,
-    local_membership,
-    strategy_correlation,
-)
+from bellsim.polytope import VERTICES, CorrelationVector, local_membership
 from bellsim.quantum import TwoQubitState, make_named_state
 from bellsim.stats import (
     CoincidenceCounts,
     SIGN_PATTERNS,
     TSIRELSON_BOUND,
     correlation,
-    correlation_fraction,
     exact_chsh_s,
 )
 
-from oracles import lp_local_membership_batch, random_state_amplitudes
+from oracles import lp_local_membership_batch, marginal_comparisons, random_state_amplitudes
 
 
 @contextmanager
@@ -60,12 +54,11 @@ def criterion(number: int, title: str):
 
 def test_criterion_01_classical_bound():
     with criterion(1, "classical bound: max |S| over 16 deterministic strategies is 2"):
+        assert len(set(STRATEGIES)) == len(VERTICES) == 16
         # warm-up outside the timed region
-        enumerate_deterministic_strategies()
+        np.array(VERTICES)
         started = time.perf_counter()
-        vertices = np.array(
-            [strategy_correlation(s).as_tuple() for s in enumerate_deterministic_strategies()]
-        )
+        vertices = np.array(VERTICES, dtype=float)
         maxima = [
             float(np.max(np.abs(vertices @ np.array(pattern, dtype=float))))
             for pattern in SIGN_PATTERNS
@@ -131,7 +124,9 @@ def test_criterion_06_estimator_exactness():
             (CoincidenceCounts(n_pp=75, n_pm=25, n_mp=25, n_mm=75), Fraction(1, 2), 0.5),
         ]
         for counts, exact, value in cases:
-            assert correlation_fraction(counts) == exact
+            rational = Fraction(counts.n_pp + counts.n_mm - counts.n_pm - counts.n_mp, counts.total)
+            assert rational == exact
+            assert correlation(counts).value == rational
             assert abs(correlation(counts).value - value) <= 1e-15
 
 
@@ -200,11 +195,9 @@ def test_criterion_09_no_signalling():
         rng = np.random.default_rng(999)
         for seed in range(10):
             angles = tuple(float(t) for t in rng.uniform(0.0, 2.0 * math.pi, 4))
-            report = no_signalling_check(
-                quantum_model("psi_minus", angles), 10**6, seed=seed
-            )
-            for comparison in report.comparisons:
-                assert comparison.difference < comparison.threshold, (seed, comparison)
+            counts = run_chsh_experiment(quantum_model("psi_minus", angles), 10**6, seed).counts
+            for difference, threshold in marginal_comparisons(counts):
+                assert difference < threshold, (seed, difference, threshold)
 
 
 def test_criterion_10_bomb_tester():

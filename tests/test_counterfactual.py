@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellsim import counterfactual
+from bellsim import counterfactual, models
 from bellsim.counterfactual import (
     MAX_LEDGER_TRIALS,
     TrialLedger,
@@ -13,7 +14,6 @@ from bellsim.counterfactual import (
     counterfactual_table,
     ledger_blocks,
     ledger_text,
-    read_ledger_records,
     record_run,
     replay_counterfactual,
 )
@@ -39,26 +39,34 @@ from oracles import lp_local_membership, per_record_ledger_text, reference_trial
 SCHEDULE = [PAIR_ORDER[i % 4] for i in range(100)]
 
 
+def ledger_records(ledger):
+    """Each recorded trial as the TrialRecord run_trial gives for it."""
+    hidden = [None] * len(ledger.pairs) if ledger.hidden is None else ledger.hidden.tolist()
+    rows = enumerate(zip(ledger.pairs.tolist(), ledger.outcomes.tolist(), hidden))
+    return [TrialRecord(PAIR_ORDER[p], tuple(o), h, i) for i, (p, o, h) in rows]
+
+
 class TestRecordRun:
     def test_one_record_per_entry(self):
         ledger = record_run(quantum_model(), SCHEDULE, seed=3)
-        assert len(ledger.records) == 100
-        assert [r.stream_id for r in ledger.records] == list(range(100))
+        records = ledger_records(ledger)
+        assert len(records) == 100
+        assert [r.stream_id for r in records] == list(range(100))
 
     def test_replay_reproduces_outcomes(self):
         ledger = record_run(quantum_model(), SCHEDULE, seed=3)
-        for index, record in enumerate(ledger.records):
+        for index, record in enumerate(ledger_records(ledger)):
             outcomes, hidden = reference_trial(ledger.model.to_dict(), record.settings, 3, index)
             assert (outcomes, hidden) == (record.outcomes, record.hidden)
             assert run_trial(ledger.model, record.settings, TrialStream(3, index)) == record
 
     def test_lhv_records_always_carry_hidden(self):
         ledger = record_run(catalog()["lhv-uniform"], SCHEDULE, seed=4)
-        assert all(r.hidden is not None for r in ledger.records)
+        assert all(r.hidden is not None for r in ledger_records(ledger))
 
     def test_quantum_records_carry_no_hidden(self):
         ledger = record_run(quantum_model(), SCHEDULE, seed=4)
-        assert all(r.hidden is None for r in ledger.records)
+        assert all(r.hidden is None for r in ledger_records(ledger))
 
     def test_empty_schedule_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -68,7 +76,7 @@ class TestRecordRun:
         model = catalog()["lhv-uniform"]
         by_pairs = record_run(model, SCHEDULE, seed=3)
         by_indices = record_run(model, np.arange(100) % 4, seed=3)
-        assert by_indices.records == by_pairs.records
+        assert ledger_records(by_indices) == ledger_records(by_pairs)
         assert by_indices.pairs.dtype == by_indices.outcomes.dtype == np.int8
 
     @pytest.mark.parametrize(
@@ -77,11 +85,6 @@ class TestRecordRun:
     def test_pair_indices_outside_0_to_3_rejected(self, indices):
         with pytest.raises(ValueError, match="pair indices"):
             record_run(quantum_model(), np.array(indices), seed=0)
-
-    def test_records_are_built_once_on_first_access(self):
-        ledger = record_run(quantum_model(), SCHEDULE, seed=3)
-        assert "records" not in vars(ledger)
-        assert ledger.records is ledger.records
 
 
 class _LongSchedule:
@@ -102,7 +105,7 @@ class TestLedgerCap:
         assert MAX_LEDGER_TRIALS <= counterfactual._STATS_STREAM_BASE
 
     def test_record_run_rejects_too_many_trials_before_sampling(self, monkeypatch):
-        monkeypatch.setattr(counterfactual, "sample_outcomes", None)  # any call would fail
+        monkeypatch.setattr(models, "sample_outcomes", None)  # any call would fail
         with pytest.raises(ValueError, match=f"at most {MAX_LEDGER_TRIALS}"):
             record_run(quantum_model(), _LongSchedule(MAX_LEDGER_TRIALS + 1), seed=0)
 
@@ -113,12 +116,12 @@ class TestLedgerCap:
             sampled.append(len(pairs))
             return np.ones((len(pairs), 2), dtype=np.int8), None
 
-        monkeypatch.setattr(counterfactual, "sample_outcomes", sample)
+        monkeypatch.setattr(models, "sample_outcomes", sample)
         ledger = record_run(quantum_model(), np.arange(MAX_LEDGER_TRIALS) % 4, seed=0)
         assert sum(sampled) == len(ledger.pairs) == len(ledger.outcomes) == MAX_LEDGER_TRIALS
 
     def test_classify_rejects_too_long_ledger_before_replay(self, monkeypatch):
-        monkeypatch.setattr(counterfactual, "sample_outcomes", None)
+        monkeypatch.setattr(models, "sample_outcomes", None)
         long = _LongSchedule(MAX_LEDGER_TRIALS + 1)
         ledger = TrialLedger(seed=0, model=quantum_model(), pairs=long, outcomes=long, hidden=None)
         with pytest.raises(ValueError, match=f"at most {MAX_LEDGER_TRIALS}"):
@@ -135,7 +138,6 @@ class TestLedgerCap:
             table = counterfactual_table(ledger, index)
             assert table.factual_outcome == tuple(ledger.outcomes[index].tolist())
             assert all(cell.kind == "definite" for cell in table.cells.values())
-        assert "records" not in vars(ledger)
 
 
 class TestReplay:
@@ -163,7 +165,7 @@ class TestReplay:
     def test_factual_pair_returns_factual_outcome_for_all_models(self):
         for name, model in catalog().items():
             ledger = record_run(model, SCHEDULE[:8], seed=7)
-            for index, record in enumerate(ledger.records):
+            for index, record in enumerate(ledger_records(ledger)):
                 cell = replay_counterfactual(ledger, index, record.settings)
                 assert cell.kind == "definite", name
                 assert cell.outcome == record.outcomes, name
@@ -183,7 +185,7 @@ class TestTable:
     def test_factual_anchoring_all_models(self):
         for name, model in catalog().items():
             ledger = record_run(model, SCHEDULE[:12], seed=8)
-            for index, record in enumerate(ledger.records):
+            for index, record in enumerate(ledger_records(ledger)):
                 table = counterfactual_table(ledger, index)
                 anchor = table.cells[record.settings]
                 assert anchor.kind == "definite", name
@@ -192,7 +194,7 @@ class TestTable:
     def test_locality_under_replay_exhaustive(self):
         for model in (catalog()["lhv-uniform"], catalog()["lhv-edge"], lhv_deterministic_model(9)):
             ledger = record_run(model, SCHEDULE, seed=9)
-            for index, record in enumerate(ledger.records):
+            for index, record in enumerate(ledger_records(ledger)):
                 table = counterfactual_table(ledger, index)
                 for x in ("a", "a'"):
                     left_b = table.cells[(x, "b")].outcome[0]
@@ -289,7 +291,7 @@ class TestClassification:
         for name, model in catalog().items():
             ledger = record_run(model, SCHEDULE[:13], seed=17)
             tally = {"definite": 0, "distribution": 0, "undefined": 0}
-            for index in range(len(ledger.records)):
+            for index in range(len(ledger.pairs)):
                 for cell in counterfactual_table(ledger, index).cells.values():
                     tally[cell.kind] += 1
             verdict = classify_definiteness(ledger, trials_for_stats=100)
@@ -329,7 +331,7 @@ class TestLedgerText:
         ledger = record_run(catalog()["pr-box"], np.arange(CHUNK + 3) % 4, seed=2)
         blocks = list(ledger_blocks(ledger))
         assert [block.count("\n") for block in blocks] == [CHUNK, 3]
-        assert "".join(blocks) == ledger_text(ledger) == per_record_ledger_text(ledger.records)
+        assert "".join(blocks) == ledger_text(ledger) == per_record_ledger_text(ledger_records(ledger))
 
 
 class TestLedgerFile:
@@ -337,12 +339,13 @@ class TestLedgerFile:
         ledger = record_run(catalog()["lhv-uniform"], SCHEDULE[:25], seed=17)
         path = tmp_path / "trials.jsonl"
         path.write_text(ledger_text(ledger), encoding="utf-8")
-        records = read_ledger_records(path)
-        assert records == ledger.records
+        lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        assert [PAIR_ORDER.index(tuple(t["settings"])) for t in lines] == ledger.pairs.tolist()
+        assert [t["outcomes"] for t in lines] == ledger.outcomes.tolist()
+        assert [t["hidden"] for t in lines] == ledger.hidden.tolist()
+        assert [t["stream_id"] for t in lines] == list(range(25))
 
     def test_line_format(self, tmp_path):
-        import json
-
         ledger = record_run(quantum_model(), [("a'", "b")], seed=18)
         path = tmp_path / "trials.jsonl"
         with open(path, "w", encoding="utf-8") as handle:

@@ -334,24 +334,23 @@ EXPORTS = {
     "counterfactual": [
         "CounterfactualCell", "CounterfactualTable", "DefinitenessVerdict", "TrialLedger",
         "classify_definiteness", "counterfactual_table",
-        "ledger_text", "read_ledger_records", "record_run", "replay_counterfactual",
+        "ledger_text", "record_run", "replay_counterfactual",
     ],
     "experiment": [
         "ChshExperimentResult", "model_exact_correlations", "run_chsh_experiment",
     ],
     "interferometer": ["InterferometerSpec", "port_probabilities", "run_bomb_trials"],
     "models": [
-        "ModelDescriptor", "NoSignallingReport", "SINGLET_OPTIMAL_ANGLES",
+        "ModelDescriptor", "SINGLET_OPTIMAL_ANGLES",
         "TrialRecord", "catalog", "generate_outcomes",
-        "lhv_deterministic_model", "lhv_stochastic_model", "no_signalling_check",
+        "lhv_deterministic_model", "lhv_stochastic_model",
         "nonlocal_model", "pr_box_table", "quantum_model", "run_trial",
         "superdeterministic_model",
     ],
     "optimize": ["LandscapeGrid", "OptimizationResult", "optimize_angles", "s_landscape"],
     "polytope": [
         "CorrelationVector", "FeasibilityVerdict", "VERTICES", "ViolatedFacet",
-        "enumerate_deterministic_strategies", "local_membership",
-        "strategy_correlation",
+        "local_membership",
     ],
     "quantum": [
         "JointOutcomeDistribution", "MeasurementSetting", "OUTCOME_ORDER", "TwoQubitState",
@@ -360,7 +359,7 @@ EXPORTS = {
     "stats": [
         "ChshResult", "CoincidenceCounts", "CorrelationEstimate", "DEFAULT_SIGN_PATTERN",
         "PAIR_ORDER", "SIGN_PATTERNS", "TSIRELSON_BOUND", "chsh_s",
-        "correlation", "correlation_fraction", "counts_from_outcomes", "exact_chsh_s",
+        "correlation", "counts_from_outcomes", "exact_chsh_s",
         "validate_sign_pattern",
     ],
     "streams": ["TrialStream", "batch_uniforms"],
@@ -386,6 +385,14 @@ def test_dir_and_all_list_every_export():
     assert set(ALL_NAMES) <= set(dir(bellsim))
     assert set(EXPORTS) <= set(dir(bellsim))
     assert bellsim.__all__ == ALL_NAMES
+
+
+@pytest.mark.parametrize("name", [
+    "no_signalling_check", "NoSignallingReport", "correlation_fraction",
+    "enumerate_deterministic_strategies", "strategy_correlation", "read_ledger_records",
+])
+def test_names_no_subcommand_reaches_are_not_exported(name):
+    assert not hasattr(bellsim, name)
 
 
 def test_unknown_name_raises_attribute_error():

@@ -22,6 +22,9 @@ the second stopped being ignored, and that of 2,000 unknown config keys when
 that list was cut to its first key. The `out.json` of `counterfactual-lhv-edge`
 was pinned from numpy's witness at the default OpenBLAS kernel, before the
 witness was written in plain Python; it must not change with the kernel.
+The `chsh --exact` cases of `nonlocal-optimal` and of an lhv mixture were
+added when float sums stopped following the Python version, pinned from the
+bytes Python 3.11 wrote before that change.
 
 To print the hashes the current code produces (for example after a
 deliberate schema change), run `PYTHONPATH=src python tests/test_golden_artifacts.py`.
@@ -29,9 +32,12 @@ deliberate schema change), run `PYTHONPATH=src python tests/test_golden_artifact
 
 from __future__ import annotations
 
+import ast
+import builtins
 import contextlib
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -44,9 +50,15 @@ from bellsim.cli import main
 from bellsim.config import MAX_JSON_DEPTH
 from bellsim.models import catalog
 
+from oracles import compensated_sum
+
 SEED = "20190916"
 CHSH_TRIALS = "200000"
 LEDGER_TRIALS = "400"
+MIXTURE = json.dumps({
+    "kind": "lhv_stochastic",
+    "weights": [0.1, 0.05, 0.05, 0.1, 0.02, 0.08, 0.1, 0.1, 0.03, 0.07] + [0.05] * 6,
+})
 # One catalog model per model kind.
 LEDGER_MODELS = ("quantum-optimal", "nonlocal-optimal", "lhv-all-plus", "lhv-uniform", "pr-box")
 
@@ -77,6 +89,10 @@ def _cases() -> dict[str, tuple[list[str], tuple[str, ...]]]:
         "chsh-exact": (["chsh", "--exact"], ("out.json",)),
         "chsh-exact-csv": (["chsh", "--exact", "--model", "pr-box", "--format", "csv"],
                            ("out.csv",)),
+        "chsh-exact-nonlocal-optimal": (["chsh", "--exact", "--model", "nonlocal-optimal"],
+                                        ("out.json",)),
+        # Its correlations and S are sums that Python 3.12's builtin sum rounds otherwise.
+        "chsh-exact-mixture": (["chsh", "--exact", "--model", MIXTURE], ("out.json",)),
         "lhv-scan": (["lhv-scan"], ("out.json",)),
         "lhv-scan-csv": (["lhv-scan", "--format", "csv"], ("out.csv",)),
         "optimize": (["optimize"], ("out.json",)),
@@ -128,6 +144,12 @@ GOLDEN: dict[str, dict[str, str]] = {
     },
     "chsh-exact-csv": {
         "out.csv": "3507f331d8eddb210a676d433792e7cfbe85c1f5152c29e06c16a69ba2961c3c",
+    },
+    "chsh-exact-mixture": {
+        "out.json": "42f26e913dd618d1c1c689fddacdee10c703b6e296145d73024b9b1234e861cf",
+    },
+    "chsh-exact-nonlocal-optimal": {
+        "out.json": "6ae8398882b706078872a383fbf966da9eef2815d2ed4b6e8a82d8c4dbad57c9",
     },
     "chsh-lhv-all-plus-t1": {
         "out.json": "47f92b83040c05b47bb7889d34dd1dd28ba56b68698fdb9b0b5ec44adef56ec8",
@@ -321,6 +343,38 @@ def test_witness_bytes_do_not_depend_on_the_blas_kernel(coretype, tmp_path):
 
 def test_every_case_is_pinned():
     assert sorted(GOLDEN) == sorted(CASES)
+
+
+# From Python 3.12 on, builtin sum adds floats with a compensation term, which
+# changes the last bit of some sums. Artifacts add floats with
+# quantum.sum_in_order, so every case keeps its bytes under 3.12's sum too.
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_artifact_bytes_do_not_depend_on_builtin_sum(case, tmp_path, monkeypatch):
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert artifact_hashes(case, tmp_path) == GOLDEN[case]
+
+
+# The builtin sum calls left in bellsim, by file and enclosing function: each adds ints.
+INTEGER_SUMS = {("cli.py", "_cmd_lhv_scan"), ("streams.py", "map_chunks")}
+
+
+def _sum_calls(path: Path) -> set[tuple[str, str]]:
+    """(file name, enclosing function) of each call of the name `sum` in a source file."""
+    found = set()
+
+    def visit(node: ast.AST, function: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "sum":
+                found.add((path.name, function))
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return found
+
+
+def test_builtin_sum_adds_only_ints():
+    source = Path(sys.modules["bellsim"].__file__).resolve().parent
+    assert set().union(*map(_sum_calls, source.glob("*.py"))) == INTEGER_SUMS
 
 
 # Rejected inputs: exit code and first stderr line, pinned from the same build.

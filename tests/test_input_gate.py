@@ -4,8 +4,8 @@ The settings come from `bellsim.cli._SUBCOMMANDS`. Each example gives every
 setting either no value, a flag or a config-file line. A value is drawn from
 a fixed pool by the setting's kind: valid values, non-finite and overlong
 numbers, empty and non-ASCII strings, JSON nested 20,000 deep, JSON of the
-wrong type (also inside a model), and a directory or a missing path for
-`out` and `ledger`. A config file may also repeat a key or hold a byte that
+wrong type (also inside a model), and a directory, a missing path or a
+path through a regular file for `out` and `ledger`. A config file may also repeat a key or hold a byte that
 is not UTF-8. Trial counts and `resolution` are always given, tiny or above
 their caps, so a valid run stays small.
 
@@ -82,8 +82,9 @@ VALID = {
 }
 # The artifacts a run may write to the working directory; a nonzero exit leaves none.
 ARTIFACTS = ("out.json", "out.csv", "ledger.jsonl")
-# Paths that cannot be written: a directory of the working directory, and a missing one.
-BAD_PATHS = _strings("outdir", "missing/artifact")
+# Paths that cannot be written: a directory of the working directory, a missing one,
+# and one whose parent is a regular file.
+BAD_PATHS = _strings("outdir", "missing/artifact", "afile/x.json")
 # Always given: tiny, or just above their caps.
 COUNTS = {
     "trials": _both("1", "3"),
@@ -143,6 +144,7 @@ def _run(argv, lines, env, workdir: Path):
         (workdir / "run.cfg").write_bytes(text.encode("utf-8", "surrogateescape"))
         argv = argv + ["--config", "run.cfg"]
     (workdir / "outdir").mkdir()
+    (workdir / "afile").write_text("")
     stdout, stderr = io.StringIO(), io.StringIO()
     saved_env, saved_cwd = os.environ.get("BELLSIM_SEED"), os.getcwd()
     try:
@@ -194,6 +196,7 @@ def test_generated_inputs_exit_cleanly(command, data):
         ["--out", "out.json", "--ledger", "missing/artifact"],
         ["--format", "csv", "--out", "out.csv", "--ledger", "missing/artifact"],
         ["--out", "missing/artifact", "--ledger", "ledger.jsonl"],
+        ["--out", "afile/x.json", "--ledger", "ledger.jsonl"],
     ],
 )
 def test_failed_write_leaves_no_finished_artifact(paths, tmp_path):

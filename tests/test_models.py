@@ -22,7 +22,6 @@ from bellsim.models import (
     generate_outcomes,
     lhv_deterministic_model,
     lhv_stochastic_model,
-    no_signalling_check,
     nonlocal_model,
     pr_box_table,
     quantum_model,
@@ -35,7 +34,7 @@ from bellsim.stats import PAIR_ORDER, correlation, counts_from_outcomes
 from bellsim.streams import CHUNK, ChunkBuffers, TrialStream, batch_uniforms, inverse_cdf
 
 import oracles
-from oracles import numpy_pr_box_table, reference_trial
+from oracles import marginal_comparisons, marginals, numpy_pr_box_table, reference_trial
 
 ALL_PLUS = lhv_deterministic_model(0)
 UNIFORM_LHV = lhv_stochastic_model([1.0 / 16.0] * 16)
@@ -236,11 +235,13 @@ class TestBatchGeneration:
     def test_run_trials_matches_run_trial(self, name):
         model = catalog()[name]
         schedule = [PAIR_ORDER[(3 * i) % 4] for i in range(40)]
-        batch = record_run(model, schedule, seed=77).records
-        assert batch == tuple(
-            run_trial(model, pair, TrialStream(77, i)) for i, pair in enumerate(schedule)
-        )
-        assert all(isinstance(v, int) for r in batch for v in r.outcomes)
+        ledger = record_run(model, schedule, seed=77)
+        trials = [run_trial(model, pair, TrialStream(77, i)) for i, pair in enumerate(schedule)]
+        hidden = [None] * 40 if ledger.hidden is None else ledger.hidden.tolist()
+        assert list(zip(ledger.pairs.tolist(), ledger.outcomes.tolist(), hidden)) == [
+            (PAIR_ORDER.index(t.settings), list(t.outcomes), t.hidden) for t in trials
+        ]
+        assert all(isinstance(v, int) for t in trials for v in t.outcomes)
 
     # generate_outcomes still takes a thread count, which changes nothing.
     @pytest.mark.parametrize("threads", [1, 2, 8])
@@ -393,7 +394,7 @@ class TestFusedCounts:
         out = str(tmp_path / "out.json")
         assert main(["chsh", "--trials", "1000", "--threads", "2", "--out", out]) == 0
         assert main(["bomb", "--trials", "1000", "--out", out]) == 0
-        no_signalling_check(UNIFORM_LHV, 10_000)
+        run_chsh_experiment(UNIFORM_LHV, 10_000, 0)
         assert calls == []
 
 
@@ -486,39 +487,35 @@ class TestQuantumFidelity:
 
 
 class TestNoSignalling:
-    def test_requires_enough_trials(self):
-        with pytest.raises(ValueError, match="at least"):
-            no_signalling_check(quantum_model(), 100)
-
     def test_quantum_marginals_balanced(self):
-        report = no_signalling_check(quantum_model(), 10**6, seed=11)
-        assert report.max_difference < 0.004
-        assert report.passed
-        assert not report.hidden_variable_setting_dependent
+        model = quantum_model()
+        comparisons = marginal_comparisons(run_chsh_experiment(model, 10**6, 11).counts)
+        assert max(difference for difference, _ in comparisons) < 0.004
+        assert all(difference <= threshold for difference, threshold in comparisons)
+        assert model.unperformed_cell != "undefined"
 
     def test_pr_box_flagged_at_hidden_level(self):
-        report = no_signalling_check(PR_BOX, 10**5, seed=13)
-        assert report.hidden_variable_setting_dependent
+        assert PR_BOX.unperformed_cell == "undefined"
         # PR-box marginals are uniform, so the measured level passes
-        assert report.passed
+        comparisons = marginal_comparisons(run_chsh_experiment(PR_BOX, 10**5, 13).counts)
+        assert all(difference <= threshold for difference, threshold in comparisons)
 
     @pytest.mark.parametrize("name", ["quantum-optimal", "nonlocal-optimal", "lhv-uniform", "pr-box"])
     def test_marginals_equal_outcome_array_means(self, name):
         model = catalog()[name]
         trials = CHUNK + 4_000
-        report = no_signalling_check(model, trials, seed=5)
+        measured = marginals(run_chsh_experiment(model, trials, 5).counts)
         for pair_index, pair in enumerate(PAIR_ORDER):
             outcomes = generate_outcomes(model, pair, 5, pair_index * trials, trials)
             p_left = float(np.mean(outcomes[:, 0] == 1))
             p_right = float(np.mean(outcomes[:, 1] == 1))
-            assert report.marginals[pair] == (p_left, p_right)
+            assert measured[pair] == (p_left, p_right)
 
     def test_uniform_lhv_marginals(self):
-        report = no_signalling_check(UNIFORM_LHV, 10**6, seed=17)
-        assert report.max_difference < 0.004
-        assert report.passed
-        assert not report.hidden_variable_setting_dependent
-
+        comparisons = marginal_comparisons(run_chsh_experiment(UNIFORM_LHV, 10**6, 17).counts)
+        assert max(difference for difference, _ in comparisons) < 0.004
+        assert all(difference <= threshold for difference, threshold in comparisons)
+        assert UNIFORM_LHV.unperformed_cell != "undefined"
 
 def test_singlet_optimal_angles_constant():
     assert SINGLET_OPTIMAL_ANGLES == (0.0, math.pi / 2.0, math.pi / 4.0, 3.0 * math.pi / 4.0)

@@ -6,16 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellsim.models import lhv_deterministic_model
+from bellsim.models import STRATEGIES, lhv_deterministic_model
 from bellsim.polytope import (
     VERTICES,
     CorrelationVector,
     FeasibilityVerdict,
     ViolatedFacet,
-    enumerate_deterministic_strategies,
     facet_margin,
     local_membership,
-    strategy_correlation,
 )
 from bellsim.stats import PAIR_ORDER, SIGN_PATTERNS
 
@@ -33,18 +31,17 @@ SINGLET_OPTIMAL_VECTOR = CorrelationVector(-SQRT_HALF, SQRT_HALF, -SQRT_HALF, -S
 
 class TestEnumeration:
     def test_sixteen_strategies(self):
-        strategies = enumerate_deterministic_strategies()
-        assert len(strategies) == 16
-        assert len(set(strategies)) == 16
+        assert len(STRATEGIES) == 16
+        assert len(set(STRATEGIES)) == 16
 
     def test_all_plus_vertex(self):
-        vector = strategy_correlation(enumerate_deterministic_strategies()[0])
-        assert vector.as_tuple() == (1.0, 1.0, 1.0, 1.0)
+        assert STRATEGIES[0] == (1, 1, 1, 1)
+        assert VERTICES[0] == (1.0, 1.0, 1.0, 1.0)
 
     def test_mixed_strategy_vertex(self):
         # responses (a -> +1, a' -> +1, b -> +1, b' -> -1) is index 1
-        vector = strategy_correlation(enumerate_deterministic_strategies()[1])
-        assert vector.as_tuple() == (1.0, -1.0, 1.0, -1.0)
+        assert STRATEGIES[1] == (1, 1, 1, -1)
+        assert VERTICES[1] == (1.0, -1.0, 1.0, -1.0)
 
     def test_vertex_matrix_matches_independent_enumeration(self):
         ours = {tuple(row) for row in np.array(VERTICES)}
@@ -235,7 +232,4 @@ def test_deterministic_model_vertices_match_strategy_correlations():
         model = lhv_deterministic_model(index)
         weights = np.asarray(model.weights)
         vector = weights @ np.array(VERTICES)
-        expected = strategy_correlation(
-            enumerate_deterministic_strategies()[index]
-        ).as_tuple()
-        assert tuple(vector) == expected
+        assert tuple(vector) == VERTICES[index]

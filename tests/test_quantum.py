@@ -114,8 +114,8 @@ EIGH_TOLERANCE = 8 * math.ulp(1.0)
     theta_right=st.floats(-20.0, 20.0),
 )
 def test_closed_form_matches_eigh_oracle(parts, theta_left, theta_right):
-    state = TwoQubitState([complex(re, im) for re, im in zip(parts[::2], parts[1::2])])
-    state = state.normalized()
+    norm = math.sqrt(sum(x * x for x in parts))
+    state = TwoQubitState([complex(re, im) / norm for re, im in zip(parts[::2], parts[1::2])])
     closed = joint_probabilities(state, theta_left, theta_right).probabilities
     oracle = eigh_joint_probabilities(state.amplitudes, theta_left, theta_right)
     for outcome in OUTCOME_ORDER:
@@ -263,5 +263,5 @@ def test_random_states_stay_normalized_after_normalize(seed):
     raw = rng.normal(size=4) + 1j * rng.normal(size=4)
     if np.linalg.norm(raw) == 0.0:
         return
-    state = TwoQubitState(raw).normalized()
+    state = TwoQubitState(raw / np.linalg.norm(raw))
     assert state.norm_error < 1e-12

@@ -28,9 +28,7 @@ from bellsim.counterfactual import (
 from bellsim.experiment import ChshExperimentResult
 from bellsim.interferometer import InterferometerSpec
 from bellsim.models import (
-    MarginalComparison,
     ModelDescriptor,
-    NoSignallingReport,
     TrialRecord,
     _SamplingTables,
 )
@@ -55,11 +53,6 @@ CHSH = ChshResult({("a", "b"): ESTIMATE}, 0.5, 0.25, PATTERN, "local")
 CHSH_REPR = (
     f"ChshResult(correlations={{('a', 'b'): {ESTIMATE_REPR}}}, s_value=0.5, s_std_error=0.25, "
     "sign_pattern=(1, -1, 1, 1), bound_class='local')"
-)
-COMPARISON = MarginalComparison("left", "a", 0.125, 0.25, True)
-COMPARISON_REPR = (
-    "MarginalComparison(side='left', local_label='a', difference=0.125, threshold=0.25, "
-    "passed=True)"
 )
 FACET = ViolatedFacet(PATTERN, 0.5)
 FACET_REPR = "ViolatedFacet(sign_pattern=(1, -1, 1, 1), margin=0.5)"
@@ -136,31 +129,6 @@ CASES = [
             "table": None,
         },
         MODEL_REPR,
-    ),
-    (
-        MarginalComparison,
-        {
-            "side": "left",
-            "local_label": "a",
-            "difference": 0.125,
-            "threshold": 0.25,
-            "passed": True,
-        },
-        COMPARISON_REPR,
-    ),
-    (
-        NoSignallingReport,
-        {
-            "comparisons": (COMPARISON,),
-            "max_difference": 0.125,
-            "passed": True,
-            "hidden_variable_setting_dependent": False,
-            "trials_per_cell": 10000,
-            "marginals": {("a", "b"): (0.5, 0.5)},
-        },
-        f"NoSignallingReport(comparisons=({COMPARISON_REPR},), max_difference=0.125, "
-        "passed=True, hidden_variable_setting_dependent=False, trials_per_cell=10000, "
-        "marginals={('a', 'b'): (0.5, 0.5)})",
     ),
     (CorrelationVector, {"e_ab": 0.5, "e_abp": 0.5, "e_apb": 0.5, "e_apbp": -0.5}, VECTOR_REPR),
     (ViolatedFacet, {"sign_pattern": PATTERN, "margin": 0.5}, FACET_REPR),
@@ -287,7 +255,7 @@ def _record_classes():
 
 def test_every_record_class_is_covered():
     assert _record_classes() == {cls for cls, *_ in CASES}
-    assert len(CASES) == 23
+    assert len(CASES) == 21
 
 
 def test_every_post_init_check_is_covered():

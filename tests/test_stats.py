@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from bellsim.stats import (
     chsh_s,
     classify_bound,
     correlation,
-    correlation_fraction,
     counts_from_outcomes,
     exact_chsh_s,
     validate_sign_pattern,
@@ -77,25 +75,20 @@ class TestCorrelation:
         counts = CoincidenceCounts(n_pp=100, n_mm=100)
         assert correlation(counts).value == 1.0
         assert correlation(counts).std_error == 0.0
-        assert correlation_fraction(counts) == Fraction(1)
 
     def test_symmetric_counts(self):
         counts = CoincidenceCounts(25, 25, 25, 25)
         assert correlation(counts).value == 0.0
-        assert correlation_fraction(counts) == Fraction(0)
 
     def test_half_correlation(self):
         counts = CoincidenceCounts(n_pp=75, n_pm=25, n_mp=25, n_mm=75)
         estimate = correlation(counts)
-        assert correlation_fraction(counts) == Fraction(1, 2)
         assert abs(estimate.value - 0.5) < 1e-15
         assert estimate.std_error == pytest.approx(math.sqrt(0.75 / 200.0), abs=1e-15)
 
     def test_zero_total_is_error(self):
         with pytest.raises(ValueError, match="zero"):
             correlation(CoincidenceCounts())
-        with pytest.raises(ValueError, match="zero"):
-            correlation_fraction(CoincidenceCounts())
 
     def test_estimate_validation(self):
         with pytest.raises(ValueError):
@@ -156,6 +149,11 @@ class TestChshS:
         assert classify_bound(2.5, 0.0) == "quantum"
         assert classify_bound(2.83, 0.01) == "quantum"
         assert classify_bound(3.9, 0.0) == "algebraic"
+        # The band is 3 sigma wide: 2.5 sigma past a bound stays below it, 3.5 sigma does not.
+        assert classify_bound(2.025, 0.01) == "local"
+        assert classify_bound(2.035, 0.01) == "quantum"
+        assert classify_bound(TSIRELSON_BOUND + 0.025, 0.01) == "quantum"
+        assert classify_bound(TSIRELSON_BOUND + 0.035, 0.01) == "algebraic"
 
     def test_quadrature_error(self):
         estimates = {
