@@ -314,7 +314,7 @@ def _cmd_counterfactual(settings: dict) -> tuple:
     import numpy as np
 
     model, trials, stats_trials = settings["model"], settings["trials"], settings["stats_trials"]
-    ledger = record_run(model, np.arange(trials) % 4, settings["seed"])
+    ledger = record_run(model, np.resize(np.arange(4, dtype=np.int8), trials), settings["seed"])
     verdict = classify_definiteness(ledger, trials_for_stats=stats_trials)
     evidence = verdict.evidence
     witness, facet = evidence.feasibility, evidence.feasibility.violated_facet

@@ -43,10 +43,12 @@ if TYPE_CHECKING:
 # Stats trials use stream ids from _STATS_STREAM_BASE up, and a ledger's
 # trial i uses stream id i below MAX_LEDGER_TRIALS, so the two phases of a
 # run never share a stream. A ledger holds 4 bytes per trial and is sampled
-# and written CHUNK trials at a time, so its text, about 90 bytes per trial,
-# is never held whole; the cap bounds a run's time and disk.
+# CHUNK trials at a time; its text, about 90 bytes per trial, is rendered and
+# written _PIECE lines at a time, so no more than one piece of it is held.
+# The cap bounds a run's time and disk.
 _STATS_STREAM_BASE = 1 << 32
 assert MAX_LEDGER_TRIALS <= _STATS_STREAM_BASE
+_PIECE = CHUNK // 16
 
 
 @record
@@ -137,7 +139,7 @@ def record_run(
     integers = schedule.ndim == 1 and schedule.dtype.kind in "iu"
     if not integers or not 0 <= schedule.min() <= schedule.max() <= 3:
         raise ValueError("pair indices must be one integer in 0..3 per trial")
-    pairs = schedule.astype(np.int8)
+    pairs = schedule.astype(np.int8, copy=False)
     outcomes, hidden = _sample_range(model, pairs, seed, 0, len(pairs))
     return TrialLedger(int(seed), model, pairs, outcomes, hidden)
 
@@ -214,7 +216,7 @@ def classify_definiteness(
 
 
 def ledger_blocks(ledger: TrialLedger) -> Iterator[str]:
-    """The ledger text in blocks of at most CHUNK lines.
+    """The ledger text in pieces of at most _PIECE (4,096) lines.
 
     Line i is {"index": i, "settings", "outcomes", "hidden", "stream_id": i}
     in JSON. All but the two i are one of 272 fragments, one per (pair,
@@ -226,14 +228,14 @@ def ledger_blocks(ledger: TrialLedger) -> Iterator[str]:
         f',"settings":{s},"outcomes":{o},"hidden":{h},"stream_id":'
         for s, o, h in itertools.product(*values)
     ]
-    for start in range(0, len(ledger.pairs), CHUNK):
-        block = slice(start, start + CHUNK)
+    for start in range(0, len(ledger.pairs), _PIECE):
+        block = slice(start, start + _PIECE)
         # Fragment keys: 68 per pair, 17 per outcome pair (its index in OUTCOME_ORDER), hidden + 1.
         left, right = ledger.outcomes[block].T.astype(int)
         keys = 68 * ledger.pairs[block].astype(int) + 17 * outcome_index(left, right)
         if ledger.hidden is not None:
             keys += 1 + ledger.hidden[block]
-        lines = zip(range(start, start + CHUNK), keys.tolist())
+        lines = zip(range(start, start + _PIECE), keys.tolist())
         yield "".join([f'{{"index":{i}{fragments[key]}{i}}}\n' for i, key in lines])
 
 

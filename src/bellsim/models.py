@@ -434,8 +434,8 @@ def sample_outcomes(
         p_left_plus, c_plus, c_minus = tables.conditionals[pairs].T
         left = u[:, 0] < p_left_plus
         right = u[:, 1] < np.where(left, c_plus, c_minus)
-        return np.where(np.column_stack([left, right]), 1, -1).astype(np.int8), None
-    hidden = inverse_cdf(tables.cdf[pairs], u[:, 0])
+        return np.where(np.column_stack([left, right]), np.int8(1), np.int8(-1)), None
+    hidden = inverse_cdf(tables.cdf, pairs, u[:, 0])
     # np.take on the flattened table is far cheaper than fancy indexing.
     index = pairs * tables.answers.shape[1] + hidden
     outcomes = np.take(tables.answers.reshape(-1, 2), index, axis=0)

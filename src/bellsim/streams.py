@@ -31,9 +31,10 @@ _M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
 # Trials per batch: memory grows with CHUNK, never with the trial count.
 CHUNK = 1 << 16
-# GAMMA * i for i < CHUNK: a chunk's pre-mix keys are one add away from it.
-_KEY_STEPS = np.arange(CHUNK, dtype=np.uint64)
-_KEY_STEPS *= np.uint64(_GAMMA)
+# GAMMA * i for i < 4096, and GAMMA * 4096 * r for each of a chunk's 16
+# blocks of 4096 ids: a chunk's pre-mix keys are one broadcast add away.
+_KEY_STEPS = np.arange(4096, dtype=np.uint64) * np.uint64(_GAMMA)
+_KEY_STRIDES = np.arange(CHUNK // 4096, dtype=np.uint64) * np.uint64(_GAMMA * 4096 & _MASK64)
 # Fewest chunks per worker thread: below this, starting a thread costs more
 # than the chunks it would count.
 _CHUNKS_PER_WORKER = 8
@@ -153,35 +154,46 @@ class ChunkBuffers:
         `size` is at most CHUNK. The rows are the buffer itself: they hold
         until the next call.
         """
-        if size > len(_KEY_STEPS):
-            raise ValueError(f"a chunk holds at most {len(_KEY_STEPS)} streams, got {size}")
-        if self._rows.shape[0] < draws or self._rows.shape[1] < size:
-            width = max(size, self._rows.shape[1])
+        step = len(_KEY_STEPS)
+        if size > step * len(_KEY_STRIDES):
+            raise ValueError(f"a chunk holds at most {CHUNK} streams, got {size}")
+        blocks = -(-size // step)  # keys are filled `step` ids at a time, padding included
+        if self._rows.shape[0] < draws or self._rows.shape[1] < blocks * step:
+            width = max(blocks * step, self._rows.shape[1])
             self._rows = np.empty((max(draws, self._rows.shape[0]), width))
             self._scratch = np.empty(width, dtype=np.uint64)
-        out = self._rows[:draws, :size]
         # seed + GAMMA * (start + i + 1), stream i of the chunk, in one pass.
         first = np.uint64((int(seed) + _GAMMA * (start + 1)) & _MASK64)
-        with np.errstate(over="ignore"):
-            np.add(_KEY_STEPS[:size], first, out=out[-1].view(np.uint64))
+        keys = self._rows[draws - 1, : blocks * step].view(np.uint64).reshape(blocks, step)
+        np.add((_KEY_STRIDES[:blocks] + first)[:, None], _KEY_STEPS, out=keys)
+        out = self._rows[:draws, :size]
         _mix_rows(out, self._scratch[:size])
         return out
 
 
-def inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Index k with cdf[k-1] <= u < cdf[k] for each uniform, clamped to the last index.
+def inverse_cdf(cdf: np.ndarray, rows: "int | np.ndarray", u: np.ndarray) -> np.ndarray:
+    """Index k with cdf[r, k-1] <= u < cdf[r, k] for each uniform u and its row r, clamped.
 
-    `cdf` is one non-decreasing row of at most 128 entries for every
-    uniform, or one such row per uniform. The index is the number of
-    thresholds at or below u, the same as np.searchsorted(cdf, u,
-    side="right"); leaving the last threshold out is the clamp.
+    `cdf` holds non-decreasing rows of at most 128 entries; `rows` is one
+    row index for every uniform or one per uniform. The index is the number
+    of thresholds at or below u, the same as np.searchsorted(cdf[r], u,
+    side="right"); leaving the last threshold out is the clamp to the last
+    index. One row is compared with every uniform at once; rows per uniform
+    are compared one threshold column at a time, so no row is copied per
+    uniform.
     """
-    thresholds = np.atleast_2d(cdf)[:, :-1].T
-    return (u >= thresholds).sum(axis=0, dtype=np.int8)
+    if np.ndim(rows) == 0:
+        return (u >= cdf[rows, :-1, None]).sum(axis=0, dtype=np.int8)
+    index = np.zeros(u.shape, dtype=np.int8)
+    above = np.empty(u.shape, dtype=bool)
+    for k in range(cdf.shape[1] - 1):
+        np.greater_equal(u, cdf[rows, k], out=above)
+        index += above
+    return index
 
 
 def threshold_counts(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """np.bincount(inverse_cdf(cdf, u), minlength=len(cdf)), with no index array.
+    """np.bincount(inverse_cdf(cdf[None], 0, u), minlength=len(cdf)), with no index array.
 
     For one non-decreasing `cdf` row, a uniform's index is at least k exactly
     when u >= cdf[k-1], so each index's count is the difference of two

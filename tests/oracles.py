@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 from scipy.optimize import linprog
@@ -390,3 +391,17 @@ def compensated_sum(values, start=0):
     if phase == "float" and compensation and math.isfinite(compensation):
         total += compensation
     return total
+
+
+def traced_peak(call) -> int:
+    """Peak bytes allocated while call() runs, as tracemalloc counts them.
+
+    tracemalloc sees numpy's buffers, and its count does not depend on the
+    machine's load.
+    """
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

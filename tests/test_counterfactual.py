@@ -34,7 +34,7 @@ from bellsim.polytope import CorrelationVector, local_membership
 from bellsim.stats import PAIR_ORDER
 from bellsim.streams import CHUNK, TrialStream
 
-from oracles import lp_local_membership, per_record_ledger_text, reference_trial
+from oracles import lp_local_membership, per_record_ledger_text, reference_trial, traced_peak
 
 SCHEDULE = [PAIR_ORDER[i % 4] for i in range(100)]
 
@@ -326,12 +326,17 @@ class TestLedgerText:
         verdict = classify_definiteness(ledger, trials_for_stats=10)
         assert verdict.evidence.factual_replays_matched == trials
 
-    def test_blocks_hold_at_most_a_chunk_of_lines(self):
-        # The sampled trials are checked above; this checks the lines past one block.
+    def test_pieces_hold_at_most_4096_lines(self):
+        # The sampled trials are checked above; this checks the lines past one chunk.
         ledger = record_run(catalog()["pr-box"], np.arange(CHUNK + 3) % 4, seed=2)
         blocks = list(ledger_blocks(ledger))
-        assert [block.count("\n") for block in blocks] == [CHUNK, 3]
+        assert [block.count("\n") for block in blocks] == [4096] * (CHUNK // 4096) + [3]
         assert "".join(blocks) == ledger_text(ledger) == per_record_ledger_text(ledger_records(ledger))
+
+    def test_a_piece_costs_its_own_lines_not_a_chunk(self):
+        # A chunk's text is about 5.6 MB; a piece holds 1/16 of it.
+        ledger = record_run(catalog()["lhv-uniform"], np.arange(CHUNK) % 4, seed=4)
+        assert traced_peak(lambda: next(ledger_blocks(ledger))) < 2 * 2**20
 
 
 class TestLedgerFile:

@@ -24,7 +24,11 @@ was pinned from numpy's witness at the default OpenBLAS kernel, before the
 witness was written in plain Python; it must not change with the kernel.
 The `chsh --exact` cases of `nonlocal-optimal` and of an lhv mixture were
 added when float sums stopped following the Python version, pinned from the
-bytes Python 3.11 wrote before that change.
+bytes Python 3.11 wrote before that change. The 70,001-trial ledgers of
+`quantum-optimal` (no hidden index) and `pr-box` (the outcome index as
+hidden index) were added before the key table was cut to 4,096 steps, the
+inverse-CDF lookup stopped copying a CDF row per trial and ledger text was
+written in 4,096-line pieces.
 
 To print the hashes the current code produces (for example after a
 deliberate schema change), run `PYTHONPATH=src python tests/test_golden_artifacts.py`.
@@ -104,6 +108,15 @@ def _cases() -> dict[str, tuple[list[str], tuple[str, ...]]]:
              "2000", "--seed", SEED],
             ("out.json", "ledger.jsonl"),
         ),
+        # Ledgers across two chunks with no hidden index and with the outcome index as hidden.
+        **{
+            f"counterfactual-{name}-70001": (
+                ["counterfactual", "--model", name, "--trials", "70001", "--stats-trials",
+                 "2000", "--seed", SEED],
+                ("out.json", "ledger.jsonl"),
+            )
+            for name in ("quantum-optimal", "pr-box")
+        },
         "counterfactual-csv": (
             ["counterfactual", "--model", "lhv-edge", "--trials", "40", "--stats-trials", "2000",
              "--seed", SEED, "--format", "csv"],
@@ -229,9 +242,17 @@ GOLDEN: dict[str, dict[str, str]] = {
         "out.json": "3b34d187ebc25c75eb470164f2d3336cf5211e89ef80b43dcffdf236477b96ec",
         "ledger.jsonl": "bfe4cffc72c22c149ec6dbe036600daeb50dda19002cb95aa4a1ee22caef9b30",
     },
+    "counterfactual-pr-box-70001": {
+        "out.json": "59a98e0c6908c76a277ee86af084a2a185a34f4e52386926313881edf259d1c8",
+        "ledger.jsonl": "78d558be0ecc13376066606ed8d41efd2517a9f4c13b80744d606ffc6aaa7898",
+    },
     "counterfactual-quantum-optimal": {
         "out.json": "774d3e53006de23aa994d142db0fcdfbf8aa0bed24749061f98391e1106906f7",
         "ledger.jsonl": "fb77c598250b0cf7488fd9b98d38c6743e1a1122dfbd0a074c739f6a7b54209c",
+    },
+    "counterfactual-quantum-optimal-70001": {
+        "out.json": "ed96b298d3c74b21c0b06bca5339d7bab81ca03112cf45e8f05639dcc7d1ef33",
+        "ledger.jsonl": "6e689977fc29cd4e46457cb980e6ad8aa8dd83a33242b071b5ffb9d2104c4fff",
     },
     "landscape": {
         "out.csv": "2b1467738fd09f1174c5d906754f6282d7ca113d900c8b6fdaa92f95f465416b",

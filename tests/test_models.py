@@ -34,7 +34,13 @@ from bellsim.stats import PAIR_ORDER, correlation, counts_from_outcomes
 from bellsim.streams import CHUNK, ChunkBuffers, TrialStream, batch_uniforms, inverse_cdf
 
 import oracles
-from oracles import marginal_comparisons, marginals, numpy_pr_box_table, reference_trial
+from oracles import (
+    marginal_comparisons,
+    marginals,
+    numpy_pr_box_table,
+    reference_trial,
+    traced_peak,
+)
 
 ALL_PLUS = lhv_deterministic_model(0)
 UNIFORM_LHV = lhv_stochastic_model([1.0 / 16.0] * 16)
@@ -229,6 +235,14 @@ class TestBatchGeneration:
 
     def test_empty_batch(self):
         assert generate_outcomes(quantum_model(), ("a", "b"), 0, 0, 0).shape == (0, 2)
+
+    def test_a_chunk_of_mixed_pairs_needs_no_cdf_row_per_trial(self):
+        # A CDF row per trial would be 16 floats, 8 MiB for the chunk.
+        pairs = np.resize(np.arange(4, dtype=np.int8), CHUNK)
+        u = ChunkBuffers().uniforms(3, 0, CHUNK, UNIFORM_LHV._tables.draws).T
+        expected = sample_outcomes(UNIFORM_LHV, pairs, u)
+        assert traced_peak(lambda: sample_outcomes(UNIFORM_LHV, pairs, u)) < 2 * 2**20
+        assert expected[1].tolist()[:4] == [min(int(16 * x), 15) for x in u[:4, 0]]
 
     # record_run is the batch form of run_trial: it samples a chunk of trials per call.
     @pytest.mark.parametrize("name", sorted(catalog()))
@@ -440,7 +454,7 @@ class TestModelTables:
                 rows = model.weights
             full = np.cumsum(rows)
             expected = np.minimum(np.searchsorted(full, u, side="right"), len(full) - 1)
-            assert np.array_equal(inverse_cdf(model._tables.cdf[pair_index], u), expected)
+            assert np.array_equal(inverse_cdf(model._tables.cdf, pair_index, u), expected)
 
     def test_point_mass_needs_no_threshold(self):
         assert ALL_PLUS._tables.cdf.shape == (4, 1)

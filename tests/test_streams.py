@@ -85,9 +85,13 @@ def test_inverse_cdf_matches_searchsorted(weights, seed):
     u = batch_uniforms(seed, np.arange(500, dtype=np.uint64), 1)[:, 0] * max(cdf[-1], 1.0)
     u[:len(cdf)] = cdf  # uniforms sitting exactly on each threshold
     expected = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
-    assert np.array_equal(inverse_cdf(cdf, u), expected)
-    per_row = np.tile(cdf, (len(u), 1))
-    assert np.array_equal(inverse_cdf(per_row, u), expected)
+    assert np.array_equal(inverse_cdf(cdf[None], 0, u), expected)
+    # Rows picked per uniform: the row itself, reversed weights and rolled weights.
+    table = np.array([cdf, np.cumsum(weights[::-1]), np.cumsum(np.roll(weights, 1))])
+    rows = (batch_uniforms(seed, np.arange(500, dtype=np.uint64), 2)[:, 1] * 3).astype(np.int8)
+    expected = [min(np.searchsorted(table[r], x, side="right"), len(cdf) - 1)
+                for r, x in zip(rows, u)]
+    assert inverse_cdf(table, rows, u).tolist() == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -101,7 +105,7 @@ def test_threshold_counts_match_bincount_of_indices(weights, seed):
     cdf = np.cumsum(weights)
     u = batch_uniforms(seed, np.arange(500, dtype=np.uint64), 1)[:, 0]
     u[:len(cdf)] = np.minimum(cdf, 1.0 - 2.0**-53)  # uniforms sitting exactly on thresholds
-    expected = np.bincount(inverse_cdf(cdf, u), minlength=len(cdf))
+    expected = np.bincount(inverse_cdf(cdf[None], 0, u), minlength=len(cdf))
     assert np.array_equal(threshold_counts(cdf, u), expected)
     assert np.array_equal(threshold_counts(cdf, u[:0]), np.zeros(len(cdf)))
 
@@ -117,11 +121,21 @@ def test_chunk_buffers_match_batch_uniforms_as_they_grow_and_shrink():
     for seed, start, size, draws in [
         (1, 0, 10, 1), (1, 5, 300, 2), (9, 2**64 - 20, 20, 2), (3, 70, 7, 1), (3, 0, 0, 2),
         (2**63, 2**40, 1000, 1), (4, 11, 400, 3),
+        # Either side of one and of all 16 blocks of 4,096 ids in the key tables,
+        # and ids that wrap past 2**64 within a chunk.
+        (5, 3, 4095, 2), (5, 9, 4096, 1), (6, 2**33, 4097, 3), (7, 1, CHUNK - 1, 2),
+        (7, CHUNK, CHUNK, 1), (8, 2**64 - 5000, 9000, 2), (1, 0, 10, 1),
     ]:
         ids = np.uint64(start) + np.arange(size, dtype=np.uint64)
         rows = buffers.uniforms(seed, start, size, draws)
         assert rows.shape == (draws, size)
         assert np.array_equal(rows, batch_uniforms(seed, ids, draws).T)
+
+
+def test_module_arrays_fit_in_64_kib():
+    # Every sampled process keeps these for its lifetime.
+    arrays = [v for v in vars(streams).values() if isinstance(v, np.ndarray)]
+    assert arrays and sum(a.nbytes for a in arrays) < 64 * 1024
 
 
 def test_chunk_buffers_reject_more_than_a_chunk():
