@@ -43,9 +43,9 @@ if TYPE_CHECKING:
 # Stats trials use stream ids from _STATS_STREAM_BASE up, and a ledger's
 # trial i uses stream id i below MAX_LEDGER_TRIALS, so the two phases of a
 # run never share a stream. A ledger holds 4 bytes per trial and is sampled
-# CHUNK trials at a time; its text, about 90 bytes per trial, is rendered and
-# written _PIECE lines at a time, so no more than one piece of it is held.
-# The cap bounds a run's time and disk.
+# and replayed CHUNK trials at a time; its text, about 90 bytes per trial, is
+# rendered and written _PIECE lines at a time, so no more than one piece of it
+# is held. The cap bounds a run's time and disk.
 _STATS_STREAM_BASE = 1 << 32
 assert MAX_LEDGER_TRIALS <= _STATS_STREAM_BASE
 _PIECE = CHUNK // 16
@@ -117,9 +117,23 @@ class DefinitenessVerdict:
     evidence: ClassificationEvidence
 
 
-def _check_ledger_length(trials: int) -> None:
-    if trials > MAX_LEDGER_TRIALS:
-        raise ValueError(f"a ledger holds at most {MAX_LEDGER_TRIALS} trials, got {trials}")
+def _ledger_pairs(schedule: "Sequence[SettingPair] | np.ndarray") -> np.ndarray:
+    """A non-empty schedule's PAIR_ORDER indices as int8, checked.
+
+    An entry is a setting pair or, in an integer array, its index. A
+    ValueError unless the schedule fits a ledger and each index is an
+    integer in 0..3: a negative index would wrap round the tables.
+    """
+    import numpy as np
+
+    if len(schedule) > MAX_LEDGER_TRIALS:
+        raise ValueError(f"a ledger holds at most {MAX_LEDGER_TRIALS} trials, got {len(schedule)}")
+    if not isinstance(schedule, np.ndarray):
+        schedule = np.array([_pair_index(settings) for settings in schedule])
+    integers = schedule.ndim == 1 and schedule.dtype.kind in "iu"
+    if not integers or not 0 <= schedule.min() <= schedule.max() <= 3:
+        raise ValueError("pair indices must be one integer in 0..3 per trial")
+    return schedule.astype(np.int8, copy=False)
 
 
 def record_run(
@@ -129,17 +143,9 @@ def record_run(
 
     An entry is a setting pair or, in an integer array, its PAIR_ORDER index.
     """
-    import numpy as np
-
     if len(schedule) == 0:
         raise ValueError("settings schedule must be non-empty")
-    _check_ledger_length(len(schedule))
-    if not isinstance(schedule, np.ndarray):
-        schedule = np.array([_pair_index(settings) for settings in schedule])
-    integers = schedule.ndim == 1 and schedule.dtype.kind in "iu"
-    if not integers or not 0 <= schedule.min() <= schedule.max() <= 3:
-        raise ValueError("pair indices must be one integer in 0..3 per trial")
-    pairs = schedule.astype(np.int8, copy=False)
+    pairs = _ledger_pairs(schedule)
     outcomes, hidden = _sample_range(model, pairs, seed, 0, len(pairs))
     return TrialLedger(int(seed), model, pairs, outcomes, hidden)
 
@@ -178,7 +184,8 @@ def classify_definiteness(
     """Classify the ledger's model as definite, semi-definite or indefinite.
 
     Cell counts follow from the ledger length and the model kind, and
-    every recorded trial is replayed at its factual settings. One
+    every recorded trial is replayed at its factual settings, a CHUNK of
+    trials at a time, so the replay holds one chunk's outcomes. One
     distribution over joint (a, a', b, b') assignments reproduces the
     correlations exactly when they sit inside the local polytope (Fine,
     PRL 48, 291 (1982)), so the joint-assignment check is local_membership
@@ -188,15 +195,18 @@ def classify_definiteness(
     trials = len(ledger.pairs)
     if trials == 0:
         raise ValueError("ledger must contain at least one record")
-    _check_ledger_length(trials)
+    pairs = _ledger_pairs(ledger.pairs)
     if trials_for_stats < 1:
         raise ValueError("trials_for_stats must be at least 1")
 
     # Each trial has one factual (definite) cell and three alternatives.
     cell_kinds = {"definite": trials, "distribution": 0, "undefined": 0}
     cell_kinds[ledger.model.unperformed_cell] += 3 * trials
-    replayed = record_run(ledger.model, ledger.pairs, ledger.seed).outcomes
-    matched = int((replayed == ledger.outcomes).all(axis=1).sum())
+    matched = 0
+    for start in range(0, trials, CHUNK):
+        own = pairs[start : start + CHUNK]
+        replayed, _ = _sample_range(ledger.model, own, ledger.seed, start, len(own))
+        matched += int((replayed == ledger.outcomes[start : start + CHUNK]).all(axis=1).sum())
 
     stats = run_chsh_experiment(
         ledger.model, trials_for_stats, ledger.seed, stream_base=_STATS_STREAM_BASE

@@ -12,8 +12,9 @@ Five kinds share one sampling kernel:
 Each ModelDescriptor builds its sampling tables once, the first time it
 samples, so resolving and describing a model loads no numpy.
 `sample_outcomes` turns uniforms into per-trial outcomes for ledgers and
-outcome arrays; `count_chunk` reads the same tables to turn a chunk of
-uniforms straight into coincidence counts, building no per-trial array.
+outcome arrays; `count_chunk` counts a chunk's uniforms on the same rows,
+one count per hidden index added to its outcome pair's counter, so it builds
+no per-trial array.
 Trials draw from per-trial streams keyed by (run seed, stream_id), so any
 trial can be regenerated in isolation and batches are independent of how
 the work is chunked.
@@ -133,41 +134,16 @@ class _SamplingTables:
     """A model's constants, one row per setting pair in PAIR_ORDER.
 
     `cdf` rows are inverse-CDF thresholds over hidden indices and `answers`
-    the outcome pair each index gives. `segments` holds, per pair, the
-    thresholds where the coincidence counter (n_pp, n_pm, n_mp, n_mm) that
-    a uniform adds to changes, ending in +inf, and each segment's counter.
-    nonlocal models have none of them and keep `conditionals` rows
+    the outcome pair each index gives; sampling and counting both read them.
+    nonlocal models have neither and keep `conditionals` rows
     (p_left_plus, c_plus_given_plus, c_plus_given_minus).
     """
 
     draws: int
     cdf: Optional[np.ndarray]
     answers: Optional[np.ndarray]
-    segments: Optional[tuple[tuple[np.ndarray, tuple[int, ...]], ...]]
     conditionals: Optional[np.ndarray]
     distributions: Optional[tuple[JointOutcomeDistribution, ...]]  # quantum and nonlocal
-
-
-def _segments(
-    thresholds: Sequence[float], counters: Sequence[int]
-) -> tuple[list[float], list[int]]:
-    """One row's counter segments: (thresholds where the counter changes, counters).
-
-    Hidden index k takes the uniforms in [thresholds[k-1], thresholds[k]),
-    the first from 0 and the last up to 1. An index whose interval is empty
-    is never drawn and is dropped, and neighbours that add to one counter
-    merge, so each threshold kept separates two different counters.
-    """
-    cuts: list[float] = []
-    owners: list[int] = []
-    lower = 0.0
-    for upper, owner in zip([*thresholds, math.inf], counters):
-        if lower < upper and (not owners or owner != owners[-1]):
-            if owners:
-                cuts.append(lower)
-            owners.append(owner)
-        lower = max(lower, upper)
-    return cuts, owners
 
 
 def _build_tables(model: "ModelDescriptor") -> _SamplingTables:
@@ -197,7 +173,7 @@ def _build_tables(model: "ModelDescriptor") -> _SamplingTables:
         c_plus = rows[:, 0] / np.where(p_plus > 0.0, p_plus, 1.0)
         c_minus = rows[:, 2] / np.where(p_minus > 0.0, p_minus, 1.0)
         conditionals = np.column_stack([p_plus, c_plus, c_minus])
-        return _SamplingTables(2, None, None, None, conditionals, dists)
+        return _SamplingTables(2, None, None, conditionals, dists)
     cdf = np.cumsum(rows, axis=1)
     # The last index a uniform reaches is the row's last with positive
     # probability, or, sooner, the first whose threshold is at or above 1,
@@ -211,12 +187,7 @@ def _build_tables(model: "ModelDescriptor") -> _SamplingTables:
     reach = np.minimum(last_positive, np.where(full.any(axis=1), np.argmax(full, axis=1), n))
     cdf[np.arange(n) >= reach[:, None]] = np.inf
     width = int(reach.max()) + 1
-    counter = outcome_index(answers[:, :width, 0], answers[:, :width, 1])
-    segments = []
-    for thresholds, counters in zip(cdf[:, : width - 1].tolist(), counter.tolist()):
-        cuts, owners = _segments(thresholds, counters)
-        segments.append((np.array([*cuts, math.inf]), tuple(owners)))
-    return _SamplingTables(1, cdf[:, :width], answers, tuple(segments), None, dists)
+    return _SamplingTables(1, cdf[:, :width], answers, None, dists)
 
 
 @record
@@ -489,9 +460,10 @@ def count_chunk(
     """Coincidence counts of the trials with stream ids start..start+size-1.
 
     The same outcomes generate_outcomes gives, counted without a per-trial array:
-    CDF kinds count the uniforms in each of the pair's counter segments with
-    threshold_counts; nonlocal counts the left outcome and, on each side of
-    it, the right outcome's condition.
+    CDF kinds count the uniforms of each hidden index on the pair's CDF row
+    with threshold_counts and add each count to its outcome pair's counter;
+    nonlocal counts the left outcome and, on each side of it, the right
+    outcome's condition.
     """
     import numpy as np
 
@@ -507,10 +479,10 @@ def count_chunk(
         n_pp = int(np.count_nonzero(left & (u[1] < c_plus)))
         n_mp = int(np.count_nonzero(~left & (u[1] < c_minus)))
         return CoincidenceCounts(n_pp, n_left_plus - n_pp, n_mp, size - n_left_plus - n_mp)
-    cuts, owners = tables.segments[pair]
     counts = [0, 0, 0, 0]
-    for owner, n in zip(owners, threshold_counts(cuts, u[0]).tolist()):
-        counts[owner] += n
+    hidden_counts = threshold_counts(tables.cdf[pair], u[0]).tolist()
+    for (left, right), n in zip(tables.answers[pair].tolist(), hidden_counts):
+        counts[outcome_index(left, right)] += n
     return CoincidenceCounts(*counts)
 
 

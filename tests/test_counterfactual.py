@@ -127,6 +127,11 @@ class TestLedgerCap:
         with pytest.raises(ValueError, match=f"at most {MAX_LEDGER_TRIALS}"):
             classify_definiteness(ledger, trials_for_stats=10)
 
+    def test_classify_replays_one_chunk_at_a_time(self):
+        # Replayed whole, a ledger at the cap held 1 MiB of outcomes and as much again to compare.
+        ledger = record_run(catalog()["lhv-uniform"], np.arange(MAX_LEDGER_TRIALS) % 4, seed=4)
+        assert traced_peak(lambda: classify_definiteness(ledger)) < 2.5 * 2**20
+
     def test_table_of_a_capped_ledger_builds_no_record(self, monkeypatch):
         ledger = record_run(catalog()["lhv-uniform"], np.arange(MAX_LEDGER_TRIALS) % 4, seed=1)
 
@@ -304,6 +309,23 @@ class TestClassification:
         trimmed = type(ledger)(ledger.seed, ledger.model, *empty)
         with pytest.raises(ValueError):
             classify_definiteness(trimmed)
+
+    @pytest.mark.parametrize("indices", [[0, 4], [-1, 2]], ids=["4", "-1"])
+    def test_hand_built_ledger_with_pair_index_outside_0_to_3_rejected(self, indices):
+        # Unchecked, -1 would wrap round to the last setting pair's row.
+        ledger = record_run(quantum_model(), [("a", "b"), ("a", "b'")], seed=0)
+        pairs = np.array(indices, dtype=np.int8)
+        edited = TrialLedger(0, ledger.model, pairs, ledger.outcomes, None)
+        with pytest.raises(ValueError, match="pair indices"):
+            classify_definiteness(edited, trials_for_stats=10)
+
+    def test_edited_outcomes_are_not_matched(self):
+        # Trials on both sides of a chunk edge, their outcomes flipped.
+        ledger = record_run(catalog()["lhv-uniform"], np.arange(CHUNK + 10) % 4, seed=6)
+        edited = [3, CHUNK - 1, CHUNK, CHUNK + 9]
+        ledger.outcomes[edited] *= -1
+        verdict = classify_definiteness(ledger, trials_for_stats=10)
+        assert verdict.evidence.factual_replays_matched == CHUNK + 10 - len(edited)
 
 
 class TestLedgerText:

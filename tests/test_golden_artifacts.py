@@ -28,7 +28,10 @@ bytes Python 3.11 wrote before that change. The 70,001-trial ledgers of
 `quantum-optimal` (no hidden index) and `pr-box` (the outcome index as
 hidden index) were added before the key table was cut to 4,096 steps, the
 inverse-CDF lookup stopped copying a CDF row per trial and ledger text was
-written in 4,096-line pieces.
+written in 4,096-line pieces. The sampled `chsh` cases of the lhv mixture, whose
+neighbouring strategies share a coincidence counter under distinct weights, and
+of a mixture whose first weight is 0 were added while chunks were still counted
+on merged counter segments, before they were counted on the CDF rows.
 
 To print the hashes the current code produces (for example after a
 deliberate schema change), run `PYTHONPATH=src python tests/test_golden_artifacts.py`.
@@ -63,6 +66,8 @@ MIXTURE = json.dumps({
     "kind": "lhv_stochastic",
     "weights": [0.1, 0.05, 0.05, 0.1, 0.02, 0.08, 0.1, 0.1, 0.03, 0.07] + [0.05] * 6,
 })
+# Its first strategy has weight 0, a tie at threshold 0.
+LEADING_ZERO = json.dumps({"kind": "lhv_stochastic", "weights": [0.0] + [0.125] * 8 + [0.0] * 7})
 # One catalog model per model kind.
 LEDGER_MODELS = ("quantum-optimal", "nonlocal-optimal", "lhv-all-plus", "lhv-uniform", "pr-box")
 
@@ -70,10 +75,12 @@ LEDGER_MODELS = ("quantum-optimal", "nonlocal-optimal", "lhv-all-plus", "lhv-uni
 def _cases() -> dict[str, tuple[list[str], tuple[str, ...]]]:
     """Case id -> (argv without output paths, artifact names it writes)."""
     cases = {}
-    for name in sorted(catalog()):
+    sampled = {name: name for name in catalog()}
+    sampled.update({"mixture": MIXTURE, "lhv-leading-zero": LEADING_ZERO})
+    for name, model in sorted(sampled.items()):
         for threads in ("1", "2"):
             cases[f"chsh-{name}-t{threads}"] = (
-                ["chsh", "--model", name, "--trials", CHSH_TRIALS, "--seed", SEED,
+                ["chsh", "--model", model, "--trials", CHSH_TRIALS, "--seed", SEED,
                  "--threads", threads],
                 ("out.json",),
             )
@@ -176,11 +183,23 @@ GOLDEN: dict[str, dict[str, str]] = {
     "chsh-lhv-edge-t2": {
         "out.json": "23e9c64db7391595ad0b7e491228d1bee0a06c599a210b40df1fef29c37dada9",
     },
+    "chsh-lhv-leading-zero-t1": {
+        "out.json": "df2eecf4312422227099b05f17ec22ff5f4c6b7a504f2ba115a530d208e6502f",
+    },
+    "chsh-lhv-leading-zero-t2": {
+        "out.json": "df2eecf4312422227099b05f17ec22ff5f4c6b7a504f2ba115a530d208e6502f",
+    },
     "chsh-lhv-uniform-t1": {
         "out.json": "8558764b28c2a111872ca118d299865a508d9fb4f01de6e85afea2920f3e17e1",
     },
     "chsh-lhv-uniform-t2": {
         "out.json": "8558764b28c2a111872ca118d299865a508d9fb4f01de6e85afea2920f3e17e1",
+    },
+    "chsh-mixture-t1": {
+        "out.json": "5ac2ad9353b8e53ca8394fa0807e2f395ec3d3c3a33e218f85440bba52a0e4ce",
+    },
+    "chsh-mixture-t2": {
+        "out.json": "5ac2ad9353b8e53ca8394fa0807e2f395ec3d3c3a33e218f85440bba52a0e4ce",
     },
     "chsh-nonlocal-optimal-t1": {
         "out.json": "a6a2e30da8213a69d9b545deafe2e8cdb044e89da6cc060153b5d5efffedbf95",

@@ -271,11 +271,11 @@ class TestBatchGeneration:
 
 
 # Every catalog model (among them lhv-edge, whose 14 zero-weight strategies
-# leave one threshold, and pr-box-soft, whose segments do not merge), plus
-# corner cases of the fused counters: a nonlocal model whose left outcome is
-# always +1 (so c_minus is undefined and 0), an lhv mixture whose first
-# strategy has weight 0 (a tie at threshold 0), and one of ten weights 0.1,
-# whose running total stops just below 1 before six zero weights.
+# leave one threshold, and pr-box-soft, whose four outcome pairs each have
+# weight), plus corner cases of the fused counters: a nonlocal model whose
+# left outcome is always +1 (so c_minus is undefined and 0), an lhv mixture
+# whose first strategy has weight 0 (a tie at threshold 0), and one of ten
+# weights 0.1, whose running total stops just below 1 before six zero weights.
 _LEADING_ZERO = (0.0,) + (0.125,) * 8 + (0.0,) * 7
 _SHORT_TOTAL = (0.1,) * 10 + (0.0,) * 6
 CATALOG_MODELS = catalog()
@@ -286,6 +286,27 @@ FUSED_MODELS = {
     "lhv-leading-zero": lhv_stochastic_model(_LEADING_ZERO),
     "lhv-short-total": lhv_stochastic_model(_SHORT_TOTAL),
 }
+
+
+def _row(parts: list[int]) -> tuple[float, ...]:
+    total = sum(parts)
+    return tuple(part / total for part in parts)
+
+
+# Rows of integer parts over their total: a part of 0 is a zero weight
+# anywhere in the row, equal parts tie, and some totals, such as ten parts
+# of 1, leave the running total just below 1 (others just above it).
+def _parts(size: int) -> st.SearchStrategy[list[int]]:
+    return st.one_of(
+        st.lists(st.integers(0, 1), min_size=size, max_size=size),
+        st.lists(st.integers(0, 3), min_size=size, max_size=size),
+    ).filter(any)
+
+
+_MIXTURES = _parts(16).map(lambda parts: lhv_stochastic_model(_row(parts)))
+_TABLES = st.lists(_parts(4), min_size=4, max_size=4).map(
+    lambda rows: superdeterministic_model(dict(zip(PAIR_ORDER, map(_row, rows))))
+)
 
 
 class TestFusedCounts:
@@ -377,6 +398,18 @@ class TestFusedCounts:
                 counts = run_chsh_experiment(model, count, seed, stream_base=start).counts
                 for pair in PAIR_ORDER:
                     assert counts[pair] == expected[name, pair]
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=st.one_of(_MIXTURES, _TABLES), seed=st.integers(0, 2**64 - 1),
+           extra=st.integers(1, 300))
+    def test_random_rows_count_as_their_sampled_outcomes(self, model, seed, extra):
+        # One CHUNK and `extra` more ids, starting 100 ids before a multiple of CHUNK.
+        start = CHUNK - 100
+        for pair in PAIR_ORDER:
+            outcomes = generate_outcomes(model, pair, seed, start, CHUNK + extra)
+            head = count_chunk(model, pair, seed, ChunkBuffers(), start, CHUNK)
+            tail = count_chunk(model, pair, seed, ChunkBuffers(), start + CHUNK, extra)
+            assert head.merge(tail) == counts_from_outcomes(outcomes)
 
     def test_empty_range(self):
         assert count_chunk(quantum_model(), ("a", "b"), 0, ChunkBuffers(), 0, 0).total == 0

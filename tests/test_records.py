@@ -112,11 +112,10 @@ CASES = [
             "draws": 2,
             "cdf": None,
             "answers": None,
-            "segments": None,
             "conditionals": None,
             "distributions": None,
         },
-        "_SamplingTables(draws=2, cdf=None, answers=None, segments=None, conditionals=None, "
+        "_SamplingTables(draws=2, cdf=None, answers=None, conditionals=None, "
         "distributions=None)",
     ),
     (
