@@ -100,6 +100,11 @@ class TrialLedger:
     outcomes: np.ndarray
     hidden: Optional[np.ndarray]
 
+    def __post_init__(self) -> None:
+        n = len(self.pairs)
+        if self.outcomes.shape != (n, 2) or self.hidden is not None and self.hidden.shape != (n,):
+            raise ValueError(f"outcomes must be ({n}, 2) and hidden None or ({n},), one per trial")
+
 
 @record
 class ClassificationEvidence:
@@ -118,14 +123,16 @@ class DefinitenessVerdict:
 
 
 def _ledger_pairs(schedule: "Sequence[SettingPair] | np.ndarray") -> np.ndarray:
-    """A non-empty schedule's PAIR_ORDER indices as int8, checked.
+    """A schedule's PAIR_ORDER indices as int8, checked.
 
     An entry is a setting pair or, in an integer array, its index. A
-    ValueError unless the schedule fits a ledger and each index is an
-    integer in 0..3: a negative index would wrap round the tables.
+    ValueError unless the schedule is non-empty and fits a ledger and each
+    index is an integer in 0..3: a negative index would wrap round the tables.
     """
     import numpy as np
 
+    if len(schedule) == 0:
+        raise ValueError("a ledger's schedule must be non-empty")
     if len(schedule) > MAX_LEDGER_TRIALS:
         raise ValueError(f"a ledger holds at most {MAX_LEDGER_TRIALS} trials, got {len(schedule)}")
     if not isinstance(schedule, np.ndarray):
@@ -143,8 +150,6 @@ def record_run(
 
     An entry is a setting pair or, in an integer array, its PAIR_ORDER index.
     """
-    if len(schedule) == 0:
-        raise ValueError("settings schedule must be non-empty")
     pairs = _ledger_pairs(schedule)
     outcomes, hidden = _sample_range(model, pairs, seed, 0, len(pairs))
     return TrialLedger(int(seed), model, pairs, outcomes, hidden)
@@ -192,10 +197,8 @@ def classify_definiteness(
     on correlations estimated from trials_for_stats fresh trials per
     setting pair, with the facet slack set to five standard errors of S.
     """
-    trials = len(ledger.pairs)
-    if trials == 0:
-        raise ValueError("ledger must contain at least one record")
     pairs = _ledger_pairs(ledger.pairs)
+    trials = len(pairs)
     if trials_for_stats < 1:
         raise ValueError("trials_for_stats must be at least 1")
 

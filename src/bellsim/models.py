@@ -430,23 +430,26 @@ def _sample_range(
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """sample_outcomes for the trials with stream ids first..first+count-1, a CHUNK at a time.
 
-    `pairs` is one PAIR_ORDER index for all trials or one per trial.
+    `pairs` is one PAIR_ORDER index for all trials or one per trial. Each
+    chunk writes its own rows of the int8 arrays, so chunks may finish in any order.
     """
     import numpy as np
 
     from .streams import map_chunks
 
-    def sample(buffers: ChunkBuffers, start: int, size: int) -> list[tuple]:
-        u = buffers.uniforms(seed, start, size, model._tables.draws).T
-        own = pairs if isinstance(pairs, int) else pairs[start - first : start - first + size]
-        return [sample_outcomes(model, own, u)]
+    outcomes = np.empty((count, 2), dtype=np.int8)
+    hidden = np.empty(count, dtype=np.int8) if model.exposes_hidden_variable() else None
 
-    # += on one-element lists gathers the chunks in order.
-    chunks, = map_chunks(sample, [(first, count)], operator.iadd)
-    if not chunks:
-        return np.empty((0, 2), dtype=np.int8), None
-    outcomes, hidden = zip(*chunks)
-    return np.concatenate(outcomes), None if hidden[0] is None else np.concatenate(hidden)
+    def sample(buffers: ChunkBuffers, start: int, size: int) -> None:
+        rows = slice(start - first, start - first + size)
+        u = buffers.uniforms(seed, start, size, model._tables.draws).T
+        own = pairs if isinstance(pairs, int) else pairs[rows]
+        outcomes[rows], own_hidden = sample_outcomes(model, own, u)
+        if hidden is not None:
+            hidden[rows] = own_hidden
+
+    map_chunks(sample, [(first, count)], None)
+    return outcomes, hidden
 
 
 def count_chunk(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -221,24 +221,21 @@ def _workers(chunks: int) -> int:
 def map_chunks(
     fn: Callable[[ChunkBuffers, int, int], object],
     ranges: Sequence[tuple[int, int]],
-    fold: Callable[[object, object], object],
+    fold: Optional[Callable[[object, object], object]],
 ) -> list:
-    """Per (first stream id, count) range, fold(...fold(r0, r1)..., rn) over its chunks' results.
+    """Per (first stream id, count) range, `fold` over fn(buffers, start, size) of its CHUNKs.
 
-    ri = fn(buffers, first stream id, size) of the range's i-th CHUNK; no
-    chunk spans two ranges, and a range of no ids gives None. The calling
+    No chunk spans two ranges, and a range of no ids gives None. The calling
     thread and up to _workers(chunks of the run) - 1 more each claim the next
-    unclaimed chunk, range by range, with a ChunkBuffers of their own. A
-    result is folded once every earlier chunk of its range has been, so few
-    wait unfolded; what a chunk gives depends only on its ids, so the result
-    does not depend on how many threads ran. The first exception any thread
-    raises stops every thread and is raised here.
+    unclaimed chunk with a ChunkBuffers of their own and fold its result into
+    its range's total as soon as it finishes, so `fold` must be associative
+    and commutative: an integer sum, or None where `fn` writes its chunk's
+    rows itself and gives None. The first exception any thread raises stops
+    every thread and is raised here.
     """
     claims = ((r, start) for r, (first, count) in enumerate(ranges)
               for start in range(first, first + count, CHUNK))
     totals: list = [None] * len(ranges)
-    edges = [first for first, _ in ranges]  # each range's first chunk not yet folded
-    waiting: dict = {}  # finished chunks past their range's edge, by (range, start)
     lock = threading.Lock()
     failures: list[BaseException] = []
 
@@ -253,11 +250,7 @@ def map_chunks(
                 first, count = ranges[r]
                 result = fn(buffers, start, min(CHUNK, first + count - start))
                 with lock:
-                    waiting[r, start] = result
-                    while (r, edges[r]) in waiting:
-                        result = waiting.pop((r, edges[r]))
-                        totals[r] = result if edges[r] == first else fold(totals[r], result)
-                        edges[r] += CHUNK
+                    totals[r] = result if totals[r] is None else fold(totals[r], result)
         except BaseException as exc:  # raised again by the calling thread
             failures.append(exc)
 

@@ -123,7 +123,8 @@ class TestLedgerCap:
     def test_classify_rejects_too_long_ledger_before_replay(self, monkeypatch):
         monkeypatch.setattr(models, "sample_outcomes", None)
         long = _LongSchedule(MAX_LEDGER_TRIALS + 1)
-        ledger = TrialLedger(seed=0, model=quantum_model(), pairs=long, outcomes=long, hidden=None)
+        outcomes = np.ones((len(long), 2), dtype=np.int8)
+        ledger = TrialLedger(0, quantum_model(), pairs=long, outcomes=outcomes, hidden=None)
         with pytest.raises(ValueError, match=f"at most {MAX_LEDGER_TRIALS}"):
             classify_definiteness(ledger, trials_for_stats=10)
 
@@ -318,6 +319,19 @@ class TestClassification:
         edited = TrialLedger(0, ledger.model, pairs, ledger.outcomes, None)
         with pytest.raises(ValueError, match="pair indices"):
             classify_definiteness(edited, trials_for_stats=10)
+
+    @pytest.mark.parametrize(
+        "outcomes, hidden",
+        [(slice(1), None), (slice(None), slice(1)), ((slice(None), 0), None)],
+        ids=["one-outcome-row", "one-hidden-index", "one-outcome-column"],
+    )
+    def test_hand_built_ledger_with_arrays_of_other_lengths_rejected(self, outcomes, hidden):
+        # Unchecked, the replay compared one outcome row with five trials' and
+        # the ledger text wrote five lines from it.
+        ledger = record_run(catalog()["lhv-uniform"], np.arange(5) % 4, seed=0)
+        kept = None if hidden is None else ledger.hidden[hidden]
+        with pytest.raises(ValueError, match=r"must be \(5, 2\) and hidden None or \(5,\)"):
+            TrialLedger(0, ledger.model, ledger.pairs, ledger.outcomes[outcomes], kept)
 
     def test_edited_outcomes_are_not_matched(self):
         # Trials on both sides of a chunk edge, their outcomes flipped.

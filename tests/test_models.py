@@ -1,4 +1,5 @@
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -232,6 +233,30 @@ class TestBatchGeneration:
             monkeypatch.setattr(streams, "_workers", lambda chunks: workers)
             runs.append(generate_outcomes(model, ("a", "b"), 7, 0, 150_000))
         assert np.array_equal(*runs)
+
+    @pytest.mark.parametrize("name", ["lhv-uniform", "nonlocal-optimal"])
+    def test_chunks_write_their_own_rows_at_any_worker_count(self, name, monkeypatch):
+        # Chunks of 16 trials, many workers handing over the interpreter lock
+        # every microsecond: each chunk must land in the rows of its own ids.
+        model = catalog()[name]
+        schedule = np.arange(1000) % 4
+
+        def run():
+            ledger = record_run(model, schedule, seed=9)
+            outcomes = generate_outcomes(model, ("a'", "b"), 9, 123, 1000)
+            return outcomes, ledger.outcomes, ledger.hidden
+
+        expected = run()
+        monkeypatch.setattr(streams, "CHUNK", 16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3, 12):
+                monkeypatch.setattr(streams, "_workers", lambda chunks: workers)
+                for got, want in zip(run(), expected):
+                    assert (got is None and want is None) or np.array_equal(got, want), workers
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_empty_batch(self):
         assert generate_outcomes(quantum_model(), ("a", "b"), 0, 0, 0).shape == (0, 2)

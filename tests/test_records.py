@@ -225,6 +225,9 @@ INVALID = {
     InterferometerSpec: lambda: InterferometerSpec(reflectivity=1.0),
     CounterfactualCell: lambda: CounterfactualCell("definite"),
     CounterfactualTable: lambda: CounterfactualTable(("a", "b"), (1, 1), {("a", "b"): CELL}),
+    TrialLedger: lambda: TrialLedger(
+        7, MODEL, np.array([0, 1], dtype=np.int8), np.array([[1, -1]], dtype=np.int8), None
+    ),
 }
 
 # Calls that leave fields at their defaults.

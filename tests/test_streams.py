@@ -165,11 +165,13 @@ def _sizes(buffers, start, size):
 
 
 def _gather(fn, ranges):
-    # += on one-element lists gathers each range's chunk results in order.
-    return streams.map_chunks(fn, ranges, operator.iadd)
+    # + on lists gathers each range's chunk results in the order the chunks
+    # finished, which map_chunks leaves open; sorted, they compare in id order.
+    return [None if chunks is None else sorted(chunks)
+            for chunks in streams.map_chunks(fn, ranges, operator.add)]
 
 
-def test_map_chunks_gives_chunks_in_order_at_any_worker_count(monkeypatch):
+def test_map_chunks_gives_every_chunk_once_at_any_worker_count(monkeypatch):
     start, count = CHUNK - 5, 3 * CHUNK + 9
     expected = [(CHUNK - 5, CHUNK), (2 * CHUNK - 5, CHUNK), (3 * CHUNK - 5, CHUNK),
                 (4 * CHUNK - 5, 9)]
@@ -195,16 +197,36 @@ def test_no_chunk_spans_two_ranges_that_meet_inside_a_chunk(monkeypatch):
         CHUNK + 105, CHUNK + 1, None]
 
 
+def test_a_chunk_is_folded_without_waiting_for_earlier_chunks(monkeypatch):
+    # The first chunk finishes only once the two after it have been folded.
+    monkeypatch.setattr(streams, "_workers", lambda chunks: 2)
+    folded = threading.Event()
+
+    def chunk_size(buffers, start, size):
+        if start == 0:
+            assert folded.wait(timeout=10.0), "a later chunk waited for the first one"
+        return size
+
+    def add(total, size):
+        folded.set()
+        return total + size
+
+    assert streams.map_chunks(chunk_size, [(0, 2 * CHUNK + 1)], add) == [2 * CHUNK + 1]
+    assert threading.active_count() == 1
+
+
 def test_many_workers_switching_often_run_every_chunk_once(monkeypatch):
     # More workers than cores, each handing over the interpreter lock every
-    # microsecond: a chunk claimed twice or never shows in the call log.
+    # microsecond: a chunk claimed twice or never shows in the call log, and
+    # a chunk written to rows not its own shows in the uniforms.
     monkeypatch.setattr(streams, "CHUNK", 16)
     monkeypatch.setattr(streams, "_workers", lambda chunks: 12)
     calls = []
+    rows = np.empty((4000, 2))
 
     def draw(buffers, start, size):
         calls.append(start)
-        return [buffers.uniforms(3, start, size, 2).copy()]
+        rows[start - 5 : start - 5 + size] = buffers.uniforms(3, start, size, 2).T
 
     expected = batch_uniforms(3, np.arange(5, 5 + 4000, dtype=np.uint64), 2)
     interval = sys.getswitchinterval()
@@ -213,9 +235,10 @@ def test_many_workers_switching_often_run_every_chunk_once(monkeypatch):
         started = time.monotonic()
         for _ in range(3):
             calls.clear()
-            rows, = _gather(draw, [(5, 4000)])
+            rows.fill(np.nan)
+            assert streams.map_chunks(draw, [(5, 4000)], None) == [None]
             assert sorted(calls) == list(range(5, 4005, 16))
-            assert np.array_equal(np.concatenate(rows, axis=1).T, expected)
+            assert np.array_equal(rows, expected)
     finally:
         sys.setswitchinterval(interval)
     assert time.monotonic() - started < 60.0
@@ -233,4 +256,4 @@ def test_a_worker_failure_is_raised_by_the_caller(monkeypatch):
     with pytest.raises(ValueError, match="chunk five"):
         _gather(fail_on_chunk_five, [(0, 40 * CHUNK)])
     assert threading.active_count() == 1
-    assert _gather(fail_on_chunk_five, [(0, 3 * CHUNK + 1)]) == [[CHUNK] * 3 + [1]]
+    assert _gather(fail_on_chunk_five, [(0, 3 * CHUNK + 1)]) == [[1] + [CHUNK] * 3]
