@@ -61,9 +61,10 @@ def run_bomb_trials(spec: InterferometerSpec, trials: int, seed: int) -> dict[st
     Trials are sampled and tallied one chunk of streams at a time, so memory
     does not grow with `trials`.
     """
-    import numpy as np
-
+    # streams first: it loads numpy, and is compiled before numpy's memory is held.
     from .streams import ChunkBuffers, map_chunks, threshold_counts
+
+    import numpy as np
 
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -71,7 +72,8 @@ def run_bomb_trials(spec: InterferometerSpec, trials: int, seed: int) -> dict[st
     cdf = np.cumsum([probs[name] for name in OUTCOMES])
 
     def tally(buffers: ChunkBuffers, start: int, size: int) -> np.ndarray:
-        return threshold_counts(cdf, buffers.uniforms(seed, start, size, 1)[0])
+        u, = buffers.uniforms(seed, start, size, 1)
+        return threshold_counts(cdf, u, buffers.work_rows(1, size)[0])
 
     tally_all, = map_chunks(tally, [(0, trials)], np.add)
     return {name: float(tally_all[i] / trials) for i, name in enumerate(OUTCOMES)}

@@ -466,7 +466,8 @@ def count_chunk(
     CDF kinds count the uniforms of each hidden index on the pair's CDF row
     with threshold_counts and add each count to its outcome pair's counter;
     nonlocal counts the left outcome and, on each side of it, the right
-    outcome's condition.
+    outcome's condition. Every mask is one of `buffers`' work rows, so a
+    chunk allocates nothing past its buffers.
     """
     import numpy as np
 
@@ -477,13 +478,17 @@ def count_chunk(
     u = buffers.uniforms(seed, start, size, tables.draws)
     if model.kind == "nonlocal":
         p_left_plus, c_plus, c_minus = tables.conditionals[pair]
-        left = u[0] < p_left_plus
+        left, right = buffers.work_rows(2, size)
+        np.less(u[0], p_left_plus, out=left)
         n_left_plus = int(np.count_nonzero(left))
-        n_pp = int(np.count_nonzero(left & (u[1] < c_plus)))
-        n_mp = int(np.count_nonzero(~left & (u[1] < c_minus)))
+        np.less(u[1], c_plus, out=right)
+        n_pp = int(np.count_nonzero(np.logical_and(left, right, out=right)))
+        np.less(u[1], c_minus, out=right)
+        n_mp = int(np.count_nonzero(np.greater(right, left, out=right)))  # right and not left
         return CoincidenceCounts(n_pp, n_left_plus - n_pp, n_mp, size - n_left_plus - n_mp)
     counts = [0, 0, 0, 0]
-    hidden_counts = threshold_counts(tables.cdf[pair], u[0]).tolist()
+    above, = buffers.work_rows(1, size)
+    hidden_counts = threshold_counts(tables.cdf[pair], u[0], above).tolist()
     for (left, right), n in zip(tables.answers[pair].tolist(), hidden_counts):
         counts[outcome_index(left, right)] += n
     return CoincidenceCounts(*counts)

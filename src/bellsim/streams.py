@@ -102,7 +102,10 @@ def _mix_rows(out: np.ndarray, scratch: np.ndarray) -> None:
     reinterpreted as uint64, and converted to float in place, the last row
     after every other has read the key, so no temporary is made. The 53-bit
     values convert through an int64 view, which gives the same doubles as
-    uint64 and is cheaper.
+    uint64 and is cheaper. The cast is an element-for-element np.copyto
+    onto the same memory, which copies nothing first; a ufunc whose `out`
+    overlaps an input of another dtype would copy the whole row. Both the
+    cast and the scaling by 2**-53 are exact below 2**53.
     """
     keys = out[-1].view(np.uint64)
     with np.errstate(over="ignore"):
@@ -112,7 +115,8 @@ def _mix_rows(out: np.ndarray, scratch: np.ndarray) -> None:
             np.add(keys, np.uint64((_GAMMA * (j + 1)) & _MASK64), out=h)
             _fmix64_inplace(h, scratch)
             h >>= np.uint64(11)
-            np.multiply(h.view(np.int64), _INV_2_53, out=out[j])
+            np.copyto(out[j], h.view(np.int64))
+            out[j] *= _INV_2_53
 
 
 def batch_uniforms(seed: int, stream_ids: np.ndarray, draws: int) -> np.ndarray:
@@ -142,6 +146,9 @@ class ChunkBuffers:
     Allocating a chunk's buffers afresh costs a page fault per 4 KiB page
     on first touch, which takes longer than the arithmetic done in them;
     one ChunkBuffers touches its set once. A set belongs to one thread.
+    The scratch is free once `uniforms` has mixed a chunk, and counting
+    takes its bool rows from there (`work_rows`), so a counted chunk
+    allocates nothing past the set.
     """
 
     def __init__(self) -> None:
@@ -170,6 +177,15 @@ class ChunkBuffers:
         _mix_rows(out, self._scratch[:size])
         return out
 
+    def work_rows(self, count: int, size: int) -> np.ndarray:
+        """`count` bool rows of `size`, carved from the scratch, as (count, size).
+
+        The scratch holds 8 such rows for any `size` the last `uniforms`
+        call took. The rows are valid until the next `uniforms` call, which
+        mixes in the scratch; their contents start undefined.
+        """
+        return self._scratch.view(np.bool_)[: count * size].reshape(count, size)
+
 
 def inverse_cdf(cdf: np.ndarray, rows: "int | np.ndarray", u: np.ndarray) -> np.ndarray:
     """Index k with cdf[r, k-1] <= u < cdf[r, k] for each uniform u and its row r, clamped.
@@ -192,19 +208,29 @@ def inverse_cdf(cdf: np.ndarray, rows: "int | np.ndarray", u: np.ndarray) -> np.
     return index
 
 
-def threshold_counts(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+def threshold_counts(cdf: np.ndarray, u: np.ndarray, above: np.ndarray) -> np.ndarray:
     """np.bincount(inverse_cdf(cdf[None], 0, u), minlength=len(cdf)), with no index array.
 
     For one non-decreasing `cdf` row, a uniform's index is at least k exactly
     when u >= cdf[k-1], so each index's count is the difference of two
     neighbouring threshold counts; the last index takes everything at or
     above the last threshold it compares against, which is the clamp.
+    `above` is a bool row of u's shape that each comparison is written to.
+    Only thresholds that can change a count are compared: one at or below
+    0 counts every uniform, +inf counts none, and one equal to the threshold
+    before it (a zero-probability index) keeps that threshold's count.
     """
-    above = np.empty(u.shape, dtype=bool)
+    thresholds = cdf[:-1].tolist()
     at_least = [u.size]
-    for threshold in cdf[:-1]:
-        np.greater_equal(u, threshold, out=above)
-        at_least.append(np.count_nonzero(above))
+    for k, threshold in enumerate(thresholds):
+        if threshold <= 0.0:
+            n = u.size
+        elif threshold == np.inf:
+            n = 0
+        elif k == 0 or threshold != thresholds[k - 1]:
+            np.greater_equal(u, threshold, out=above)
+            n = np.count_nonzero(above)
+        at_least.append(n)
     at_least.append(0)
     return -np.diff(at_least)
 

@@ -186,6 +186,30 @@ def test_subcommand_loads_only_what_it_runs(argv, used, samples):
         assert _INTROSPECTION.isdisjoint(loaded)
 
 
+# Which of streams and numpy a command starts importing first.
+_IMPORT_ORDER = """
+import contextlib, io, json, sys
+order = []
+def note(event, args):
+    if event == "import" and args[0] in ("bellsim.streams", "numpy") and args[0] not in order:
+        order.append(args[0])
+sys.addaudithook(note)
+import bellsim.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert bellsim.cli.main(json.loads(sys.argv[1])) == 0
+print(json.dumps(order))
+"""
+
+_SAMPLING = [argv for argv, _, samples in _LOADED_MODULES if samples]
+
+
+@pytest.mark.parametrize("argv", _SAMPLING, ids=[" ".join(argv) for argv in _SAMPLING])
+def test_sampling_imports_streams_before_numpy(argv):
+    # Without a bytecode cache, a module compiled once numpy is loaded adds
+    # the compiler's peak memory on top of numpy's.
+    assert json.loads(_run_fresh(_IMPORT_ORDER, json.dumps(argv))) == ["bellsim.streams", "numpy"]
+
+
 # After each command, which of numpy and the introspection modules are loaded.
 _LOADED_AFTER_EACH = """
 import contextlib, io, json, sys

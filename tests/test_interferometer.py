@@ -17,7 +17,13 @@ from bellsim.interferometer import (
 
 from bellsim.streams import CHUNK
 
-from oracles import bomb_oracle, first_index_above, numpy_port_probabilities, stream_uniforms
+from oracles import (
+    bomb_oracle,
+    first_index_above,
+    numpy_port_probabilities,
+    stream_uniforms,
+    traced_peak,
+)
 
 
 class TestSpec:
@@ -146,6 +152,14 @@ class TestTrials:
         expected = run_bomb_trials(spec, trials, seed)
         with mock.patch.object(streams, "CHUNK", chunk):
             assert run_bomb_trials(spec, trials, seed) == expected
+
+    def test_tally_allocates_one_chunk_of_buffers(self):
+        # Eight chunks run on one worker, whose uniform row and scratch
+        # (8 bytes per id each) are all the tally allocates.
+        spec = InterferometerSpec(bomb_present=True, reflectivity=0.3)
+        run_bomb_trials(spec, 10, 1)
+        buffers = 2 * 8 * CHUNK
+        assert traced_peak(lambda: run_bomb_trials(spec, 8 * CHUNK, 1)) < buffers + 16 * 1024
 
     def test_chunked_tally_matches_per_trial_reference(self):
         # Spans a chunk boundary: the per-chunk tallies must add up exactly.

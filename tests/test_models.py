@@ -32,7 +32,14 @@ from bellsim.models import (
 )
 from bellsim.quantum import expectation, joint_probabilities, make_named_state
 from bellsim.stats import PAIR_ORDER, correlation, counts_from_outcomes
-from bellsim.streams import CHUNK, ChunkBuffers, TrialStream, batch_uniforms, inverse_cdf
+from bellsim.streams import (
+    CHUNK,
+    ChunkBuffers,
+    TrialStream,
+    batch_uniforms,
+    inverse_cdf,
+    threshold_counts,
+)
 
 import oracles
 from oracles import (
@@ -386,6 +393,9 @@ class TestFusedCounts:
             def uniforms(self, seed, start, size, draws):
                 return np.full((draws, size), u)
 
+            def work_rows(self, count, size):
+                return np.empty((count, size), dtype=bool)
+
         monkeypatch.setattr(oracles, "stream_uniforms", lambda seed, stream_id, draws: [u])
         for pair_index, pair in enumerate(PAIR_ORDER):
             outcomes, hidden = sample_outcomes(model, pair_index, np.array([[u]]))
@@ -430,11 +440,43 @@ class TestFusedCounts:
     def test_random_rows_count_as_their_sampled_outcomes(self, model, seed, extra):
         # One CHUNK and `extra` more ids, starting 100 ids before a multiple of CHUNK.
         start = CHUNK - 100
-        for pair in PAIR_ORDER:
+        for pair_index, pair in enumerate(PAIR_ORDER):
             outcomes = generate_outcomes(model, pair, seed, start, CHUNK + extra)
             head = count_chunk(model, pair, seed, ChunkBuffers(), start, CHUNK)
             tail = count_chunk(model, pair, seed, ChunkBuffers(), start + CHUNK, extra)
             assert head.merge(tail) == counts_from_outcomes(outcomes)
+            # The row as sampled, each threshold repeated (a zero-probability
+            # index after each), and +inf thresholds appended that no uniform reaches.
+            buffers = ChunkBuffers()
+            u, = buffers.uniforms(seed, start, CHUNK, 1)
+            above, = buffers.work_rows(1, CHUNK)
+            row = model._tables.cdf[pair_index]
+            for cdf in (row, np.repeat(row, 2), np.append(row, [np.inf, np.inf])):
+                expected = np.bincount(inverse_cdf(cdf[None], 0, u), minlength=len(cdf))
+                assert np.array_equal(threshold_counts(cdf, u, above), expected)
+
+    def test_thresholds_that_cannot_change_a_count_are_not_compared(self, monkeypatch):
+        # The PR box's rows are [0.5, 0.5, 0.5, inf] and [0, 0.5, inf, inf]:
+        # thresholds repeated, at 0 and at +inf count without a pass over u.
+        buffers = ChunkBuffers()
+        u, = buffers.uniforms(4, 0, 1000, 1)
+        above, = buffers.work_rows(1, 1000)
+        passes = []
+        count_nonzero = np.count_nonzero
+        monkeypatch.setattr(np, "count_nonzero", lambda a: passes.append(a) or count_nonzero(a))
+        for cdf in np.unique(PR_BOX._tables.cdf, axis=0):
+            passes.clear()
+            counts = threshold_counts(cdf, u, above)
+            assert len(passes) == 1
+            assert np.array_equal(counts, np.bincount(inverse_cdf(cdf[None], 0, u), minlength=4))
+
+    @pytest.mark.parametrize("name", sorted(CATALOG_MODELS))
+    def test_a_counted_chunk_allocates_nothing_past_its_buffers(self, name):
+        # Draws are cast where they lie and masks are written to the scratch.
+        model, buffers = CATALOG_MODELS[name], ChunkBuffers()
+        count_chunk(model, ("a", "b"), 1, buffers, 0, CHUNK)
+        peak = traced_peak(lambda: count_chunk(model, ("a'", "b'"), 2, buffers, 5, CHUNK))
+        assert peak < 16 * 1024
 
     def test_empty_range(self):
         assert count_chunk(quantum_model(), ("a", "b"), 0, ChunkBuffers(), 0, 0).total == 0

@@ -20,6 +20,8 @@ from bellsim.streams import (
     threshold_counts,
 )
 
+from oracles import traced_peak
+
 
 def test_same_key_same_sequence():
     a = TrialStream(42, 7)
@@ -106,8 +108,9 @@ def test_threshold_counts_match_bincount_of_indices(weights, seed):
     u = batch_uniforms(seed, np.arange(500, dtype=np.uint64), 1)[:, 0]
     u[:len(cdf)] = np.minimum(cdf, 1.0 - 2.0**-53)  # uniforms sitting exactly on thresholds
     expected = np.bincount(inverse_cdf(cdf[None], 0, u), minlength=len(cdf))
-    assert np.array_equal(threshold_counts(cdf, u), expected)
-    assert np.array_equal(threshold_counts(cdf, u[:0]), np.zeros(len(cdf)))
+    above = np.empty(u.shape, dtype=bool)
+    assert np.array_equal(threshold_counts(cdf, u, above), expected)
+    assert np.array_equal(threshold_counts(cdf, u[:0], above[:0]), np.zeros(len(cdf)))
 
 
 def test_batch_rows_are_contiguous_per_draw():
@@ -130,6 +133,38 @@ def test_chunk_buffers_match_batch_uniforms_as_they_grow_and_shrink():
         rows = buffers.uniforms(seed, start, size, draws)
         assert rows.shape == (draws, size)
         assert np.array_equal(rows, batch_uniforms(seed, ids, draws).T)
+
+
+@pytest.mark.parametrize("draws", [1, 2])
+def test_chunk_rows_across_a_chunk_edge_match_scalar_streams(draws):
+    # Pure-Python TrialStream draws, an oracle that shares no code with the
+    # batch mixer, at each end of the call, either side of the chunk edge
+    # it spans and either side of a 4,096-id key block.
+    buffers = ChunkBuffers()
+    buffers.uniforms(8, 0, CHUNK, 3)  # warm, holding another seed's rows
+    seed, start = 2**64 - 3, CHUNK - 700
+    rows = buffers.uniforms(seed, start, CHUNK, draws)
+    for i in [0, 1, 699, 700, 701, 4095, 4096, CHUNK - 2, CHUNK - 1]:
+        assert rows[:, i].tolist() == TrialStream(seed, start + i).uniforms(draws).tolist()
+
+
+@pytest.mark.parametrize("draws", [1, 2])
+def test_warm_chunk_buffers_allocate_nothing_per_chunk(draws):
+    # Each draw is cast to float where it lies, so no row is copied first.
+    buffers = ChunkBuffers()
+    buffers.uniforms(1, 0, CHUNK, 2)
+    assert traced_peak(lambda: buffers.uniforms(3, 17, CHUNK, draws)) < 16 * 1024
+
+
+def test_work_rows_leave_the_uniform_rows_alone():
+    buffers = ChunkBuffers()
+    for size in (CHUNK, 4097, 1):
+        rows = buffers.uniforms(6, 40, size, 2)
+        work = buffers.work_rows(8, size)
+        work.fill(True)
+        assert work.shape == (8, size) and work.dtype == bool and work.all()
+        ids = np.arange(40, 40 + size, dtype=np.uint64)
+        assert np.array_equal(rows, batch_uniforms(6, ids, 2).T)
 
 
 def test_module_arrays_fit_in_64_kib():
