@@ -194,12 +194,9 @@ def inverse_cdf(cdf: np.ndarray, rows: "int | np.ndarray", u: np.ndarray) -> np.
     row index for every uniform or one per uniform. The index is the number
     of thresholds at or below u, the same as np.searchsorted(cdf[r], u,
     side="right"); leaving the last threshold out is the clamp to the last
-    index. One row is compared with every uniform at once; rows per uniform
-    are compared one threshold column at a time, so no row is copied per
-    uniform.
+    index. The rows are compared one threshold column at a time, so no row
+    is copied per uniform.
     """
-    if np.ndim(rows) == 0:
-        return (u >= cdf[rows, :-1, None]).sum(axis=0, dtype=np.int8)
     index = np.zeros(u.shape, dtype=np.int8)
     above = np.empty(u.shape, dtype=bool)
     for k in range(cdf.shape[1] - 1):

@@ -6,8 +6,6 @@ per criterion.
 
 import json
 import math
-import subprocess
-import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -39,6 +37,7 @@ from bellsim.stats import (
     exact_chsh_s,
 )
 
+import fresh
 from oracles import lp_local_membership_batch, marginal_comparisons, random_state_amplitudes
 
 
@@ -234,11 +233,7 @@ def test_criterion_11_reproducibility(tmp_path):
             ["--out", str(outputs[2]), "--threads", "8"],
         ]
         for extra in commands:
-            completed = subprocess.run(
-                [sys.executable, "-m", "bellsim.cli", "chsh", "--config", str(config)] + extra,
-                capture_output=True,
-                text=True,
-            )
+            completed = fresh.python(["-m", "bellsim.cli", "chsh", "--config", str(config)] + extra)
             assert completed.returncode == 0, completed.stderr
         blobs = [path.read_bytes() for path in outputs]
         assert blobs[0] == blobs[1], "consecutive runs differ"

@@ -5,14 +5,10 @@ import math
 import os
 import re
 import signal
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
 import pytest
-
-import bellsim
 
 from bellsim import cli, models
 from bellsim.cli import main
@@ -25,6 +21,8 @@ from bellsim.config import (
     sign_pattern_from_string,
     sign_pattern_to_string,
 )
+
+import fresh
 
 
 class TestConfigHelpers:
@@ -681,24 +679,11 @@ def test_seed_outside_stream_range_exits_2(source, seed, tmp_path, capsys, monke
         )
 
 
-def _python(args, cwd, **kwargs):
-    """A fresh interpreter running `args`, with this bellsim first on its path."""
-    source_root = str(Path(bellsim.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args],
-        cwd=cwd,
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        **kwargs,
-    )
-
-
 def test_deep_config_value_is_echoed_cut_in_a_fresh_process(tmp_path):
     # In a fresh process a list nested 980 deep parses, and its 1,960-character repr is cut.
     (tmp_path / "run.cfg").write_text("seed = " + "[" * 980 + "]" * 980 + "\n")
     argv = ["-m", "bellsim.cli", "chsh", "--exact", "--config", "run.cfg"]
-    completed = _python(argv, tmp_path, text=True)
+    completed = fresh.python(argv, tmp_path)
     assert (completed.returncode, completed.stdout) == (2, "")
     assert completed.stderr == (
         "bellsim: configuration error: seed must be an integer, got %s… (1960 characters)\n"
@@ -733,36 +718,51 @@ sys.exit(bellsim.cli.main(sys.argv[1:]))
     ],
 )
 def test_failed_write_leaves_no_partial_file(argv, failing, tmp_path):
-    completed = _python(["-c", _CAPPED_WRITE, *argv], tmp_path, text=True)
+    completed = fresh.python(["-c", _CAPPED_WRITE, *argv], tmp_path)
     assert completed.returncode == 3
     assert completed.stdout == ""
     assert completed.stderr.startswith(f"bellsim: I/O error: [Errno {errno.EFBIG}] cannot write {failing}: ")
     assert list(tmp_path.iterdir()) == []
 
 
-# Runs the CLI, then prints the process's peak resident set (VmHWM, in kB).
-# ru_maxrss would not do: Linux carries the spawning process's high-water
-# mark into the child at exec, so the child would report pytest's peak.
-_PEAK_AFTER_RUN = """
-import sys
-import bellsim.cli
-code = bellsim.cli.main(sys.argv[1:])
-with open("/proc/self/status") as status:
-    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
-sys.exit(code)
-"""
+needs_proc_status = pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="needs /proc/self/status"
+)
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
-def test_ledger_at_the_cap_peaks_under_100_mb(tmp_path):
+@needs_proc_status
+@pytest.mark.parametrize(
+    "model", [[], ["--model", "lhv-uniform", "--seed", "1"]], ids=["defaults", "lhv-uniform"]
+)
+def test_ledger_at_the_cap_peaks_under_100_mb(model, tmp_path):
+    # A ledger costs 4 bytes per trial plus one chunk's buffers, so at the
+    # 2**19 cap it peaks within 8 MB of a 1,500-trial ledger.
     from bellsim.counterfactual import MAX_LEDGER_TRIALS
 
-    argv = ["counterfactual", "--trials", str(MAX_LEDGER_TRIALS), "--ledger", "l.jsonl",
-            "--out", "r.json"]
-    completed = _python(["-c", _PEAK_AFTER_RUN, *argv], tmp_path, text=True, check=True)
-    assert int(completed.stdout) < 100 * 1024
-    with open(tmp_path / "l.jsonl", "rb") as ledger:
+    peaks = {}
+    for trials in (MAX_LEDGER_TRIALS, 1500):
+        argv = ["counterfactual", *model, "--trials", str(trials), "--ledger", f"{trials}.jsonl",
+                "--out", "r.json"]
+        peaks[trials] = fresh.peak_mb(argv, tmp_path)
+    assert peaks[MAX_LEDGER_TRIALS] < 100
+    assert peaks[MAX_LEDGER_TRIALS] - peaks[1500] <= 8
+    with open(tmp_path / f"{MAX_LEDGER_TRIALS}.jsonl", "rb") as ledger:
         assert sum(1 for _ in ledger) == MAX_LEDGER_TRIALS
+
+
+@needs_proc_status
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs an affinity mask of at least two CPUs",
+)
+def test_counted_chunks_peak_within_3_4_mb_of_a_tiny_run(tmp_path):
+    # A counted chunk allocates nothing past its buffers: on two workers,
+    # 3,000,000 nonlocal trials per pair peak within 3.4 MB of 20 trials.
+    two = set(sorted(os.sched_getaffinity(0))[:2])
+    counted = fresh.peak_mb(["chsh", "--model", "nonlocal-optimal", "--trials", "3000000",
+                             "--out", "r.json"], tmp_path, two)
+    tiny = fresh.peak_mb(["chsh", "--trials", "20", "--out", "r.json"], tmp_path, two)
+    assert counted - tiny <= 3.4
 
 
 def test_encoding_failure_leaves_no_partial_file(tmp_path):
@@ -896,7 +896,7 @@ def test_run_freezes_after_main(tmp_path):
         "code = bellsim.cli.run(sys.argv[1:])\n"
         "print(code, gc.get_freeze_count() > 0)\n"
     )
-    completed = _python(["-c", program, "chsh", "--exact", "--out", "r.json"], tmp_path, text=True)
+    completed = fresh.python(["-c", program, "chsh", "--exact", "--out", "r.json"], tmp_path)
     assert completed.stdout == "0 True\n"
     assert json.loads((tmp_path / "r.json").read_text())["results"]["exact"] is True
 
@@ -904,30 +904,48 @@ def test_run_freezes_after_main(tmp_path):
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_module_run_prints_what_main_prints(fmt, tmp_path, capsys):
     argv = ["chsh", "--trials", "2000", "--seed", "7", "--format", fmt]
-    completed = _python(["-m", "bellsim.cli", *argv], tmp_path)
+    completed = fresh.python(["-m", "bellsim.cli", *argv], tmp_path, text=False)
     code, stdout, _ = _run(argv, capsys)
     assert completed.returncode == code == 0
     assert completed.stdout == stdout.encode("utf-8")
     assert completed.stderr.startswith(b"runtime_ms=")
 
 
+_CONFIG_ERROR = "bellsim: configuration error: "
+_USAGE_ERROR = "bellsim: usage error: "
+
+
 @pytest.mark.parametrize(
     "argv,code,stderr",
     [
         (["chsh", "--exact"], 0, "runtime_ms="),
-        (["chsh", "--trials", "0"], 2, "bellsim: configuration error: trials must be at least 1"),
+        (["chsh", "--trials", "0"], 2, _CONFIG_ERROR + "trials must be at least 1"),
         (
             ["chsh", "--exact", "--out", "/nonexistent/x.json"],
             3,
             "bellsim: I/O error: [Errno 2] cannot write /nonexistent/x.json: ",
         ),
+        (["chsh", "--config", "not-utf8.cfg"], 2, _CONFIG_ERROR + "config file not-utf8.cfg is not UTF-8"),
+        # Echoed values are cut short, whether bellsim or argparse rejects them.
+        (["chsh", "--exact", "--model", "x" * 60000], 2, _CONFIG_ERROR + "unknown model 'xxx"),
+        (["chsh", "--exact", "--state", "y" * 5000], 2, _CONFIG_ERROR + "state must be "),
+        (["x" * 5000], 2, _USAGE_ERROR + "argument command: invalid choice: 'xxx"),
+        (["chsh", "--exact", "x" * 5000], 2, _USAGE_ERROR + "unrecognized arguments: xxx"),
+        (
+            ["chsh", "--exact", "--model",
+             '{"kind": "quantum", "state": "psi_minus", "angles": [0,0,0,0], "angels": [1,1,1,1]}'],
+            2,
+            _CONFIG_ERROR + "invalid model: unknown model key 'angels'",
+        ),
     ],
 )
 def test_module_run_exit_codes(argv, code, stderr, tmp_path):
-    completed = _python(["-m", "bellsim.cli", *argv], tmp_path, text=True)
+    (tmp_path / "not-utf8.cfg").write_bytes(b"seed = 1\n# \xff\n")
+    completed = fresh.python(["-m", "bellsim.cli", *argv], tmp_path, text=False)
     assert completed.returncode == code
-    assert completed.stderr.startswith(stderr)
-    assert "Traceback" not in completed.stderr
+    assert completed.stderr.startswith(stderr.encode("utf-8"))
+    assert b"Traceback" not in completed.stderr
+    assert len(completed.stderr) < 1024
 
 
 def test_console_script_is_the_process_entry_point():

@@ -14,14 +14,13 @@ that samples nothing loads none of the modules `dataclasses` would bring
 import importlib
 import json
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import bellsim
 from bellsim.models import CATALOG
+
+import fresh
 
 _PROGRAM = """
 import contextlib, io, sys
@@ -38,23 +37,8 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 
 
 def _run_fresh(program, *args, **env):
-    """stdout of `python -c program *args` with bellsim importable.
-
-    OPENBLAS_NUM_THREADS is taken out of the inherited environment, because
-    importing bellsim.cli in this test process sets it; keyword arguments
-    are added to the child's environment.
-    """
-    source_root = str(Path(bellsim.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
-    inherited = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    completed = subprocess.run(
-        [sys.executable, "-c", program, *args],
-        env={**inherited, "PYTHONPATH": path, **env},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return completed.stdout.strip()
+    """stdout of a fresh `python -c program *args`; keywords are added to its environment."""
+    return fresh.python(["-c", program, *args], env=env, check=True).stdout.strip()
 
 
 def test_cli_runs_without_loading_scipy():

@@ -32,6 +32,9 @@ written in 4,096-line pieces. The sampled `chsh` cases of the lhv mixture, whose
 neighbouring strategies share a coincidence counter under distinct weights, and
 of a mixture whose first weight is 0 were added while chunks were still counted
 on merged counter segments, before they were counted on the CDF rows.
+The `out.json` of `counterfactual-lhv-edge` at seed 1 was added when a shell
+comparison of its bytes under the default and the Prescott OpenBLAS kernel
+became a case of the kernel test here, pinned from the build before.
 
 To print the hashes the current code produces (for example after a
 deliberate schema change), run `PYTHONPATH=src python tests/test_golden_artifacts.py`.
@@ -46,7 +49,6 @@ import hashlib
 import io
 import json
 import os
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -57,6 +59,7 @@ from bellsim.cli import main
 from bellsim.config import MAX_JSON_DEPTH
 from bellsim.models import catalog
 
+import fresh
 from oracles import compensated_sum
 
 SEED = "20190916"
@@ -133,6 +136,11 @@ def _cases() -> dict[str, tuple[list[str], tuple[str, ...]]]:
         "counterfactual-lhv-edge": (
             ["counterfactual", "--model", "lhv-edge", "--trials", "40", "--stats-trials", "2000",
              "--seed", SEED],
+            ("out.json",),
+        ),
+        "counterfactual-lhv-edge-seed-1": (
+            ["counterfactual", "--model", "lhv-edge", "--trials", "40", "--stats-trials", "2000",
+             "--seed", "1"],
             ("out.json",),
         ),
         "bomb-csv": (["bomb", *small, "--phase", "0.5", "--format", "csv"], ("out.csv",)),
@@ -241,6 +249,9 @@ GOLDEN: dict[str, dict[str, str]] = {
     "counterfactual-lhv-edge": {
         "out.json": "01ba129190249f5c91b9dd99f729188c88b85cc40bea37174a4cec3e8591b02b",
     },
+    "counterfactual-lhv-edge-seed-1": {
+        "out.json": "4e68ffe747bb75d2eda9e87020a5927669af2967176a52ffa9d8ad3031cc7c4a",
+    },
     "counterfactual-lhv-all-plus": {
         "out.json": "72bbd4c9470886c59996ed68cb918aec13526aecc26821ca91148e1310ef87b8",
         "ledger.jsonl": "b13f25711eb9f259c374013ed0ec76bc17345c54f91ae374c320f972bc0d812f",
@@ -307,32 +318,9 @@ def artifact_hashes(case: str, workdir: Path, run=main) -> dict[str, str]:
     return {name: hashlib.sha256((workdir / name).read_bytes()).hexdigest() for name in names}
 
 
-# The CLI, run on the lowest CPU of the process's affinity mask only.
-_ON_ONE_CPU = """
-import os, sys
-os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-assert len(os.sched_getaffinity(0)) == 1
-from bellsim.cli import main
-sys.exit(main(sys.argv[1:]))
-"""
-
-
-def fresh_process(argv: list[str], one_cpu: bool = False, coretype: str = "") -> int:
-    """Exit code of `python -m bellsim.cli *argv` in a new interpreter.
-
-    The child starts without this process's OPENBLAS_NUM_THREADS and
-    OPENBLAS_CORETYPE, so it runs the start-up path of a plain shell
-    invocation; with `one_cpu` it first pins itself to one CPU, and a
-    `coretype` is its OPENBLAS_CORETYPE.
-    """
-    source_root = str(Path(sys.modules["bellsim"].__file__).resolve().parent.parent)
-    blas = ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE")
-    env = {k: v for k, v in os.environ.items() if k not in blas}
-    if coretype:
-        env["OPENBLAS_CORETYPE"] = coretype
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
-    program = ["-c", _ON_ONE_CPU] if one_cpu else ["-m", "bellsim.cli"]
-    return subprocess.run([sys.executable, *program, *argv], env=env, capture_output=True).returncode
+def fresh_process(argv: list[str], **kwargs) -> int:
+    """Exit code of `python -m bellsim.cli *argv` in a new interpreter (fresh.python's keywords)."""
+    return fresh.python(["-m", "bellsim.cli", *argv], **kwargs).returncode
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -359,25 +347,39 @@ def test_artifact_bytes_unchanged_in_fresh_process(case, tmp_path):
     not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
     reason="needs an affinity mask of at least two CPUs",
 )
-def test_one_cpu_gives_the_bytes_of_every_cpu(tmp_path):
-    # 17 chunks per setting pair, 68 per run: unpinned, the run is counted on two or more threads.
+@pytest.mark.parametrize(
+    "model,trials,seed",
+    [
+        # 17 chunks per setting pair, 68 per run.
+        ("nonlocal-optimal", 1100000, SEED),
+        # 7 chunks per pair, 28 per run, counted on CDF rows of 3 thresholds
+        # (quantum, pr-box) and 15 (lhv-uniform).
+        ("quantum", 458752, "3"),
+        ("lhv-uniform", 458752, "3"),
+        ("pr-box", 458752, "3"),
+    ],
+)
+def test_one_cpu_gives_the_bytes_of_every_cpu(model, trials, seed, tmp_path):
+    # Unpinned, the run is counted on two or more threads.
     from bellsim import streams
 
-    assert streams._workers(17) >= 2
-    argv = ["chsh", "--model", "nonlocal-optimal", "--trials", "1100000", "--seed", SEED]
+    assert streams._workers(4 * -(-trials // streams.CHUNK)) >= 2
+    argv = ["chsh", "--model", model, "--trials", str(trials), "--seed", seed]
+    one_cpu = {min(os.sched_getaffinity(0))}
     artifacts = []
-    for one_cpu in (False, True):
-        out = tmp_path / f"one-cpu-{one_cpu}.json"
-        assert fresh_process(argv + ["--out", str(out)], one_cpu) == 0
+    for cpus in (None, one_cpu):
+        out = tmp_path / f"run-{len(artifacts)}.json"
+        assert fresh_process(argv + ["--out", str(out)], cpus=cpus) == 0
         artifacts.append(out.read_bytes())
     assert artifacts[0] == artifacts[1]
 
 
 @pytest.mark.parametrize("coretype", ["", "Prescott"])
-def test_witness_bytes_do_not_depend_on_the_blas_kernel(coretype, tmp_path):
+@pytest.mark.parametrize("case", ["counterfactual-lhv-edge", "counterfactual-lhv-edge-seed-1"])
+def test_witness_bytes_do_not_depend_on_the_blas_kernel(case, coretype, tmp_path):
     # The Prescott kernel adds a matrix-vector product in another order than the default one.
-    run = lambda argv: fresh_process(argv, coretype=coretype)  # noqa: E731
-    case = "counterfactual-lhv-edge"
+    env = {"OPENBLAS_CORETYPE": coretype} if coretype else None
+    run = lambda argv: fresh_process(argv, env=env)  # noqa: E731
     assert artifact_hashes(case, tmp_path, run) == GOLDEN[case]
 
 
@@ -630,13 +632,10 @@ def test_nesting_cap_does_not_depend_on_the_stack(depth, tmp_path):
     # A fresh process and main called 400 frames deep read JSON nested to the same depth.
     (tmp_path / "seed.cfg").write_text("seed = " + "[" * depth + "]" * depth + "\n")
     model = '{"kind": ' * depth + '"quantum"' + "}" * depth
-    source_root = str(Path(sys.modules["bellsim"].__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": source_root}
     lines = {}
     for argv in (["--config", "seed.cfg"], ["--model", model]):
         for program in (["-m", "bellsim.cli"], ["-c", _DEEP_MAIN]):
-            child = subprocess.run([sys.executable, *program, "chsh", "--exact", *argv],
-                                   env=env, cwd=tmp_path, capture_output=True, text=True)
+            child = fresh.python([*program, "chsh", "--exact", *argv], tmp_path)
             assert child.returncode == 2
             lines.setdefault(argv[0], set()).add(child.stderr.splitlines()[0])
     (seed_line,), (model_line,) = lines["--config"], lines["--model"]
