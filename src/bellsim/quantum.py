@@ -57,24 +57,13 @@ _NAMED_STATES: dict[str, tuple[float, float, float, float]] = {
 STATE_KINDS = tuple(_NAMED_STATES)
 
 
-def _cos_sin(setting: "MeasurementSetting | float", scale: float = 1.0) -> tuple[float, float]:
-    """cos and sin of `scale` times the setting's angle, which lies in [0, 2*pi)."""
-    if not isinstance(setting, MeasurementSetting):
-        setting = MeasurementSetting(float(setting))
-    t = setting.angle * scale
+def _cos_sin(angle: float, scale: float = 1.0) -> tuple[float, float]:
+    """cos and sin of `scale` times the angle, first reduced to [0, 2*pi)."""
+    angle = float(angle)
+    if not math.isfinite(angle):
+        raise ValueError(f"measurement angle must be finite, got {angle!r}")
+    t = angle % (2.0 * math.pi) * scale
     return math.cos(t), math.sin(t)
-
-
-@record
-class MeasurementSetting:
-    """A spin-measurement direction in the x-z plane, radians from +z."""
-
-    angle: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.angle):
-            raise ValueError(f"measurement angle must be finite, got {self.angle!r}")
-        object.__setattr__(self, "angle", self.angle % (2.0 * math.pi))
 
 
 @record(eq=False)
@@ -140,11 +129,7 @@ def _require_normalized(state: TwoQubitState) -> None:
         raise ValueError(f"state is not normalized (norm error {state.norm_error:.3e})")
 
 
-def expectation(
-    state: TwoQubitState,
-    left: "MeasurementSetting | float",
-    right: "MeasurementSetting | float",
-) -> float:
+def expectation(state: TwoQubitState, left: float, right: float) -> float:
     """<psi| A(left) x B(right) |psi>, where A(t) = B(t) = cos(t)*sz + sin(t)*sx.
 
     With the amplitudes as the 2x2 matrix psi[i][j] (i left, j right), the
@@ -183,9 +168,7 @@ def correlation_matrix(state: TwoQubitState) -> tuple[tuple[float, float], tuple
 
 
 def joint_probabilities(
-    state: TwoQubitState,
-    left: "MeasurementSetting | float",
-    right: "MeasurementSetting | float",
+    state: TwoQubitState, left: float, right: float
 ) -> JointOutcomeDistribution:
     """Born probabilities of the four outcome pairs under projective measurement.
 

@@ -11,7 +11,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from bellsim.counterfactual import classify_definiteness, record_run
 from bellsim.experiment import model_exact_correlations, run_chsh_experiment

@@ -1,19 +1,26 @@
 """What a fresh bellsim process loads.
 
 scipy is a test-only dependency: the package and its CLI never import it.
-The package namespace is lazy, each subcommand imports only the modules it
-runs and builds only the catalog model it runs, and only sampling loads
-numpy: local-polytope membership and its witness are plain Python. Once
-numpy loads, the CLI has kept OpenBLAS from starting worker threads unless
-the caller asks for them with OPENBLAS_NUM_THREADS. Nothing starts a thread
-pool. Records compile no code, so no command loads `dataclasses`, and one
-that samples nothing loads none of the modules `dataclasses` would bring
-(numpy imports `inspect` itself).
+The package itself holds only `__version__`, each subcommand imports only
+the modules it runs and builds only the catalog model it runs, and only
+sampling loads numpy: local-polytope membership and its witness are plain
+Python. Once numpy loads, the CLI has kept OpenBLAS from starting worker
+threads unless the caller asks for them with OPENBLAS_NUM_THREADS. Nothing
+starts a thread pool. Records compile no code, so no command loads
+`dataclasses`, and one that samples nothing loads none of the modules
+`dataclasses` would bring (numpy imports `inspect` itself).
+
+`EXPORTS` is the one list of the public API, each name by the module that
+defines it, and every top-level import of the package and its tests is read
+in its module.
 """
 
+import ast
 import importlib
 import json
 import os
+import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -337,7 +344,7 @@ def test_unknown_model_diagnostic_is_unchanged():
     )
 
 
-# Every public name of the package, by its defining module.
+# The public API: each name by the module that defines it, the one place it is imported from.
 EXPORTS = {
     "counterfactual": [
         "CounterfactualCell", "CounterfactualTable", "DefinitenessVerdict", "TrialLedger",
@@ -361,7 +368,7 @@ EXPORTS = {
         "local_membership",
     ],
     "quantum": [
-        "JointOutcomeDistribution", "MeasurementSetting", "OUTCOME_ORDER", "TwoQubitState",
+        "JointOutcomeDistribution", "OUTCOME_ORDER", "TwoQubitState",
         "correlation_matrix", "expectation", "joint_probabilities", "make_named_state",
     ],
     "stats": [
@@ -372,27 +379,28 @@ EXPORTS = {
     ],
     "streams": ["TrialStream", "batch_uniforms"],
 }
-ALL_NAMES = sorted(name for names in EXPORTS.values() for name in names)
+
+
+def _submodules():
+    return [
+        importlib.import_module(f"bellsim.{info.name}")
+        for info in pkgutil.iter_modules(bellsim.__path__)
+    ]
 
 
 @pytest.mark.parametrize("module", sorted(EXPORTS))
 def test_exports_are_the_defining_modules_objects(module):
     defining = importlib.import_module(f"bellsim.{module}")
     for name in EXPORTS[module]:
-        assert getattr(bellsim, name) is getattr(defining, name), name
-    assert getattr(bellsim, module) is defining
+        value = getattr(defining, name)
+        assert getattr(value, "__module__", defining.__name__) == defining.__name__, name
 
 
-def test_from_import_of_every_export():
-    namespace = {}
-    exec(f"from bellsim import {', '.join(ALL_NAMES)}", namespace)
-    assert all(namespace[name] is getattr(bellsim, name) for name in ALL_NAMES)
-
-
-def test_dir_and_all_list_every_export():
-    assert set(ALL_NAMES) <= set(dir(bellsim))
-    assert set(EXPORTS) <= set(dir(bellsim))
-    assert bellsim.__all__ == ALL_NAMES
+def test_package_holds_only_its_version_and_submodules():
+    submodules = {module.__name__.rpartition(".")[2] for module in _submodules()}
+    names = {name for name in vars(bellsim) if not name.startswith("__")}
+    assert names <= submodules
+    assert not [name for names in EXPORTS.values() for name in names if hasattr(bellsim, name)]
 
 
 @pytest.mark.parametrize("name", [
@@ -400,14 +408,73 @@ def test_dir_and_all_list_every_export():
     "enumerate_deterministic_strategies", "strategy_correlation", "read_ledger_records",
 ])
 def test_names_no_subcommand_reaches_are_not_exported(name):
-    assert not hasattr(bellsim, name)
+    assert not [module.__name__ for module in _submodules() if hasattr(module, name)]
 
 
-def test_unknown_name_raises_attribute_error():
-    with pytest.raises(AttributeError, match="no_such_name"):
-        bellsim.no_such_name
-    with pytest.raises(ImportError):
-        exec("from bellsim import no_such_name", {})
+def _top_level_imports(body):
+    """The import statements of a module body, in its top-level `if` and `try` blocks too."""
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, (ast.If, ast.Try)):
+            handlers = [handler.body for handler in getattr(node, "handlers", ())]
+            for block in (node.body, node.orelse, getattr(node, "finalbody", ()), *handlers):
+                yield from _top_level_imports(block)
+
+
+def _names_read(tree):
+    """Every name the tree reads, in string annotations too."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        for part in ast.walk(annotation) if annotation else ():
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                read |= _names_read(ast.parse(part.value, mode="eval"))
+    return read
+
+
+def _unused_imports(source):
+    """`line name` for each name a top-level import binds that the module never reads."""
+    tree = ast.parse(source)
+    read = _names_read(tree)
+    return [
+        f"{node.lineno} {bound}"
+        for node in _top_level_imports(tree.body)
+        if not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for bound in (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        if bound not in read
+    ]
+
+
+def test_unused_import_check_sees_an_unread_name():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, sys\n"
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    import numpy as np\n"
+        "    from collections import OrderedDict\n"
+        "def f(a: 'np.ndarray'):\n"
+        "    return sys.argv\n"
+    )
+    assert _unused_imports(source) == ["2 os", "6 OrderedDict"]
+
+
+_SCANNED_ROOTS = (Path(bellsim.__file__).parent, Path(__file__).parent)
+SCANNED = sorted(path for root in _SCANNED_ROOTS for path in root.rglob("*.py"))
+
+
+def test_import_scan_covers_the_package_and_tests():
+    package = {Path(bellsim.__file__)} | {Path(module.__file__) for module in _submodules()}
+    assert package | {Path(__file__)} <= set(SCANNED)
+    assert len(SCANNED) > 20
+
+
+@pytest.mark.parametrize("path", SCANNED, ids=lambda path: str(path.relative_to(path.parents[1])))
+def test_every_top_level_import_is_read(path):
+    assert _unused_imports(path.read_text()) == []
 
 
 def test_version_unchanged():

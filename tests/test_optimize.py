@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bellsim.cli import _csv_lines
-from bellsim.optimize import MAX_RESOLUTION, LandscapeGrid, optimize_angles, s_landscape
+from bellsim.optimize import MAX_RESOLUTION, optimize_angles, s_landscape
 from bellsim.polytope import CorrelationVector, local_membership
 from bellsim.quantum import TwoQubitState, correlation_matrix, make_named_state
 from bellsim.stats import SIGN_PATTERNS, TSIRELSON_BOUND, exact_chsh_s

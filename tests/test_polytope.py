@@ -15,7 +15,7 @@ from bellsim.polytope import (
     facet_margin,
     local_membership,
 )
-from bellsim.stats import PAIR_ORDER, SIGN_PATTERNS
+from bellsim.stats import SIGN_PATTERNS
 
 from oracles import (
     brute_force_max_s,

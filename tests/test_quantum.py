@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from bellsim.quantum import (
     JointOutcomeDistribution,
-    MeasurementSetting,
     OUTCOME_ORDER,
     TwoQubitState,
     expectation,
@@ -55,9 +54,22 @@ class TestStates:
             TwoQubitState(np.array([np.nan, 0, 0, 0], dtype=complex))
 
     def test_setting_normalizes_angle(self):
-        assert MeasurementSetting(-math.pi / 2).angle == pytest.approx(1.5 * math.pi)
+        state = make_named_state("psi_minus")
+        assert (
+            joint_probabilities(state, -math.pi / 2, 0.3).probabilities
+            == joint_probabilities(state, 1.5 * math.pi, 0.3).probabilities
+        )
         with pytest.raises(ValueError):
-            MeasurementSetting(math.inf)
+            expectation(state, math.inf, 0)
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, angle):
+        state = make_named_state("psi_minus")
+        for call in (expectation, joint_probabilities):
+            with pytest.raises(ValueError, match="finite"):
+                call(state, angle, 0.3)
+            with pytest.raises(ValueError, match="finite"):
+                call(state, 0.3, angle)
 
 
 def half_angle_vectors(theta):

@@ -34,11 +34,7 @@ from bellsim.models import (
 )
 from bellsim.optimize import LandscapeGrid, OptimizationResult
 from bellsim.polytope import CorrelationVector, FeasibilityVerdict, ViolatedFacet
-from bellsim.quantum import (
-    JointOutcomeDistribution,
-    MeasurementSetting,
-    TwoQubitState,
-)
+from bellsim.quantum import JointOutcomeDistribution, TwoQubitState
 from bellsim.stats import ChshResult, CoincidenceCounts, CorrelationEstimate
 
 PATTERN = (1, -1, 1, 1)
@@ -72,7 +68,6 @@ EVIDENCE_REPR = (
 
 # Each record class, its fields in order with valid values, and its repr.
 CASES = [
-    (MeasurementSetting, {"angle": 0.5}, "MeasurementSetting(angle=0.5)"),
     (
         TwoQubitState,
         {"amplitudes": (1, 0, 0, 0)},
@@ -211,7 +206,6 @@ IDENTITY_EQUAL = {TwoQubitState, TrialLedger}
 
 # One call per class with a check in __post_init__ that the check rejects.
 INVALID = {
-    MeasurementSetting: lambda: MeasurementSetting(math.nan),
     TwoQubitState: lambda: TwoQubitState((1, 0, 0)),
     JointOutcomeDistribution: lambda: JointOutcomeDistribution(
         {(1, 1): 0.5, (1, -1): 0.5, (-1, 1): 0.5, (-1, -1): 0.5}
@@ -257,7 +251,7 @@ def _record_classes():
 
 def test_every_record_class_is_covered():
     assert _record_classes() == {cls for cls, *_ in CASES}
-    assert len(CASES) == 21
+    assert len(CASES) == 20
 
 
 def test_every_post_init_check_is_covered():

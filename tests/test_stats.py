@@ -10,7 +10,6 @@ from bellsim.stats import (
     ChshResult,
     CoincidenceCounts,
     CorrelationEstimate,
-    DEFAULT_SIGN_PATTERN,
     PAIR_ORDER,
     SIGN_PATTERNS,
     TSIRELSON_BOUND,
