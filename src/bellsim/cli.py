@@ -76,14 +76,16 @@ def _of_kind(name: str, kind: type, value: object):
 # A parser takes a value, its source (the flag, config key or environment
 # variable it came from) and the settings resolved before it.
 def _path(value: object, source: str, settings: dict) -> str:
-    """The path for --out or --ledger: a file, and for --ledger not the --out file."""
+    """The path for --out or --ledger: a file, and for --ledger one clear of --out's files."""
     path, flag = _of_kind(source, str, value), "--" + source.lstrip("-")
     if path == "" or os.path.isdir(path):
         raise ConfigError(f"{flag} {echoed(path)} is empty or a directory; it must name a file")
-    # Both artifacts are staged as PATH.tmp, so one path for both would leave the ledger there.
-    out = settings.get("out")
-    if out and os.path.realpath(out) == os.path.realpath(path):
+    # Each artifact is staged as PATH.tmp, so neither may be the other's file or PATH.tmp.
+    out, real = settings.get("out"), os.path.realpath
+    if out and real(out) == real(path):
         raise ConfigError(f"--out and {flag} name the same file {out}")
+    if out and (real(out + ".tmp") == real(path) or real(out) == real(path + ".tmp")):
+        raise ConfigError(f"--out {out} and {flag} {path} clash: each is staged as PATH.tmp")
     return path
 
 
@@ -97,8 +99,7 @@ def _model(value: object, source: str, settings: dict) -> ModelDescriptor:
 
 def _seed(value: object, source: str, settings: dict) -> int:
     """A seed from --seed, the seed key or BELLSIM_SEED: an integer in [0, 2**64)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{source} must be an integer, got {echoed(value)}")
+    value = _of_kind(source, int, value)
     # Streams use the seed modulo 2**64, so any other seed would repeat another's trials.
     if not 0 <= value < 1 << 64:
         raise ConfigError(f"{source} must be in [0, 2**64), got {echoed(value)}")

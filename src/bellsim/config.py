@@ -125,33 +125,31 @@ def resolve_model(
     state: Optional[str] = None,
     angles: Optional[tuple[float, float, float, float]] = None,
 ) -> ModelDescriptor:
-    """Resolve --model input: a catalog name, 'quantum'/'nonlocal', or JSON.
+    """Resolve --model input: a catalog name or alias, or JSON.
 
-    `state` and `angles` override the state kind and angle binding for
+    Every route ends in ModelDescriptor.from_dict: a name's payload is its CATALOG
+    entry. `state` and `angles` override the state kind and angle binding for
     quantum and nonlocal models. Only the model resolved is built.
     """
-    from .models import CATALOG, ModelDescriptor, nonlocal_model, quantum_model
+    from .models import ALIASES, CATALOG, ModelDescriptor
 
     try:
-        if isinstance(spec, Mapping):
-            model = ModelDescriptor.from_dict(spec)
-        elif isinstance(spec, str):
-            name = spec.strip()
+        if isinstance(spec, str):
+            name = ALIASES.get(spec.strip(), spec.strip())
             if name in CATALOG:
-                model = CATALOG[name]()
-            elif name == "quantum":
-                model = quantum_model()
-            elif name == "nonlocal":
-                model = nonlocal_model()
+                spec = CATALOG[name]
             elif name.startswith("{"):
-                model = ModelDescriptor.from_dict(json_value(name))
+                spec = json_value(name)
             else:
                 # A name cut short is followed by a line break: the first line stays short.
                 cut = "\n" if len(repr(name)) > ECHO_LIMIT else " "
+                aliases = ", ".join(map(repr, ALIASES))
                 raise ConfigError(
                     f"unknown model {echoed(name)};{cut}expected a catalog name "
-                    f"({', '.join(sorted(CATALOG))}), 'quantum', 'nonlocal', or a JSON object"
+                    f"({', '.join(sorted(CATALOG))}), {aliases}, or a JSON object"
                 )
+        if isinstance(spec, Mapping):
+            model = ModelDescriptor.from_dict(spec)
         else:
             raise ConfigError(f"cannot interpret model specification {echoed(spec)}")
         if model.state is not None and (state is not None or angles is not None):

@@ -9,6 +9,8 @@ Five kinds share one sampling kernel:
   lhv_stochastic      a setting-independent mixture over the 16 strategies
   superdeterministic  outcome table conditioned on the setting pair itself
 
+CATALOG holds the named models as data: each is the JSON-form payload
+that ModelDescriptor.from_dict builds, as it builds a model given as JSON.
 Each ModelDescriptor builds its sampling tables once, the first time it
 samples, so resolving and describing a model loads no numpy.
 `sample_outcomes` turns uniforms into per-trial outcomes for ledgers and
@@ -26,7 +28,7 @@ import functools
 import itertools
 import math
 import operator
-from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from ._record import record
 from .config import echoed
@@ -299,20 +301,6 @@ class ModelDescriptor:
         return cls(payload["kind"], **fields)
 
 
-def quantum_model(
-    state: str = "psi_minus",
-    angles: Sequence[float] = SINGLET_OPTIMAL_ANGLES,
-) -> ModelDescriptor:
-    return ModelDescriptor(kind="quantum", state=state, angles=tuple(angles))
-
-
-def nonlocal_model(
-    state: str = "psi_minus",
-    angles: Sequence[float] = SINGLET_OPTIMAL_ANGLES,
-) -> ModelDescriptor:
-    return ModelDescriptor(kind="nonlocal", state=state, angles=tuple(angles))
-
-
 def lhv_deterministic_model(strategy: int) -> ModelDescriptor:
     """The model that always answers with STRATEGIES[strategy].
 
@@ -327,16 +315,6 @@ def lhv_deterministic_model(strategy: int) -> ModelDescriptor:
         raise ValueError(f"strategy index must be in 0..15, got {index}")
     weights = tuple(1.0 if i == index else 0.0 for i in range(16))
     return ModelDescriptor(kind="lhv_deterministic", weights=weights)
-
-
-def lhv_stochastic_model(weights: Sequence[float]) -> ModelDescriptor:
-    return ModelDescriptor(kind="lhv_stochastic", weights=tuple(weights))
-
-
-def superdeterministic_model(
-    table: Mapping[SettingPair, Sequence[float]],
-) -> ModelDescriptor:
-    return ModelDescriptor(kind="superdeterministic", table=table)
 
 
 def pr_box_table(strength: float = 1.0) -> dict[SettingPair, tuple[float, ...]]:
@@ -358,22 +336,26 @@ def pr_box_table(strength: float = 1.0) -> dict[SettingPair, tuple[float, ...]]:
     return table
 
 
-# The named models, by name: each factory builds its model's tables when called.
-CATALOG: dict[str, Callable[[], ModelDescriptor]] = {
-    "quantum-optimal": lambda: quantum_model("psi_minus", SINGLET_OPTIMAL_ANGLES),
-    "quantum-psi-plus": lambda: quantum_model("psi_plus", PSI_PLUS_OPTIMAL_ANGLES),
-    "nonlocal-optimal": lambda: nonlocal_model("psi_minus", SINGLET_OPTIMAL_ANGLES),
-    "lhv-uniform": lambda: lhv_stochastic_model((1.0 / 16.0,) * 16),
-    "lhv-edge": lambda: lhv_stochastic_model((0.5, 0.5) + (0.0,) * 14),
-    "lhv-all-plus": lambda: lhv_deterministic_model(0),
-    "pr-box": lambda: superdeterministic_model(pr_box_table(1.0)),
-    "pr-box-soft": lambda: superdeterministic_model(pr_box_table(0.5)),
+# The named models, each as the payload ModelDescriptor.from_dict builds it from.
+CATALOG: dict[str, dict] = {
+    "quantum-optimal": {"kind": "quantum", "state": "psi_minus", "angles": SINGLET_OPTIMAL_ANGLES},
+    "quantum-psi-plus": {"kind": "quantum", "state": "psi_plus", "angles": PSI_PLUS_OPTIMAL_ANGLES},
+    "nonlocal-optimal": {
+        "kind": "nonlocal", "state": "psi_minus", "angles": SINGLET_OPTIMAL_ANGLES
+    },
+    "lhv-uniform": {"kind": "lhv_stochastic", "weights": (1.0 / 16.0,) * 16},
+    "lhv-edge": {"kind": "lhv_stochastic", "weights": (0.5, 0.5) + (0.0,) * 14},
+    "lhv-all-plus": {"kind": "lhv_deterministic", "strategy": 0},
+    "pr-box": {"kind": "superdeterministic", "table": pr_box_table(1.0)},
+    "pr-box-soft": {"kind": "superdeterministic", "table": pr_box_table(0.5)},
 }
+# The bare names --model also takes, each for the catalog model it names.
+ALIASES = {"quantum": "quantum-optimal", "nonlocal": "nonlocal-optimal"}
 
 
 def catalog() -> dict[str, ModelDescriptor]:
-    """Every named model of CATALOG, built; the CLI builds only the one it runs."""
-    return {name: make() for name, make in CATALOG.items()}
+    """Every model of CATALOG, built; the CLI builds only the one it runs."""
+    return {name: ModelDescriptor.from_dict(payload) for name, payload in CATALOG.items()}
 
 
 def _pair_index(settings: SettingPair) -> int:

@@ -17,13 +17,10 @@ from bellsim.experiment import model_exact_correlations, run_chsh_experiment
 from bellsim.interferometer import InterferometerSpec, port_probabilities, run_bomb_trials
 from bellsim.models import (
     STRATEGIES,
+    ModelDescriptor,
     catalog,
     lhv_deterministic_model,
-    lhv_stochastic_model,
-    nonlocal_model,
     pr_box_table,
-    quantum_model,
-    superdeterministic_model,
 )
 from bellsim.optimize import optimize_angles
 from bellsim.polytope import VERTICES, CorrelationVector, local_membership
@@ -149,27 +146,29 @@ def test_criterion_08_counterfactual_classification():
     with criterion(8, "counterfactual classification: 20 seeded configurations"):
         rng = np.random.default_rng(31337)
         psi_plus_angles = (0.0, math.pi / 2.0, 3.0 * math.pi / 4.0, math.pi / 4.0)
+        phi_plus_angles = (0.0, math.pi / 2.0, math.pi / 4.0, 3.0 * math.pi / 4.0)
         configurations = [
             (catalog()["lhv-uniform"], "definite"),
             (catalog()["lhv-uniform"], "definite"),
             (catalog()["lhv-edge"], "definite"),
             (lhv_deterministic_model(0), "definite"),
             (lhv_deterministic_model(7), "definite"),
-            (lhv_stochastic_model(list(rng.dirichlet(np.ones(16)))), "definite"),
+            (ModelDescriptor(kind="lhv_stochastic", weights=rng.dirichlet(np.ones(16))), "definite"),
             (catalog()["quantum-optimal"], "semi-definite"),
             (catalog()["quantum-optimal"], "semi-definite"),
-            (quantum_model("psi_plus", psi_plus_angles), "semi-definite"),
-            (quantum_model("phi_plus", (0.0, math.pi / 2.0, math.pi / 4.0, 3.0 * math.pi / 4.0)), "semi-definite"),
-            (quantum_model("psi_minus", _violating_quantum_angles(rng)), "semi-definite"),
-            (nonlocal_model("psi_minus"), "semi-definite"),
-            (nonlocal_model("psi_plus", psi_plus_angles), "semi-definite"),
-            (superdeterministic_model(pr_box_table(1.0)), "indefinite"),
-            (superdeterministic_model(pr_box_table(1.0)), "indefinite"),
-            (superdeterministic_model(pr_box_table(0.9)), "indefinite"),
-            (superdeterministic_model(pr_box_table(0.8)), "indefinite"),
-            (superdeterministic_model(pr_box_table(0.6)), "indefinite"),
-            (superdeterministic_model(pr_box_table(0.5)), "indefinite"),
-            (superdeterministic_model(pr_box_table(0.3)), "indefinite"),
+            (ModelDescriptor(kind="quantum", state="psi_plus", angles=psi_plus_angles), "semi-definite"),
+            (ModelDescriptor(kind="quantum", state="phi_plus", angles=phi_plus_angles), "semi-definite"),
+            (
+                ModelDescriptor(
+                    kind="quantum", state="psi_minus", angles=_violating_quantum_angles(rng)
+                ),
+                "semi-definite",
+            ),
+            (catalog()["nonlocal-optimal"], "semi-definite"),
+            (ModelDescriptor(kind="nonlocal", state="psi_plus", angles=psi_plus_angles), "semi-definite"),
+        ] + [
+            (ModelDescriptor(kind="superdeterministic", table=pr_box_table(strength)), "indefinite")
+            for strength in (1.0, 1.0, 0.9, 0.8, 0.6, 0.5, 0.3)
         ]
         assert len(configurations) == 20
         # every quantum/nonlocal configuration violates the local bound exactly
@@ -193,7 +192,8 @@ def test_criterion_09_no_signalling():
         rng = np.random.default_rng(999)
         for seed in range(10):
             angles = tuple(float(t) for t in rng.uniform(0.0, 2.0 * math.pi, 4))
-            counts = run_chsh_experiment(quantum_model("psi_minus", angles), 10**6, seed).counts
+            model = ModelDescriptor(kind="quantum", state="psi_minus", angles=angles)
+            counts = run_chsh_experiment(model, 10**6, seed).counts
             for difference, threshold in marginal_comparisons(counts):
                 assert difference < threshold, (seed, difference, threshold)
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shlex
 import signal
 import warnings
 from pathlib import Path
@@ -318,6 +319,30 @@ class TestCounterfactualCommand:
         )
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("out,ledger", [("a.tmp", "a"), ("b", "b.tmp")])
+    def test_a_path_that_is_the_others_staging_file_exits_2_writing_nothing(
+        self, out, ledger, source, tmp_path, capsys, monkeypatch
+    ):
+        # Each artifact is staged as PATH.tmp, so one would overwrite the other.
+        monkeypatch.setattr("bellsim.counterfactual.record_run", None)  # any call would fail
+        monkeypatch.chdir(tmp_path)
+        argv = ["counterfactual", "--trials", "8", "--stats-trials", "100"]
+        if source == "flag":
+            argv += ["--out", out, "--ledger", ledger]
+        else:
+            (tmp_path / "run.cfg").write_text(f'out = "{out}"\nledger = "{ledger}"\n')
+            argv += ["--config", "run.cfg"]
+        code, stdout, stderr = _run(argv, capsys)
+        assert code == 2
+        assert stdout == ""
+        assert stderr == (
+            f"bellsim: configuration error: --out {out} and --ledger {ledger} clash: "
+            "each is staged as PATH.tmp\n"
+        )
+        expected = [] if source == "flag" else ["run.cfg"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == expected
+
     @pytest.mark.parametrize("pattern", ["+-++", "xyz"])
     def test_pattern_flag_is_rejected(self, pattern, capsys):
         # The joint-assignment check tests every facet, so no sign pattern applies.
@@ -417,6 +442,7 @@ WRONG_TYPES = [
     ("chsh", "angles = 7"),
     ("chsh", 'exact = "yes"'),
     ("chsh", "seed = true"),
+    ("chsh", "seed = 3.5"),
     ("chsh", "out = 5"),
     ("counterfactual", 'stats_trials = "x"'),
     ("counterfactual", "trials = true"),
@@ -565,10 +591,11 @@ def test_output_settings_are_read_before_the_subcommand_inputs(tmp_path, capsys)
 
 def test_integral_config_values_match_flags(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("trials = 3000.0\nphase = 0\n")
+    cfg.write_text("trials = 3000.0\nphase = 0\nseed = 3.0\n")
     from_file, from_flags = tmp_path / "file.json", tmp_path / "flags.json"
     assert main(["bomb", "--config", str(cfg), "--out", str(from_file)]) == 0
-    assert main(["bomb", "--trials", "3000", "--phase", "0.0", "--out", str(from_flags)]) == 0
+    flags = ["--trials", "3000", "--phase", "0.0", "--seed", "3", "--out", str(from_flags)]
+    assert main(["bomb", *flags]) == 0
     capsys.readouterr()
     assert from_file.read_bytes() == from_flags.read_bytes()
 
@@ -960,10 +987,14 @@ def test_console_script_is_the_process_entry_point():
 _README_KINDS = {int: "integer", float: "number", bool: "true or false", str: "string"}
 
 
+def _readme_lines() -> list[str]:
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    return readme.read_text(encoding="utf-8").splitlines()
+
+
 def _readme_table_rows(marker: str) -> list[list[str]]:
     """The cells of each row of the README table under the line starting with `marker`."""
-    readme = Path(__file__).resolve().parent.parent / "README.md"
-    lines = readme.read_text(encoding="utf-8").splitlines()
+    lines = _readme_lines()
     start = next(i for i, line in enumerate(lines) if line.startswith(marker))
     rows = []
     for line in lines[start + 3:]:
@@ -1003,3 +1034,30 @@ def test_readme_model_kinds_table_matches_the_kind_table():
         for kind, fields, holds, _ in rows
     ]
     assert found == [(kind, *spec) for kind, spec in models._KINDS.items()]
+
+
+def test_readme_model_catalog_table_matches_the_catalog():
+    rows = _readme_table_rows("<!-- model catalog table")
+    catalog = models.catalog().items()
+    assert rows == [[f"`{name}`", f"`{json.dumps(model.to_dict())}`"] for name, model in catalog]
+
+
+def _readme_block(heading: str) -> list[str]:
+    """The lines of the first fenced block after the README heading `heading`."""
+    lines = _readme_lines()
+    after = lines.index(heading)
+    start = next(i for i, line in enumerate(lines) if i > after and line.startswith("```"))
+    end = lines.index("```", start + 1)
+    return lines[start + 1:end]
+
+
+def test_readme_examples_exit_0(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("BELLSIM_SEED", raising=False)
+    lines = _readme_block("## Command-line usage")
+    commands = [shlex.split(line, comments=True) for line in lines]
+    assert commands and all(argv[0] == "bellsim" for argv in commands)
+    (tmp_path / "run.cfg").write_text("\n".join(_readme_block("### Config files")) + "\n")
+    for argv in [argv[1:] for argv in commands] + [["chsh", "--config", "run.cfg"]]:
+        assert main(argv) == 0, argv
+        capsys.readouterr()

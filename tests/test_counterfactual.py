@@ -22,13 +22,10 @@ from bellsim.models import (
     CATALOG,
     TrialRecord,
     catalog,
+    ModelDescriptor,
     lhv_deterministic_model,
-    lhv_stochastic_model,
-    nonlocal_model,
     pr_box_table,
-    quantum_model,
     run_trial,
-    superdeterministic_model,
 )
 from bellsim.polytope import CorrelationVector, local_membership
 from bellsim.stats import PAIR_ORDER
@@ -48,13 +45,13 @@ def ledger_records(ledger):
 
 class TestRecordRun:
     def test_one_record_per_entry(self):
-        ledger = record_run(quantum_model(), SCHEDULE, seed=3)
+        ledger = record_run(catalog()["quantum-optimal"], SCHEDULE, seed=3)
         records = ledger_records(ledger)
         assert len(records) == 100
         assert [r.stream_id for r in records] == list(range(100))
 
     def test_replay_reproduces_outcomes(self):
-        ledger = record_run(quantum_model(), SCHEDULE, seed=3)
+        ledger = record_run(catalog()["quantum-optimal"], SCHEDULE, seed=3)
         for index, record in enumerate(ledger_records(ledger)):
             outcomes, hidden = reference_trial(ledger.model.to_dict(), record.settings, 3, index)
             assert (outcomes, hidden) == (record.outcomes, record.hidden)
@@ -65,12 +62,12 @@ class TestRecordRun:
         assert all(r.hidden is not None for r in ledger_records(ledger))
 
     def test_quantum_records_carry_no_hidden(self):
-        ledger = record_run(quantum_model(), SCHEDULE, seed=4)
+        ledger = record_run(catalog()["quantum-optimal"], SCHEDULE, seed=4)
         assert all(r.hidden is None for r in ledger_records(ledger))
 
     def test_empty_schedule_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            record_run(quantum_model(), [], seed=0)
+            record_run(catalog()["quantum-optimal"], [], seed=0)
 
     def test_pair_indices_record_the_same_trials_as_setting_pairs(self):
         model = catalog()["lhv-uniform"]
@@ -84,7 +81,7 @@ class TestRecordRun:
     )
     def test_pair_indices_outside_0_to_3_rejected(self, indices):
         with pytest.raises(ValueError, match="pair indices"):
-            record_run(quantum_model(), np.array(indices), seed=0)
+            record_run(catalog()["quantum-optimal"], np.array(indices), seed=0)
 
 
 class _LongSchedule:
@@ -107,7 +104,7 @@ class TestLedgerCap:
     def test_record_run_rejects_too_many_trials_before_sampling(self, monkeypatch):
         monkeypatch.setattr(models, "sample_outcomes", None)  # any call would fail
         with pytest.raises(ValueError, match=f"at most {MAX_LEDGER_TRIALS}"):
-            record_run(quantum_model(), _LongSchedule(MAX_LEDGER_TRIALS + 1), seed=0)
+            record_run(catalog()["quantum-optimal"], _LongSchedule(MAX_LEDGER_TRIALS + 1), seed=0)
 
     def test_record_run_takes_the_cap_itself(self, monkeypatch):
         sampled = []
@@ -117,14 +114,15 @@ class TestLedgerCap:
             return np.ones((len(pairs), 2), dtype=np.int8), None
 
         monkeypatch.setattr(models, "sample_outcomes", sample)
-        ledger = record_run(quantum_model(), np.arange(MAX_LEDGER_TRIALS) % 4, seed=0)
+        ledger = record_run(catalog()["quantum-optimal"], np.arange(MAX_LEDGER_TRIALS) % 4, seed=0)
         assert sum(sampled) == len(ledger.pairs) == len(ledger.outcomes) == MAX_LEDGER_TRIALS
 
     def test_classify_rejects_too_long_ledger_before_replay(self, monkeypatch):
         monkeypatch.setattr(models, "sample_outcomes", None)
         long = _LongSchedule(MAX_LEDGER_TRIALS + 1)
         outcomes = np.ones((len(long), 2), dtype=np.int8)
-        ledger = TrialLedger(0, quantum_model(), pairs=long, outcomes=outcomes, hidden=None)
+        model = catalog()["quantum-optimal"]
+        ledger = TrialLedger(0, model, pairs=long, outcomes=outcomes, hidden=None)
         with pytest.raises(ValueError, match=f"at most {MAX_LEDGER_TRIALS}"):
             classify_definiteness(ledger, trials_for_stats=10)
 
@@ -155,7 +153,7 @@ class TestReplay:
 
     def test_quantum_equal_angle_counterfactual_distribution(self):
         theta = 1.1
-        model = quantum_model("psi_minus", (0.4, theta, 0.9, theta))
+        model = ModelDescriptor(kind="quantum", state="psi_minus", angles=(0.4, theta, 0.9, theta))
         ledger = record_run(model, [("a", "b")], seed=5)
         cell = replay_counterfactual(ledger, 0, ("a'", "b'"))
         assert cell.kind == "distribution"
@@ -177,12 +175,12 @@ class TestReplay:
                 assert cell.outcome == record.outcomes, name
 
     def test_index_out_of_range(self):
-        ledger = record_run(quantum_model(), [("a", "b")], seed=0)
+        ledger = record_run(catalog()["quantum-optimal"], [("a", "b")], seed=0)
         with pytest.raises(IndexError):
             replay_counterfactual(ledger, 5, ("a", "b"))
 
     def test_bad_alternative(self):
-        ledger = record_run(quantum_model(), [("a", "b")], seed=0)
+        ledger = record_run(catalog()["quantum-optimal"], [("a", "b")], seed=0)
         with pytest.raises(ValueError):
             replay_counterfactual(ledger, 0, ("a", "a'"))
 
@@ -208,7 +206,7 @@ class TestTable:
                     assert left_b == left_bp
 
     def test_quantum_table_shape(self):
-        ledger = record_run(quantum_model(), [("a", "b")], seed=10)
+        ledger = record_run(catalog()["quantum-optimal"], [("a", "b")], seed=10)
         table = counterfactual_table(ledger, 0)
         kinds = sorted(cell.kind for cell in table.cells.values())
         assert kinds == ["definite", "distribution", "distribution", "distribution"]
@@ -221,14 +219,15 @@ def _empirical_vector(model, trials_per_pair, seed):
 
 class TestJointAssignment:
     def test_lhv_empirical_vector_feasible(self):
-        model = lhv_stochastic_model(list(np.random.default_rng(1).dirichlet(np.ones(16))))
+        weights = list(np.random.default_rng(1).dirichlet(np.ones(16)))
+        model = ModelDescriptor(kind="lhv_stochastic", weights=weights)
         vector = _empirical_vector(model, 10**5, seed=2)
         sigma = math.sqrt(sum((1.0 - v * v) / 10**5 for v in vector.as_tuple()))
         verdict = local_membership(vector, facet_tolerance=5.0 * sigma)
         assert verdict.feasible
 
     def test_singlet_optimal_empirical_vector_infeasible(self):
-        vector = _empirical_vector(quantum_model(), 10**6, seed=3)
+        vector = _empirical_vector(catalog()["quantum-optimal"], 10**6, seed=3)
         sigma = math.sqrt(sum((1.0 - v * v) / 10**6 for v in vector.as_tuple()))
         verdict = local_membership(vector, facet_tolerance=5.0 * sigma)
         assert not verdict.feasible
@@ -250,7 +249,7 @@ class TestJointAssignment:
             return local_membership(vector, facet_tolerance)
 
         monkeypatch.setattr(counterfactual, "local_membership", spy)
-        ledger = record_run(quantum_model(), SCHEDULE, seed=5)
+        ledger = record_run(catalog()["quantum-optimal"], SCHEDULE, seed=5)
         evidence = classify_definiteness(ledger, trials_for_stats=1000).evidence
         assert calls == [(evidence.correlation_vector, evidence.feasibility_tolerance)]
         rng = np.random.default_rng(12)
@@ -274,20 +273,20 @@ class TestClassification:
             assert verdict.evidence.factual_replays_matched == 40
 
     def test_quantum_semi_definite(self):
-        ledger = record_run(quantum_model(), SCHEDULE[:40], seed=14)
+        ledger = record_run(catalog()["quantum-optimal"], SCHEDULE[:40], seed=14)
         verdict = classify_definiteness(ledger, trials_for_stats=100_000)
         assert verdict.classification == "semi-definite"
         assert not verdict.evidence.feasibility.feasible
         assert verdict.evidence.cell_kinds["distribution"] > 0
 
     def test_nonlocal_semi_definite(self):
-        ledger = record_run(nonlocal_model(), SCHEDULE[:40], seed=15)
+        ledger = record_run(catalog()["nonlocal-optimal"], SCHEDULE[:40], seed=15)
         verdict = classify_definiteness(ledger, trials_for_stats=100_000)
         assert verdict.classification == "semi-definite"
 
     def test_superdeterministic_indefinite(self):
         for strength in (1.0, 0.5):
-            model = superdeterministic_model(pr_box_table(strength))
+            model = ModelDescriptor(kind="superdeterministic", table=pr_box_table(strength))
             ledger = record_run(model, SCHEDULE[:40], seed=16)
             verdict = classify_definiteness(ledger, trials_for_stats=50_000)
             assert verdict.classification == "indefinite"
@@ -305,7 +304,7 @@ class TestClassification:
             assert list(verdict.evidence.cell_kinds) == list(tally), name
 
     def test_empty_ledger_rejected(self):
-        ledger = record_run(quantum_model(), [("a", "b")], seed=0)
+        ledger = record_run(catalog()["quantum-optimal"], [("a", "b")], seed=0)
         empty = ledger.pairs[:0], ledger.outcomes[:0], None
         trimmed = type(ledger)(ledger.seed, ledger.model, *empty)
         with pytest.raises(ValueError):
@@ -314,7 +313,7 @@ class TestClassification:
     @pytest.mark.parametrize("indices", [[0, 4], [-1, 2]], ids=["4", "-1"])
     def test_hand_built_ledger_with_pair_index_outside_0_to_3_rejected(self, indices):
         # Unchecked, -1 would wrap round to the last setting pair's row.
-        ledger = record_run(quantum_model(), [("a", "b"), ("a", "b'")], seed=0)
+        ledger = record_run(catalog()["quantum-optimal"], [("a", "b"), ("a", "b'")], seed=0)
         pairs = np.array(indices, dtype=np.int8)
         edited = TrialLedger(0, ledger.model, pairs, ledger.outcomes, None)
         with pytest.raises(ValueError, match="pair indices"):
@@ -352,7 +351,7 @@ class TestLedgerText:
         offset=st.integers(0, 3),
     )
     def test_text_equals_the_per_record_oracle(self, name, trials, seed, stride, offset):
-        model = CATALOG[name]()
+        model = ModelDescriptor.from_dict(CATALOG[name])
         pairs = ((offset + stride * np.arange(trials)) % 4).tolist()
         ledger = record_run(model, [PAIR_ORDER[p] for p in pairs], seed)
         expected = per_record_ledger_text(
@@ -387,7 +386,7 @@ class TestLedgerFile:
         assert [t["stream_id"] for t in lines] == list(range(25))
 
     def test_line_format(self, tmp_path):
-        ledger = record_run(quantum_model(), [("a'", "b")], seed=18)
+        ledger = record_run(catalog()["quantum-optimal"], [("a'", "b")], seed=18)
         path = tmp_path / "trials.jsonl"
         with open(path, "w", encoding="utf-8") as handle:
             handle.writelines(ledger_blocks(ledger))

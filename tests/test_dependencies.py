@@ -298,12 +298,11 @@ def test_state_and_angle_overrides_solve_born_rule_once(monkeypatch, spec, overr
 
 _BORN_RULE = """
 import sys
-from bellsim.models import CATALOG
+from bellsim.models import catalog
 from bellsim.quantum import joint_probabilities
 from bellsim.stats import PAIR_ORDER
 solved = 0
-for make in CATALOG.values():
-    model = make()
+for model in catalog().values():
     if model.kind in ("quantum", "nonlocal"):
         state = model.quantum_state()
         for x, y in PAIR_ORDER:
@@ -356,11 +355,9 @@ EXPORTS = {
     ],
     "interferometer": ["InterferometerSpec", "port_probabilities", "run_bomb_trials"],
     "models": [
-        "ModelDescriptor", "SINGLET_OPTIMAL_ANGLES",
+        "CATALOG", "ModelDescriptor", "SINGLET_OPTIMAL_ANGLES",
         "TrialRecord", "catalog", "generate_outcomes",
-        "lhv_deterministic_model", "lhv_stochastic_model",
-        "nonlocal_model", "pr_box_table", "quantum_model", "run_trial",
-        "superdeterministic_model",
+        "lhv_deterministic_model", "pr_box_table", "run_trial",
     ],
     "optimize": ["LandscapeGrid", "OptimizationResult", "optimize_angles", "s_landscape"],
     "polytope": [
@@ -406,6 +403,7 @@ def test_package_holds_only_its_version_and_submodules():
 @pytest.mark.parametrize("name", [
     "no_signalling_check", "NoSignallingReport", "correlation_fraction",
     "enumerate_deterministic_strategies", "strategy_correlation", "read_ledger_records",
+    "quantum_model", "nonlocal_model", "lhv_stochastic_model", "superdeterministic_model",
 ])
 def test_names_no_subcommand_reaches_are_not_exported(name):
     assert not [module.__name__ for module in _submodules() if hasattr(module, name)]

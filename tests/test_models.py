@@ -22,13 +22,9 @@ from bellsim.models import (
     count_chunk,
     generate_outcomes,
     lhv_deterministic_model,
-    lhv_stochastic_model,
-    nonlocal_model,
     pr_box_table,
-    quantum_model,
     run_trial,
     sample_outcomes,
-    superdeterministic_model,
 )
 from bellsim.quantum import expectation, joint_probabilities, make_named_state
 from bellsim.stats import PAIR_ORDER, correlation, counts_from_outcomes
@@ -51,8 +47,8 @@ from oracles import (
 )
 
 ALL_PLUS = lhv_deterministic_model(0)
-UNIFORM_LHV = lhv_stochastic_model([1.0 / 16.0] * 16)
-PR_BOX = superdeterministic_model(pr_box_table(1.0))
+UNIFORM_LHV = ModelDescriptor(kind="lhv_stochastic", weights=[1.0 / 16.0] * 16)
+PR_BOX = ModelDescriptor(kind="superdeterministic", table=pr_box_table(1.0))
 
 
 class TestLhvStrategy:
@@ -82,17 +78,17 @@ class TestDescriptorValidation:
         with pytest.raises(ValueError):
             ModelDescriptor(kind="quantum", angles=(0.0, 1.0, 2.0, 3.0))
         with pytest.raises(ValueError):
-            quantum_model(angles=(0.0, 1.0, 2.0))
+            ModelDescriptor(kind="quantum", state="psi_minus", angles=(0.0, 1.0, 2.0))
         with pytest.raises(ValueError):
-            quantum_model(angles=(0.0, 1.0, 2.0, math.nan))
+            ModelDescriptor(kind="quantum", state="psi_minus", angles=(0.0, 1.0, 2.0, math.nan))
 
     def test_weights_validation(self):
         with pytest.raises(ValueError):
-            lhv_stochastic_model([0.5] * 16)  # sums to 8
+            ModelDescriptor(kind="lhv_stochastic", weights=[0.5] * 16)  # sums to 8
         with pytest.raises(ValueError):
-            lhv_stochastic_model([-1.0 / 16.0] * 16)
+            ModelDescriptor(kind="lhv_stochastic", weights=[-1.0 / 16.0] * 16)
         with pytest.raises(ValueError):
-            lhv_stochastic_model([1.0])
+            ModelDescriptor(kind="lhv_stochastic", weights=[1.0])
 
     def test_deterministic_requires_point_mass(self):
         with pytest.raises(ValueError, match="point-mass"):
@@ -102,11 +98,11 @@ class TestDescriptorValidation:
         table = pr_box_table(1.0)
         del table[("a", "b")]
         with pytest.raises(ValueError, match="missing"):
-            superdeterministic_model(table)
+            ModelDescriptor(kind="superdeterministic", table=table)
         bad = pr_box_table(1.0)
         bad[("a", "b")] = (0.5, 0.5, 0.5, 0.5)
         with pytest.raises(ValueError, match="sums"):
-            superdeterministic_model(bad)
+            ModelDescriptor(kind="superdeterministic", table=bad)
 
     def test_pr_strength_validation(self):
         with pytest.raises(ValueError):
@@ -180,7 +176,7 @@ class TestRunTrial:
 
     def test_quantum_equal_angles_anticorrelated(self):
         theta = 0.7
-        model = quantum_model("psi_minus", (theta, theta, theta, theta))
+        model = ModelDescriptor(kind="quantum", state="psi_minus", angles=(theta,) * 4)
         for stream_id in range(200):
             record = run_trial(model, ("a", "b"), TrialStream(5, stream_id))
             assert record.outcomes[0] == -record.outcomes[1]
@@ -199,7 +195,7 @@ class TestRunTrial:
             run_trial(ALL_PLUS, ("b", "a"), TrialStream(0, 0))
 
     def test_determinism(self):
-        model = quantum_model()
+        model = catalog()["quantum-optimal"]
         first = run_trial(model, ("a'", "b"), TrialStream(123, 45))
         second = run_trial(model, ("a'", "b"), TrialStream(123, 45))
         assert first == second
@@ -217,8 +213,8 @@ class TestBatchGeneration:
     @pytest.mark.parametrize(
         "model",
         [
-            quantum_model(),
-            nonlocal_model(),
+            catalog()["quantum-optimal"],
+            catalog()["nonlocal-optimal"],
             ALL_PLUS,
             UNIFORM_LHV,
             PR_BOX,
@@ -234,7 +230,7 @@ class TestBatchGeneration:
             assert tuple(int(v) for v in batch[offset]) == outcomes
 
     def test_thread_count_does_not_change_outcomes(self, monkeypatch):
-        model = quantum_model()
+        model = catalog()["quantum-optimal"]
         runs = []
         for workers in (1, 4):
             monkeypatch.setattr(streams, "_workers", lambda chunks: workers)
@@ -266,7 +262,7 @@ class TestBatchGeneration:
             sys.setswitchinterval(interval)
 
     def test_empty_batch(self):
-        assert generate_outcomes(quantum_model(), ("a", "b"), 0, 0, 0).shape == (0, 2)
+        assert generate_outcomes(catalog()["quantum-optimal"], ("a", "b"), 0, 0, 0).shape == (0, 2)
 
     def test_a_chunk_of_mixed_pairs_needs_no_cdf_row_per_trial(self):
         # A CDF row per trial would be 16 floats, 8 MiB for the chunk.
@@ -313,10 +309,10 @@ _SHORT_TOTAL = (0.1,) * 10 + (0.0,) * 6
 CATALOG_MODELS = catalog()
 FUSED_MODELS = {
     **CATALOG_MODELS,
-    "nonlocal-up-up": nonlocal_model("up_up", (0.0, 0.0, 0.0, 0.0)),
-    "quantum-up-up": quantum_model("up_up", (0.0, 0.0, 0.0, 0.0)),
-    "lhv-leading-zero": lhv_stochastic_model(_LEADING_ZERO),
-    "lhv-short-total": lhv_stochastic_model(_SHORT_TOTAL),
+    "nonlocal-up-up": ModelDescriptor(kind="nonlocal", state="up_up", angles=(0.0, 0.0, 0.0, 0.0)),
+    "quantum-up-up": ModelDescriptor(kind="quantum", state="up_up", angles=(0.0, 0.0, 0.0, 0.0)),
+    "lhv-leading-zero": ModelDescriptor(kind="lhv_stochastic", weights=_LEADING_ZERO),
+    "lhv-short-total": ModelDescriptor(kind="lhv_stochastic", weights=_SHORT_TOTAL),
 }
 
 
@@ -335,9 +331,13 @@ def _parts(size: int) -> st.SearchStrategy[list[int]]:
     ).filter(any)
 
 
-_MIXTURES = _parts(16).map(lambda parts: lhv_stochastic_model(_row(parts)))
+_MIXTURES = _parts(16).map(
+    lambda parts: ModelDescriptor(kind="lhv_stochastic", weights=_row(parts))
+)
 _TABLES = st.lists(_parts(4), min_size=4, max_size=4).map(
-    lambda rows: superdeterministic_model(dict(zip(PAIR_ORDER, map(_row, rows))))
+    lambda rows: ModelDescriptor(
+        kind="superdeterministic", table=dict(zip(PAIR_ORDER, map(_row, rows)))
+    )
 )
 
 
@@ -479,11 +479,12 @@ class TestFusedCounts:
         assert peak < 16 * 1024
 
     def test_empty_range(self):
-        assert count_chunk(quantum_model(), ("a", "b"), 0, ChunkBuffers(), 0, 0).total == 0
+        quantum = catalog()["quantum-optimal"]
+        assert count_chunk(quantum, ("a", "b"), 0, ChunkBuffers(), 0, 0).total == 0
         with pytest.raises(ValueError, match="settings"):
-            count_chunk(quantum_model(), ("b", "a"), 0, ChunkBuffers(), 0, 0)
+            count_chunk(quantum, ("b", "a"), 0, ChunkBuffers(), 0, 0)
         with pytest.raises(ValueError, match="trials_per_pair"):
-            run_chsh_experiment(quantum_model(), 0, 0)
+            run_chsh_experiment(quantum, 0, 0)
 
     def test_chsh_and_bomb_build_no_outcome_array(self, monkeypatch, tmp_path):
         calls = []
@@ -523,7 +524,7 @@ def test_pr_box_table_equals_numpy_reference_bit_for_bit(strength):
 
 class TestModelTables:
     def test_distributions_match_joint_probabilities(self):
-        model = quantum_model("psi_plus", (0.1, 0.7, 1.3, 2.9))
+        model = ModelDescriptor(kind="quantum", state="psi_plus", angles=(0.1, 0.7, 1.3, 2.9))
         state = model.quantum_state()
         for x, y in PAIR_ORDER:
             expected = joint_probabilities(state, model.angle_for(x), model.angle_for(y))
@@ -565,14 +566,14 @@ class TestModelTables:
         with pytest.raises(ValueError):
             UNIFORM_LHV.distribution(("a", "b"))
         with pytest.raises(ValueError):
-            quantum_model().response(0, ("a", "b"))
+            catalog()["quantum-optimal"].response(0, ("a", "b"))
         with pytest.raises(ValueError):
             UNIFORM_LHV.response(16, ("a", "b"))
 
     def test_sampling_never_recomputes_born_probabilities(self, monkeypatch):
         import bellsim.models
 
-        model = nonlocal_model()
+        model = catalog()["nonlocal-optimal"]
         calls = []
         solve = bellsim.models.joint_probabilities
         monkeypatch.setattr(
@@ -592,7 +593,8 @@ class TestQuantumFidelity:
         n = 10**6
         for case in range(10):
             ta, tb = rng.uniform(0.0, 2.0 * math.pi, 2)
-            model = quantum_model("psi_minus", (float(ta), 0.0, float(tb), 0.0))
+            angles = (float(ta), 0.0, float(tb), 0.0)
+            model = ModelDescriptor(kind="quantum", state="psi_minus", angles=angles)
             outcomes = generate_outcomes(model, ("a", "b"), 1000 + case, 0, n)
             estimate = correlation(counts_from_outcomes(outcomes))
             exact = expectation(state, float(ta), float(tb))
@@ -602,7 +604,7 @@ class TestQuantumFidelity:
 
 class TestNoSignalling:
     def test_quantum_marginals_balanced(self):
-        model = quantum_model()
+        model = catalog()["quantum-optimal"]
         comparisons = marginal_comparisons(run_chsh_experiment(model, 10**6, 11).counts)
         assert max(difference for difference, _ in comparisons) < 0.004
         assert all(difference <= threshold for difference, threshold in comparisons)

@@ -195,12 +195,13 @@ class TestOracleAgreement:
 
     def test_quantum_vectors_classified_by_best_pattern(self):
         from bellsim.experiment import model_exact_correlations
-        from bellsim.models import quantum_model
+        from bellsim.models import ModelDescriptor
 
         rng = np.random.default_rng(31415)
         for _ in range(200):
             angles = tuple(float(t) for t in rng.uniform(0.0, 2.0 * math.pi, 4))
-            vector = model_exact_correlations(quantum_model("psi_minus", angles))
+            model = ModelDescriptor(kind="quantum", state="psi_minus", angles=angles)
+            vector = model_exact_correlations(model)
             values = vector.as_tuple()
             per_pattern = {
                 pattern: abs(sum(s * e for s, e in zip(pattern, values)))

@@ -13,7 +13,7 @@ from bellsim.quantum import (
     joint_probabilities,
     make_named_state,
 )
-from bellsim.models import quantum_model, run_trial, sample_outcomes
+from bellsim.models import ModelDescriptor, run_trial, sample_outcomes
 from bellsim.streams import TrialStream
 
 from oracles import (
@@ -233,8 +233,8 @@ class TestJointProbabilities:
 class TestSampling:
     """run_trial on quantum models whose Born distribution is known exactly."""
 
-    POINT_MASS = quantum_model("up_up", (0.0, 0.0, 0.0, 0.0))
-    UNIFORM = quantum_model("up_up", (math.pi / 2.0,) * 4)
+    POINT_MASS = ModelDescriptor(kind="quantum", state="up_up", angles=(0.0, 0.0, 0.0, 0.0))
+    UNIFORM = ModelDescriptor(kind="quantum", state="up_up", angles=(math.pi / 2.0,) * 4)
 
     def test_equivalent_distributions(self):
         assert np.allclose(self.POINT_MASS.distribution(("a", "b")).as_array(), [1, 0, 0, 0])
