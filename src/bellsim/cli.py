@@ -53,7 +53,9 @@ from .config import (
     sign_pattern_to_string,
 )
 from .quantum import STATE_KINDS, make_named_state, sum_in_order
-from .stats import DEFAULT_SIGN_PATTERN, PAIR_ORDER, SETTING_LABELS, SIGN_PATTERNS, classify_bound
+from .stats import (
+    DEFAULT_SIGN_PATTERN, PAIR_ORDER, SETTING_LABELS, SIGN_PATTERNS, STRATEGIES, classify_bound
+)
 
 if TYPE_CHECKING:
     from .models import ModelDescriptor
@@ -76,16 +78,13 @@ def _of_kind(name: str, kind: type, value: object):
 # A parser takes a value, its source (the flag, config key or environment
 # variable it came from) and the settings resolved before it.
 def _path(value: object, source: str, settings: dict) -> str:
-    """The path for --out or --ledger: a file, and for --ledger one clear of --out's files."""
+    """The path for --out or --ledger: a file, and for --ledger not the file --out names."""
     path, flag = _of_kind(source, str, value), "--" + source.lstrip("-")
     if path == "" or os.path.isdir(path):
         raise ConfigError(f"{flag} {echoed(path)} is empty or a directory; it must name a file")
-    # Each artifact is staged as PATH.tmp, so neither may be the other's file or PATH.tmp.
-    out, real = settings.get("out"), os.path.realpath
-    if out and real(out) == real(path):
+    out = settings.get("out")
+    if out and os.path.realpath(out) == os.path.realpath(path):
         raise ConfigError(f"--out and {flag} name the same file {out}")
-    if out and (real(out + ".tmp") == real(path) or real(out) == real(path + ".tmp")):
-        raise ConfigError(f"--out {out} and {flag} {path} clash: each is staged as PATH.tmp")
     return path
 
 
@@ -192,15 +191,17 @@ def _kv_rows(rows: Sequence[tuple[str, object]]) -> list[tuple[str, object]]:
 
 
 def _write_artifacts(artifacts: Sequence[tuple[Optional[str], Iterable[str]]]) -> None:
-    """Write text pieces to `path.tmp` files renamed once all are written, or to stdout."""
+    """Write text pieces to staging files renamed onto their paths once all are written, then
+    stdout. A staging file, `PATH.<pid>.tmp`, is created only if absent, so a run never writes
+    over or removes a file it did not create; one already there fails the run (exit code 3)."""
     staged = []
     try:
         for path, pieces in artifacts:
             if path is None:
                 continue
-            tmp = path + ".tmp"
-            staged.append((tmp, path))
-            with open(tmp, "w", encoding="utf-8", newline="") as handle:
+            tmp = f"{path}.{os.getpid()}.tmp"
+            with open(tmp, "x", encoding="utf-8", newline="") as handle:
+                staged.append((tmp, path))
                 handle.writelines(pieces)
         for tmp, path in staged:
             os.replace(tmp, path)
@@ -266,7 +267,6 @@ def _cmd_chsh(settings: dict) -> tuple:
 
 
 def _cmd_lhv_scan(settings: dict) -> tuple:
-    from .models import STRATEGIES
     from .polytope import VERTICES
 
     strategies = []

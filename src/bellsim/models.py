@@ -25,7 +25,6 @@ the work is chunked.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
@@ -41,7 +40,7 @@ from .quantum import (
     outcome_index,
     sum_in_order,
 )
-from .stats import PAIR_ORDER, SETTING_LABELS, CoincidenceCounts, SettingPair
+from .stats import PAIR_ORDER, SETTING_LABELS, STRATEGIES, CoincidenceCounts, SettingPair
 
 if TYPE_CHECKING:
     import numpy as np
@@ -62,10 +61,6 @@ MODEL_KINDS = tuple(_KINDS)
 _FIELDS = ("state", "angles", "weights", "table")
 
 LEFT_LABELS, RIGHT_LABELS = SETTING_LABELS[:2], SETTING_LABELS[2:]
-
-# The 16 deterministic strategies as the signs they answer at (a, a', b, b'),
-# in index order: the index's bits, high to low, are a, a', b, b', 1 meaning -1.
-STRATEGIES: tuple[tuple[int, int, int, int], ...] = tuple(itertools.product((1, -1), repeat=4))
 
 SINGLET_OPTIMAL_ANGLES = (0.0, math.pi / 2.0, math.pi / 4.0, 3.0 * math.pi / 4.0)
 PSI_PLUS_OPTIMAL_ANGLES = (0.0, math.pi / 2.0, 3.0 * math.pi / 4.0, math.pi / 4.0)
@@ -145,7 +140,6 @@ class _SamplingTables:
     cdf: Optional[np.ndarray]
     answers: Optional[np.ndarray]
     conditionals: Optional[np.ndarray]
-    distributions: Optional[tuple[JointOutcomeDistribution, ...]]  # quantum and nonlocal
 
 
 def _build_tables(model: "ModelDescriptor") -> _SamplingTables:
@@ -153,15 +147,9 @@ def _build_tables(model: "ModelDescriptor") -> _SamplingTables:
 
     # Outcome pair per hidden index, per setting pair in PAIR_ORDER: the joint
     # outcomes in OUTCOME_ORDER, or the signs each of the 16 strategies answers.
-    outcome_answers = np.tile(np.array(OUTCOME_ORDER, dtype=np.int8), (4, 1, 1))
-    dists = None
+    answers = np.tile(np.array(OUTCOME_ORDER, dtype=np.int8), (4, 1, 1))
     if model.state is not None:  # quantum and nonlocal
-        state = model.quantum_state()
-        dists = tuple(
-            joint_probabilities(state, model.angle_for(x), model.angle_for(y))
-            for x, y in PAIR_ORDER
-        )
-        rows, answers = np.array([d.as_array() for d in dists]), outcome_answers
+        rows = np.array([model.distribution(pair).as_array() for pair in PAIR_ORDER])
     elif model.weights is not None:  # the LHV kinds
         signs = np.array(STRATEGIES, dtype=np.int8)
         answers = np.stack(
@@ -169,13 +157,13 @@ def _build_tables(model: "ModelDescriptor") -> _SamplingTables:
         )
         rows = np.tile(model.weights, (4, 1))
     else:
-        rows, answers = np.array([model.table[pair] for pair in PAIR_ORDER]), outcome_answers
+        rows = np.array([model.table[pair] for pair in PAIR_ORDER])
     if model.kind == "nonlocal":
         p_plus, p_minus = rows[:, 0] + rows[:, 1], rows[:, 2] + rows[:, 3]
         c_plus = rows[:, 0] / np.where(p_plus > 0.0, p_plus, 1.0)
         c_minus = rows[:, 2] / np.where(p_minus > 0.0, p_minus, 1.0)
         conditionals = np.column_stack([p_plus, c_plus, c_minus])
-        return _SamplingTables(2, None, None, conditionals, dists)
+        return _SamplingTables(2, None, None, conditionals)
     cdf = np.cumsum(rows, axis=1)
     # The last index a uniform reaches is the row's last with positive
     # probability, or, sooner, the first whose threshold is at or above 1,
@@ -189,7 +177,7 @@ def _build_tables(model: "ModelDescriptor") -> _SamplingTables:
     reach = np.minimum(last_positive, np.where(full.any(axis=1), np.argmax(full, axis=1), n))
     cdf[np.arange(n) >= reach[:, None]] = np.inf
     width = int(reach.max()) + 1
-    return _SamplingTables(1, cdf[:, :width], answers, None, dists)
+    return _SamplingTables(1, cdf[:, :width], answers, None)
 
 
 @record
@@ -253,10 +241,11 @@ class ModelDescriptor:
         return self.state is None
 
     def distribution(self, settings: SettingPair) -> JointOutcomeDistribution:
-        """Born distribution at a setting pair (quantum and nonlocal kinds)."""
-        if self._tables.distributions is None:
+        """Born distribution at a setting pair (quantum and nonlocal kinds), in plain Python."""
+        if self.state is None:
             raise ValueError(f"{self.kind} model has no Born distribution")
-        return self._tables.distributions[_pair_index(settings)]
+        x, y = PAIR_ORDER[_pair_index(settings)]
+        return joint_probabilities(self.quantum_state(), self.angle_for(x), self.angle_for(y))
 
     def response(self, hidden: int, settings: SettingPair) -> tuple[int, int]:
         """Outcome pair that hidden index `hidden` answers at a setting pair."""

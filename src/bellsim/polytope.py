@@ -18,9 +18,8 @@ import math
 from typing import Optional
 
 from ._record import record
-from .models import STRATEGIES
 from .quantum import sum_in_order
-from .stats import PAIR_ORDER, SIGN_PATTERNS
+from .stats import PAIR_ORDER, SIGN_PATTERNS, STRATEGIES
 
 _COMPONENT_SLACK = 1e-12
 

@@ -9,6 +9,7 @@ placements of the minus sign.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -27,6 +28,10 @@ SettingPair = tuple[str, str]
 
 # The four setting labels, the left side's two then the right side's: the order of angles.
 SETTING_LABELS = ("a", "a'", "b", "b'")
+
+# The 16 deterministic strategies as the signs they answer at SETTING_LABELS, in index order:
+# the index's bits, high to low, are a, a', b, b', 1 meaning -1. LHV models mix them.
+STRATEGIES: tuple[tuple[int, int, int, int], ...] = tuple(itertools.product((1, -1), repeat=4))
 
 # Canonical ordering of the four setting pairs; sign patterns index into it.
 PAIR_ORDER: tuple[SettingPair, ...] = (("a", "b"), ("a", "b'"), ("a'", "b"), ("a'", "b'"))

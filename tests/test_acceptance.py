@@ -16,7 +16,6 @@ from bellsim.counterfactual import classify_definiteness, record_run
 from bellsim.experiment import model_exact_correlations, run_chsh_experiment
 from bellsim.interferometer import InterferometerSpec, port_probabilities, run_bomb_trials
 from bellsim.models import (
-    STRATEGIES,
     ModelDescriptor,
     catalog,
     lhv_deterministic_model,
@@ -28,6 +27,7 @@ from bellsim.quantum import TwoQubitState, make_named_state
 from bellsim.stats import (
     CoincidenceCounts,
     SIGN_PATTERNS,
+    STRATEGIES,
     TSIRELSON_BOUND,
     correlation,
     exact_chsh_s,

@@ -1,5 +1,7 @@
+import concurrent.futures
 import errno
 import gc
+import hashlib
 import json
 import math
 import os
@@ -288,7 +290,7 @@ class TestCounterfactualCommand:
     def test_trials_above_ledger_cap_exit_2_before_recording(
         self, source, tmp_path, capsys, monkeypatch
     ):
-        from bellsim.counterfactual import MAX_LEDGER_TRIALS
+        from bellsim.config import MAX_LEDGER_TRIALS
 
         monkeypatch.setattr("bellsim.counterfactual.record_run", None)  # any call would fail
         trials = str(MAX_LEDGER_TRIALS + 1)
@@ -321,27 +323,69 @@ class TestCounterfactualCommand:
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("out,ledger", [("a.tmp", "a"), ("b", "b.tmp")])
-    def test_a_path_that_is_the_others_staging_file_exits_2_writing_nothing(
+    def test_a_path_that_is_the_other_plus_tmp_is_written_whole(
         self, out, ledger, source, tmp_path, capsys, monkeypatch
     ):
-        # Each artifact is staged as PATH.tmp, so one would overwrite the other.
-        monkeypatch.setattr("bellsim.counterfactual.record_run", None)  # any call would fail
+        # Each file is staged under a name holding the process id, so neither path is
+        # the other's staging file.
         monkeypatch.chdir(tmp_path)
-        argv = ["counterfactual", "--trials", "8", "--stats-trials", "100"]
+        argv = ["counterfactual", "--model", "lhv-uniform", "--trials", "8", "--stats-trials", "9"]
+        assert main(argv + ["--out", "alone.json", "--ledger", "alone.jsonl"]) == 0
+        expected = {out, ledger, "alone.json", "alone.jsonl"}
         if source == "flag":
             argv += ["--out", out, "--ledger", ledger]
         else:
             (tmp_path / "run.cfg").write_text(f'out = "{out}"\nledger = "{ledger}"\n')
             argv += ["--config", "run.cfg"]
+            expected.add("run.cfg")
+        code, stdout, _ = _run(argv, capsys)
+        assert (code, stdout) == (0, "")
+        assert (tmp_path / out).read_bytes() == (tmp_path / "alone.json").read_bytes()
+        assert (tmp_path / ledger).read_bytes() == (tmp_path / "alone.jsonl").read_bytes()
+        assert {p.name for p in tmp_path.iterdir()} == expected
+
+    @pytest.mark.parametrize("taken", ["out.json", "l.jsonl"])
+    def test_a_file_at_a_staging_name_is_kept_and_fails_the_run(
+        self, taken, tmp_path, capsys, monkeypatch
+    ):
+        # A staging file is created only if absent, and only files the run created are removed.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(os, "getpid", lambda: 4242)
+        (tmp_path / f"{taken}.4242.tmp").write_bytes(b"precious\n")
+        argv = ["counterfactual", "--model", "lhv-uniform", "--trials", "8", "--stats-trials", "9",
+                "--out", "out.json", "--ledger", "l.jsonl"]
         code, stdout, stderr = _run(argv, capsys)
-        assert code == 2
-        assert stdout == ""
-        assert stderr == (
-            f"bellsim: configuration error: --out {out} and --ledger {ledger} clash: "
-            "each is staged as PATH.tmp\n"
-        )
-        expected = [] if source == "flag" else ["run.cfg"]
-        assert sorted(p.name for p in tmp_path.iterdir()) == expected
+        assert (code, stdout) == (3, "")
+        assert stderr.startswith(f"bellsim: I/O error: [Errno {errno.EEXIST}] cannot write {taken}")
+        assert [p.name for p in tmp_path.iterdir()] == [f"{taken}.4242.tmp"]
+        assert (tmp_path / f"{taken}.4242.tmp").read_bytes() == b"precious\n"
+
+    def test_concurrent_runs_on_the_same_paths_each_leave_whole_files(self, tmp_path):
+        # Two runs of 2**19 trials write the same --out and --ledger at once; each path
+        # ends up holding one run's whole artifact, that of the run that renamed last.
+        def counterfactual(seed, out, ledger):
+            argv = ["-m", "bellsim.cli", "counterfactual", "--model", "lhv-uniform",
+                    "--trials", str(2**19), "--stats-trials", "1000", "--seed", str(seed),
+                    "--out", out, "--ledger", ledger]
+            return fresh.python(argv, tmp_path)
+
+        def at_once(*runs):
+            with concurrent.futures.ThreadPoolExecutor(len(runs)) as pool:
+                return list(pool.map(lambda run: counterfactual(*run), runs))
+
+        def digest(name):
+            return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+
+        shared = at_once((1, "o.json", "l.jsonl"), (2, "o.json", "l.jsonl"))
+        assert [(run.returncode, run.stdout) for run in shared] == [(0, "")] * 2, shared
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["l.jsonl", "o.json"]
+        final = [digest("o.json"), digest("l.jsonl")]
+        alone = at_once((1, "o1.json", "l1.jsonl"), (2, "o2.json", "l2.jsonl"))
+        assert [run.returncode for run in alone] == [0, 0]
+        assert final[0] in {digest("o1.json"), digest("o2.json")}
+        assert final[1] in {digest("l1.jsonl"), digest("l2.jsonl")}
+        for path in tmp_path.iterdir():  # 47 MB per ledger
+            path.unlink()
 
     @pytest.mark.parametrize("pattern", ["+-++", "xyz"])
     def test_pattern_flag_is_rejected(self, pattern, capsys):
@@ -764,7 +808,7 @@ needs_proc_status = pytest.mark.skipif(
 def test_ledger_at_the_cap_peaks_under_100_mb(model, tmp_path):
     # A ledger costs 4 bytes per trial plus one chunk's buffers, so at the
     # 2**19 cap it peaks within 8 MB of a 1,500-trial ledger.
-    from bellsim.counterfactual import MAX_LEDGER_TRIALS
+    from bellsim.config import MAX_LEDGER_TRIALS
 
     peaks = {}
     for trials in (MAX_LEDGER_TRIALS, 1500):

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellsim import counterfactual, models
+from bellsim.config import MAX_LEDGER_TRIALS
 from bellsim.counterfactual import (
-    MAX_LEDGER_TRIALS,
     TrialLedger,
     classify_definiteness,
     counterfactual_table,

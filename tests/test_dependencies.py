@@ -16,6 +16,7 @@ in its module.
 """
 
 import ast
+import functools
 import importlib
 import json
 import os
@@ -129,7 +130,7 @@ _LOADED_MODULES = [
     (["chsh", "--exact"], {"experiment", "models", "polytope"}, False),
     (["bomb", "--exact"], {"interferometer"}, False),
     (["bomb", "--trials", "10"], {"interferometer", "streams"}, True),
-    (["lhv-scan"], {"polytope", "models"}, False),
+    (["lhv-scan"], {"polytope"}, False),
     (["optimize"], {"optimize"}, False),
     (["landscape", "--resolution", "4"], {"optimize"}, False),
     (
@@ -306,14 +307,16 @@ for model in catalog().values():
     if model.kind in ("quantum", "nonlocal"):
         state = model.quantum_state()
         for x, y in PAIR_ORDER:
-            joint_probabilities(state, model.angle_for(x), model.angle_for(y))
+            direct = joint_probabilities(state, model.angle_for(x), model.angle_for(y))
+            assert model.distribution((x, y)) == direct, (model, x, y)
             solved += 1
 print(solved, "numpy" in sys.modules)
 """
 
 
 def test_born_rule_loads_no_numpy():
-    # Three catalog models are quantum or nonlocal, four setting pairs each.
+    # Three catalog models are quantum or nonlocal, four setting pairs each; a model's
+    # Born cell is the direct solve, with no sampling tables built.
     assert _run_fresh(_BORN_RULE) == "12 False"
 
 
@@ -370,7 +373,7 @@ EXPORTS = {
     ],
     "stats": [
         "ChshResult", "CoincidenceCounts", "CorrelationEstimate", "DEFAULT_SIGN_PATTERN",
-        "PAIR_ORDER", "SIGN_PATTERNS", "TSIRELSON_BOUND", "chsh_s",
+        "PAIR_ORDER", "SIGN_PATTERNS", "STRATEGIES", "TSIRELSON_BOUND", "chsh_s",
         "correlation", "counts_from_outcomes", "exact_chsh_s",
         "validate_sign_pattern",
     ],
@@ -409,15 +412,15 @@ def test_names_no_subcommand_reaches_are_not_exported(name):
     assert not [module.__name__ for module in _submodules() if hasattr(module, name)]
 
 
-def _top_level_imports(body):
-    """The import statements of a module body, in its top-level `if` and `try` blocks too."""
+def _top_level(body):
+    """The statements of a module body, in its top-level `if` and `try` blocks too."""
     for node in body:
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            yield node
-        elif isinstance(node, (ast.If, ast.Try)):
+        if isinstance(node, (ast.If, ast.Try)):
             handlers = [handler.body for handler in getattr(node, "handlers", ())]
             for block in (node.body, node.orelse, getattr(node, "finalbody", ()), *handlers):
-                yield from _top_level_imports(block)
+                yield from _top_level(block)
+        else:
+            yield node
 
 
 def _names_read(tree):
@@ -439,8 +442,9 @@ def _unused_imports(source):
     read = _names_read(tree)
     return [
         f"{node.lineno} {bound}"
-        for node in _top_level_imports(tree.body)
-        if not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for node in _top_level(tree.body)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
         for bound in (alias.asname or alias.name.partition(".")[0] for alias in node.names)
         if bound not in read
     ]
@@ -473,6 +477,67 @@ def test_import_scan_covers_the_package_and_tests():
 @pytest.mark.parametrize("path", SCANNED, ids=lambda path: str(path.relative_to(path.parents[1])))
 def test_every_top_level_import_is_read(path):
     assert _unused_imports(path.read_text()) == []
+
+
+@functools.cache
+def _defined_in(module):
+    """The names a bellsim module ("bellsim.stats") binds at top level other than by import."""
+    _, _, name = module.partition(".")
+    path = Path(bellsim.__file__).with_name(f"{name}.py") if name else Path(bellsim.__file__)
+    defined = set()
+    for node in _top_level(ast.parse(path.read_text()).body):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return defined
+
+
+def _misaddressed_imports(source, package=None):
+    """`line module.name` for each name imported from a bellsim module that does not define it.
+
+    An absolute import counts when it names bellsim or a bellsim module, and a relative one
+    is resolved in `package`; importing a submodule from its package is its one address.
+    """
+    submodules = {info.name for info in pkgutil.iter_modules(bellsim.__path__)}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level:
+            base = package.rsplit(".", node.level - 1)[0]
+            module = f"{base}.{node.module}" if node.module else base
+        else:
+            module = node.module
+        if module != "bellsim" and not module.startswith("bellsim."):
+            continue
+        for alias in node.names:
+            if module == "bellsim" and alias.name in submodules:
+                continue
+            if alias.name not in _defined_in(module):
+                found.append(f"{node.lineno} {module}.{alias.name}")
+    return found
+
+
+def test_address_check_sees_a_name_imported_from_another_module():
+    source = (
+        "from bellsim import streams\n"
+        "from bellsim.stats import PAIR_ORDER\n"
+        "def f():\n"
+        "    from bellsim.models import PAIR_ORDER, catalog\n"
+        "    from .config import MAX_LEDGER_TRIALS\n"
+        "    from .counterfactual import MAX_LEDGER_TRIALS\n"
+    )
+    assert _misaddressed_imports(source, "bellsim") == [
+        "4 bellsim.models.PAIR_ORDER", "6 bellsim.counterfactual.MAX_LEDGER_TRIALS"
+    ]
+
+
+@pytest.mark.parametrize("path", SCANNED, ids=lambda path: str(path.relative_to(path.parents[1])))
+def test_every_bellsim_name_is_imported_from_its_defining_module(path):
+    package = "bellsim" if path.parent == Path(bellsim.__file__).parent else None
+    assert _misaddressed_imports(path.read_text(), package) == []
 
 
 def test_version_unchanged():

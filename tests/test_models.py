@@ -17,7 +17,6 @@ from bellsim.models import (
     MODEL_KINDS,
     ModelDescriptor,
     SINGLET_OPTIMAL_ANGLES,
-    STRATEGIES,
     catalog,
     count_chunk,
     generate_outcomes,
@@ -27,7 +26,7 @@ from bellsim.models import (
     sample_outcomes,
 )
 from bellsim.quantum import expectation, joint_probabilities, make_named_state
-from bellsim.stats import PAIR_ORDER, correlation, counts_from_outcomes
+from bellsim.stats import PAIR_ORDER, STRATEGIES, correlation, counts_from_outcomes
 from bellsim.streams import (
     CHUNK,
     ChunkBuffers,

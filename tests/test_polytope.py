@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellsim.models import STRATEGIES, lhv_deterministic_model
+from bellsim.models import lhv_deterministic_model
 from bellsim.polytope import (
     VERTICES,
     CorrelationVector,
@@ -15,7 +15,7 @@ from bellsim.polytope import (
     facet_margin,
     local_membership,
 )
-from bellsim.stats import SIGN_PATTERNS
+from bellsim.stats import SIGN_PATTERNS, STRATEGIES
 
 from oracles import (
     brute_force_max_s,

@@ -108,10 +108,8 @@ CASES = [
             "cdf": None,
             "answers": None,
             "conditionals": None,
-            "distributions": None,
         },
-        "_SamplingTables(draws=2, cdf=None, answers=None, conditionals=None, "
-        "distributions=None)",
+        "_SamplingTables(draws=2, cdf=None, answers=None, conditionals=None)",
     ),
     (
         ModelDescriptor,
