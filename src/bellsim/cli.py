@@ -78,10 +78,12 @@ def _of_kind(name: str, kind: type, value: object):
 # A parser takes a value, its source (the flag, config key or environment
 # variable it came from) and the settings resolved before it.
 def _path(value: object, source: str, settings: dict) -> str:
-    """The path for --out or --ledger: a file, and for --ledger not the file --out names."""
+    """The path for --out or --ledger: a new or regular file, for --ledger not --out's file."""
     path, flag = _of_kind(source, str, value), "--" + source.lstrip("-")
     if path == "" or os.path.isdir(path):
         raise ConfigError(f"{flag} {echoed(path)} is empty or a directory; it must name a file")
+    if os.path.exists(path) and not os.path.isfile(path):  # a FIFO or a device, say
+        raise ConfigError(f"{flag} {echoed(path)} exists and is not a regular file")
     out = settings.get("out")
     if out and os.path.realpath(out) == os.path.realpath(path):
         raise ConfigError(f"--out and {flag} name the same file {out}")
@@ -242,17 +244,13 @@ def _cmd_chsh(settings: dict) -> tuple:
         results: dict = {"exact": True}
         measured = [{"value": value} for value in values]
     else:
-        outcome = run_chsh_experiment(model, trials, settings["seed"], pattern)
-        result = outcome.result
+        result = run_chsh_experiment(model, trials, settings["seed"], pattern)
         summary = (result.s_value, result.s_std_error, result.bound_class)
         results = {"exact": False, "trials_per_pair": trials}
         measured = [
-            {
-                "counts": {key: getattr(outcome.counts[pair], key) for key in _COUNT_KEYS},
-                "value": result.correlations[pair].value,
-                "std_error": result.correlations[pair].std_error,
-            }
-            for pair in PAIR_ORDER
+            {"counts": {key: getattr(estimate.counts, key) for key in _COUNT_KEYS},
+             "value": estimate.value, "std_error": estimate.std_error}
+            for estimate in result.correlations.values()
         ]
     results["pairs"] = [{"left": x, "right": y, **m} for (x, y), m in zip(PAIR_ORDER, measured)]
     results.update(zip(("s_value", "s_std_error", "bound_class"), summary))
@@ -317,8 +315,7 @@ def _cmd_counterfactual(settings: dict) -> tuple:
     model, trials, stats_trials = settings["model"], settings["trials"], settings["stats_trials"]
     ledger = record_run(model, np.resize(np.arange(4, dtype=np.int8), trials), settings["seed"])
     verdict = classify_definiteness(ledger, trials_for_stats=stats_trials)
-    evidence = verdict.evidence
-    witness, facet = evidence.feasibility, evidence.feasibility.violated_facet
+    witness, facet = verdict.feasibility, verdict.feasibility.violated_facet
     feasibility = {
         "feasible": witness.feasible,
         "weights": None if witness.weights is None else list(witness.weights),
@@ -335,18 +332,18 @@ def _cmd_counterfactual(settings: dict) -> tuple:
     }
     results = {
         "classification": verdict.classification,
-        "correlations": list(evidence.correlation_vector.as_tuple()),
+        "correlations": list(verdict.correlation_vector.as_tuple()),
         "feasibility": feasibility,
-        "feasibility_tolerance": evidence.feasibility_tolerance,
-        "cell_kinds": evidence.cell_kinds,
-        "trials_examined": evidence.trials_examined,
-        "factual_replays_matched": evidence.factual_replays_matched,
+        "feasibility_tolerance": verdict.feasibility_tolerance,
+        "cell_kinds": verdict.cell_kinds,
+        "trials_examined": verdict.trials_examined,
+        "factual_replays_matched": verdict.factual_replays_matched,
     }
     keys = ("feasibility_tolerance", "trials_examined", "factual_replays_matched")
     rows = [("classification", verdict.classification), ("feasible", witness.feasible)]
     rows += [(key, results[key]) for key in keys]
     rows += [(f"e_{x}{y}", value) for (x, y), value in zip(PAIR_ORDER, results["correlations"])]
-    rows += [(f"cells_{kind}", count) for kind, count in evidence.cell_kinds.items()]
+    rows += [(f"cells_{kind}", count) for kind, count in verdict.cell_kinds.items()]
     ledger_path = settings["ledger"]
     ledger_artifact = [] if ledger_path is None else [(ledger_path, ledger_blocks(ledger))]
     return config_echo, results, _kv_rows(rows), *ledger_artifact
@@ -398,8 +395,8 @@ def _cmd_landscape(settings: dict) -> tuple:
     results = {
         "row_label": grid.row_label,
         "col_label": grid.col_label,
-        "row_angles": grid.row_angles,
-        "col_angles": grid.col_angles,
+        "row_angles": grid.angles,
+        "col_angles": grid.angles,
         "values": grid.values,
     }
     return config_echo, results, grid.csv_rows()

@@ -107,19 +107,17 @@ class TrialLedger:
 
 
 @record
-class ClassificationEvidence:
+class DefinitenessVerdict:
+    """A classification and its evidence: sampled correlations, their local feasibility
+    and its facet slack, the ledger's cells by kind, its trials and those replayed exactly."""
+
+    classification: str  # "definite" | "semi-definite" | "indefinite"
     feasibility: FeasibilityVerdict
     correlation_vector: CorrelationVector
     feasibility_tolerance: float
     cell_kinds: Mapping[str, int]
     trials_examined: int
     factual_replays_matched: int
-
-
-@record
-class DefinitenessVerdict:
-    classification: str  # "definite" | "semi-definite" | "indefinite"
-    evidence: ClassificationEvidence
 
 
 def _ledger_pairs(schedule: "Sequence[SettingPair] | np.ndarray") -> np.ndarray:
@@ -186,7 +184,7 @@ def counterfactual_table(ledger: TrialLedger, trial_index: int) -> Counterfactua
 def classify_definiteness(
     ledger: TrialLedger, trials_for_stats: int = 100_000
 ) -> DefinitenessVerdict:
-    """Classify the ledger's model as definite, semi-definite or indefinite.
+    """Classify the ledger's model as definite, semi-definite or indefinite, with the evidence.
 
     Cell counts follow from the ledger length and the model kind, and
     every recorded trial is replayed at its factual settings, a CHUNK of
@@ -213,7 +211,7 @@ def classify_definiteness(
 
     stats = run_chsh_experiment(
         ledger.model, trials_for_stats, ledger.seed, stream_base=_STATS_STREAM_BASE
-    ).result
+    )
     vector = CorrelationVector(*(stats.correlations[pair].value for pair in PAIR_ORDER))
     tolerance = 5.0 * stats.s_std_error
     feasibility = local_membership(vector, facet_tolerance=tolerance)
@@ -224,8 +222,9 @@ def classify_definiteness(
         classification = "definite"
     else:
         classification = "semi-definite"
-    evidence = ClassificationEvidence(feasibility, vector, tolerance, cell_kinds, trials, matched)
-    return DefinitenessVerdict(classification, evidence)
+    return DefinitenessVerdict(
+        classification, feasibility, vector, tolerance, cell_kinds, trials, matched
+    )
 
 
 def ledger_blocks(ledger: TrialLedger) -> Iterator[str]:

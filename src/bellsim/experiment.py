@@ -9,30 +9,17 @@ both sample through it. Sampled runs never load the polytope module.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable
 
-from ._record import record
 from .models import ModelDescriptor, count_chunk
 from .quantum import expectation, sum_in_order
 from .stats import (
-    PAIR_ORDER,
-    ChshResult,
-    CoincidenceCounts,
-    DEFAULT_SIGN_PATTERN,
-    SettingPair,
-    chsh_s,
-    correlation,
+    PAIR_ORDER, ChshResult, CoincidenceCounts, DEFAULT_SIGN_PATTERN, chsh_s, correlation
 )
 
 if TYPE_CHECKING:
     from .polytope import CorrelationVector
     from .streams import ChunkBuffers
-
-
-@record
-class ChshExperimentResult:
-    counts: Mapping[SettingPair, CoincidenceCounts]
-    result: ChshResult
 
 
 def run_chsh_experiment(
@@ -41,8 +28,11 @@ def run_chsh_experiment(
     seed: int,
     sign_pattern: Iterable[int] = DEFAULT_SIGN_PATTERN,
     stream_base: int = 0,
-) -> ChshExperimentResult:
-    """Run trials for all four setting pairs, counted as one schedule of chunks, and estimate S."""
+) -> ChshResult:
+    """Run trials for all four setting pairs, counted as one schedule of chunks, and estimate S.
+
+    Each pair's CorrelationEstimate holds the CoincidenceCounts of its trials_per_pair trials.
+    """
     from .streams import map_chunks
 
     if trials_per_pair < 1:
@@ -53,9 +43,8 @@ def run_chsh_experiment(
         return count_chunk(model, pair, seed, buffers, start, size)
 
     ranges = [(stream_base + i * trials_per_pair, trials_per_pair) for i in range(len(PAIR_ORDER))]
-    counts = dict(zip(PAIR_ORDER, map_chunks(count, ranges, CoincidenceCounts.merge)))
-    estimates = {pair: correlation(counts[pair]) for pair in PAIR_ORDER}
-    return ChshExperimentResult(counts=counts, result=chsh_s(estimates, sign_pattern))
+    counts = map_chunks(count, ranges)
+    return chsh_s(dict(zip(PAIR_ORDER, map(correlation, counts))), sign_pattern)
 
 
 def model_exact_correlations(model: ModelDescriptor) -> CorrelationVector:

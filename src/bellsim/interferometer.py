@@ -75,5 +75,5 @@ def run_bomb_trials(spec: InterferometerSpec, trials: int, seed: int) -> dict[st
         u, = buffers.uniforms(seed, start, size, 1)
         return threshold_counts(cdf, u, buffers.work_rows(1, size)[0])
 
-    tally_all, = map_chunks(tally, [(0, trials)], np.add)
+    tally_all, = map_chunks(tally, [(0, trials)])
     return {name: float(tally_all[i] / trials) for i, name in enumerate(OUTCOMES)}

@@ -240,12 +240,17 @@ class ModelDescriptor:
         """Whether outcomes come from a hidden index; quantum and nonlocal draw Born outcomes."""
         return self.state is None
 
-    def distribution(self, settings: SettingPair) -> JointOutcomeDistribution:
-        """Born distribution at a setting pair (quantum and nonlocal kinds), in plain Python."""
+    @functools.cached_property
+    def _born(self) -> tuple[JointOutcomeDistribution, ...]:
+        """The Born distribution at each setting pair in PAIR_ORDER, solved on first use."""
         if self.state is None:
             raise ValueError(f"{self.kind} model has no Born distribution")
-        x, y = PAIR_ORDER[_pair_index(settings)]
-        return joint_probabilities(self.quantum_state(), self.angle_for(x), self.angle_for(y))
+        state = self.quantum_state()
+        return tuple(joint_probabilities(state, *map(self.angle_for, pair)) for pair in PAIR_ORDER)
+
+    def distribution(self, settings: SettingPair) -> JointOutcomeDistribution:
+        """Born distribution at a setting pair (quantum and nonlocal kinds), in plain Python."""
+        return self._born[_pair_index(settings)]
 
     def response(self, hidden: int, settings: SettingPair) -> tuple[int, int]:
         """Outcome pair that hidden index `hidden` answers at a setting pair."""
@@ -419,7 +424,7 @@ def _sample_range(
         if hidden is not None:
             hidden[rows] = own_hidden
 
-    map_chunks(sample, [(first, count)], None)
+    map_chunks(sample, [(first, count)])
     return outcomes, hidden
 
 

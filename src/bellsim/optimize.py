@@ -77,20 +77,19 @@ def optimize_angles(
 
 @record
 class LandscapeGrid:
-    """S on a 2-D angle slice; rows sweep row_label, columns sweep col_label."""
+    """S on a 2-D angle slice; rows sweep row_label and columns col_label over the same angles."""
 
     row_label: str
     col_label: str
-    row_angles: tuple[float, ...]
-    col_angles: tuple[float, ...]
+    angles: tuple[float, ...]
     values: tuple[tuple[float, ...], ...]
     fixed: Mapping[str, float]
     sign_pattern: tuple[int, ...]
 
     def csv_rows(self) -> Iterator[list[str]]:
         """The grid as CSV rows of reprs: a header of column angles, then one row per row angle."""
-        yield [f"{self.row_label}\\{self.col_label}", *map(repr, self.col_angles)]
-        for angle, row in zip(self.row_angles, self.values):
+        yield [f"{self.row_label}\\{self.col_label}", *map(repr, self.angles)]
+        for angle, row in zip(self.angles, self.values):
             yield [repr(angle), *map(repr, row)]
 
 
@@ -158,4 +157,4 @@ def s_landscape(
         directions[row_label] = row_direction
         q0, q1, k = _linear_in(matrix, col_label, directions, pattern)
         values.append(tuple([q0 * c + q1 * s + k for c, s in grid_directions]))
-    return LandscapeGrid(row_label, col_label, thetas, thetas, tuple(values), dict(fixed), pattern)
+    return LandscapeGrid(row_label, col_label, thetas, tuple(values), dict(fixed), pattern)

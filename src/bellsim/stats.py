@@ -76,8 +76,10 @@ class CoincidenceCounts:
     def total(self) -> int:
         return self.n_pp + self.n_pm + self.n_mp + self.n_mm
 
-    def merge(self, other: "CoincidenceCounts") -> "CoincidenceCounts":
+    def __add__(self, other: "CoincidenceCounts") -> "CoincidenceCounts":
         """Pairwise counter addition; associative and commutative."""
+        if not isinstance(other, CoincidenceCounts):
+            return NotImplemented
         return CoincidenceCounts(
             self.n_pp + other.n_pp,
             self.n_pm + other.n_pm,
@@ -102,11 +104,11 @@ def counts_from_outcomes(outcomes: np.ndarray) -> CoincidenceCounts:
 
 @record
 class CorrelationEstimate:
-    """Estimated correlation with its Wald standard error."""
+    """Estimated correlation with its Wald standard error, and the counts it was estimated from."""
 
     value: float
     std_error: float
-    total: int
+    counts: CoincidenceCounts
 
     def __post_init__(self) -> None:
         if abs(self.value) > 1.0:
@@ -122,12 +124,12 @@ def correlation(counts: CoincidenceCounts) -> CorrelationEstimate:
         raise ValueError("cannot estimate a correlation from zero counts")
     value = (counts.n_pp + counts.n_mm - counts.n_pm - counts.n_mp) / total
     std_error = math.sqrt(max(0.0, 1.0 - value * value) / total)
-    return CorrelationEstimate(value=value, std_error=std_error, total=total)
+    return CorrelationEstimate(value=value, std_error=std_error, counts=counts)
 
 
 @record
 class ChshResult:
-    """Four correlations combined into S, with uncertainty and bound class."""
+    """Four correlations, in PAIR_ORDER, combined into S, with uncertainty and bound class."""
 
     correlations: Mapping[SettingPair, CorrelationEstimate]
     s_value: float

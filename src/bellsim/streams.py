@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -242,19 +242,17 @@ def _workers(chunks: int) -> int:
 
 
 def map_chunks(
-    fn: Callable[[ChunkBuffers, int, int], object],
-    ranges: Sequence[tuple[int, int]],
-    fold: Optional[Callable[[object, object], object]],
+    fn: Callable[[ChunkBuffers, int, int], object], ranges: Sequence[tuple[int, int]]
 ) -> list:
-    """Per (first stream id, count) range, `fold` over fn(buffers, start, size) of its CHUNKs.
+    """Per (first stream id, count) range, the sum of fn(buffers, start, size) over its CHUNKs.
 
     No chunk spans two ranges, and a range of no ids gives None. The calling
     thread and up to _workers(chunks of the run) - 1 more each claim the next
-    unclaimed chunk with a ChunkBuffers of their own and fold its result into
-    its range's total as soon as it finishes, so `fold` must be associative
-    and commutative: an integer sum, or None where `fn` writes its chunk's
-    rows itself and gives None. The first exception any thread raises stops
-    every thread and is raised here.
+    unclaimed chunk with a ChunkBuffers of their own and add its result to
+    its range's total with `+` as soon as it finishes, so chunk results must
+    add associatively and commutatively: counts, or None where `fn` writes its
+    chunk's rows itself (a None is never added). The first exception any
+    thread raises stops every thread and is raised here.
     """
     claims = ((r, start) for r, (first, count) in enumerate(ranges)
               for start in range(first, first + count, CHUNK))
@@ -273,7 +271,7 @@ def map_chunks(
                 first, count = ranges[r]
                 result = fn(buffers, start, min(CHUNK, first + count - start))
                 with lock:
-                    totals[r] = result if totals[r] is None else fold(totals[r], result)
+                    totals[r] = result if totals[r] is None else totals[r] + result
         except BaseException as exc:  # raised again by the calling thread
             failures.append(exc)
 

@@ -81,11 +81,11 @@ def test_criterion_02_tsirelson_bound():
 def test_criterion_03_monte_carlo_violation():
     with criterion(3, "Monte Carlo violation: |S| near 2*sqrt(2), above 2 by > 3 sigma"):
         started = time.perf_counter()
-        outcome = run_chsh_experiment(catalog()["quantum-optimal"], 10**6, seed=42)
+        result = run_chsh_experiment(catalog()["quantum-optimal"], 10**6, seed=42)
         elapsed = time.perf_counter() - started
-        abs_s = abs(outcome.result.s_value)
+        abs_s = abs(result.s_value)
         assert abs(abs_s - TSIRELSON_BOUND) < 0.01
-        assert abs_s > 2.0 + 3.0 * outcome.result.s_std_error
+        assert abs_s > 2.0 + 3.0 * result.s_std_error
         assert elapsed < 30.0, f"took {elapsed:.1f} s"
 
 
@@ -98,17 +98,17 @@ def test_criterion_04_lhv_ceiling():
         for name, model in lhv_models.items():
             within = 0
             for seed in range(100):
-                outcome = run_chsh_experiment(model, 10**6, seed=seed)
-                if abs(outcome.result.s_value) <= 2.0 + 3.0 * outcome.result.s_std_error:
+                result = run_chsh_experiment(model, 10**6, seed=seed)
+                if abs(result.s_value) <= 2.0 + 3.0 * result.s_std_error:
                     within += 1
             assert within >= 99, f"{name}: only {within}/100 runs within the bound"
 
 
 def test_criterion_05_superdeterministic_maximum():
     with criterion(5, "superdeterministic maximum: PR table reaches S = 4"):
-        outcome = run_chsh_experiment(catalog()["pr-box"], 10**6, seed=0)
-        assert abs(outcome.result.s_value - 4.0) < 0.01
-        assert outcome.result.bound_class == "algebraic"
+        result = run_chsh_experiment(catalog()["pr-box"], 10**6, seed=0)
+        assert abs(result.s_value - 4.0) < 0.01
+        assert result.bound_class == "algebraic"
 
 
 def test_criterion_06_estimator_exactness():
@@ -193,7 +193,8 @@ def test_criterion_09_no_signalling():
         for seed in range(10):
             angles = tuple(float(t) for t in rng.uniform(0.0, 2.0 * math.pi, 4))
             model = ModelDescriptor(kind="quantum", state="psi_minus", angles=angles)
-            counts = run_chsh_experiment(model, 10**6, seed).counts
+            result = run_chsh_experiment(model, 10**6, seed)
+            counts = {pair: estimate.counts for pair, estimate in result.correlations.items()}
             for difference, threshold in marginal_comparisons(counts):
                 assert difference < threshold, (seed, difference, threshold)
 

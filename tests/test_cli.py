@@ -8,6 +8,7 @@ import os
 import re
 import shlex
 import signal
+import stat
 import warnings
 from pathlib import Path
 
@@ -454,6 +455,14 @@ class TestLandscapeCommand:
         assert results["col_label"] == "a'"
         assert len(results["values"]) == 4
 
+    def test_json_grid_writes_its_one_angle_tuple_under_both_keys(self, capsys):
+        code, stdout, _ = _run(["landscape", "--resolution", "4", "--format", "json"], capsys)
+        assert code == 0
+        results = json.loads(stdout)["results"]
+        angles = [math.pi * i / 4 for i in range(4)]
+        assert results["row_angles"] == results["col_angles"] == angles
+        assert [len(row) for row in results["values"]] == [4] * 4
+
     def test_bad_fixed(self, capsys):
         code, _, _ = _run(["landscape", "--fixed", "a=0"], capsys)
         assert code == 2
@@ -612,6 +621,37 @@ def test_empty_or_directory_output_path_exits_2_writing_nothing(
     assert sorted(p.name for p in tmp_path.iterdir()) == expected
     assert (tmp_path / ".tmp").read_text() == "kept\n"
     assert not any((tmp_path / "outdir").iterdir())
+
+
+# A FIFO for --out or --ledger, as a flag or a config key: renaming a staged file
+# onto it would put a regular file in its place.
+NOT_REGULAR_PATHS = [
+    (["chsh", "--exact", "--out", "pipe"], None, "--out 'pipe'"),
+    (["chsh", "--exact"], 'out = "pipe"', "--out 'pipe'"),
+    (["counterfactual", "--out", "r.json", "--ledger", "pipe"], None, "--ledger 'pipe'"),
+    (["counterfactual", "--out", "r.json"], 'ledger = "pipe"', "--ledger 'pipe'"),
+]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+@pytest.mark.parametrize("argv,line,named", NOT_REGULAR_PATHS)
+def test_output_path_that_is_no_regular_file_exits_2_writing_nothing(
+    argv, line, named, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    os.mkfifo(tmp_path / "pipe")
+    if argv[0] == "counterfactual":
+        argv = argv + ["--model", "lhv-uniform", "--trials", "8", "--stats-trials", "100"]
+    if line is not None:
+        (tmp_path / "run.cfg").write_text(line + "\n")
+        argv = argv + ["--config", "run.cfg"]
+    code, stdout, stderr = _run(argv, capsys)
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"bellsim: configuration error: {named} exists and is not a regular file\n"
+    expected = ["pipe"] + ([] if line is None else ["run.cfg"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == expected
+    assert stat.S_ISFIFO(os.stat(tmp_path / "pipe").st_mode)
 
 
 def test_integral_float_strategy_is_that_strategy(capsys):

@@ -213,7 +213,7 @@ class TestTable:
 
 
 def _empirical_vector(model, trials_per_pair, seed):
-    result = run_chsh_experiment(model, trials_per_pair, seed).result
+    result = run_chsh_experiment(model, trials_per_pair, seed)
     return CorrelationVector(*(result.correlations[pair].value for pair in PAIR_ORDER))
 
 
@@ -250,8 +250,8 @@ class TestJointAssignment:
 
         monkeypatch.setattr(counterfactual, "local_membership", spy)
         ledger = record_run(catalog()["quantum-optimal"], SCHEDULE, seed=5)
-        evidence = classify_definiteness(ledger, trials_for_stats=1000).evidence
-        assert calls == [(evidence.correlation_vector, evidence.feasibility_tolerance)]
+        verdict = classify_definiteness(ledger, trials_for_stats=1000)
+        assert calls == [(verdict.correlation_vector, verdict.feasibility_tolerance)]
         rng = np.random.default_rng(12)
         for _ in range(100):
             vector = CorrelationVector(*rng.uniform(-1.0, 1.0, 4))
@@ -269,15 +269,15 @@ class TestClassification:
             ledger = record_run(model, SCHEDULE[:40], seed=13)
             verdict = classify_definiteness(ledger, trials_for_stats=50_000)
             assert verdict.classification == "definite"
-            assert verdict.evidence.feasibility.feasible
-            assert verdict.evidence.factual_replays_matched == 40
+            assert verdict.feasibility.feasible
+            assert verdict.factual_replays_matched == 40
 
     def test_quantum_semi_definite(self):
         ledger = record_run(catalog()["quantum-optimal"], SCHEDULE[:40], seed=14)
         verdict = classify_definiteness(ledger, trials_for_stats=100_000)
         assert verdict.classification == "semi-definite"
-        assert not verdict.evidence.feasibility.feasible
-        assert verdict.evidence.cell_kinds["distribution"] > 0
+        assert not verdict.feasibility.feasible
+        assert verdict.cell_kinds["distribution"] > 0
 
     def test_nonlocal_semi_definite(self):
         ledger = record_run(catalog()["nonlocal-optimal"], SCHEDULE[:40], seed=15)
@@ -290,7 +290,7 @@ class TestClassification:
             ledger = record_run(model, SCHEDULE[:40], seed=16)
             verdict = classify_definiteness(ledger, trials_for_stats=50_000)
             assert verdict.classification == "indefinite"
-            assert verdict.evidence.cell_kinds["undefined"] > 0
+            assert verdict.cell_kinds["undefined"] > 0
 
     def test_cell_kinds_equal_tally_of_every_table(self):
         for name, model in catalog().items():
@@ -300,8 +300,8 @@ class TestClassification:
                 for cell in counterfactual_table(ledger, index).cells.values():
                     tally[cell.kind] += 1
             verdict = classify_definiteness(ledger, trials_for_stats=100)
-            assert verdict.evidence.cell_kinds == tally, name
-            assert list(verdict.evidence.cell_kinds) == list(tally), name
+            assert verdict.cell_kinds == tally, name
+            assert list(verdict.cell_kinds) == list(tally), name
 
     def test_empty_ledger_rejected(self):
         ledger = record_run(catalog()["quantum-optimal"], [("a", "b")], seed=0)
@@ -338,7 +338,7 @@ class TestClassification:
         edited = [3, CHUNK - 1, CHUNK, CHUNK + 9]
         ledger.outcomes[edited] *= -1
         verdict = classify_definiteness(ledger, trials_for_stats=10)
-        assert verdict.evidence.factual_replays_matched == CHUNK + 10 - len(edited)
+        assert verdict.factual_replays_matched == CHUNK + 10 - len(edited)
 
 
 class TestLedgerText:
@@ -359,7 +359,7 @@ class TestLedgerText:
         )
         assert ledger_text(ledger) == expected
         verdict = classify_definiteness(ledger, trials_for_stats=10)
-        assert verdict.evidence.factual_replays_matched == trials
+        assert verdict.factual_replays_matched == trials
 
     def test_pieces_hold_at_most_4096_lines(self):
         # The sampled trials are checked above; this checks the lines past one chunk.

@@ -297,6 +297,21 @@ def test_state_and_angle_overrides_solve_born_rule_once(monkeypatch, spec, overr
     assert len(calls) == 4
 
 
+def test_a_models_born_distributions_are_solved_once(monkeypatch):
+    from bellsim.config import resolve_model
+    from bellsim.counterfactual import counterfactual_table, record_run
+    from bellsim.quantum import joint_probabilities
+    from bellsim.stats import PAIR_ORDER
+
+    calls = _count_born_solves(monkeypatch)
+    ledger = record_run(resolve_model("quantum-optimal"), list(PAIR_ORDER) * 250, seed=3)
+    tables = [counterfactual_table(ledger, i) for i in range(1000)]
+    assert len(calls) <= 4  # one per setting pair, solved when the ledger was sampled
+    cell = tables[1].cells[("a", "b")]  # trial 1 measured (a, b')
+    assert cell.kind == "distribution"
+    assert cell.distribution == joint_probabilities(*calls[0])
+
+
 _BORN_RULE = """
 import sys
 from bellsim.models import catalog
@@ -353,9 +368,7 @@ EXPORTS = {
         "classify_definiteness", "counterfactual_table",
         "ledger_text", "record_run", "replay_counterfactual",
     ],
-    "experiment": [
-        "ChshExperimentResult", "model_exact_correlations", "run_chsh_experiment",
-    ],
+    "experiment": ["model_exact_correlations", "run_chsh_experiment"],
     "interferometer": ["InterferometerSpec", "port_probabilities", "run_bomb_trials"],
     "models": [
         "CATALOG", "ModelDescriptor", "SINGLET_OPTIMAL_ANGLES",
@@ -407,6 +420,7 @@ def test_package_holds_only_its_version_and_submodules():
     "no_signalling_check", "NoSignallingReport", "correlation_fraction",
     "enumerate_deterministic_strategies", "strategy_correlation", "read_ledger_records",
     "quantum_model", "nonlocal_model", "lhv_stochastic_model", "superdeterministic_model",
+    "ChshExperimentResult", "ClassificationEvidence",
 ])
 def test_names_no_subcommand_reaches_are_not_exported(name):
     assert not [module.__name__ for module in _submodules() if hasattr(module, name)]

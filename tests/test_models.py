@@ -50,6 +50,12 @@ UNIFORM_LHV = ModelDescriptor(kind="lhv_stochastic", weights=[1.0 / 16.0] * 16)
 PR_BOX = ModelDescriptor(kind="superdeterministic", table=pr_box_table(1.0))
 
 
+def _counts(*args, **kwargs) -> dict:
+    """Each setting pair's coincidence counts in run_chsh_experiment(*args, **kwargs)."""
+    result = run_chsh_experiment(*args, **kwargs)
+    return {pair: estimate.counts for pair, estimate in result.correlations.items()}
+
+
 class TestLhvStrategy:
     """STRATEGIES: the signs (a, a', b, b') of each deterministic strategy, by index."""
 
@@ -289,12 +295,22 @@ class TestBatchGeneration:
     def test_chunked_tally_matches_generated_outcomes(self, threads, monkeypatch):
         model = catalog()["lhv-uniform"]
         trials = 2 * 65_536 + 100
-        counts = run_chsh_experiment(model, trials, 4, stream_base=10).counts
+        counts = _counts(model, trials, 4, stream_base=10)
         monkeypatch.setattr(streams, "_workers", lambda chunks: threads)
         for pair_index, pair in enumerate(PAIR_ORDER):
             start = 10 + pair_index * trials
             outcomes = generate_outcomes(model, pair, 4, start, trials, threads=threads)
             assert counts[pair] == counts_from_outcomes(outcomes)
+
+    def test_each_estimate_holds_the_counts_it_was_estimated_from(self):
+        # One chunk and a bit per pair, so each pair's counts add two chunks.
+        for name, model in catalog().items():
+            result = run_chsh_experiment(model, CHUNK + 7, 6)
+            assert list(result.correlations) == list(PAIR_ORDER), name
+            for estimate in result.correlations.values():
+                assert estimate.counts.total == CHUNK + 7, name
+                assert estimate.value == correlation(estimate.counts).value, name
+                assert estimate == correlation(estimate.counts), name
 
 
 # Every catalog model (among them lhv-edge, whose 14 zero-weight strategies
@@ -359,7 +375,7 @@ class TestFusedCounts:
         for pair_index, pair in enumerate(PAIR_ORDER):
             start = CHUNK - 150 + pair_index * trials
             outcomes = generate_outcomes(model, pair, 8, start, trials)
-            counts = run.counts[pair]
+            counts = run.correlations[pair].counts
             assert counts == counts_from_outcomes(outcomes)
             assert all(type(n) is int for n in vars(counts).values())
 
@@ -371,7 +387,7 @@ class TestFusedCounts:
         for workers in (1, 2, 3):
             monkeypatch.setattr(streams, "_workers", lambda chunks: workers)
             runs.append((
-                [run_chsh_experiment(m, count, 5, stream_base=start).counts
+                [_counts(m, count, 5, stream_base=start)
                  for m in CATALOG_MODELS.values()],
                 generate_outcomes(CATALOG_MODELS["lhv-uniform"], ("a", "b'"), 5, start, count),
                 run_bomb_trials(spec, count, 5),
@@ -429,7 +445,7 @@ class TestFusedCounts:
                     with pytest.raises(ValueError, match="trials_per_pair"):
                         run_chsh_experiment(model, count, seed, stream_base=start)
                     continue
-                counts = run_chsh_experiment(model, count, seed, stream_base=start).counts
+                counts = _counts(model, count, seed, stream_base=start)
                 for pair in PAIR_ORDER:
                     assert counts[pair] == expected[name, pair]
 
@@ -443,7 +459,7 @@ class TestFusedCounts:
             outcomes = generate_outcomes(model, pair, seed, start, CHUNK + extra)
             head = count_chunk(model, pair, seed, ChunkBuffers(), start, CHUNK)
             tail = count_chunk(model, pair, seed, ChunkBuffers(), start + CHUNK, extra)
-            assert head.merge(tail) == counts_from_outcomes(outcomes)
+            assert head + tail == counts_from_outcomes(outcomes)
             # The row as sampled, each threshold repeated (a zero-probability
             # index after each), and +inf thresholds appended that no uniform reaches.
             buffers = ChunkBuffers()
@@ -604,7 +620,7 @@ class TestQuantumFidelity:
 class TestNoSignalling:
     def test_quantum_marginals_balanced(self):
         model = catalog()["quantum-optimal"]
-        comparisons = marginal_comparisons(run_chsh_experiment(model, 10**6, 11).counts)
+        comparisons = marginal_comparisons(_counts(model, 10**6, 11))
         assert max(difference for difference, _ in comparisons) < 0.004
         assert all(difference <= threshold for difference, threshold in comparisons)
         assert model.unperformed_cell != "undefined"
@@ -612,14 +628,14 @@ class TestNoSignalling:
     def test_pr_box_flagged_at_hidden_level(self):
         assert PR_BOX.unperformed_cell == "undefined"
         # PR-box marginals are uniform, so the measured level passes
-        comparisons = marginal_comparisons(run_chsh_experiment(PR_BOX, 10**5, 13).counts)
+        comparisons = marginal_comparisons(_counts(PR_BOX, 10**5, 13))
         assert all(difference <= threshold for difference, threshold in comparisons)
 
     @pytest.mark.parametrize("name", ["quantum-optimal", "nonlocal-optimal", "lhv-uniform", "pr-box"])
     def test_marginals_equal_outcome_array_means(self, name):
         model = catalog()[name]
         trials = CHUNK + 4_000
-        measured = marginals(run_chsh_experiment(model, trials, 5).counts)
+        measured = marginals(_counts(model, trials, 5))
         for pair_index, pair in enumerate(PAIR_ORDER):
             outcomes = generate_outcomes(model, pair, 5, pair_index * trials, trials)
             p_left = float(np.mean(outcomes[:, 0] == 1))
@@ -627,7 +643,7 @@ class TestNoSignalling:
             assert measured[pair] == (p_left, p_right)
 
     def test_uniform_lhv_marginals(self):
-        comparisons = marginal_comparisons(run_chsh_experiment(UNIFORM_LHV, 10**6, 17).counts)
+        comparisons = marginal_comparisons(_counts(UNIFORM_LHV, 10**6, 17))
         assert max(difference for difference, _ in comparisons) < 0.004
         assert all(difference <= threshold for difference, threshold in comparisons)
         assert UNIFORM_LHV.unperformed_cell != "undefined"

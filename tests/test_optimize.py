@@ -151,8 +151,8 @@ class TestLandscape:
             make_named_state("psi_minus"), {"a": 0.0, "a'": math.pi / 2.0}, 24
         )
         assert grid.row_label == "b" and grid.col_label == "b'"
-        for i, tb in enumerate(grid.row_angles):
-            for j, tbp in enumerate(grid.col_angles):
+        for i, tb in enumerate(grid.angles):
+            for j, tbp in enumerate(grid.angles):
                 value = grid.values[i][j]
                 assert value == pytest.approx(_singlet_slice_formula(tb, tbp), abs=1e-12)
                 reflected = _singlet_slice_formula(math.pi - tbp, math.pi - tb)
@@ -170,8 +170,8 @@ class TestLandscape:
         grid = s_landscape(TwoQubitState(amplitudes), fixed, 5, pattern)
         labels = ("a", "a'", "b", "b'")
         assert len(grid.values) == 5 and all(len(row) == 5 for row in grid.values)
-        for i, row_angle in enumerate(grid.row_angles):
-            for j, col_angle in enumerate(grid.col_angles):
+        for i, row_angle in enumerate(grid.angles):
+            for j, col_angle in enumerate(grid.angles):
                 assembled = {**fixed, grid.row_label: row_angle, grid.col_label: col_angle}
                 expected = kron_chsh_s(amplitudes, [assembled[k] for k in labels], pattern)
                 assert grid.values[i][j] == pytest.approx(expected, abs=1e-12)
@@ -210,8 +210,8 @@ class TestLandscape:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         corner = f"{grid.row_label}\\{grid.col_label}"
-        writer.writerow([corner] + [repr(float(t)) for t in grid.col_angles])
-        for angle, row in zip(grid.row_angles, grid.values):
+        writer.writerow([corner] + [repr(float(t)) for t in grid.angles])
+        for angle, row in zip(grid.angles, grid.values):
             writer.writerow([repr(float(angle))] + [repr(float(v)) for v in row])
         assert "".join(_csv_lines(grid.csv_rows())) == buffer.getvalue()
 

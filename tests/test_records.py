@@ -19,13 +19,11 @@ import pytest
 
 import bellsim
 from bellsim.counterfactual import (
-    ClassificationEvidence,
     CounterfactualCell,
     CounterfactualTable,
     DefinitenessVerdict,
     TrialLedger,
 )
-from bellsim.experiment import ChshExperimentResult
 from bellsim.interferometer import InterferometerSpec
 from bellsim.models import (
     ModelDescriptor,
@@ -43,9 +41,10 @@ MODEL_REPR = (
     "ModelDescriptor(kind='quantum', state='psi_minus', angles=(0.0, 1.0, 2.0, 3.0), "
     "weights=None, table=None)"
 )
-ESTIMATE = CorrelationEstimate(0.5, 0.25, 16)
-ESTIMATE_REPR = "CorrelationEstimate(value=0.5, std_error=0.25, total=16)"
-CHSH = ChshResult({("a", "b"): ESTIMATE}, 0.5, 0.25, PATTERN, "local")
+COUNTS = CoincidenceCounts(7, 2, 2, 5)
+COUNTS_REPR = "CoincidenceCounts(n_pp=7, n_pm=2, n_mp=2, n_mm=5)"
+ESTIMATE = CorrelationEstimate(0.5, 0.25, COUNTS)
+ESTIMATE_REPR = f"CorrelationEstimate(value=0.5, std_error=0.25, counts={COUNTS_REPR})"
 CHSH_REPR = (
     f"ChshResult(correlations={{('a', 'b'): {ESTIMATE_REPR}}}, s_value=0.5, s_std_error=0.25, "
     "sign_pattern=(1, -1, 1, 1), bound_class='local')"
@@ -59,12 +58,6 @@ VECTOR_REPR = "CorrelationVector(e_ab=0.5, e_abp=0.5, e_apb=0.5, e_apbp=-0.5)"
 CELL = CounterfactualCell("definite", (1, -1), None)
 CELL_REPR = "CounterfactualCell(kind='definite', outcome=(1, -1), distribution=None)"
 RECORD_REPR = "TrialRecord(settings=('a', 'b'), outcomes=(1, -1), hidden=None, stream_id=3)"
-EVIDENCE = ClassificationEvidence(VERDICT, VECTOR, 0.125, {"definite": 4}, 4, 4)
-EVIDENCE_REPR = (
-    f"ClassificationEvidence(feasibility={VERDICT_REPR}, correlation_vector={VECTOR_REPR}, "
-    "feasibility_tolerance=0.125, cell_kinds={'definite': 4}, trials_examined=4, "
-    "factual_replays_matched=4)"
-)
 
 # Each record class, its fields in order with valid values, and its repr.
 CASES = [
@@ -84,7 +77,7 @@ CASES = [
         {"n_pp": 1, "n_pm": 2, "n_mp": 3, "n_mm": 4},
         "CoincidenceCounts(n_pp=1, n_pm=2, n_mp=3, n_mm=4)",
     ),
-    (CorrelationEstimate, {"value": 0.5, "std_error": 0.25, "total": 16}, ESTIMATE_REPR),
+    (CorrelationEstimate, {"value": 0.5, "std_error": 0.25, "counts": COUNTS}, ESTIMATE_REPR),
     (
         ChshResult,
         {
@@ -139,20 +132,14 @@ CASES = [
         {
             "row_label": "a",
             "col_label": "b",
-            "row_angles": (0.0,),
-            "col_angles": (0.0, 1.0),
-            "values": ((1.0, 2.0),),
+            "angles": (0.0, 1.0),
+            "values": ((1.0, 2.0), (3.0, 4.0)),
             "fixed": {"a'": 0.0, "b'": 1.0},
             "sign_pattern": PATTERN,
         },
-        "LandscapeGrid(row_label='a', col_label='b', row_angles=(0.0,), col_angles=(0.0, 1.0), "
-        "values=((1.0, 2.0),), fixed={\"a'\": 0.0, \"b'\": 1.0}, sign_pattern=(1, -1, 1, 1))",
-    ),
-    (
-        ChshExperimentResult,
-        {"counts": {("a", "b"): CoincidenceCounts(1, 2, 3, 4)}, "result": CHSH},
-        "ChshExperimentResult(counts={('a', 'b'): CoincidenceCounts(n_pp=1, n_pm=2, n_mp=3, "
-        f"n_mm=4)}}, result={CHSH_REPR})",
+        "LandscapeGrid(row_label='a', col_label='b', angles=(0.0, 1.0), "
+        "values=((1.0, 2.0), (3.0, 4.0)), fixed={\"a'\": 0.0, \"b'\": 1.0}, "
+        "sign_pattern=(1, -1, 1, 1))",
     ),
     (
         InterferometerSpec,
@@ -179,8 +166,9 @@ CASES = [
         "outcomes=array([[ 1, -1]], dtype=int8), hidden=None)",
     ),
     (
-        ClassificationEvidence,
+        DefinitenessVerdict,
         {
+            "classification": "definite",
             "feasibility": VERDICT,
             "correlation_vector": VECTOR,
             "feasibility_tolerance": 0.125,
@@ -188,12 +176,9 @@ CASES = [
             "trials_examined": 4,
             "factual_replays_matched": 4,
         },
-        EVIDENCE_REPR,
-    ),
-    (
-        DefinitenessVerdict,
-        {"classification": "definite", "evidence": EVIDENCE},
-        f"DefinitenessVerdict(classification='definite', evidence={EVIDENCE_REPR})",
+        f"DefinitenessVerdict(classification='definite', feasibility={VERDICT_REPR}, "
+        f"correlation_vector={VECTOR_REPR}, feasibility_tolerance=0.125, "
+        "cell_kinds={'definite': 4}, trials_examined=4, factual_replays_matched=4)",
     ),
 ]
 IDS = [cls.__name__ for cls, *_ in CASES]
@@ -209,7 +194,7 @@ INVALID = {
         {(1, 1): 0.5, (1, -1): 0.5, (-1, 1): 0.5, (-1, -1): 0.5}
     ),
     CoincidenceCounts: lambda: CoincidenceCounts(n_mp=-1),
-    CorrelationEstimate: lambda: CorrelationEstimate(1.5, 0.25, 16),
+    CorrelationEstimate: lambda: CorrelationEstimate(1.5, 0.25, COUNTS),
     ChshResult: lambda: ChshResult({}, 5.0, 0.0, PATTERN, "algebraic"),
     ModelDescriptor: lambda: ModelDescriptor("quantum", "psi_minus"),
     CorrelationVector: lambda: CorrelationVector(0.5, 0.5, 1.5, 0.5),
@@ -249,7 +234,7 @@ def _record_classes():
 
 def test_every_record_class_is_covered():
     assert _record_classes() == {cls for cls, *_ in CASES}
-    assert len(CASES) == 20
+    assert len(CASES) == 18
 
 
 def test_every_post_init_check_is_covered():
@@ -370,10 +355,6 @@ class _CoincidenceCountsTwin:
     __post_init__ = CoincidenceCounts.__post_init__
 
 
-def _best_seconds(build, rounds=15, number=2000):
-    return min(timeit.repeat(build, number=number, repeat=rounds))
-
-
 @pytest.mark.parametrize(
     "record,twin",
     [
@@ -389,7 +370,7 @@ def test_positional_construction_stays_within_twice_the_compiled_cost(record, tw
     # through keyword binding for positional calls would cost more than twice.
     assert repr(record()).partition("(")[2] == repr(twin()).partition("(")[2]
     record_s = twin_s = math.inf
-    for _ in range(3):  # interleaved, so a slow spell of the machine hits both
-        record_s = min(record_s, _best_seconds(record))
-        twin_s = min(twin_s, _best_seconds(twin))
+    for _ in range(45):  # alternated round by round, so a slow spell of the machine hits both
+        record_s = min(record_s, timeit.timeit(record, number=2000))
+        twin_s = min(twin_s, timeit.timeit(twin, number=2000))
     assert record_s <= 2.0 * twin_s

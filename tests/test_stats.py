@@ -41,14 +41,19 @@ class TestCounts:
         counts = CoincidenceCounts()
         for _ in range(1000):
             outcome = (int(rng.choice([1, -1])), int(rng.choice([1, -1])))
-            counts = counts.merge(counts_from_outcomes(np.array([outcome])))
+            counts = counts + counts_from_outcomes(np.array([outcome]))
         assert counts.total == 1000
 
-    def test_merge(self):
+    def test_add(self):
         a = CoincidenceCounts(1, 2, 3, 4)
         b = CoincidenceCounts(10, 20, 30, 40)
-        assert a.merge(b) == CoincidenceCounts(11, 22, 33, 44)
-        assert a.merge(b) == b.merge(a)
+        assert a + b == CoincidenceCounts(11, 22, 33, 44)
+        assert a + b == b + a
+
+    @pytest.mark.parametrize("other", [1, (1, 2, 3, 4), None])
+    def test_adding_anything_but_counts_is_a_type_error(self, other):
+        with pytest.raises(TypeError):
+            CoincidenceCounts(1, 2, 3, 4) + other
 
     def test_counts_from_outcomes_matches_fold(self):
         rng = np.random.default_rng(3)
@@ -84,6 +89,7 @@ class TestCorrelation:
         estimate = correlation(counts)
         assert abs(estimate.value - 0.5) < 1e-15
         assert estimate.std_error == pytest.approx(math.sqrt(0.75 / 200.0), abs=1e-15)
+        assert estimate.counts is counts
 
     def test_zero_total_is_error(self):
         with pytest.raises(ValueError, match="zero"):
@@ -91,9 +97,9 @@ class TestCorrelation:
 
     def test_estimate_validation(self):
         with pytest.raises(ValueError):
-            CorrelationEstimate(value=1.5, std_error=0.0, total=10)
+            CorrelationEstimate(value=1.5, std_error=0.0, counts=CoincidenceCounts(n_pp=10))
         with pytest.raises(ValueError):
-            CorrelationEstimate(value=0.0, std_error=1.5, total=10)
+            CorrelationEstimate(value=0.0, std_error=1.5, counts=CoincidenceCounts(5, 0, 0, 5))
 
 
 class TestSignPatterns:
@@ -111,7 +117,7 @@ class TestSignPatterns:
 
 def _estimates(values):
     return {
-        pair: CorrelationEstimate(value=v, std_error=0.0, total=1)
+        pair: CorrelationEstimate(value=v, std_error=0.0, counts=CoincidenceCounts(n_pp=1))
         for pair, v in zip(PAIR_ORDER, values)
     }
 
@@ -155,8 +161,9 @@ class TestChshS:
         assert classify_bound(TSIRELSON_BOUND + 0.035, 0.01) == "algebraic"
 
     def test_quadrature_error(self):
+        counts = CoincidenceCounts(25, 25, 25, 25)
         estimates = {
-            pair: CorrelationEstimate(value=0.0, std_error=0.01, total=100)
+            pair: CorrelationEstimate(value=0.0, std_error=0.01, counts=counts)
             for pair in PAIR_ORDER
         }
         assert chsh_s(estimates).s_std_error == pytest.approx(0.02, abs=1e-15)

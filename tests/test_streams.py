@@ -1,4 +1,3 @@
-import operator
 import os
 import sys
 import threading
@@ -203,7 +202,7 @@ def _gather(fn, ranges):
     # + on lists gathers each range's chunk results in the order the chunks
     # finished, which map_chunks leaves open; sorted, they compare in id order.
     return [None if chunks is None else sorted(chunks)
-            for chunks in streams.map_chunks(fn, ranges, operator.add)]
+            for chunks in streams.map_chunks(fn, ranges)]
 
 
 def test_map_chunks_gives_every_chunk_once_at_any_worker_count(monkeypatch):
@@ -228,25 +227,26 @@ def test_no_chunk_spans_two_ranges_that_meet_inside_a_chunk(monkeypatch):
     for workers in (1, 2, 3):
         monkeypatch.setattr(streams, "_workers", lambda chunks: workers)
         assert _gather(_sizes, ranges) == expected
-    assert streams.map_chunks(lambda b, start, size: size, ranges, operator.add) == [
+    assert streams.map_chunks(lambda b, start, size: size, ranges) == [
         CHUNK + 105, CHUNK + 1, None]
 
 
 def test_a_chunk_is_folded_without_waiting_for_earlier_chunks(monkeypatch):
-    # The first chunk finishes only once the two after it have been folded.
+    # The first chunk finishes only once the two after it have been added.
     monkeypatch.setattr(streams, "_workers", lambda chunks: 2)
-    folded = threading.Event()
+    added = threading.Event()
+
+    class Size(int):
+        def __add__(self, other):
+            added.set()
+            return Size(int(self) + other)
 
     def chunk_size(buffers, start, size):
         if start == 0:
-            assert folded.wait(timeout=10.0), "a later chunk waited for the first one"
-        return size
+            assert added.wait(timeout=10.0), "a later chunk waited for the first one"
+        return Size(size)
 
-    def add(total, size):
-        folded.set()
-        return total + size
-
-    assert streams.map_chunks(chunk_size, [(0, 2 * CHUNK + 1)], add) == [2 * CHUNK + 1]
+    assert streams.map_chunks(chunk_size, [(0, 2 * CHUNK + 1)]) == [2 * CHUNK + 1]
     assert threading.active_count() == 1
 
 
@@ -271,7 +271,7 @@ def test_many_workers_switching_often_run_every_chunk_once(monkeypatch):
         for _ in range(3):
             calls.clear()
             rows.fill(np.nan)
-            assert streams.map_chunks(draw, [(5, 4000)], None) == [None]
+            assert streams.map_chunks(draw, [(5, 4000)]) == [None]
             assert sorted(calls) == list(range(5, 4005, 16))
             assert np.array_equal(rows, expected)
     finally:
