@@ -82,10 +82,11 @@ def _path(value: object, source: str, settings: dict) -> str:
     path, flag = _of_kind(source, str, value), "--" + source.lstrip("-")
     if path == "" or os.path.isdir(path):
         raise ConfigError(f"{flag} {echoed(path)} is empty or a directory; it must name a file")
-    if os.path.exists(path) and not os.path.isfile(path):  # a FIFO or a device, say
+    real = os.path.realpath(path)  # a link that loops is left a link
+    if os.path.lexists(real) and not os.path.isfile(real):  # a FIFO, a device or a loop, say
         raise ConfigError(f"{flag} {echoed(path)} exists and is not a regular file")
     out = settings.get("out")
-    if out and os.path.realpath(out) == os.path.realpath(path):
+    if out and os.path.realpath(out) == real:
         raise ConfigError(f"--out and {flag} name the same file {out}")
     return path
 
@@ -194,22 +195,24 @@ def _kv_rows(rows: Sequence[tuple[str, object]]) -> list[tuple[str, object]]:
 
 def _write_artifacts(artifacts: Sequence[tuple[Optional[str], Iterable[str]]]) -> None:
     """Write text pieces to staging files renamed onto their paths once all are written, then
-    stdout. A staging file, `PATH.<pid>.tmp`, is created only if absent, so a run never writes
+    stdout. A symbolic link is written through to its target, realpath(PATH), and stays a link.
+    A staging file, `realpath(PATH).<pid>.tmp`, is created only if absent, so a run never writes
     over or removes a file it did not create; one already there fails the run (exit code 3)."""
     staged = []
     try:
         for path, pieces in artifacts:
             if path is None:
                 continue
-            tmp = f"{path}.{os.getpid()}.tmp"
+            target = os.path.realpath(path)
+            tmp = f"{target}.{os.getpid()}.tmp"
             with open(tmp, "x", encoding="utf-8", newline="") as handle:
-                staged.append((tmp, path))
+                staged.append((tmp, target, path))
                 handle.writelines(pieces)
-        for tmp, path in staged:
-            os.replace(tmp, path)
+        for tmp, target, path in staged:  # path, as given, names a failed rename
+            os.replace(tmp, target)
     except BaseException as exc:
         # Pieces may be a generator that fails while encoding, not only a failed write.
-        for tmp, _ in staged:
+        for tmp, *_ in staged:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
         if not isinstance(exc, OSError):

@@ -12,7 +12,7 @@ import itertools
 import json
 import math
 import re
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import TYPE_CHECKING, Optional
 
 from .stats import validate_sign_pattern
 
@@ -127,9 +127,10 @@ def resolve_model(
 ) -> ModelDescriptor:
     """Resolve --model input: a catalog name or alias, or JSON.
 
-    Every route ends in ModelDescriptor.from_dict: a name's payload is its CATALOG
-    entry. `state` and `angles` override the state kind and angle binding for
-    quantum and nonlocal models. Only the model resolved is built.
+    Every route ends in ModelDescriptor.from_dict, the one reader of a model payload:
+    a name's payload is its CATALOG entry, and a value that is no string (a config
+    file's `model = 3`, say) goes to it as it is. `state` and `angles` override the state
+    kind and angle binding for quantum and nonlocal models. Only the model resolved is built.
     """
     from .models import ALIASES, CATALOG, ModelDescriptor
 
@@ -148,10 +149,7 @@ def resolve_model(
                     f"unknown model {echoed(name)};{cut}expected a catalog name "
                     f"({', '.join(sorted(CATALOG))}), {aliases}, or a JSON object"
                 )
-        if isinstance(spec, Mapping):
-            model = ModelDescriptor.from_dict(spec)
-        else:
-            raise ConfigError(f"cannot interpret model specification {echoed(spec)}")
+        model = ModelDescriptor.from_dict(spec)
         if model.state is not None and (state is not None or angles is not None):
             model = ModelDescriptor(
                 kind=model.kind,

@@ -91,7 +91,8 @@ class TrialLedger:
 
     `pairs` holds PAIR_ORDER indices and `outcomes` outcome pairs (n, 2),
     both int8; `hidden` holds int8 hidden indices, or is None where the
-    model exposes none. Ledgers compare by identity.
+    model exposes none. The constructor runs _ledger_pairs on `pairs`, so every reader of
+    a ledger, a replayed cell included, meets checked indices. Ledgers compare by identity.
     """
 
     seed: int
@@ -101,6 +102,7 @@ class TrialLedger:
     hidden: Optional[np.ndarray]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "pairs", _ledger_pairs(self.pairs))
         n = len(self.pairs)
         if self.outcomes.shape != (n, 2) or self.hidden is not None and self.hidden.shape != (n,):
             raise ValueError(f"outcomes must be ({n}, 2) and hidden None or ({n},), one per trial")
@@ -195,8 +197,7 @@ def classify_definiteness(
     on correlations estimated from trials_for_stats fresh trials per
     setting pair, with the facet slack set to five standard errors of S.
     """
-    pairs = _ledger_pairs(ledger.pairs)
-    trials = len(pairs)
+    trials = len(ledger.pairs)
     if trials_for_stats < 1:
         raise ValueError("trials_for_stats must be at least 1")
 
@@ -205,7 +206,7 @@ def classify_definiteness(
     cell_kinds[ledger.model.unperformed_cell] += 3 * trials
     matched = 0
     for start in range(0, trials, CHUNK):
-        own = pairs[start : start + CHUNK]
+        own = ledger.pairs[start : start + CHUNK]
         replayed, _ = _sample_range(ledger.model, own, ledger.seed, start, len(own))
         matched += int((replayed == ledger.outcomes[start : start + CHUNK]).all(axis=1).sum())
 

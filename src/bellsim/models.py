@@ -112,14 +112,10 @@ def _validate_table(
         if pair not in table:
             raise ValueError(f"outcome table is missing setting pair {pair}")
         row = _floats(table[pair], f"table row for {pair}")
-        if len(row) != 4:
-            raise ValueError(f"table row for {pair} must have 4 probabilities")
-        if any(not math.isfinite(p) or p < -1e-15 for p in row):
-            raise ValueError(f"table row for {pair} has invalid probabilities {row}")
-        row = tuple(max(p, 0.0) for p in row)
-        if abs(sum_in_order(row) - 1.0) > 1e-12:
-            raise ValueError(f"table row for {pair} sums to {sum_in_order(row)!r}, expected 1")
-        cleaned[pair] = row
+        try:
+            cleaned[pair] = JointOutcomeDistribution(row).probabilities
+        except ValueError as exc:
+            raise ValueError(f"table row for {pair}: {exc}") from exc
     extra = set(table) - set(PAIR_ORDER)
     if extra:
         raise ValueError(f"outcome table has unknown setting pairs {sorted(extra)}")
@@ -286,29 +282,22 @@ class ModelDescriptor:
         if "strategy" in payload:
             if payload["kind"] != "lhv_deterministic" or fields["weights"] is not None:
                 raise ValueError("only an lhv_deterministic model takes a strategy, and no weights")
-            fields["weights"] = lhv_deterministic_model(payload["strategy"]).weights
+            strategy = payload["strategy"]
+            # An index is an integer, not a bool or a string; a float counts only when integral.
+            if isinstance(strategy, float) and strategy.is_integer():
+                strategy = int(strategy)
+            if isinstance(strategy, bool) or not hasattr(strategy, "__index__"):
+                raise ValueError(f"strategy must be an integer, got {echoed(strategy)}")
+            index = operator.index(strategy)
+            if not 0 <= index < 16:
+                raise ValueError(f"strategy index must be in 0..15, got {index}")
+            fields["weights"] = tuple(1.0 if i == index else 0.0 for i in range(16))
         if isinstance(fields["table"], Mapping):
             fields["table"] = {
                 tuple(key.split(",")) if isinstance(key, str) else tuple(key): row
                 for key, row in fields["table"].items()
             }
         return cls(payload["kind"], **fields)
-
-
-def lhv_deterministic_model(strategy: int) -> ModelDescriptor:
-    """The model that always answers with STRATEGIES[strategy].
-
-    An index is an integer, not a bool or a string; a float counts only when it is integral.
-    """
-    if isinstance(strategy, float) and strategy.is_integer():
-        strategy = int(strategy)
-    if isinstance(strategy, bool) or not hasattr(strategy, "__index__"):
-        raise ValueError(f"strategy must be an integer, got {echoed(strategy)}")
-    index = operator.index(strategy)
-    if not 0 <= index < 16:
-        raise ValueError(f"strategy index must be in 0..15, got {index}")
-    weights = tuple(1.0 if i == index else 0.0 for i in range(16))
-    return ModelDescriptor(kind="lhv_deterministic", weights=weights)
 
 
 def pr_box_table(strength: float = 1.0) -> dict[SettingPair, tuple[float, ...]]:

@@ -140,7 +140,7 @@ def local_membership(
     statistical margin (for example 5 sigma of S) when testing empirical
     correlation vectors.
     """
-    if facet_tolerance < 0.0:
+    if not facet_tolerance >= 0.0:  # an in-range test, which NaN fails
         raise ValueError("facet_tolerance must be non-negative")
     margin, pattern = facet_margin(vector)
     if margin <= facet_tolerance:

@@ -4,6 +4,9 @@ Measurement directions live in the x-z plane, so a setting is one angle
 measured from the +z axis. The joint basis ordering is (uu, ud, du, dd)
 throughout, where u/d are spin-up/spin-down along z.
 
+`JointOutcomeDistribution` holds the one rule for a distribution over the
+four outcome pairs: Born distributions and superdeterministic table rows.
+
 Everything here is plain Python in closed form; numpy loads only when a
 distribution is converted with `JointOutcomeDistribution.as_array`.
 """
@@ -12,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 from ._record import record
 
@@ -92,27 +95,31 @@ def _squared_norm(amplitudes: tuple[complex, ...]) -> float:
 
 @record
 class JointOutcomeDistribution:
-    """Probabilities of the four (+-1, +-1) outcome pairs."""
+    """Probabilities of the four (+-1, +-1) outcome pairs, a tuple in OUTCOME_ORDER.
 
-    probabilities: Mapping[tuple[int, int], float]
+    The rule, for a Born distribution or a table row: four finite numbers, each at least
+    -1e-15 and then clamped at 0, summing to 1 within 1e-12. NaN fails every test.
+    """
+
+    probabilities: tuple[float, float, float, float]
 
     def __post_init__(self) -> None:
-        probs = {}
-        for outcome in OUTCOME_ORDER:
-            p = float(self.probabilities[outcome])
-            if p < -1e-15:
-                raise ValueError(f"probability of {outcome} is {p}, below -1e-15")
-            probs[outcome] = max(p, 0.0)
-        total = sum_in_order(probs.values())
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {total}, expected 1")
+        probs = tuple(map(float, self.probabilities))
+        if len(probs) != 4:
+            raise ValueError(f"expected 4 probabilities, got {len(probs)}")
+        if not all(-1e-15 <= p < math.inf for p in probs):  # NaN fails
+            raise ValueError(f"probabilities must be finite numbers >= -1e-15, got {probs}")
+        probs = tuple(max(p, 0.0) for p in probs)
+        total = sum_in_order(probs)
+        if not abs(total - 1.0) <= 1e-12:
+            raise ValueError(f"probabilities sum to {total!r}, expected 1")
         object.__setattr__(self, "probabilities", probs)
 
     def as_array(self) -> np.ndarray:
-        """Probabilities in OUTCOME_ORDER."""
+        """The probabilities as a numpy array."""
         import numpy as np
 
-        return np.array([self.probabilities[o] for o in OUTCOME_ORDER])
+        return np.array(self.probabilities)
 
 
 def make_named_state(kind: str) -> TwoQubitState:
@@ -178,10 +185,11 @@ def joint_probabilities(
     """
     _require_normalized(state)
     (cl, sl), (cr, sr) = _cos_sin(left, 0.5), _cos_sin(right, 0.5)
-    vl, vr = {1: (cl, sl), -1: (-sl, cl)}, {1: (cr, sr), -1: (-sr, cr)}
+    # The eigenvectors for +1 then -1, so the pairs come in OUTCOME_ORDER.
+    vl, vr = ((cl, sl), (-sl, cl)), ((cr, sr), (-sr, cr))
     p00, p01, p10, p11 = state.amplitudes
-    return JointOutcomeDistribution({
-        (ol, orr): abs(u0 * (p00 * v0 + p01 * v1) + u1 * (p10 * v0 + p11 * v1)) ** 2
-        for ol, (u0, u1) in vl.items()
-        for orr, (v0, v1) in vr.items()
-    })
+    return JointOutcomeDistribution(tuple(
+        abs(u0 * (p00 * v0 + p01 * v1) + u1 * (p10 * v0 + p11 * v1)) ** 2
+        for u0, u1 in vl
+        for v0, v1 in vr
+    ))

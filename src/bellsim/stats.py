@@ -111,7 +111,7 @@ class CorrelationEstimate:
     counts: CoincidenceCounts
 
     def __post_init__(self) -> None:
-        if abs(self.value) > 1.0:
+        if not -1.0 <= self.value <= 1.0:  # an in-range test, which NaN fails
             raise ValueError(f"correlation value {self.value} outside [-1, 1]")
         if not 0.0 <= self.std_error <= 1.0:
             raise ValueError(f"std_error {self.std_error} outside [0, 1]")
@@ -138,7 +138,7 @@ class ChshResult:
     bound_class: str
 
     def __post_init__(self) -> None:
-        if abs(self.s_value) > ALGEBRAIC_BOUND + 4.0 * self.s_std_error:
+        if not abs(self.s_value) <= ALGEBRAIC_BOUND + 4.0 * self.s_std_error:  # NaN fails
             raise ValueError(
                 f"|S| = {abs(self.s_value)} exceeds 4 + 4*std_error; estimator is broken"
             )

@@ -18,7 +18,6 @@ from bellsim.interferometer import InterferometerSpec, port_probabilities, run_b
 from bellsim.models import (
     ModelDescriptor,
     catalog,
-    lhv_deterministic_model,
     pr_box_table,
 )
 from bellsim.optimize import optimize_angles
@@ -151,8 +150,8 @@ def test_criterion_08_counterfactual_classification():
             (catalog()["lhv-uniform"], "definite"),
             (catalog()["lhv-uniform"], "definite"),
             (catalog()["lhv-edge"], "definite"),
-            (lhv_deterministic_model(0), "definite"),
-            (lhv_deterministic_model(7), "definite"),
+            (ModelDescriptor.from_dict({"kind": "lhv_deterministic", "strategy": 0}), "definite"),
+            (ModelDescriptor.from_dict({"kind": "lhv_deterministic", "strategy": 7}), "definite"),
             (ModelDescriptor(kind="lhv_stochastic", weights=rng.dirichlet(np.ones(16))), "definite"),
             (catalog()["quantum-optimal"], "semi-definite"),
             (catalog()["quantum-optimal"], "semi-definite"),

@@ -576,6 +576,29 @@ MALFORMED_MODELS = [
     ('{"kind": "lhv_deterministic", "strategy": true}', "strategy must be an integer, got True"),
     ('{"kind": "lhv_deterministic", "strategy": 3.7}', "strategy must be an integer, got 3.7"),
     ('{"kind": "lhv_deterministic", "strategy": "3"}', "strategy must be an integer, got '3'"),
+    # A table row obeys the rule of a Born distribution, NaN included (json.loads reads
+    # NaN), and a table names each setting pair once and no other.
+    (
+        '{"kind": "superdeterministic", "table": {"a,b": [NaN, 0.5, 0.5, 0], %s}}' % _TABLE_ROWS,
+        "table row for ('a', 'b'): probabilities must be finite numbers >= -1e-15, "
+        "got (nan, 0.5, 0.5, 0.0)",
+    ),
+    # A row of the wrong length is named by its length, so the line stays short.
+    pytest.param(
+        '{"kind": "superdeterministic", "table": {"a,b": [%s], %s}}'
+        % (", ".join(["0.25"] * 3000), _TABLE_ROWS),
+        "table row for ('a', 'b'): expected 4 probabilities, got 3000",
+        id="table-row-of-3000",
+    ),
+    (
+        '{"kind": "superdeterministic", "table": {"a,b": [0.5, 0.4, 0, 0], %s}}' % _TABLE_ROWS,
+        "table row for ('a', 'b'): probabilities sum to 0.9, expected 1",
+    ),
+    (
+        '{"kind": "superdeterministic", "table": {"a,b": [1, 0, 0, 0], "b,a": [1, 0, 0, 0], %s}}'
+        % _TABLE_ROWS,
+        "outcome table has unknown setting pairs [('b', 'a')]",
+    ),
 ]
 
 
@@ -585,6 +608,19 @@ def test_malformed_model_exits_2_with_one_line(model, message, capsys):
     assert code == 2
     assert stdout == ""
     assert stderr == f"bellsim: configuration error: invalid model: {message}\n"
+
+
+def test_model_that_is_no_mapping_in_a_config_file_exits_2_with_one_line(tmp_path, capsys):
+    # A config value reaches ModelDescriptor.from_dict as it is, and from_dict rejects it.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model = 3\n")
+    code, stdout, stderr = _run(["chsh", "--exact", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert stderr == (
+        "bellsim: configuration error: invalid model: "
+        "model payload must be a mapping with a 'kind', got 3\n"
+    )
 
 
 # Empty or directory paths for --out and --ledger, as flags or config keys.
@@ -652,6 +688,69 @@ def test_output_path_that_is_no_regular_file_exits_2_writing_nothing(
     expected = ["pipe"] + ([] if line is None else ["run.cfg"])
     assert sorted(p.name for p in tmp_path.iterdir()) == expected
     assert stat.S_ISFIFO(os.stat(tmp_path / "pipe").st_mode)
+
+
+# A run writing an artifact through --out or --ledger; counterfactual runs are tiny.
+LINKED_RUNS = {
+    "--out": ["chsh", "--exact"],
+    "--ledger": ["counterfactual", "--model", "lhv-uniform", "--trials", "8", "--stats-trials",
+                 "100", "--out", "r.json"],
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="no symbolic links on this platform")
+class TestSymbolicLinkPaths:
+    """A path that is a symbolic link is written through to its target; the link stays."""
+
+    @pytest.mark.parametrize("flag", sorted(LINKED_RUNS))
+    def test_a_link_to_a_file_keeps_the_link_and_writes_its_target(
+        self, flag, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub" / "target").write_text("old\n")
+        os.symlink(os.path.join("sub", "target"), "link")
+        assert _run([*LINKED_RUNS[flag], flag, "link"], capsys)[0] == 0
+        assert _run([*LINKED_RUNS[flag], flag, "plain"], capsys)[0] == 0
+        assert os.readlink("link") == os.path.join("sub", "target")
+        assert (tmp_path / "sub" / "target").read_bytes() == (tmp_path / "plain").read_bytes()
+        assert sorted(p.name for p in (tmp_path / "sub").iterdir()) == ["target"]
+
+    def test_a_dangling_link_creates_its_target(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        os.symlink("made.json", "link.json")
+        assert _run(["chsh", "--exact", "--out", "link.json"], capsys)[0] == 0
+        assert _run(["chsh", "--exact", "--out", "plain.json"], capsys)[0] == 0
+        assert os.readlink("link.json") == "made.json"
+        assert (tmp_path / "made.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+        listing = sorted(p.name for p in tmp_path.iterdir())
+        assert listing == ["link.json", "made.json", "plain.json"]
+
+    @pytest.mark.parametrize("flag", sorted(LINKED_RUNS))
+    def test_a_link_that_loops_exits_2_and_stays_a_link(self, flag, tmp_path, capsys, monkeypatch):
+        # A looping link has no target: realpath leaves it a link, and renaming onto
+        # it would put a regular file in its place.
+        monkeypatch.chdir(tmp_path)
+        os.symlink("loop", "loop")
+        code, stdout, stderr = _run([*LINKED_RUNS[flag], flag, "loop"], capsys)
+        assert (code, stdout) == (2, "")
+        assert stderr == (
+            f"bellsim: configuration error: {flag} 'loop' exists and is not a regular file\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["loop"]
+        assert os.readlink("loop") == "loop"
+
+    def test_a_ledger_linked_to_the_out_file_exits_2(self, tmp_path, capsys, monkeypatch):
+        # Pins behaviour that already held: the same-file check compares real paths.
+        monkeypatch.chdir(tmp_path)
+        os.symlink("same.json", "link.jsonl")
+        argv = LINKED_RUNS["--ledger"][:-1] + ["same.json", "--ledger", "link.jsonl"]
+        code, stdout, stderr = _run(argv, capsys)
+        assert (code, stdout) == (2, "")
+        assert stderr == (
+            "bellsim: configuration error: --out and --ledger name the same file same.json\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.jsonl"]
 
 
 def test_integral_float_strategy_is_that_strategy(capsys):

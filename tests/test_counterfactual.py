@@ -23,7 +23,6 @@ from bellsim.models import (
     TrialRecord,
     catalog,
     ModelDescriptor,
-    lhv_deterministic_model,
     pr_box_table,
     run_trial,
 )
@@ -118,13 +117,13 @@ class TestLedgerCap:
         assert sum(sampled) == len(ledger.pairs) == len(ledger.outcomes) == MAX_LEDGER_TRIALS
 
     def test_classify_rejects_too_long_ledger_before_replay(self, monkeypatch):
+        # The ledger itself is refused, so there is none to classify or replay.
         monkeypatch.setattr(models, "sample_outcomes", None)
         long = _LongSchedule(MAX_LEDGER_TRIALS + 1)
         outcomes = np.ones((len(long), 2), dtype=np.int8)
         model = catalog()["quantum-optimal"]
-        ledger = TrialLedger(0, model, pairs=long, outcomes=outcomes, hidden=None)
         with pytest.raises(ValueError, match=f"at most {MAX_LEDGER_TRIALS}"):
-            classify_definiteness(ledger, trials_for_stats=10)
+            TrialLedger(0, model, pairs=long, outcomes=outcomes, hidden=None)
 
     def test_classify_replays_one_chunk_at_a_time(self):
         # Replayed whole, a ledger at the cap held 1 MiB of outcomes and as much again to compare.
@@ -146,7 +145,8 @@ class TestLedgerCap:
 
 class TestReplay:
     def test_lhv_all_plus_counterfactual(self):
-        ledger = record_run(lhv_deterministic_model(0), [("a", "b")], seed=0)
+        model = ModelDescriptor.from_dict({"kind": "lhv_deterministic", "strategy": 0})
+        ledger = record_run(model, [("a", "b")], seed=0)
         cell = replay_counterfactual(ledger, 0, ("a'", "b'"))
         assert cell.kind == "definite"
         assert cell.outcome == (1, 1)
@@ -157,8 +157,7 @@ class TestReplay:
         ledger = record_run(model, [("a", "b")], seed=5)
         cell = replay_counterfactual(ledger, 0, ("a'", "b'"))
         assert cell.kind == "distribution"
-        assert cell.distribution.probabilities[(1, -1)] == pytest.approx(0.5, abs=1e-12)
-        assert cell.distribution.probabilities[(-1, 1)] == pytest.approx(0.5, abs=1e-12)
+        assert cell.distribution.probabilities == pytest.approx((0, 0.5, 0.5, 0), abs=1e-12)
 
     def test_superdeterministic_refuses_alternatives(self):
         ledger = record_run(catalog()["pr-box"], [("a", "b")], seed=6)
@@ -196,7 +195,8 @@ class TestTable:
                 assert anchor.outcome == record.outcomes, name
 
     def test_locality_under_replay_exhaustive(self):
-        for model in (catalog()["lhv-uniform"], catalog()["lhv-edge"], lhv_deterministic_model(9)):
+        strategy_9 = ModelDescriptor.from_dict({"kind": "lhv_deterministic", "strategy": 9})
+        for model in (catalog()["lhv-uniform"], catalog()["lhv-edge"], strategy_9):
             ledger = record_run(model, SCHEDULE, seed=9)
             for index, record in enumerate(ledger_records(ledger)):
                 table = counterfactual_table(ledger, index)
@@ -261,8 +261,8 @@ class TestJointAssignment:
 class TestClassification:
     def test_lhv_models_definite(self):
         for model in (
-            lhv_deterministic_model(0),
-            lhv_deterministic_model(11),
+            ModelDescriptor.from_dict({"kind": "lhv_deterministic", "strategy": 0}),
+            ModelDescriptor.from_dict({"kind": "lhv_deterministic", "strategy": 11}),
             catalog()["lhv-uniform"],
             catalog()["lhv-edge"],
         ):
@@ -303,21 +303,25 @@ class TestClassification:
             assert verdict.cell_kinds == tally, name
             assert list(verdict.cell_kinds) == list(tally), name
 
+    def test_trials_for_stats_below_1_rejected(self):
+        ledger = record_run(catalog()["lhv-uniform"], [("a", "b")], seed=0)
+        with pytest.raises(ValueError, match="trials_for_stats"):
+            classify_definiteness(ledger, trials_for_stats=0)
+
     def test_empty_ledger_rejected(self):
         ledger = record_run(catalog()["quantum-optimal"], [("a", "b")], seed=0)
         empty = ledger.pairs[:0], ledger.outcomes[:0], None
-        trimmed = type(ledger)(ledger.seed, ledger.model, *empty)
-        with pytest.raises(ValueError):
-            classify_definiteness(trimmed)
+        with pytest.raises(ValueError, match="non-empty"):
+            TrialLedger(ledger.seed, ledger.model, *empty)
 
     @pytest.mark.parametrize("indices", [[0, 4], [-1, 2]], ids=["4", "-1"])
     def test_hand_built_ledger_with_pair_index_outside_0_to_3_rejected(self, indices):
-        # Unchecked, -1 would wrap round to the last setting pair's row.
+        # Unchecked, -1 would wrap round to the last setting pair's row: the
+        # verdict's replay and counterfactual_table, which read trial 0 as (a', b').
         ledger = record_run(catalog()["quantum-optimal"], [("a", "b"), ("a", "b'")], seed=0)
         pairs = np.array(indices, dtype=np.int8)
-        edited = TrialLedger(0, ledger.model, pairs, ledger.outcomes, None)
         with pytest.raises(ValueError, match="pair indices"):
-            classify_definiteness(edited, trials_for_stats=10)
+            TrialLedger(0, ledger.model, pairs, ledger.outcomes, None)
 
     @pytest.mark.parametrize(
         "outcomes, hidden",

@@ -373,7 +373,7 @@ EXPORTS = {
     "models": [
         "CATALOG", "ModelDescriptor", "SINGLET_OPTIMAL_ANGLES",
         "TrialRecord", "catalog", "generate_outcomes",
-        "lhv_deterministic_model", "pr_box_table", "run_trial",
+        "pr_box_table", "run_trial",
     ],
     "optimize": ["LandscapeGrid", "OptimizationResult", "optimize_angles", "s_landscape"],
     "polytope": [

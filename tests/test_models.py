@@ -20,7 +20,6 @@ from bellsim.models import (
     catalog,
     count_chunk,
     generate_outcomes,
-    lhv_deterministic_model,
     pr_box_table,
     run_trial,
     sample_outcomes,
@@ -45,7 +44,7 @@ from oracles import (
     traced_peak,
 )
 
-ALL_PLUS = lhv_deterministic_model(0)
+ALL_PLUS = ModelDescriptor.from_dict({"kind": "lhv_deterministic", "strategy": 0})
 UNIFORM_LHV = ModelDescriptor(kind="lhv_stochastic", weights=[1.0 / 16.0] * 16)
 PR_BOX = ModelDescriptor(kind="superdeterministic", table=pr_box_table(1.0))
 
@@ -69,7 +68,7 @@ class TestLhvStrategy:
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="0..15"):
-            lhv_deterministic_model(16)
+            ModelDescriptor.from_dict({"kind": "lhv_deterministic", "strategy": 16})
 
 
 class TestDescriptorValidation:
@@ -106,7 +105,7 @@ class TestDescriptorValidation:
             ModelDescriptor(kind="superdeterministic", table=table)
         bad = pr_box_table(1.0)
         bad[("a", "b")] = (0.5, 0.5, 0.5, 0.5)
-        with pytest.raises(ValueError, match="sums"):
+        with pytest.raises(ValueError, match="sum to"):
             ModelDescriptor(kind="superdeterministic", table=bad)
 
     def test_pr_strength_validation(self):
@@ -500,6 +499,8 @@ class TestFusedCounts:
             count_chunk(quantum, ("b", "a"), 0, ChunkBuffers(), 0, 0)
         with pytest.raises(ValueError, match="trials_per_pair"):
             run_chsh_experiment(quantum, 0, 0)
+        with pytest.raises(ValueError, match="non-negative"):
+            generate_outcomes(quantum, ("a", "b"), 0, 0, -1)
 
     def test_chsh_and_bomb_build_no_outcome_array(self, monkeypatch, tmp_path):
         calls = []

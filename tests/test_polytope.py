@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellsim.models import lhv_deterministic_model
+from bellsim.models import ModelDescriptor
 from bellsim.polytope import (
     VERTICES,
     CorrelationVector,
@@ -125,6 +125,13 @@ class TestMembership:
         recovered = np.asarray(loose.weights) @ deterministic_vertices()
         assert np.max(np.abs(recovered - np.array(vector.as_tuple()))) <= 1e-3
 
+    @pytest.mark.parametrize("tolerance", [-1e-9, math.nan], ids=["negative", "nan"])
+    def test_facet_tolerance_must_be_non_negative(self, tolerance):
+        # An out-of-range test would let NaN through to a verdict that every
+        # facet is violated, the first by a margin of -2.
+        with pytest.raises(ValueError, match="non-negative"):
+            local_membership(CorrelationVector(0.0, 0.0, 0.0, 0.0), facet_tolerance=tolerance)
+
     def test_each_vertex_weights_its_lower_index_strategy(self):
         vertices = deterministic_vertices()
         for index, row in enumerate(vertices):
@@ -230,7 +237,7 @@ class TestOracleAgreement:
 
 def test_deterministic_model_vertices_match_strategy_correlations():
     for index in range(16):
-        model = lhv_deterministic_model(index)
+        model = ModelDescriptor.from_dict({"kind": "lhv_deterministic", "strategy": index})
         weights = np.asarray(model.weights)
         vector = weights @ np.array(VERTICES)
         assert tuple(vector) == VERTICES[index]

@@ -107,7 +107,7 @@ class TestHalfAngleEigenvectors:
             for tl, tr in [(0.0, math.pi / 2), *rng.uniform(-10.0, 10.0, (10, 2))]:
                 dist = joint_probabilities(make_named_state(kind), float(tl), float(tr))
                 vl, vr = half_angle_vectors(tl), half_angle_vectors(tr)
-                for (ol, orr), p in dist.probabilities.items():
+                for (ol, orr), p in zip(OUTCOME_ORDER, dist.probabilities):
                     assert p == pytest.approx(vl[ol][i] ** 2 * vr[orr][j] ** 2, abs=1e-15)
 
 
@@ -130,8 +130,8 @@ def test_closed_form_matches_eigh_oracle(parts, theta_left, theta_right):
     state = TwoQubitState([complex(re, im) / norm for re, im in zip(parts[::2], parts[1::2])])
     closed = joint_probabilities(state, theta_left, theta_right).probabilities
     oracle = eigh_joint_probabilities(state.amplitudes, theta_left, theta_right)
-    for outcome in OUTCOME_ORDER:
-        assert abs(closed[outcome] - oracle[outcome]) <= EIGH_TOLERANCE, outcome
+    for outcome, p in zip(OUTCOME_ORDER, closed):
+        assert abs(p - oracle[outcome]) <= EIGH_TOLERANCE, outcome
 
 
 class TestExpectation:
@@ -187,15 +187,11 @@ class TestExpectation:
 class TestJointProbabilities:
     def test_singlet_same_axis_anticorrelated(self):
         dist = joint_probabilities(make_named_state("psi_minus"), 0.0, 0.0)
-        assert dist.probabilities[(1, -1)] == pytest.approx(0.5, abs=1e-12)
-        assert dist.probabilities[(-1, 1)] == pytest.approx(0.5, abs=1e-12)
-        assert dist.probabilities[(1, 1)] == pytest.approx(0.0, abs=1e-12)
-        assert dist.probabilities[(-1, -1)] == pytest.approx(0.0, abs=1e-12)
+        assert dist.probabilities == pytest.approx((0.0, 0.5, 0.5, 0.0), abs=1e-12)
 
     def test_psi_plus_same_axis_anticorrelated(self):
         dist = joint_probabilities(make_named_state("psi_plus"), 0.0, 0.0)
-        assert dist.probabilities[(1, -1)] == pytest.approx(0.5, abs=1e-12)
-        assert dist.probabilities[(-1, 1)] == pytest.approx(0.5, abs=1e-12)
+        assert dist.probabilities == pytest.approx((0.0, 0.5, 0.5, 0.0), abs=1e-12)
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(17)
@@ -203,7 +199,7 @@ class TestJointProbabilities:
             state = TwoQubitState(random_state_amplitudes(rng))
             ta, tb = rng.uniform(0.0, 2.0 * math.pi, 2)
             dist = joint_probabilities(state, float(ta), float(tb))
-            assert sum(dist.probabilities.values()) == pytest.approx(1.0, abs=1e-12)
+            assert sum(dist.probabilities) == pytest.approx(1.0, abs=1e-12)
 
     def test_signed_sum_equals_expectation(self):
         rng = np.random.default_rng(31)
@@ -211,23 +207,30 @@ class TestJointProbabilities:
             state = TwoQubitState(random_state_amplitudes(rng))
             ta, tb = rng.uniform(0.0, 2.0 * math.pi, 2)
             dist = joint_probabilities(state, float(ta), float(tb))
-            signed_sum = sum(left * right * p for (left, right), p in dist.probabilities.items())
+            signed_sum = sum(l * r * p for (l, r), p in zip(OUTCOME_ORDER, dist.probabilities))
             assert signed_sum == pytest.approx(
                 expectation(state, float(ta), float(tb)), abs=1e-10
             )
 
     def test_distribution_validation(self):
-        with pytest.raises(ValueError):
-            JointOutcomeDistribution({o: 0.3 for o in OUTCOME_ORDER})
-        with pytest.raises(ValueError):
-            JointOutcomeDistribution(
-                {(1, 1): -1e-3, (1, -1): 0.5, (-1, 1): 0.5, (-1, -1): 1e-3}
-            )
+        with pytest.raises(ValueError, match="sum to"):
+            JointOutcomeDistribution((0.3,) * 4)
+        with pytest.raises(ValueError, match=">= -1e-15"):
+            JointOutcomeDistribution((-1e-3, 0.5, 0.5, 1e-3))
+        with pytest.raises(ValueError, match="expected 4 probabilities, got 2"):
+            JointOutcomeDistribution((0.5, 0.5))
         # tiny negatives clamp to zero
-        dist = JointOutcomeDistribution(
-            {(1, 1): -5e-16, (1, -1): 0.5, (-1, 1): 0.5, (-1, -1): 5e-16}
-        )
-        assert dist.probabilities[(1, 1)] == 0.0
+        dist = JointOutcomeDistribution((-5e-16, 0.5, 0.5, 5e-16))
+        assert dist.probabilities == (0.0, 0.5, 0.5, 5e-16)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+    def test_non_finite_probability_rejected(self, bad):
+        # Written as out-of-range tests, the floor and the sum test would both let
+        # NaN through, and a distribution of four NaNs with them.
+        with pytest.raises(ValueError, match="finite"):
+            JointOutcomeDistribution((bad, 0.5, 0.5, 0.0))
+        with pytest.raises(ValueError, match="finite"):
+            JointOutcomeDistribution((bad,) * 4)
 
 
 class TestSampling:

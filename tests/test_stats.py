@@ -101,6 +101,11 @@ class TestCorrelation:
         with pytest.raises(ValueError):
             CorrelationEstimate(value=0.0, std_error=1.5, counts=CoincidenceCounts(5, 0, 0, 5))
 
+    def test_nan_value_rejected(self):
+        # abs(nan) > 1.0 is false, so an out-of-range test would let NaN through.
+        with pytest.raises(ValueError, match="outside"):
+            CorrelationEstimate(value=math.nan, std_error=0.0, counts=CoincidenceCounts(n_pp=1))
+
 
 class TestSignPatterns:
     def test_valid_patterns(self):
@@ -178,6 +183,10 @@ class TestChshS:
                 bound_class="algebraic",
             )
 
+    def test_nan_s_value_rejected(self):
+        with pytest.raises(ValueError, match="estimator is broken"):
+            ChshResult(_estimates([1.0] * 4), math.nan, 0.0, (1, -1, 1, 1), "local")
+
 
 class TestExactChshS:
     def test_singlet_optimal_angles(self):
@@ -234,7 +243,7 @@ def test_estimator_consistency_against_known_distribution():
     from bellsim.streams import batch_uniforms
 
     dist = joint_probabilities(make_named_state("psi_minus"), 0.3, 1.1)
-    expected = sum(left * right * p for (left, right), p in dist.probabilities.items())
+    expected = sum(l * r * p for (l, r), p in zip(OUTCOME_ORDER, dist.probabilities))
     cdf = np.cumsum(dist.as_array())
     n = 10**6
     hits = 0
