@@ -9,6 +9,7 @@ both sample through it. Sampled runs never load the polytope module.
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING, Iterable
 
 from .models import ModelDescriptor, count_chunk
@@ -19,7 +20,6 @@ from .stats import (
 
 if TYPE_CHECKING:
     from .polytope import CorrelationVector
-    from .streams import ChunkBuffers
 
 
 def run_chsh_experiment(
@@ -31,20 +31,18 @@ def run_chsh_experiment(
 ) -> ChshResult:
     """Run trials for all four setting pairs, counted as one schedule of chunks, and estimate S.
 
-    Each pair's CorrelationEstimate holds the CoincidenceCounts of its trials_per_pair trials.
+    Each pair's CorrelationEstimate holds the CoincidenceCounts of its
+    trials_per_pair trials, built once from the counting threads' tallies.
     """
     from .streams import map_chunks
 
     if trials_per_pair < 1:
         raise ValueError(f"trials_per_pair must be at least 1, got {trials_per_pair}")
-
-    def count(buffers: ChunkBuffers, start: int, size: int) -> CoincidenceCounts:
-        pair = PAIR_ORDER[(start - stream_base) // trials_per_pair]
-        return count_chunk(model, pair, seed, buffers, start, size)
-
     ranges = [(stream_base + i * trials_per_pair, trials_per_pair) for i in range(len(PAIR_ORDER))]
-    counts = map_chunks(count, ranges)
-    return chsh_s(dict(zip(PAIR_ORDER, map(correlation, counts))), sign_pattern)
+    # The tables, counting plans included, are built here, before any counting thread starts.
+    tallies = map_chunks(functools.partial(count_chunk, model._tables, seed), ranges, 4)
+    counts = [correlation(CoincidenceCounts(*tally)) for tally in tallies]
+    return chsh_s(dict(zip(PAIR_ORDER, counts)), sign_pattern)
 
 
 def model_exact_correlations(model: ModelDescriptor) -> CorrelationVector:

@@ -62,18 +62,19 @@ def run_bomb_trials(spec: InterferometerSpec, trials: int, seed: int) -> dict[st
     does not grow with `trials`.
     """
     # streams first: it loads numpy, and is compiled before numpy's memory is held.
-    from .streams import ChunkBuffers, map_chunks, threshold_counts
+    from .streams import ChunkBuffers, count_words, counting_plan, map_chunks, word_thresholds
 
     import numpy as np
 
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     probs = port_probabilities(spec)
-    cdf = np.cumsum([probs[name] for name in OUTCOMES])
+    cdf = word_thresholds(np.cumsum([probs[name] for name in OUTCOMES]))
+    plan = counting_plan(cdf[:-1].tolist(), range(len(OUTCOMES)), len(OUTCOMES))
 
-    def tally(buffers: ChunkBuffers, start: int, size: int) -> np.ndarray:
-        u, = buffers.uniforms(seed, start, size, 1)
-        return threshold_counts(cdf, u, buffers.work_rows(1, size)[0])
+    def tally(buffers: ChunkBuffers, r: int, start: int, size: int, ports: list) -> None:
+        words, = buffers.words(seed, start, size, 1)
+        count_words(plan, words, buffers.work_rows(1, size)[0], ports)
 
-    tally_all, = map_chunks(tally, [(0, trials)])
-    return {name: float(tally_all[i] / trials) for i, name in enumerate(OUTCOMES)}
+    counts, = map_chunks(tally, [(0, trials)], len(OUTCOMES))
+    return {name: counts[i] / trials for i, name in enumerate(OUTCOMES)}

@@ -13,10 +13,9 @@ CATALOG holds the named models as data: each is the JSON-form payload
 that ModelDescriptor.from_dict builds, as it builds a model given as JSON.
 Each ModelDescriptor builds its sampling tables once, the first time it
 samples, so resolving and describing a model loads no numpy.
-`sample_outcomes` turns uniforms into per-trial outcomes for ledgers and
-outcome arrays; `count_chunk` counts a chunk's uniforms on the same rows,
-one count per hidden index added to its outcome pair's counter, so it builds
-no per-trial array.
+`sample_outcomes` turns stream words into per-trial outcomes for ledgers
+and outcome arrays; `count_chunk` counts a chunk's words on the same rows,
+through the setting pair's counting plan, so it builds no per-trial array.
 Trials draw from per-trial streams keyed by (run seed, stream_id), so any
 trial can be regenerated in isolation and batches are independent of how
 the work is chunked.
@@ -40,7 +39,7 @@ from .quantum import (
     outcome_index,
     sum_in_order,
 )
-from .stats import PAIR_ORDER, SETTING_LABELS, STRATEGIES, CoincidenceCounts, SettingPair
+from .stats import PAIR_ORDER, SETTING_LABELS, STRATEGIES, SettingPair
 
 if TYPE_CHECKING:
     import numpy as np
@@ -124,21 +123,27 @@ def _validate_table(
 
 @record
 class _SamplingTables:
-    """A model's constants, one row per setting pair in PAIR_ORDER.
+    """A model's constants, one row per setting pair in PAIR_ORDER, thresholds in word form.
 
-    `cdf` rows are inverse-CDF thresholds over hidden indices and `answers`
-    the outcome pair each index gives; sampling and counting both read them.
+    `cdf` rows are inverse-CDF word thresholds over hidden indices and
+    `answers` the outcome pair each index gives; sampling reads them, and
+    counting reads `plans`, each pair's CountingPlan built from them once.
     nonlocal models have neither and keep `conditionals` rows
-    (p_left_plus, c_plus_given_plus, c_plus_given_minus).
+    (p_left_plus, c_plus_given_plus, c_plus_given_minus), which are also
+    their `plans`, as floats. streams.word_thresholds gives the word form.
     """
 
     draws: int
     cdf: Optional[np.ndarray]
     answers: Optional[np.ndarray]
     conditionals: Optional[np.ndarray]
+    plans: tuple
 
 
 def _build_tables(model: "ModelDescriptor") -> _SamplingTables:
+    # streams first: it loads numpy, and is compiled before numpy's memory is held.
+    from .streams import counting_plan, word_thresholds
+
     import numpy as np
 
     # Outcome pair per hidden index, per setting pair in PAIR_ORDER: the joint
@@ -158,8 +163,9 @@ def _build_tables(model: "ModelDescriptor") -> _SamplingTables:
         p_plus, p_minus = rows[:, 0] + rows[:, 1], rows[:, 2] + rows[:, 3]
         c_plus = rows[:, 0] / np.where(p_plus > 0.0, p_plus, 1.0)
         c_minus = rows[:, 2] / np.where(p_minus > 0.0, p_minus, 1.0)
-        conditionals = np.column_stack([p_plus, c_plus, c_minus])
-        return _SamplingTables(2, None, None, conditionals)
+        conditionals = word_thresholds(np.column_stack([p_plus, c_plus, c_minus]))
+        plans = tuple(map(tuple, conditionals.tolist()))
+        return _SamplingTables(2, None, None, conditionals, plans)
     cdf = np.cumsum(rows, axis=1)
     # The last index a uniform reaches is the row's last with positive
     # probability, or, sooner, the first whose threshold is at or above 1,
@@ -173,7 +179,11 @@ def _build_tables(model: "ModelDescriptor") -> _SamplingTables:
     reach = np.minimum(last_positive, np.where(full.any(axis=1), np.argmax(full, axis=1), n))
     cdf[np.arange(n) >= reach[:, None]] = np.inf
     width = int(reach.max()) + 1
-    return _SamplingTables(1, cdf[:, :width], answers, None)
+    cdf = word_thresholds(cdf[:, :width])
+    # Each hidden index counts in the coincidence counter of the outcome pair it answers.
+    outcomes = outcome_index(answers[:, :width, 0], answers[:, :width, 1]).tolist()
+    plans = tuple(counting_plan(row, own, 4) for row, own in zip(cdf[:, :-1].tolist(), outcomes))
+    return _SamplingTables(1, cdf, answers, None, plans)
 
 
 @record
@@ -357,7 +367,8 @@ def sample_outcomes(
     """Outcome pairs (n, 2) int8 and hidden indices (None if not exposed) for n trials.
 
     `pairs` holds each trial's index into PAIR_ORDER, or one index for all;
-    row i of `u` holds trial i's stream uniforms in draw order. nonlocal
+    row i of `u` holds trial i's stream words in draw order, as
+    ChunkBuffers.words gives them (streams.as_words of its uniforms). nonlocal
     draws the left outcome, then the right one conditioned on it; the other
     kinds draw a hidden index from the pair's CDF row and give its outcome pair.
     """
@@ -382,8 +393,10 @@ def run_trial(
     model: ModelDescriptor, settings: SettingPair, rng_stream: TrialStream
 ) -> TrialRecord:
     """One trial: the kernel on the next uniforms drawn from `rng_stream`."""
+    from .streams import as_words
+
     pair = _pair_index(settings)
-    u = rng_stream.uniforms(model._tables.draws)[None, :]
+    u = as_words(rng_stream.uniforms(model._tables.draws))[None, :]
     outcomes, hidden = sample_outcomes(model, pair, u)
     (left, right), = outcomes.tolist()
     lam = None if hidden is None else int(hidden[0])
@@ -405,9 +418,9 @@ def _sample_range(
     outcomes = np.empty((count, 2), dtype=np.int8)
     hidden = np.empty(count, dtype=np.int8) if model.exposes_hidden_variable() else None
 
-    def sample(buffers: ChunkBuffers, start: int, size: int) -> None:
+    def sample(buffers: ChunkBuffers, r: int, start: int, size: int, tally: list) -> None:
         rows = slice(start - first, start - first + size)
-        u = buffers.uniforms(seed, start, size, model._tables.draws).T
+        u = buffers.words(seed, start, size, model._tables.draws).T
         own = pairs if isinstance(pairs, int) else pairs[rows]
         outcomes[rows], own_hidden = sample_outcomes(model, own, u)
         if hidden is not None:
@@ -418,45 +431,45 @@ def _sample_range(
 
 
 def count_chunk(
-    model: ModelDescriptor,
-    settings: SettingPair,
+    tables: _SamplingTables,
     seed: int,
     buffers: ChunkBuffers,
+    pair: int,
     start: int,
     size: int,
-) -> CoincidenceCounts:
-    """Coincidence counts of the trials with stream ids start..start+size-1.
+    tally: list,
+) -> None:
+    """Add the coincidence counts of the trials with stream ids start..start+size-1 to `tally`.
 
-    The same outcomes generate_outcomes gives, counted without a per-trial array:
-    CDF kinds count the uniforms of each hidden index on the pair's CDF row
-    with threshold_counts and add each count to its outcome pair's counter;
-    nonlocal counts the left outcome and, on each side of it, the right
-    outcome's condition. Every mask is one of `buffers`' work rows, so a
-    chunk allocates nothing past its buffers.
+    `tables` are a model's sampling tables (ModelDescriptor._tables), `pair`
+    indexes PAIR_ORDER and `tally` holds the plain-int counters (n_pp,
+    n_pm, n_mp, n_mm). The same outcomes generate_outcomes gives,
+    counted without a per-trial array: CDF kinds count the pair's words
+    through its CountingPlan; nonlocal counts the left outcome and, on each
+    side of it, the right outcome's condition. Every mask is one of
+    `buffers`' work rows, so a chunk allocates nothing past its buffers.
     """
     import numpy as np
 
-    from .streams import threshold_counts
+    from .streams import count_words
 
-    pair = _pair_index(settings)
-    tables = model._tables
-    u = buffers.uniforms(seed, start, size, tables.draws)
-    if model.kind == "nonlocal":
-        p_left_plus, c_plus, c_minus = tables.conditionals[pair]
-        left, right = buffers.work_rows(2, size)
-        np.less(u[0], p_left_plus, out=left)
-        n_left_plus = int(np.count_nonzero(left))
-        np.less(u[1], c_plus, out=right)
-        n_pp = int(np.count_nonzero(np.logical_and(left, right, out=right)))
-        np.less(u[1], c_minus, out=right)
-        n_mp = int(np.count_nonzero(np.greater(right, left, out=right)))  # right and not left
-        return CoincidenceCounts(n_pp, n_left_plus - n_pp, n_mp, size - n_left_plus - n_mp)
-    counts = [0, 0, 0, 0]
-    above, = buffers.work_rows(1, size)
-    hidden_counts = threshold_counts(tables.cdf[pair], u[0], above).tolist()
-    for (left, right), n in zip(tables.answers[pair].tolist(), hidden_counts):
-        counts[outcome_index(left, right)] += n
-    return CoincidenceCounts(*counts)
+    plan = tables.plans[pair]
+    u = buffers.words(seed, start, size, tables.draws)
+    if tables.cdf is not None:  # not nonlocal
+        count_words(plan, u[0], buffers.work_rows(1, size)[0], tally)
+        return
+    p_left_plus, c_plus, c_minus = plan
+    left, right = buffers.work_rows(2, size)
+    np.less(u[0], p_left_plus, out=left)
+    n_left_plus = int(np.count_nonzero(left))
+    np.less(u[1], c_plus, out=right)
+    n_pp = int(np.count_nonzero(np.logical_and(left, right, out=right)))
+    np.less(u[1], c_minus, out=right)
+    n_mp = int(np.count_nonzero(np.greater(right, left, out=right)))  # right and not left
+    tally[0] += n_pp
+    tally[1] += n_left_plus - n_pp
+    tally[2] += n_mp
+    tally[3] += size - n_left_plus - n_mp
 
 
 def generate_outcomes(

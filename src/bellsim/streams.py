@@ -1,32 +1,43 @@
 """Deterministic multi-stream random numbers for reproducible trials.
 
 Every trial in a run owns its own stream, addressed by (run seed, stream id).
-Streams are counter-based rather than stateful-jump-based: the j-th variate
-of stream s under seed k is
+Streams are counter-based rather than stateful-jump-based: the j-th word
+of stream s under seed k is the 53-bit
 
-    u = fmix64(fmix64(k + GAMMA*(s+1)) + GAMMA*(j+1)) / 2**64
+    w = fmix64(fmix64(k + GAMMA*(s+1)) + GAMMA*(j+1)) >> 11
 
-where fmix64 is the SplitMix64 finalizer and GAMMA its odd increment.
-Because any (stream, position) pair is addressable in O(1), a batch of
-uniforms over millions of streams vectorizes with numpy, and any range of
-streams can be generated on its own. Work is cut into fixed CHUNKs of
-stream ids, so run output does not depend on how it is batched, and
-map_chunks spreads the chunks over up to one thread per CPU the process
-may use.
+where fmix64 is the SplitMix64 finalizer and GAMMA its odd increment, and
+its uniform is u = w * 2**-53. Because any (stream, position) pair is
+addressable in O(1), a batch of words over millions of streams vectorizes
+with numpy, and any range of streams can be generated on its own. Chunks
+stop at the words and compare them, read as float64, with word thresholds
+(word_thresholds), which gives the same answers as comparing uniforms.
+Work is cut into fixed CHUNKs of stream ids, so run output does not depend
+on how it is batched, and map_chunks spreads the chunks over up to one
+thread per CPU the process may use.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 from typing import Callable, Sequence
 
 import numpy as np
 
+from ._record import record
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 # 53-bit mantissa conversion: uniforms lie in [0, 1).
 _INV_2_53 = 2.0 ** -53
+_WORD_LIMIT = 2.0 ** 53
+# m(1), the word threshold that no 53-bit word reaches, read as a float64.
+_NO_WORD = float(np.uint64(1 << 53).view(np.float64))
+# The float64 view of word 1, the least subnormal: above 0 unless the CPU
+# flushes subnormals to zero, which word compares cannot work under.
+_WORD_ONE = 5e-324
 _M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
 # Trials per batch: memory grows with CHUNK, never with the trial count.
@@ -95,28 +106,20 @@ class TrialStream:
 
 
 def _mix_rows(out: np.ndarray, scratch: np.ndarray) -> None:
-    """Write draw j of each stream into out[j], given its pre-mix key in out[-1].
+    """Write word j of each stream into out[j], given its pre-mix key in out[-1].
 
-    out[-1], read as uint64, holds seed + GAMMA * (stream id + 1) per stream
-    and is mixed into the key there. Each draw is mixed in its own row,
-    reinterpreted as uint64, and converted to float in place, the last row
-    after every other has read the key, so no temporary is made. The 53-bit
-    values convert through an int64 view, which gives the same doubles as
-    uint64 and is cheaper. The cast is an element-for-element np.copyto
-    onto the same memory, which copies nothing first; a ufunc whose `out`
-    overlaps an input of another dtype would copy the whole row. Both the
-    cast and the scaling by 2**-53 are exact below 2**53.
+    `out` is uint64; out[-1] holds seed + GAMMA * (stream id + 1) per stream
+    and is mixed into the key there. Each draw is mixed in its own row, the
+    last after every other has read the key, so no temporary is made, and
+    stops at h >> 11: the draw's 53-bit word w, whose uniform is w * 2**-53.
     """
-    keys = out[-1].view(np.uint64)
-    with np.errstate(over="ignore"):
-        _fmix64_inplace(keys, scratch)
-        for j in range(len(out)):
-            h = out[j].view(np.uint64)
-            np.add(keys, np.uint64((_GAMMA * (j + 1)) & _MASK64), out=h)
-            _fmix64_inplace(h, scratch)
-            h >>= np.uint64(11)
-            np.copyto(out[j], h.view(np.int64))
-            out[j] *= _INV_2_53
+    keys = out[-1]
+    _fmix64_inplace(keys, scratch)
+    for j in range(len(out)):
+        h = out[j]
+        np.add(keys, _GAMMA * (j + 1) & _MASK64, out=h)
+        _fmix64_inplace(h, scratch)
+        h >>= 11
 
 
 def batch_uniforms(seed: int, stream_ids: np.ndarray, draws: int) -> np.ndarray:
@@ -125,41 +128,67 @@ def batch_uniforms(seed: int, stream_ids: np.ndarray, draws: int) -> np.ndarray:
     Row i column j equals the j-th value TrialStream(seed, stream_ids[i])
     would produce, so a trial gets the same variates whether it is drawn
     alone or inside a batch. The result is the transpose of a (draws, n)
-    buffer, so each draw's column is contiguous in memory.
+    array, so each draw's column is contiguous in memory.
     """
     ids = np.asarray(stream_ids, dtype=np.uint64)
-    out = np.empty((draws, ids.size), dtype=np.float64)
-    if draws == 0:
-        return out.T
-    keys = out[-1].view(np.uint64)
-    with np.errstate(over="ignore"):
-        np.add(ids, np.uint64(1), out=keys)
-        keys *= np.uint64(_GAMMA)
-        keys += np.uint64(int(seed) & _MASK64)
-    _mix_rows(out, np.empty_like(keys))
-    return out.T
+    words = np.empty((draws, ids.size), dtype=np.uint64)
+    if draws:
+        keys = words[-1]
+        np.add(ids, 1, out=keys)
+        keys *= _GAMMA
+        keys += int(seed) & _MASK64
+        _mix_rows(words, np.empty_like(keys))
+    return (words * _INV_2_53).T
+
+
+def word_thresholds(c: "float | np.ndarray") -> np.ndarray:
+    """For each threshold c, the float64 whose bits are m(c), the least word w with w*2**-53 >= c.
+
+    m(c) is 0 for c <= 0, ceil(c * 2**53) for 0 < c < 1 and 2**53, which no
+    word reaches, for c >= 1, +inf included. A word w < 2**53 read as a
+    float64 is a non-negative finite number, and such floats sort as their
+    bits do, so a word row viewed as float64 is at or above m(c)'s view
+    exactly when its uniform is at or above c: one float compare per word,
+    with no cast to a uniform and no slower integer compare. That needs
+    subnormal floats, so a thread that flushes them to zero (as code built
+    with -ffast-math can set up) gets a RuntimeError here.
+    """
+    if not _WORD_ONE > 0.0:
+        raise RuntimeError("subnormal floats are flushed to zero; words cannot be compared")
+    words = np.ceil(np.clip(np.asarray(c, dtype=np.float64), 0.0, 1.0) * _WORD_LIMIT)
+    return words.astype(np.uint64).view(np.float64)
+
+
+def as_words(u: np.ndarray) -> np.ndarray:
+    """Stream uniforms w * 2**-53 as word rows, the float64 views of each w that `words` gives.
+
+    Every stream uniform is a multiple of 2**-53, so the word is exact.
+    """
+    return (np.asarray(u, dtype=np.float64) * _WORD_LIMIT).astype(np.uint64).view(np.float64)
 
 
 class ChunkBuffers:
-    """Uniform rows and one scratch array, reused from chunk to chunk.
+    """Word rows and one scratch array, reused from chunk to chunk.
 
     Allocating a chunk's buffers afresh costs a page fault per 4 KiB page
     on first touch, which takes longer than the arithmetic done in them;
     one ChunkBuffers touches its set once. A set belongs to one thread.
-    The scratch is free once `uniforms` has mixed a chunk, and counting
-    takes its bool rows from there (`work_rows`), so a counted chunk
-    allocates nothing past the set.
+    The scratch is free once `words` has mixed a chunk, and counting takes
+    its bool rows from there (`work_rows`), so a counted chunk allocates
+    nothing past the set.
     """
 
     def __init__(self) -> None:
-        self._rows = np.empty((0, 0))
+        self._rows = np.empty((0, 0), dtype=np.uint64)
         self._scratch = np.empty(0, dtype=np.uint64)
 
-    def uniforms(self, seed: int, start: int, size: int, draws: int) -> np.ndarray:
-        """batch_uniforms(seed, ids start..start+size-1, draws).T, as (draws, size) rows.
+    def words(self, seed: int, start: int, size: int, draws: int) -> np.ndarray:
+        """The words of streams start..start+size-1, as (draws, size) rows viewed as float64.
 
-        `size` is at most CHUNK. The rows are the buffer itself: they hold
-        until the next call.
+        Row j holds each stream's j-th 53-bit word w, the uniform w * 2**-53
+        that batch_uniforms gives, read as a float64 so that it compares
+        with word_thresholds. `size` is at most CHUNK. The rows are the
+        buffer itself: they hold until the next call.
         """
         step = len(_KEY_STEPS)
         if size > step * len(_KEY_STRIDES):
@@ -167,35 +196,35 @@ class ChunkBuffers:
         blocks = -(-size // step)  # keys are filled `step` ids at a time, padding included
         if self._rows.shape[0] < draws or self._rows.shape[1] < blocks * step:
             width = max(blocks * step, self._rows.shape[1])
-            self._rows = np.empty((max(draws, self._rows.shape[0]), width))
+            self._rows = np.empty((max(draws, self._rows.shape[0]), width), dtype=np.uint64)
             self._scratch = np.empty(width, dtype=np.uint64)
         # seed + GAMMA * (start + i + 1), stream i of the chunk, in one pass.
-        first = np.uint64((int(seed) + _GAMMA * (start + 1)) & _MASK64)
-        keys = self._rows[draws - 1, : blocks * step].view(np.uint64).reshape(blocks, step)
-        np.add((_KEY_STRIDES[:blocks] + first)[:, None], _KEY_STEPS, out=keys)
+        first = (int(seed) + _GAMMA * (start + 1)) & _MASK64
+        keys = self._rows[draws - 1, : blocks * step].reshape(blocks, step)
+        np.add(np.add(_KEY_STRIDES[:blocks], first)[:, None], _KEY_STEPS, out=keys)
         out = self._rows[:draws, :size]
         _mix_rows(out, self._scratch[:size])
-        return out
+        return out.view(np.float64)
 
     def work_rows(self, count: int, size: int) -> np.ndarray:
         """`count` bool rows of `size`, carved from the scratch, as (count, size).
 
-        The scratch holds 8 such rows for any `size` the last `uniforms`
-        call took. The rows are valid until the next `uniforms` call, which
-        mixes in the scratch; their contents start undefined.
+        The scratch holds 8 such rows for any `size` the last `words` call
+        took. The rows are valid until the next `words` call, which mixes
+        in the scratch; their contents start undefined.
         """
         return self._scratch.view(np.bool_)[: count * size].reshape(count, size)
 
 
 def inverse_cdf(cdf: np.ndarray, rows: "int | np.ndarray", u: np.ndarray) -> np.ndarray:
-    """Index k with cdf[r, k-1] <= u < cdf[r, k] for each uniform u and its row r, clamped.
+    """Index k with cdf[r, k-1] <= u < cdf[r, k] for each value u and its row r, clamped.
 
-    `cdf` holds non-decreasing rows of at most 128 entries; `rows` is one
-    row index for every uniform or one per uniform. The index is the number
-    of thresholds at or below u, the same as np.searchsorted(cdf[r], u,
-    side="right"); leaving the last threshold out is the clamp to the last
-    index. The rows are compared one threshold column at a time, so no row
-    is copied per uniform.
+    `cdf` holds non-decreasing rows of at most 128 entries, word thresholds
+    for word rows; `rows` is one row index for every value or one per
+    value. The index is the number of thresholds at or below u, the same as
+    np.searchsorted(cdf[r], u, side="right"); leaving the last threshold out
+    is the clamp to the last index. The rows are compared one threshold
+    column at a time, so no row is copied per value.
     """
     index = np.zeros(u.shape, dtype=np.int8)
     above = np.empty(u.shape, dtype=bool)
@@ -205,31 +234,63 @@ def inverse_cdf(cdf: np.ndarray, rows: "int | np.ndarray", u: np.ndarray) -> np.
     return index
 
 
-def threshold_counts(cdf: np.ndarray, u: np.ndarray, above: np.ndarray) -> np.ndarray:
-    """np.bincount(inverse_cdf(cdf[None], 0, u), minlength=len(cdf)), with no index array.
+@record
+class CountingPlan:
+    """How one non-decreasing row of word thresholds tallies a word row into counters.
 
-    For one non-decreasing `cdf` row, a uniform's index is at least k exactly
-    when u >= cdf[k-1], so each index's count is the difference of two
-    neighbouring threshold counts; the last index takes everything at or
-    above the last threshold it compares against, which is the clamp.
-    `above` is a bool row of u's shape that each comparison is written to.
-    Only thresholds that can change a count are compared: one at or below
-    0 counts every uniform, +inf counts none, and one equal to the threshold
-    before it (a zero-probability index) keeps that threshold's count.
+    Every word counts `fixed[k]` times in counter k; then, for each
+    (threshold, gain, lose) of `compares`, each word at or above the
+    threshold moves from counter `lose` to counter `gain`.
     """
-    thresholds = cdf[:-1].tolist()
-    at_least = [u.size]
-    for k, threshold in enumerate(thresholds):
-        if threshold <= 0.0:
-            n = u.size
-        elif threshold == np.inf:
-            n = 0
-        elif k == 0 or threshold != thresholds[k - 1]:
-            np.greater_equal(u, threshold, out=above)
-            n = np.count_nonzero(above)
-        at_least.append(n)
-    at_least.append(0)
-    return -np.diff(at_least)
+
+    fixed: tuple[int, ...]
+    compares: tuple[tuple[float, int, int], ...]
+
+
+def counting_plan(
+    thresholds: Sequence[float], answers: Sequence[int], counters: int
+) -> CountingPlan:
+    """The plan that counts each word's index on `thresholds` into its counter `answers[index]`.
+
+    A word's index is the number of `thresholds`, a non-decreasing row of
+    word thresholds one shorter than `answers`, at or below it, as
+    inverse_cdf gives it. A run of equal thresholds moves the words at or
+    above it from the counter of the index before the run to that of the
+    index after it; a run between two indices with the same counter moves
+    nothing and is not compared, a run at 0 moves every word and folds
+    into `fixed`, and one at m(1) moves none.
+    """
+    fixed = [0] * counters
+    fixed[answers[0]] = 1
+    compares = []
+    index = 0
+    for threshold, run in itertools.groupby(thresholds):
+        lose = answers[index]
+        index += len(list(run))
+        gain = answers[index]
+        if gain == lose or threshold >= _NO_WORD:
+            continue
+        if threshold == 0.0:
+            fixed[gain] += 1
+            fixed[lose] -= 1
+        else:
+            compares.append((float(threshold), gain, lose))
+    return CountingPlan(tuple(fixed), tuple(compares))
+
+
+def count_words(plan: CountingPlan, words: np.ndarray, above: np.ndarray, tally: list) -> None:
+    """Add to each counter of `tally` (plain ints) the words of one row that `plan` counts in it.
+
+    `above` is a bool row of the words' shape that each comparison is written to.
+    """
+    size = words.size
+    for k, times in enumerate(plan.fixed):
+        tally[k] += times * size
+    for threshold, gain, lose in plan.compares:
+        np.greater_equal(words, threshold, out=above)
+        n = int(np.count_nonzero(above))
+        tally[gain] += n
+        tally[lose] -= n
 
 
 def _workers(chunks: int) -> int:
@@ -242,36 +303,40 @@ def _workers(chunks: int) -> int:
 
 
 def map_chunks(
-    fn: Callable[[ChunkBuffers, int, int], object], ranges: Sequence[tuple[int, int]]
-) -> list:
-    """Per (first stream id, count) range, the sum of fn(buffers, start, size) over its CHUNKs.
+    fn: Callable[[ChunkBuffers, int, int, int, list], None],
+    ranges: Sequence[tuple[int, int]],
+    counters: int = 0,
+) -> list[list[int]]:
+    """Per (first stream id, count) range, `counters` integer counts summed over its CHUNKs.
 
-    No chunk spans two ranges, and a range of no ids gives None. The calling
-    thread and up to _workers(chunks of the run) - 1 more each claim the next
-    unclaimed chunk with a ChunkBuffers of their own and add its result to
-    its range's total with `+` as soon as it finishes, so chunk results must
-    add associatively and commutatively: counts, or None where `fn` writes its
-    chunk's rows itself (a None is never added). The first exception any
-    thread raises stops every thread and is raised here.
+    No chunk spans two ranges. The calling thread and up to _workers(chunks
+    of the run) - 1 more each claim the next unclaimed chunk and call
+    fn(buffers, r, start, size, tally), with a ChunkBuffers and, per range
+    r, a list of `counters` ints of their own: fn adds its chunk's counts to
+    `tally` (or writes its chunk's rows itself, with `counters` 0), so no
+    lock is held past the claim. Once every thread has joined, each
+    range's counts are the sums of its threads' tallies, the same in any
+    order. The first exception any thread raises stops every thread and is
+    raised here.
     """
-    claims = ((r, start) for r, (first, count) in enumerate(ranges)
+    claims = ((r, start, min(CHUNK, first + count - start))
+              for r, (first, count) in enumerate(ranges)
               for start in range(first, first + count, CHUNK))
-    totals: list = [None] * len(ranges)
     lock = threading.Lock()
+    tallies: list[list[list[int]]] = []
     failures: list[BaseException] = []
 
     def work() -> None:
         buffers = ChunkBuffers()
+        own = [[0] * counters for _ in ranges]
+        tallies.append(own)
         try:
             while not failures:
                 with lock:
-                    r, start = next(claims, (None, None))
+                    r, start, size = next(claims, (None, 0, 0))
                 if r is None:
                     return
-                first, count = ranges[r]
-                result = fn(buffers, start, min(CHUNK, first + count - start))
-                with lock:
-                    totals[r] = result if totals[r] is None else totals[r] + result
+                fn(buffers, r, start, size, own[r])
         except BaseException as exc:  # raised again by the calling thread
             failures.append(exc)
 
@@ -284,4 +349,4 @@ def map_chunks(
         thread.join()
     if failures:
         raise failures[0]
-    return totals
+    return [[sum(column) for column in zip(*threads)] for threads in zip(*tallies)]

@@ -311,6 +311,18 @@ def reference_trial(model: dict, settings, seed: int, stream_id: int):
     return OUTCOMES[k], k
 
 
+def reference_counts(model: dict, settings, seed: int, first: int, count: int) -> tuple:
+    """(n_pp, n_pm, n_mp, n_mm) over the trials with stream ids first..first+count-1.
+
+    One reference_trial per stream id, tallied by its outcome pair.
+    """
+    counts = [0, 0, 0, 0]
+    for stream_id in range(first, first + count):
+        outcomes, _ = reference_trial(model, settings, seed, stream_id)
+        counts[OUTCOMES.index(outcomes)] += 1
+    return tuple(counts)
+
+
 def per_record_ledger_text(trials) -> str:
     """A ledger as written one record at a time: a json.dumps line per trial.
 

@@ -25,14 +25,19 @@ from bellsim.models import (
     sample_outcomes,
 )
 from bellsim.quantum import expectation, joint_probabilities, make_named_state
-from bellsim.stats import PAIR_ORDER, STRATEGIES, correlation, counts_from_outcomes
+from bellsim.stats import (
+    PAIR_ORDER, STRATEGIES, CoincidenceCounts, correlation, counts_from_outcomes
+)
 from bellsim.streams import (
     CHUNK,
     ChunkBuffers,
     TrialStream,
+    as_words,
     batch_uniforms,
+    count_words,
+    counting_plan,
     inverse_cdf,
-    threshold_counts,
+    word_thresholds,
 )
 
 import oracles
@@ -53,6 +58,14 @@ def _counts(*args, **kwargs) -> dict:
     """Each setting pair's coincidence counts in run_chsh_experiment(*args, **kwargs)."""
     result = run_chsh_experiment(*args, **kwargs)
     return {pair: estimate.counts for pair, estimate in result.correlations.items()}
+
+
+def _chunk_counts(model, pair, seed, buffers, start, size) -> CoincidenceCounts:
+    """count_chunk's tally of one chunk at a setting pair, from zero."""
+    tally = [0, 0, 0, 0]
+    count_chunk(model._tables, seed, buffers, PAIR_ORDER.index(pair), start, size, tally)
+    assert all(type(n) is int for n in tally)
+    return CoincidenceCounts(*tally)
 
 
 class TestLhvStrategy:
@@ -271,10 +284,11 @@ class TestBatchGeneration:
     def test_a_chunk_of_mixed_pairs_needs_no_cdf_row_per_trial(self):
         # A CDF row per trial would be 16 floats, 8 MiB for the chunk.
         pairs = np.resize(np.arange(4, dtype=np.int8), CHUNK)
-        u = ChunkBuffers().uniforms(3, 0, CHUNK, UNIFORM_LHV._tables.draws).T
+        u = ChunkBuffers().words(3, 0, CHUNK, UNIFORM_LHV._tables.draws).T
         expected = sample_outcomes(UNIFORM_LHV, pairs, u)
         assert traced_peak(lambda: sample_outcomes(UNIFORM_LHV, pairs, u)) < 2 * 2**20
-        assert expected[1].tolist()[:4] == [min(int(16 * x), 15) for x in u[:4, 0]]
+        uniforms = u[:4, 0].view(np.uint64) * 2.0**-53
+        assert expected[1].tolist()[:4] == [min(int(16 * x), 15) for x in uniforms]
 
     # record_run is the batch form of run_trial: it samples a chunk of trials per call.
     @pytest.mark.parametrize("name", sorted(catalog()))
@@ -362,7 +376,7 @@ class TestFusedCounts:
         for pair_index, pair in enumerate(PAIR_ORDER):
             start, size = 1000 * pair_index, 5000 + pair_index
             expected = counts_from_outcomes(generate_outcomes(model, pair, 21, start, size))
-            assert count_chunk(model, pair, 21, ChunkBuffers(), start, size) == expected
+            assert _chunk_counts(model, pair, 21, ChunkBuffers(), start, size) == expected
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("name", sorted(FUSED_MODELS))
@@ -404,19 +418,19 @@ class TestFusedCounts:
         assert np.cumsum(_SHORT_TOTAL)[9] <= u
 
         class Constant:
-            def uniforms(self, seed, start, size, draws):
-                return np.full((draws, size), u)
+            def words(self, seed, start, size, draws):
+                return as_words(np.full((draws, size), u))
 
             def work_rows(self, count, size):
                 return np.empty((count, size), dtype=bool)
 
         monkeypatch.setattr(oracles, "stream_uniforms", lambda seed, stream_id, draws: [u])
         for pair_index, pair in enumerate(PAIR_ORDER):
-            outcomes, hidden = sample_outcomes(model, pair_index, np.array([[u]]))
+            outcomes, hidden = sample_outcomes(model, pair_index, as_words([[u]]))
             assert hidden.tolist() == [9]
             assert tuple(outcomes[0].tolist()) == model.response(9, pair)
             assert reference_trial(model.to_dict(), pair, 0, 0) == (model.response(9, pair), 9)
-            counts = count_chunk(model, pair, 0, Constant(), 0, 10)
+            counts = _chunk_counts(model, pair, 0, Constant(), 0, 10)
             expected = counts_from_outcomes(np.repeat(outcomes, 10, axis=0))
             assert counts == expected and counts.total == 10
 
@@ -435,7 +449,7 @@ class TestFusedCounts:
             for pair_index, pair in enumerate(PAIR_ORDER):
                 first = start + pair_index * count
                 ids = np.arange(first, first + count, dtype=np.uint64)
-                u = batch_uniforms(seed, ids, model._tables.draws)
+                u = as_words(batch_uniforms(seed, ids, model._tables.draws))
                 outcomes, _ = sample_outcomes(model, pair_index, u)
                 expected[name, pair] = counts_from_outcomes(outcomes)
         with mock.patch.object(streams, "CHUNK", chunk):
@@ -456,47 +470,125 @@ class TestFusedCounts:
         start = CHUNK - 100
         for pair_index, pair in enumerate(PAIR_ORDER):
             outcomes = generate_outcomes(model, pair, seed, start, CHUNK + extra)
-            head = count_chunk(model, pair, seed, ChunkBuffers(), start, CHUNK)
-            tail = count_chunk(model, pair, seed, ChunkBuffers(), start + CHUNK, extra)
+            head = _chunk_counts(model, pair, seed, ChunkBuffers(), start, CHUNK)
+            tail = _chunk_counts(model, pair, seed, ChunkBuffers(), start + CHUNK, extra)
             assert head + tail == counts_from_outcomes(outcomes)
             # The row as sampled, each threshold repeated (a zero-probability
-            # index after each), and +inf thresholds appended that no uniform reaches.
+            # index after each), and thresholds m(1) appended that no word reaches.
             buffers = ChunkBuffers()
-            u, = buffers.uniforms(seed, start, CHUNK, 1)
+            u, = buffers.words(seed, start, CHUNK, 1)
             above, = buffers.work_rows(1, CHUNK)
             row = model._tables.cdf[pair_index]
-            for cdf in (row, np.repeat(row, 2), np.append(row, [np.inf, np.inf])):
+            no_word = word_thresholds(np.array([1.0, np.inf]))
+            for cdf in (row, np.repeat(row, 2), np.append(row, no_word)):
                 expected = np.bincount(inverse_cdf(cdf[None], 0, u), minlength=len(cdf))
-                assert np.array_equal(threshold_counts(cdf, u, above), expected)
+                plan = counting_plan(cdf[:-1].tolist(), range(len(cdf)), len(cdf))
+                tally = [0] * len(cdf)
+                count_words(plan, u, above, tally)
+                assert tally == expected.tolist()
+
+    def test_catalog_counts_equal_the_reference_tally(self, monkeypatch):
+        # Chunks of 500 ids, so each pair's 1,037 trials end in a partial chunk.
+        trials = 1037
+        monkeypatch.setattr(streams, "CHUNK", 500)
+        for name, model in CATALOG_MODELS.items():
+            want = [
+                oracles.reference_counts(model.to_dict(), pair, 13, 500 + i * trials, trials)
+                for i, pair in enumerate(PAIR_ORDER)
+            ]
+            for workers in (1, 2):
+                monkeypatch.setattr(streams, "_workers", lambda chunks: workers)
+                counts = _counts(model, trials, 13, stream_base=500)
+                got = [(c.n_pp, c.n_pm, c.n_mp, c.n_mm) for c in counts.values()]
+                assert got == want, (name, workers)
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=st.one_of(_MIXTURES, _TABLES), seed=st.integers(0, 2**64 - 1),
+           extra=st.integers(1, 99))
+    def test_random_rows_count_as_the_reference_tally(self, model, seed, extra):
+        # Two workers over chunks of 100 ids: each pair's 300 + `extra` trials
+        # end in a partial chunk.
+        trials = 300 + extra
+        with mock.patch.object(streams, "CHUNK", 100), \
+                mock.patch.object(streams, "_workers", lambda chunks: 2):
+            counts = _counts(model, trials, seed, stream_base=50)
+        for pair_index, pair in enumerate(PAIR_ORDER):
+            got = counts[pair]
+            want = oracles.reference_counts(
+                model.to_dict(), pair, seed, 50 + pair_index * trials, trials
+            )
+            assert (got.n_pp, got.n_pm, got.n_mp, got.n_mm) == want, pair
 
     def test_thresholds_that_cannot_change_a_count_are_not_compared(self, monkeypatch):
-        # The PR box's rows are [0.5, 0.5, 0.5, inf] and [0, 0.5, inf, inf]:
-        # thresholds repeated, at 0 and at +inf count without a pass over u.
+        # The PR box's rows are [0.5, 0.5, 0.5, inf] and [0, 0.5, inf, inf]
+        # in word form: thresholds repeated, at 0 and at +inf count without
+        # a pass over the words.
         buffers = ChunkBuffers()
-        u, = buffers.uniforms(4, 0, 1000, 1)
+        u, = buffers.words(4, 0, 1000, 1)
         above, = buffers.work_rows(1, 1000)
         passes = []
         count_nonzero = np.count_nonzero
         monkeypatch.setattr(np, "count_nonzero", lambda a: passes.append(a) or count_nonzero(a))
         for cdf in np.unique(PR_BOX._tables.cdf, axis=0):
             passes.clear()
-            counts = threshold_counts(cdf, u, above)
+            tally = [0] * 4
+            count_words(counting_plan(cdf[:-1].tolist(), range(4), 4), u, above, tally)
             assert len(passes) == 1
-            assert np.array_equal(counts, np.bincount(inverse_cdf(cdf[None], 0, u), minlength=4))
+            assert tally == np.bincount(inverse_cdf(cdf[None], 0, u), minlength=4).tolist()
+
+    @pytest.mark.parametrize("name,passes_per_pair", [
+        # Strategy index bits are a, a', b, b' from high to low: b' changes with
+        # every index and b with every other, so (x, b) merges the 16 indices
+        # into 8 runs of one answer, 7 thresholds between them.
+        ("lhv-uniform", [7, 15, 7, 15]),
+        ("pr-box", [1, 1, 1, 1]),  # the two outcome pairs of each row, one threshold apart
+        ("pr-box-soft", [3, 3, 3, 3]),
+        ("lhv-edge", [0, 1, 0, 1]),  # strategies 0 and 1 differ only at b'
+        ("quantum-optimal", [3, 3, 3, 3]),
+    ])
+    def test_a_chunk_compares_once_per_run_of_one_outcome_pair(
+        self, name, passes_per_pair, monkeypatch
+    ):
+        model = CATALOG_MODELS[name]
+        expected = [counts_from_outcomes(generate_outcomes(model, pair, 7, 3, CHUNK))
+                    for pair in PAIR_ORDER]
+        passes = []
+        count_nonzero = np.count_nonzero
+        monkeypatch.setattr(np, "count_nonzero", lambda a: passes.append(a) or count_nonzero(a))
+        for pair, want, want_passes in zip(PAIR_ORDER, expected, passes_per_pair):
+            passes.clear()
+            assert _chunk_counts(model, pair, 7, ChunkBuffers(), 3, CHUNK) == want, pair
+            assert len(passes) == want_passes, pair
+
+    def test_two_workers_build_one_coincidence_counts_per_pair(self, monkeypatch):
+        # 16 chunks over two workers: each chunk adds plain ints to its
+        # worker's tally, and each pair's counts are built once, after the join.
+        monkeypatch.setattr(streams, "_workers", lambda chunks: 2)
+        built = []
+        init = CoincidenceCounts.__init__
+        monkeypatch.setattr(
+            CoincidenceCounts, "__init__", lambda self, *a: built.append(a) or init(self, *a)
+        )
+        result = run_chsh_experiment(UNIFORM_LHV, 4 * CHUNK, 11)
+        assert len(built) == 4
+        assert [estimate.counts.total for estimate in result.correlations.values()] == [
+            4 * CHUNK] * 4
+        assert all(type(n) is int for counts in built for n in counts)
 
     @pytest.mark.parametrize("name", sorted(CATALOG_MODELS))
     def test_a_counted_chunk_allocates_nothing_past_its_buffers(self, name):
-        # Draws are cast where they lie and masks are written to the scratch.
+        # Draws are mixed into words where they lie and masks are written to the scratch.
         model, buffers = CATALOG_MODELS[name], ChunkBuffers()
-        count_chunk(model, ("a", "b"), 1, buffers, 0, CHUNK)
-        peak = traced_peak(lambda: count_chunk(model, ("a'", "b'"), 2, buffers, 5, CHUNK))
+        tally = [0, 0, 0, 0]
+        count_chunk(model._tables, 1, buffers, 0, 0, CHUNK, tally)
+        peak = traced_peak(lambda: count_chunk(model._tables, 2, buffers, 3, 5, CHUNK, tally))
         assert peak < 16 * 1024
 
     def test_empty_range(self):
         quantum = catalog()["quantum-optimal"]
-        assert count_chunk(quantum, ("a", "b"), 0, ChunkBuffers(), 0, 0).total == 0
+        assert _chunk_counts(quantum, ("a", "b"), 0, ChunkBuffers(), 0, 0).total == 0
         with pytest.raises(ValueError, match="settings"):
-            count_chunk(quantum, ("b", "a"), 0, ChunkBuffers(), 0, 0)
+            generate_outcomes(quantum, ("b", "a"), 0, 0, 0)
         with pytest.raises(ValueError, match="trials_per_pair"):
             run_chsh_experiment(quantum, 0, 0)
         with pytest.raises(ValueError, match="non-negative"):
@@ -562,6 +654,8 @@ class TestModelTables:
         # would put them.
         model = catalog()[name]
         u = np.concatenate([np.linspace(0.0, 1.0 - 2.0**-53, 4001), np.arange(1, 16) / 16.0])
+        words = as_words(u)  # each uniform rounded down to a word, as a stream's uniforms are
+        u = words.view(np.uint64) * 2.0**-53
         for pair_index, pair in enumerate(PAIR_ORDER):
             if model.kind == "superdeterministic":
                 rows = model.table[pair]
@@ -571,7 +665,7 @@ class TestModelTables:
                 rows = model.weights
             full = np.cumsum(rows)
             expected = np.minimum(np.searchsorted(full, u, side="right"), len(full) - 1)
-            assert np.array_equal(inverse_cdf(model._tables.cdf, pair_index, u), expected)
+            assert np.array_equal(inverse_cdf(model._tables.cdf, pair_index, words), expected)
 
     def test_point_mass_needs_no_threshold(self):
         assert ALL_PLUS._tables.cdf.shape == (4, 1)

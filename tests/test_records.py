@@ -34,6 +34,7 @@ from bellsim.optimize import LandscapeGrid, OptimizationResult
 from bellsim.polytope import CorrelationVector, FeasibilityVerdict, ViolatedFacet
 from bellsim.quantum import JointOutcomeDistribution, TwoQubitState
 from bellsim.stats import ChshResult, CoincidenceCounts, CorrelationEstimate
+from bellsim.streams import CountingPlan
 
 PATTERN = (1, -1, 1, 1)
 MODEL = ModelDescriptor("quantum", "psi_minus", (0.0, 1.0, 2.0, 3.0))
@@ -100,8 +101,14 @@ CASES = [
             "cdf": None,
             "answers": None,
             "conditionals": None,
+            "plans": (),
         },
-        "_SamplingTables(draws=2, cdf=None, answers=None, conditionals=None)",
+        "_SamplingTables(draws=2, cdf=None, answers=None, conditionals=None, plans=())",
+    ),
+    (
+        CountingPlan,
+        {"fixed": (1, 0, 0, 0), "compares": ((0.5, 3, 0),)},
+        "CountingPlan(fixed=(1, 0, 0, 0), compares=((0.5, 3, 0),))",
     ),
     (
         ModelDescriptor,
@@ -236,7 +243,7 @@ def _record_classes():
 
 def test_every_record_class_is_covered():
     assert _record_classes() == {cls for cls, *_ in CASES}
-    assert len(CASES) == 18
+    assert len(CASES) == 19
 
 
 def test_every_post_init_check_is_covered():
