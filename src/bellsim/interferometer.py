@@ -12,6 +12,7 @@ is present even though the photon provably never reached it.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 from ._record import record
@@ -62,19 +63,16 @@ def run_bomb_trials(spec: InterferometerSpec, trials: int, seed: int) -> dict[st
     does not grow with `trials`.
     """
     # streams first: it loads numpy, and is compiled before numpy's memory is held.
-    from .streams import ChunkBuffers, count_words, counting_plan, map_chunks, word_thresholds
+    from .streams import count_words, counting_plan, map_chunks, word_thresholds
 
     import numpy as np
 
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     probs = port_probabilities(spec)
-    cdf = word_thresholds(np.cumsum([probs[name] for name in OUTCOMES]))
-    plan = counting_plan(cdf[:-1].tolist(), range(len(OUTCOMES)), len(OUTCOMES))
-
-    def tally(buffers: ChunkBuffers, r: int, start: int, size: int, ports: list) -> None:
-        words, = buffers.words(seed, start, size, 1)
-        count_words(plan, words, buffers.work_rows(1, size)[0], ports)
-
-    counts, = map_chunks(tally, [(0, trials)], len(OUTCOMES))
+    # Below the first threshold a photon explodes, below the second it is dark; bright needs none.
+    thresholds = word_thresholds(np.cumsum([probs[name] for name in OUTCOMES[:-1]]))
+    plan = counting_plan(thresholds.tolist(), range(len(OUTCOMES)), len(OUTCOMES))
+    count = functools.partial(count_words, (plan,), seed)
+    counts, = map_chunks(count, [(0, trials)], len(OUTCOMES))
     return {name: counts[i] / trials for i, name in enumerate(OUTCOMES)}

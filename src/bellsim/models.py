@@ -125,12 +125,12 @@ def _validate_table(
 class _SamplingTables:
     """A model's constants, one row per setting pair in PAIR_ORDER, thresholds in word form.
 
-    `cdf` rows are inverse-CDF word thresholds over hidden indices and
-    `answers` the outcome pair each index gives; sampling reads them, and
-    counting reads `plans`, each pair's CountingPlan built from them once.
-    nonlocal models have neither and keep `conditionals` rows
-    (p_left_plus, c_plus_given_plus, c_plus_given_minus), which are also
-    their `plans`, as floats. streams.word_thresholds gives the word form.
+    `cdf` rows hold the inverse-CDF word thresholds over hidden indices
+    that some word falls below, and `answers` the outcome pair each index
+    gives; sampling reads them, and counting reads `plans`, each pair's
+    CountingPlan built from them once. nonlocal models have none of these;
+    both read their `conditionals` rows (p_left_plus, c_plus_given_plus,
+    c_plus_given_minus). streams.word_thresholds gives the word form.
     """
 
     draws: int
@@ -164,25 +164,24 @@ def _build_tables(model: "ModelDescriptor") -> _SamplingTables:
         c_plus = rows[:, 0] / np.where(p_plus > 0.0, p_plus, 1.0)
         c_minus = rows[:, 2] / np.where(p_minus > 0.0, p_minus, 1.0)
         conditionals = word_thresholds(np.column_stack([p_plus, c_plus, c_minus]))
-        plans = tuple(map(tuple, conditionals.tolist()))
-        return _SamplingTables(2, None, None, conditionals, plans)
+        return _SamplingTables(2, None, None, conditionals, ())
     cdf = np.cumsum(rows, axis=1)
     # The last index a uniform reaches is the row's last with positive
     # probability, or, sooner, the first whose threshold is at or above 1,
     # which no uniform reaches. Thresholds from there on never count: as
     # +inf they send the tail of a row summing to just below 1 to that
     # index, never to a zero-probability one, and a suffix of them that
-    # every row shares is dropped.
+    # every row shares is not stored: `width` thresholds pick among width + 1 indices.
     n = rows.shape[1]
     last_positive = n - 1 - np.argmax(rows[:, ::-1] > 0.0, axis=1)
     full = cdf >= 1.0
     reach = np.minimum(last_positive, np.where(full.any(axis=1), np.argmax(full, axis=1), n))
     cdf[np.arange(n) >= reach[:, None]] = np.inf
-    width = int(reach.max()) + 1
+    width = int(reach.max())
     cdf = word_thresholds(cdf[:, :width])
     # Each hidden index counts in the coincidence counter of the outcome pair it answers.
-    outcomes = outcome_index(answers[:, :width, 0], answers[:, :width, 1]).tolist()
-    plans = tuple(counting_plan(row, own, 4) for row, own in zip(cdf[:, :-1].tolist(), outcomes))
+    outcomes = outcome_index(answers[:, : width + 1, 0], answers[:, : width + 1, 1]).tolist()
+    plans = tuple(counting_plan(row, own, 4) for row, own in zip(cdf.tolist(), outcomes))
     return _SamplingTables(1, cdf, answers, None, plans)
 
 
@@ -368,16 +367,17 @@ def sample_outcomes(
 
     `pairs` holds each trial's index into PAIR_ORDER, or one index for all;
     row i of `u` holds trial i's stream words in draw order, as
-    ChunkBuffers.words gives them (streams.as_words of its uniforms). nonlocal
-    draws the left outcome, then the right one conditioned on it; the other
-    kinds draw a hidden index from the pair's CDF row and give its outcome pair.
+    ChunkBuffers.words gives them (streams.word_thresholds of its uniforms).
+    nonlocal, whose tables hold conditionals, draws the left outcome, then
+    the right one conditioned on it; the other kinds draw a hidden index
+    from the pair's CDF row and give its outcome pair.
     """
     import numpy as np
 
     from .streams import inverse_cdf
 
     tables = model._tables
-    if model.kind == "nonlocal":
+    if tables.conditionals is not None:
         p_left_plus, c_plus, c_minus = tables.conditionals[pairs].T
         left = u[:, 0] < p_left_plus
         right = u[:, 1] < np.where(left, c_plus, c_minus)
@@ -393,10 +393,10 @@ def run_trial(
     model: ModelDescriptor, settings: SettingPair, rng_stream: TrialStream
 ) -> TrialRecord:
     """One trial: the kernel on the next uniforms drawn from `rng_stream`."""
-    from .streams import as_words
+    from .streams import word_thresholds
 
     pair = _pair_index(settings)
-    u = as_words(rng_stream.uniforms(model._tables.draws))[None, :]
+    u = word_thresholds(rng_stream.uniforms(model._tables.draws))[None, :]
     outcomes, hidden = sample_outcomes(model, pair, u)
     (left, right), = outcomes.tolist()
     lam = None if hidden is None else int(hidden[0])
@@ -443,22 +443,22 @@ def count_chunk(
 
     `tables` are a model's sampling tables (ModelDescriptor._tables), `pair`
     indexes PAIR_ORDER and `tally` holds the plain-int counters (n_pp,
-    n_pm, n_mp, n_mm). The same outcomes generate_outcomes gives,
-    counted without a per-trial array: CDF kinds count the pair's words
-    through its CountingPlan; nonlocal counts the left outcome and, on each
-    side of it, the right outcome's condition. Every mask is one of
-    `buffers`' work rows, so a chunk allocates nothing past its buffers.
+    n_pm, n_mp, n_mm). They tally the outcomes that sample_outcomes gives
+    these trials, as a ledger records them, without a per-trial array: CDF
+    kinds count the pair's words through its CountingPlan; nonlocal counts
+    the left outcome and, on each side of it, the right outcome's
+    condition. Every mask is one of `buffers`' work rows, so a chunk
+    allocates nothing past its buffers.
     """
     import numpy as np
 
     from .streams import count_words
 
-    plan = tables.plans[pair]
-    u = buffers.words(seed, start, size, tables.draws)
-    if tables.cdf is not None:  # not nonlocal
-        count_words(plan, u[0], buffers.work_rows(1, size)[0], tally)
+    if tables.conditionals is None:
+        count_words(tables.plans, seed, buffers, pair, start, size, tally)
         return
-    p_left_plus, c_plus, c_minus = plan
+    p_left_plus, c_plus, c_minus = tables.conditionals[pair].tolist()
+    u = buffers.words(seed, start, size, tables.draws)
     left, right = buffers.work_rows(2, size)
     np.less(u[0], p_left_plus, out=left)
     n_left_plus = int(np.count_nonzero(left))

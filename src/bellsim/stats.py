@@ -76,17 +76,6 @@ class CoincidenceCounts:
     def total(self) -> int:
         return self.n_pp + self.n_pm + self.n_mp + self.n_mm
 
-    def __add__(self, other: "CoincidenceCounts") -> "CoincidenceCounts":
-        """Pairwise counter addition; associative and commutative."""
-        if not isinstance(other, CoincidenceCounts):
-            return NotImplemented
-        return CoincidenceCounts(
-            self.n_pp + other.n_pp,
-            self.n_pm + other.n_pm,
-            self.n_mp + other.n_mp,
-            self.n_mm + other.n_mm,
-        )
-
 
 def counts_from_outcomes(outcomes: np.ndarray) -> CoincidenceCounts:
     """Tally an (N, 2) array of +-1 outcome pairs in one pass."""

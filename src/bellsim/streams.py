@@ -151,20 +151,13 @@ def word_thresholds(c: "float | np.ndarray") -> np.ndarray:
     exactly when its uniform is at or above c: one float compare per word,
     with no cast to a uniform and no slower integer compare. That needs
     subnormal floats, so a thread that flushes them to zero (as code built
-    with -ffast-math can set up) gets a RuntimeError here.
+    with -ffast-math can set up) gets a RuntimeError here. A stream uniform
+    is a multiple of 2**-53, so its word threshold is its word.
     """
     if not _WORD_ONE > 0.0:
         raise RuntimeError("subnormal floats are flushed to zero; words cannot be compared")
     words = np.ceil(np.clip(np.asarray(c, dtype=np.float64), 0.0, 1.0) * _WORD_LIMIT)
     return words.astype(np.uint64).view(np.float64)
-
-
-def as_words(u: np.ndarray) -> np.ndarray:
-    """Stream uniforms w * 2**-53 as word rows, the float64 views of each w that `words` gives.
-
-    Every stream uniform is a multiple of 2**-53, so the word is exact.
-    """
-    return (np.asarray(u, dtype=np.float64) * _WORD_LIMIT).astype(np.uint64).view(np.float64)
 
 
 class ChunkBuffers:
@@ -217,18 +210,17 @@ class ChunkBuffers:
 
 
 def inverse_cdf(cdf: np.ndarray, rows: "int | np.ndarray", u: np.ndarray) -> np.ndarray:
-    """Index k with cdf[r, k-1] <= u < cdf[r, k] for each value u and its row r, clamped.
+    """Index k with cdf[r, k-1] <= u < cdf[r, k] for each value u and its row r.
 
-    `cdf` holds non-decreasing rows of at most 128 entries, word thresholds
-    for word rows; `rows` is one row index for every value or one per
-    value. The index is the number of thresholds at or below u, the same as
-    np.searchsorted(cdf[r], u, side="right"); leaving the last threshold out
-    is the clamp to the last index. The rows are compared one threshold
-    column at a time, so no row is copied per value.
+    `cdf` holds non-decreasing rows of at most 127 thresholds (word
+    thresholds for word rows); `rows` is one row index for every value or
+    one per value. The index is the number of thresholds at or below u,
+    np.searchsorted(cdf[r], u, side="right"). The rows are compared one
+    threshold column at a time, so no row is copied per value.
     """
     index = np.zeros(u.shape, dtype=np.int8)
     above = np.empty(u.shape, dtype=bool)
-    for k in range(cdf.shape[1] - 1):
+    for k in range(cdf.shape[1]):
         np.greater_equal(u, cdf[rows, k], out=above)
         index += above
     return index
@@ -252,13 +244,13 @@ def counting_plan(
 ) -> CountingPlan:
     """The plan that counts each word's index on `thresholds` into its counter `answers[index]`.
 
-    A word's index is the number of `thresholds`, a non-decreasing row of
-    word thresholds one shorter than `answers`, at or below it, as
-    inverse_cdf gives it. A run of equal thresholds moves the words at or
+    A word's index is the number of `thresholds`, a stored CDF row of
+    non-decreasing word thresholds one fewer than `answers`, at or below it,
+    as inverse_cdf gives it. A run of equal thresholds moves the words at or
     above it from the counter of the index before the run to that of the
     index after it; a run between two indices with the same counter moves
-    nothing and is not compared, a run at 0 moves every word and folds
-    into `fixed`, and one at m(1) moves none.
+    nothing and is not compared, a run at 0 moves every word and folds into
+    `fixed`, and one at m(1), where a row reaches 1 before others, none.
     """
     fixed = [0] * counters
     fixed[answers[0]] = 1
@@ -278,15 +270,20 @@ def counting_plan(
     return CountingPlan(tuple(fixed), tuple(compares))
 
 
-def count_words(plan: CountingPlan, words: np.ndarray, above: np.ndarray, tally: list) -> None:
-    """Add to each counter of `tally` (plain ints) the words of one row that `plan` counts in it.
+def count_words(
+    plans: tuple, seed: int, buffers: ChunkBuffers, r: int, start: int, size: int, tally: list
+) -> None:
+    """Add to `tally`'s plain-int counters the one-draw words of streams start..start+size-1
+    that the CountingPlan plans[r] counts in each.
 
-    `above` is a bool row of the words' shape that each comparison is written to.
+    Bound to `plans` and `seed`, this is the map_chunks callback that counts range r. The
+    words and the bool row each compare writes are `buffers`' own: a chunk allocates nothing.
     """
-    size = words.size
-    for k, times in enumerate(plan.fixed):
+    words, = buffers.words(seed, start, size, 1)
+    above, = buffers.work_rows(1, size)
+    for k, times in enumerate(plans[r].fixed):
         tally[k] += times * size
-    for threshold, gain, lose in plan.compares:
+    for threshold, gain, lose in plans[r].compares:
         np.greater_equal(words, threshold, out=above)
         n = int(np.count_nonzero(above))
         tally[gain] += n

@@ -417,3 +417,21 @@ def traced_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+class FixedWords:
+    """A stand-in for streams.ChunkBuffers whose chunk is always the word rows it was given.
+
+    A test counts words it chose, such as words that sit on thresholds, through
+    code that takes its words from a ChunkBuffers.
+    """
+
+    def __init__(self, rows: np.ndarray) -> None:
+        self.rows = np.atleast_2d(rows)
+
+    def words(self, seed: int, start: int, size: int, draws: int) -> np.ndarray:
+        assert self.rows.shape == (draws, size)
+        return self.rows
+
+    def work_rows(self, count: int, size: int) -> np.ndarray:
+        return np.empty((count, size), dtype=bool)

@@ -4,24 +4,32 @@ The settings come from `bellsim.cli._SUBCOMMANDS`. Each example gives every
 setting either no value, a flag or a config-file line. A value is drawn from
 a fixed pool by the setting's kind: valid values, non-finite and overlong
 numbers, empty and non-ASCII strings, JSON nested 20,000 deep, JSON of the
-wrong type (also inside a model), and a directory, a missing path or a
-path through a regular file for `out` and `ledger`. A config file may also repeat a key or hold a byte that
-is not UTF-8. Trial counts and `resolution` are always given, tiny or above
-their caps, so a valid run stays small.
+wrong type (also inside a model), and for `out` and `ledger` a directory,
+a missing path, a path through a regular file, a FIFO, a link to a file, a
+dangling link, a link that loops and a link to a directory. A config file
+may also repeat a key or hold a byte that is not UTF-8. Trial counts and
+`resolution` are always given, tiny or above their caps, so a valid run
+stays small.
 
 Whatever is drawn, `main(argv)` must exit 0, 2 or 3 without a traceback. A
 nonzero exit writes exactly one `bellsim:` line, or argparse's usage and
 error, and leaves no finished artifact (`out.json`, `out.csv` or
-`ledger.jsonl`), and no run leaves a `.tmp` file behind. A second test
-runs `counterfactual` with one of its two artifacts unwritable, and a third
-builds JSON models field by field, from values of every type, and requires
-each to be a model or a configuration error.
+`ledger.jsonl`), and no run leaves a `.tmp` file behind. After exit 0, each
+path named for an artifact resolves, as it did before the run, to a
+regular file that holds the bytes the same run writes to a plain file of
+that name, and no other file in the working directory changed. A second
+test gives each FIFO and link to `counterfactual`'s `out` and `ledger` in
+turn, a third runs `counterfactual` with one of its two artifacts
+unwritable, and a fourth builds JSON models field by field, from values of
+every type, and requires each to be a model or a configuration error.
 """
 
 import contextlib
 import io
+import json
 import math
 import os
+import stat
 import tempfile
 from pathlib import Path
 
@@ -85,6 +93,10 @@ ARTIFACTS = ("out.json", "out.csv", "ledger.jsonl")
 # Paths that cannot be written: a directory of the working directory, a missing one,
 # and one whose parent is a regular file.
 BAD_PATHS = _strings("outdir", "missing/artifact", "afile/x.json")
+# Paths that are not plain files: a FIFO (exit 2), a link to a file and a
+# dangling link (both written through to their targets), a link that loops
+# and a link to a directory (both exit 2).
+LINKED_PATHS = {"fifo": 2, "link.json": 0, "dangling.json": 0, "loop.json": 2, "dirlink": 2}
 # Always given: tiny, or just above their caps.
 COUNTS = {
     "trials": _both("1", "3"),
@@ -100,7 +112,8 @@ def _pool(key: str, setting, hostile: bool) -> list:
         return HOSTILE + above_cap if hostile else COUNTS[key]
     if not hostile:
         return [(True, "true"), (False, "false")] if setting.kind is bool else VALID[key]
-    return (BAD_PATHS if key in ("out", "ledger") else []) + HOSTILE
+    paths = BAD_PATHS + _strings(*LINKED_PATHS) if key in ("out", "ledger") else []
+    return paths + HOSTILE
 
 
 def test_every_setting_has_a_pool():
@@ -110,14 +123,15 @@ def test_every_setting_has_a_pool():
 
 @st.composite
 def _invocations(draw, command):
-    """argv and config-file text for `command`, and a BELLSIM_SEED value or None.
+    """argv and config-file text for `command`, a BELLSIM_SEED value or None, and the paths named.
 
     One or two settings get bad values and the others valid ones, so that
-    each check is reached past the checks before it.
+    each check is reached past the checks before it. The paths are the
+    string values given to `out` and `ledger`.
     """
     table = cli._SUBCOMMANDS[command].settings
     bad = draw(st.sets(st.sampled_from(sorted(table) + ["BELLSIM_SEED"]), min_size=1, max_size=2))
-    argv, lines = [command], []
+    argv, lines, named = [command], [], []
     for key, setting in table.items():
         flag_text, json_text = draw(st.sampled_from(_pool(key, setting, key in bad)))
         places = ["flag", "config"] if key in COUNTS else ["", "flag", "config"]
@@ -131,20 +145,99 @@ def _invocations(draw, command):
             argv.append(f"{flag}={flag_text}")
         elif where == "config":
             lines.append(f"{key} = {json_text}")
+        if key in ("out", "ledger") and where == "flag":
+            named.append(flag_text)
+        elif key in ("out", "ledger") and where == "config" and json_text.startswith('"'):
+            named.append(json.loads(json_text))
     if lines:
         lines += draw(st.sampled_from([[]] * 4 + [[lines[0]], ["# \udcff"]]))
     hostile_env = ["x", "-1", "1" + "0" * 5000, ""]
     env = draw(st.sampled_from(hostile_env if "BELLSIM_SEED" in bad else [None, "7"]))
-    return argv, lines, env
+    return argv, lines, env, named
 
 
-def _run(argv, lines, env, workdir: Path):
+def _prepare(argv, lines, workdir: Path, linked: bool = True) -> list:
+    """Write the config file and the files the path pools name; argv with `--config` if any.
+
+    With `linked` false, no FIFO or link is made, so each of their names is a new plain file.
+    """
     if lines:
         text = "\n".join(lines) + "\n"
         (workdir / "run.cfg").write_bytes(text.encode("utf-8", "surrogateescape"))
         argv = argv + ["--config", "run.cfg"]
     (workdir / "outdir").mkdir()
     (workdir / "afile").write_text("")
+    if linked:
+        if hasattr(os, "mkfifo"):
+            os.mkfifo(workdir / "fifo")
+        (workdir / "target.json").write_text("target\n")
+        for link, target in [("link.json", "target.json"), ("dangling.json", "made.json"),
+                             ("loop.json", "loop.json"), ("dirlink", "outdir")]:
+            os.symlink(target, workdir / link)
+    return argv
+
+
+def _tree(root: Path) -> dict:
+    """Each entry under `root` by relative path: a file's bytes, a link's target, else its type."""
+    tree = {}
+    for folder, dirs, files in os.walk(root):  # links to directories are listed, not entered
+        for name in dirs + files:
+            path = os.path.join(folder, name)
+            mode = os.lstat(path).st_mode
+            if stat.S_ISLNK(mode):
+                entry = ("link", os.readlink(path))
+            elif stat.S_ISREG(mode):
+                entry = ("file", Path(path).read_bytes())
+            else:
+                entry = ("other", stat.S_IFMT(mode))
+            tree[os.path.relpath(path, root)] = entry
+    return tree
+
+
+def _checked_run(argv, lines, env, named, workdir: Path):
+    """Run main in a prepared `workdir` and check the gate's oracles; return its exit code.
+
+    A FIFO is held open for reading during the run, so that a run that
+    wrongly writes to it fails the checks instead of blocking.
+    """
+    given, argv = argv, _prepare(argv, lines, workdir)
+    root = Path(os.path.realpath(workdir))
+    before = _tree(root)
+    resolved = {path: os.path.realpath(root / path) for path in named}
+    reader = os.open(root / "fifo", os.O_RDONLY | os.O_NONBLOCK) if "fifo" in before else None
+    try:
+        code, stderr = _run(argv, env, workdir)
+    finally:
+        if reader is not None:
+            os.close(reader)
+    leftovers = [p.name for p in root.rglob("*.tmp")]
+    finished = [name for name in ARTIFACTS if (root / name).exists()]
+    assert code in (0, 2, 3), stderr
+    assert "Traceback" not in stderr
+    assert leftovers == []
+    if code != 0:
+        assert finished == [], stderr
+        diagnostics = [line for line in stderr.splitlines() if line.startswith("bellsim:")]
+        usage = stderr.startswith("usage: bellsim") and f"bellsim {given[0]}: error:" in stderr
+        assert len(diagnostics) == 1 or (usage and not diagnostics), stderr
+        return code
+    written = {os.path.relpath(target, root) for target in resolved.values()}
+    with tempfile.TemporaryDirectory() as plain:
+        assert _run(_prepare(given, lines, Path(plain), False), env, Path(plain))[0] == 0
+        for path, target in resolved.items():
+            # Each named path still resolves where it did, to what was a regular file or nothing.
+            assert os.path.realpath(root / path) == target, path
+            assert before.get(os.path.relpath(target, root), ("file",))[0] == "file", path
+            assert stat.S_ISREG(os.lstat(target).st_mode), path
+            assert Path(target).read_bytes() == (Path(plain) / path).read_bytes(), path
+    after = _tree(root)
+    assert {k: v for k, v in after.items() if k not in written} == {
+        k: v for k, v in before.items() if k not in written
+    }
+    return code
+
+
+def _run(argv, env, workdir: Path):
     stdout, stderr = io.StringIO(), io.StringIO()
     saved_env, saved_cwd = os.environ.get("BELLSIM_SEED"), os.getcwd()
     try:
@@ -175,19 +268,20 @@ def _run(argv, lines, env, workdir: Path):
 )
 @given(data=st.data())
 def test_generated_inputs_exit_cleanly(command, data):
-    argv, lines, env = data.draw(_invocations(command))
+    argv, lines, env, named = data.draw(_invocations(command))
     with tempfile.TemporaryDirectory() as tmp:
-        code, stderr = _run(argv, lines, env, Path(tmp))
-        leftovers = [p.name for p in Path(tmp).rglob("*.tmp")]
-        finished = [name for name in ARTIFACTS if (Path(tmp) / name).exists()]
-    assert code in (0, 2, 3), stderr
-    assert "Traceback" not in stderr
-    assert leftovers == []
-    if code != 0:
-        assert finished == [], stderr
-        diagnostics = [line for line in stderr.splitlines() if line.startswith("bellsim:")]
-        usage = stderr.startswith("usage: bellsim") and f"bellsim {command}: error:" in stderr
-        assert len(diagnostics) == 1 or (usage and not diagnostics), stderr
+        _checked_run(argv, lines, env, named, Path(tmp))
+
+
+@pytest.mark.parametrize("key", ["out", "ledger"])
+@pytest.mark.parametrize("path", sorted(LINKED_PATHS))
+def test_fifos_and_links_name_the_file_they_resolve_to(key, path, tmp_path):
+    if path == "fifo" and not hasattr(os, "mkfifo"):
+        pytest.skip("no FIFOs on this platform")
+    paths = {"out": "out.json", "ledger": "ledger.jsonl", key: path}
+    argv = ["counterfactual", "--trials", "3", "--stats-trials", "5",
+            "--out", paths["out"], "--ledger", paths["ledger"]]
+    assert _checked_run(argv, [], None, list(paths.values()), tmp_path) == LINKED_PATHS[path]
 
 
 @pytest.mark.parametrize(
@@ -201,8 +295,9 @@ def test_generated_inputs_exit_cleanly(command, data):
 )
 def test_failed_write_leaves_no_finished_artifact(paths, tmp_path):
     # One of two artifacts cannot be written, so the run writes neither.
-    code, stderr = _run(["counterfactual", "--trials", "3", "--stats-trials", "5", *paths],
-                        [], None, tmp_path)
+    argv = _prepare(["counterfactual", "--trials", "3", "--stats-trials", "5", *paths], [],
+                    tmp_path)
+    code, stderr = _run(argv, None, tmp_path)
     assert code == 3, stderr
     assert [name for name in ARTIFACTS if (tmp_path / name).exists()] == []
 

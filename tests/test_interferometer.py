@@ -15,7 +15,7 @@ from bellsim.interferometer import (
     run_bomb_trials,
 )
 
-from bellsim.streams import CHUNK
+from bellsim.streams import CHUNK, word_thresholds
 
 from oracles import (
     bomb_oracle,
@@ -152,6 +152,24 @@ class TestTrials:
         expected = run_bomb_trials(spec, trials, seed)
         with mock.patch.object(streams, "CHUNK", chunk):
             assert run_bomb_trials(spec, trials, seed) == expected
+
+    def test_the_plan_holds_the_two_port_thresholds(self, monkeypatch):
+        # Three ports, two thresholds: a word below the first explodes, below the second is dark.
+        spec = InterferometerSpec(bomb_present=True, reflectivity=0.3)
+        probs = port_probabilities(spec)
+        plans = []
+        build = streams.counting_plan
+
+        def counting_plan(thresholds, *args):
+            plans.append((thresholds, build(thresholds, *args)))
+            return plans[-1][1]
+
+        monkeypatch.setattr(streams, "counting_plan", counting_plan)
+        run_bomb_trials(spec, 1000, 1)
+        (thresholds, plan), = plans
+        cumulative = [probs["exploded"], probs["exploded"] + probs["dark_port"]]
+        assert thresholds == word_thresholds(np.array(cumulative)).tolist()
+        assert len(plan.compares) == 2
 
     def test_tally_allocates_one_chunk_of_buffers(self):
         # Eight chunks run on one worker, whose uniform row and scratch

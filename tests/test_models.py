@@ -32,7 +32,6 @@ from bellsim.streams import (
     CHUNK,
     ChunkBuffers,
     TrialStream,
-    as_words,
     batch_uniforms,
     count_words,
     counting_plan,
@@ -42,6 +41,7 @@ from bellsim.streams import (
 
 import oracles
 from oracles import (
+    FixedWords,
     marginal_comparisons,
     marginals,
     numpy_pr_box_table,
@@ -417,20 +417,13 @@ class TestFusedCounts:
         u = 1.0 - 2.0**-53
         assert np.cumsum(_SHORT_TOTAL)[9] <= u
 
-        class Constant:
-            def words(self, seed, start, size, draws):
-                return as_words(np.full((draws, size), u))
-
-            def work_rows(self, count, size):
-                return np.empty((count, size), dtype=bool)
-
         monkeypatch.setattr(oracles, "stream_uniforms", lambda seed, stream_id, draws: [u])
         for pair_index, pair in enumerate(PAIR_ORDER):
-            outcomes, hidden = sample_outcomes(model, pair_index, as_words([[u]]))
+            outcomes, hidden = sample_outcomes(model, pair_index, word_thresholds([[u]]))
             assert hidden.tolist() == [9]
             assert tuple(outcomes[0].tolist()) == model.response(9, pair)
             assert reference_trial(model.to_dict(), pair, 0, 0) == (model.response(9, pair), 9)
-            counts = _chunk_counts(model, pair, 0, Constant(), 0, 10)
+            counts = _chunk_counts(model, pair, 0, FixedWords(word_thresholds([u] * 10)), 0, 10)
             expected = counts_from_outcomes(np.repeat(outcomes, 10, axis=0))
             assert counts == expected and counts.total == 10
 
@@ -449,7 +442,7 @@ class TestFusedCounts:
             for pair_index, pair in enumerate(PAIR_ORDER):
                 first = start + pair_index * count
                 ids = np.arange(first, first + count, dtype=np.uint64)
-                u = as_words(batch_uniforms(seed, ids, model._tables.draws))
+                u = word_thresholds(batch_uniforms(seed, ids, model._tables.draws))
                 outcomes, _ = sample_outcomes(model, pair_index, u)
                 expected[name, pair] = counts_from_outcomes(outcomes)
         with mock.patch.object(streams, "CHUNK", chunk):
@@ -470,21 +463,22 @@ class TestFusedCounts:
         start = CHUNK - 100
         for pair_index, pair in enumerate(PAIR_ORDER):
             outcomes = generate_outcomes(model, pair, seed, start, CHUNK + extra)
-            head = _chunk_counts(model, pair, seed, ChunkBuffers(), start, CHUNK)
-            tail = _chunk_counts(model, pair, seed, ChunkBuffers(), start + CHUNK, extra)
-            assert head + tail == counts_from_outcomes(outcomes)
-            # The row as sampled, each threshold repeated (a zero-probability
+            tally = [0, 0, 0, 0]  # one tally for both chunks, as a counting thread keeps it
+            for first, size in ((start, CHUNK), (start + CHUNK, extra)):
+                count_chunk(model._tables, seed, ChunkBuffers(), pair_index, first, size, tally)
+            assert CoincidenceCounts(*tally) == counts_from_outcomes(outcomes)
+            # The row as stored, each threshold repeated (a zero-probability
             # index after each), and thresholds m(1) appended that no word reaches.
             buffers = ChunkBuffers()
-            u, = buffers.words(seed, start, CHUNK, 1)
-            above, = buffers.work_rows(1, CHUNK)
+            u = buffers.words(seed, start, CHUNK, 1)[0].copy()
             row = model._tables.cdf[pair_index]
             no_word = word_thresholds(np.array([1.0, np.inf]))
             for cdf in (row, np.repeat(row, 2), np.append(row, no_word)):
-                expected = np.bincount(inverse_cdf(cdf[None], 0, u), minlength=len(cdf))
-                plan = counting_plan(cdf[:-1].tolist(), range(len(cdf)), len(cdf))
-                tally = [0] * len(cdf)
-                count_words(plan, u, above, tally)
+                indices = len(cdf) + 1
+                expected = np.bincount(inverse_cdf(cdf[None], 0, u), minlength=indices)
+                plan = counting_plan(cdf.tolist(), range(indices), indices)
+                tally = [0] * indices
+                count_words((plan,), seed, buffers, 0, start, CHUNK, tally)
                 assert tally == expected.tolist()
 
     def test_catalog_counts_equal_the_reference_tally(self, monkeypatch):
@@ -520,19 +514,18 @@ class TestFusedCounts:
             assert (got.n_pp, got.n_pm, got.n_mp, got.n_mm) == want, pair
 
     def test_thresholds_that_cannot_change_a_count_are_not_compared(self, monkeypatch):
-        # The PR box's rows are [0.5, 0.5, 0.5, inf] and [0, 0.5, inf, inf]
-        # in word form: thresholds repeated, at 0 and at +inf count without
-        # a pass over the words.
+        # The PR box's stored rows are [0.5, 0.5, 0.5] and [0, 0.5, inf] in
+        # word form: thresholds repeated, at 0 and at +inf count without a
+        # pass over the words.
         buffers = ChunkBuffers()
-        u, = buffers.words(4, 0, 1000, 1)
-        above, = buffers.work_rows(1, 1000)
+        u = buffers.words(4, 0, 1000, 1)[0].copy()
         passes = []
         count_nonzero = np.count_nonzero
         monkeypatch.setattr(np, "count_nonzero", lambda a: passes.append(a) or count_nonzero(a))
         for cdf in np.unique(PR_BOX._tables.cdf, axis=0):
             passes.clear()
             tally = [0] * 4
-            count_words(counting_plan(cdf[:-1].tolist(), range(4), 4), u, above, tally)
+            count_words((counting_plan(cdf.tolist(), range(4), 4),), 4, buffers, 0, 0, 1000, tally)
             assert len(passes) == 1
             assert tally == np.bincount(inverse_cdf(cdf[None], 0, u), minlength=4).tolist()
 
@@ -630,6 +623,14 @@ def test_pr_box_table_equals_numpy_reference_bit_for_bit(strength):
     assert all(type(p) is float for row in table.values() for p in row)
 
 
+def _assert_every_stored_threshold_is_compared(model):
+    """Each stored threshold column lies below m(1) = 2**53, which no word reaches, in some row."""
+    tables = model._tables
+    words = tables.cdf.view(np.uint64)
+    assert words.shape[1] < tables.answers.shape[1]  # n thresholds pick among n + 1 indices
+    assert [bool((column < 2**53).any()) for column in words.T] == [True] * words.shape[1]
+
+
 class TestModelTables:
     def test_distributions_match_joint_probabilities(self):
         model = ModelDescriptor(kind="quantum", state="psi_plus", angles=(0.1, 0.7, 1.3, 2.9))
@@ -654,7 +655,7 @@ class TestModelTables:
         # would put them.
         model = catalog()[name]
         u = np.concatenate([np.linspace(0.0, 1.0 - 2.0**-53, 4001), np.arange(1, 16) / 16.0])
-        words = as_words(u)  # each uniform rounded down to a word, as a stream's uniforms are
+        words = word_thresholds(u)  # each uniform rounded up to a word
         u = words.view(np.uint64) * 2.0**-53
         for pair_index, pair in enumerate(PAIR_ORDER):
             if model.kind == "superdeterministic":
@@ -668,9 +669,21 @@ class TestModelTables:
             assert np.array_equal(inverse_cdf(model._tables.cdf, pair_index, words), expected)
 
     def test_point_mass_needs_no_threshold(self):
-        assert ALL_PLUS._tables.cdf.shape == (4, 1)
-        assert catalog()["lhv-edge"]._tables.cdf.shape == (4, 2)
-        assert UNIFORM_LHV._tables.cdf.shape == (4, 16)
+        # A row of n thresholds picks among n + 1 indices.
+        assert ALL_PLUS._tables.cdf.shape == (4, 0)
+        assert catalog()["lhv-edge"]._tables.cdf.shape == (4, 1)
+        assert UNIFORM_LHV._tables.cdf.shape == (4, 15)
+
+    @pytest.mark.parametrize(
+        "name", [n for n, m in sorted(FUSED_MODELS.items()) if m.kind != "nonlocal"]
+    )
+    def test_every_stored_threshold_is_below_m1_in_some_row(self, name):
+        _assert_every_stored_threshold_is_compared(FUSED_MODELS[name])
+
+    @settings(max_examples=200, deadline=None)
+    @given(model=st.one_of(_MIXTURES, _TABLES))
+    def test_random_rows_store_only_thresholds_some_word_falls_below(self, model):
+        _assert_every_stored_threshold_is_compared(model)
 
     def test_accessors_reject_other_kinds(self):
         with pytest.raises(ValueError):

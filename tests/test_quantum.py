@@ -14,7 +14,7 @@ from bellsim.quantum import (
     make_named_state,
 )
 from bellsim.models import ModelDescriptor, run_trial, sample_outcomes
-from bellsim.streams import TrialStream, as_words
+from bellsim.streams import TrialStream, word_thresholds
 
 from oracles import (
     direction_matrix,
@@ -254,7 +254,7 @@ class TestSampling:
         # as run_trial would take them, through the kernel in one batch.
         n = 10**6
         assert self.UNIFORM._tables.draws == 1
-        u = as_words(TrialStream(2024, 0).uniforms(n))[:, None]
+        u = word_thresholds(TrialStream(2024, 0).uniforms(n))[:, None]
         outcomes, _ = sample_outcomes(self.UNIFORM, 0, u)
         stream = TrialStream(2024, 0)
         prefix = [run_trial(self.UNIFORM, ("a", "b"), stream).outcomes for _ in range(20_000)]

@@ -36,25 +36,6 @@ class TestCounts:
         counts = counts_from_outcomes(np.array([[1, -1]]))
         assert counts.n_pm == 1 and counts.total == 1
 
-    def test_fold_conserves_total(self):
-        rng = np.random.default_rng(0)
-        counts = CoincidenceCounts()
-        for _ in range(1000):
-            outcome = (int(rng.choice([1, -1])), int(rng.choice([1, -1])))
-            counts = counts + counts_from_outcomes(np.array([outcome]))
-        assert counts.total == 1000
-
-    def test_add(self):
-        a = CoincidenceCounts(1, 2, 3, 4)
-        b = CoincidenceCounts(10, 20, 30, 40)
-        assert a + b == CoincidenceCounts(11, 22, 33, 44)
-        assert a + b == b + a
-
-    @pytest.mark.parametrize("other", [1, (1, 2, 3, 4), None])
-    def test_adding_anything_but_counts_is_a_type_error(self, other):
-        with pytest.raises(TypeError):
-            CoincidenceCounts(1, 2, 3, 4) + other
-
     def test_counts_from_outcomes_matches_fold(self):
         rng = np.random.default_rng(3)
         outcomes = rng.choice([1, -1], size=(500, 2))

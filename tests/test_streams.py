@@ -14,7 +14,6 @@ from bellsim.streams import (
     CHUNK,
     ChunkBuffers,
     TrialStream,
-    as_words,
     batch_uniforms,
     count_words,
     counting_plan,
@@ -23,7 +22,7 @@ from bellsim.streams import (
     word_thresholds,
 )
 
-from oracles import traced_peak
+from oracles import FixedWords, traced_peak
 
 
 def test_same_key_same_sequence():
@@ -89,14 +88,15 @@ def test_inverse_cdf_matches_searchsorted(weights, seed):
     cdf = np.cumsum(weights)
     u = batch_uniforms(seed, np.arange(500, dtype=np.uint64), 1)[:, 0] * max(cdf[-1], 1.0)
     u[:len(cdf)] = cdf  # uniforms sitting exactly on each threshold
+    # A stored row leaves the last running total out: no index follows it.
     expected = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
-    assert np.array_equal(inverse_cdf(cdf[None], 0, u), expected)
+    assert np.array_equal(inverse_cdf(cdf[None, :-1], 0, u), expected)
     # Rows picked per uniform: the row itself, reversed weights and rolled weights.
     table = np.array([cdf, np.cumsum(weights[::-1]), np.cumsum(np.roll(weights, 1))])
     rows = (batch_uniforms(seed, np.arange(500, dtype=np.uint64), 2)[:, 1] * 3).astype(np.int8)
     expected = [min(np.searchsorted(table[r], x, side="right"), len(cdf) - 1)
                 for r, x in zip(rows, u)]
-    assert inverse_cdf(table, rows, u).tolist() == expected
+    assert inverse_cdf(table[:, :-1], rows, u).tolist() == expected
 
 
 def _uniforms(words):
@@ -104,12 +104,12 @@ def _uniforms(words):
     return words.view(np.uint64) * 2.0**-53
 
 
-def _plan_counts(cdf, words, counters=None):
+def _plan_counts(thresholds, words, counters=None):
     """Each index's count (or each counter's, given the counter of each index) by its plan."""
-    counters = range(len(cdf)) if counters is None else counters
-    plan = counting_plan(cdf[:-1].tolist(), counters, max(counters) + 1)
+    counters = range(len(thresholds) + 1) if counters is None else counters
+    plan = counting_plan(thresholds.tolist(), counters, max(counters) + 1)
     tally = [0] * (max(counters) + 1)
-    count_words(plan, words, np.empty(words.shape, dtype=bool), tally)
+    count_words((plan,), 0, FixedWords(words), 0, 0, words.size, tally)
     assert all(type(n) is int for n in tally)
     return tally
 
@@ -123,19 +123,19 @@ def test_counting_plans_match_bincount_of_indices(weights, seed):
     # Zero weights make ties; totals may stop short of 1 or pass it, which
     # puts thresholds at or above every uniform.
     cdf = np.cumsum(weights)
-    words = as_words(batch_uniforms(seed, np.arange(500, dtype=np.uint64), 1)[:, 0])
+    words = word_thresholds(batch_uniforms(seed, np.arange(500, dtype=np.uint64), 1)[:, 0])
     words[:len(cdf)] = word_thresholds(np.minimum(cdf, 1.0 - 2.0**-53))  # words on thresholds
     u = _uniforms(words)
-    indices = inverse_cdf(cdf[None], 0, u)
+    indices = inverse_cdf(cdf[None, :-1], 0, u)
     expected = np.bincount(indices, minlength=len(cdf))
-    cdf = word_thresholds(cdf)
-    assert np.array_equal(inverse_cdf(cdf[None], 0, words), indices)
-    assert _plan_counts(cdf, words) == expected.tolist()
-    assert _plan_counts(cdf, words[:0]) == [0] * len(cdf)
+    thresholds = word_thresholds(cdf[:-1])  # the row as a model stores it
+    assert np.array_equal(inverse_cdf(thresholds[None], 0, words), indices)
+    assert _plan_counts(thresholds, words) == expected.tolist()
+    assert _plan_counts(thresholds, words[:0]) == [0] * len(cdf)
     # Indices sharing a counter: counter k takes the indices k, k + 4, k + 8, ...
     counters = [k % 4 for k in range(len(cdf))]
     by_counter = np.bincount(counters, weights=expected, minlength=max(counters) + 1)
-    assert _plan_counts(cdf, words, counters) == by_counter.astype(int).tolist()
+    assert _plan_counts(thresholds, words, counters) == by_counter.astype(int).tolist()
 
 
 # Thresholds where words are scarce or crowded: 0, the subnormals, a tiny
@@ -169,6 +169,19 @@ def test_word_thresholds_pin_their_ends():
     assert word_thresholds(np.array([-1.0, 0.0, 5e-324, 1.0, np.inf])).view(np.uint64).tolist() == [
         0, 0, 1, 2**53, 2**53]
     assert word_thresholds(1.0 - 2.0**-53).view(np.uint64) == 2**53 - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    stream_id=st.integers(min_value=0, max_value=2**64 - 1),
+    draws=st.sampled_from([1, 2]),
+)
+def test_a_stream_uniforms_word_threshold_is_its_word(seed, stream_id, draws):
+    # A stream uniform is w * 2**-53, so the least word at or above it is w.
+    words = word_thresholds(TrialStream(seed, stream_id).uniforms(draws))
+    chunk = ChunkBuffers().words(seed, stream_id, 1, draws)[:, 0]
+    assert words.view(np.uint64).tolist() == chunk.view(np.uint64).tolist()
 
 
 def test_word_thresholds_refuse_subnormals_flushed_to_zero(monkeypatch):
