@@ -312,11 +312,8 @@ def _cmd_optimize(settings: dict) -> tuple:
 def _cmd_counterfactual(settings: dict) -> tuple:
     from .counterfactual import classify_definiteness, ledger_blocks, record_run
 
-    # Loaded once the inputs are checked: a rejected run never loads numpy.
-    import numpy as np
-
     model, trials, stats_trials = settings["model"], settings["trials"], settings["stats_trials"]
-    ledger = record_run(model, np.resize(np.arange(4, dtype=np.int8), trials), settings["seed"])
+    ledger = record_run(model, trials, settings["seed"])
     verdict = classify_definiteness(ledger, trials_for_stats=stats_trials)
     witness, facet = verdict.feasibility, verdict.feasibility.violated_facet
     feasibility = {

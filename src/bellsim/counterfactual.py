@@ -1,8 +1,9 @@
 """Record trials, replay them under alternative settings, classify models.
 
-A ledger pins down everything a trial consumed: the model, the run seed and
-the per-trial stream id. Replaying trial i under an alternative setting
-pair then has unambiguous semantics per model kind:
+A ledger's one rule: trial i is measured at PAIR_ORDER[i % 4] on stream id
+i. So the model, the run seed and the trial's index pin down everything the
+trial consumed, and replaying trial i under an alternative setting pair has
+unambiguous semantics per model kind:
 
   lhv kinds           the stored hidden strategy answers the new labels,
                       giving one definite outcome pair
@@ -26,12 +27,12 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Optional
 
 from ._record import record
 from .config import MAX_LEDGER_TRIALS
 from .experiment import run_chsh_experiment
-from .models import ModelDescriptor, _pair_index, _sample_range
+from .models import ModelDescriptor, _sample_range
 from .polytope import CorrelationVector, FeasibilityVerdict, local_membership
 from .quantum import OUTCOME_ORDER, JointOutcomeDistribution, outcome_index
 from .stats import PAIR_ORDER, SettingPair
@@ -42,7 +43,7 @@ if TYPE_CHECKING:
 
 # Stats trials use stream ids from _STATS_STREAM_BASE up, and a ledger's
 # trial i uses stream id i below MAX_LEDGER_TRIALS, so the two phases of a
-# run never share a stream. A ledger holds 4 bytes per trial and is sampled
+# run never share a stream. A ledger holds 3 bytes per trial and is sampled
 # and replayed CHUNK trials at a time; its text, about 90 bytes per trial, is
 # rendered and written _PIECE lines at a time, so no more than one piece of it
 # is held. The cap bounds a run's time and disk.
@@ -87,23 +88,19 @@ class CounterfactualTable:
 
 @record(eq=False)
 class TrialLedger:
-    """Recorded trials as arrays; trial i used stream id i.
+    """Recorded trials as arrays; trial i was measured at PAIR_ORDER[i % 4] on stream id i.
 
-    `pairs` holds PAIR_ORDER indices and `outcomes` outcome pairs (n, 2),
-    both int8; `hidden` holds int8 hidden indices, or is None where the
-    model exposes none. The constructor runs _ledger_pairs on `pairs`, so every reader of
-    a ledger, a replayed cell included, meets checked indices. Ledgers compare by identity.
+    `outcomes` holds 1 to MAX_LEDGER_TRIALS outcome pairs (n, 2) and `hidden` n hidden
+    indices, both int8, or None where the model exposes none. Ledgers compare by identity.
     """
 
     seed: int
     model: ModelDescriptor
-    pairs: np.ndarray
     outcomes: np.ndarray
     hidden: Optional[np.ndarray]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", _ledger_pairs(self.pairs))
-        n = len(self.pairs)
+        n = _check_trials(len(self.outcomes))
         if self.outcomes.shape != (n, 2) or self.hidden is not None and self.hidden.shape != (n,):
             raise ValueError(f"outcomes must be ({n}, 2) and hidden None or ({n},), one per trial")
 
@@ -122,48 +119,41 @@ class DefinitenessVerdict:
     factual_replays_matched: int
 
 
-def _ledger_pairs(schedule: "Sequence[SettingPair] | np.ndarray") -> np.ndarray:
-    """A schedule's PAIR_ORDER indices as int8, checked.
+def _check_trials(trials: int) -> int:
+    """`trials`, or a ValueError unless it is an int (not a bool) in 1..MAX_LEDGER_TRIALS."""
+    if type(trials) is not int or not 0 < trials <= MAX_LEDGER_TRIALS:
+        raise ValueError(f"a ledger holds 1 to {MAX_LEDGER_TRIALS} trials, got {trials!r}")
+    return trials
 
-    An entry is a setting pair or, in an integer array, its index. A
-    ValueError unless the schedule is non-empty and fits a ledger and each
-    index is an integer in 0..3: a negative index would wrap round the tables.
-    """
+
+def _pairs(start: int, size: int) -> np.ndarray:
+    """The int8 PAIR_ORDER indices of trials start..start+size-1: trial i's is i % 4."""
     import numpy as np
 
-    if len(schedule) == 0:
-        raise ValueError("a ledger's schedule must be non-empty")
-    if len(schedule) > MAX_LEDGER_TRIALS:
-        raise ValueError(f"a ledger holds at most {MAX_LEDGER_TRIALS} trials, got {len(schedule)}")
-    if not isinstance(schedule, np.ndarray):
-        schedule = np.array([_pair_index(settings) for settings in schedule])
-    integers = schedule.ndim == 1 and schedule.dtype.kind in "iu"
-    if not integers or not 0 <= schedule.min() <= schedule.max() <= 3:
-        raise ValueError("pair indices must be one integer in 0..3 per trial")
-    return schedule.astype(np.int8, copy=False)
+    pairs = np.arange(start, start + size)
+    pairs %= 4
+    return pairs.astype(np.int8)
 
 
-def record_run(
-    model: ModelDescriptor, schedule: "Sequence[SettingPair] | np.ndarray", seed: int
-) -> TrialLedger:
-    """One recorded trial per schedule entry, a CHUNK at a time; stream id = entry index.
+def record_run(model: ModelDescriptor, trials: int, seed: int) -> TrialLedger:
+    """`trials` recorded trials, a CHUNK at a time: trial i at PAIR_ORDER[i % 4] on stream id i.
 
-    An entry is a setting pair or, in an integer array, its PAIR_ORDER index.
+    A ValueError, before anything is sampled, unless `trials` is an integer
+    (not a bool) in 1..MAX_LEDGER_TRIALS.
     """
-    pairs = _ledger_pairs(schedule)
-    outcomes, hidden = _sample_range(model, pairs, seed, 0, len(pairs))
-    return TrialLedger(int(seed), model, pairs, outcomes, hidden)
+    outcomes, hidden = _sample_range(model, _pairs, seed, 0, _check_trials(trials))
+    return TrialLedger(int(seed), model, outcomes, hidden)
 
 
 def replay_counterfactual(
     ledger: TrialLedger, trial_index: int, alternative: SettingPair
 ) -> CounterfactualCell:
     """The cell for one alternative setting pair of one recorded trial."""
-    if not 0 <= trial_index < len(ledger.pairs):
+    if not 0 <= trial_index < len(ledger.outcomes):
         raise IndexError(f"trial index {trial_index} out of range")
     if alternative not in PAIR_ORDER:
         raise ValueError(f"alternative must be one of {PAIR_ORDER}, got {alternative!r}")
-    if alternative == PAIR_ORDER[ledger.pairs[trial_index]]:
+    if alternative == PAIR_ORDER[trial_index % 4]:
         outcome = tuple(ledger.outcomes[trial_index].tolist())
         return CounterfactualCell(kind="definite", outcome=outcome)
     model = ledger.model
@@ -179,7 +169,7 @@ def replay_counterfactual(
 def counterfactual_table(ledger: TrialLedger, trial_index: int) -> CounterfactualTable:
     """All four cells of one trial."""
     cells = {pair: replay_counterfactual(ledger, trial_index, pair) for pair in PAIR_ORDER}
-    settings = PAIR_ORDER[ledger.pairs[trial_index]]
+    settings = PAIR_ORDER[trial_index % 4]
     return CounterfactualTable(settings, cells[settings].outcome, cells)
 
 
@@ -197,7 +187,7 @@ def classify_definiteness(
     on correlations estimated from trials_for_stats fresh trials per
     setting pair, with the facet slack set to five standard errors of S.
     """
-    trials = len(ledger.pairs)
+    trials = len(ledger.outcomes)
     if trials_for_stats < 1:
         raise ValueError("trials_for_stats must be at least 1")
 
@@ -206,9 +196,9 @@ def classify_definiteness(
     cell_kinds[ledger.model.unperformed_cell] += 3 * trials
     matched = 0
     for start in range(0, trials, CHUNK):
-        own = ledger.pairs[start : start + CHUNK]
-        replayed, _ = _sample_range(ledger.model, own, ledger.seed, start, len(own))
-        matched += int((replayed == ledger.outcomes[start : start + CHUNK]).all(axis=1).sum())
+        recorded = ledger.outcomes[start : start + CHUNK]
+        replayed, _ = _sample_range(ledger.model, _pairs, ledger.seed, start, len(recorded))
+        matched += int((replayed == recorded).all(axis=1).sum())
 
     stats = run_chsh_experiment(
         ledger.model, trials_for_stats, ledger.seed, stream_base=_STATS_STREAM_BASE
@@ -241,11 +231,11 @@ def ledger_blocks(ledger: TrialLedger) -> Iterator[str]:
         f',"settings":{s},"outcomes":{o},"hidden":{h},"stream_id":'
         for s, o, h in itertools.product(*values)
     ]
-    for start in range(0, len(ledger.pairs), _PIECE):
+    for start in range(0, len(ledger.outcomes), _PIECE):
         block = slice(start, start + _PIECE)
         # Fragment keys: 68 per pair, 17 per outcome pair (its index in OUTCOME_ORDER), hidden + 1.
         left, right = ledger.outcomes[block].T.astype(int)
-        keys = 68 * ledger.pairs[block].astype(int) + 17 * outcome_index(left, right)
+        keys = 68 * _pairs(start, len(left)).astype(int) + 17 * outcome_index(left, right)
         if ledger.hidden is not None:
             keys += 1 + ledger.hidden[block]
         lines = zip(range(start, start + _PIECE), keys.tolist())

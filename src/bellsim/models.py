@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
 
 from ._record import record
 from .config import echoed
@@ -404,12 +404,13 @@ def run_trial(
 
 
 def _sample_range(
-    model: ModelDescriptor, pairs: "int | np.ndarray", seed: int, first: int, count: int
+    model: ModelDescriptor, pairs: "int | Callable", seed: int, first: int, count: int
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """sample_outcomes for the trials with stream ids first..first+count-1, a CHUNK at a time.
 
-    `pairs` is one PAIR_ORDER index for all trials or one per trial. Each
-    chunk writes its own rows of the int8 arrays, so chunks may finish in any order.
+    `pairs` is one PAIR_ORDER index for all trials or pairs(start, size), the
+    indices of streams start..start+size-1. Each chunk writes its own rows of
+    the int8 arrays, so chunks may finish in any order.
     """
     import numpy as np
 
@@ -421,7 +422,7 @@ def _sample_range(
     def sample(buffers: ChunkBuffers, r: int, start: int, size: int, tally: list) -> None:
         rows = slice(start - first, start - first + size)
         u = buffers.words(seed, start, size, model._tables.draws).T
-        own = pairs if isinstance(pairs, int) else pairs[rows]
+        own = pairs(start, size) if callable(pairs) else pairs
         outcomes[rows], own_hidden = sample_outcomes(model, own, u)
         if hidden is not None:
             hidden[rows] = own_hidden

@@ -38,7 +38,9 @@ _NO_WORD = float(np.uint64(1 << 53).view(np.float64))
 # The float64 view of word 1, the least subnormal: above 0 unless the CPU
 # flushes subnormals to zero, which word compares cannot work under.
 _WORD_ONE = 5e-324
-_M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+# The mix's ufunc operands as 0-d uint64 arrays, which numpy does not convert per call.
+_M1, _M2, _STEP, _S11, _S27, _S30, _S31 = (np.array(v, dtype=np.uint64) for v in (
+    0xBF58476D1CE4E5B9, 0x94D049BB133111EB, _GAMMA, 11, 27, 30, 31))
 
 # Trials per batch: memory grows with CHUNK, never with the trial count.
 CHUNK = 1 << 16
@@ -63,13 +65,13 @@ def _fmix64(z: int) -> int:
 
 def _fmix64_inplace(z: np.ndarray, scratch: np.ndarray) -> None:
     """fmix64 over a uint64 array in place; `scratch` holds each shifted copy."""
-    np.right_shift(z, 30, out=scratch)
+    np.right_shift(z, _S30, out=scratch)
     z ^= scratch
     z *= _M1
-    np.right_shift(z, 27, out=scratch)
+    np.right_shift(z, _S27, out=scratch)
     z ^= scratch
     z *= _M2
-    np.right_shift(z, 31, out=scratch)
+    np.right_shift(z, _S31, out=scratch)
     z ^= scratch
 
 
@@ -109,17 +111,17 @@ def _mix_rows(out: np.ndarray, scratch: np.ndarray) -> None:
     """Write word j of each stream into out[j], given its pre-mix key in out[-1].
 
     `out` is uint64; out[-1] holds seed + GAMMA * (stream id + 1) per stream
-    and is mixed into the key there. Each draw is mixed in its own row, the
-    last after every other has read the key, so no temporary is made, and
-    stops at h >> 11: the draw's 53-bit word w, whose uniform is w * 2**-53.
+    and is mixed into the key there. Row j holds key + GAMMA * (j + 1), one GAMMA
+    past row j - 1 and taken before that row is mixed, so no temporary is made;
+    each row stops at h >> 11: the draw's 53-bit word w, whose uniform is w * 2**-53.
     """
-    keys = out[-1]
-    _fmix64_inplace(keys, scratch)
-    for j in range(len(out)):
-        h = out[j]
-        np.add(keys, _GAMMA * (j + 1) & _MASK64, out=h)
+    _fmix64_inplace(out[-1], scratch)
+    np.add(out[-1], _STEP, out=out[0])
+    for j, h in enumerate(out):
+        if j + 1 < len(out):
+            np.add(h, _STEP, out=out[j + 1])
         _fmix64_inplace(h, scratch)
-        h >>= 11
+        h >>= _S11
 
 
 def batch_uniforms(seed: int, stream_ids: np.ndarray, draws: int) -> np.ndarray:

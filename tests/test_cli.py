@@ -945,7 +945,7 @@ needs_proc_status = pytest.mark.skipif(
     "model", [[], ["--model", "lhv-uniform", "--seed", "1"]], ids=["defaults", "lhv-uniform"]
 )
 def test_ledger_at_the_cap_peaks_under_100_mb(model, tmp_path):
-    # A ledger costs 4 bytes per trial plus one chunk's buffers, so at the
+    # A ledger costs 3 bytes per trial plus one chunk's buffers, so at the
     # 2**19 cap it peaks within 8 MB of a 1,500-trial ledger.
     from bellsim.config import MAX_LEDGER_TRIALS
 

@@ -301,10 +301,9 @@ def test_a_models_born_distributions_are_solved_once(monkeypatch):
     from bellsim.config import resolve_model
     from bellsim.counterfactual import counterfactual_table, record_run
     from bellsim.quantum import joint_probabilities
-    from bellsim.stats import PAIR_ORDER
 
     calls = _count_born_solves(monkeypatch)
-    ledger = record_run(resolve_model("quantum-optimal"), list(PAIR_ORDER) * 250, seed=3)
+    ledger = record_run(resolve_model("quantum-optimal"), 1000, seed=3)
     tables = [counterfactual_table(ledger, i) for i in range(1000)]
     assert len(calls) <= 4  # one per setting pair, solved when the ledger was sampled
     cell = tables[1].cells[("a", "b")]  # trial 1 measured (a, b')

@@ -18,10 +18,13 @@ error, and leaves no finished artifact (`out.json`, `out.csv` or
 path named for an artifact resolves, as it did before the run, to a
 regular file that holds the bytes the same run writes to a plain file of
 that name, and no other file in the working directory changed. A second
-test gives each FIFO and link to `counterfactual`'s `out` and `ledger` in
-turn, a third runs `counterfactual` with one of its two artifacts
-unwritable, and a fourth builds JSON models field by field, from values of
-every type, and requires each to be a model or a configuration error.
+generated test names each FIFO and link for `out` or `ledger` of every
+subcommand with every other setting valid, so a link to a file and a
+dangling link reach the exit-0 oracle and the rest exit 2. A third gives
+each FIFO and link to `counterfactual`'s `out` and `ledger` in turn, a
+fourth runs `counterfactual` with one of its two artifacts unwritable, and
+a fifth builds JSON models field by field, from values of every type, and
+requires each to be a model or a configuration error.
 """
 
 import contextlib
@@ -103,6 +106,9 @@ COUNTS = {
     "stats_trials": _both("1", "5"),
     "resolution": _both("2", "3", str(MAX_RESOLUTION + 1)),
 }
+# Pools that keep a run valid through a link or FIFO: tiny counts, and a model that takes
+# --state and --angles.
+VALID_RUN = {key: values[:2] for key, values in COUNTS.items()} | {"model": _strings("quantum")}
 
 
 def _pool(key: str, setting, hostile: bool) -> list:
@@ -122,19 +128,28 @@ def test_every_setting_has_a_pool():
 
 
 @st.composite
-def _invocations(draw, command):
+def _invocations(draw, command, linked=None):
     """argv and config-file text for `command`, a BELLSIM_SEED value or None, and the paths named.
 
     One or two settings get bad values and the others valid ones, so that
-    each check is reached past the checks before it. The paths are the
-    string values given to `out` and `ledger`.
+    each check is reached past the checks before it. With `linked`, a name
+    of LINKED_PATHS, nothing is bad: `out` or `ledger` names `linked`, the
+    others draw from VALID_RUN or VALID and no config key is repeated. The
+    paths are the string values given to `out` and `ledger`.
     """
     table = cli._SUBCOMMANDS[command].settings
-    bad = draw(st.sets(st.sampled_from(sorted(table) + ["BELLSIM_SEED"]), min_size=1, max_size=2))
+    if linked is None:
+        keys = st.sampled_from(sorted(table) + ["BELLSIM_SEED"])
+        bad, at = draw(st.sets(keys, min_size=1, max_size=2)), None
+    else:
+        bad, at = set(), draw(st.sampled_from([key for key in ("out", "ledger") if key in table]))
     argv, lines, named = [command], [], []
     for key, setting in table.items():
-        flag_text, json_text = draw(st.sampled_from(_pool(key, setting, key in bad)))
-        places = ["flag", "config"] if key in COUNTS else ["", "flag", "config"]
+        pool = _pool(key, setting, key in bad)
+        if linked is not None:
+            pool = _strings(linked) if key == at else VALID_RUN.get(key, pool)
+        flag_text, json_text = draw(st.sampled_from(pool))
+        places = ["flag", "config"] if key in (*COUNTS, at) else ["", "flag", "config"]
         where = draw(st.sampled_from(places))
         if where == "flag" and flag_text is None:
             where = "config"
@@ -149,7 +164,7 @@ def _invocations(draw, command):
             named.append(flag_text)
         elif key in ("out", "ledger") and where == "config" and json_text.startswith('"'):
             named.append(json.loads(json_text))
-    if lines:
+    if lines and linked is None:
         lines += draw(st.sampled_from([[]] * 4 + [[lines[0]], ["# \udcff"]]))
     hostile_env = ["x", "-1", "1" + "0" * 5000, ""]
     env = draw(st.sampled_from(hostile_env if "BELLSIM_SEED" in bad else [None, "7"]))
@@ -271,6 +286,19 @@ def test_generated_inputs_exit_cleanly(command, data):
     argv, lines, env, named = data.draw(_invocations(command))
     with tempfile.TemporaryDirectory() as tmp:
         _checked_run(argv, lines, env, named, Path(tmp))
+
+
+@pytest.mark.parametrize("path", sorted(LINKED_PATHS))
+@pytest.mark.parametrize("command", sorted(cli._SUBCOMMANDS))
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_generated_valid_runs_through_fifos_and_links(command, path, data):
+    # A link to a file and a dangling link are written through; the rest exit 2.
+    if path == "fifo" and not hasattr(os, "mkfifo"):
+        pytest.skip("no FIFOs on this platform")
+    argv, lines, env, named = data.draw(_invocations(command, linked=path))
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _checked_run(argv, lines, env, named, Path(tmp)) == LINKED_PATHS[path]
 
 
 @pytest.mark.parametrize("key", ["out", "ledger"])

@@ -259,10 +259,9 @@ class TestBatchGeneration:
         # Chunks of 16 trials, many workers handing over the interpreter lock
         # every microsecond: each chunk must land in the rows of its own ids.
         model = catalog()[name]
-        schedule = np.arange(1000) % 4
 
         def run():
-            ledger = record_run(model, schedule, seed=9)
+            ledger = record_run(model, 1000, seed=9)
             outcomes = generate_outcomes(model, ("a'", "b"), 9, 123, 1000)
             return outcomes, ledger.outcomes, ledger.hidden
 
@@ -294,12 +293,11 @@ class TestBatchGeneration:
     @pytest.mark.parametrize("name", sorted(catalog()))
     def test_run_trials_matches_run_trial(self, name):
         model = catalog()[name]
-        schedule = [PAIR_ORDER[(3 * i) % 4] for i in range(40)]
-        ledger = record_run(model, schedule, seed=77)
-        trials = [run_trial(model, pair, TrialStream(77, i)) for i, pair in enumerate(schedule)]
+        ledger = record_run(model, 40, seed=77)
+        trials = [run_trial(model, PAIR_ORDER[i % 4], TrialStream(77, i)) for i in range(40)]
         hidden = [None] * 40 if ledger.hidden is None else ledger.hidden.tolist()
-        assert list(zip(ledger.pairs.tolist(), ledger.outcomes.tolist(), hidden)) == [
-            (PAIR_ORDER.index(t.settings), list(t.outcomes), t.hidden) for t in trials
+        assert list(zip(ledger.outcomes.tolist(), hidden)) == [
+            (list(t.outcomes), t.hidden) for t in trials
         ]
         assert all(isinstance(v, int) for t in trials for v in t.outcomes)
 
@@ -702,7 +700,7 @@ class TestModelTables:
         monkeypatch.setattr(
             "bellsim.models.joint_probabilities", lambda *a: calls.append(a) or solve(*a)
         )
-        record_run(model, list(PAIR_ORDER) * 10, seed=1)
+        record_run(model, 40, seed=1)
         assert len(calls) == 4  # the tables, built on first use
         run_trial(model, ("a", "b'"), TrialStream(1, 0))
         generate_outcomes(model, ("a'", "b"), 1, 0, 1000)

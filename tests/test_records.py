@@ -164,11 +164,10 @@ CASES = [
         {
             "seed": 7,
             "model": MODEL,
-            "pairs": np.array([0], dtype=np.int8),
             "outcomes": np.array([[1, -1]], dtype=np.int8),
             "hidden": None,
         },
-        f"TrialLedger(seed=7, model={MODEL_REPR}, pairs=array([0], dtype=int8), "
+        f"TrialLedger(seed=7, model={MODEL_REPR}, "
         "outcomes=array([[ 1, -1]], dtype=int8), hidden=None)",
     ),
     (
@@ -211,7 +210,7 @@ INVALID = {
     CounterfactualTable: [lambda: CounterfactualTable(("a", "b"), (1, 1), {("a", "b"): CELL})],
     TrialLedger: [
         lambda: TrialLedger(
-            7, MODEL, np.array([0, 1], dtype=np.int8), np.array([[1, -1]], dtype=np.int8), None
+            7, MODEL, np.array([[1, -1]], dtype=np.int8), np.array([0, 1], dtype=np.int8)
         ),
     ],
 }
